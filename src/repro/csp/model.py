@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.errors import ModelError, StateSpaceTooLargeError
 from repro.mrf.distribution import GibbsDistribution
-from repro.serialize import payload_fingerprint
+from repro.serialize import (
+    frozen_table,
+    palette_index,
+    payload_fingerprint,
+    table_palette,
+)
 
 __all__ = ["Constraint", "LocalCSP", "exact_csp_gibbs_distribution"]
 
@@ -59,8 +64,10 @@ class Constraint:
             raise ModelError(f"{name}: constraint function must be non-negative")
         if np.all(table == 0):
             raise ModelError(f"{name}: constraint function must not be identically zero")
-        self.table = table.copy()
-        self.table.setflags(write=False)
+        if table.flags.writeable:  # already-frozen tables are shared, not copied
+            table = table.copy()
+            table.setflags(write=False)
+        self.table = table
         self.name = name
 
     @property
@@ -96,32 +103,16 @@ class Constraint:
             )
         return self.table / maximum
 
-    def to_dict(self) -> dict:
-        """Canonical plain-JSON form (scope order preserved, float64 table)."""
-        return {
-            "name": self.name,
-            "scope": list(self.scope),
-            "table": self.table.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> Constraint:
-        """Rebuild a :class:`Constraint` from a :meth:`to_dict` payload."""
-        try:
-            return cls(
-                payload["scope"],
-                np.asarray(payload["table"], dtype=float),
-                name=str(payload.get("name", "constraint")),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ModelError(f"malformed constraint payload: {error}") from None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Constraint(name={self.name!r}, scope={self.scope})"
 
 
 class LocalCSP:
-    """A weighted CSP over vertices ``0..n-1`` with spin domain ``[q]``."""
+    """A weighted CSP over vertices ``0..n-1`` with spin domain ``[q]``.
+
+    Immutable: ``constraints`` is a tuple of :class:`Constraint` objects
+    (themselves frozen), and the mutation methods return new instances.
+    """
 
     def __init__(self, n: int, q: int, constraints: Sequence[Constraint], name: str = "csp") -> None:
         if n < 1:
@@ -131,7 +122,8 @@ class LocalCSP:
         self.n = int(n)
         self.q = int(q)
         self.name = name
-        self.constraints = list(constraints)
+        self.constraints = tuple(constraints)
+        self._fingerprint: str | None = None
         for constraint in self.constraints:
             if constraint.q != q:
                 raise ModelError(
@@ -190,8 +182,10 @@ class LocalCSP:
 
         :class:`Constraint` objects are immutable (frozen tables), so the
         derived model shares them with ``self``; only the index lists are
-        rebuilt.  :meth:`model_fingerprint` reflects the mutation
-        automatically because fingerprints are computed on demand.
+        rebuilt.  The derived model is a new instance, and
+        :meth:`model_fingerprint` is memoized per immutable instance, so
+        the derived model's fingerprint reflects the mutation while
+        ``self`` keeps its own.
         """
         return LocalCSP(
             self.n, self.q, [*self.constraints, constraint], name=self.name
@@ -212,32 +206,59 @@ class LocalCSP:
         return LocalCSP(self.n, self.q, remaining, name=self.name)
 
     def to_dict(self) -> dict:
-        """Canonical plain-JSON form; inverse of :meth:`from_dict`.
+        """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
 
-        Constraint *order* is preserved: it does not change the Gibbs
-        distribution, but it does fix the factor-evaluation order of the
-        chains, which is part of the bit-level determinism contract the
-        serving cache relies on.
+        ``palette`` holds each distinct constraint table once, in
+        first-use order along the constraints (deduplicated by shape and
+        float64 bytes); each ``constraints`` entry carries its name, its
+        scope and the palette position of its table.  Constraint *order*
+        is preserved: it does not change the Gibbs distribution, but it
+        does fix the factor-evaluation order of the chains, which is part
+        of the bit-level determinism contract the serving cache relies on.
         """
+        tables, index = table_palette(
+            [constraint.table for constraint in self.constraints]
+        )
         return {
             "type": "csp",
             "name": self.name,
             "n": self.n,
             "q": self.q,
-            "constraints": [constraint.to_dict() for constraint in self.constraints],
+            "palette": [table.tolist() for table in tables],
+            "constraints": [
+                {"name": constraint.name, "scope": list(constraint.scope), "table": i}
+                for constraint, i in zip(self.constraints, index)
+            ],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> LocalCSP:
-        """Rebuild a :class:`LocalCSP` from a :meth:`to_dict` payload."""
+        """Rebuild a :class:`LocalCSP` from a :meth:`to_dict` payload.
+
+        Constraints naming one palette entry share one frozen table.
+        """
         try:
             n = int(payload["n"])
             q = int(payload["q"])
-            constraint_payloads = payload["constraints"]
+            tables = [frozen_table(table) for table in payload["palette"]]
+            entries = list(payload["constraints"])
+            index = palette_index(
+                [entry["table"] for entry in entries],
+                len(tables),
+                len(entries),
+                "constraint",
+            )
+            constraints = [
+                Constraint(
+                    entry["scope"],
+                    tables[i],
+                    name=str(entry.get("name", "constraint")),
+                )
+                for entry, i in zip(entries, index)
+            ]
             name = str(payload.get("name", "csp"))
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ModelError(f"malformed CSP payload: {error}") from None
-        constraints = [Constraint.from_dict(entry) for entry in constraint_payloads]
         return cls(n, q, constraints, name=name)
 
     def model_fingerprint(self) -> str:
@@ -246,12 +267,15 @@ class LocalCSP:
         Model and constraint names are cosmetic and excluded (see
         :meth:`repro.mrf.model.MRF.model_fingerprint` for the contract);
         scope order, constraint order and every table value are hashed.
+        Computed on the first call and memoized per immutable instance.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        for entry in payload["constraints"]:
-            del entry["name"]
-        return payload_fingerprint(payload)
+        if self._fingerprint is None:
+            payload = self.to_dict()
+            del payload["name"]
+            for entry in payload["constraints"]:
+                del entry["name"]
+            self._fingerprint = payload_fingerprint(payload)
+        return self._fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LocalCSP(name={self.name!r}, n={self.n}, q={self.q}, constraints={len(self.constraints)})"

@@ -21,6 +21,16 @@ class ModelError(ReproError):
     """
 
 
+class UnknownModelError(ModelError):
+    """A request named its model by fingerprint, and the receiver has no such model.
+
+    Raised by :meth:`repro.spec.JobSpec.from_wire` for a well-formed
+    fingerprint reference missing from the model registry it was given.
+    The sampling service answers HTTP 409, and the client falls back to
+    sending the full model.
+    """
+
+
 class InfeasibleStateError(ReproError):
     """An operation required a feasible configuration but none exists.
 

@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
-from repro.serialize import payload_fingerprint
+from repro.serialize import (
+    frozen_table,
+    palette_index,
+    payload_fingerprint,
+    table_palette,
+)
 
 __all__ = ["MRF", "Config", "as_config"]
 
@@ -81,6 +86,7 @@ class MRF:
         ]
         self._edge_activity = self._build_edge_activities(edge_activities)
         self.vertex_activity = self._build_vertex_activities(vertex_activities)
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -124,6 +130,8 @@ class MRF:
             raise ModelError(
                 f"{label}: activity must be {self.q}x{self.q}, got {matrix.shape}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ModelError(f"{label}: activities must be finite")
         if np.any(matrix < 0):
             raise ModelError(f"{label}: activities must be non-negative")
         if not np.allclose(matrix, matrix.T):
@@ -165,6 +173,8 @@ class MRF:
                         f"vertex activities must have shape ({self.q},) or "
                         f"({self.n}, {self.q}), got {arr.shape}"
                     )
+        if not np.all(np.isfinite(table)):
+            raise ModelError("vertex activities must be finite")
         if np.any(table < 0):
             raise ModelError("vertex activities must be non-negative")
         if np.any(np.all(table == 0, axis=1)):
@@ -270,9 +280,10 @@ class MRF:
 
         Copy-on-write: the untouched per-edge and per-vertex activity
         tables are shared with ``self`` (they are read-only), so the cost
-        is O(n + m) bookkeeping, not a model rebuild.  The derived model's
-        :meth:`model_fingerprint` reflects the mutation automatically
-        because fingerprints are computed from content on demand.
+        is O(n + m) bookkeeping, not a model rebuild.  The derived model is
+        a new instance, and :meth:`model_fingerprint` is memoized per
+        immutable instance, so the derived model's fingerprint reflects the
+        mutation while ``self`` keeps its own.
         """
         u, v = int(u), int(v)
         if u == v:
@@ -315,50 +326,64 @@ class MRF:
     # canonical serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Canonical plain-JSON form: sorted edges, dtype-normalized tables.
+        """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
 
-        The payload depends only on the model's mathematical content (the
-        constructor already sorts ``edges`` canonically and coerces every
-        activity to float64), never on how the instance was built — two
-        equal models serialise to equal payloads.  Inverse:
-        :meth:`from_dict`.
+        ``edges`` lists the edges in canonical sorted order.
+        ``edge_palette`` holds each distinct edge activity table once, in
+        first-use order along ``edges``, and ``edge_index[i]`` is the
+        palette position of edge ``i``'s table; ``vertex_palette`` and
+        ``vertex_index`` do the same for the rows of the vertex activity
+        table.  Tables are deduplicated by value (their float64 bytes), so
+        the payload depends only on the model's mathematical content,
+        never on how the instance was built or which tables it shares —
+        two equal models serialise to equal payloads.
         """
+        tables, edge_index = table_palette(
+            [self._edge_activity[edge] for edge in self.edges]
+        )
+        rows, vertex_index = table_palette(list(self.vertex_activity))
         return {
             "type": "mrf",
             "name": self.name,
             "n": self.n,
             "q": self.q,
             "edges": [[u, v] for u, v in self.edges],
-            "edge_activities": [
-                self._edge_activity[edge].tolist() for edge in self.edges
-            ],
-            "vertex_activities": self.vertex_activity.tolist(),
+            "edge_palette": [table.tolist() for table in tables],
+            "edge_index": edge_index,
+            "vertex_palette": [row.tolist() for row in rows],
+            "vertex_index": vertex_index,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> MRF:
-        """Rebuild an :class:`MRF` from a :meth:`to_dict` payload."""
+        """Rebuild an :class:`MRF` from a :meth:`to_dict` payload.
+
+        The edges naming one palette entry share one frozen table, so the
+        rebuilt model validates (and pickles) each distinct table once.
+        """
         try:
             n = int(payload["n"])
             q = int(payload["q"])
             edges = [(int(u), int(v)) for u, v in payload["edges"]]
-            edge_tables = payload["edge_activities"]
-            vertex_table = np.asarray(payload["vertex_activities"], dtype=float)
-            name = str(payload.get("name", "mrf"))
-        except (KeyError, TypeError, ValueError) as error:
-            raise ModelError(f"malformed MRF payload: {error}") from None
-        if len(edge_tables) != len(edges):
-            raise ModelError(
-                f"MRF payload has {len(edges)} edges but "
-                f"{len(edge_tables)} edge activity tables"
+            tables = [frozen_table(table) for table in payload["edge_palette"]]
+            edge_index = palette_index(
+                payload["edge_index"], len(tables), len(edges), "edge"
             )
+            rows = np.asarray(payload["vertex_palette"], dtype=float)
+            vertex_index = palette_index(payload["vertex_index"], len(rows), n, "vertex")
+            name = str(payload.get("name", "mrf"))
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            raise ModelError(f"malformed MRF payload: {error}") from None
+        if rows.ndim != 2 or rows.shape[1] != q:
+            raise ModelError(
+                f"vertex palette rows must have length {q}, got shape {rows.shape}"
+            )
+        vertex_table = rows[vertex_index]
+        vertex_table.setflags(write=False)
         graph = nx.Graph()
         graph.add_nodes_from(range(n))
         graph.add_edges_from(edges)
-        activities = {
-            edge: np.asarray(table, dtype=float)
-            for edge, table in zip(edges, edge_tables)
-        }
+        activities = {edge: tables[i] for edge, i in zip(edges, edge_index)}
         return cls(graph, q, activities, vertex_table, name=name)
 
     def model_fingerprint(self) -> str:
@@ -369,10 +394,15 @@ class MRF:
         keyed on this fingerprint deduplicate across processes.  Equal
         fingerprints imply bit-identical sampling results for equal
         requests (every value that can influence a sampled bit is hashed).
+        Computed on the first call and memoized: an instance never changes
+        (mutations return new instances), and a model that is only sampled
+        never pays for it.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        return payload_fingerprint(payload)
+        if self._fingerprint is None:
+            payload = self.to_dict()
+            del payload["name"]
+            self._fingerprint = payload_fingerprint(payload)
+        return self._fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -39,7 +39,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.errors import ModelError, ReproError, ServeError
+from repro.errors import ModelError, ReproError, ServeError, UnknownModelError
 from repro.exec.jobs import JobRunner
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -79,14 +79,10 @@ def _percentile(sorted_values: list[float], q: float) -> float | None:
     rank = math.ceil(q * len(sorted_values)) - 1
     return sorted_values[max(0, min(len(sorted_values) - 1, rank))]
 
-#: Bound on the fingerprint -> wire-model registry behind the submission
+#: Bound on the fingerprint -> decoded-model registry behind the submission
 #: fast path (LRU).  An evicted fingerprint simply costs one 409 round
 #: trip: the client falls back to a full submission and re-registers it.
 _MODEL_REGISTRY_CAPACITY = 256
-
-
-class _UnknownFingerprint(Exception):
-    """A fingerprint-only submission named a model this server has not seen."""
 
 
 @dataclass
@@ -140,10 +136,10 @@ class ReproServer:
         self._dispatcher: threading.Thread | None = None
         self._server: asyncio.AbstractServer | None = None
         self._contexts: dict[int, _JobContext] = {}
-        # fingerprint -> wire model payload (loop thread only): lets a
-        # repeat client submit by fingerprint instead of re-shipping the
-        # (potentially very large) model document.
-        self._models: OrderedDict[str, dict] = OrderedDict()
+        # fingerprint -> decoded model (loop thread only): a repeat client
+        # submits by fingerprint instead of re-shipping the model, and the
+        # server resolves it without decoding or hashing anything.
+        self._models: OrderedDict[str, object] = OrderedDict()
         self._stop = threading.Event()
         self._closed = False
         self._submitted = 0
@@ -446,44 +442,20 @@ class ReproServer:
     # ------------------------------------------------------------------
     # job submission
     # ------------------------------------------------------------------
-    def _resolve_model(self, spec_payload):
-        """Expand a fingerprint-only model reference from the registry.
+    def _register_model(self, model) -> str | None:
+        """Remember a decoded model under its (memoized) fingerprint (LRU).
 
-        Raises :class:`_UnknownFingerprint` when the fingerprint names a
-        model this server has not seen (or has evicted) — the client is
-        expected to fall back to a full submission.
+        A model resolved from the registry is re-registered too, which
+        marks it most recently used.
         """
-        if not isinstance(spec_payload, dict):
-            return spec_payload
-        model = spec_payload.get("model")
-        if not (isinstance(model, dict) and model.get("type") == "fingerprint"):
-            return spec_payload
-        fingerprint = model.get("fingerprint")
-        known = self._models.get(fingerprint)
-        if known is None:
-            raise _UnknownFingerprint(
-                f"unknown model fingerprint {str(fingerprint)[:16]}...; "
-                "resubmit with the full model payload"
-            )
-        self._models.move_to_end(fingerprint)
-        resolved = dict(spec_payload)
-        resolved["model"] = known
-        return resolved
-
-    def _register_model(self, spec: JobSpec, spec_payload) -> str | None:
-        """Remember the spec's wire model under its fingerprint (LRU)."""
-        fingerprint = getattr(spec.model, "model_fingerprint", None)
+        fingerprint = getattr(model, "model_fingerprint", None)
         if fingerprint is None:
             return None
         digest = fingerprint()
-        model_payload = (
-            spec_payload.get("model") if isinstance(spec_payload, dict) else None
-        )
-        if isinstance(model_payload, dict):
-            self._models[digest] = model_payload
-            self._models.move_to_end(digest)
-            while len(self._models) > _MODEL_REGISTRY_CAPACITY:
-                self._models.popitem(last=False)
+        self._models[digest] = model
+        self._models.move_to_end(digest)
+        while len(self._models) > _MODEL_REGISTRY_CAPACITY:
+            self._models.popitem(last=False)
         return digest
 
     async def _handle_submit(self, body: bytes, writer) -> None:
@@ -491,10 +463,9 @@ class ReproServer:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ModelError("request body must be a JSON object")
-            spec_payload = self._resolve_model(payload.get("spec"))
-            spec = JobSpec.from_wire(spec_payload)
+            spec = JobSpec.from_wire(payload.get("spec"), models=self._models)
             stream = bool(payload.get("stream", False))
-        except _UnknownFingerprint as error:
+        except UnknownModelError as error:
             await self._respond(
                 writer, 409, {"error": str(error), "unknown_fingerprint": True}
             )
@@ -517,10 +488,10 @@ class ReproServer:
         with _obs_trace.span(
             "serve.request", parent=trace_parent, kind=spec.kind, stream=stream
         ):
-            await self._submit_parsed(spec, spec_payload, stream, writer)
+            await self._submit_parsed(spec, stream, writer)
 
-    async def _submit_parsed(self, spec: JobSpec, spec_payload, stream: bool, writer) -> None:
-        fingerprint = self._register_model(spec, spec_payload)
+    async def _submit_parsed(self, spec: JobSpec, stream: bool, writer) -> None:
+        fingerprint = self._register_model(spec.model)
         key = spec.cache_key()
         if key is not None:
             hit = self.cache.get(key)
@@ -599,8 +570,8 @@ class ReproServer:
         The cache key already hashes the model fingerprint, so a *mutated*
         model can never hit a pre-mutation entry; invalidation is the
         explicit hygiene step that also frees the stale entries (and the
-        registered model payload) once a client knows the old model is
-        gone for good.
+        registered model) once a client knows the old model is gone for
+        good.
         """
         try:
             payload = json.loads(body.decode("utf-8"))

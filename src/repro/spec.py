@@ -10,8 +10,10 @@ A spec is:
 * **self-contained and picklable** — workers execute it with no other
   context;
 * **wire-serialisable** (:meth:`to_wire` / :meth:`from_wire`) — the model
-  travels as its canonical payload (:mod:`repro.serialize`), so a request
-  submitted over HTTP rebuilds an equivalent model on the server;
+  travels as its canonical palette payload (:mod:`repro.serialize`), so a
+  request submitted over HTTP rebuilds an equivalent model on the server,
+  or as a fingerprint (:meth:`to_wire_fingerprint`) that the receiver
+  resolves through its registry of decoded models;
 * **content-addressable** (:meth:`cache_key`) — the key hashes the model
   fingerprint, method, seed and every parameter that can influence a
   sampled bit, and *nothing else*.  Because results are bit-identical for
@@ -29,12 +31,15 @@ never be replayed.
 
 from __future__ import annotations
 
+import math
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.chains.base import SeedLike
-from repro.errors import ModelError
+from repro.errors import BackendError, ModelError, UnknownModelError
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
 
 __all__ = ["JOB_KINDS", "JobSpec"]
@@ -43,7 +48,11 @@ JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
 
 #: Wire-format version; bumped on incompatible changes so a client and a
 #: long-running daemon from different releases fail loudly, not subtly.
-WIRE_VERSION = 1
+#: Version 2 carries models in the palette form of :mod:`repro.serialize`.
+WIRE_VERSION = 2
+
+#: A model fingerprint: the SHA-256 hex digest of its canonical payload.
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 def _canonical_seed(seed, strict: bool):
@@ -85,6 +94,25 @@ def _canonical_initial(initial):
     if initial is None:
         return None
     return np.asarray(initial, dtype=np.int64).tolist()
+
+
+def _wire_model(payload, models: Mapping[str, object] | None):
+    """Decode a wire model, or resolve a fingerprint reference via ``models``."""
+    if not (isinstance(payload, dict) and payload.get("type") == "fingerprint"):
+        return model_from_dict(payload)
+    fingerprint = payload.get("fingerprint")
+    if not (isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint)):
+        raise ModelError(
+            "a model sent by fingerprint needs a 'fingerprint' of 64 lowercase "
+            "hex characters"
+        )
+    model = None if models is None else models.get(fingerprint)
+    if model is None:
+        raise UnknownModelError(
+            f"unknown model fingerprint {fingerprint[:16]}...; "
+            "resubmit with the full model payload"
+        )
+    return model
 
 
 @dataclass(frozen=True)
@@ -370,8 +398,19 @@ class JobSpec:
         }
 
     @classmethod
-    def from_wire(cls, payload: dict) -> JobSpec:
-        """Rebuild a :class:`JobSpec` from a :meth:`to_wire` payload."""
+    def from_wire(
+        cls, payload: dict, models: Mapping[str, object] | None = None
+    ) -> JobSpec:
+        """Rebuild a :class:`JobSpec` from a :meth:`to_wire` payload.
+
+        A model sent by fingerprint (:meth:`to_wire_fingerprint`) resolves
+        through ``models``, a mapping from fingerprint to decoded model
+        (the sampling server passes its registry), at the cost of one
+        lookup: nothing is decoded or hashed.  A well-formed fingerprint
+        missing from ``models`` raises
+        :class:`~repro.errors.UnknownModelError`; every other malformed
+        field raises :class:`~repro.errors.ModelError`.
+        """
         if not isinstance(payload, dict):
             raise ModelError(f"job payload must be a dict, got {type(payload).__name__}")
         version = payload.get("version", WIRE_VERSION)
@@ -384,54 +423,56 @@ class JobSpec:
         if kind not in JOB_KINDS:
             raise ModelError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
         try:
-            model = model_from_dict(payload["model"])
+            model = _wire_model(payload["model"], models)
             params = dict(payload.get("params") or {})
             seed = payload.get("seed")
-            method = str(payload.get("method", "local-metropolis"))
+            if seed is not None:
+                seed = int(seed)
+                if seed < 0:
+                    raise ModelError(f"seed must be a non-negative integer, got {seed}")
             name = payload.get("name")
-            replicas = int(params.pop("replicas", 1))
-            initial = params.pop("initial", None)
             sharded = bool(params.pop("sharded", False))
             shard_size = params.pop("shard_size", None) if sharded else None
             backend = params.pop("backend", None)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ModelError(f"malformed JobSpec payload: {error}") from None
-        common = dict(
-            model=model,
-            method=method,
-            replicas=replicas,
-            seed=None if seed is None else int(seed),
-            initial=initial,
-            name=None if name is None else str(name),
-            parallel=0 if sharded else None,
-            shard_size=None if shard_size is None else int(shard_size),
-            backend=None if backend is None else str(backend),
-        )
-        try:
+            common = dict(
+                model=model,
+                method=str(payload.get("method", "local-metropolis")),
+                replicas=int(params.pop("replicas", 1)),
+                seed=seed,
+                initial=_canonical_initial(params.pop("initial", None)),
+                name=None if name is None else str(name),
+                parallel=0 if sharded else None,
+                shard_size=None if shard_size is None else int(shard_size),
+                backend=None if backend is None else str(backend),
+            )
+            eps = params.get("eps")
+            if eps is not None:
+                eps = float(eps)
+                if not math.isfinite(eps):
+                    raise ModelError(f"eps must be finite, got {eps}")
             if kind == "sample_many":
-                spec = cls(
+                rounds = params.get("rounds")
+                return cls(
                     kind=kind,
-                    rounds=None if params.get("rounds") is None else int(params["rounds"]),
-                    eps=None if params.get("eps") is None else float(params["eps"]),
+                    rounds=None if rounds is None else int(rounds),
+                    eps=eps,
                     **common,
                 )
-            elif kind == "tv_curve":
-                spec = cls(
+            if kind == "tv_curve":
+                return cls(
                     kind=kind,
                     checkpoints=tuple(int(c) for c in params.get("checkpoints") or ()),
                     **common,
                 )
-            else:  # mixing_time
-                spec = cls(
-                    kind=kind,
-                    eps=None if params.get("eps") is None else float(params["eps"]),
-                    max_rounds=int(params.get("max_rounds", 10_000)),
-                    stride=int(params.get("stride", 1)),
-                    **common,
-                )
-        except (TypeError, ValueError) as error:
+            return cls(
+                kind=kind,
+                eps=eps,
+                max_rounds=int(params.get("max_rounds", 10_000)),
+                stride=int(params.get("stride", 1)),
+                **common,
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, BackendError) as error:
             raise ModelError(f"malformed JobSpec payload: {error}") from None
-        return spec
 
     def with_name(self, name: str | None) -> JobSpec:
         """A copy of this spec relabelled as ``name`` (specs are frozen)."""

@@ -36,6 +36,18 @@ class TestValidation:
         with pytest.raises(ModelError, match="identically zero"):
             MRF(path_graph(2), 2, np.zeros((2, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_edge_activity(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            MRF(path_graph(2), 2, np.array([[1.0, bad], [bad, 1.0]]), np.ones(2))
+        with pytest.raises(ModelError, match="finite"):
+            MRF(path_graph(2), 2, {(0, 1): np.full((2, 2), bad)}, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_vertex_activity(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            MRF(path_graph(2), 2, np.ones((2, 2)), np.array([1.0, bad]))
+
     def test_rejects_all_zero_vertex_activity(self):
         with pytest.raises(ModelError, match="positive activity"):
             MRF(path_graph(2), 2, np.ones((2, 2)), np.zeros(2))

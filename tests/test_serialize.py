@@ -169,6 +169,85 @@ class TestFingerprint:
         )
 
 
+def _hetero_mrf() -> MRF:
+    """A 6-cycle whose edge (0, 1) and vertex 2 carry their own tables."""
+    graph = cycle_graph(6)
+    plain = np.ones((3, 3)) - np.eye(3)
+    soft = np.full((3, 3), 2.0)
+    edges = {edge: plain.copy() for edge in graph.edges()}
+    edges[(0, 1)] = soft
+    vertex = np.ones((6, 3))
+    vertex[2] = [1.0, 2.0, 3.0]
+    return MRF(graph, 3, edges, vertex)
+
+
+class TestPaletteForm:
+    def test_shared_and_per_edge_tables_serialise_equally(self):
+        graph = cycle_graph(6)
+        table = np.ones((3, 3)) - np.eye(3)
+        shared = MRF(graph, 3, table, np.ones(3))
+        copies = MRF(
+            graph, 3, {edge: table.copy() for edge in graph.edges()}, np.ones((6, 3))
+        )
+        assert shared.to_dict() == copies.to_dict()
+        assert shared.model_fingerprint() == copies.model_fingerprint()
+        payload = shared.to_dict()
+        assert payload["edge_palette"] == [table.tolist()]
+        assert payload["edge_index"] == [0] * 6
+        assert payload["vertex_palette"] == [[1.0, 1.0, 1.0]]
+        assert payload["vertex_index"] == [0] * 6
+
+    def test_palette_is_in_first_use_order(self):
+        payload = _hetero_mrf().to_dict()
+        # (0, 1) is the first edge in canonical order, so its table is entry 0.
+        assert payload["edges"][0] == [0, 1]
+        assert payload["edge_index"] == [0, 1, 1, 1, 1, 1]
+        assert payload["edge_palette"][0] == np.full((3, 3), 2.0).tolist()
+        assert payload["vertex_index"] == [0, 0, 1, 0, 0, 0]
+
+    def test_from_dict_shares_frozen_tables(self):
+        model = _hetero_mrf()
+        payload = json.loads(json.dumps(model.to_dict()))
+        clone = MRF.from_dict(payload)
+        tables = [clone.edge_activity(u, v) for u, v in clone.edges]
+        assert len({id(table) for table in tables}) == len(payload["edge_palette"])
+        assert not any(table.flags.writeable for table in tables)
+        assert clone.model_fingerprint() == model.model_fingerprint()
+
+        csp = dominating_set_csp(cycle_graph(6))
+        csp_payload = json.loads(json.dumps(csp.to_dict()))
+        assert len(csp_payload["palette"]) == 1  # every closed neighbourhood has 3 vertices
+        csp_clone = LocalCSP.from_dict(csp_payload)
+        csp_tables = [constraint.table for constraint in csp_clone.constraints]
+        assert len({id(table) for table in csp_tables}) == 1
+        assert not any(table.flags.writeable for table in csp_tables)
+
+    @pytest.mark.parametrize("build", [_hetero_mrf, lambda: dominating_set_csp(cycle_graph(5))])
+    def test_fingerprint_is_memoized(self, monkeypatch, build):
+        model = build()
+        calls = []
+        to_dict = type(model).to_dict
+
+        def counting_to_dict(self):
+            calls.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(type(model), "to_dict", counting_to_dict)
+        first = model.model_fingerprint()
+        assert model.model_fingerprint() == first
+        assert len(calls) == 1
+
+    def test_without_edge_gets_its_own_fingerprint(self):
+        parent = _hetero_mrf()
+        before = parent.model_fingerprint()
+        child = parent.without_edge(0, 1)
+        assert child.model_fingerprint() != before
+        assert parent.model_fingerprint() == before
+        assert child.model_fingerprint() == MRF.from_dict(child.to_dict()).model_fingerprint()
+        restored = child.with_edge(0, 1, parent.edge_activity(0, 1))
+        assert restored.model_fingerprint() == before
+
+
 class TestMalformed:
     def test_unknown_type_rejected(self):
         with pytest.raises(ModelError, match="type"):
@@ -179,9 +258,30 @@ class TestMalformed:
             model_from_dict([1, 2, 3])
 
     def test_mrf_table_count_mismatch_rejected(self, path3_coloring):
+        for field in ("edge_index", "vertex_index"):
+            payload = path3_coloring.to_dict()
+            payload[field] = payload[field][:-1]
+            with pytest.raises(ModelError, match="palette index has"):
+                MRF.from_dict(payload)
+
+    @pytest.mark.parametrize("field", ["edge_index", "vertex_index"])
+    @pytest.mark.parametrize("bad", [-1, 1])
+    def test_mrf_palette_index_out_of_range_rejected(self, path3_coloring, field, bad):
+        payload = path3_coloring.to_dict()  # one-entry palettes: only 0 is valid
+        payload[field][0] = bad
+        with pytest.raises(ModelError, match="palette index outside"):
+            MRF.from_dict(payload)
+
+    def test_csp_palette_index_out_of_range_rejected(self):
+        payload = dominating_set_csp(cycle_graph(3)).to_dict()
+        payload["constraints"][0]["table"] = len(payload["palette"])
+        with pytest.raises(ModelError, match="palette index outside"):
+            LocalCSP.from_dict(payload)
+
+    def test_mrf_vertex_palette_width_checked(self, path3_coloring):
         payload = path3_coloring.to_dict()
-        payload["edge_activities"] = payload["edge_activities"][:-1]
-        with pytest.raises(ModelError):
+        payload["vertex_palette"] = [[1.0, 1.0]]  # q = 3
+        with pytest.raises(ModelError, match="vertex palette"):
             MRF.from_dict(payload)
 
     def test_csp_malformed_constraint_rejected(self):

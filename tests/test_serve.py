@@ -25,9 +25,11 @@ import numpy as np
 import pytest
 
 import repro
+import repro.spec
+from repro.csp.model import LocalCSP
 from repro.errors import ServeError, ServerOverloadedError
 from repro.graphs import cycle_graph, grid_graph
-from repro.mrf import proper_coloring_mrf
+from repro.mrf import MRF, proper_coloring_mrf
 from repro.serve import ReproServer, ResultCache, ServeClient
 from repro.spec import JobSpec
 
@@ -53,6 +55,17 @@ def server():
 @pytest.fixture(scope="module")
 def client(server):
     return ServeClient(*server.address)
+
+
+def _post_spec(server, spec_payload) -> tuple[int, dict]:
+    """POST a raw wire payload; returns (HTTP status, response document)."""
+    connection = http.client.HTTPConnection(*server.address, timeout=30)
+    try:
+        connection.request("POST", "/v1/jobs", body=json.dumps({"spec": spec_payload}))
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def _wait_until(predicate, timeout=30.0, interval=0.05):
@@ -268,6 +281,28 @@ class TestProtocolErrors:
         assert response.status == 400
         connection.close()
 
+    @pytest.mark.parametrize("fingerprint", [["x"], "x", "0" * 63, None])
+    def test_malformed_fingerprint_is_400(self, server, small_coloring, fingerprint):
+        wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire_fingerprint()
+        wire["model"]["fingerprint"] = fingerprint
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert "fingerprint" in document["error"]
+
+    def test_malformed_seed_is_400(self, server, small_coloring):
+        wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
+        wire["seed"] = [1]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert "malformed" in document["error"]
+
+    def test_non_finite_model_is_400(self, server, small_coloring):
+        wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
+        wire["model"]["edge_palette"][0][0][1] = float("inf")  # sent as Infinity
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert "finite" in document["error"]
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeError, match="no route"):
             client._request("GET", "/v1/nope")
@@ -404,6 +439,32 @@ class TestFingerprintFastPath:
         connection.close()
         assert response.status == 409
         assert document["unknown_fingerprint"] is True
+
+    def test_hit_by_fingerprint_decodes_and_hashes_no_model(
+        self, small_coloring, monkeypatch
+    ):
+        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
+            cli = ServeClient(*srv.address)
+            spec = JobSpec.sample_many(small_coloring, 4, seed=13, rounds=4)
+            cold = cli.submit(spec)  # full model: decoded, fingerprinted, registered
+            calls = []
+            from_dict = repro.spec.model_from_dict
+            monkeypatch.setattr(
+                repro.spec,
+                "model_from_dict",
+                lambda payload: calls.append("model_from_dict") or from_dict(payload),
+            )
+            for cls in (MRF, LocalCSP):
+                to_dict = cls.to_dict
+                monkeypatch.setattr(
+                    cls,
+                    "to_dict",
+                    lambda self, to_dict=to_dict: calls.append("to_dict") or to_dict(self),
+                )
+            hit = cli.submit(spec)
+            assert hit["cached"] is True
+            np.testing.assert_array_equal(hit["result"], cold["result"])
+            assert calls == []  # no decode, no model hash, client or server
 
     def test_streamed_submission_uses_fast_path_too(self, small_coloring):
         with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:

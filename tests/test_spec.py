@@ -13,11 +13,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import api
 from repro.csp.builders import not_all_equal_csp
-from repro.errors import ModelError
+from repro.errors import ModelError, UnknownModelError
 from repro.graphs import cycle_graph, grid_graph
 from repro.mrf import proper_coloring_mrf
 from repro.spec import JobSpec
@@ -252,3 +254,84 @@ class TestWire:
             )
         with pytest.raises(ModelError):
             JobSpec.from_wire({"kind": "sample_many"})  # missing model
+        wire = JobSpec.sample_many(coloring, 4, seed=1, rounds=2).to_wire()
+        with pytest.raises(ModelError, match="malformed"):
+            JobSpec.from_wire(dict(wire, seed=[1]))
+        with pytest.raises(ModelError, match="non-negative"):
+            JobSpec.from_wire(dict(wire, seed=-1))
+
+    def test_fingerprint_reference_resolves_through_models(self, coloring):
+        spec = JobSpec.sample_many(coloring, 4, seed=1, rounds=2)
+        stub = spec.to_wire_fingerprint()
+        registry = {coloring.model_fingerprint(): coloring}
+        clone = JobSpec.from_wire(stub, models=registry)
+        assert clone.model is coloring
+        assert clone.cache_key() == spec.cache_key()
+        with pytest.raises(UnknownModelError):
+            JobSpec.from_wire(stub)
+        with pytest.raises(UnknownModelError):
+            JobSpec.from_wire(stub, models={})
+        for bad in (["x"], "x", "0" * 63, "A" * 64, 7):
+            malformed = dict(stub, model={"type": "fingerprint", "fingerprint": bad})
+            with pytest.raises(ModelError, match="64 lowercase hex") as caught:
+                JobSpec.from_wire(malformed, models=registry)
+            assert not isinstance(caught.value, UnknownModelError)
+
+
+#: JSON values a hostile or buggy client could put anywhere in a payload.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+#: Paths of the fields the fuzzer replaces or deletes.
+_WIRE_FIELDS = [
+    ("version",), ("kind",), ("method",), ("seed",), ("name",), ("model",),
+    ("params",), ("params", "replicas"), ("params", "rounds"), ("params", "eps"),
+    ("params", "initial"), ("params", "sharded"), ("params", "shard_size"),
+    ("params", "backend"), ("params", "checkpoints"), ("params", "max_rounds"),
+    ("params", "stride"), ("model", "type"), ("model", "fingerprint"),
+    ("model", "n"), ("model", "q"), ("model", "edges"), ("model", "edge_palette"),
+    ("model", "edge_index"), ("model", "vertex_palette"), ("model", "vertex_index"),
+]
+
+
+class TestWireFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payload_is_spec_or_model_error(self, data):
+        """``from_wire`` either builds a spec or raises ModelError — never
+        a raw TypeError/ValueError/OverflowError (a served 500)."""
+        model = proper_coloring_mrf(cycle_graph(4), 3)
+        specs = [
+            JobSpec.sample_many(model, 4, seed=1, rounds=2, parallel=2, shard_size=2),
+            JobSpec.tv_curve(model, (1, 2), replicas=8, seed=2),
+            JobSpec.mixing_time(model, eps=0.5, replicas=8, seed=3),
+        ]
+        spec = data.draw(st.sampled_from(specs))
+        by_fingerprint = data.draw(st.booleans())
+        wire = spec.to_wire_fingerprint() if by_fingerprint else spec.to_wire()
+        payload = json.loads(json.dumps(wire))
+        path = data.draw(st.sampled_from(_WIRE_FIELDS))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if data.draw(st.booleans()):
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+            else:
+                parent.pop(path[-1], None)
+        try:
+            rebuilt = JobSpec.from_wire(
+                payload, models={model.model_fingerprint(): model}
+            )
+        except ModelError:
+            return
+        assert isinstance(rebuilt, JobSpec)
+        rebuilt.cache_key()  # a served request hashes the spec next
