@@ -7,7 +7,8 @@ and the exact target as rounds progress.  This module measures those
 curves *on top of the replica-ensemble engines* of
 :mod:`repro.chains.ensemble` — every checkpoint is one ``advance`` of a
 whole ``(R, n)`` batch plus one whole-batch estimator call from
-:mod:`repro.analysis.empirical`, never a per-chain Python loop.
+:mod:`repro.analysis.empirical`, never a per-chain Python loop.  Both
+probe loops are generators that :func:`repro.api.run_spec` also streams.
 
 Any object exposing ``advance(steps)`` and an ``(R, n)`` ``config`` batch
 (the :class:`~repro.chains.ensemble.EnsembleTrajectoryMixin` protocol)
@@ -21,7 +22,7 @@ wrapped in the fallback automatically).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from time import perf_counter
 
 import numpy as np
@@ -29,13 +30,16 @@ import numpy as np
 from repro.analysis.empirical import batch_agreement, batch_tv_to_exact
 from repro.chains.base import SeedLike, as_seed_sequence
 from repro.chains.ensemble import EnsembleTrajectoryMixin
-from repro.errors import ConvergenceError, ModelError
+from repro.errors import ConvergenceError, ModelError, ReproError
 from repro.mrf.distribution import GibbsDistribution
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
 __all__ = [
     "SequentialChainEnsemble",
+    "canonical_checkpoints",
+    "tv_curve_probes",
+    "mixing_time_probes",
     "ensemble_tv_curve",
     "ensemble_agreement_curve",
     "ensemble_scalar_trajectory",
@@ -123,20 +127,26 @@ class SequentialChainEnsemble(EnsembleTrajectoryMixin):
         return self
 
 
-def _validate_checkpoints(checkpoints: Sequence[int]) -> None:
-    if checkpoints is None or len(checkpoints) == 0:
-        raise ConvergenceError("checkpoints must be a non-empty list of rounds")
-    previous = 0
-    for checkpoint in checkpoints:
-        if int(checkpoint) != checkpoint or checkpoint < 1:
-            raise ConvergenceError(
-                f"checkpoints must be positive integers, got {checkpoint!r}"
-            )
-        if checkpoint <= previous:
-            raise ConvergenceError(
-                f"checkpoints must be strictly increasing, got {list(checkpoints)!r}"
-            )
-        previous = int(checkpoint)
+def canonical_checkpoints(
+    checkpoints: Sequence[int] | None, error: type[ReproError] = ConvergenceError
+) -> tuple[int, ...]:
+    """The checkpoints as ints; raises ``error`` unless they increase strictly from 1.
+
+    The one checkpoint rule, also applied by :class:`~repro.spec.JobSpec`.
+    ``2.0`` is accepted; ``1.5`` is rejected rather than truncated.
+    """
+    values = () if checkpoints is None else tuple(checkpoints)
+    if not values:
+        raise error("checkpoints must be a non-empty sequence of rounds")
+    try:
+        rounds = tuple(int(value) for value in values)
+    except (TypeError, ValueError, OverflowError):
+        rounds = ()
+    if rounds != values or any(b <= a for a, b in zip((0, *rounds), rounds)):
+        raise error(
+            f"checkpoints must be strictly increasing positive integers, got {list(values)!r}"
+        )
+    return rounds
 
 
 def _as_ensemble(source, n_chains: int | None, seed) -> object:
@@ -192,25 +202,19 @@ def ensemble_tv_curve(
     -------
     List of ``(round, tv)`` pairs.
     """
-    _validate_checkpoints(checkpoints)
     ensemble = _as_ensemble(source, n_chains, seed)
-    if hasattr(ensemble, "iter_checkpoints"):
-        # The trajectory protocol proper: one advance barrier per checkpoint
-        # (for sharded multiprocess ensembles this is also one state read
-        # per checkpoint, not one per advance).
-        return [
-            (rounds, batch_tv_to_exact(batch, target))
-            for rounds, batch in ensemble.iter_checkpoints(
-                [int(c) for c in checkpoints]
-            )
-        ]
-    curve: list[tuple[int, float]] = []
+    return list(tv_curve_probes(ensemble, target, checkpoints))
+
+
+def tv_curve_probes(
+    ensemble, target: GibbsDistribution, checkpoints: Sequence[int]
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(round, tv)`` at each checkpoint: advance, then read the batch once."""
     previous = 0
-    for checkpoint in checkpoints:
-        ensemble.advance(int(checkpoint) - previous)
-        previous = int(checkpoint)
-        curve.append((previous, batch_tv_to_exact(ensemble.config, target)))
-    return curve
+    for checkpoint in canonical_checkpoints(checkpoints):
+        ensemble.advance(checkpoint - previous)
+        previous = checkpoint
+        yield checkpoint, batch_tv_to_exact(ensemble.config, target)
 
 
 def ensemble_agreement_curve(
@@ -230,17 +234,17 @@ def ensemble_agreement_curve(
 
     Returns a list of ``(round, mean_agreement)`` pairs.
     """
-    _validate_checkpoints(checkpoints)
+    checkpoints = canonical_checkpoints(checkpoints)
     for name, ensemble in (("ensemble_x", ensemble_x), ("ensemble_y", ensemble_y)):
         if not hasattr(ensemble, "advance") or not hasattr(ensemble, "config"):
             raise ConvergenceError(f"{name} does not expose the ensemble protocol")
     curve: list[tuple[int, float]] = []
     previous = 0
     for checkpoint in checkpoints:
-        delta = int(checkpoint) - previous
+        delta = checkpoint - previous
         ensemble_x.advance(delta)
         ensemble_y.advance(delta)
-        previous = int(checkpoint)
+        previous = checkpoint
         agreement = batch_agreement(ensemble_x.config, ensemble_y.config)
         curve.append((previous, float(agreement.mean())))
     return curve
@@ -302,18 +306,33 @@ def empirical_mixing_time(
     ``~sqrt(#states / n_chains)``; choose the ensemble size accordingly or
     prefer :func:`repro.chains.transition.exact_mixing_time` on tiny models.
     """
+    ensemble = _as_ensemble(source, n_chains, seed)
+    for rounds, _ in mixing_time_probes(ensemble, target, eps, max_rounds, stride):
+        pass
+    return rounds
+
+
+def mixing_time_probes(
+    ensemble, target: GibbsDistribution, eps: float, max_rounds: int, stride: int
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(round, tv)`` every ``stride`` rounds, up to the first TV <= ``eps``.
+
+    The final stride is clamped to ``max_rounds``; exhausting the budget
+    raises :class:`~repro.errors.ConvergenceError`.
+    """
     if stride < 1:
         raise ConvergenceError(f"stride must be >= 1, got {stride}")
     if max_rounds < 1:
         raise ConvergenceError(f"max_rounds must be >= 1, got {max_rounds}")
-    ensemble = _as_ensemble(source, n_chains, seed)
     rounds = 0
     while rounds < max_rounds:
         step = min(stride, max_rounds - rounds)
         ensemble.advance(step)
         rounds += step
-        if batch_tv_to_exact(ensemble.config, target) <= eps:
-            return rounds
+        tv = batch_tv_to_exact(ensemble.config, target)
+        yield rounds, tv
+        if tv <= eps:
+            return
     raise ConvergenceError(
         f"ensemble TV did not reach {eps} within {max_rounds} rounds"
     )

@@ -10,6 +10,9 @@ model/method pair.  ``make_ensemble`` exposes that dispatch directly, and
 ``tv_curve``/``mixing_time`` build on it to measure convergence
 ensemble-natively (see :mod:`repro.analysis.convergence`).
 
+Those three build a :class:`~repro.spec.JobSpec` and run it through
+:func:`run_spec`, the one execution body that the job workers also use.
+
 Models are either pairwise :class:`~repro.mrf.model.MRF` instances or
 general weighted local CSPs (:class:`~repro.csp.model.LocalCSP`) — the
 paper's remarks extend both distributed chains to CSPs, and every facade
@@ -23,14 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.convergence import (
     SequentialChainEnsemble,
-    empirical_mixing_time,
-    ensemble_tv_curve,
+    mixing_time_probes,
+    tv_curve_probes,
 )
 from repro.backend import ArrayBackend, get_backend, resolve_backend_name
 from repro.chains.base import SeedLike, as_generator, as_seed_sequence
@@ -52,7 +55,7 @@ from repro.errors import FallbackEngineWarning, ModelError
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
-from repro.spec import JobSpec
+from repro.spec import METHODS, JobSpec, validate_method
 
 __all__ = [
     "sample",
@@ -77,8 +80,6 @@ MUTATIONS = {
     "mrf": ("add_edge", "remove_edge", "update_factor", "update_vertex"),
     "csp": ("add_constraint", "remove_constraint"),
 }
-
-METHODS = ("local-metropolis", "luby-glauber", "glauber")
 
 #: Execution engines for :func:`sample`.  ``"chain"`` advances a global
 #: configuration directly (the analyst's view; fastest for one sample);
@@ -181,8 +182,7 @@ def sample(
     """
     if engine not in ENGINES:
         raise ModelError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if method not in METHODS:
-        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
+    validate_method(model, method)
     if rounds is None:
         rounds = default_round_budget(model, method, eps)
     if isinstance(model, LocalCSP):
@@ -227,11 +227,6 @@ def _sample_csp(
     engine: str,
 ) -> np.ndarray:
     """CSP branch of :func:`sample`: sequential CSP chains or LOCAL protocol."""
-    if method == "glauber":
-        raise ModelError(
-            "method 'glauber' has no CSP kernel; use 'local-metropolis' or "
-            "'luby-glauber'"
-        )
     if engine == "vectorized":
         raise ModelError(
             "CSP protocols run on the reference LOCAL runtime only; use "
@@ -372,13 +367,7 @@ def make_ensemble(
     """
     if r < 1:
         raise ModelError(f"ensemble needs r >= 1 replicas, got {r}")
-    if method not in METHODS:
-        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
-    if isinstance(model, LocalCSP) and method == "glauber":
-        raise ModelError(
-            "method 'glauber' has no CSP kernel; use 'local-metropolis' or "
-            "'luby-glauber'"
-        )
+    validate_method(model, method)
     if is_fallback_pair(model, method):
         _warn_fallback(model, method)
     if parallel is not None:
@@ -448,8 +437,8 @@ def make_ensemble(
 
 
 def sample_many(
-    model: MRF | LocalCSP | JobSpec,
-    r: int | None = None,
+    model: MRF | LocalCSP,
+    r: int,
     method: str = "local-metropolis",
     eps: float = 0.05,
     rounds: int | None = None,
@@ -472,10 +461,7 @@ def sample_many(
     Parameters
     ----------
     model:
-        The target model (MRF or weighted local CSP), or a complete
-        :class:`~repro.spec.JobSpec` of kind ``"sample_many"`` — in which
-        case every other argument must be left at its default (the spec is
-        the whole request) and the call equals ``run_spec(spec)``.
+        The target model (MRF or weighted local CSP).
     r:
         Number of independent replicas (rows of the returned batch).
     method, eps, rounds, seed, initial:
@@ -497,33 +483,23 @@ def sample_many(
     numpy.ndarray
         An ``(r, n)`` int64 array; row ``i`` is replica ``i``'s sample.
     """
-    if isinstance(model, JobSpec):
-        _require_spec_kind(model, "sample_many", extras=r is not None)
-        return run_spec(model)
-    if r is None:
-        raise ModelError("sample_many needs a replica count r (or a JobSpec)")
-    if rounds is None:
-        rounds = default_round_budget(model, method, eps)
-    ensemble = make_ensemble(
+    return JobSpec.sample_many(
         model,
         r,
         method=method,
+        eps=eps,
+        rounds=rounds,
         seed=seed,
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
         backend=backend,
-    )
-    try:
-        return ensemble.run(rounds)
-    finally:
-        if parallel is not None:
-            ensemble.close()
+    ).run()
 
 
 def tv_curve(
-    model: MRF | LocalCSP | JobSpec,
-    checkpoints: Sequence[int] | None = None,
+    model: MRF | LocalCSP,
+    checkpoints: Sequence[int],
     method: str = "local-metropolis",
     replicas: int = 1024,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
@@ -545,38 +521,23 @@ def tv_curve(
     ``parallel``/``shard_size`` shard the ensemble across worker processes
     (:mod:`repro.exec`); each checkpoint is one barrier.
 
-    ``model`` may instead be a complete :class:`~repro.spec.JobSpec` of
-    kind ``"tv_curve"`` (the call then equals ``run_spec(spec, target=target)``
-    and every other argument must stay at its default).
-
     Returns a list of ``(round, tv)`` pairs.
     """
-    if isinstance(model, JobSpec):
-        _require_spec_kind(model, "tv_curve", extras=checkpoints is not None)
-        return run_spec(model, target=target)
-    if checkpoints is None:
-        raise ModelError("tv_curve needs a checkpoints sequence (or a JobSpec)")
-    if target is None:
-        target = _exact_distribution(model)
-    ensemble = make_ensemble(
+    return JobSpec.tv_curve(
         model,
-        replicas,
+        checkpoints,
         method=method,
+        replicas=replicas,
         seed=seed,
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
         backend=backend,
-    )
-    try:
-        return ensemble_tv_curve(ensemble, target, checkpoints=list(checkpoints))
-    finally:
-        if parallel is not None:
-            ensemble.close()
+    ).run(target=target)
 
 
 def mixing_time(
-    model: MRF | LocalCSP | JobSpec,
+    model: MRF | LocalCSP,
     eps: float = 0.125,
     method: str = "local-metropolis",
     replicas: int = 2048,
@@ -599,33 +560,20 @@ def mixing_time(
     on tiny models prefer :func:`repro.chains.transition.exact_mixing_time`.
     ``parallel``/``shard_size`` shard the ensemble across worker processes
     (:mod:`repro.exec`); each TV probe is one barrier.
-
-    ``model`` may instead be a complete :class:`~repro.spec.JobSpec` of
-    kind ``"mixing_time"`` (the call then equals ``run_spec(spec,
-    target=target)`` and every other argument must stay at its default).
     """
-    if isinstance(model, JobSpec):
-        _require_spec_kind(model, "mixing_time", extras=False)
-        return run_spec(model, target=target)
-    if target is None:
-        target = _exact_distribution(model)
-    ensemble = make_ensemble(
+    return JobSpec.mixing_time(
         model,
-        replicas,
+        eps=eps,
         method=method,
+        replicas=replicas,
+        max_rounds=max_rounds,
+        stride=stride,
         seed=seed,
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
         backend=backend,
-    )
-    try:
-        return empirical_mixing_time(
-            ensemble, target, eps, max_rounds=max_rounds, stride=stride
-        )
-    finally:
-        if parallel is not None:
-            ensemble.close()
+    ).run(target=target)
 
 
 def mutate(model: MRF | LocalCSP, op: str, *args):
@@ -704,31 +652,16 @@ def resample_region(
     return sequential_region_glauber(model, result, region, rounds, rng)
 
 
-def _require_spec_kind(spec: JobSpec, kind: str, extras: bool) -> None:
-    """Guard the JobSpec-accepting facade forms.
+def run_spec(
+    spec: JobSpec,
+    target: GibbsDistribution | None = None,
+    on_checkpoint: Callable[[int, float], None] | None = None,
+):
+    """Execute a :class:`~repro.spec.JobSpec`: the one body for every job kind.
 
-    ``extras`` flags a non-default positional argument passed *alongside*
-    the spec — a contradiction (the spec is the whole request), so it is
-    rejected rather than silently ignored.
-    """
-    if spec.kind != kind:
-        raise ModelError(
-            f"this facade call runs {kind!r} jobs, got a JobSpec of kind "
-            f"{spec.kind!r}; use run_spec() for kind dispatch"
-        )
-    if extras:
-        raise ModelError(
-            "a JobSpec is a complete request; do not pass additional "
-            "positional arguments alongside it"
-        )
-
-
-def run_spec(spec: JobSpec, target: GibbsDistribution | None = None):
-    """Execute a :class:`~repro.spec.JobSpec` through the facade.
-
-    The single kind-dispatching entry point behind which every request
-    path (direct calls, the :mod:`repro.exec` job workers, the CLI and
-    the :mod:`repro.serve` daemon) converges:
+    Every request path runs here — the facade, :meth:`JobSpec.run`, the
+    :mod:`repro.exec` job workers (so the :mod:`repro.serve` daemon), the
+    sweep runner and the CLI:
 
     * ``"sample_many"`` returns the ``(r, n)`` sample batch,
     * ``"tv_curve"`` returns the list of ``(round, tv)`` pairs,
@@ -736,48 +669,45 @@ def run_spec(spec: JobSpec, target: GibbsDistribution | None = None):
 
     ``target`` optionally supplies a pre-computed exact distribution for
     the convergence kinds (a runtime convenience, not part of the spec).
-    Results are a pure function of the spec — see
+    ``on_checkpoint(round, tv)`` is called at each of their TV probes; an
+    exception it raises ends the run there, which is how a job worker
+    cancels.  Results are a pure function of the spec — see
     :meth:`repro.spec.JobSpec.cache_key`.
     """
     if not isinstance(spec, JobSpec):
         raise ModelError(f"run_spec needs a JobSpec, got {type(spec).__name__}")
+    # What can fail cheaply fails before any sharded worker process starts.
     if spec.kind == "sample_many":
-        return sample_many(
-            spec.model,
-            spec.replicas,
-            method=spec.method,
-            eps=spec.eps if spec.eps is not None else 0.05,
-            rounds=spec.rounds,
-            seed=spec.seed,
-            initial=spec.initial,
-            parallel=spec.parallel,
-            shard_size=spec.shard_size,
-            backend=spec.backend,
-        )
-    if spec.kind == "tv_curve":
-        return tv_curve(
-            spec.model,
-            list(spec.checkpoints),
-            method=spec.method,
-            replicas=spec.replicas,
-            seed=spec.seed,
-            initial=spec.initial,
-            target=target,
-            parallel=spec.parallel,
-            shard_size=spec.shard_size,
-            backend=spec.backend,
-        )
-    return mixing_time(
+        rounds = spec.rounds
+        if rounds is None:
+            eps = 0.05 if spec.eps is None else spec.eps
+            rounds = default_round_budget(spec.model, spec.method, eps)
+    elif target is None:
+        target = _exact_distribution(spec.model)
+    ensemble = make_ensemble(
         spec.model,
-        eps=spec.eps,
+        spec.replicas,
         method=spec.method,
-        replicas=spec.replicas,
-        max_rounds=spec.max_rounds,
-        stride=spec.stride,
         seed=spec.seed,
         initial=spec.initial,
-        target=target,
         parallel=spec.parallel,
         shard_size=spec.shard_size,
         backend=spec.backend,
     )
+    try:
+        if spec.kind == "sample_many":
+            return ensemble.run(rounds)
+        if spec.kind == "tv_curve":
+            probes = tv_curve_probes(ensemble, target, spec.checkpoints)
+        else:
+            probes = mixing_time_probes(ensemble, target, spec.eps, spec.max_rounds, spec.stride)
+        curve = []
+        for checkpoint, tv in probes:
+            if on_checkpoint is not None:
+                on_checkpoint(checkpoint, tv)
+            curve.append((checkpoint, tv))
+        # A mixing-time run's last probe is its first with TV <= eps.
+        return curve if spec.kind == "tv_curve" else curve[-1][0]
+    finally:
+        if spec.parallel is not None:
+            ensemble.close()

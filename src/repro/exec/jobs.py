@@ -15,12 +15,11 @@ streaming progress back as it happens:
 ...         print(event.label, event.kind, event.round, event.value)
 ...     results = runner.results
 
-Determinism contract: a job is executed with exactly the same facade code
-path (:mod:`repro.api`) and the job's own seed, so its result is
-bit-identical to calling ``repro.api.sample_many`` / ``tv_curve`` /
-``mixing_time`` directly with the same arguments — which worker ran it,
-and what else ran beside it, never matters.  The test-suite asserts this
-for every method.
+Determinism contract: a worker executes a job with :meth:`JobSpec.run` —
+the :func:`repro.api.run_spec` body every direct call uses — and the job's
+own seed, adding only a callback that streams each TV probe.  Its result
+is bit-identical to the direct call by construction: which worker ran it,
+and what else ran beside it, never matters.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-from repro.errors import ConvergenceError, ExecError, ModelError, ReproError
+from repro.errors import ExecError, ModelError, ReproError
 from repro.obs import trace as _obs_trace
 from repro.spec import JOB_KINDS, JobSpec
 
@@ -80,103 +79,33 @@ class JobUpdate:
     elapsed: float | None = None
 
 
-def _execute_job(job_id, job, emit) -> None:  # pragma: no cover - worker-side
-    """Run one job through the :mod:`repro.api` facade, streaming progress.
+def _execute_job(job_id, job, emit) -> None:
+    """Run one job through :meth:`JobSpec.run`, emitting each TV probe as an event.
 
-    The tv_curve/mixing_time bodies advance the *same* ensemble the facade
-    would build (same construction arguments, same RNG stream, same probe
-    cadence), so the final result event is bit-identical to the direct
-    call; the only addition is the per-checkpoint event stream.
-
-    A sharded spec (``parallel is not None``) executes with ``parallel=0``
-    — the in-process sharded reference.  Pool workers are daemonic and may
-    not spawn grandchildren, and the determinism contract makes the worker
+    An ``emit`` that raises (the worker's cancel check) stops the job at
+    that probe.  A sharded spec executes with ``parallel=0`` — the
+    in-process sharded reference.  Pool workers are daemonic and may not
+    spawn grandchildren, and the determinism contract makes the worker
     count irrelevant to the bits: the result equals the same spec run on
     any number of processes.
     """
-    from repro import api
-    from repro.analysis.empirical import batch_tv_to_exact
-
     started = time.perf_counter()
-    parallel = None if job.parallel is None else 0
-    if job.kind == "sample_many":
-        batch = api.sample_many(
-            job.model,
-            job.replicas,
-            method=job.method,
-            eps=job.eps if job.eps is not None else 0.05,
-            rounds=job.rounds,
-            seed=job.seed,
-            initial=job.initial,
-            parallel=parallel,
-            shard_size=job.shard_size,
-            backend=job.backend,
-        )
-        emit(
-            JobUpdate(
-                job_id,
-                "result",
-                job.label,
-                payload=batch,
-                elapsed=time.perf_counter() - started,
-            )
-        )
-        return
+    if job.parallel is not None:
+        job = job.with_placement(parallel=0, shard_size=job.shard_size)
 
-    target = api._exact_distribution(job.model)
-    ensemble = api.make_ensemble(
-        job.model,
-        job.replicas,
-        method=job.method,
-        seed=job.seed,
-        initial=job.initial,
-        parallel=parallel,
-        shard_size=job.shard_size,
-        backend=job.backend,
+    def checkpoint(rounds: int, tv: float) -> None:
+        emit(JobUpdate(job_id, "checkpoint", job.label, round=rounds, value=tv))
+
+    result = job.run(on_checkpoint=checkpoint)
+    emit(
+        JobUpdate(
+            job_id,
+            "result",
+            job.label,
+            payload=result,
+            elapsed=time.perf_counter() - started,
+        )
     )
-    try:
-        if job.kind == "tv_curve":
-            curve: list[tuple[int, float]] = []
-            for rounds, batch in ensemble.iter_checkpoints(list(job.checkpoints)):
-                tv = batch_tv_to_exact(batch, target)
-                curve.append((rounds, tv))
-                emit(JobUpdate(job_id, "checkpoint", job.label, round=rounds, value=tv))
-            emit(
-                JobUpdate(
-                    job_id,
-                    "result",
-                    job.label,
-                    payload=curve,
-                    elapsed=time.perf_counter() - started,
-                )
-            )
-            return
-
-        # mixing_time: the empirical_mixing_time loop with streamed TV probes.
-        rounds = 0
-        while rounds < job.max_rounds:
-            step = min(job.stride, job.max_rounds - rounds)
-            ensemble.advance(step)
-            rounds += step
-            tv = batch_tv_to_exact(ensemble.config, target)
-            emit(JobUpdate(job_id, "checkpoint", job.label, round=rounds, value=tv))
-            if tv <= job.eps:
-                emit(
-                    JobUpdate(
-                        job_id,
-                        "result",
-                        job.label,
-                        payload=rounds,
-                        elapsed=time.perf_counter() - started,
-                    )
-                )
-                return
-        raise ConvergenceError(
-            f"ensemble TV did not reach {job.eps} within {job.max_rounds} rounds"
-        )
-    finally:
-        if parallel is not None:
-            ensemble.close()
 
 
 def _job_worker_main(tasks, events, control) -> None:  # pragma: no cover - worker-side
@@ -397,20 +326,19 @@ class JobRunner:
             )
         return dict(self.results)
 
-    def run_all(self, jobs) -> list[tuple[object, str | None]]:
-        """Submit ``jobs``, drain the stream, return aligned (result, error) pairs.
+    def run_all(self, jobs) -> list[tuple[object, str | None, float | None]]:
+        """Submit ``jobs``, drain the stream, return aligned outcome triples.
 
-        The failure-isolating sibling of :meth:`run`: one failed job does
-        not raise — its slot carries ``(None, message)`` while every other
-        job's ``(result, None)`` is still returned.  Pair ``i`` corresponds
-        to ``jobs[i]``.  Sweep harnesses use this to keep one broken grid
-        cell from discarding the rest of the table.
+        The failure-isolating sibling of :meth:`run`: triple ``i`` is
+        ``(result, None, elapsed)`` for ``jobs[i]``, with the worker-side
+        seconds, or ``(None, message, None)`` if it failed.  The sweep
+        runner uses this to keep one broken cell from discarding the table.
         """
         job_ids = [self.submit(job) for job in jobs]
         for _ in self.stream():
             pass
         return [
-            (self.results.get(job_id), self.errors.get(job_id))
+            (self.results.get(job_id), self.errors.get(job_id), self.elapsed.get(job_id))
             for job_id in job_ids
         ]
 

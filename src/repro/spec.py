@@ -1,12 +1,15 @@
 """`JobSpec` — the one description of a sampling request.
 
 Every layer that accepts work speaks this dataclass: the facade
-(:func:`repro.api.run_spec` and the ``JobSpec``-accepting forms of
-``sample_many``/``tv_curve``/``mixing_time``), the job scheduler
-(:class:`repro.exec.jobs.JobRunner`, whose ``SamplingJob`` is this class),
-the CLI (``repro submit``) and the serving daemon (:mod:`repro.serve`).
-A spec is:
+(``sample_many``/``tv_curve``/``mixing_time`` build a spec and
+:meth:`JobSpec.run` it through :func:`repro.api.run_spec`), the job
+scheduler (:class:`repro.exec.jobs.JobRunner`, whose ``SamplingJob`` is
+this class), the CLI (``repro submit``) and the serving daemon
+(:mod:`repro.serve`).  A spec is:
 
+* **validated at construction** — a bad method, method/model pairing,
+  replica count, round count or checkpoint list raises
+  :class:`~repro.errors.ModelError` before any work is scheduled;
 * **self-contained and picklable** — workers execute it with no other
   context;
 * **wire-serialisable** (:meth:`to_wire` / :meth:`from_wire`) — the model
@@ -38,13 +41,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.analysis.convergence import canonical_checkpoints
 from repro.chains.base import SeedLike
+from repro.csp.model import LocalCSP
 from repro.errors import BackendError, ModelError, UnknownModelError
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
 
-__all__ = ["JOB_KINDS", "JobSpec"]
+__all__ = ["JOB_KINDS", "METHODS", "JobSpec", "validate_method"]
 
 JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
+
+METHODS = ("local-metropolis", "luby-glauber", "glauber")
+
+
+def validate_method(model, method: str) -> None:
+    """Raise :class:`~repro.errors.ModelError` unless ``method`` can sample ``model``."""
+    if method not in METHODS:
+        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "glauber" and isinstance(model, LocalCSP):
+        raise ModelError(
+            "method 'glauber' has no CSP kernel; use 'local-metropolis' or "
+            "'luby-glauber'"
+        )
+
 
 #: Wire-format version; bumped on incompatible changes so a client and a
 #: long-running daemon from different releases fail loudly, not subtly.
@@ -134,6 +153,8 @@ class JobSpec:
     (:mod:`repro.backend`); ``None`` resolves server-side via
     ``$REPRO_BACKEND``, then numpy.  It enters the cache key and the wire
     params only when it is a non-numpy backend (see module docstring).
+    In-process runs may pass an :class:`~repro.backend.ArrayBackend`
+    instance instead of a name.
     """
 
     kind: str
@@ -155,7 +176,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
             raise ModelError(f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}")
-        if self.backend is not None:
+        validate_method(self.model, self.method)
+        if isinstance(self.backend, str):
             # Validate against the registry now (raises BackendError for
             # unknown names) without constructing the backend — a client
             # may submit a torch job to a torch-equipped server.
@@ -163,12 +185,16 @@ class JobSpec:
 
             resolve_backend_name(self.backend)
         if self.replicas < 1:
-            raise ModelError(f"job needs replicas >= 1, got {self.replicas}")
-        if self.kind == "tv_curve" and not self.checkpoints:
-            raise ModelError("a tv_curve job needs a non-empty checkpoints tuple")
+            raise ModelError(f"job needs r >= 1 replicas, got {self.replicas}")
+        if self.rounds is not None and self.rounds < 0:
+            raise ModelError(f"rounds must be >= 0, got {self.rounds}")
+        if self.kind == "tv_curve":
+            # Frozen dataclass: store the canonical tuple the one allowed way.
+            checkpoints = canonical_checkpoints(self.checkpoints, error=ModelError)
+            object.__setattr__(self, "checkpoints", checkpoints)
         if self.kind == "mixing_time":
-            # Mirror empirical_mixing_time's validation: a stride of 0 would
-            # otherwise spin the worker loop forever without advancing.
+            # The probe loop checks these too, but only once a worker runs
+            # the job; rejecting them here keeps bad requests off the pool.
             if self.eps is None:
                 raise ModelError("a mixing_time job needs eps")
             if self.stride < 1:
@@ -239,7 +265,7 @@ class JobSpec:
             model=model,
             method=method,
             replicas=replicas,
-            checkpoints=tuple(int(c) for c in checkpoints),
+            checkpoints=checkpoints,
             seed=seed,
             initial=initial,
             name=name,
@@ -284,16 +310,17 @@ class JobSpec:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, target=None):
-        """Execute this spec through the :mod:`repro.api` facade.
+    def run(self, target=None, on_checkpoint=None):
+        """Execute this spec; equivalent to :func:`repro.api.run_spec`.
 
-        Equivalent to :func:`repro.api.run_spec`; ``target`` optionally
-        supplies a pre-computed exact distribution for the convergence
-        kinds (a runtime convenience — it is not part of the spec).
+        ``target`` optionally supplies a pre-computed exact distribution
+        for the convergence kinds (a runtime convenience — it is not part
+        of the spec); ``on_checkpoint(round, tv)`` is called at every TV
+        probe, which is how the job workers stream progress.
         """
         from repro import api
 
-        return api.run_spec(self, target=target)
+        return api.run_spec(self, target=target, on_checkpoint=on_checkpoint)
 
     # ------------------------------------------------------------------
     # canonical forms
@@ -461,7 +488,7 @@ class JobSpec:
             if kind == "tv_curve":
                 return cls(
                     kind=kind,
-                    checkpoints=tuple(int(c) for c in params.get("checkpoints") or ()),
+                    checkpoints=params.get("checkpoints"),
                     **common,
                 )
             return cls(

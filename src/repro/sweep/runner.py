@@ -171,20 +171,8 @@ def _execute_local(cells) -> list[tuple[object, str | None, float | None]]:
 def _execute_jobs(cells, workers: int) -> list[tuple[object, str | None, float | None]]:
     from repro.exec import JobRunner
 
-    # Result events carry the worker-side wall clock (JobUpdate.elapsed),
-    # so jobs-mode cells get real per-cell timings like the other modes.
     with JobRunner(workers=workers) as runner:
-        job_ids = [runner.submit(cell.spec) for cell in cells]
-        for _ in runner.stream():
-            pass
-        return [
-            (
-                runner.results.get(job_id),
-                runner.errors.get(job_id),
-                runner.elapsed.get(job_id),
-            )
-            for job_id in job_ids
-        ]
+        return runner.run_all([cell.spec for cell in cells])
 
 
 def _execute_serve(cells, server: str) -> list[tuple[object, str | None, float | None]]:

@@ -176,8 +176,7 @@ class TestSpecBackendField:
 class TestJobExecutorBackend:
     """The exec/serve job executor must forward ``spec.backend``.
 
-    Regression: ``_execute_job`` rebuilds the facade calls argument by
-    argument, so a spec submitted with a torch backend used to execute
+    Regression: a spec submitted with a torch backend once executed
     silently on numpy server-side.
     """
 
@@ -186,7 +185,7 @@ class TestJobExecutorBackend:
 
         events = []
         _execute_job(0, spec, events.append)
-        return next(e.payload for e in events if e.event == "result")
+        return next(e.payload for e in events if e.kind == "result")
 
     def _spec(self, kind, backend):
         from repro.graphs import torus_graph

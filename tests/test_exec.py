@@ -30,6 +30,7 @@ from repro.exec import (
     make_shard_plan,
     slice_initial,
 )
+from repro.exec.jobs import JOB_KINDS, _execute_job, _JobCancelled
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
 
@@ -258,6 +259,62 @@ class TestFallbackWarning:
 
 
 # ----------------------------------------------------------------------
+# the worker-side job body, in-process
+# ----------------------------------------------------------------------
+def _spec_of_kind(kind, **placement):
+    model = proper_coloring_mrf(path_graph(4), 3)
+    if kind == "sample_many":
+        return SamplingJob.sample_many(model, 12, rounds=5, seed=1, **placement)
+    if kind == "tv_curve":
+        return SamplingJob.tv_curve(model, (1, 2, 4), replicas=64, seed=2, **placement)
+    return SamplingJob.mixing_time(
+        model, eps=0.35, replicas=256, max_rounds=200, stride=4, seed=3, **placement
+    )
+
+
+class TestExecuteJob:
+    """``_execute_job`` is ``run_spec`` plus one event per TV probe."""
+
+    @pytest.mark.parametrize("kind", JOB_KINDS)
+    def test_events_and_result_equal_run_spec(self, kind):
+        spec = _spec_of_kind(kind)
+        events = []
+        _execute_job(5, spec, events.append)
+        probes = []
+        repro.run_spec(spec, on_checkpoint=lambda rounds, tv: probes.append((rounds, tv)))
+        streamed = [(e.round, e.value) for e in events if e.kind == "checkpoint"]
+        assert streamed == probes
+        assert bool(probes) == (kind != "sample_many")
+        result = events[-1]
+        assert result.kind == "result" and result.job_id == 5 and result.elapsed > 0.0
+        assert np.array_equal(result.payload, repro.run_spec(spec))
+
+    def test_checkpoint_exception_stops_a_sharded_run(self, monkeypatch):
+        """A raising callback (the worker's cancel check) ends the run at
+        that probe, and the sharded ensemble is still closed."""
+        built = []
+        make_ensemble = repro.api.make_ensemble
+
+        def recording_make_ensemble(*args, **kwargs):
+            built.append(make_ensemble(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(repro.api, "make_ensemble", recording_make_ensemble)
+        spec = _spec_of_kind("tv_curve", parallel=0, shard_size=16)
+        seen = []
+
+        def cancel(rounds, tv):
+            seen.append(rounds)
+            raise _JobCancelled()
+
+        with pytest.raises(_JobCancelled):
+            repro.run_spec(spec, on_checkpoint=cancel)
+        assert seen == [1]
+        # The shard engines are built (and recorded) inside the outer call.
+        assert isinstance(built[-1], ShardedEnsemble) and built[-1]._closed
+
+
+# ----------------------------------------------------------------------
 # jobs
 # ----------------------------------------------------------------------
 class TestJobs:
@@ -351,7 +408,7 @@ class TestJobs:
                 runner.run()
 
     def test_run_all_aligns_results_and_isolates_failures(self):
-        """run_all never raises: each job yields (result, error) in order."""
+        """run_all never raises: each job yields (result, error, elapsed) in order."""
         model = proper_coloring_mrf(path_graph(3), 3)
         jobs = [
             SamplingJob.sample_many(model, 4, rounds=2, seed=1, name="first"),
@@ -363,12 +420,14 @@ class TestJobs:
             outcomes = runner.run_all(jobs)
         assert len(outcomes) == 3
         for position in (0, 2):
-            batch, error = outcomes[position]
+            batch, error, elapsed = outcomes[position]
             assert error is None
             assert np.asarray(batch).shape == (4, 3)
-        doomed_result, doomed_error = outcomes[1]
+            assert elapsed > 0.0
+        doomed_result, doomed_error, doomed_elapsed = outcomes[1]
         assert doomed_result is None
         assert "ConvergenceError" in doomed_error
+        assert doomed_elapsed is None
 
     def test_dead_worker_fails_only_its_job(self):
         """A worker killed mid-job loses that job; the pool keeps serving."""

@@ -26,6 +26,7 @@ import pytest
 
 import repro
 import repro.spec
+from repro.csp.builders import not_all_equal_csp
 from repro.csp.model import LocalCSP
 from repro.errors import ServeError, ServerOverloadedError
 from repro.graphs import cycle_graph, grid_graph
@@ -302,6 +303,44 @@ class TestProtocolErrors:
         status, document = _post_spec(server, wire)
         assert status == 400
         assert "finite" in document["error"]
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("tv_curve", "checkpoints", [4, 1]),
+            ("tv_curve", "checkpoints", [0, 1]),
+            ("tv_curve", "checkpoints", [2, 2]),
+            ("tv_curve", "checkpoints", [-2]),
+            ("tv_curve", "checkpoints", [1.5]),
+            ("sample_many", "rounds", -3),
+            ("sample_many", "method", "bogus"),
+            ("csp", "method", "glauber"),
+        ],
+    )
+    def test_invalid_job_fields_are_400_and_never_submitted(
+        self, server, client, small_coloring, base, field, value
+    ):
+        specs = {
+            "tv_curve": JobSpec.tv_curve(small_coloring, (1, 2), replicas=8, seed=1),
+            "sample_many": JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2),
+            "csp": JobSpec.sample_many(
+                not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3),
+                4,
+                method="luby-glauber",
+                seed=1,
+                rounds=2,
+            ),
+        }
+        wire = specs[base].to_wire()
+        if field == "method":
+            wire["method"] = value
+        else:
+            wire["params"][field] = value
+        submitted = client.stats()["jobs"]["submitted"]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert field in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeError, match="no route"):
