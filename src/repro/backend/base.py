@@ -3,7 +3,7 @@
 The replica-ensemble engines (:mod:`repro.chains.ensemble`) and the
 vectorized LOCAL runtime (:mod:`repro.local.vectorized`) express their hot
 loops as a small set of kernel primitives — CSR gathers/scatters, sparse
-matmuls, flat gathers, segmented products, inverse-CDF sampling — over
+count matmuls, flat gathers, products, inverse-CDF sampling — over
 ``(R, n)``-batched arrays.  :class:`ArrayBackend` names exactly those
 primitives, so the same engine code runs on any array library that can
 implement them: numpy (the default, bit-identical reference), torch
@@ -169,15 +169,6 @@ class ArrayBackend(ABC):
         """Device handle for a ``scipy.sparse.csr_matrix`` with int data."""
 
     @abstractmethod
-    def spmm_int(self, handle, dense):
-        """Integer sparse matmul ``handle @ dense`` as int64.
-
-        ``dense`` is an integer ``(n, R)`` array (any width); the result is
-        exact — this computes the flat table indices of the CSP kernels, so
-        no float rounding may enter.
-        """
-
-    @abstractmethod
     def spmm_count(self, handle, mask):
         """Counts ``handle @ mask`` for a boolean ``(m, R)`` mask.
 
@@ -230,14 +221,24 @@ class ArrayBackend(ABC):
         """Index array of first maxima along ``axis``."""
 
     @abstractmethod
+    def prod(self, a, axis):
+        """Product along ``axis``.
+
+        The mixing-axis reduction of the LocalMetropolis CSP filter.  The
+        numpy backend multiplies in index order, left to right, so its
+        result equals a sequential product loop bit for bit; other
+        backends may reassociate.
+        """
+
+    @abstractmethod
     def segment_prod(self, values, sizes):
         """Products of contiguous row segments of ``values``.
 
         Row block ``i`` holds ``sizes[i]`` consecutive rows of the ``(S,
         ...)`` array ``values``; returns one product row per segment
         (all-ones rows for empty segments).  ``sizes`` is a *numpy* int
-        array fixed at setup time.  The reduction primitive behind both
-        batched CSP kernels.
+        array fixed at setup time.  The reduction primitive behind the
+        batched heat-bath kernels.
         """
 
     def __repr__(self) -> str:

@@ -98,9 +98,6 @@ class NumpyBackend(ArrayBackend):
     def csr(self, matrix):
         return matrix
 
-    def spmm_int(self, handle, dense):
-        return handle @ np.asarray(dense).astype(np.int64)
-
     def spmm_count(self, handle, mask):
         return handle @ mask.view(np.uint8)
 
@@ -136,6 +133,9 @@ class NumpyBackend(ArrayBackend):
 
     def argmax_axis(self, a, axis):
         return np.argmax(a, axis=axis)
+
+    def prod(self, a, axis):
+        return np.prod(a, axis=axis)
 
     def segment_prod(self, values, sizes):
         total = int(sizes.sum())

@@ -12,10 +12,9 @@ reproducible, seed for seed.  Floating-point reduction order differs from
 numpy, so results are *distributionally* — not bitwise — equivalent;
 :meth:`repro.spec.JobSpec.cache_key` accounts for that.
 
-Sparse matmuls are implemented as explicit gather + ``index_add_``
-scatters over the CSR coordinates in pure integer arithmetic, which keeps
-the CSP flat-table indices exact (no float rounding) and avoids relying on
-torch's sparse-tensor kernels.
+The sparse count matmul is an explicit gather + ``index_add_`` scatter
+over the CSR coordinates in integer arithmetic, which keeps the counts
+exact and avoids relying on torch's sparse-tensor kernels.
 """
 
 from __future__ import annotations
@@ -188,19 +187,16 @@ class TorchBackend(ArrayBackend):
     def csr(self, matrix):
         return _TorchCSR(self.torch, matrix, self.device)
 
-    def spmm_int(self, handle, dense):
+    def spmm_count(self, handle, mask):
         out = self.torch.zeros(
-            (handle.nrows, int(dense.shape[1])),
+            (handle.nrows, int(mask.shape[1])),
             dtype=self.torch.int64,
             device=self.device,
         )
         if int(handle.rows.shape[0]):
-            gathered = dense[handle.cols].to(self.torch.int64) * handle.data[:, None]
+            gathered = mask[handle.cols].to(self.torch.int64) * handle.data[:, None]
             out.index_add_(0, handle.rows, gathered)
         return out
-
-    def spmm_count(self, handle, mask):
-        return self.spmm_int(handle, mask)
 
     # ------------------------------------------------------------------
     # elementwise and reductions
@@ -238,6 +234,9 @@ class TorchBackend(ArrayBackend):
         if a.dtype is self.torch.bool:
             a = a.to(self.torch.int64)
         return self.torch.argmax(a, dim=axis)
+
+    def prod(self, a, axis):
+        return self.torch.prod(a, dim=axis)
 
     def segment_prod(self, values, sizes):
         torch = self.torch

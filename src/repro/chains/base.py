@@ -105,23 +105,30 @@ def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> 
     configurations), so a best-effort start is fine.
 
     For proper colourings with ``q >= Delta + 1`` and for occupancy models
-    (hardcore, vertex cover) the result is always feasible.
+    (hardcore, vertex cover) the result is always feasible.  Reads the
+    model's compiled neighbour and palette arrays (:meth:`MRF.compiled`).
     """
+    compiled = mrf.compiled()
+    activity = compiled.vertex_activity
+    allowed = activity > 0
+    compatible = compiled.palette > 0
+    padded = compiled.padded_neighbours
+    # Rows are ascending, so the already-assigned (smaller) neighbours of
+    # v are the leading ``lower[v]`` entries of its row.
+    lower = ((padded >= 0) & (padded < np.arange(mrf.n)[:, None])).sum(axis=1)
     config = np.zeros(mrf.n, dtype=np.int64)
-    assigned = np.zeros(mrf.n, dtype=bool)
-    for v in range(mrf.n):
-        weights = mrf.vertex_activity[v].copy()
-        for u in mrf.neighbors(v):
-            if assigned[u]:
-                weights = weights * (mrf.edge_activity(u, v)[:, config[u]] > 0)
-        candidates = np.nonzero(weights > 0)[0]
+    for v, count in enumerate(lower.tolist()):
+        spins = allowed[v]
+        if count:
+            tables = compiled.padded_tables[v, :count]
+            spins = spins & compatible[tables, :, config[padded[v, :count]]].all(axis=0)
+        candidates = np.flatnonzero(spins)
         if candidates.size == 0:
-            config[v] = int(np.argmax(mrf.vertex_activity[v]))
+            config[v] = int(np.argmax(activity[v]))
         elif rng is None:
             config[v] = int(candidates[0])
         else:
-            config[v] = int(rng.choice(candidates))
-        assigned[v] = True
+            config[v] = int(candidates[rng.integers(candidates.size)])
     return config
 
 

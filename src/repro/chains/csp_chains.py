@@ -86,28 +86,17 @@ def constraint_pass_probability(
 def greedy_csp_config(csp: LocalCSP) -> np.ndarray:
     """Assign vertices greedily, preferring spins keeping all constraints alive.
 
-    The deterministic default start shared by the sequential CSP chains and
-    the replica ensembles of :mod:`repro.chains.ensemble` — both start every
-    run (and every replica) from the same configuration unless told
-    otherwise, so cross-implementation trajectories are comparable.
+    Vertices are assigned in order; each takes the smallest spin under
+    which every constraint whose scope it completes evaluates non-zero,
+    or spin 0 if no spin does.  The deterministic default start shared by
+    the sequential CSP chains and the replica ensembles of
+    :mod:`repro.chains.ensemble` — both start every run (and every
+    replica) from the same configuration unless told otherwise, so
+    cross-implementation trajectories are comparable.  Computed once per
+    model (:attr:`repro.compiled.CompiledCSP.greedy_start`); each call
+    returns a fresh copy.
     """
-    config = np.zeros(csp.n, dtype=np.int64)
-    for v in range(csp.n):
-        scores = np.zeros(csp.q)
-        for spin in range(csp.q):
-            config[v] = spin
-            ok = True
-            for index in csp.incident[v]:
-                constraint = csp.constraints[index]
-                if max(constraint.scope) > v:
-                    continue  # involves unassigned vertices; skip
-                if constraint.evaluate(config) == 0.0:
-                    ok = False
-                    break
-            scores[spin] = 1.0 if ok else 0.0
-        candidates = np.nonzero(scores > 0)[0]
-        config[v] = int(candidates[0]) if candidates.size else 0
-    return config
+    return csp.compiled().greedy_start.copy()
 
 
 class _CSPChainBase:

@@ -26,14 +26,22 @@ them with single whole-ensemble array operations:
   its own Luby independent set and heat-bath-resamples every selected
   vertex from its exact conditional marginal, with the per-vertex weight
   products assembled through CSR neighbour gathers and a segmented
-  product over a deduplicated edge-activity stack;
+  product over the model's palette of distinct edge-activity tables;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
-  replicas: constraint-scope evaluation is precompiled into flat-table
-  offsets plus a constraint-incidence CSR scatter, so heat-bath marginals
-  (LubyGlauber) and the ``2^k - 1``-factor mixing filter (LocalMetropolis)
-  are whole-ensemble gathers and segmented reductions rather than
-  per-vertex ``itertools`` loops.
+  replicas: constraints are bucketed by arity, so flat table indices are
+  per-bucket scope gathers, heat-bath marginals (LubyGlauber) are
+  constraint-incidence gathers and segmented products, and the ``2^k -
+  1``-factor mixing filter (LocalMetropolis) is a doubling-built index
+  array, one factor gather and one product per bucket — no per-vertex or
+  per-constraint Python loop.
+
+The general engines (all but the two colouring ones) build from the
+model's compiled index-array form (:mod:`repro.compiled`):
+``mrf.compiled()`` / ``csp.compiled()`` is computed on the first engine
+build and memoized per immutable model, so building a second engine over
+the same model reads the arrays instead of walking the networkx graph,
+the per-edge table dict or the constraint objects again.
 
 Array-backend contract
 ----------------------
@@ -41,12 +49,13 @@ Array-backend contract
 Every advance-path kernel below runs through an
 :class:`~repro.backend.base.ArrayBackend` (the local ``xp``), selected by
 the ``backend=`` constructor argument: numpy by default, torch CPU/CUDA
-optionally.  Setup and precompute (CSR construction, table flattening,
-greedy starts) stay plain numpy/scipy and hand the finished structures to
-the backend once; diagnostics return numpy.  All backends draw randomness
-from the engine's single numpy Generator through the backend RNG bridge,
-so the proposal stream is backend-independent; only the numpy backend is
-*bitwise* reproducible (see :mod:`repro.backend.base`).
+optionally.  Setup and precompute (the compiled model form, CSR
+construction, greedy starts) stay plain numpy/scipy and hand the finished
+structures to the backend once; diagnostics return numpy.  All backends
+draw randomness from the engine's single numpy Generator through the
+backend RNG bridge, so the proposal stream is backend-independent; only
+the numpy backend is *bitwise* reproducible (see
+:mod:`repro.backend.base`).
 
 Layout and exactness contract
 -----------------------------
@@ -98,13 +107,11 @@ import scipy.sparse as sp
 
 from repro.backend import ArrayBackend, get_backend
 from repro.chains.base import as_generator, greedy_feasible_config
-from repro.chains.csp_chains import greedy_csp_config
 from repro.chains.fastpaths import (
     build_csr_neighbours,
     greedy_coloring,
     sorted_edge_arrays,
 )
-from repro.csp.hypergraph import conflict_graph
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.graphs.structure import check_vertex_labels
@@ -322,21 +329,12 @@ class _RegionSelector:
             lev = local_of[edge_v[internal]]
         else:
             leu = lev = np.zeros(0, dtype=np.int64)
-        m = len(leu)
-        if m:
-            ones = np.ones(m, dtype=np.int32)
-            arange = np.arange(m)
+        if len(leu):
             self._leu_d = xp.asarray(leu)
             self._lev_d = xp.asarray(lev)
-            self._side_u = xp.csr(
-                sp.csr_matrix((ones, (leu, arange)), shape=(self.size, m))
-            )
-            self._side_v = xp.csr(
-                sp.csr_matrix((ones, (lev, arange)), shape=(self.size, m))
-            )
         else:
             self._leu_d = self._lev_d = None
-            self._side_u = self._side_v = None
+        self._side_u, self._side_v = _side_incidences(xp, leu, lev, self.size)
 
     def select_pairs(self, rng: np.random.Generator, replicas: int):
         """Luby-select over the region; return global ``(v_idx, r_idx)`` pairs."""
@@ -346,6 +344,24 @@ class _RegionSelector:
         )
         s_idx, r_idx = self.xp.nonzero_pairs(mask)
         return self.region_d[s_idx], r_idx
+
+
+def _side_incidences(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """Backend CSR handles of the one-sided ``(n, m)`` edge incidences.
+
+    ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto each
+    edge's u endpoint (``side_v`` likewise) — the Luby step's "lost to a
+    neighbour" reduction.  ``(None, None)`` when there are no edges.
+    """
+    m = len(edge_u)
+    if not m:
+        return None, None
+    ones = np.ones(m, dtype=np.int32)
+    arange = np.arange(m)
+    return (
+        xp.csr(sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m))),
+        xp.csr(sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m))),
+    )
 
 
 def _batched_luby_select(
@@ -680,31 +696,15 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
             if np.any(config < 0) or np.any(config >= q):
                 raise ModelError(f"initial spins must lie in 0..{q - 1}")
         self._config = self.xp.asarray(config.astype(np.int64))
-        # Padded neighbour table (-1 pad) plus a per-slot index into the
-        # deduplicated stack of edge-activity matrices, so heterogeneous
-        # models cost no more than shared-matrix ones.
-        max_degree = mrf.max_degree
-        self._neighbour_pad = np.full((n, max(max_degree, 1)), -1, dtype=np.int64)
-        self._activity_index = np.zeros((n, max(max_degree, 1)), dtype=np.int64)
-        matrices: list[np.ndarray] = []
-        matrix_ids: dict[int, int] = {}
-        for v in range(n):
-            for k, u in enumerate(mrf.neighbors(v)):
-                matrix = mrf.edge_activity(u, v)
-                key = id(matrix)
-                if key not in matrix_ids:
-                    matrix_ids[key] = len(matrices)
-                    matrices.append(np.asarray(matrix, dtype=float))
-                self._neighbour_pad[v, k] = u
-                self._activity_index[v, k] = matrix_ids[key]
-        activities = np.stack(matrices) if matrices else np.ones((1, q, q))
+        # Ascending padded neighbour table (-1 pad) plus a per-slot index
+        # into the model's palette of distinct edge-activity tables, so
+        # heterogeneous models cost no more than shared-table ones.
+        compiled = mrf.compiled()
         xp = self.xp
-        self._neighbour_pad_d = xp.asarray(self._neighbour_pad)
-        self._activity_index_d = xp.asarray(self._activity_index)
-        self._activities = xp.asarray(activities)
-        self._vertex_activity = xp.asarray(
-            np.asarray(mrf.vertex_activity, dtype=float)
-        )
+        self._neighbour_pad_d = xp.asarray(compiled.padded_neighbours)
+        self._activity_index_d = xp.asarray(compiled.padded_tables)
+        self._activities = xp.asarray(compiled.palette)
+        self._vertex_activity = xp.asarray(compiled.vertex_activity)
         self._rows = xp.arange(r)
         self.steps_taken = 0
 
@@ -751,7 +751,7 @@ class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
         # implementation's float operation order).
         weights = xp.take_rows(self._vertex_activity, vertices)
         rows = self._rows
-        for k in range(self._neighbour_pad.shape[1]):
+        for k in range(self._neighbour_pad_d.shape[1]):
             neighbour = self._neighbour_pad_d[vertices, k]
             valid = neighbour >= 0
             if not xp.any(valid):
@@ -826,52 +826,24 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         self.xp = get_backend(backend)
         xp = self.xp
         n = self.n
-        self._eu, self._ev = sorted_edge_arrays(mrf.graph)
-        self._m = len(self._eu)
-        self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
-            self._eu, self._ev, n
-        )
-        self._degrees_d = xp.asarray(self._degrees)
-        self._indptr_d = xp.asarray(self._indptr)
-        self._csr_indices_d = xp.asarray(self._csr_indices)
+        compiled = mrf.compiled()
+        self._eu, self._ev = compiled.edge_u, compiled.edge_v
+        self._m = compiled.m
+        self._degrees = compiled.degrees
+        self._degrees_d = xp.asarray(compiled.degrees)
+        self._indptr_d = xp.asarray(compiled.indptr)
+        self._csr_indices_d = xp.asarray(compiled.neighbours)
         self._eu_d = xp.asarray(self._eu)
         self._ev_d = xp.asarray(self._ev)
-        if self._m:
-            ones = np.ones(self._m, dtype=np.int32)
-            arange = np.arange(self._m)
-            self._side_u = xp.csr(
-                sp.csr_matrix((ones, (self._eu, arange)), shape=(n, self._m))
-            )
-            self._side_v = xp.csr(
-                sp.csr_matrix((ones, (self._ev, arange)), shape=(n, self._m))
-            )
-        else:
-            self._side_u = self._side_v = None
-        # CSR-slot-aligned deduplicated edge-activity stack: the slot
-        # ``indptr[v] + k`` (neighbour u = csr_indices[indptr[v] + k])
-        # holds the index of A_{uv} inside the stack, so heterogeneous
-        # models cost no more than shared-matrix ones.  Undirected edge
-        # matrices are symmetric, so gathering column ``X_u`` equals the
-        # row gather the sequential chain performs.
-        matrices: list[np.ndarray] = []
-        matrix_ids: dict[int, int] = {}
-        slot_activity = np.zeros(max(len(self._csr_indices), 1), dtype=np.int64)
-        for v in range(n):
-            for k in range(int(self._degrees[v])):
-                slot = int(self._indptr[v]) + k
-                u = int(self._csr_indices[slot])
-                matrix = mrf.edge_activity(u, v)
-                key = id(matrix)
-                if key not in matrix_ids:
-                    matrix_ids[key] = len(matrices)
-                    matrices.append(np.asarray(matrix, dtype=float))
-                slot_activity[slot] = matrix_ids[key]
-        activities = np.stack(matrices) if matrices else np.ones((1, self.q, self.q))
-        self._slot_activity_d = xp.asarray(slot_activity)
-        self._activities = xp.asarray(activities)
-        self._vertex_activity_d = xp.asarray(
-            np.asarray(mrf.vertex_activity, dtype=float)
-        )
+        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, n)
+        # CSR slot ``indptr[v] + k`` (neighbour u = neighbours[indptr[v] + k])
+        # holds the palette index of A_{uv}, so heterogeneous models cost no
+        # more than shared-table ones.  Undirected edge tables are
+        # symmetric, so gathering column ``X_u`` equals the row gather the
+        # sequential chain performs.
+        self._slot_activity_d = xp.asarray(compiled.slot_table)
+        self._activities = xp.asarray(compiled.palette)
+        self._vertex_activity_d = xp.asarray(compiled.vertex_activity)
         self._config = xp.asarray(
             _initial_spin_batch(
                 initial,
@@ -992,14 +964,16 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
 # CSPs (the remarks after both algorithms).
 # ----------------------------------------------------------------------
 class _EnsembleCSPBase(EnsembleTrajectoryMixin):
-    """Shared precompiled structure for the batched CSP chains.
+    """Shared structure for the batched CSP chains, read from ``csp.compiled()``.
 
-    Constraint tables are concatenated into one flat array addressed by
-    per-constraint offsets and row-major scope strides; a sparse
-    ``(C, n)`` stride matrix turns the whole ``(n, R)`` spin batch into the
-    ``(C, R)`` array of flat scope indices with a single sparse matmul.
-    Both kernels are built from that primitive: any mixing of two spin
-    batches over every scope is two sparse matmuls plus one flat gather.
+    The model's distinct constraint tables are concatenated into one flat
+    array addressed by per-constraint offsets, and the constraints are
+    bucketed by arity (:class:`~repro.compiled.CompiledCSP`).  Within a
+    bucket of arity ``k`` every scope is a row of one ``(C_k, k)`` index
+    array, so gathering the ``(n, R)`` spin batch at the scopes and
+    weighting each position by its row-major stride gives the flat index
+    of every ``f_c(sigma|_{S_c})`` — gathers and integer arithmetic, no
+    per-constraint Python loop.
 
     Parameters
     ----------
@@ -1037,70 +1011,48 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
         self.xp = get_backend(backend)
-        self._build_scope_tables()
-        self._config = self.xp.asarray(self._initial_batch(initial))
-        self._spin_arange = self.xp.arange(self.q)
-        self._heatbath_ready = False
-        self.steps_taken = 0
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_scope_tables(self) -> None:
-        """Flatten all constraint tables and precompile the scope strides."""
-        csp, n, xp = self.csp, self.n, self.xp
-        constraints = csp.constraints
-        self._num_constraints = len(constraints)
-        raw_parts: list[np.ndarray] = []
-        starts = np.zeros(self._num_constraints, dtype=np.int64)
-        self._strides: list[np.ndarray] = []
-        offset = 0
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[int] = []
-        for index, constraint in enumerate(constraints):
-            table = np.asarray(constraint.table, dtype=float).ravel()
-            starts[index] = offset
-            raw_parts.append(table)
-            offset += table.size
-            arity = constraint.arity
-            strides = self.q ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-            self._strides.append(strides)
-            rows.extend([index] * arity)
-            cols.extend(constraint.scope)
-            data.extend(int(s) for s in strides)
-        self._table_starts = starts
-        self._table_starts_d = xp.asarray(starts)
-        flat_raw = (
-            np.concatenate(raw_parts) if raw_parts else np.zeros(0, dtype=float)
-        )
-        self._flat_raw = flat_raw
-        self._flat_raw_d = xp.asarray(flat_raw)
-        if self._num_constraints:
-            self._scope_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data, dtype=np.int64), (rows, cols)),
-                    shape=(self._num_constraints, n),
-                )
+        compiled = csp.compiled()
+        self._num_constraints = compiled.num_constraints
+        xp = self.xp
+        self._table_starts_d = xp.asarray(compiled.table_starts)
+        self._flat_raw_d = xp.asarray(compiled.flat_raw)
+        # Per arity bucket k on the backend: (k, constraint ids, (k, C_k)
+        # position-major scopes, (k, 1, 1) strides, (C_k, 1) table starts).
+        # Gathering an (n, R) batch at the scopes gives (k, C_k, R): one
+        # contiguous (C_k, R) plane per scope position.
+        self._buckets = [
+            (
+                bucket.arity,
+                xp.asarray(bucket.constraints),
+                xp.asarray(np.ascontiguousarray(bucket.scopes.T)),
+                xp.asarray(bucket.strides[:, None, None]),
+                xp.asarray(bucket.table_starts[:, None]),
             )
-            ones = np.ones(len(rows), dtype=np.int32)
+            for bucket in compiled.buckets
+        ]
+        if self._num_constraints:
+            ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
             self._vertex_incidence = xp.csr(
                 sp.csr_matrix(
-                    (ones, (cols, rows)), shape=(n, self._num_constraints)
+                    (ones, compiled.incidence_constraint, compiled.incidence_indptr),
+                    shape=(self.n, self._num_constraints),
                 )
             )
         else:
-            self._scope_matrix = self._vertex_incidence = None
-
-    def _initial_batch(self, initial) -> np.ndarray:
-        return _initial_spin_batch(
-            initial,
-            self.n,
-            self.q,
-            self.replicas,
-            self._dtype,
-            lambda: greedy_csp_config(self.csp),
+            self._vertex_incidence = None
+        self._config = xp.asarray(
+            _initial_spin_batch(
+                initial,
+                self.n,
+                self.q,
+                self.replicas,
+                self._dtype,
+                lambda: compiled.greedy_start,
+            )
         )
+        self._spin_arange = xp.arange(self.q)
+        self._heatbath_ready = False
+        self.steps_taken = 0
 
     # ------------------------------------------------------------------
     # batch views and diagnostics
@@ -1115,6 +1067,15 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         np.copyto(out, self.xp.to_numpy(self._config).T)
         return out
 
+    def _by_constraint(self, parts, dtype):
+        """Scatter per-bucket ``(C_k, R)`` results into constraint order."""
+        if len(parts) == 1:  # one arity: the bucket is every constraint, in order
+            return parts[0]
+        out = self.xp.zeros((self._num_constraints, self.replicas), dtype=dtype)
+        for (_, ids, _, _, _), part in zip(self._buckets, parts):
+            out[ids] = part
+        return out
+
     def _scope_flat_indices(self, batch):
         """Flat row-major index of every scope restriction, shape ``(C, R)``.
 
@@ -1122,7 +1083,14 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         inside the flattened table stack (relative to the constraint's
         table start).
         """
-        return self.xp.spmm_int(self._scope_matrix, batch)
+        xp = self.xp
+        return self._by_constraint(
+            [
+                xp.sum(batch[scopes] * strides, axis=0)
+                for _, _, scopes, strides, _ in self._buckets
+            ],
+            np.int64,
+        )
 
     def feasible_mask(self) -> np.ndarray:
         """Boolean ``(R,)`` mask of replicas with positive total weight."""
@@ -1144,7 +1112,7 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
     # heat-bath machinery (LubyGlauber step and region-restricted advance)
     # ------------------------------------------------------------------
     def _ensure_heatbath_structures(self) -> None:
-        """Conflict-graph edge arrays plus the (constraint, stride) incidence.
+        """Conflict-graph Luby structures plus the (constraint, stride) incidence.
 
         Built eagerly by :class:`EnsembleLubyGlauberCSP` (its every step
         needs them) and lazily by the region-restricted advance on
@@ -1153,46 +1121,23 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         """
         if self._heatbath_ready:
             return
-        xp, csp = self.xp, self.csp
+        xp, compiled = self.xp, self.csp.compiled()
         # Conflict-graph edge arrays drive the batched Luby step; ties lose
         # on both sides, exactly as LubyScheduler's strict local maxima.
-        self._cu, self._cv = sorted_edge_arrays(conflict_graph(csp))
-        self._conflict_m = len(self._cu)
+        self._cu, self._cv = compiled.conflict_u, compiled.conflict_v
         self._cu_d = xp.asarray(self._cu)
         self._cv_d = xp.asarray(self._cv)
-        if self._conflict_m:
-            ones = np.ones(self._conflict_m, dtype=np.int32)
-            arange = np.arange(self._conflict_m)
-            self._conflict_u = xp.csr(
-                sp.csr_matrix(
-                    (ones, (self._cu, arange)), shape=(self.n, self._conflict_m)
-                )
-            )
-            self._conflict_v = xp.csr(
-                sp.csr_matrix(
-                    (ones, (self._cv, arange)), shape=(self.n, self._conflict_m)
-                )
-            )
-        else:
-            self._conflict_u = self._conflict_v = None
+        self._conflict_u, self._conflict_v = _side_incidences(
+            xp, self._cu, self._cv, self.n
+        )
         # Vertex -> (constraint, stride-of-vertex) incidence CSR: the slots
         # of vertex v enumerate the constraints containing v together with
         # the stride of v's axis in each table.
-        inc_constraint: list[int] = []
-        inc_stride: list[int] = []
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for v in range(self.n):
-            for index in csp.incident[v]:
-                position = csp.constraints[index].scope.index(v)
-                inc_constraint.append(index)
-                inc_stride.append(int(self._strides[index][position]))
-            indptr[v + 1] = len(inc_constraint)
-        self._inc_indptr = indptr
-        self._inc_degrees = np.diff(indptr)
-        self._inc_indptr_d = xp.asarray(indptr)
+        self._inc_degrees = np.diff(compiled.incidence_indptr)
+        self._inc_indptr_d = xp.asarray(compiled.incidence_indptr)
         self._inc_degrees_d = xp.asarray(self._inc_degrees)
-        self._inc_constraint = xp.asarray(np.asarray(inc_constraint, dtype=np.int64))
-        self._inc_stride = xp.asarray(np.asarray(inc_stride, dtype=np.int64))
+        self._inc_constraint = xp.asarray(compiled.incidence_constraint)
+        self._inc_stride = xp.asarray(compiled.incidence_stride)
         self._heatbath_ready = True
 
     def _heatbath_update(self, v_idx, r_idx) -> None:
@@ -1326,17 +1271,19 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
     factors over the mixings of the proposal vector with the current vector
     on its scope; a vertex accepts iff every incident constraint passed.
 
-    The mixing enumeration is *precompiled*: every (constraint, mixing)
-    pair becomes one row of two sparse stride matrices — one selecting the
-    proposal spins, one the current spins — so all factor lookups of a
-    round are two sparse matmuls, one flat gather, and one segmented
-    product over rows.  The per-constraint coins are shared across the
-    scope exactly as in the sequential chain.
+    The filter runs once per arity bucket of the compiled model: two scope
+    gathers pull the proposed and current spins of every scope, doubling
+    over the ``k`` positions builds the ``2^k`` flat table indices of all
+    mixings (column ``mask`` reads the proposal at the positions whose bit
+    is set), one gather pulls the normalised factors, and a product over
+    the mixing axis, in mask order, gives the pass probabilities.  The
+    per-constraint coins are shared across the scope exactly as in the
+    sequential chain.
     """
 
-    #: Hard cap on precompiled (constraint, mixing) rows — the filter
-    #: enumerates 2^arity - 1 mixings per constraint, so very-high-arity
-    #: CSPs must use the sequential chain instead.
+    #: Hard cap on the (constraint, mixing) factors of one filter — the
+    #: filter enumerates 2^arity - 1 mixings per constraint, so
+    #: very-high-arity CSPs must use the sequential chain instead.
     MAX_MIXING_ROWS = 1_000_000
 
     def __init__(
@@ -1348,70 +1295,47 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
         backend: str | ArrayBackend | None = None,
     ) -> None:
         super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
-        xp = self.xp
-        norm_parts = [
-            np.asarray(c.normalized_table(), dtype=float).ravel()
-            for c in csp.constraints
-        ]
-        flat_norm = (
-            np.concatenate(norm_parts) if norm_parts else np.zeros(0, dtype=float)
-        )
-        self._flat_norm = xp.asarray(flat_norm)
-        total_rows = sum(2**c.arity - 1 for c in csp.constraints)
+        compiled = csp.compiled()
+        total_rows = compiled.mixing_rows
         if total_rows > self.MAX_MIXING_ROWS:
             raise StateSpaceTooLargeError(
-                f"LocalMetropolis mixing filter needs {total_rows} precompiled "
-                f"rows (2^arity - 1 per constraint), over the "
+                f"LocalMetropolis mixing filter needs {total_rows} factors per "
+                f"replica (2^arity - 1 per constraint), over the "
                 f"{self.MAX_MIXING_ROWS} cap; use the sequential "
                 "LocalMetropolisCSP chain for very-high-arity CSPs"
             )
-        rows_p: list[int] = []
-        cols_p: list[int] = []
-        data_p: list[int] = []
-        rows_c: list[int] = []
-        cols_c: list[int] = []
-        data_c: list[int] = []
-        row_start: list[int] = []
-        mask_starts = np.zeros(max(self._num_constraints, 1), dtype=np.int64)
-        row = 0
-        for index, constraint in enumerate(csp.constraints):
-            mask_starts[index] = row
-            scope = constraint.scope
-            strides = self._strides[index]
-            for mask in range(1, 2**constraint.arity):
-                for position, vertex in enumerate(scope):
-                    if (mask >> position) & 1:
-                        rows_p.append(row)
-                        cols_p.append(vertex)
-                        data_p.append(int(strides[position]))
-                    else:
-                        rows_c.append(row)
-                        cols_c.append(vertex)
-                        data_c.append(int(strides[position]))
-                row_start.append(int(self._table_starts[index]))
-                row += 1
-        self._mask_rows = row
-        self._mask_starts = mask_starts[: self._num_constraints]
-        # Segment sizes of the per-constraint mixing-row blocks (each is
-        # 2^arity - 1 >= 1, so every segment is non-empty).
-        self._mask_sizes = np.diff(np.append(self._mask_starts, self._mask_rows))
-        self._row_table_start = xp.asarray(np.asarray(row_start, dtype=np.int64))
-        if self._num_constraints:
-            shape = (self._mask_rows, self.n)
-            self._proposal_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data_p, dtype=np.int64), (rows_p, cols_p)),
-                    shape=shape,
-                )
-            )
-            self._current_matrix = xp.csr(
-                sp.csr_matrix(
-                    (np.asarray(data_c, dtype=np.int64), (rows_c, cols_c)),
-                    shape=shape,
-                )
-            )
-        else:
-            self._proposal_matrix = self._current_matrix = None
+        xp = self.xp
+        self._flat_norm = xp.asarray(compiled.flat_norm)
+        # One (2^k, C_k, R) mixing-index array per bucket, rewritten in
+        # place every step: reusing it spares the allocator a fresh
+        # multi-megabyte block (and its page faults) per round.
+        self._mixing_index = [
+            xp.zeros((2**arity, int(ids.shape[0]), self.replicas), dtype=np.int64)
+            for arity, ids, _, _, _ in self._buckets
+        ]
+
+    def _pass_probabilities(self, proposals):
+        """``(C, R)`` product of every constraint's ``2^k - 1`` mixing factors."""
+        xp = self.xp
+        parts = []
+        for (arity, _, scopes, strides, starts), index in zip(
+            self._buckets, self._mixing_index
+        ):
+            proposed = proposals[scopes] * strides  # (k, C_k, R) int64
+            current = self._config[scopes] * strides
+            change = proposed - current
+            # Row ``mask`` of ``index`` is the flat table index of the
+            # mixing that reads the proposal at the positions whose bit is
+            # set in ``mask`` and the current spin elsewhere; doubling
+            # over the positions fills rows [w, 2w) from rows [0, w).
+            index[0] = starts + xp.sum(current, axis=0)
+            for position in range(arity):
+                width = 1 << position
+                index[width : 2 * width] = index[:width]
+                index[width : 2 * width] += change[position]
+            # Row 0 is the current configuration itself, not a mixing.
+            parts.append(xp.prod(self._flat_norm[index[1:]], axis=0))
+        return self._by_constraint(parts, float)
 
     def step(self) -> None:
         """Uniform proposals; batched 2^k - 1-factor filter; accept if clean."""
@@ -1423,13 +1347,7 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
             self._config = proposals
             self.steps_taken += 1
             return
-        # Flat table index of every (constraint, mixing) row: proposal spins
-        # where the mixing reads the proposal, current spins elsewhere.
-        flat = xp.spmm_int(self._proposal_matrix, proposals) + xp.spmm_int(
-            self._current_matrix, self._config
-        )
-        factors = self._flat_norm[self._row_table_start[:, None] + flat]
-        pass_probability = xp.segment_prod(factors, self._mask_sizes)
+        pass_probability = self._pass_probabilities(proposals)
         # One shared coin per (constraint, replica): u < p is almost surely
         # true at p = 1 and never true at p = 0, so the deterministic
         # branches of the sequential chain need no special-casing.

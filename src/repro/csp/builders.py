@@ -14,6 +14,7 @@ from repro.csp.model import Constraint, LocalCSP
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
 from repro.mrf.model import MRF
+from repro.serialize import frozen_table
 
 __all__ = [
     "dominating_set_csp",
@@ -30,13 +31,26 @@ def _cover_table(arity: int, weight_per_pick: float = 1.0) -> np.ndarray:
     Entry for local spins ``(s_1..s_k)`` is ``0`` if no ``s_i = 1``, else
     ``weight_per_pick ** (#ones)``.  With weight 1 this is the plain cover
     constraint; other weights tilt towards smaller/larger dominating sets.
+    Returned frozen, so the constraints built on it share it.
     """
     table = np.zeros((2,) * arity)
     for index in np.ndindex(*table.shape):
         ones = sum(index)
         if ones >= 1:
             table[index] = weight_per_pick**ones
-    return table
+    return frozen_table(table)
+
+
+def _cover_constraints(graph: nx.Graph) -> list[Constraint]:
+    """One cover constraint per inclusive neighbourhood, one shared table per arity."""
+    tables: dict[int, np.ndarray] = {}
+    constraints = []
+    for v in range(graph.number_of_nodes()):
+        scope = tuple(sorted(set(graph.neighbors(v)) | {v}))
+        if len(scope) not in tables:
+            tables[len(scope)] = _cover_table(len(scope))
+        constraints.append(Constraint(scope, tables[len(scope)], name=f"cover({v})"))
+    return constraints
 
 
 def dominating_set_csp(graph: nx.Graph, weight: float = 1.0) -> LocalCSP:
@@ -51,14 +65,9 @@ def dominating_set_csp(graph: nx.Graph, weight: float = 1.0) -> LocalCSP:
     if weight <= 0:
         raise ModelError(f"dominating set weight must be > 0, got {weight}")
     n = graph.number_of_nodes()
-    constraints = []
-    for v in range(n):
-        scope = tuple(sorted(set(graph.neighbors(v)) | {v}))
-        constraints.append(
-            Constraint(scope, _cover_table(len(scope)), name=f"cover({v})")
-        )
+    constraints = _cover_constraints(graph)
     if weight != 1.0:
-        unary = np.array([1.0, weight])
+        unary = frozen_table([1.0, weight])
         for v in range(n):
             constraints.append(Constraint((v,), unary, name=f"pick-weight({v})"))
     return LocalCSP(n, 2, constraints, name=f"dominating-set(w={weight})")
@@ -72,17 +81,15 @@ def maximal_independent_set_csp(graph: nx.Graph) -> LocalCSP:
     cover constraint.
     """
     check_vertex_labels(graph)
-    n = graph.number_of_nodes()
-    constraints = []
-    independence = np.array([[1.0, 1.0], [1.0, 0.0]])
-    for u, v in sorted((min(e), max(e)) for e in graph.edges()):
-        constraints.append(Constraint((u, v), independence, name=f"indep({u},{v})"))
-    for v in range(n):
-        scope = tuple(sorted(set(graph.neighbors(v)) | {v}))
-        constraints.append(
-            Constraint(scope, _cover_table(len(scope)), name=f"cover({v})")
-        )
-    return LocalCSP(n, 2, constraints, name="maximal-independent-set")
+    independence = frozen_table([[1.0, 1.0], [1.0, 0.0]])
+    constraints = [
+        Constraint((u, v), independence, name=f"indep({u},{v})")
+        for u, v in sorted((min(e), max(e)) for e in graph.edges())
+    ]
+    constraints.extend(_cover_constraints(graph))
+    return LocalCSP(
+        graph.number_of_nodes(), 2, constraints, name="maximal-independent-set"
+    )
 
 
 def mrf_as_csp(mrf: MRF) -> LocalCSP:
@@ -108,7 +115,7 @@ def coloring_csp(graph: nx.Graph, q: int) -> LocalCSP:
     check_vertex_labels(graph)
     if q < 2:
         raise ModelError(f"coloring_csp needs q >= 2, got {q}")
-    table = np.ones((q, q)) - np.eye(q)
+    table = frozen_table(np.ones((q, q)) - np.eye(q))
     constraints = [
         Constraint((min(u, v), max(u, v)), table, name=f"neq({u},{v})")
         for u, v in graph.edges()
@@ -124,13 +131,16 @@ def not_all_equal_csp(scopes: list[tuple[int, ...]], n: int, q: int) -> LocalCSP
     """
     if q < 2:
         raise ModelError(f"not_all_equal_csp needs q >= 2, got {q}")
+    tables: dict[int, np.ndarray] = {}
     constraints = []
     for scope in scopes:
         arity = len(scope)
         if arity < 2:
             raise ModelError("NAE constraints need arity >= 2")
-        table = np.ones((q,) * arity)
-        for spin in range(q):
-            table[(spin,) * arity] = 0.0
-        constraints.append(Constraint(scope, table, name=f"nae{tuple(scope)}"))
+        if arity not in tables:
+            table = np.ones((q,) * arity)
+            for spin in range(q):
+                table[(spin,) * arity] = 0.0
+            tables[arity] = frozen_table(table)
+        constraints.append(Constraint(scope, tables[arity], name=f"nae{tuple(scope)}"))
     return LocalCSP(n, q, constraints, name="not-all-equal")

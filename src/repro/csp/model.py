@@ -8,19 +8,22 @@ the "local sampling" counterpart of LCL problems.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ModelError, StateSpaceTooLargeError
-from repro.mrf.distribution import GibbsDistribution
+from repro.mrf.distribution import GibbsDistribution, spin_blocks
 from repro.serialize import (
     frozen_table,
     palette_index,
     payload_fingerprint,
     table_palette,
 )
+
+if TYPE_CHECKING:
+    from repro.compiled import CompiledCSP
 
 __all__ = ["Constraint", "LocalCSP", "exact_csp_gibbs_distribution"]
 
@@ -124,6 +127,7 @@ class LocalCSP:
         self.name = name
         self.constraints = tuple(constraints)
         self._fingerprint: str | None = None
+        self._compiled: CompiledCSP | None = None
         for constraint in self.constraints:
             if constraint.q != q:
                 raise ModelError(
@@ -277,20 +281,50 @@ class LocalCSP:
             self._fingerprint = payload_fingerprint(payload)
         return self._fingerprint
 
+    def compiled(self) -> CompiledCSP:
+        """The :class:`~repro.compiled.CompiledCSP` index-array form.
+
+        Built on the first call (the first engine build) and memoized per
+        immutable instance, like :meth:`model_fingerprint`; left out of
+        pickles, so a worker that unpickles a job compiles its own copy.
+        """
+        if self._compiled is None:
+            from repro.compiled import compile_csp
+
+            self._compiled = compile_csp(self)
+        return self._compiled
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_compiled"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._compiled = None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LocalCSP(name={self.name!r}, n={self.n}, q={self.q}, constraints={len(self.constraints)})"
 
 
 def exact_csp_gibbs_distribution(csp: LocalCSP, max_states: int = 2_000_000) -> GibbsDistribution:
-    """Materialise the exact Gibbs distribution of a small CSP."""
+    """Materialise the exact Gibbs distribution of a small CSP.
+
+    Enumerates all ``q**n`` configurations in blocks
+    (:func:`~repro.mrf.distribution.spin_blocks`).
+    """
     size = csp.q ** csp.n
     if size > max_states:
         raise StateSpaceTooLargeError(
             f"state space {csp.q}**{csp.n} = {size} exceeds max_states={max_states}"
         )
     weights = np.empty(size)
-    for i, config in enumerate(itertools.product(range(csp.q), repeat=csp.n)):
-        weights[i] = csp.weight(config)
+    for start, spins in spin_blocks(csp.n, csp.q):
+        # The factors of LocalCSP.weight, in its order: equal bit for bit.
+        block = np.ones(spins.shape[1])
+        for constraint in csp.constraints:
+            block *= constraint.table[tuple(spins[v] for v in constraint.scope)]
+        weights[start : start + block.size] = block
     if weights.sum() <= 0.0:
         raise ModelError("CSP has no feasible configuration (Z = 0)")
     return GibbsDistribution(csp.n, csp.q, weights)

@@ -20,7 +20,17 @@ from repro.errors import ModelError, StateSpaceTooLargeError
 from repro.mrf.model import MRF, Config
 from repro.mrf.partition import DEFAULT_MAX_STATES
 
-__all__ = ["GibbsDistribution", "exact_gibbs_distribution", "config_index", "index_config"]
+__all__ = [
+    "GibbsDistribution",
+    "exact_gibbs_distribution",
+    "config_index",
+    "index_config",
+    "spin_blocks",
+]
+
+#: Configurations per block of the exact enumerations: their spin arrays
+#: take O(block * n) memory whatever the size of the state space.
+ENUMERATION_BLOCK = 1 << 15
 
 
 def config_index(config: Sequence[int], q: int) -> int:
@@ -42,6 +52,22 @@ def index_config(index: int, q: int, n: int) -> Config:
         spins[position] = index % q
         index //= q
     return tuple(spins)
+
+
+def spin_blocks(n: int, q: int):
+    """Enumerate ``[q]^n`` in :func:`config_index` order, in blocks.
+
+    Yields ``(start, spins)`` for consecutive blocks of at most
+    :data:`ENUMERATION_BLOCK` configurations: ``spins[v, j]`` is the spin
+    of vertex ``v`` in configuration ``start + j`` (vertex-major, so each
+    vertex's spins are one contiguous row).
+    """
+    size = q**n
+    block = ENUMERATION_BLOCK
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, size, block):
+        index = np.arange(start, min(start + block, size), dtype=np.int64)
+        yield start, (index[None, :] // powers[:, None]) % q
 
 
 class GibbsDistribution:
@@ -178,7 +204,10 @@ class GibbsDistribution:
 def exact_gibbs_distribution(mrf: MRF, max_states: int = DEFAULT_MAX_STATES) -> GibbsDistribution:
     """Materialise the exact Gibbs distribution of ``mrf``.
 
-    Enumerates all ``q**n`` configurations; guarded by ``max_states``.
+    Enumerates all ``q**n`` configurations in blocks (:func:`spin_blocks`);
+    guarded by ``max_states``.  Each weight multiplies the same factors in
+    the same order as :meth:`MRF.weight` — vertex activities, then edges in
+    canonical order — so it equals that method's value bit for bit.
     """
     size = mrf.q ** mrf.n
     if size > max_states:
@@ -186,8 +215,14 @@ def exact_gibbs_distribution(mrf: MRF, max_states: int = DEFAULT_MAX_STATES) -> 
             f"state space {mrf.q}**{mrf.n} = {size} exceeds max_states={max_states}"
         )
     weights = np.empty(size)
-    for i, config in enumerate(itertools.product(range(mrf.q), repeat=mrf.n)):
-        weights[i] = mrf.weight(config)
+    edges = list(zip(mrf.edges, mrf.edge_tables()))
+    for start, spins in spin_blocks(mrf.n, mrf.q):
+        block = np.ones(spins.shape[1])
+        for v in range(mrf.n):
+            block *= mrf.vertex_activity[v, spins[v]]
+        for (u, v), table in edges:
+            block *= table[spins[u], spins[v]]
+        weights[start : start + block.size] = block
     if weights.sum() <= 0.0:
         raise ModelError("MRF has no feasible configuration (Z = 0)")
     return GibbsDistribution(mrf.n, mrf.q, weights)

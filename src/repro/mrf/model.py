@@ -17,6 +17,7 @@ and the Gibbs distribution is ``mu(sigma) = w(sigma) / Z``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import networkx as nx
 import numpy as np
@@ -29,6 +30,9 @@ from repro.serialize import (
     payload_fingerprint,
     table_palette,
 )
+
+if TYPE_CHECKING:
+    from repro.compiled import CompiledMRF
 
 __all__ = ["MRF", "Config", "as_config"]
 
@@ -87,6 +91,7 @@ class MRF:
         self._edge_activity = self._build_edge_activities(edge_activities)
         self.vertex_activity = self._build_vertex_activities(vertex_activities)
         self._fingerprint: str | None = None
+        self._compiled: CompiledMRF | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -207,6 +212,10 @@ class MRF:
             return self._edge_activity[key]
         except KeyError:
             raise ModelError(f"({u}, {v}) is not an edge of the MRF graph") from None
+
+    def edge_tables(self) -> list[np.ndarray]:
+        """The edge activity tables, one per edge in canonical ``edges`` order."""
+        return [self._edge_activity[edge] for edge in self.edges]
 
     def normalized_edge_activity(self, u: int, v: int) -> np.ndarray:
         """Return ``Ã_e = A_e / max_{i,j} A_e(i, j)`` — the LocalMetropolis filter matrix."""
@@ -338,9 +347,7 @@ class MRF:
         never on how the instance was built or which tables it shares —
         two equal models serialise to equal payloads.
         """
-        tables, edge_index = table_palette(
-            [self._edge_activity[edge] for edge in self.edges]
-        )
+        tables, edge_index = table_palette(self.edge_tables())
         rows, vertex_index = table_palette(list(self.vertex_activity))
         return {
             "type": "mrf",
@@ -403,6 +410,28 @@ class MRF:
             del payload["name"]
             self._fingerprint = payload_fingerprint(payload)
         return self._fingerprint
+
+    def compiled(self) -> CompiledMRF:
+        """The :class:`~repro.compiled.CompiledMRF` index-array form.
+
+        Built on the first call (the first engine build) and memoized per
+        immutable instance, like :meth:`model_fingerprint`; left out of
+        pickles, so a worker that unpickles a job compiles its own copy.
+        """
+        if self._compiled is None:
+            from repro.compiled import compile_mrf
+
+            self._compiled = compile_mrf(self)
+        return self._compiled
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_compiled"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._compiled = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

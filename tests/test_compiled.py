@@ -1,0 +1,276 @@
+"""The compiled index-array forms the general engines build from.
+
+``MRF.compiled()`` / ``LocalCSP.compiled()`` must describe exactly the
+model's Python structures, be memoized per immutable instance (built on
+the first engine build, never at construction, decode or fingerprint
+time), stay read-only, and stay out of pickles.  The batched
+LocalMetropolis CSP filter built on them must equal the sequential
+chain's pass probabilities bit for bit.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+import repro
+import repro.compiled
+from repro import JobSpec
+from repro.backend import get_backend
+from repro.chains.csp_chains import constraint_pass_probability, greedy_csp_config
+from repro.chains.ensemble import (
+    EnsembleGlauberDynamics,
+    EnsembleLocalMetropolisCSP,
+    EnsembleLubyGlauberCSP,
+    EnsembleLubyGlauberMRF,
+)
+from repro.chains.fastpaths import build_csr_neighbours, sorted_edge_arrays
+from repro.csp import (
+    Constraint,
+    LocalCSP,
+    dominating_set_csp,
+    maximal_independent_set_csp,
+    not_all_equal_csp,
+)
+from repro.graphs import cycle_graph, grid_graph, path_graph, torus_graph
+from repro.mrf import MRF, hardcore_mrf, ising_mrf
+from repro.serialize import model_from_dict
+
+
+def per_edge_mrf(seed: int = 3) -> MRF:
+    """A distinct random symmetric table on every edge, passed as a dict."""
+    graph = grid_graph(3, 4)
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for u, v in graph.edges():
+        raw = rng.uniform(0.1, 1.0, size=(3, 3))
+        tables[(v, u)] = raw + raw.T  # either orientation is accepted
+    return MRF(graph, 3, tables, rng.uniform(0.5, 1.5, size=(12, 3)))
+
+
+def mixed_csp() -> LocalCSP:
+    """Arities 1, 2, 3 and 4 interleaved in constraint order."""
+    rng = np.random.default_rng(8)
+    scopes = [(0, 1, 2), (3,), (2, 4), (1, 3, 5, 6), (6,), (5, 0), (4, 6, 2)]
+    constraints = [
+        Constraint(scope, rng.uniform(0.2, 1.0, size=(3,) * len(scope)))
+        for scope in scopes
+    ]
+    return LocalCSP(7, 3, constraints)
+
+
+def _arrays(compiled):
+    return [
+        value for value in vars(compiled).values() if isinstance(value, np.ndarray)
+    ]
+
+
+class TestCompiledMRF:
+    def test_edges_and_csr_match_the_graph(self):
+        mrf = per_edge_mrf()
+        compiled = mrf.compiled()
+        edge_u, edge_v = sorted_edge_arrays(mrf.graph)
+        np.testing.assert_array_equal(compiled.edge_u, edge_u)
+        np.testing.assert_array_equal(compiled.edge_v, edge_v)
+        degrees, indptr, neighbours = build_csr_neighbours(edge_u, edge_v, mrf.n)
+        np.testing.assert_array_equal(compiled.degrees, degrees)
+        np.testing.assert_array_equal(compiled.indptr, indptr)
+        np.testing.assert_array_equal(compiled.neighbours, neighbours)
+
+    def test_every_csr_slot_names_its_edge_table(self):
+        mrf = per_edge_mrf()
+        compiled = mrf.compiled()
+        assert compiled.palette.shape == (mrf.graph.number_of_edges(), 3, 3)
+        for v in range(mrf.n):
+            for slot in range(compiled.indptr[v], compiled.indptr[v + 1]):
+                u = int(compiled.neighbours[slot])
+                np.testing.assert_array_equal(
+                    compiled.palette[compiled.slot_table[slot]], mrf.edge_activity(u, v)
+                )
+
+    def test_padded_rows_are_ascending_neighbourhoods(self):
+        mrf = per_edge_mrf()
+        compiled = mrf.compiled()
+        for v in range(mrf.n):
+            row = compiled.padded_neighbours[v]
+            neighbours = row[row >= 0].tolist()
+            assert neighbours == list(mrf.neighbors(v))
+            assert np.all(row[len(neighbours):] == -1)
+            for k, u in enumerate(neighbours):
+                np.testing.assert_array_equal(
+                    compiled.palette[compiled.padded_tables[v, k]], mrf.edge_activity(u, v)
+                )
+
+    def test_shared_tables_compile_to_one_palette_entry(self):
+        compiled = ising_mrf(torus_graph(4, 4), 0.4).compiled()
+        assert compiled.palette.shape == (1, 2, 2)
+        assert not compiled.slot_table.any()
+
+    def test_edgeless_model(self):
+        graph = path_graph(1)
+        compiled = hardcore_mrf(graph, 2.0).compiled()
+        assert compiled.m == 0
+        assert compiled.padded_neighbours.shape == (1, 1)
+        assert compiled.palette.shape == (1, 2, 2)
+
+
+class TestCompiledCSP:
+    def test_buckets_are_ascending_arity_in_constraint_order(self):
+        compiled = mixed_csp().compiled()
+        assert [bucket.arity for bucket in compiled.buckets] == [1, 2, 3, 4]
+        assert [bucket.constraints.tolist() for bucket in compiled.buckets] == [
+            [1, 4], [2, 5], [0, 6], [3],
+        ]
+        assert compiled.mixing_rows == 2 * 1 + 2 * 3 + 2 * 7 + 15
+        np.testing.assert_array_equal(compiled.buckets[2].strides, [9, 3, 1])
+
+    def test_palette_stores_each_distinct_table_once(self):
+        csp = dominating_set_csp(torus_graph(4, 4), 0.5)
+        compiled = csp.compiled()
+        # One arity-5 cover table and one unary pick table.
+        assert compiled.flat_raw.size == 2**5 + 2
+        assert sorted(set(compiled.table_starts.tolist())) == [0, 2**5]
+
+    def test_greedy_start_is_shared_by_engines_and_chains(self):
+        csp = dominating_set_csp(cycle_graph(7))
+        start = greedy_csp_config(csp)
+        start[:] = 9  # a copy: the memoized start is untouched
+        np.testing.assert_array_equal(
+            EnsembleLubyGlauberCSP(csp, 3, seed=0).config,
+            np.tile(csp.compiled().greedy_start, (3, 1)),
+        )
+
+    def test_no_constraints(self):
+        compiled = LocalCSP(3, 2, []).compiled()
+        assert compiled.buckets == ()
+        assert compiled.conflict_u.size == 0
+        np.testing.assert_array_equal(compiled.greedy_start, [0, 0, 0])
+        assert EnsembleLocalMetropolisCSP(LocalCSP(3, 2, []), 2, seed=1).run(2).shape == (2, 3)
+
+
+MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
+
+
+class TestMemoization:
+    @pytest.mark.parametrize("make", MODELS)
+    def test_memoized_per_instance_and_read_only(self, make):
+        model = make()
+        compiled = model.compiled()
+        assert model.compiled() is compiled
+        for array in _arrays(compiled):
+            assert not array.flags.writeable
+        for bucket in getattr(compiled, "buckets", ()):
+            assert not any(a.flags.writeable for a in _arrays(bucket))
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_not_built_by_construction_decode_or_fingerprint(self, make, monkeypatch):
+        calls = []
+        for name in ("compile_mrf", "compile_csp"):
+            original = getattr(repro.compiled, name)
+            monkeypatch.setattr(
+                repro.compiled,
+                name,
+                lambda model, original=original: calls.append(model) or original(model),
+            )
+        model = make()
+        model.model_fingerprint()
+        decoded = model_from_dict(model.to_dict())
+        decoded.model_fingerprint()
+        JobSpec.sample_many(decoded, 2, rounds=1, seed=0).cache_key()
+        assert calls == []
+        model.compiled()
+        model.compiled()
+        assert calls == [model]
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_left_out_of_pickles(self, make):
+        model = make()
+        before = pickle.dumps(model)
+        repro.run_spec(JobSpec.sample_many(model, 3, method="luby-glauber", rounds=2, seed=4))
+        assert model._compiled is not None
+        after = pickle.dumps(model)
+        assert len(after) == len(before)
+        restored = pickle.loads(after)
+        assert restored._compiled is None
+        assert restored.model_fingerprint() == model.model_fingerprint()
+
+    def test_mutation_compiles_a_new_form(self):
+        mrf = per_edge_mrf()
+        first = mrf.compiled()
+        smaller = mrf.without_edge(0, 1)
+        assert smaller.compiled() is not first
+        assert smaller.compiled().m == first.m - 1
+
+    @pytest.mark.parametrize(
+        "make, method",
+        [
+            (per_edge_mrf, "luby-glauber"),
+            (per_edge_mrf, "glauber"),
+            (mixed_csp, "local-metropolis"),
+            (mixed_csp, "luby-glauber"),
+        ],
+    )
+    def test_memoized_build_reproduces_a_fresh_build(self, make, method):
+        model = make()
+        spec = JobSpec.sample_many(model, 5, method=method, rounds=6, seed=12)
+        first = repro.run_spec(spec)
+        second = repro.run_spec(spec)  # reads the memoized form
+        fresh = repro.run_spec(JobSpec.sample_many(
+            model_from_dict(model.to_dict()), 5, method=method, rounds=6, seed=12
+        ))
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, fresh)
+
+
+class TestEnginesReadTheCompiledForm:
+    def test_mrf_engines_share_the_compiled_arrays(self):
+        mrf = per_edge_mrf()
+        luby = EnsembleLubyGlauberMRF(mrf, 2, seed=0)
+        glauber = EnsembleGlauberDynamics(mrf, 2, seed=0)
+        if get_backend(None).name == "numpy":
+            assert luby._activities is mrf.compiled().palette
+            assert glauber._neighbour_pad_d is mrf.compiled().padded_neighbours
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_filter_equals_the_sequential_pass_probability(self, seed):
+        """Per-arity gathers + mask-order product == the sequential chain's product."""
+        csp = mixed_csp()
+        ensemble = EnsembleLocalMetropolisCSP(csp, 6, seed=seed)
+        ensemble.advance(2)
+        xp = ensemble.xp
+        proposals = xp.uniform_spins(ensemble.rng, csp.q, (csp.n, 6), ensemble._dtype)
+        got = xp.to_numpy(ensemble._pass_probabilities(proposals))
+        current = ensemble.config
+        proposed = xp.to_numpy(proposals).T
+        expected = np.array([
+            [
+                constraint_pass_probability(
+                    c.normalized_table(), c.scope, proposed[r], current[r]
+                )
+                for r in range(6)
+            ]
+            for c in csp.constraints
+        ])
+        if xp.bitwise_reference:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_filter_over_one_arity_uses_no_scatter(self):
+        csp = not_all_equal_csp([(0, 1, 2), (2, 3, 4), (4, 5, 0)], n=6, q=3)
+        ensemble = EnsembleLocalMetropolisCSP(csp, 4, seed=1)
+        assert len(ensemble._buckets) == 1
+        assert ensemble.run(5).shape == (4, 6)
+
+
+def test_numpy_prod_is_a_left_to_right_product():
+    """The mixing-axis reduction multiplies in index order, like a loop."""
+    xp = get_backend("numpy")
+    rng = np.random.default_rng(0)
+    values = rng.random((31, 7, 5)) ** 9
+    expected = np.ones((7, 5))
+    for row in values:
+        expected = expected * row
+    np.testing.assert_array_equal(xp.prod(values, axis=0), expected)

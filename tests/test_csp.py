@@ -139,6 +139,24 @@ class TestBuilders:
         assert (1, 1, 1) not in support
         assert len(support) == 6
 
+    @pytest.mark.parametrize(
+        "csp",
+        [
+            dominating_set_csp(star_graph(3)),
+            dominating_set_csp(cycle_graph(5), weight=2.0),
+            maximal_independent_set_csp(cycle_graph(5)),
+            coloring_csp(cycle_graph(5), 3),
+            not_all_equal_csp([(0, 1, 2), (1, 2), (2, 3, 4), (3, 4)], n=5, q=3),
+        ],
+        ids=["domset", "domset-weighted", "mis", "coloring", "nae"],
+    )
+    def test_builders_share_one_frozen_table_per_arity(self, csp):
+        by_arity: dict[int, set[int]] = {}
+        for constraint in csp.constraints:
+            assert not constraint.table.flags.writeable
+            by_arity.setdefault(constraint.arity, set()).add(id(constraint.table))
+        assert all(len(ids) == 1 for ids in by_arity.values()), by_arity
+
 
 class TestHypergraph:
     def test_csp_neighbors_includes_coscoped(self):

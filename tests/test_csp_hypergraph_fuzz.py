@@ -8,7 +8,10 @@ primitives the CSP chains are built on:
   (and in particular arity-1 constraints create no edges);
 * ``is_strongly_independent`` agrees with pairwise non-adjacency in the
   conflict graph — the property that makes the Luby step on the conflict
-  graph a valid strongly-independent-set schedule.
+  graph a valid strongly-independent-set schedule;
+* the compiled form the batched engines read (``csp.compiled()``) derives
+  the same conflict edges, vertex incidence, flat table indices and greedy
+  start as the Python structures it replaces.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.chains.fastpaths import sorted_edge_arrays
 from repro.csp import (
     LocalCSP,
     Constraint,
@@ -100,3 +104,65 @@ def test_arity_one_constraints_create_no_neighbours():
     assert conflict_graph(csp).number_of_edges() == 0
     assert all(len(s) == 0 for s in csp_neighbors(csp))
     assert is_strongly_independent(csp, range(4))
+
+
+def reference_greedy_start(csp: LocalCSP) -> np.ndarray:
+    """The per-vertex, per-spin, per-constraint loop the compiled start replaces."""
+    config = np.zeros(csp.n, dtype=np.int64)
+    for v in range(csp.n):
+        candidates = []
+        for spin in range(csp.q):
+            config[v] = spin
+            if all(
+                csp.constraints[index].evaluate(config) != 0.0
+                for index in csp.incident[v]
+                if max(csp.constraints[index].scope) <= v
+            ):
+                candidates.append(spin)
+        config[v] = candidates[0] if candidates else 0
+    return config
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_compiled_conflict_edges_and_incidence(seed):
+    csp = random_csp(np.random.default_rng(seed))
+    compiled = csp.compiled()
+    edge_u, edge_v = sorted_edge_arrays(conflict_graph(csp))
+    np.testing.assert_array_equal(compiled.conflict_u, edge_u)
+    np.testing.assert_array_equal(compiled.conflict_v, edge_v)
+    for v in range(csp.n):
+        slots = slice(compiled.incidence_indptr[v], compiled.incidence_indptr[v + 1])
+        assert compiled.incidence_constraint[slots].tolist() == csp.incident[v]
+        strides = [
+            csp.q ** (len(csp.constraints[c].scope) - 1 - csp.constraints[c].scope.index(v))
+            for c in csp.incident[v]
+        ]
+        assert compiled.incidence_stride[slots].tolist() == strides
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_compiled_flat_indices_evaluate_every_constraint(seed):
+    rng = np.random.default_rng(seed)
+    csp = random_csp(rng)
+    compiled = csp.compiled()
+    seen = []
+    for bucket in compiled.buckets:
+        seen.extend(bucket.constraints.tolist())
+        for c, scope in zip(bucket.constraints.tolist(), bucket.scopes.tolist()):
+            assert tuple(scope) == csp.constraints[c].scope
+    assert sorted(seen) == list(range(len(csp.constraints)))
+    assert [b.arity for b in compiled.buckets] == sorted({c.arity for c in csp.constraints})
+    for config in rng.integers(0, csp.q, size=(5, csp.n)):
+        for bucket in compiled.buckets:
+            flat = bucket.table_starts + config[bucket.scopes] @ bucket.strides
+            for c, index in zip(bucket.constraints.tolist(), flat.tolist()):
+                constraint = csp.constraints[c]
+                assert compiled.flat_raw[index] == constraint.evaluate(config)
+                local = tuple(int(config[u]) for u in constraint.scope)
+                assert compiled.flat_norm[index] == constraint.normalized_table()[local]
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_compiled_greedy_start_matches_the_loop(seed):
+    csp = random_csp(np.random.default_rng(seed))
+    np.testing.assert_array_equal(csp.compiled().greedy_start, reference_greedy_start(csp))

@@ -1,14 +1,18 @@
 """Tests for GibbsDistribution, including hypothesis TV-metric properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.csp import dominating_set_csp, exact_csp_gibbs_distribution, not_all_equal_csp
 from repro.errors import ModelError, StateSpaceTooLargeError
-from repro.graphs import path_graph
-from repro.mrf import exact_gibbs_distribution, proper_coloring_mrf
-from repro.mrf.distribution import GibbsDistribution, config_index, index_config
+from repro.graphs import cycle_graph, grid_graph, path_graph
+from repro.mrf import exact_gibbs_distribution, hardcore_mrf, ising_mrf, proper_coloring_mrf
+from repro.mrf import distribution
+from repro.mrf.distribution import GibbsDistribution, config_index, index_config, spin_blocks
 
 
 class TestIndexing:
@@ -141,3 +145,47 @@ class TestValidation:
         mrf = proper_coloring_mrf(path_graph(20), 3)
         with pytest.raises(StateSpaceTooLargeError):
             exact_gibbs_distribution(mrf, max_states=100)
+
+
+class TestBlockedEnumeration:
+    """The blocked, vectorised enumeration equals the per-configuration loop."""
+
+    @pytest.fixture(params=[1, 7, 25, 1 << 15], ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(distribution, "ENUMERATION_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n, q", [(3, 2), (4, 3), (2, 5)])
+    def test_spin_blocks_follow_config_index_order(self, n, q, block):
+        rows = np.concatenate([spins.T for _, spins in spin_blocks(n, q)])
+        expected = np.array(list(itertools.product(range(q), repeat=n)))
+        np.testing.assert_array_equal(rows, expected)
+        starts = [start for start, _ in spin_blocks(n, q)]
+        assert starts == list(range(0, q**n, block))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            hardcore_mrf(grid_graph(3, 3), 0.5),
+            proper_coloring_mrf(cycle_graph(6), 3),
+            ising_mrf(cycle_graph(7), 0.3, 1.3),
+        ],
+        ids=["hardcore-3x3", "coloring-C6-q3", "ising-C7"],
+    )
+    def test_mrf_weights_equal_the_loop_bit_for_bit(self, model, block):
+        weights = [model.weight(c) for c in itertools.product(range(model.q), repeat=model.n)]
+        expected = GibbsDistribution(model.n, model.q, np.array(weights))
+        np.testing.assert_array_equal(exact_gibbs_distribution(model).probs, expected.probs)
+
+    @pytest.mark.parametrize(
+        "csp",
+        [
+            dominating_set_csp(cycle_graph(7), weight=0.7),
+            not_all_equal_csp([(0, 1, 2), (2, 3), (3, 4, 5, 0)], n=6, q=3),
+        ],
+        ids=["domset-weighted", "nae"],
+    )
+    def test_csp_weights_equal_the_loop_bit_for_bit(self, csp, block):
+        weights = [csp.weight(c) for c in itertools.product(range(csp.q), repeat=csp.n)]
+        expected = GibbsDistribution(csp.n, csp.q, np.array(weights))
+        np.testing.assert_array_equal(exact_csp_gibbs_distribution(csp).probs, expected.probs)
