@@ -3,7 +3,7 @@
 The replica-ensemble engines (:mod:`repro.chains.ensemble`) and the
 vectorized LOCAL runtime (:mod:`repro.local.vectorized`) express their hot
 loops as a small set of kernel primitives — CSR gathers/scatters, sparse
-count matmuls, flat gathers, products, inverse-CDF sampling — over
+count matmuls, flat gathers, products — over
 ``(R, n)``-batched arrays.  :class:`ArrayBackend` names exactly those
 primitives, so the same engine code runs on any array library that can
 implement them: numpy (the default, bit-identical reference), torch
@@ -30,8 +30,8 @@ Design contract
   bit level wherever floating-point arithmetic enters (reduction order is
   backend-specific), which is why non-default backends participate in
   :meth:`repro.spec.JobSpec.cache_key`.
-* **The numpy backend is the reference.**  Its methods are verbatim the
-  numpy expressions the engines used before the shim existed, so the
+* **The numpy backend is the reference.**  Its methods compute exactly
+  the numpy expressions the engines used before the shim existed, so the
   default path stays bit-identical to the pre-backend implementation.
   Other backends promise *distributional* equivalence, validated by the
   ``tests/statutils.py`` harness and the fuzzed kernel-parity tests.
@@ -132,6 +132,15 @@ class ArrayBackend(ABC):
         """Row gather ``a[idx]`` along axis 0 (always a fresh array)."""
 
     @abstractmethod
+    def take(self, a, idx):
+        """Flat gather: entries ``idx`` of ``a`` read in row-major order.
+
+        The result has the shape of ``idx``.  A pair ``(i, j)`` of an
+        ``(n, R)`` array reads flat index ``i * R + j``; this is cheaper
+        than two-array advanced indexing on both numpy and torch.
+        """
+
+    @abstractmethod
     def nonzero_pairs(self, mask):
         """Row-major ``(i, j)`` index arrays of the True entries of a 2-D mask."""
 
@@ -189,14 +198,6 @@ class ArrayBackend(ABC):
         """Elementwise clamp into ``[lo, hi]``."""
 
     @abstractmethod
-    def minimum(self, a, b):
-        """Elementwise minimum."""
-
-    @abstractmethod
-    def flip(self, a, axis):
-        """Reverse ``a`` along ``axis``."""
-
-    @abstractmethod
     def sum(self, a, axis=None):
         """Sum (bool inputs count as int)."""
 
@@ -228,17 +229,6 @@ class ArrayBackend(ABC):
         numpy backend multiplies in index order, left to right, so its
         result equals a sequential product loop bit for bit; other
         backends may reassociate.
-        """
-
-    @abstractmethod
-    def segment_prod(self, values, sizes):
-        """Products of contiguous row segments of ``values``.
-
-        Row block ``i`` holds ``sizes[i]`` consecutive rows of the ``(S,
-        ...)`` array ``values``; returns one product row per segment
-        (all-ones rows for empty segments).  ``sizes`` is a *numpy* int
-        array fixed at setup time.  The reduction primitive behind the
-        batched heat-bath kernels.
         """
 
     def __repr__(self) -> str:

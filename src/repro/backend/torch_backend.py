@@ -152,6 +152,9 @@ class TorchBackend(ArrayBackend):
     def take_rows(self, a, idx):
         return a[idx]
 
+    def take(self, a, idx):
+        return self.torch.take(a, idx)
+
     def nonzero_pairs(self, mask):
         pairs = self.torch.nonzero(mask, as_tuple=True)
         return pairs[0], pairs[1]
@@ -207,12 +210,6 @@ class TorchBackend(ArrayBackend):
     def clip(self, a, lo, hi):
         return self.torch.clamp(a, lo, hi)
 
-    def minimum(self, a, b):
-        return self.torch.minimum(a, b)
-
-    def flip(self, a, axis):
-        return self.torch.flip(a, dims=(axis,))
-
     def sum(self, a, axis=None):
         if a.dtype is self.torch.bool:
             a = a.to(self.torch.int64)
@@ -237,18 +234,3 @@ class TorchBackend(ArrayBackend):
 
     def prod(self, a, axis):
         return self.torch.prod(a, dim=axis)
-
-    def segment_prod(self, values, sizes):
-        torch = self.torch
-        segments = int(sizes.size)
-        width = tuple(values.shape[1:])
-        out = torch.ones((segments,) + width, dtype=torch.float64, device=self.device)
-        total = int(sizes.sum())
-        if total == 0 or segments == 0:
-            return out
-        sizes_dev = self._transfer(np.ascontiguousarray(sizes, dtype=np.int64))
-        segment_ids = torch.repeat_interleave(
-            torch.arange(segments, device=self.device), sizes_dev
-        )
-        out.index_reduce_(0, segment_ids, values.to(torch.float64), "prod", include_self=True)
-        return out

@@ -106,22 +106,26 @@ def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> 
 
     For proper colourings with ``q >= Delta + 1`` and for occupancy models
     (hardcore, vertex cover) the result is always feasible.  Reads the
-    model's compiled neighbour and palette arrays (:meth:`MRF.compiled`).
+    model's compiled edge and palette arrays (:meth:`MRF.compiled`).
     """
     compiled = mrf.compiled()
     activity = compiled.vertex_activity
     allowed = activity > 0
     compatible = compiled.palette > 0
-    padded = compiled.padded_neighbours
-    # Rows are ascending, so the already-assigned (smaller) neighbours of
-    # v are the leading ``lower[v]`` entries of its row.
-    lower = ((padded >= 0) & (padded < np.arange(mrf.n)[:, None])).sum(axis=1)
+    # Edges are sorted with edge_u < edge_v, so grouped by edge_v they list
+    # the already-assigned (smaller) neighbours of each vertex.
+    order = np.argsort(compiled.edge_v, kind="stable")
+    lower = compiled.edge_u[order]
+    tables = compiled.edge_table[order]
+    bounds = np.searchsorted(compiled.edge_v[order], np.arange(mrf.n + 1)).tolist()
     config = np.zeros(mrf.n, dtype=np.int64)
-    for v, count in enumerate(lower.tolist()):
+    for v in range(mrf.n):
         spins = allowed[v]
-        if count:
-            tables = compiled.padded_tables[v, :count]
-            spins = spins & compatible[tables, :, config[padded[v, :count]]].all(axis=0)
+        start, stop = bounds[v], bounds[v + 1]
+        if stop > start:
+            spins = spins & compatible[
+                tables[start:stop], :, config[lower[start:stop]]
+            ].all(axis=0)
         candidates = np.flatnonzero(spins)
         if candidates.size == 0:
             config[v] = int(np.argmax(activity[v]))

@@ -24,17 +24,25 @@ them with single whole-ensemble array operations:
 * :class:`EnsembleLubyGlauberMRF` — batched Algorithm 1 for general
   pairwise MRFs (hardcore, Ising, *list* colourings): each replica draws
   its own Luby independent set and heat-bath-resamples every selected
-  vertex from its exact conditional marginal, with the per-vertex weight
-  products assembled through CSR neighbour gathers and a segmented
-  product over the model's palette of distinct edge-activity tables;
+  vertex from its exact conditional marginal;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
   replicas: constraints are bucketed by arity, so flat table indices are
-  per-bucket scope gathers, heat-bath marginals (LubyGlauber) are
-  constraint-incidence gathers and segmented products, and the ``2^k -
-  1``-factor mixing filter (LocalMetropolis) is a doubling-built index
-  array, one factor gather and one product per bucket — no per-vertex or
-  per-constraint Python loop.
+  per-bucket scope gathers, and the ``2^k - 1``-factor mixing filter
+  (LocalMetropolis) is a doubling-built index array, one factor gather
+  and one product per bucket — no per-vertex or per-constraint Python
+  loop.
+
+The three heat-bath engines (Glauber, LubyGlauber-MRF, LubyGlauber-CSP)
+share one kernel.  The conditional weights of all selected (vertex,
+replica) pairs are built by one product loop over padded positions —
+the ascending neighbours of each vertex, or the constraints containing
+it — read from the model's padded tables: at each position a flat gather
+of the neighbours' spins (or the constraints' flat indices) and one
+``(pairs, q)`` gather of factor rows, multiplied in.  Pad slots read an
+all-ones row, so there is no validity mask, slot expansion or segmented
+product.  One column-by-column inverse-CDF sampler then draws every
+pair's spin.
 
 The general engines (all but the two colouring ones) build from the
 model's compiled index-array form (:mod:`repro.compiled`):
@@ -49,8 +57,8 @@ Array-backend contract
 Every advance-path kernel below runs through an
 :class:`~repro.backend.base.ArrayBackend` (the local ``xp``), selected by
 the ``backend=`` constructor argument: numpy by default, torch CPU/CUDA
-optionally.  Setup and precompute (the compiled model form, CSR
-construction, greedy starts) stay plain numpy/scipy and hand the finished
+optionally.  Setup and precompute (the compiled model form, padded and
+CSR tables, greedy starts) stay plain numpy/scipy and hand the finished
 structures to the backend once; diagnostics return numpy.  All backends
 draw randomness from the engine's single numpy Generator through the
 backend RNG bridge, so the proposal stream is backend-independent; only
@@ -62,7 +70,7 @@ Layout and exactness contract
 
 Publicly an ensemble is an ``(R, n)`` batch: ``config`` returns an
 ``(R, n)`` int64 numpy array, and ``run(steps)`` returns a fresh
-``(R, n)`` copy.  Internally the colouring ensembles store the transposed
+``(R, n)`` copy.  Internally every batched engine stores the transposed
 *vertex-major* ``(n, R)`` layout in the smallest integer dtype that holds
 ``q``: every per-edge operation then gathers contiguous rows, and the
 edge-to-vertex "any incident edge failed" reduction is a sparse
@@ -242,6 +250,20 @@ def _record_luby_step(engine, v_idx) -> None:
     )
 
 
+class _VertexMajorEnsemble(EnsembleTrajectoryMixin):
+    """Batch views of an engine whose ``self._config`` is the ``(n, R)`` batch."""
+
+    @property
+    def config(self) -> np.ndarray:
+        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
+        return self.xp.to_numpy(self._config).T.astype(np.int64)
+
+    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
+        """Transposed write from the internal vertex-major state, no copy."""
+        np.copyto(out, self.xp.to_numpy(self._config).T)
+        return out
+
+
 def _spin_dtype(q: int) -> np.dtype:
     """Smallest signed integer dtype that holds spins ``0..q-1``.
 
@@ -392,7 +414,7 @@ def _batched_luby_select(
     return lose_counts == 0
 
 
-class _EnsembleColoringBase(EnsembleTrajectoryMixin):
+class _EnsembleColoringBase(_VertexMajorEnsemble):
     """Shared state for the batched colouring chains.
 
     Parameters
@@ -490,16 +512,6 @@ class _EnsembleColoringBase(EnsembleTrajectoryMixin):
     # ------------------------------------------------------------------
     # batch views and diagnostics
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self.xp.to_numpy(self._config).T.astype(np.int64)
-
-    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
-        """Transposed write from the internal vertex-major state, no copy."""
-        np.copyto(out, self.xp.to_numpy(self._config).T)
-        return out
-
     def monochromatic_edges(self) -> np.ndarray:
         """Per-replica count of improper (monochromatic) edges, shape ``(R,)``."""
         if self._m == 0:
@@ -648,163 +660,90 @@ class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
         self.steps_taken += 1
 
 
-class EnsembleGlauberDynamics(EnsembleTrajectoryMixin):
-    """Batched single-site heat-bath Glauber for general pairwise MRFs.
+def _multiply_factor_rows(xp: ArrayBackend, weights, factors, indices):
+    """The heat-bath product loop: ``weights *= factors[index]`` per position.
 
-    One step advances *each* replica by one single-site update: every
-    replica independently picks a uniform vertex and resamples it from the
-    conditional marginal of paper eq. (2).  All R conditional weight
-    vectors are assembled with padded neighbour arrays (one vectorised pass
-    per neighbour position, bounded by the maximum degree) and sampled with
-    one vectorised inverse-CDF — no per-replica Python loop.
+    ``weights`` is a fresh ``(pairs, q)`` array holding each pair's own
+    factor (``b_v`` for an MRF, ones for a CSP).  ``indices`` yields one
+    index array per padded position of the pairs' vertices (ascending
+    neighbours, or containing constraints in constraint order); row-gathering
+    it from ``factors`` gives the ``(pairs, q)`` factor block of that
+    position.  Pad slots gather all-ones rows, so every pair runs through
+    the same positions with no mask, and the product is taken left to right
+    in position order.
+    """
+    for index in indices:
+        weights *= xp.take_rows(factors, index)
+    return weights
 
-    With ``replicas=1`` this consumes the RNG stream in exactly the same
-    order as :class:`repro.chains.glauber.GlauberDynamics` and reproduces
-    it bitwise (same seed, same initial configuration) — the strongest form
-    of the ensemble-vs-sequential exactness contract.
+
+def _heatbath_spins(xp: ArrayBackend, rng, weights, v_idx, undefined):
+    """Inverse-CDF draw of one spin per row of the ``(pairs, q)`` ``weights``.
+
+    The sampler of every heat-bath engine.  One ``random`` call draws a
+    uniform ``u`` per pair, in pair order, and each pair takes the number
+    of cumulative normalised weights ``<= u``: the smallest spin whose
+    cumulative mass exceeds ``u``.  The cumulative sum runs column by
+    column, left to right, so its bits equal a row ``cumsum`` and the
+    sequential :func:`~repro.chains.glauber.sample_spin`.  Rounding can
+    leave the last cumulative entry below 1 and let ``u`` pass every spin;
+    such a pair takes its largest positive-mass spin, never a zero-mass
+    one (the rule of :func:`repro.chains.cftp._inverse_cdf_spin`).  A pair
+    whose weights are all zero raises ``undefined(vertex)``.
+    """
+    q = int(weights.shape[1])
+    totals = xp.sum(weights, axis=1)
+    if xp.any(totals <= 0.0):
+        raise undefined(int(v_idx[xp.argmax(totals <= 0.0)]))
+    uniforms = xp.random(rng, int(weights.shape[0]))
+    cdf = weights[:, 0] / totals
+    spins = xp.astype(cdf <= uniforms, np.int64)
+    for spin in range(1, q):
+        cdf = cdf + weights[:, spin] / totals
+        spins += cdf <= uniforms
+    past = spins == q
+    if xp.any(past):
+        rows = xp.nonzero1d(past)
+        positive = xp.take_rows(weights, rows) > 0.0
+        spins[rows] = xp.argmax_axis(positive * xp.arange(q), axis=1)
+    return spins
+
+
+class _HeatBathEnsemble(_VertexMajorEnsemble):
+    """The heat-bath update shared by Glauber and both LubyGlauber engines.
+
+    Hosts provide ``_heatbath_weights(v_idx, r_idx)``, the ``(pairs, q)``
+    conditional weights of the given (vertex, replica) pairs, and
+    ``_undefined_marginal(vertex)``, the error of a zero-mass marginal.
     """
 
-    def __init__(
-        self,
-        mrf: MRF,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
-    ) -> None:
-        if replicas < 1:
-            raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
-        self.mrf = mrf
-        self.replicas = int(replicas)
-        self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
-        n, q, r = mrf.n, mrf.q, self.replicas
-        if initial is None:
-            base = greedy_feasible_config(mrf, self.rng)
-            config = np.repeat(base[None, :], r, axis=0)
-        else:
-            config = np.asarray(initial, dtype=np.int64)
-            if config.shape == (n,):
-                config = np.repeat(config[None, :], r, axis=0)
-            elif config.shape == (r, n):
-                config = config.copy()
-            else:
-                raise ModelError(
-                    f"initial configuration must have shape ({n},) or ({r}, {n}), "
-                    f"got {config.shape}"
-                )
-            if np.any(config < 0) or np.any(config >= q):
-                raise ModelError(f"initial spins must lie in 0..{q - 1}")
-        self._config = self.xp.asarray(config.astype(np.int64))
-        # Ascending padded neighbour table (-1 pad) plus a per-slot index
-        # into the model's palette of distinct edge-activity tables, so
-        # heterogeneous models cost no more than shared-table ones.
-        compiled = mrf.compiled()
-        xp = self.xp
-        self._neighbour_pad_d = xp.asarray(compiled.padded_neighbours)
-        self._activity_index_d = xp.asarray(compiled.padded_tables)
-        self._activities = xp.asarray(compiled.palette)
-        self._vertex_activity = xp.asarray(compiled.vertex_activity)
-        self._rows = xp.arange(r)
-        self.steps_taken = 0
+    def _heatbath_update(self, v_idx, r_idx) -> None:
+        """Heat-bath-resample the given (vertex, replica) pairs in place.
 
-    @property
-    def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (a numpy copy — safe to mutate)."""
-        return np.array(self.xp.to_numpy(self._config))
-
-    def step(self) -> None:
-        """One single-site heat-bath update in every replica."""
-        vertices = self.xp.integers(self.rng, self.mrf.n, self.replicas)
-        if _obs_metrics.enabled:
-            _obs_metrics.inc(
-                "repro_engine_site_updates_total", self.replicas, engine=type(self).__name__
-            )
-        self._update_sites(vertices)
-        self.steps_taken += 1
-
-    def advance_region(self, steps: int, region) -> EnsembleGlauberDynamics:
-        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
-
-        Each round every replica heat-bath-updates one uniformly chosen
-        *region* vertex; the complement never changes and enters the
-        conditional weights as fixed boundary spins.  Used by
-        :mod:`repro.dynamic` for incremental resampling.
+        Each pair's conditioning spins must stay fixed for the whole
+        update: the pairs are independent within each replica (strongly
+        independent, for a CSP).
         """
-        if steps < 0:
-            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        xp = self.xp
-        region = _as_region(region, self.mrf.n)
-        region_d = xp.asarray(region)
-        for _ in range(steps):
-            picks = xp.integers(self.rng, int(region.size), self.replicas)
-            self._update_sites(region_d[picks])
-            self.steps_taken += 1
-        return self
-
-    def _update_sites(self, vertices) -> None:
-        """Heat-bath-resample ``vertices[i]`` in replica ``i``, in place."""
-        xp = self.xp
-        r, q = self.replicas, self.mrf.q
-        # Conditional weights b_v(c) * prod_u A_uv(c, X_u), eq. (2), built
-        # in ascending-neighbour order (bitwise-matching the sequential
-        # implementation's float operation order).
-        weights = xp.take_rows(self._vertex_activity, vertices)
-        rows = self._rows
-        for k in range(self._neighbour_pad_d.shape[1]):
-            neighbour = self._neighbour_pad_d[vertices, k]
-            valid = neighbour >= 0
-            if not xp.any(valid):
-                continue
-            spins = self._config[rows[valid], neighbour[valid]]
-            weights[valid] *= self._activities[
-                self._activity_index_d[vertices[valid], k], :, spins
-            ]
-        totals = xp.sum(weights, axis=1)
-        if xp.any(totals <= 0.0):
-            bad = int(vertices[xp.argmax(totals <= 0.0)])
-            raise InfeasibleStateError(
-                f"conditional marginal at vertex {bad} is undefined: all {q} "
-                "spins have zero weight given the neighbours' spins"
-            )
-        cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, r)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        spins = xp.clip(spins, 0, q - 1)
-        self._config[rows, vertices] = spins
-
-    def is_feasible(self) -> np.ndarray:
-        """Per-replica feasibility mask, shape ``(R,)``."""
-        config = self.xp.to_numpy(self._config)
-        return np.array(
-            [self.mrf.is_feasible(config[i]) for i in range(self.replicas)]
-        )
+        weights = self._heatbath_weights(v_idx, r_idx)
+        spins = _heatbath_spins(self.xp, self.rng, weights, v_idx, self._undefined_marginal)
+        self._config[v_idx, r_idx] = self.xp.astype(spins, self._dtype)
 
 
-class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
-    """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
+class _EnsembleMRFBase(_HeatBathEnsemble):
+    """Shared state and heat-bath weights of the batched general-MRF engines.
 
-    The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
-    where the colouring engine rejection-samples uniform available
-    colours, this engine heat-bath-resamples every selected (replica,
-    vertex) pair from its exact conditional marginal (paper eq. (2)), so
-    it covers hardcore, Ising and *list-colouring* models — any pairwise
-    MRF — with one batched kernel.
+    Replicas are stored vertex-major, an ``(n, R)`` batch in the smallest
+    integer dtype that holds ``q``, and the conditional weights of paper
+    eq. (2) are read from the model's padded neighbour tables
+    (``mrf.compiled()``): one pass per neighbour position, up to the
+    maximum degree, each a flat gather of the neighbours' spins and a row
+    gather of the matching factor rows.  Pad slots read the vertex's own
+    spin through the all-ones table, so they multiply by one.
 
-    One step advances all R replicas by one LubyGlauber round: each
-    replica draws its own Luby independent set, then the conditional
-    weight vectors of *all* selected pairs are assembled at once — the
-    CSR neighbour arrays expand each pair to its neighbour slots, one
-    gather pulls the neighbours' current spins, a second gather pulls the
-    matching columns of the deduplicated edge-activity stack, and a
-    segmented product reduces slots back to per-pair ``(q,)`` weight
-    vectors.  Sampling is one vectorised inverse-CDF, with the same
-    largest-positive-mass fallthrough rule as the CSP engine.
-
-    Each replica evolves by exactly the same Markov kernel as the
-    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` (same
-    Luby selection law, same heat-bath conditional), so the ensemble is
-    distributionally identical to independent sequential runs.
+    Parameters are those of the public subclasses: the model, the replica
+    count R, ``initial`` (``None`` for :func:`greedy_feasible_config`
+    replicated, a length-n configuration or an ``(R, n)`` batch), ``seed``
+    and ``backend`` (module docstring).
     """
 
     def __init__(
@@ -825,50 +764,35 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         self.rng = as_generator(seed)
         self.xp = get_backend(backend)
         xp = self.xp
-        n = self.n
         compiled = mrf.compiled()
-        self._eu, self._ev = compiled.edge_u, compiled.edge_v
-        self._m = compiled.m
-        self._degrees = compiled.degrees
-        self._degrees_d = xp.asarray(compiled.degrees)
-        self._indptr_d = xp.asarray(compiled.indptr)
-        self._csr_indices_d = xp.asarray(compiled.neighbours)
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
-        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, n)
-        # CSR slot ``indptr[v] + k`` (neighbour u = neighbours[indptr[v] + k])
-        # holds the palette index of A_{uv}, so heterogeneous models cost no
-        # more than shared-table ones.  Undirected edge tables are
-        # symmetric, so gathering column ``X_u`` equals the row gather the
-        # sequential chain performs.
-        self._slot_activity_d = xp.asarray(compiled.slot_table)
-        self._activities = xp.asarray(compiled.palette)
-        self._vertex_activity_d = xp.asarray(compiled.vertex_activity)
+        self._vertex_activity = xp.asarray(compiled.vertex_activity)
+        # Row t * q + s is column s of palette table t: the factors
+        # A_uv(c, s) over c of a neighbour u in spin s.
+        self._factor_rows = xp.asarray(
+            np.ascontiguousarray(compiled.palette.transpose(0, 2, 1)).reshape(-1, self.q)
+        )
+        # Row k holds, per vertex, the flat offset u * R of its k-th
+        # neighbour's spins in the (n, R) batch and the first factor row
+        # t * q of that edge's table.
+        self._neighbour_offsets = xp.asarray(
+            np.ascontiguousarray(compiled.padded_neighbours.T) * self.replicas
+        )
+        self._table_offsets = xp.asarray(
+            np.ascontiguousarray(compiled.padded_tables.T) * self.q
+        )
+        # Replica i's row index: the pairs of a one-vertex-per-replica update.
+        self._rows = xp.arange(self.replicas)
         self._config = xp.asarray(
             _initial_spin_batch(
                 initial,
-                n,
+                self.n,
                 self.q,
                 self.replicas,
                 self._dtype,
                 lambda: greedy_feasible_config(mrf, self.rng),
-                noun="spins",
             )
         )
         self.steps_taken = 0
-
-    # ------------------------------------------------------------------
-    # batch views and diagnostics
-    # ------------------------------------------------------------------
-    @property
-    def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self.xp.to_numpy(self._config).T.astype(np.int64)
-
-    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
-        """Transposed write from the internal vertex-major state, no copy."""
-        np.copyto(out, self.xp.to_numpy(self._config).T)
-        return out
 
     def is_feasible(self) -> np.ndarray:
         """Per-replica feasibility mask, shape ``(R,)``."""
@@ -876,6 +800,117 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         return np.array(
             [self.mrf.is_feasible(config[i]) for i in range(self.replicas)]
         )
+
+    def _heatbath_weights(self, v_idx, r_idx):
+        """Weights ``b_v(c) * prod_u A_uv(c, X_u)`` of eq. (2), one row per pair.
+
+        Multiplied in the sequential oracle's order, ``((b_v * A_1) * A_2)
+        ...`` over ascending neighbours, so on numpy each row equals
+        :func:`~repro.mrf.marginals.conditional_marginal_unnormalized` bit
+        for bit.
+        """
+        xp = self.xp
+        indices = (
+            xp.take_rows(tables, v_idx)
+            + xp.take(self._config, xp.take_rows(neighbours, v_idx) + r_idx)
+            for neighbours, tables in zip(self._neighbour_offsets, self._table_offsets)
+        )
+        weights = xp.take_rows(self._vertex_activity, v_idx)
+        return _multiply_factor_rows(xp, weights, self._factor_rows, indices)
+
+    def _undefined_marginal(self, vertex: int) -> InfeasibleStateError:
+        return InfeasibleStateError(
+            f"conditional marginal at vertex {vertex} is undefined: all {self.q} "
+            "spins have zero weight given the neighbours' spins"
+        )
+
+
+class EnsembleGlauberDynamics(_EnsembleMRFBase):
+    """Batched single-site heat-bath Glauber for general pairwise MRFs.
+
+    One step advances *each* replica by one single-site update: every
+    replica independently picks a uniform vertex and resamples it from the
+    conditional marginal of paper eq. (2).  All R conditional weight
+    vectors go through the shared padded-neighbour heat-bath kernel (one
+    vectorised pass per neighbour position, bounded by the maximum degree)
+    and one vectorised inverse-CDF — no per-replica Python loop.
+
+    With ``replicas=1`` this consumes the RNG stream in exactly the same
+    order as :class:`repro.chains.glauber.GlauberDynamics` and reproduces
+    it bitwise (same seed, same initial configuration) — the strongest form
+    of the ensemble-vs-sequential exactness contract.
+    """
+
+    def step(self) -> None:
+        """One single-site heat-bath update in every replica."""
+        vertices = self.xp.integers(self.rng, self.n, self.replicas)
+        if _obs_metrics.enabled:
+            _obs_metrics.inc(
+                "repro_engine_site_updates_total", self.replicas, engine=type(self).__name__
+            )
+        self._heatbath_update(vertices, self._rows)
+        self.steps_taken += 1
+
+    def advance_region(self, steps: int, region) -> EnsembleGlauberDynamics:
+        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
+
+        Each round every replica heat-bath-updates one uniformly chosen
+        *region* vertex; the complement never changes and enters the
+        conditional weights as fixed boundary spins.  Used by
+        :mod:`repro.dynamic` for incremental resampling.
+        """
+        if steps < 0:
+            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
+        xp = self.xp
+        region = _as_region(region, self.n)
+        region_d = xp.asarray(region)
+        for _ in range(steps):
+            picks = xp.integers(self.rng, int(region.size), self.replicas)
+            self._heatbath_update(region_d[picks], self._rows)
+            self.steps_taken += 1
+        return self
+
+
+class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
+    """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
+
+    The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
+    where the colouring engine rejection-samples uniform available
+    colours, this engine heat-bath-resamples every selected (replica,
+    vertex) pair from its exact conditional marginal (paper eq. (2)), so
+    it covers hardcore, Ising and *list-colouring* models — any pairwise
+    MRF — with one batched kernel.
+
+    One step advances all R replicas by one LubyGlauber round: each
+    replica draws its own Luby independent set, then the conditional
+    weight vectors of *all* selected pairs are assembled at once by the
+    heat-bath kernel shared with :class:`EnsembleGlauberDynamics`: one
+    pass per padded neighbour position gathers the neighbours' current
+    spins and the matching rows of the deduplicated edge-activity stack
+    and multiplies them in.  Sampling is the shared vectorised
+    inverse-CDF, with the largest-positive-mass fallthrough rule.
+
+    Each replica evolves by exactly the same Markov kernel as the
+    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` (same
+    Luby selection law, same heat-bath conditional), so the ensemble is
+    distributionally identical to independent sequential runs.
+    """
+
+    def __init__(
+        self,
+        mrf: MRF,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+        backend: str | ArrayBackend | None = None,
+    ) -> None:
+        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        xp = self.xp
+        compiled = mrf.compiled()
+        self._eu, self._ev = compiled.edge_u, compiled.edge_v
+        self._eu_d = xp.asarray(self._eu)
+        self._ev_d = xp.asarray(self._ev)
+        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, self.n)
 
     def _luby_select(self):
         """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
@@ -899,7 +934,7 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
         vertices (over region-internal edges only) and heat-bath-resamples
         it from the exact conditional marginals; vertices outside the
         region never change and enter the weights as fixed boundary spins
-        through the full CSR neighbour gathers.  Used by
+        through the full padded neighbour gathers.  Used by
         :mod:`repro.dynamic` for incremental resampling.
         """
         if steps < 0:
@@ -912,58 +947,12 @@ class EnsembleLubyGlauberMRF(EnsembleTrajectoryMixin):
             self.steps_taken += 1
         return self
 
-    def _heatbath_update(self, v_idx, r_idx) -> None:
-        """Heat-bath-resample the given (vertex, replica) pairs in place.
-
-        The pairs must form an independent set within each replica (their
-        neighbours' spins are read as fixed conditioning).
-        """
-        xp = self.xp
-        pairs = int(v_idx.shape[0])
-        if pairs == 0:  # pragma: no cover - Luby always selects someone
-            return
-        q = self.q
-        # Conditional weights b_v(c) * prod_u A_uv(c, X_u), eq. (2).  The
-        # neighbours of a selected vertex are unselected (Luby step), so
-        # their spins are fixed for the whole update.
-        weights = xp.take_rows(self._vertex_activity_d, v_idx)
-        if self._m:
-            pair_of_slot, slots = xp.expand_neighbour_slots(
-                v_idx, self._degrees_d, self._indptr_d
-            )
-            neighbour_spins = self._config[
-                self._csr_indices_d[slots],
-                xp.repeat(r_idx, self._degrees_d[v_idx]),
-            ]
-            values = self._activities[
-                self._slot_activity_d[slots], :, xp.astype(neighbour_spins, np.int64)
-            ]
-            weights = weights * xp.segment_prod(
-                values, self._degrees[xp.to_numpy(v_idx)]
-            )
-        totals = xp.sum(weights, axis=1)
-        if xp.any(totals <= 0.0):
-            bad = int(v_idx[xp.argmax(totals <= 0.0)])
-            raise InfeasibleStateError(
-                f"conditional marginal at vertex {bad} is undefined: all {q} "
-                "spins have zero weight given the neighbours' spins"
-            )
-        cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, pairs)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        # Rounding can leave cdf[-1] < 1 so a draw lands past the end; fall
-        # back to the *largest positive-mass* spin, never a zero-mass one
-        # (same fallthrough rule as the CSP engine and cftp._inverse_cdf_spin).
-        last_positive = q - 1 - xp.argmax_axis(xp.flip(weights, axis=1) > 0.0, axis=1)
-        spins = xp.minimum(spins, last_positive)
-        self._config[v_idx, r_idx] = xp.astype(spins, self._dtype)
-
 
 # ----------------------------------------------------------------------
 # CSP ensembles: batched extensions of Algorithms 1-2 to weighted local
 # CSPs (the remarks after both algorithms).
 # ----------------------------------------------------------------------
-class _EnsembleCSPBase(EnsembleTrajectoryMixin):
+class _EnsembleCSPBase(_HeatBathEnsemble):
     """Shared structure for the batched CSP chains, read from ``csp.compiled()``.
 
     The model's distinct constraint tables are concatenated into one flat
@@ -1057,16 +1046,6 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
     # ------------------------------------------------------------------
     # batch views and diagnostics
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self.xp.to_numpy(self._config).T.astype(np.int64)
-
-    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
-        """Transposed write from the internal vertex-major state, no copy."""
-        np.copyto(out, self.xp.to_numpy(self._config).T)
-        return out
-
     def _by_constraint(self, parts, dtype):
         """Scatter per-bucket ``(C_k, R)`` results into constraint order."""
         if len(parts) == 1:  # one arity: the bucket is every constraint, in order
@@ -1112,7 +1091,7 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
     # heat-bath machinery (LubyGlauber step and region-restricted advance)
     # ------------------------------------------------------------------
     def _ensure_heatbath_structures(self) -> None:
-        """Conflict-graph Luby structures plus the (constraint, stride) incidence.
+        """Conflict-graph Luby structures plus the padded (constraint, stride) incidence.
 
         Built eagerly by :class:`EnsembleLubyGlauberCSP` (its every step
         needs them) and lazily by the region-restricted advance on
@@ -1130,70 +1109,58 @@ class _EnsembleCSPBase(EnsembleTrajectoryMixin):
         self._conflict_u, self._conflict_v = _side_incidences(
             xp, self._cu, self._cv, self.n
         )
-        # Vertex -> (constraint, stride-of-vertex) incidence CSR: the slots
-        # of vertex v enumerate the constraints containing v together with
-        # the stride of v's axis in each table.
-        self._inc_degrees = np.diff(compiled.incidence_indptr)
-        self._inc_indptr_d = xp.asarray(compiled.incidence_indptr)
-        self._inc_degrees_d = xp.asarray(self._inc_degrees)
-        self._inc_constraint = xp.asarray(compiled.incidence_constraint)
-        self._inc_stride = xp.asarray(compiled.incidence_stride)
+        # Row k holds, per vertex, for its k-th containing constraint c: the
+        # flat offset c * R of c's row in the (C + 1, R) flat-index buffer,
+        # the start of c's table among the factors, and the stride of the
+        # vertex's axis in it.  Pad slots name the extra constraint C: a
+        # zero buffer row, a start at the factor 1.0 appended to the raw
+        # tables and stride 0, so they read a factor of one.
+        constraints = np.ascontiguousarray(compiled.padded_constraints.T)
+        starts = np.append(compiled.table_starts, compiled.flat_raw.size)
+        self._incidence_offsets = xp.asarray(constraints * self.replicas)
+        self._incidence_starts = xp.asarray(starts[constraints])
+        self._incidence_strides = xp.asarray(
+            np.ascontiguousarray(compiled.padded_strides.T)
+        )
+        self._factors = xp.asarray(np.append(compiled.flat_raw, 1.0))
+        self._flat = xp.zeros((self._num_constraints + 1, self.replicas), dtype=np.int64)
         self._heatbath_ready = True
 
-    def _heatbath_update(self, v_idx, r_idx) -> None:
-        """Heat-bath-resample the given (vertex, replica) pairs in place.
+    def _heatbath_weights(self, v_idx, r_idx):
+        """Weights ``prod_c f_c(sigma with v -> s)`` over spins ``s``, one row per pair.
 
+        Multiplied in constraint order from ones, so on numpy each row
+        equals the unnormalised weights of
+        :meth:`~repro.csp.model.LocalCSP.conditional_marginal` bit for bit.
         The pairs must be strongly independent within each replica (no two
         share a constraint scope), so every co-scoped vertex is fixed
         conditioning.  Requires :meth:`_ensure_heatbath_structures`.
         """
         xp = self.xp
-        pairs = int(v_idx.shape[0])
-        if pairs == 0:  # pragma: no cover - Luby always selects someone
-            return
-        q = self.q
-        if self._num_constraints:
-            config64 = xp.astype(self._config, np.int64)
-            flat = self._scope_flat_indices(self._config)
-            # Expand each selected pair to its constraint-incidence slots.
-            # Selected vertices are strongly independent, so every co-scoped
-            # vertex is unselected and its spin is fixed this round.
-            pair_of_slot, slots = xp.expand_neighbour_slots(
-                v_idx, self._inc_degrees_d, self._inc_indptr_d
-            )
-            constraint = self._inc_constraint[slots]
-            stride = self._inc_stride[slots]
-            r_slot = r_idx[pair_of_slot]
-            current = config64[v_idx[pair_of_slot], r_slot]
-            base = (
-                self._table_starts_d[constraint]
-                + flat[constraint, r_slot]
-                - current * stride
-            )
-            # (slots, q) factor values for every candidate spin of the pair.
-            values = self._flat_raw_d[
-                base[:, None] + stride[:, None] * self._spin_arange
-            ]
-            weights = xp.segment_prod(
-                values, self._inc_degrees[xp.to_numpy(v_idx)]
-            )
-        else:
-            weights = xp.ones((pairs, q))
-        totals = xp.sum(weights, axis=1)
-        if xp.any(totals <= 0.0):
-            bad = int(v_idx[xp.argmax(totals <= 0.0)])
-            raise ModelError(
-                f"CSP conditional marginal at vertex {bad} is undefined (zero mass)"
-            )
-        cdf = xp.cumsum(weights / totals[:, None], axis=1)
-        uniforms = xp.random(self.rng, pairs)
-        spins = xp.sum(cdf <= uniforms[:, None], axis=1)
-        # Rounding can leave cdf[-1] < 1 so a draw lands past the end; fall
-        # back to the *largest positive-mass* spin, never a zero-mass one
-        # (same fallthrough rule as cftp._inverse_cdf_spin).
-        last_positive = q - 1 - xp.argmax_axis(xp.flip(weights, axis=1) > 0.0, axis=1)
-        spins = xp.minimum(spins, last_positive)
-        self._config[v_idx, r_idx] = xp.astype(spins, self._dtype)
+        self._flat[:-1] = self._scope_flat_indices(self._config)
+        current = xp.take(self._config, v_idx * self.replicas + r_idx)
+
+        def indices():
+            for offsets, starts, strides in zip(
+                self._incidence_offsets, self._incidence_starts, self._incidence_strides
+            ):
+                # f_c's flat index with v's axis at spin 0, then one entry
+                # per candidate spin of v.
+                stride = xp.take_rows(strides, v_idx)
+                base = (
+                    xp.take_rows(starts, v_idx)
+                    + xp.take(self._flat, xp.take_rows(offsets, v_idx) + r_idx)
+                    - current * stride
+                )
+                yield base[:, None] + stride[:, None] * self._spin_arange
+
+        weights = xp.ones((int(v_idx.shape[0]), self.q))
+        return _multiply_factor_rows(xp, weights, self._factors, indices())
+
+    def _undefined_marginal(self, vertex: int) -> ModelError:
+        return ModelError(
+            f"CSP conditional marginal at vertex {vertex} is undefined (zero mass)"
+        )
 
     def advance_region(self, steps: int, region) -> _EnsembleCSPBase:
         """Advance only ``region`` for ``steps`` rounds, boundary clamped.
@@ -1227,10 +1194,11 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
     set is strongly independent in the constraint hypergraph), then every
     selected (replica, vertex) pair heat-bath-resamples from its
     conditional marginal.  The marginal weights of *all* selected pairs are
-    assembled at once: the vertex-to-(constraint, stride) incidence CSR
-    expands each pair to its constraint slots, one flat gather pulls the
-    ``q`` candidate factor values per slot, and a segmented product reduces
-    slots back to per-pair weight vectors — no per-vertex Python loop.
+    assembled at once by the shared heat-bath kernel, one pass per padded
+    (constraint, stride) incidence position: a flat gather pulls each
+    constraint's current flat index, a second one the ``q`` candidate
+    factor values of the pair's vertex, and they are multiplied in — no
+    per-vertex Python loop.
     """
 
     def __init__(
@@ -1243,7 +1211,7 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
     ) -> None:
         super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
         # Every step Luby-selects on the conflict graph and heat-bath
-        # updates through the incidence CSRs — build them eagerly.
+        # updates through the padded incidence — build them eagerly.
         self._ensure_heatbath_structures()
 
     def _luby_select(self):

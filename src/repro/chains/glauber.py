@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chains.base import Chain
+from repro.chains.cftp import _inverse_cdf_spin
 from repro.mrf.marginals import conditional_marginal
 
 __all__ = ["GlauberDynamics"]
@@ -40,13 +41,9 @@ def sample_spin(distribution: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one spin from a probability vector via inverse CDF.
 
     Equivalent to ``rng.choice(q, p=distribution)`` but considerably faster,
-    which matters because chain ensembles call this millions of times.
+    which matters because chain ensembles call this millions of times.  One
+    uniform is drawn; if rounding leaves the cumulative mass below it, the
+    largest positive-mass spin is returned, never a zero-mass one (see
+    :func:`repro.chains.cftp._inverse_cdf_spin`).
     """
-    u = rng.random()
-    cumulative = 0.0
-    last = len(distribution) - 1
-    for spin, mass in enumerate(distribution):
-        cumulative += mass
-        if u < cumulative:
-            return spin
-    return last
+    return _inverse_cdf_spin(distribution, rng.random())

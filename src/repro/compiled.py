@@ -5,9 +5,9 @@ model's Python structures (the networkx graph, the per-edge table dict,
 the :class:`~repro.csp.model.Constraint` objects).  They read the
 :class:`CompiledMRF` returned by :meth:`repro.mrf.model.MRF.compiled` or
 the :class:`CompiledCSP` returned by
-:meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges, CSR
-neighbours, arity-bucketed scopes, incidences) plus each distinct factor
-table once (deduplicated by value with
+:meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges, padded
+neighbour tables, arity-bucketed scopes, incidences) plus each distinct
+factor table once (deduplicated by value with
 :func:`repro.serialize.table_palette`), all built with array operations
 rather than per-slot Python loops.
 
@@ -19,6 +19,14 @@ adds nothing to a served job's wire or pickle size.  Every array is a
 read-only numpy array; engines hand them to their array backend as they
 are.  Equal models compile to equal arrays, so an engine's bits do not
 depend on whether the form was memoized.
+
+The padded tables the heat-bath engines walk (``padded_neighbours`` /
+``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
+``n x width`` slots, ``width`` being the largest degree, so a few
+high-degree vertices among many low-degree ones make them mostly padding.  They are built on first use,
+and a model whose padding would exceed :data:`MAX_PADDING` slots raises
+:class:`~repro.errors.StateSpaceTooLargeError` before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -28,10 +36,16 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.chains.fastpaths import build_csr_neighbours
+from repro.errors import StateSpaceTooLargeError
 from repro.serialize import table_palette
 
-__all__ = ["ArityBucket", "CompiledCSP", "CompiledMRF", "compile_csp", "compile_mrf"]
+__all__ = [
+    "MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF", "compile_csp", "compile_mrf"
+]
+
+#: Cap on the pad slots of one padded table (``n * width`` minus the real
+#: slots): 4M slots, 32 MB per int64 table.
+MAX_PADDING = 1 << 22
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -48,30 +62,54 @@ def _csr_indptr(owners: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np.ndarray]:
+    """``(n, width)`` tables listing each vertex's slots left-aligned.
+
+    ``owner`` is sorted and names the vertex of each slot; ``columns`` holds
+    one value array per table and ``pads`` the fill of its unused entries
+    (a scalar, or an ``(n, 1)`` column).  ``width`` is the largest slot
+    count, at least 1.  Raises before allocating when the padding would
+    exceed :data:`MAX_PADDING`.
+    """
+    indptr = _csr_indptr(owner, n)
+    width = max(int(np.diff(indptr).max()) if n else 0, 1)
+    padding = n * width - owner.size
+    if padding > MAX_PADDING:
+        raise StateSpaceTooLargeError(
+            f"the padded {what} table needs {padding} pad slots ({n} vertices "
+            f"x {width} columns, {owner.size} in use), over the {MAX_PADDING} "
+            "cap: the degrees are too uneven for the batched heat-bath "
+            "engines; use a sequential chain"
+        )
+    column = np.arange(owner.size, dtype=np.int64) - indptr[owner]
+    tables = []
+    for values, pad in zip(columns, pads):
+        table = np.full((n, width), pad, dtype=np.int64)
+        table[owner, column] = values
+        tables.append(_frozen(table))
+    return tables
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledMRF:
     """Index-array form of a pairwise :class:`~repro.mrf.model.MRF`.
 
-    ``edge_u[i] < edge_v[i]`` in sorted order.  The neighbours of vertex
-    ``v`` are ``neighbours[indptr[v]:indptr[v + 1]]`` (the
-    :func:`~repro.chains.fastpaths.build_csr_neighbours` order: larger
-    neighbours first), and ``palette[slot_table[s]]`` is the activity
-    table of CSR slot ``s``.  ``padded_neighbours[v]`` lists the same
-    neighbours ascending, ``-1`` padded to ``max(max_degree, 1)`` columns,
-    with ``padded_tables`` the matching palette indices (``0`` padded).
-    With no edges the palette holds one all-ones table.
+    ``edge_u[i] < edge_v[i]`` in sorted order, and ``palette[edge_table[i]]``
+    is the activity table of edge ``i``.  The last palette entry is an
+    all-ones table that no edge uses: the table of every pad slot.
+
+    ``padded_neighbours[v]`` lists the neighbours of ``v`` ascending,
+    padded with ``v`` itself to ``max(max_degree, 1)`` columns, and
+    ``padded_tables`` holds the matching palette indices (the all-ones
+    table at the pads), so a pad slot reads a spin and multiplies by one.
+    Both are built on first use (see :data:`MAX_PADDING`).
     """
 
     n: int
     q: int
     edge_u: np.ndarray
     edge_v: np.ndarray
-    degrees: np.ndarray
-    indptr: np.ndarray
-    neighbours: np.ndarray
-    slot_table: np.ndarray
-    padded_neighbours: np.ndarray
-    padded_tables: np.ndarray
+    edge_table: np.ndarray
     palette: np.ndarray
     vertex_activity: np.ndarray
 
@@ -80,40 +118,40 @@ class CompiledMRF:
         """Number of edges."""
         return int(self.edge_u.size)
 
+    @cached_property
+    def _padded(self) -> list[np.ndarray]:
+        ends = np.concatenate([self.edge_u, self.edge_v])
+        others = np.concatenate([self.edge_v, self.edge_u])
+        order = np.lexsort((others, ends))
+        tables = np.concatenate([self.edge_table, self.edge_table])
+        pads = [np.arange(self.n, dtype=np.int64)[:, None], self.palette.shape[0] - 1]
+        return _padded_rows(
+            ends[order], [others[order], tables[order]], pads, self.n, "neighbour"
+        )
+
+    @property
+    def padded_neighbours(self) -> np.ndarray:
+        """``(n, width)`` ascending neighbours, padded with the vertex itself."""
+        return self._padded[0]
+
+    @property
+    def padded_tables(self) -> np.ndarray:
+        """``(n, width)`` palette index of each padded neighbour slot."""
+        return self._padded[1]
+
 
 def compile_mrf(mrf) -> CompiledMRF:
     """Build the :class:`CompiledMRF` of ``mrf`` (use ``mrf.compiled()``)."""
-    n, q = mrf.n, mrf.q
+    q = mrf.q
     edges = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
-    edge_u = np.ascontiguousarray(edges[:, 0])
-    edge_v = np.ascontiguousarray(edges[:, 1])
-    m = edge_u.size
     tables, edge_table = table_palette(mrf.edge_tables())
-    palette = np.stack(tables) if tables else np.ones((1, q, q))
-    degrees, indptr, neighbours = build_csr_neighbours(edge_u, edge_v, n)
-    # Slot s of the CSR came from position order[s] of concat(edge_u, edge_v).
-    order = np.argsort(np.concatenate([edge_u, edge_v]), kind="stable")
-    slot_table = np.asarray(edge_table, dtype=np.int64)[order % m]
-    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    ascending = np.lexsort((neighbours, owner))
-    column = np.arange(owner.size, dtype=np.int64) - indptr[owner]
-    width = max(int(degrees.max()) if n else 0, 1)
-    padded_neighbours = np.full((n, width), -1, dtype=np.int64)
-    padded_tables = np.zeros((n, width), dtype=np.int64)
-    padded_neighbours[owner, column] = neighbours[ascending]
-    padded_tables[owner, column] = slot_table[ascending]
     return CompiledMRF(
-        n=n,
+        n=mrf.n,
         q=q,
-        edge_u=_frozen(edge_u),
-        edge_v=_frozen(edge_v),
-        degrees=_frozen(degrees),
-        indptr=_frozen(indptr),
-        neighbours=_frozen(neighbours),
-        slot_table=_frozen(slot_table),
-        padded_neighbours=_frozen(padded_neighbours),
-        padded_tables=_frozen(padded_tables),
-        palette=_frozen(palette),
+        edge_u=_frozen(np.ascontiguousarray(edges[:, 0])),
+        edge_v=_frozen(np.ascontiguousarray(edges[:, 1])),
+        edge_table=_frozen(np.asarray(edge_table, dtype=np.int64)),
+        palette=_frozen(np.stack([*tables, np.ones((q, q))])),
         vertex_activity=mrf.vertex_activity,
     )
 
@@ -147,9 +185,10 @@ class CompiledCSP:
     ``table_starts[c]`` is constraint ``c``'s offset in both.  The slots
     ``incidence_indptr[v]:incidence_indptr[v + 1]`` of ``incidence_constraint``
     / ``incidence_stride`` list the constraints containing ``v`` in
-    constraint order, with the stride of ``v``'s axis in each table.
-    ``conflict_u < conflict_v`` are the sorted edges of the conflict graph
-    (vertices sharing a scope).
+    constraint order, with the stride of ``v``'s axis in each table;
+    ``padded_constraints`` / ``padded_strides`` hold the same lists as
+    ``(n, width)`` rows.  ``conflict_u < conflict_v`` are the sorted edges
+    of the conflict graph (vertices sharing a scope).
     """
 
     n: int
@@ -172,6 +211,32 @@ class CompiledCSP:
             int(bucket.constraints.size) * (2**bucket.arity - 1)
             for bucket in self.buckets
         )
+
+    @cached_property
+    def _padded_incidence(self) -> list[np.ndarray]:
+        owner = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.incidence_indptr))
+        return _padded_rows(
+            owner,
+            [self.incidence_constraint, self.incidence_stride],
+            [self.num_constraints, 0],
+            self.n,
+            "constraint-incidence",
+        )
+
+    @property
+    def padded_constraints(self) -> np.ndarray:
+        """``(n, width)`` constraints containing each vertex, in constraint order.
+
+        Pad slots hold ``num_constraints``, an index past every real
+        constraint: engines read it as an empty-scope constraint whose
+        factor is one.  Built on first use (see :data:`MAX_PADDING`).
+        """
+        return self._padded_incidence[0]
+
+    @property
+    def padded_strides(self) -> np.ndarray:
+        """``(n, width)`` stride of the vertex's axis in each padded constraint (0 at pads)."""
+        return self._padded_incidence[1]
 
     @cached_property
     def greedy_start(self) -> np.ndarray:

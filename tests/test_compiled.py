@@ -11,6 +11,7 @@ chain's pass probabilities bit for bit.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from repro.chains.ensemble import (
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
 )
-from repro.chains.fastpaths import build_csr_neighbours, sorted_edge_arrays
+from repro.chains.fastpaths import sorted_edge_arrays
+from repro.chains.luby_glauber import LubyGlauberChain
 from repro.csp import (
     Constraint,
     LocalCSP,
@@ -34,7 +36,8 @@ from repro.csp import (
     maximal_independent_set_csp,
     not_all_equal_csp,
 )
-from repro.graphs import cycle_graph, grid_graph, path_graph, torus_graph
+from repro.errors import StateSpaceTooLargeError
+from repro.graphs import cycle_graph, grid_graph, path_graph, star_graph, torus_graph
 from repro.mrf import MRF, hardcore_mrf, ising_mrf
 from repro.serialize import model_from_dict
 
@@ -61,6 +64,25 @@ def mixed_csp() -> LocalCSP:
     return LocalCSP(7, 3, constraints)
 
 
+def uneven_mrf() -> MRF:
+    """An isolated vertex, leaves and a hub: most rows of the padded table are pads."""
+    graph = star_graph(5)
+    graph.add_edge(1, 2)
+    graph.add_node(6)
+    return hardcore_mrf(graph, 0.8)
+
+
+def isolated_vertex_csp() -> LocalCSP:
+    """Vertex 3 is in no constraint; vertex 0 is in three."""
+    rng = np.random.default_rng(9)
+    scopes = [(0, 1), (2, 0, 4), (0,), (1, 4)]
+    constraints = [
+        Constraint(scope, rng.uniform(0.2, 1.0, size=(2,) * len(scope)))
+        for scope in scopes
+    ]
+    return LocalCSP(5, 2, constraints)
+
+
 def _arrays(compiled):
     return [
         value for value in vars(compiled).values() if isinstance(value, np.ndarray)
@@ -68,55 +90,110 @@ def _arrays(compiled):
 
 
 class TestCompiledMRF:
-    def test_edges_and_csr_match_the_graph(self):
+    def test_edges_match_the_graph(self):
         mrf = per_edge_mrf()
         compiled = mrf.compiled()
         edge_u, edge_v = sorted_edge_arrays(mrf.graph)
         np.testing.assert_array_equal(compiled.edge_u, edge_u)
         np.testing.assert_array_equal(compiled.edge_v, edge_v)
-        degrees, indptr, neighbours = build_csr_neighbours(edge_u, edge_v, mrf.n)
-        np.testing.assert_array_equal(compiled.degrees, degrees)
-        np.testing.assert_array_equal(compiled.indptr, indptr)
-        np.testing.assert_array_equal(compiled.neighbours, neighbours)
 
-    def test_every_csr_slot_names_its_edge_table(self):
+    def test_every_edge_names_its_table(self):
         mrf = per_edge_mrf()
         compiled = mrf.compiled()
-        assert compiled.palette.shape == (mrf.graph.number_of_edges(), 3, 3)
-        for v in range(mrf.n):
-            for slot in range(compiled.indptr[v], compiled.indptr[v + 1]):
-                u = int(compiled.neighbours[slot])
-                np.testing.assert_array_equal(
-                    compiled.palette[compiled.slot_table[slot]], mrf.edge_activity(u, v)
-                )
+        # One table per edge, plus the all-ones pad table.
+        assert compiled.palette.shape == (mrf.graph.number_of_edges() + 1, 3, 3)
+        np.testing.assert_array_equal(compiled.palette[-1], np.ones((3, 3)))
+        for u, v, table in zip(compiled.edge_u, compiled.edge_v, compiled.edge_table):
+            np.testing.assert_array_equal(
+                compiled.palette[table], mrf.edge_activity(int(u), int(v))
+            )
 
-    def test_padded_rows_are_ascending_neighbourhoods(self):
-        mrf = per_edge_mrf()
+    @pytest.mark.parametrize("make", [per_edge_mrf, uneven_mrf])
+    def test_padded_rows_are_ascending_neighbourhoods_padded_with_ones(self, make):
+        mrf = make()
         compiled = mrf.compiled()
+        ones = compiled.palette.shape[0] - 1
+        width = max(max(mrf.degree(v) for v in range(mrf.n)), 1)
+        assert compiled.padded_neighbours.shape == (mrf.n, width)
+        assert not compiled.padded_neighbours.flags.writeable
+        assert not compiled.padded_tables.flags.writeable
         for v in range(mrf.n):
-            row = compiled.padded_neighbours[v]
-            neighbours = row[row >= 0].tolist()
-            assert neighbours == list(mrf.neighbors(v))
-            assert np.all(row[len(neighbours):] == -1)
+            neighbours = list(mrf.neighbors(v))
+            degree = len(neighbours)
+            assert compiled.padded_neighbours[v, :degree].tolist() == neighbours
             for k, u in enumerate(neighbours):
                 np.testing.assert_array_equal(
                     compiled.palette[compiled.padded_tables[v, k]], mrf.edge_activity(u, v)
                 )
+            # Pads read the vertex's own spin through the all-ones table.
+            assert np.all(compiled.padded_neighbours[v, degree:] == v)
+            assert np.all(compiled.padded_tables[v, degree:] == ones)
 
     def test_shared_tables_compile_to_one_palette_entry(self):
         compiled = ising_mrf(torus_graph(4, 4), 0.4).compiled()
-        assert compiled.palette.shape == (1, 2, 2)
-        assert not compiled.slot_table.any()
+        assert compiled.palette.shape == (2, 2, 2)  # the shared table + the pad table
+        assert not compiled.edge_table.any()
 
     def test_edgeless_model(self):
         graph = path_graph(1)
         compiled = hardcore_mrf(graph, 2.0).compiled()
         assert compiled.m == 0
-        assert compiled.padded_neighbours.shape == (1, 1)
-        assert compiled.palette.shape == (1, 2, 2)
+        assert compiled.padded_neighbours.tolist() == [[0]]
+        assert compiled.padded_tables.tolist() == [[0]]
+        np.testing.assert_array_equal(compiled.palette, np.ones((1, 2, 2)))
+
+    def test_uneven_degrees_beyond_the_padding_cap_are_refused(self):
+        """A 3000-leaf star would pad 3001 x 3000 slots; nothing that large is built."""
+        mrf = hardcore_mrf(star_graph(3000), 1.0)
+        compiled = mrf.compiled()  # the edge form is O(m) and stays available
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
+                compiled.padded_neighbours
+            for engine in (EnsembleGlauberDynamics, EnsembleLubyGlauberMRF):
+                with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
+                    engine(mrf, 2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # Sequential chains do not read the padded tables.
+        assert LubyGlauberChain(mrf, seed=0).run(2).shape == (mrf.n,)
+
+    def test_bounded_degree_models_stay_under_the_cap(self):
+        compiled = hardcore_mrf(torus_graph(128, 128), 1.0).compiled()
+        assert compiled.padded_neighbours.shape == (128 * 128, 4)
+        star = star_graph(200)  # 201 x 200 slots, well under the cap
+        assert hardcore_mrf(star, 1.0).compiled().padded_tables.shape == (201, 200)
 
 
 class TestCompiledCSP:
+    @pytest.mark.parametrize("make", [mixed_csp, isolated_vertex_csp])
+    def test_padded_incidence_lists_each_vertex_constraints(self, make):
+        csp = make()
+        compiled = csp.compiled()
+        width = max(max(len(csp.incident[v]) for v in range(csp.n)), 1)
+        assert compiled.padded_constraints.shape == (csp.n, width)
+        assert not compiled.padded_constraints.flags.writeable
+        assert not compiled.padded_strides.flags.writeable
+        for v in range(csp.n):
+            incident = list(csp.incident[v])
+            count = len(incident)
+            assert compiled.padded_constraints[v, :count].tolist() == incident
+            for k, c in enumerate(incident):
+                scope = csp.constraints[c].scope
+                assert compiled.padded_strides[v, k] == csp.q ** (len(scope) - 1 - scope.index(v))
+            assert np.all(compiled.padded_constraints[v, count:] == len(csp.constraints))
+            assert np.all(compiled.padded_strides[v, count:] == 0)
+
+    def test_padded_incidence_is_capped(self, monkeypatch):
+        monkeypatch.setattr(repro.compiled, "MAX_PADDING", 3)
+        compiled = dominating_set_csp(star_graph(4)).compiled()  # hub in 5 covers
+        with pytest.raises(StateSpaceTooLargeError, match="constraint-incidence"):
+            compiled.padded_constraints
+        # The LocalMetropolis filter and the greedy start do not need it.
+        assert compiled.greedy_start.shape == (5,)
+
     def test_buckets_are_ascending_arity_in_constraint_order(self):
         compiled = mixed_csp().compiled()
         assert [bucket.arity for bucket in compiled.buckets] == [1, 2, 3, 4]
@@ -225,13 +302,19 @@ class TestMemoization:
 
 
 class TestEnginesReadTheCompiledForm:
-    def test_mrf_engines_share_the_compiled_arrays(self):
+    def test_mrf_engines_read_one_compiled_form(self, monkeypatch):
+        calls = []
+        original = repro.compiled.compile_mrf
+        monkeypatch.setattr(
+            repro.compiled, "compile_mrf", lambda model: calls.append(model) or original(model)
+        )
         mrf = per_edge_mrf()
-        luby = EnsembleLubyGlauberMRF(mrf, 2, seed=0)
-        glauber = EnsembleGlauberDynamics(mrf, 2, seed=0)
-        if get_backend(None).name == "numpy":
-            assert luby._activities is mrf.compiled().palette
-            assert glauber._neighbour_pad_d is mrf.compiled().padded_neighbours
+        engines = [EnsembleLubyGlauberMRF(mrf, 2, seed=0), EnsembleGlauberDynamics(mrf, 2, seed=0)]
+        assert calls == [mrf]
+        palette = mrf.compiled().palette
+        for engine in engines:
+            rows = engine.xp.to_numpy(engine._factor_rows).reshape(palette.shape)
+            np.testing.assert_array_equal(rows, palette.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_filter_equals_the_sequential_pass_probability(self, seed):

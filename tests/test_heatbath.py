@@ -1,0 +1,239 @@
+"""The shared heat-bath kernel: padded weight loop and inverse-CDF sampler.
+
+Glauber, LubyGlauber-MRF and LubyGlauber-CSP all assemble conditional
+weights by walking padded neighbour (or constraint-incidence) positions,
+with pad slots reading all-ones factor rows, and all draw spins with one
+column-by-column inverse-CDF sampler.  The benchmark models are regular,
+so these tests use models whose padded tables are mostly pads: an
+isolated vertex, leaves and a hub, per-edge tables with zero entries, and
+a CSP vertex in no constraint.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from statutils import assert_stationary
+
+from repro.backend import get_backend
+from repro.chains.cftp import _inverse_cdf_spin
+from repro.chains.ensemble import (
+    EnsembleGlauberDynamics,
+    EnsembleLocalMetropolisCSP,
+    EnsembleLubyGlauberCSP,
+    EnsembleLubyGlauberMRF,
+    _heatbath_spins,
+)
+from repro.chains.glauber import sample_spin
+from repro.csp import Constraint, LocalCSP
+from repro.csp.model import exact_csp_gibbs_distribution
+from repro.errors import ModelError
+from repro.graphs import path_graph, star_graph
+from repro.mrf import MRF
+from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
+from repro.mrf.marginals import conditional_marginal_unnormalized
+
+REPLICAS = 4000
+NEAR_ONE = np.nextafter(1.0, 0.0)
+
+
+def uneven_mrf() -> MRF:
+    """Hub 0 with leaves 1 and 2, a path 0-3-4, and isolated vertex 5.
+
+    Every edge has its own symmetric table with zero entries among spins
+    1 and 2; spin 0 is compatible with everything, so every conditional
+    marginal is defined.
+    """
+    graph = star_graph(3)
+    graph.add_edge(3, 4)
+    graph.add_node(5)
+    rng = np.random.default_rng(41)
+    tables = {}
+    for u, v in graph.edges():
+        raw = rng.uniform(0.3, 2.0, size=(3, 3))
+        table = raw + raw.T
+        table[1, 2] = table[2, 1] = 0.0
+        if u == 0:
+            table[2, 2] = 0.0
+        tables[(u, v)] = table
+    return MRF(graph, 3, tables, rng.uniform(0.5, 1.5, size=(6, 3)), name="uneven")
+
+
+def uneven_csp() -> LocalCSP:
+    """Arities 1-3 with vertex 0 in three constraints and vertex 3 in none.
+
+    Every table vanishes where all of its scope reads spin 2, so spin 0 is
+    always allowed.
+    """
+    rng = np.random.default_rng(42)
+    constraints = []
+    for scope in [(0, 1), (2, 0, 4), (0,), (1, 4)]:
+        table = rng.uniform(0.2, 1.5, size=(3,) * len(scope))
+        if len(scope) > 1:
+            table[(2,) * len(scope)] = 0.0
+        constraints.append(Constraint(scope, table))
+    return LocalCSP(5, 3, constraints)
+
+
+def clamped(exact: GibbsDistribution, config, region) -> GibbsDistribution:
+    """``exact`` conditioned on ``config`` outside ``region``."""
+    n, q = exact.n, exact.q
+    digits = np.arange(q**n)[:, None] // q ** np.arange(n - 1, -1, -1) % q
+    outside = [v for v in range(n) if v not in region]
+    keep = np.all(digits[:, outside] == np.asarray(config)[outside], axis=1)
+    return GibbsDistribution(n, q, exact.probs * keep)
+
+
+class NearOneUniforms:
+    """Delegating RNG whose float64 uniforms all sit just below 1."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def random(self, size=None, dtype=np.float64):
+        if dtype == np.float64:
+            return NEAR_ONE if size is None else np.full(size, NEAR_ONE)
+        return self._inner.random(size, dtype=dtype)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestLawAgainstExactGibbs:
+    def test_padded_models_exercise_pads(self):
+        assert uneven_mrf().compiled().padded_neighbours.shape == (6, 3)
+        assert uneven_csp().compiled().padded_constraints.shape == (5, 3)
+
+    def test_glauber(self):
+        mrf = uneven_mrf()
+        ensemble = EnsembleGlauberDynamics(mrf, REPLICAS, seed=101)
+        assert_stationary(ensemble.run(250), exact_gibbs_distribution(mrf))
+
+    def test_luby_glauber_mrf(self):
+        mrf = uneven_mrf()
+        ensemble = EnsembleLubyGlauberMRF(mrf, REPLICAS, seed=102)
+        assert_stationary(ensemble.run(80), exact_gibbs_distribution(mrf))
+
+    def test_luby_glauber_csp(self):
+        csp = uneven_csp()
+        ensemble = EnsembleLubyGlauberCSP(csp, REPLICAS, seed=103)
+        assert_stationary(ensemble.run(80), exact_csp_gibbs_distribution(csp))
+
+    @pytest.mark.parametrize(
+        "cls, steps", [(EnsembleGlauberDynamics, 200), (EnsembleLubyGlauberMRF, 80)]
+    )
+    def test_mrf_region_advance_samples_the_clamped_law(self, cls, steps):
+        mrf = uneven_mrf()
+        start = np.array([0, 1, 2, 1, 0, 2])
+        region = [0, 1, 4]  # the hub, a leaf, and a leaf whose neighbour is clamped
+        ensemble = cls(mrf, REPLICAS, initial=start, seed=104)
+        batch = ensemble.advance_region(steps, region).config
+        assert_stationary(batch, clamped(exact_gibbs_distribution(mrf), start, region))
+
+    @pytest.mark.parametrize("cls", [EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP])
+    def test_csp_region_advance_samples_the_clamped_law(self, cls):
+        csp = uneven_csp()
+        start = np.array([0, 2, 1, 2, 0])
+        region = [0, 3, 4]  # vertex 3 is in no constraint
+        ensemble = cls(csp, REPLICAS, initial=start, seed=105)
+        batch = ensemble.advance_region(80, region).config
+        assert_stationary(batch, clamped(exact_csp_gibbs_distribution(csp), start, region))
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize("cls", [EnsembleGlauberDynamics, EnsembleLubyGlauberMRF])
+    def test_mrf_rows_equal_the_sequential_oracle(self, cls):
+        """((b_v * A_1) * A_2) ... over ascending neighbours, pads multiplying by one."""
+        mrf = uneven_mrf()
+        replicas = 32
+        configs = np.random.default_rng(7).integers(0, mrf.q, size=(replicas, mrf.n))
+        ensemble = cls(mrf, replicas, initial=configs, seed=0)
+        xp = ensemble.xp
+        rows = xp.arange(replicas)
+        for v in range(mrf.n):
+            got = xp.to_numpy(ensemble._heatbath_weights(xp.asarray(np.full(replicas, v)), rows))
+            expected = np.array(
+                [conditional_marginal_unnormalized(mrf, configs[r], v) for r in range(replicas)]
+            )
+            if xp.bitwise_reference:
+                np.testing.assert_array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("cls", [EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP])
+    def test_csp_rows_equal_the_sequential_marginal(self, cls):
+        csp = uneven_csp()
+        replicas = 32
+        configs = np.random.default_rng(8).integers(0, csp.q, size=(replicas, csp.n))
+        ensemble = cls(csp, replicas, initial=configs, seed=0)
+        ensemble._ensure_heatbath_structures()
+        xp = ensemble.xp
+        rows = xp.arange(replicas)
+        for v in range(csp.n):
+            got = xp.to_numpy(ensemble._heatbath_weights(xp.asarray(np.full(replicas, v)), rows))
+            for r in range(replicas):
+                expected = csp.conditional_marginal(configs[r], v)
+                if xp.bitwise_reference:
+                    np.testing.assert_array_equal(got[r] / got[r].sum(), expected)
+                else:
+                    np.testing.assert_allclose(got[r] / got[r].sum(), expected, rtol=1e-12)
+
+
+class TestSampler:
+    # Ten equal masses and a zero: the cumulative sum of ten 0.1s rounds to
+    # just below 1, so a near-one uniform passes every cumulative entry.
+    TAIL = np.array([1.0] * 10 + [0.0])
+
+    def test_sequential_sample_spin_skips_a_zero_mass_tail(self):
+        rng = NearOneUniforms(np.random.default_rng(0))
+        assert np.cumsum(self.TAIL / 10)[-1] <= NEAR_ONE
+        assert sample_spin(self.TAIL / 10, rng) == 9
+
+    def test_shared_sampler_skips_a_zero_mass_tail(self):
+        xp = get_backend(None)
+        weights = np.array([self.TAIL, self.TAIL[::-1], np.r_[self.TAIL[:5], 0.0, self.TAIL[5:-1]]])
+        spins = _heatbath_spins(
+            xp, NearOneUniforms(np.random.default_rng(0)), xp.asarray(weights),
+            xp.arange(3), ModelError,
+        )
+        # Largest positive-mass spin of each row.
+        assert xp.to_numpy(spins).tolist() == [9, 10, 10]
+
+    def test_glauber_ensemble_skips_a_zero_mass_tail(self):
+        mrf = MRF(path_graph(1), 11, np.ones((11, 11)), self.TAIL)
+        ensemble = EnsembleGlauberDynamics(mrf, 4, seed=0)
+        ensemble.rng = NearOneUniforms(ensemble.rng)
+        ensemble.step()
+        np.testing.assert_array_equal(ensemble.config, 9)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 11])
+    def test_shared_sampler_follows_the_scalar_rule(self, q):
+        """Column-by-column draws == the sequential inverse CDF, one uniform per row."""
+        xp = get_backend(None)
+        rng = np.random.default_rng(q)
+        weights = rng.random((500, q)) * (rng.random((500, q)) < 0.7)
+        weights[:, 0] += 0.1  # every row has positive mass
+        uniforms = np.random.default_rng(99).random(500)
+        spins = _heatbath_spins(
+            xp, np.random.default_rng(99), xp.asarray(weights), xp.arange(500), ModelError
+        )
+        expected = [
+            _inverse_cdf_spin(row / row.sum(), u) for row, u in zip(weights, uniforms)
+        ]
+        if xp.bitwise_reference:
+            assert xp.to_numpy(spins).tolist() == expected
+        else:
+            assert np.mean(xp.to_numpy(spins) == np.asarray(expected)) > 0.99
+
+    def test_zero_weight_row_names_its_vertex(self):
+        xp = get_backend(None)
+        weights = np.array([[1.0, 2.0], [0.0, 0.0]])
+
+        def undefined(vertex):
+            return ModelError(f"vertex {vertex}")
+
+        with pytest.raises(ModelError, match="vertex 7"):
+            _heatbath_spins(
+                xp, np.random.default_rng(0), xp.asarray(weights),
+                xp.asarray(np.array([3, 7])), undefined,
+            )
