@@ -12,12 +12,11 @@ probe loops are generators that :func:`repro.api.run_spec` also streams.
 
 Any object exposing ``advance(steps)`` and an ``(R, n)`` ``config`` batch
 (the :class:`~repro.chains.ensemble.EnsembleTrajectoryMixin` protocol)
-works as a source.  For models with no batched kernel,
-:class:`SequentialChainEnsemble` adapts ``R`` ordinary sequential chains
-behind the same protocol — the old per-chain implementation survives only
-as this generic-model fallback, and every convergence function accepts
-either an ensemble or a legacy ``chain_factory(rng)`` callable (which is
-wrapped in the fallback automatically).
+works as a source.  :class:`SequentialChainEnsemble` adapts ``R``
+ordinary sequential chains behind the same protocol: it is the per-chain
+baseline the batched engines are benchmarked against and a test oracle,
+and every convergence function accepts either an ensemble or a
+``chain_factory(rng)`` callable (which it wraps automatically).
 """
 
 from __future__ import annotations
@@ -48,13 +47,13 @@ __all__ = [
 
 
 class SequentialChainEnsemble(EnsembleTrajectoryMixin):
-    """Generic-model fallback: R sequential chains behind the ensemble protocol.
+    """R sequential chains behind the ensemble protocol.
 
     Wraps ``chain_factory(rng)`` — any callable returning an object with
     ``step()`` and a length-n ``config`` — behind
     :class:`repro.chains.ensemble.EnsembleTrajectoryMixin`, so the
-    convergence machinery is written once against ensembles and still
-    covers models with no batched kernel.
+    convergence machinery also measures any sequential chain: the
+    per-chain baseline of the throughput benchmarks and a test oracle.
 
     Stream contract: chain ``i`` draws from ``default_rng(root.spawn(R)[i])``
     where ``root`` is the :class:`numpy.random.SeedSequence` built from
@@ -152,14 +151,14 @@ def canonical_checkpoints(
 def _as_ensemble(source, n_chains: int | None, seed) -> object:
     """Coerce ``source`` into the ensemble protocol.
 
-    A callable is treated as a legacy ``chain_factory(rng)`` and wrapped in
-    the :class:`SequentialChainEnsemble` fallback (requires ``n_chains``);
+    A callable is treated as a ``chain_factory(rng)`` and wrapped in a
+    :class:`SequentialChainEnsemble` (requires ``n_chains``);
     anything else must already expose ``advance``/``config``.
     """
     if callable(source) and not hasattr(source, "advance"):
         if n_chains is None or n_chains < 1:
             raise ConvergenceError(
-                "a chain factory needs n_chains >= 1 to build the fallback ensemble"
+                "a chain factory needs n_chains >= 1 to build a SequentialChainEnsemble"
             )
         return SequentialChainEnsemble(source, n_chains, seed=seed)
     if not hasattr(source, "advance") or not hasattr(source, "config"):
@@ -184,8 +183,8 @@ def ensemble_tv_curve(
     source:
         Either a replica ensemble (anything exposing ``advance(steps)`` and
         an ``(R, n)`` ``config`` batch — see :mod:`repro.chains.ensemble`)
-        or a legacy ``chain_factory(rng)`` callable, which is wrapped in the
-        :class:`SequentialChainEnsemble` generic-model fallback.
+        or a ``chain_factory(rng)`` callable, which is wrapped in a
+        :class:`SequentialChainEnsemble`.
     target:
         The exact Gibbs distribution (``q**n`` must be enumerable).
     n_chains:
@@ -196,7 +195,7 @@ def ensemble_tv_curve(
         Strictly increasing positive round counts at which to measure,
         relative to the source's current position.
     seed:
-        Seeds the fallback ensemble; ignored for a prebuilt ensemble.
+        Seeds the wrapped chain factory; ignored for a prebuilt ensemble.
 
     Returns
     -------

@@ -4,9 +4,9 @@
 it for a round budget derived from the paper's bounds (or an explicit
 budget), and return the configuration.  ``sample_many(model, r, ...)`` is
 its batched sibling: it draws ``r`` independent approximate samples as one
-``(r, n)`` batch, dispatching to the replica-ensemble engines of
-:mod:`repro.chains.ensemble` whenever a batched kernel exists for the
-model/method pair.  ``make_ensemble`` exposes that dispatch directly, and
+``(r, n)`` batch on the replica-ensemble engines of
+:mod:`repro.chains.ensemble`, which cover every model/method pair.
+``make_ensemble`` exposes that dispatch directly, and
 ``tv_curve``/``mixing_time`` build on it to measure convergence
 ensemble-natively (see :mod:`repro.analysis.convergence`).
 
@@ -23,25 +23,20 @@ users do not need to assemble chains by hand.
 
 from __future__ import annotations
 
-import itertools
 import math
-import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.convergence import (
-    SequentialChainEnsemble,
-    mixing_time_probes,
-    tv_curve_probes,
-)
-from repro.backend import ArrayBackend, get_backend, resolve_backend_name
+from repro.analysis.convergence import mixing_time_probes, tv_curve_probes
+from repro.backend import ArrayBackend, get_backend
 from repro.chains.base import SeedLike, as_generator, as_seed_sequence
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
+    EnsembleLocalMetropolisMRF,
     EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
@@ -51,17 +46,15 @@ from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.chains.luby_glauber import LubyGlauberChain
 from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP, exact_csp_gibbs_distribution
-from repro.errors import FallbackEngineWarning, ModelError
+from repro.errors import ModelError
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
 from repro.mrf.model import MRF
-from repro.obs import metrics as _obs_metrics
 from repro.spec import METHODS, JobSpec, validate_method
 
 __all__ = [
     "sample",
     "sample_many",
     "make_ensemble",
-    "is_fallback_pair",
     "mutate",
     "resample_region",
     "tv_curve",
@@ -287,35 +280,6 @@ def _uniform_coloring_q(mrf: MRF) -> int | None:
     return mrf.q
 
 
-def is_fallback_pair(model: MRF | LocalCSP, method: str) -> bool:
-    """True iff ``(model, method)`` has no batched replica-ensemble kernel.
-
-    Exactly the pairs :func:`make_ensemble` serves through the
-    :class:`~repro.analysis.convergence.SequentialChainEnsemble` fallback —
-    one sequential chain per replica, correct but off the fast path.  Since
-    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF` covers every
-    pairwise MRF, the only remaining fallback pair is a general
-    (non-uniform-colouring) MRF with ``"local-metropolis"``.
-    """
-    if isinstance(model, LocalCSP) or method in ("glauber", "luby-glauber"):
-        return False
-    return _uniform_coloring_q(model) is None
-
-
-def _warn_fallback(model: MRF | LocalCSP, method: str) -> None:
-    name = getattr(model, "name", type(model).__name__)
-    # Recorded unconditionally (cold path): served and swept runs never see
-    # the warning text, so the counter is how silent fallbacks surface.
-    _obs_metrics.inc("repro_fallback_engines_total", model=name, method=method)
-    warnings.warn(
-        f"no batched ensemble kernel for model {name!r} with method {method!r}; "
-        "falling back to SequentialChainEnsemble (one sequential chain per "
-        "replica — correct, but off the fast path)",
-        FallbackEngineWarning,
-        stacklevel=3,
-    )
-
-
 def make_ensemble(
     model: MRF | LocalCSP,
     r: int,
@@ -326,7 +290,7 @@ def make_ensemble(
     shard_size: int | None = None,
     backend: str | ArrayBackend | None = None,
 ):
-    """Build the fastest replica-ensemble engine for ``(model, method)``.
+    """Build the batched replica-ensemble engine for ``(model, method)``.
 
     Dispatch, shared with :func:`sample_many` and the convergence layer:
     ``"glauber"`` always gets the batched single-site
@@ -336,15 +300,12 @@ def make_ensemble(
     :class:`~repro.chains.ensemble.EnsembleLocalMetropolisCSP`); uniform
     proper-colouring MRFs get the specialised batched colouring kernels
     for the two distributed methods; every other pairwise MRF gets the
-    general batched heat-bath kernel
-    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF` for
-    ``"luby-glauber"``, and falls back to
-    :class:`~repro.analysis.convergence.SequentialChainEnsemble` wrapping
-    ``r`` generic sequential chains only for ``"local-metropolis"``
-    (correct for every model, just not batched — a
-    :class:`~repro.errors.FallbackEngineWarning` says so).
+    general batched kernels
+    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF` and
+    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisMRF`.
     Every returned object exposes the same
-    ``advance``/``run``/``config``/``iter_checkpoints`` protocol.
+    ``advance``/``run``/``config``/``iter_checkpoints`` protocol, and every
+    in-process engine the region-restricted ``advance_region``.
 
     ``initial`` is ``None`` (a shared deterministic start), a length-n
     configuration, or an ``(r, n)`` batch giving each replica its own
@@ -362,14 +323,11 @@ def make_ensemble(
     ``backend`` selects the array backend the batched kernels run on
     (:mod:`repro.backend`; name, instance, or ``None`` to resolve via
     ``$REPRO_BACKEND``, then numpy).  The numpy backend is bit-identical
-    to the pre-backend engines; the sequential-chain fallback ignores the
-    argument (it has no batched kernels).
+    to the pre-backend engines.
     """
     if r < 1:
         raise ModelError(f"ensemble needs r >= 1 replicas, got {r}")
     validate_method(model, method)
-    if is_fallback_pair(model, method):
-        _warn_fallback(model, method)
     if parallel is not None:
         from repro.exec.pool import ShardedEnsemble
 
@@ -409,31 +367,11 @@ def make_ensemble(
         return ensemble_cls(
             model.graph, coloring_q, r, initial=initial, seed=rng, backend=backend
         )
-    if method == "luby-glauber":
-        # General pairwise MRFs (hardcore, Ising, list colourings) get the
-        # batched heat-bath LubyGlauber kernel.
-        return EnsembleLubyGlauberMRF(model, r, initial=initial, seed=rng, backend=backend)
-    # Generic-model fallback: r sequential chains behind the ensemble protocol.
-    # The sequential chains have no batched kernels, so the backend argument
-    # is unused here — but an unknown name still fails loudly.
-    if not isinstance(backend, ArrayBackend):
-        resolve_backend_name(backend)
-    chain_cls = LocalMetropolisChain if method == "local-metropolis" else LubyGlauberChain
-    starts = None if initial is None else np.asarray(initial, dtype=np.int64)
-    if starts is not None and starts.ndim == 2 and starts.shape != (r, model.n):
-        raise ModelError(
-            f"initial batch must have shape ({r}, {model.n}), got {starts.shape}"
-        )
-    replica_index = itertools.count()
-
-    def factory(chain_rng: np.random.Generator):
-        if starts is None or starts.ndim == 1:
-            start = starts
-        else:
-            start = starts[next(replica_index)]
-        return chain_cls(model, initial=start, seed=chain_rng)
-
-    return SequentialChainEnsemble(factory, r, seed=rng)
+    # General pairwise MRFs (hardcore, Ising, list colourings).
+    ensemble_cls = (
+        EnsembleLocalMetropolisMRF if method == "local-metropolis" else EnsembleLubyGlauberMRF
+    )
+    return ensemble_cls(model, r, initial=initial, seed=rng, backend=backend)
 
 
 def sample_many(
@@ -451,12 +389,9 @@ def sample_many(
     """Draw ``r`` independent approximate Gibbs samples as an ``(r, n)`` batch.
 
     The batched counterpart of :func:`sample`: all replicas advance
-    simultaneously through the replica-ensemble engine picked by
-    :func:`make_ensemble` — the specialised batched kernels whenever one
-    exists for the model/method pair (including the CSP engines for
-    :class:`~repro.csp.model.LocalCSP` models), the sequential
-    generic-chain fallback otherwise (correct for every model, just not
-    batched; a :class:`~repro.errors.FallbackEngineWarning` says so).
+    simultaneously through the batched replica-ensemble engine picked by
+    :func:`make_ensemble` (including the CSP engines for
+    :class:`~repro.csp.model.LocalCSP` models).
 
     Parameters
     ----------
@@ -631,25 +566,19 @@ def resample_region(
     mutation workflows use :class:`repro.dynamic.DynamicEnsemble`, which
     owns the model, the batch and the RNG stream across operations.
     """
-    from repro.dynamic.region import region_round_budget, sequential_region_glauber
+    from repro.dynamic.region import region_round_budget
 
     batch = np.asarray(batch, dtype=np.int64)
     if batch.ndim != 2 or batch.shape[1] != model.n:
         raise ModelError(f"batch must have shape (R, {model.n}), got {batch.shape}")
     region = np.asarray(sorted(int(v) for v in region), dtype=np.int64)
-    rng = as_generator(seed)
     ensemble = make_ensemble(
-        model, batch.shape[0], method=method, seed=rng, initial=batch,
+        model, batch.shape[0], method=method, seed=seed, initial=batch,
         backend=backend,
     )
-    batched = hasattr(ensemble, "advance_region")
     if rounds is None:
-        kernel = method if batched else "glauber"
-        rounds = region_round_budget(model, kernel, int(region.size), eps)
-    if batched:
-        return ensemble.advance_region(rounds, region).config
-    result = ensemble.config
-    return sequential_region_glauber(model, result, region, rounds, rng)
+        rounds = region_round_budget(model, method, int(region.size), eps)
+    return ensemble.advance_region(rounds, region).config
 
 
 def run_spec(

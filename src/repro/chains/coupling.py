@@ -25,6 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.schedulers import IndependentSetScheduler, LubyScheduler
 from repro.errors import ConvergenceError, ModelError
 from repro.mrf.marginals import conditional_marginal
@@ -165,19 +166,16 @@ class CoupledLocalMetropolis(CoupledChain):
     ) -> None:
         super().__init__(mrf, initial_x, initial_y, seed=seed)
         totals = mrf.vertex_activity.sum(axis=1)
-        self._proposal_cdf = np.cumsum(mrf.vertex_activity / totals[:, None], axis=1)
+        self._proposal_distribution = mrf.vertex_activity / totals[:, None]
         self._edges = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
         self._normalized = [mrf.normalized_edge_activity(u, v) for u, v in mrf.edges]
 
     def _shared_proposals(self) -> np.ndarray:
         draws = self.rng.random(self.mrf.n)
-        proposals = np.empty(self.mrf.n, dtype=np.int64)
-        for v in range(self.mrf.n):
-            proposals[v] = int(
-                np.searchsorted(self._proposal_cdf[v], draws[v], side="right")
-            )
-        np.clip(proposals, 0, self.mrf.q - 1, out=proposals)
-        return proposals
+        return np.array(
+            [_inverse_cdf_spin(row, u) for row, u in zip(self._proposal_distribution, draws)],
+            dtype=np.int64,
+        )
 
     def step(self) -> None:
         proposals = self._shared_proposals()

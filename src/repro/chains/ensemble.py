@@ -25,6 +25,9 @@ them with single whole-ensemble array operations:
   pairwise MRFs (hardcore, Ising, *list* colourings): each replica draws
   its own Luby independent set and heat-bath-resamples every selected
   vertex from its exact conditional marginal;
+* :class:`EnsembleLocalMetropolisMRF` — batched Algorithm 2 for general
+  pairwise MRFs: proposals proportional to ``b_v``, one three-factor edge
+  filter and one coin per (edge, replica);
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
   replicas: constraints are bucketed by arity, so flat table indices are
@@ -42,7 +45,8 @@ of the neighbours' spins (or the constraints' flat indices) and one
 ``(pairs, q)`` gather of factor rows, multiplied in.  Pad slots read an
 all-ones row, so there is no validity mask, slot expansion or segmented
 product.  One column-by-column inverse-CDF sampler then draws every
-pair's spin.
+pair's spin; it also draws the ``b_v`` proposals of
+:class:`EnsembleLocalMetropolisMRF`.
 
 The general engines (all but the two colouring ones) build from the
 model's compiled index-array form (:mod:`repro.compiled`):
@@ -133,6 +137,7 @@ __all__ = [
     "EnsembleLubyGlauberColoring",
     "EnsembleGlauberDynamics",
     "EnsembleLubyGlauberMRF",
+    "EnsembleLocalMetropolisMRF",
     "EnsembleLubyGlauberCSP",
     "EnsembleLocalMetropolisCSP",
 ]
@@ -219,20 +224,26 @@ class EnsembleTrajectoryMixin:
         return out
 
 
-def _record_metropolis_step(engine, blocked) -> None:
-    """Accepted-move accounting for a LocalMetropolis round.
+def _metropolis_accept(engine, proposals, failed, incidence) -> None:
+    """The accept step of every LocalMetropolis engine; ends the round.
 
-    ``blocked`` is the ``(n, R)`` boolean mask of vertices whose proposal
-    failed; everything else accepted.  Called only when
-    ``repro.obs.metrics.enabled`` — the single device->host sum below is
-    the entire enabled-mode overhead of the Metropolis probes.
+    ``failed`` is the ``(factors, R)`` mask of failed checks (edges, or
+    constraints) and ``incidence`` the backend CSR handle of the
+    ``(n, factors)`` vertex incidence: a vertex takes its ``(n, R)``
+    proposal iff none of its factors failed.  With metrics enabled, one
+    device->host sum of the blocked mask is the entire overhead of the
+    accepted-move probes.
     """
     xp = engine.xp
-    total = engine.n * engine.replicas
-    rejected = int(xp.to_numpy(xp.sum(blocked)))
-    name = type(engine).__name__
-    _obs_metrics.inc("repro_engine_proposals_total", total, engine=name)
-    _obs_metrics.inc("repro_engine_accepted_total", total - rejected, engine=name)
+    blocked = xp.spmm_count(incidence, failed) > 0
+    if _obs_metrics.enabled:
+        total = engine.n * engine.replicas
+        rejected = int(xp.to_numpy(xp.sum(blocked)))
+        name = type(engine).__name__
+        _obs_metrics.inc("repro_engine_proposals_total", total, engine=name)
+        _obs_metrics.inc("repro_engine_accepted_total", total - rejected, engine=name)
+    engine._config = xp.where(blocked, engine._config, proposals)
+    engine.steps_taken += 1
 
 
 def _record_luby_step(engine, v_idx) -> None:
@@ -386,6 +397,22 @@ def _side_incidences(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n
     )
 
 
+def _edge_incidence(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """Backend CSR handle of the ``(n, m)`` vertex-edge incidence (None without edges).
+
+    ``incidence @ failed`` counts each vertex's failed incident edges: the
+    LocalMetropolis accept reduction.  Sparse matmul is the fastest
+    edge-to-vertex scatter available from numpy land —
+    ``np.logical_or.reduceat`` is ~50x slower on the same data.
+    """
+    m = len(edge_u)
+    if not m:
+        return None
+    arange = np.arange(m)
+    ends = (np.concatenate([edge_u, edge_v]), np.concatenate([arange, arange]))
+    return xp.csr(sp.csr_matrix((np.ones(2 * m, dtype=np.int32), ends), shape=(n, m)))
+
+
 def _batched_luby_select(
     xp: ArrayBackend,
     rng: np.random.Generator,
@@ -469,16 +496,9 @@ class _EnsembleColoringBase(_VertexMajorEnsemble):
     # construction helpers
     # ------------------------------------------------------------------
     def _build_adjacency(self) -> None:
-        """CSR neighbour arrays plus the one-sided edge incidence matrices.
-
-        ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto
-        each edge's u endpoint (``side_v`` likewise); their sum is the full
-        incidence used for "any incident edge failed" reductions.  Sparse
-        matmul is the fastest edge-to-vertex scatter available from numpy
-        land — ``np.logical_or.reduceat`` is ~50x slower on the same data.
-        """
+        """CSR neighbour arrays plus the one-sided and full edge incidences."""
         xp = self.xp
-        n, m = self.n, self._m
+        n = self.n
         self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
             self._eu, self._ev, n
         )
@@ -487,16 +507,8 @@ class _EnsembleColoringBase(_VertexMajorEnsemble):
         self._csr_indices_d = xp.asarray(self._csr_indices)
         self._eu_d = xp.asarray(self._eu)
         self._ev_d = xp.asarray(self._ev)
-        if m:
-            ones = np.ones(m, dtype=np.int32)
-            arange = np.arange(m)
-            side_u = sp.csr_matrix((ones, (self._eu, arange)), shape=(n, m))
-            side_v = sp.csr_matrix((ones, (self._ev, arange)), shape=(n, m))
-            self._side_u = xp.csr(side_u)
-            self._side_v = xp.csr(side_v)
-            self._incidence = xp.csr((side_u + side_v).tocsr())
-        else:
-            self._side_u = self._side_v = self._incidence = None
+        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, n)
+        self._incidence = _edge_incidence(xp, self._eu, self._ev, n)
 
     def _initial_batch(self, initial) -> np.ndarray:
         return _initial_spin_batch(
@@ -623,12 +635,7 @@ class EnsembleLocalMetropolisColoring(_EnsembleColoringBase):
         xu = self._config[self._eu_d]
         xv = self._config[self._ev_d]
         failed = (pu == pv) | (pu == xv) | (pv == xu)
-        # (n, R) count of failed incident edges; a vertex accepts iff zero.
-        blocked = xp.spmm_count(self._incidence, failed) > 0
-        if _obs_metrics.enabled:
-            _record_metropolis_step(self, blocked)
-        self._config = xp.where(blocked, self._config, proposals)
-        self.steps_taken += 1
+        _metropolis_accept(self, proposals, failed, self._incidence)
 
 
 class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
@@ -680,7 +687,8 @@ def _multiply_factor_rows(xp: ArrayBackend, weights, factors, indices):
 def _heatbath_spins(xp: ArrayBackend, rng, weights, v_idx, undefined):
     """Inverse-CDF draw of one spin per row of the ``(pairs, q)`` ``weights``.
 
-    The sampler of every heat-bath engine.  One ``random`` call draws a
+    The sampler of every heat-bath engine and of the LocalMetropolis MRF
+    proposals.  One ``random`` call draws a
     uniform ``u`` per pair, in pair order, and each pair takes the number
     of cumulative normalised weights ``<= u``: the smallest spin whose
     cumulative mass exceeds ``u``.  The cumulative sum runs column by
@@ -730,7 +738,7 @@ class _HeatBathEnsemble(_VertexMajorEnsemble):
 
 
 class _EnsembleMRFBase(_HeatBathEnsemble):
-    """Shared state and heat-bath weights of the batched general-MRF engines.
+    """Shared state, heat-bath weights and region advance of the general-MRF engines.
 
     Replicas are stored vertex-major, an ``(n, R)`` batch in the smallest
     integer dtype that holds ``q``, and the conditional weights of paper
@@ -766,6 +774,36 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         xp = self.xp
         compiled = mrf.compiled()
         self._vertex_activity = xp.asarray(compiled.vertex_activity)
+        self._eu, self._ev = compiled.edge_u, compiled.edge_v
+        self._eu_d = xp.asarray(self._eu)
+        self._ev_d = xp.asarray(self._ev)
+        # Replica i's row index: the pairs of a one-vertex-per-replica update.
+        self._rows = xp.arange(self.replicas)
+        self._config = xp.asarray(
+            _initial_spin_batch(
+                initial,
+                self.n,
+                self.q,
+                self.replicas,
+                self._dtype,
+                lambda: greedy_feasible_config(mrf, self.rng),
+            )
+        )
+        self._heatbath_ready = False
+        self.steps_taken = 0
+
+    def _ensure_heatbath_structures(self) -> None:
+        """The padded neighbour offsets and factor rows of the heat-bath kernel.
+
+        Built eagerly by :class:`EnsembleGlauberDynamics` and
+        :class:`EnsembleLubyGlauberMRF` (their every step reads them) and
+        lazily by the region advance of :class:`EnsembleLocalMetropolisMRF`,
+        whose steps never do: a model whose padding exceeds
+        :data:`repro.compiled.MAX_PADDING` still runs LocalMetropolis.
+        """
+        if self._heatbath_ready:
+            return
+        xp, compiled = self.xp, self.mrf.compiled()
         # Row t * q + s is column s of palette table t: the factors
         # A_uv(c, s) over c of a neighbour u in spin s.
         self._factor_rows = xp.asarray(
@@ -780,19 +818,30 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         self._table_offsets = xp.asarray(
             np.ascontiguousarray(compiled.padded_tables.T) * self.q
         )
-        # Replica i's row index: the pairs of a one-vertex-per-replica update.
-        self._rows = xp.arange(self.replicas)
-        self._config = xp.asarray(
-            _initial_spin_batch(
-                initial,
-                self.n,
-                self.q,
-                self.replicas,
-                self._dtype,
-                lambda: greedy_feasible_config(mrf, self.rng),
-            )
+        self._heatbath_ready = True
+
+    def advance_region(self, steps: int, region) -> _EnsembleMRFBase:
+        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
+
+        Every round Luby-selects an independent set among the region
+        vertices (over region-internal edges only) and heat-bath-resamples
+        it from the exact conditional marginals; vertices outside the
+        region never change and enter the weights as fixed boundary spins
+        through the full padded neighbour gathers.  Used by
+        :mod:`repro.dynamic` for incremental resampling.  The kernel is
+        this masked LubyGlauber one for the LocalMetropolis engine too — a
+        clamped LocalMetropolis round has no stationarity guarantee.
+        """
+        if steps < 0:
+            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
+        self._ensure_heatbath_structures()
+        selector = _RegionSelector(
+            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
         )
-        self.steps_taken = 0
+        for _ in range(steps):
+            self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
+            self.steps_taken += 1
+        return self
 
     def is_feasible(self) -> np.ndarray:
         """Per-replica feasibility mask, shape ``(R,)``."""
@@ -807,7 +856,7 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         Multiplied in the sequential oracle's order, ``((b_v * A_1) * A_2)
         ...`` over ascending neighbours, so on numpy each row equals
         :func:`~repro.mrf.marginals.conditional_marginal_unnormalized` bit
-        for bit.
+        for bit.  Requires :meth:`_ensure_heatbath_structures`.
         """
         xp = self.xp
         indices = (
@@ -840,6 +889,17 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
     it bitwise (same seed, same initial configuration) — the strongest form
     of the ensemble-vs-sequential exactness contract.
     """
+
+    def __init__(
+        self,
+        mrf: MRF,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+        backend: str | ArrayBackend | None = None,
+    ) -> None:
+        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        self._ensure_heatbath_structures()
 
     def step(self) -> None:
         """One single-site heat-bath update in every replica."""
@@ -905,12 +965,8 @@ class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
         backend: str | ArrayBackend | None = None,
     ) -> None:
         super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
-        xp = self.xp
-        compiled = mrf.compiled()
-        self._eu, self._ev = compiled.edge_u, compiled.edge_v
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
-        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, self.n)
+        self._ensure_heatbath_structures()
+        self._side_u, self._side_v = _side_incidences(self.xp, self._eu, self._ev, self.n)
 
     def _luby_select(self):
         """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
@@ -927,25 +983,78 @@ class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
         self._heatbath_update(v_idx, r_idx)
         self.steps_taken += 1
 
-    def advance_region(self, steps: int, region) -> EnsembleLubyGlauberMRF:
-        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
 
-        Every round Luby-selects an independent set among the region
-        vertices (over region-internal edges only) and heat-bath-resamples
-        it from the exact conditional marginals; vertices outside the
-        region never change and enter the weights as fixed boundary spins
-        through the full padded neighbour gathers.  Used by
-        :mod:`repro.dynamic` for incremental resampling.
-        """
-        if steps < 0:
-            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
+class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
+    """Batched Algorithm 2 (LocalMetropolis) for *general* pairwise MRFs.
+
+    One step advances all R replicas by one round, exactly as the
+    sequential :class:`~repro.chains.local_metropolis.LocalMetropolisChain`:
+
+    * every (vertex, replica) pair proposes a spin with probability
+      proportional to ``b_v``, drawn by the heat-bath engines' inverse-CDF
+      sampler (so a zero-mass spin is never proposed);
+    * every (edge, replica) pair passes with probability
+      ``Ã(sigma_u, sigma_v) * Ã(X_u, sigma_v) * Ã(sigma_u, X_v)``, where
+      ``Ã = A / max A``: three flat gathers from the max-normalised edge
+      palette, against one coin;
+    * a vertex accepts iff every incident edge passed.
+
+    The region advance is the inherited masked LubyGlauber heat-bath; its
+    padded tables are built on its first call, so a model too uneven for
+    them (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
+    """
+
+    def __init__(
+        self,
+        mrf: MRF,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+        backend: str | ArrayBackend | None = None,
+    ) -> None:
+        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        xp = self.xp
+        compiled = mrf.compiled()
+        palette = compiled.palette
+        self._normalised = xp.asarray(
+            (palette / palette.max(axis=(1, 2), keepdims=True)).ravel()
         )
-        for _ in range(steps):
-            self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
+        # Edge i's row t * q of the flat (P * q, q) normalised palette, as an
+        # (m, 1) column: (row + a) * q + b addresses Ã_i(a, b).
+        self._edge_rows = xp.asarray(compiled.edge_table[:, None] * self.q)
+        self._incidence = _edge_incidence(xp, self._eu, self._ev, self.n)
+        # Proposal pairs in vertex-major order: vertex of each pair, its
+        # weights b_v, and the (n, R) grid that lays the drawn spins out.
+        pairs = np.arange(self.n * self.replicas)
+        self._proposal_vertices = xp.asarray(pairs // self.replicas)
+        self._proposal_weights = xp.take_rows(self._vertex_activity, self._proposal_vertices)
+        self._proposal_grid = xp.asarray(pairs.reshape(self.n, self.replicas))
+
+    def step(self) -> None:
+        """Proposals from ``b_v``; one three-factor filter per edge; accept if clean."""
+        xp = self.xp
+        spins = _heatbath_spins(
+            xp, self.rng, self._proposal_weights, self._proposal_vertices,
+            self._undefined_marginal,
+        )
+        proposals = xp.take(xp.astype(spins, self._dtype), self._proposal_grid)
+        if self._incidence is None:
+            self._config = proposals
             self.steps_taken += 1
-        return self
+            return
+        q = self.q
+        sigma_v = proposals[self._ev_d]
+        proposed = (self._edge_rows + proposals[self._eu_d]) * q
+        current = (self._edge_rows + self._config[self._eu_d]) * q
+        pass_probability = (
+            xp.take(self._normalised, proposed + sigma_v)
+            * xp.take(self._normalised, current + sigma_v)
+            * xp.take(self._normalised, proposed + self._config[self._ev_d])
+        )
+        # One coin per (edge, replica): u < p always holds at p = 1 and
+        # never at p = 0, as the sequential chain's deterministic branches.
+        failed = xp.random(self.rng, (self._eu.size, self.replicas)) >= pass_probability
+        _metropolis_accept(self, proposals, failed, self._incidence)
 
 
 # ----------------------------------------------------------------------
@@ -1320,9 +1429,4 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
         # true at p = 1 and never true at p = 0, so the deterministic
         # branches of the sequential chain need no special-casing.
         coins = xp.random(self.rng, (self._num_constraints, self.replicas))
-        failed = coins >= pass_probability
-        blocked = xp.spmm_count(self._vertex_incidence, failed) > 0
-        if _obs_metrics.enabled:
-            _record_metropolis_step(self, blocked)
-        self._config = xp.where(blocked, self._config, proposals)
-        self.steps_taken += 1
+        _metropolis_accept(self, proposals, coins >= pass_probability, self._vertex_incidence)

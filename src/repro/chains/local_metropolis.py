@@ -32,6 +32,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.chains.base import Chain
+from repro.chains.cftp import _inverse_cdf_spin
 from repro.mrf.model import MRF
 
 __all__ = ["LocalMetropolisChain"]
@@ -63,7 +64,7 @@ class LocalMetropolisChain(Chain):
         super().__init__(mrf, initial=initial, seed=seed)
         self.use_third_rule = use_third_rule
         totals = mrf.vertex_activity.sum(axis=1)
-        self._proposal_cdf = np.cumsum(mrf.vertex_activity / totals[:, None], axis=1)
+        self._proposal_distribution = mrf.vertex_activity / totals[:, None]
         self._edge_index = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
         self._normalized = [
             mrf.normalized_edge_activity(u, v) for u, v in mrf.edges
@@ -72,14 +73,16 @@ class LocalMetropolisChain(Chain):
 
     # ------------------------------------------------------------------
     def _propose(self) -> np.ndarray:
-        """Draw all vertex proposals at once via per-row inverse CDF."""
+        """Draw all vertex proposals: one uniform each, per-row inverse CDF.
+
+        :func:`~repro.chains.cftp._inverse_cdf_spin` never proposes a
+        zero-mass spin, even when rounding leaves the CDF below a uniform.
+        """
         u = self.rng.random(self.mrf.n)
-        # searchsorted per row: proposals[v] = first index with cdf > u[v].
-        proposals = np.empty(self.mrf.n, dtype=np.int64)
-        for v in range(self.mrf.n):
-            proposals[v] = int(np.searchsorted(self._proposal_cdf[v], u[v], side="right"))
-        np.clip(proposals, 0, self.mrf.q - 1, out=proposals)
-        return proposals
+        return np.array(
+            [_inverse_cdf_spin(row, draw) for row, draw in zip(self._proposal_distribution, u)],
+            dtype=np.int64,
+        )
 
     def _edge_pass_probability(self, index: int, proposals: np.ndarray) -> float:
         """Return the check probability of edge ``index`` given ``proposals``."""

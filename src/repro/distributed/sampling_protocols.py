@@ -27,6 +27,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.glauber import sample_spin
 from repro.errors import ProtocolError
 from repro.local.network import Network
@@ -137,13 +138,10 @@ class LocalMetropolisProtocol(Protocol):
             raise ProtocolError("LocalMetropolisProtocol needs SamplingInput private inputs")
         ctx.state["spin"] = inp.initial_spin
         total = inp.vertex_activity.sum()
-        ctx.state["proposal_cdf"] = np.cumsum(inp.vertex_activity / total)
+        ctx.state["proposal_distribution"] = inp.vertex_activity / total
 
     def compose(self, ctx: NodeContext, round_index: int) -> dict[int, Any]:
-        cdf = ctx.state["proposal_cdf"]
-        draw = float(ctx.rng.random())
-        proposal = int(np.searchsorted(cdf, draw, side="right"))
-        proposal = min(proposal, len(cdf) - 1)
+        proposal = _inverse_cdf_spin(ctx.state["proposal_distribution"], float(ctx.rng.random()))
         coin_share = float(ctx.rng.random())
         ctx.state["proposal"] = proposal
         ctx.state["coin_share"] = coin_share

@@ -14,7 +14,7 @@ scratch.  This package implements that workflow:
   pending-region accumulation, and region-restricted resampling through
   the engines' batched ``advance_region`` kernels;
 * :func:`~repro.dynamic.region.sequential_region_glauber` — the
-  per-replica reference kernel (test oracle and fallback path);
+  per-replica reference kernel (the test oracle);
 * :func:`~repro.dynamic.region.region_round_budget` — round budgets
   governed by ``|region|`` instead of ``n``.
 """

@@ -15,8 +15,7 @@ the mutation workflow around it:
    so the whole trajectory stays a pure function of the seed and the
    operation sequence (bit-identical for a fixed ``SeedSequence``);
 3. ``resample()`` re-mixes only the pending region with the boundary
-   clamped, through the engine's batched ``advance_region`` (or the
-   sequential Glauber oracle for fallback engine families), for a round
+   clamped, through the engine's batched ``advance_region``, for a round
    budget governed by ``|region|`` rather than ``n``.
 
 The incremental claim — region resampling is distributionally equivalent
@@ -26,20 +25,14 @@ the statutils equivalence suite in ``tests/test_dynamic.py``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.api import default_round_budget, make_ensemble
 from repro.backend import ArrayBackend
 from repro.chains.base import SeedLike, as_generator
 from repro.csp.model import Constraint, LocalCSP
-from repro.dynamic.region import (
-    influenced_region,
-    region_round_budget,
-    sequential_region_glauber,
-)
-from repro.errors import FallbackEngineWarning, ModelError
+from repro.dynamic.region import influenced_region, region_round_budget
+from repro.errors import ModelError
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -207,27 +200,17 @@ class DynamicEnsemble:
         if not self._pending:
             return self
         region = self.pending_region
-        batched = hasattr(self._engine, "advance_region")
         if rounds is None:
-            # The sequential oracle is a single-site Glauber kernel, so the
-            # fallback path needs the Glauber-shaped budget.
-            kernel = self.method if batched else "glauber"
             rounds = region_round_budget(
-                self.model, kernel, int(region.size), self.eps
+                self.model, self.method, int(region.size), self.eps
             )
         with _obs_trace.span(
             "dynamic.resample",
             engine=type(self._engine).__name__,
             region=int(region.size),
             rounds=int(rounds),
-            batched=batched,
         ):
-            if batched:
-                self._engine.advance_region(rounds, region)
-            else:
-                batch = self._engine.config
-                sequential_region_glauber(self.model, batch, region, rounds, self.rng)
-                self._rebuild_engine(batch)
+            self._engine.advance_region(rounds, region)
         if _obs_metrics.enabled:
             _obs_metrics.inc("repro_dynamic_resamples_total")
             _obs_metrics.observe("repro_dynamic_region_size", int(region.size))
@@ -273,27 +256,18 @@ class DynamicEnsemble:
         )
         self._pending.update(int(v) for v in region)
         self.model = new_model
-        self._rebuild_engine(self._engine.config)
+        # Rebuild on the new model, warm-started from the current batch.
+        # The Generator object is shared, so the RNG stream carries over and
+        # the trajectory stays deterministic across rebuilds.
+        self._engine = make_ensemble(
+            new_model,
+            self.replicas,
+            method=self.method,
+            seed=self.rng,
+            initial=self._engine.config,
+            backend=self.backend,
+        )
         self.mutations += 1
         if _obs_metrics.enabled:
             _obs_metrics.inc("repro_dynamic_mutations_total")
         return self
-
-    def _rebuild_engine(self, batch: np.ndarray) -> None:
-        """Rebuild the engine on the current model, warm-started from ``batch``.
-
-        The RNG stream is carried over (the Generator object is shared), so
-        the trajectory stays deterministic across rebuilds.  The fallback
-        warning was already issued at construction; mutations should not
-        repeat it once per operation.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FallbackEngineWarning)
-            self._engine = make_ensemble(
-                self.model,
-                self.replicas,
-                method=self.method,
-                seed=self.rng,
-                initial=batch,
-                backend=self.backend,
-            )

@@ -13,8 +13,7 @@ with the region size in place of ``n`` — the point of incremental
 resampling is that the warm-started region re-mixes in rounds governed by
 ``|S|``, not ``n``.  :func:`sequential_region_glauber` is the plain
 per-replica reference kernel: the distributional oracle the equivalence
-tests compare the batched ``advance_region`` implementations against, and
-the fallback path for engine families without a batched region kernel.
+tests compare the batched ``advance_region`` implementations against.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.api import _BUDGET_CONSTANT, METHODS, model_degree
+from repro.chains.cftp import _inverse_cdf_spin
 from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
@@ -131,10 +131,10 @@ def sequential_region_glauber(
 
     One step resamples, in every replica, one uniformly chosen *region*
     vertex from its exact conditional marginal given everything else —
-    the plain-Python reference law of the batched region kernels.  Serves
-    as the distributional oracle in the equivalence tests and as the
-    fallback path of :class:`repro.dynamic.DynamicEnsemble` for engine
-    families without a batched ``advance_region``.  Returns ``batch``.
+    the plain-Python reference law of the batched region kernels, and the
+    distributional oracle of the equivalence tests.  Spins are drawn by
+    :func:`~repro.chains.cftp._inverse_cdf_spin`, so a zero-mass spin is
+    never drawn.  Returns ``batch``.
     """
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != model.n:
@@ -156,6 +156,5 @@ def sequential_region_glauber(
                 marginal = model.conditional_marginal(batch[i], v)
             else:
                 marginal = conditional_marginal(model, batch[i], v)
-            draw = int(np.searchsorted(np.cumsum(marginal), rng.random()))
-            batch[i, v] = min(draw, model.q - 1)
+            batch[i, v] = _inverse_cdf_spin(marginal, rng.random())
     return batch

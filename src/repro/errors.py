@@ -112,13 +112,10 @@ class BackendUnavailableError(BackendError):
 
 
 class FallbackEngineWarning(RuntimeWarning):
-    """A model/method pair has no batched replica-ensemble kernel.
+    """Formerly: a model/method pair had no batched replica-ensemble kernel.
 
-    Emitted by :func:`repro.api.make_ensemble` (and everything built on it:
-    ``sample_many``, ``tv_curve``, ``mixing_time``) when the dispatch falls
-    back to :class:`repro.analysis.convergence.SequentialChainEnsemble` —
-    correct for every model, but advancing replicas one sequential chain at
-    a time rather than with whole-ensemble array kernels.  Silence with
-    ``warnings.simplefilter("ignore", FallbackEngineWarning)`` once the
-    slow path is a deliberate choice.
+    Nothing raises it any more: :func:`repro.api.make_ensemble` returns a
+    batched engine for every valid model/method pair.  The class stays
+    importable so that warning filters naming it (the ``perfbench``
+    workloads install some) keep working.
     """

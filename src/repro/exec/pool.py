@@ -33,13 +33,12 @@ import multiprocessing as mp
 import os
 import queue as queue_lib
 import traceback
-import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.chains.ensemble import EnsembleTrajectoryMixin
-from repro.errors import ExecError, FallbackEngineWarning, ModelError
+from repro.errors import ExecError, ModelError
 from repro.exec.shards import ShardSpec, make_shard_plan, slice_initial
 
 __all__ = ["ShardedEnsemble", "default_start_method"]
@@ -82,28 +81,25 @@ def _build_shard_engines(model, method, shards, initial_blocks, backend=None):
     Shared verbatim between in-process execution and the worker processes —
     the construction path *is* the determinism contract, so there must be
     exactly one of it.  ``backend`` is a registered backend *name* (names
-    pickle; instances do not).  Fallback warnings are suppressed here: the
-    facade has already warned once for the whole sharded run.
+    pickle; instances do not).
     """
     from repro.api import make_ensemble
 
     engines = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FallbackEngineWarning)
-        for spec, block in zip(shards, initial_blocks):
-            engines.append(
-                (
-                    spec,
-                    make_ensemble(
-                        model,
-                        spec.size,
-                        method=method,
-                        seed=spec.seed,
-                        initial=block,
-                        backend=backend,
-                    ),
-                )
+    for spec, block in zip(shards, initial_blocks):
+        engines.append(
+            (
+                spec,
+                make_ensemble(
+                    model,
+                    spec.size,
+                    method=method,
+                    seed=spec.seed,
+                    initial=block,
+                    backend=backend,
+                ),
             )
+        )
     return engines
 
 

@@ -6,7 +6,7 @@ Three layers, all stdlib-only:
   gauges, and log-bucket histograms, with Prometheus text rendering.
   Hot-loop engine probes are gated on one module-level flag
   (:func:`enable` / :func:`disable`); cold-path accounting (serve
-  requests, fallback warnings) records unconditionally.
+  requests) records unconditionally.
 * :mod:`repro.obs.trace` — ``span()`` context managers writing
   JSON-lines records with monotonic timings and parent links, with
   explicit context export/adopt for crossing the exec pool's

@@ -2,7 +2,7 @@
 
 Zero dependencies, one lock, plain dicts.  Two usage tiers:
 
-* **Cold paths** (serve request accounting, fallback warnings, CLI) call
+* **Cold paths** (serve request accounting, CLI) call
   :func:`inc` / :func:`set_gauge` / :func:`observe` unconditionally — the
   registry is always live and the cost is a dict update under a lock.
 * **Hot loops** (per-step engine probes) guard on the module-level

@@ -147,10 +147,6 @@ class ReproServer:
         self._failed = 0
         self._rejected = 0
         self._invalidations = 0
-        # Jobs dispatched to the pool whose (model, method) pair has no
-        # batched kernel — the FallbackEngineWarning fires in a worker
-        # process where nobody sees it, so the server counts it here.
-        self._fallbacks = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._latency_lock = threading.Lock()
 
@@ -546,12 +542,6 @@ class ReproServer:
         ctx.job_id = job_id
         self._contexts[job_id] = ctx
         self._submitted += 1
-        from repro.api import is_fallback_pair
-
-        if is_fallback_pair(spec.model, spec.method):
-            self._fallbacks += 1
-            _obs_metrics.inc("repro_serve_fallback_jobs_total", kind=spec.kind)
-
         if not stream:
             outcome = await ctx.future
             if outcome.get("event") == "result":
@@ -637,7 +627,6 @@ class ReproServer:
                 "completed": self._completed,
                 "failed": self._failed,
                 "rejected": self._rejected,
-                "fallback": self._fallbacks,
             },
             "latency": {
                 "count": len(latencies),
@@ -662,7 +651,7 @@ class ReproServer:
         """
         stats = self.stats()
         lines = ["# TYPE repro_serve_jobs_total counter"]
-        for state in ("submitted", "completed", "failed", "rejected", "fallback"):
+        for state in ("submitted", "completed", "failed", "rejected"):
             lines.append(f'repro_serve_jobs_total{{state="{state}"}} {stats["jobs"][state]}')
         lines.append("# TYPE repro_serve_pending_jobs gauge")
         lines.append(f"repro_serve_pending_jobs {stats['pending']}")

@@ -58,11 +58,9 @@ class SweepResult:
 
     @property
     def counts(self) -> dict:
-        tally = {"total": len(self.rows), "ok": 0, "error": 0, "dedup": 0, "fallback": 0}
+        tally = {"total": len(self.rows), "ok": 0, "error": 0, "dedup": 0}
         for row in self.rows:
             tally[row["status"]] += 1
-            if row.get("fallback"):
-                tally["fallback"] += 1
         return tally
 
     @property
@@ -238,8 +236,6 @@ def run_sweep(
     by_index = {
         cell.index: outcome for cell, outcome in zip(to_run, outcomes)
     }
-    from repro.api import is_fallback_pair
-
     for cell in grid.cells:
         row = {
             "index": cell.index,
@@ -247,10 +243,6 @@ def run_sweep(
             "cache_key": cell.spec.cache_key(),
             "status": "ok",
             "elapsed_s": None,
-            # Deterministic from the (model, method) pair: True marks cells
-            # served by the sequential fallback engine, whose warning is
-            # invisible in jobs/serve modes.
-            "fallback": is_fallback_pair(cell.spec.model, cell.spec.method),
             "summary": None,
             "checks": {},
             "error": None,

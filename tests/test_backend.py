@@ -14,7 +14,6 @@ Three layers of contract:
 """
 
 import importlib.util
-import warnings
 
 import numpy as np
 import pytest
@@ -119,14 +118,10 @@ class TestRegistry:
         with pytest.raises(BackendUnavailableError, match="broken"):
             make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="broken")
 
-    def test_fallback_pair_still_rejects_unknown_backend(self):
-        # The sequential fallback ignores the backend but an unknown name
-        # must not be silently swallowed.
+    def test_general_mrf_local_metropolis_rejects_unknown_backend(self):
         mrf = ising_mrf(cycle_graph(6), beta=0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(BackendError, match="unknown array backend"):
-                make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="nope")
+        with pytest.raises(BackendError, match="unknown array backend"):
+            make_ensemble(mrf, 3, method="local-metropolis", seed=1, backend="nope")
 
     @pytest.mark.skipif(HAVE_TORCH, reason="torch is installed here")
     def test_torch_unavailable_raises_at_construction(self):

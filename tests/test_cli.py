@@ -362,17 +362,6 @@ class TestParallelCli:
         assert code == 1
         assert "--samples" in capsys.readouterr().err
 
-    def test_fallback_prints_notice_not_warning(self, capsys):
-        code = main(
-            [
-                "sample", "--model", "ising", "--graph", "path", "--size", "4",
-                "--samples", "3", "--rounds", "2", "--seed", "1",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "notice:" in err and "off the fast path" in err
-
     def test_mix_with_jobs_emits_engine_and_jobs(self, capsys):
         code = main(
             [
@@ -502,7 +491,7 @@ class TestSweepCli:
         captured = capsys.readouterr()
         table = json.loads(captured.out)
         assert table["schema"] == "repro.sweep/v1"
-        assert table["counts"] == {"total": 2, "ok": 2, "error": 0, "dedup": 0, "fallback": 0}
+        assert table["counts"] == {"total": 2, "ok": 2, "error": 0, "dedup": 0}
         for row in table["cells"]:
             assert row["checks"]["stationarity"]["passed"]
         assert "sweep tiny: 2 cells" in captured.err
@@ -529,7 +518,7 @@ class TestSweepCli:
         assert code == 0
         table = json.loads(capsys.readouterr().out)
         assert table["name"] == "smoke"
-        assert table["counts"] == {"total": 16, "ok": 16, "error": 0, "dedup": 0, "fallback": 0}
+        assert table["counts"] == {"total": 16, "ok": 16, "error": 0, "dedup": 0}
 
     def test_sweep_jobs_and_server_mutually_exclusive(self, capsys, tmp_path):
         code = main([

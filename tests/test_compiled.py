@@ -160,6 +160,14 @@ class TestCompiledMRF:
         # Sequential chains do not read the padded tables.
         assert LubyGlauberChain(mrf, seed=0).run(2).shape == (mrf.n,)
 
+    def test_local_metropolis_runs_beyond_the_padding_cap(self):
+        """Its rounds never read the padded tables; only its region advance does."""
+        mrf = hardcore_mrf(star_graph(3000), 1.0)
+        engine = repro.make_ensemble(mrf, 2, method="local-metropolis", seed=0)
+        assert engine.run(3).shape == (2, mrf.n)
+        with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
+            engine.advance_region(1, [0, 1])
+
     def test_bounded_degree_models_stay_under_the_cap(self):
         compiled = hardcore_mrf(torus_graph(128, 128), 1.0).compiled()
         assert compiled.padded_neighbours.shape == (128 * 128, 4)

@@ -1,9 +1,9 @@
 """Tests for the ensemble-native convergence pipeline.
 
 Covers the tentpole contract: the batched-engine curves agree
-distributionally with the per-chain fallback, the trajectory-recording API
-behaves, the new agreement/diagnostics plumbing works, and the stride /
-checkpoint validation bugs stay fixed.
+distributionally with the per-chain SequentialChainEnsemble, the
+trajectory-recording API behaves, the new agreement/diagnostics plumbing
+works, and the stride / checkpoint validation bugs stay fixed.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.api import make_ensemble
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
+    EnsembleLocalMetropolisMRF,
     EnsembleLubyGlauberColoring,
 )
 from repro.chains.local_metropolis import LocalMetropolisChain
@@ -59,9 +60,14 @@ class TestEnsembleProtocol:
         batch = ensemble.config
         assert batch.shape == (16, 4)
 
-    def test_sequential_fallback_protocol(self, path3_ising):
+    def test_sequential_chain_ensemble_protocol(self, path3_ising):
         ensemble = make_ensemble(path3_ising, 5, method="local-metropolis", seed=1)
-        assert isinstance(ensemble, SequentialChainEnsemble)
+        assert isinstance(ensemble, EnsembleLocalMetropolisMRF)
+
+        def factory(rng):
+            return LocalMetropolisChain(path3_ising, seed=rng)
+
+        ensemble = SequentialChainEnsemble(factory, 5, seed=1)
         batch = ensemble.run(4)
         assert batch.shape == (5, 3)
         assert ensemble.steps_taken == 4
@@ -78,7 +84,7 @@ class TestEnsembleProtocol:
         ensemble = make_ensemble(cycle4_coloring, 4, method="luby-glauber", seed=3)
         assert isinstance(ensemble, EnsembleLubyGlauberColoring)
 
-    def test_fallback_initial_batch_per_replica(self, path3_ising):
+    def test_general_mrf_initial_batch_per_replica(self, path3_ising):
         initial = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]])
         ensemble = make_ensemble(
             path3_ising, 3, method="local-metropolis", seed=4, initial=initial
@@ -87,7 +93,7 @@ class TestEnsembleProtocol:
 
 
 class TestEquivalence:
-    """The ensemble-native curves agree with the per-chain fallback."""
+    """The ensemble-native curves agree with the per-chain SequentialChainEnsemble."""
 
     def test_tv_curves_agree_distributionally(self):
         mrf = proper_coloring_mrf(path_graph(3), 4)
@@ -274,9 +280,8 @@ class TestApiConvenience:
         )
         assert 1 <= tau <= 400
 
-    def test_generic_fallback_tv_curve(self, path3_ising):
-        # Non-colouring model + local-metropolis => SequentialChainEnsemble
-        # (the one remaining fallback pair).
+    def test_general_mrf_local_metropolis_tv_curve(self, path3_ising):
+        # Non-colouring model + local-metropolis => EnsembleLocalMetropolisMRF.
         curve = repro.tv_curve(
             path3_ising, [1, 8], method="local-metropolis", replicas=200, seed=24
         )
@@ -284,17 +289,11 @@ class TestApiConvenience:
         assert all(0.0 <= tv <= 1.0 for _, tv in curve)
 
     def test_generic_luby_glauber_tv_curve_is_batched(self, path3_ising):
-        # Non-colouring model + luby-glauber now gets the batched MRF
-        # heat-bath kernel, and its TV curve decays like the dynamics.
-        import warnings as warnings_module
-
-        from repro.errors import FallbackEngineWarning
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", FallbackEngineWarning)
-            curve = repro.tv_curve(
-                path3_ising, [1, 16], method="luby-glauber", replicas=400, seed=24
-            )
+        # Non-colouring model + luby-glauber gets the batched MRF heat-bath
+        # kernel, and its TV curve decays like the dynamics.
+        curve = repro.tv_curve(
+            path3_ising, [1, 16], method="luby-glauber", replicas=400, seed=24
+        )
         assert len(curve) == 2
         assert all(0.0 <= tv <= 1.0 for _, tv in curve)
         assert curve[-1][1] < curve[0][1]

@@ -16,8 +16,6 @@ oracle, boundary clamping of the batched ``advance_region`` kernels, and
 the :func:`repro.api.mutate` / :func:`repro.api.resample_region` facades.
 """
 
-import warnings
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -80,15 +78,13 @@ def _add_edge(dyn: DynamicEnsemble) -> None:
     dyn.add_edge(2, 3)
 
 
-# One case per engine family: (models, mutation, method).  The fallback
-# row (field != 1 Ising under local-metropolis) exercises the sequential
-# oracle path of DynamicEnsemble.resample.
+# One case per engine family: (models, mutation, method).
 EQUIVALENCE_CASES = {
     "coloring-luby-glauber": (_coloring_pair, _add_edge, "luby-glauber"),
     "coloring-local-metropolis": (_coloring_pair, _add_edge, "local-metropolis"),
     "mrf-glauber": (_ising_pair, _add_edge, "glauber"),
     "mrf-luby-glauber": (_ising_pair, _add_edge, "luby-glauber"),
-    "fallback-sequential": (
+    "mrf-local-metropolis": (
         lambda: _ising_pair(field=0.6),
         _add_edge,
         "local-metropolis",
@@ -100,16 +96,13 @@ EQUIVALENCE_CASES = {
 def test_incremental_resampling_matches_full_rerun(name):
     make_pair, apply_mutation, method = EQUIVALENCE_CASES[name]
     initial, mutated = make_pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the fallback row warns once
-        dyn = DynamicEnsemble(initial, 1200, method=method, radius=2, seed=SEED)
-        dyn.mix()
-        apply_mutation(dyn)
-        assert dyn.model_fingerprint() == mutated.model_fingerprint()
-        dyn.resample()
-        incremental = dyn.config
-        full = repro.sample_many(mutated, 1200, method=method, seed=SEED + 1)
-    assert_same_distribution(incremental, full, initial.q)
+    dyn = DynamicEnsemble(initial, 1200, method=method, radius=2, seed=SEED)
+    dyn.mix()
+    apply_mutation(dyn)
+    assert dyn.model_fingerprint() == mutated.model_fingerprint()
+    dyn.resample()
+    full = repro.sample_many(mutated, 1200, method=method, seed=SEED + 1)
+    assert_same_distribution(dyn.config, full, initial.q)
 
 
 @pytest.mark.parametrize("method", ["luby-glauber", "local-metropolis"])
@@ -413,14 +406,12 @@ class TestResampleRegionFacade:
         expected = engine.advance_region(6, [2, 3, 4]).config
         assert np.array_equal(out, expected)
 
-    def test_sequential_path_for_fallback_family(self):
+    def test_general_mrf_local_metropolis_path(self):
         model = ising_mrf(path_graph(4), beta=0.7, field=0.5)
         batch = np.zeros((8, 4), dtype=np.int64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = resample_region(
-                model, batch, [1, 2], rounds=4, method="local-metropolis", seed=SEED
-            )
+        out = resample_region(
+            model, batch, [1, 2], rounds=4, method="local-metropolis", seed=SEED
+        )
         assert out.shape == (8, 4)
         assert np.array_equal(out[:, [0, 3]], batch[:, [0, 3]] * 0)
 

@@ -284,7 +284,7 @@ class TestSampleMany:
         second = repro.sample_many(mrf, 6, seed=3)
         assert np.array_equal(first, second)
 
-    def test_generic_model_fallback(self):
+    def test_general_model_every_method(self):
         mrf = ising_mrf(path_graph(4), beta=0.6, field=1.0)
         for method in repro.METHODS:
             batch = repro.sample_many(mrf, 4, method=method, rounds=12, seed=2)

@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.analysis.empirical import batch_tv_to_exact
 from repro.csp import dominating_set_csp, not_all_equal_csp
-from repro.errors import ExecError, FallbackEngineWarning, ModelError
+from repro.errors import ExecError, ModelError
 from repro.exec import (
     DEFAULT_NUM_SHARDS,
     JobRunner,
@@ -225,37 +225,6 @@ def test_sharded_rejects_generator_seeds_and_bad_workers():
         ShardedEnsemble(_coloring(), 4, seed=np.random.default_rng(0))
     with pytest.raises(ModelError, match="workers"):
         ShardedEnsemble(_coloring(), 4, seed=SEED, workers=-1)
-
-
-# ----------------------------------------------------------------------
-# fallback warnings
-# ----------------------------------------------------------------------
-class TestFallbackWarning:
-    def test_generic_model_warns(self, path3_ising):
-        with pytest.warns(FallbackEngineWarning, match="off the fast path"):
-            repro.make_ensemble(path3_ising, 3, seed=1)
-        with pytest.warns(FallbackEngineWarning):
-            repro.sample_many(path3_ising, 3, rounds=2, seed=1)
-
-    def test_fast_path_pairs_do_not_warn(self, path3_ising):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", FallbackEngineWarning)
-            repro.make_ensemble(_coloring(), 3, seed=1)
-            repro.make_ensemble(_csp(), 3, seed=1)
-            repro.make_ensemble(path3_ising, 3, method="glauber", seed=1)
-
-    def test_sharded_fallback_warns_once_from_the_facade(self, path3_ising):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always", FallbackEngineWarning)
-            repro.sample_many(path3_ising, 4, rounds=2, seed=1, parallel=0)
-        fallback = [
-            w for w in caught if issubclass(w.category, FallbackEngineWarning)
-        ]
-        assert len(fallback) == 1
 
 
 # ----------------------------------------------------------------------

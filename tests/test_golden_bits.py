@@ -15,7 +15,6 @@ The digests are numpy-backend bits, so the module is skipped when
 from __future__ import annotations
 
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
@@ -98,8 +97,10 @@ SPECS = {
     "hardcore-glauber": lambda: _sample(MODELS["hardcore"](), "glauber", 12),
     "ising-lg": lambda: _sample(MODELS["ising"](), "luby-glauber", 13),
     "ising-glauber": lambda: _sample(MODELS["ising"](), "glauber", 14),
+    "ising-lm": lambda: _sample(MODELS["ising"](), "local-metropolis", 28),
     "per-edge-lg": lambda: _sample(MODELS["per-edge"](), "luby-glauber", 15),
     "per-edge-glauber": lambda: _sample(MODELS["per-edge"](), "glauber", 16),
+    "per-edge-lm": lambda: _sample(MODELS["per-edge"](), "local-metropolis", 29),
     "domset-lm": lambda: _sample(MODELS["domset"](), "local-metropolis", 17),
     "domset-lg": lambda: _sample(MODELS["domset"](), "luby-glauber", 18),
     "domset-weighted-lm": lambda: _sample(MODELS["domset-weighted"](), "local-metropolis", 19),
@@ -128,8 +129,10 @@ GOLDEN = {
     "hardcore-glauber": "08681804ee6ade035f9a5b8e709b099ece3f910d90032f5ed30d85d187eee70e",
     "ising-lg": "187228002054df6465a9bb0015b405a5d3f961969dc99fe7ff30086bd2c218ba",
     "ising-glauber": "0b5464cecd73a772aafea618d7b44f985088bd87d4dd3cdea1e7e0f7ddbc4bdb",
+    "ising-lm": "1d485827807bd2a39eeb4a56c6d1b52aee61259737dafa4506b60f745373647e",
     "per-edge-lg": "384fc01fa8487eac8c2bf524d6631f7cceeaa797519e976d6d238ba69e753b8a",
     "per-edge-glauber": "8846b396d6e4706af6acef59419d1f26650b83201e017f36ca037c829cfda251",
+    "per-edge-lm": "42132922e0c1483a9923d8807eb339ceffea45e132df6c93c9a4bee5308515a0",
     "domset-lm": "53532c8c2c8b3e71ce5a9179c53d39f39b32249742c92ad38424bfafc9d0fd40",
     "domset-lg": "59969eb3d91472cee6ffa4ee0f0b1da97edd80c8c6f4adbce600253272dadfba",
     "domset-weighted-lm": "858fc8a08e8e7e37d1e39366fbfaae5cec4d88816817847f681923380be7f2dd",
@@ -138,7 +141,7 @@ GOLDEN = {
     "nae-lg": "1d39b4a840790b28404ee6dbefa2483bc5f696e7c470992884f406dd464c9989",
     "mis-lm": "4a305b401ef20371bc777b792953084d86248cda00f5bc089974e4b12bebd843",
     "mis-lg": "4a305b401ef20371bc777b792953084d86248cda00f5bc089974e4b12bebd843",
-    "hardcore-lm-fallback": "137792beefa0b853c0dffed4eb0965d297e73a5b509e98cc0a1e268249347a2d",
+    "hardcore-lm-fallback": "2daa495dab7de1e31411064787cbb7d2f5a94696d420ebad374c5f0b9c2db523",
     "hardcore-mix": "031b4af5197ec30a926f48cf40e11a7dbc470048a21e4003b7a3c07c5dab1baa",
     "nae-tv": "569320bd81e23de737332d72241ed88bbaaaaff55512f415f0d197dc13c13fd5",
 }
@@ -167,10 +170,7 @@ REGION_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_run_spec_digest_is_pinned(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", repro.FallbackEngineWarning)
-        result = repro.run_spec(SPECS[name]())
-    assert digest(result) == GOLDEN[name]
+    assert digest(repro.run_spec(SPECS[name]())) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(REGION_RUNS))

@@ -3,7 +3,9 @@
 Glauber, LubyGlauber-MRF and LubyGlauber-CSP all assemble conditional
 weights by walking padded neighbour (or constraint-incidence) positions,
 with pad slots reading all-ones factor rows, and all draw spins with one
-column-by-column inverse-CDF sampler.  The benchmark models are regular,
+column-by-column inverse-CDF sampler.  The LocalMetropolis engines run the
+same kernel in their region advances, and the MRF one draws its ``b_v``
+proposals with the same sampler.  The benchmark models are regular,
 so these tests use models whose padded tables are mostly pads: an
 isolated vertex, leaves and a hub, per-edge tables with zero entries, and
 a CSP vertex in no constraint.
@@ -17,18 +19,24 @@ from statutils import assert_stationary
 
 from repro.backend import get_backend
 from repro.chains.cftp import _inverse_cdf_spin
+from repro.chains.coupling import CoupledLocalMetropolis
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisCSP,
+    EnsembleLocalMetropolisMRF,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
     _heatbath_spins,
 )
 from repro.chains.glauber import sample_spin
+from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.csp import Constraint, LocalCSP
 from repro.csp.model import exact_csp_gibbs_distribution
+from repro.distributed.sampling_protocols import LocalMetropolisProtocol, SamplingInput
+from repro.dynamic import sequential_region_glauber
 from repro.errors import ModelError
 from repro.graphs import path_graph, star_graph
+from repro.local.protocol import NodeContext
 from repro.mrf import MRF
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
 from repro.mrf.marginals import conditional_marginal_unnormalized
@@ -84,15 +92,16 @@ def clamped(exact: GibbsDistribution, config, region) -> GibbsDistribution:
     return GibbsDistribution(n, q, exact.probs * keep)
 
 
-class NearOneUniforms:
-    """Delegating RNG whose float64 uniforms all sit just below 1."""
+class FixedUniforms:
+    """Delegating RNG whose float64 uniforms all equal ``value``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, value=NEAR_ONE):
         self._inner = inner
+        self._value = value
 
     def random(self, size=None, dtype=np.float64):
         if dtype == np.float64:
-            return NEAR_ONE if size is None else np.full(size, NEAR_ONE)
+            return self._value if size is None else np.full(size, self._value)
         return self._inner.random(size, dtype=dtype)
 
     def __getattr__(self, name):
@@ -120,7 +129,12 @@ class TestLawAgainstExactGibbs:
         assert_stationary(ensemble.run(80), exact_csp_gibbs_distribution(csp))
 
     @pytest.mark.parametrize(
-        "cls, steps", [(EnsembleGlauberDynamics, 200), (EnsembleLubyGlauberMRF, 80)]
+        "cls, steps",
+        [
+            (EnsembleGlauberDynamics, 200),
+            (EnsembleLubyGlauberMRF, 80),
+            (EnsembleLocalMetropolisMRF, 80),
+        ],
     )
     def test_mrf_region_advance_samples_the_clamped_law(self, cls, steps):
         mrf = uneven_mrf()
@@ -141,13 +155,16 @@ class TestLawAgainstExactGibbs:
 
 
 class TestWeightRows:
-    @pytest.mark.parametrize("cls", [EnsembleGlauberDynamics, EnsembleLubyGlauberMRF])
+    @pytest.mark.parametrize(
+        "cls", [EnsembleGlauberDynamics, EnsembleLubyGlauberMRF, EnsembleLocalMetropolisMRF]
+    )
     def test_mrf_rows_equal_the_sequential_oracle(self, cls):
         """((b_v * A_1) * A_2) ... over ascending neighbours, pads multiplying by one."""
         mrf = uneven_mrf()
         replicas = 32
         configs = np.random.default_rng(7).integers(0, mrf.q, size=(replicas, mrf.n))
         ensemble = cls(mrf, replicas, initial=configs, seed=0)
+        ensemble._ensure_heatbath_structures()
         xp = ensemble.xp
         rows = xp.arange(replicas)
         for v in range(mrf.n):
@@ -185,7 +202,7 @@ class TestSampler:
     TAIL = np.array([1.0] * 10 + [0.0])
 
     def test_sequential_sample_spin_skips_a_zero_mass_tail(self):
-        rng = NearOneUniforms(np.random.default_rng(0))
+        rng = FixedUniforms(np.random.default_rng(0))
         assert np.cumsum(self.TAIL / 10)[-1] <= NEAR_ONE
         assert sample_spin(self.TAIL / 10, rng) == 9
 
@@ -193,7 +210,7 @@ class TestSampler:
         xp = get_backend(None)
         weights = np.array([self.TAIL, self.TAIL[::-1], np.r_[self.TAIL[:5], 0.0, self.TAIL[5:-1]]])
         spins = _heatbath_spins(
-            xp, NearOneUniforms(np.random.default_rng(0)), xp.asarray(weights),
+            xp, FixedUniforms(np.random.default_rng(0)), xp.asarray(weights),
             xp.arange(3), ModelError,
         )
         # Largest positive-mass spin of each row.
@@ -202,9 +219,39 @@ class TestSampler:
     def test_glauber_ensemble_skips_a_zero_mass_tail(self):
         mrf = MRF(path_graph(1), 11, np.ones((11, 11)), self.TAIL)
         ensemble = EnsembleGlauberDynamics(mrf, 4, seed=0)
-        ensemble.rng = NearOneUniforms(ensemble.rng)
+        ensemble.rng = FixedUniforms(ensemble.rng)
         ensemble.step()
         np.testing.assert_array_equal(ensemble.config, 9)
+
+    def test_local_metropolis_proposals_skip_a_zero_mass_tail(self):
+        """The sequential, coupled and LOCAL oracles and the batched engine."""
+        mrf = MRF(path_graph(1), 11, np.ones((11, 11)), self.TAIL)
+
+        def near_one(owner):
+            owner.rng = FixedUniforms(owner.rng)
+            return owner
+
+        assert near_one(LocalMetropolisChain(mrf, seed=0))._propose().tolist() == [9]
+        coupled = near_one(CoupledLocalMetropolis(mrf, [0], [0], seed=0))
+        assert coupled._shared_proposals().tolist() == [9]
+        node = NodeContext(
+            0, (), FixedUniforms(np.random.default_rng(0)),
+            SamplingInput(11, self.TAIL, {}, 0), 1, 0,
+        )
+        protocol = LocalMetropolisProtocol()
+        protocol.initialize(node)
+        protocol.compose(node, 0)
+        assert node.state["proposal"] == 9
+        ensemble = near_one(EnsembleLocalMetropolisMRF(mrf, 4, seed=0))
+        ensemble.step()
+        np.testing.assert_array_equal(ensemble.config, 9)
+
+    def test_sequential_region_glauber_skips_a_zero_mass_head(self):
+        """A uniform of exactly 0 must not draw the zero-mass spin 0."""
+        mrf = MRF(path_graph(1), 2, np.ones((2, 2)), np.array([[0.0, 1.0]]))
+        rng = FixedUniforms(np.random.default_rng(0), 0.0)
+        batch = sequential_region_glauber(mrf, np.zeros((3, 1), dtype=np.int64), [0], 1, rng)
+        assert batch.tolist() == [[1], [1], [1]]
 
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 11])
     def test_shared_sampler_follows_the_scalar_rule(self, q):

@@ -7,8 +7,8 @@ The load-bearing contracts:
   overwrite, histogram buckets are inclusive (``le``) and cumulative,
   and the Prometheus rendering is valid text exposition format 0.0.4;
 * **two-tier gating** — engine probes record only while
-  ``repro.obs.enable()`` is on; cold-path accounting (fallback
-  warnings, serve requests) records unconditionally;
+  ``repro.obs.enable()`` is on; cold-path accounting (serve requests)
+  records unconditionally;
 * **span stitching** — one streamed submission through
   :class:`~repro.serve.ServeClient` with tracing enabled yields a
   single trace whose parent links walk
@@ -27,7 +27,6 @@ import time
 import pytest
 
 import repro
-from repro.errors import FallbackEngineWarning
 from repro.graphs import cycle_graph, path_graph
 from repro.mrf import ising_mrf, proper_coloring_mrf
 from repro.obs import metrics, trace
@@ -231,23 +230,6 @@ class TestEnableGating:
         )
 
 
-class TestFallbackCounter:
-    def test_fallback_warning_counted_unconditionally(self, path3_ising):
-        # Probes are OFF here: the fallback counter is cold-path
-        # accounting and must record regardless.
-        assert repro.obs.enabled() is False
-        with pytest.warns(FallbackEngineWarning):
-            repro.make_ensemble(path3_ising, 3, seed=1)
-        counters = [
-            c
-            for c in repro.obs.snapshot()["counters"]
-            if c["name"] == "repro_fallback_engines_total"
-        ]
-        assert len(counters) == 1
-        assert counters[0]["value"] == 1.0
-        assert counters[0]["labels"]["method"] == "local-metropolis"
-
-
 # ----------------------------------------------------------------------
 # trace spans
 # ----------------------------------------------------------------------
@@ -393,55 +375,3 @@ class TestServeSurface:
             latency = stats["latency"]
             assert latency["count"] >= 1
             assert latency["p50_s"] <= latency["p90_s"] <= latency["p99_s"]
-            assert stats["jobs"]["fallback"] == 0
-
-    def test_fallback_jobs_counted_in_stats(self, path3_ising):
-        spec = JobSpec.sample_many(
-            path3_ising, 4, method="local-metropolis", rounds=2, seed=1
-        )
-        with ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv:
-            client = ServeClient(*srv.address)
-            client.run(spec)
-            stats = client.stats()
-            assert stats["jobs"]["fallback"] == 1
-            # A cache hit never reaches the pool, so the count stays put.
-            client.run(spec)
-            assert client.stats()["jobs"]["fallback"] == 1
-            assert "repro_serve_fallback_jobs_total" in client.metrics()
-
-
-# ----------------------------------------------------------------------
-# sweep surfacing
-# ----------------------------------------------------------------------
-
-
-class TestSweepFallbackColumn:
-    def test_fallback_cells_flagged_and_counted(self):
-        from repro.sweep import expand_grid, run_sweep
-
-        grid = expand_grid(
-            {
-                "sweep": {
-                    "name": "fallback-probe",
-                    "kind": "sample_many",
-                    "base_seed": 5,
-                    "seeds": 1,
-                    "rounds": 2,
-                    "models": [
-                        {"family": "ising", "graph": "path", "beta": 0.3},
-                        {"family": "coloring", "graph": "cycle", "q": 4},
-                    ],
-                    "axes": {
-                        "size": [3],
-                        "method": ["local-metropolis"],
-                        "replicas": [8],
-                    },
-                }
-            }
-        )
-        with pytest.warns(FallbackEngineWarning):
-            sweep = run_sweep(grid, mode="local", checks=False)
-        flagged = {row["coords"]["model"]: row["fallback"] for row in sweep.rows}
-        assert any(flagged.values()) and not all(flagged.values())
-        assert sweep.counts["fallback"] == sum(flagged.values())
-        assert sweep.counts["fallback"] == sweep.table["counts"]["fallback"]

@@ -13,8 +13,6 @@ the benchmark-regression gate and the sharded execution subsystem:
   sharded run a pure function of its root SeedSequence.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -41,15 +39,13 @@ def _nae():
     return not_all_equal_csp([(0, 1, 2), (1, 2, 3), (2, 3, 4)], n=5, q=3)
 
 
-def _fallback_ensemble(seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # deliberately off the fast path
-        return make_ensemble(
-            ising_mrf(path_graph(4), beta=0.7, field=0.5),
-            REPLICAS,
-            method="local-metropolis",
-            seed=seed,
-        )
+def _lm_mrf_ensemble(seed):
+    return make_ensemble(
+        ising_mrf(path_graph(4), beta=0.7, field=0.5),
+        REPLICAS,
+        method="local-metropolis",
+        seed=seed,
+    )
 
 
 ENGINE_FACTORIES = {
@@ -69,7 +65,7 @@ ENGINE_FACTORIES = {
     "lg-mrf": lambda seed: EnsembleLubyGlauberMRF(
         ising_mrf(path_graph(5), beta=0.9, field=0.4), REPLICAS, seed=seed
     ),
-    "sequential-fallback": _fallback_ensemble,
+    "lm-mrf": _lm_mrf_ensemble,
     "sharded": lambda seed: ShardedEnsemble(
         proper_coloring_mrf(grid_graph(3, 3), 5),
         REPLICAS,

@@ -113,7 +113,7 @@ class TestRunner:
         table = result.table
         assert table["schema"] == SCHEMA
         assert table["name"] == "unit"
-        assert table["counts"] == {"total": 4, "ok": 4, "error": 0, "dedup": 0, "fallback": 0}
+        assert table["counts"] == {"total": 4, "ok": 4, "error": 0, "dedup": 0}
         json.dumps(table)  # the table must be plain JSON
         for row in table["cells"]:
             assert row["status"] == "ok"
@@ -127,7 +127,7 @@ class TestRunner:
             axes={"size": [4], "method": ["glauber", "glauber"], "replicas": [48]},
         )
         result = run_sweep(expand_grid(config), mode="local")
-        assert result.counts == {"total": 2, "ok": 1, "error": 0, "dedup": 1, "fallback": 0}
+        assert result.counts == {"total": 2, "ok": 1, "error": 0, "dedup": 1}
         dedup_row = result.table["cells"][1]
         assert dedup_row["status"] == "dedup"
         assert dedup_row["dedup_of"] == 0
@@ -145,7 +145,7 @@ class TestRunner:
             axes={"size": [5], "method": ["glauber"], "replicas": [48]},
         )
         result = run_sweep(expand_grid(config), mode="local")
-        assert result.counts == {"total": 2, "ok": 1, "error": 1, "dedup": 0, "fallback": 0}
+        assert result.counts == {"total": 2, "ok": 1, "error": 1, "dedup": 0}
         by_model = {row["coords"]["model"]: row for row in result.rows}
         assert by_model["good"]["status"] == "ok"
         assert by_model["bad"]["status"] == "error"
@@ -268,7 +268,7 @@ class TestFamilyCoverage:
             {"family": "list-coloring", "graph": "cycle", "q": 5, "list_size": 3}
         )
         result = run_sweep(expand_grid(config), mode="local")
-        assert result.counts == {"total": 1, "ok": 1, "error": 0, "dedup": 0, "fallback": 0}
+        assert result.counts == {"total": 1, "ok": 1, "error": 0, "dedup": 0}
         row = result.table["cells"][0]
         assert row["checks"]["stationarity"]["applicable"]
 
