@@ -194,10 +194,6 @@ class ArrayBackend(ABC):
         """Elementwise select (broadcasting)."""
 
     @abstractmethod
-    def clip(self, a, lo, hi):
-        """Elementwise clamp into ``[lo, hi]``."""
-
-    @abstractmethod
     def sum(self, a, axis=None):
         """Sum (bool inputs count as int)."""
 

@@ -112,9 +112,6 @@ class NumpyBackend(ArrayBackend):
     def where(self, cond, a, b):
         return np.where(cond, a, b)
 
-    def clip(self, a, lo, hi):
-        return np.clip(a, lo, hi)
-
     def sum(self, a, axis=None):
         return np.sum(a, axis=axis)
 

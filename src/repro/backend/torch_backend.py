@@ -207,9 +207,6 @@ class TorchBackend(ArrayBackend):
     def where(self, cond, a, b):
         return self.torch.where(cond, a, b)
 
-    def clip(self, a, lo, hi):
-        return self.torch.clamp(a, lo, hi)
-
     def sum(self, a, axis=None):
         if a.dtype is self.torch.bool:
             a = a.to(self.torch.int64)

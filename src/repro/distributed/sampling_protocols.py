@@ -28,6 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.chains.cftp import _inverse_cdf_spin
+from repro.chains.ensemble import _settle_fallthrough
 from repro.chains.glauber import sample_spin
 from repro.errors import ProtocolError
 from repro.local.network import Network
@@ -294,8 +295,7 @@ class VectorizedLubyGlauber(_VectorizedSamplingBase):
         cdf = xp.cumsum(weights, axis=1)
         draws = xp.random(ctx.rng, int(selected.shape[0])) * totals
         new_spins = xp.sum(cdf <= draws[:, None], axis=1)
-        new_spins = xp.clip(new_spins, 0, ctx.state["q"] - 1)
-        spins[selected] = new_spins
+        spins[selected] = _settle_fallthrough(xp, new_spins, weights)
 
 
 class VectorizedLocalMetropolis(_VectorizedSamplingBase):
@@ -340,12 +340,11 @@ class VectorizedLocalMetropolis(_VectorizedSamplingBase):
         xp = ctx.xp
         spins = ctx.state["spins"]
         cdf = ctx.state["proposal_cdf"]
-        q = ctx.state["q"]
         # Proposals via vectorised inverse-CDF — identical semantics to the
-        # reference's searchsorted(side="right") per node.
+        # reference's _inverse_cdf_spin per node.
         draws = xp.random(ctx.rng, ctx.n)
         proposals = xp.sum(cdf <= draws[:, None], axis=1)
-        proposals = xp.clip(proposals, 0, q - 1)
+        proposals = _settle_fallthrough(xp, proposals, ctx.state["vertex_activity_d"])
         shares = xp.random(ctx.rng, ctx.n)
         if ctx.m == 0:
             spins[...] = proposals

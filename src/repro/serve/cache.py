@@ -4,14 +4,17 @@ Keys are :meth:`repro.spec.JobSpec.cache_key` digests — a key equality
 *guarantees* result equality (the key hashes everything that can reach a
 sampled bit, and sampling is a pure function of it), so serving a cached
 entry is indistinguishable from re-running the job.  Values are the
-wire-encoded result payloads, ready to be written into a response with no
-re-encoding.
+wire-encoded result documents of :mod:`repro.serve.wire`, so a hit skips
+the result encoder: a sample batch is stored as one base64 string, and
+the server's ``json.dumps`` of the response copies it.
 
 Eviction is LRU over *two* bounds — a maximum entry count (``capacity``)
 and a maximum total payload size (``max_bytes``, measured as the JSON
-encoding of each value at insertion) — whichever is exceeded first.  A
-single sample_many result can be orders of magnitude larger than a
-mixing-time scalar, so an entry-count bound alone does not bound memory.
+encoding of each value at insertion, which is about its size on the
+wire: 11 kB for an n=256, R=32 sample batch) — whichever is exceeded
+first.  A single sample_many result can be orders of magnitude larger
+than a mixing-time scalar, so an entry-count bound alone does not bound
+memory.
 
 Entries carry an optional *model fingerprint* tag; :meth:`invalidate`
 drops every entry tagged with a given fingerprint, which is how the

@@ -67,8 +67,10 @@ def validate_method(model, method: str) -> None:
 
 #: Wire-format version; bumped on incompatible changes so a client and a
 #: long-running daemon from different releases fail loudly, not subtly.
-#: Version 2 carries models in the palette form of :mod:`repro.serialize`.
-WIRE_VERSION = 2
+#: Version 2 carries models in the palette form of :mod:`repro.serialize`;
+#: version 3 returns sample batches as base64 arrays in their spin dtype
+#: (:mod:`repro.serve.wire`).
+WIRE_VERSION = 3
 
 #: A model fingerprint: the SHA-256 hex digest of its canonical payload.
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")

@@ -29,7 +29,7 @@ import repro.spec
 from repro.csp.builders import not_all_equal_csp
 from repro.csp.model import LocalCSP
 from repro.errors import ServeError, ServerOverloadedError
-from repro.graphs import cycle_graph, grid_graph
+from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.mrf import MRF, proper_coloring_mrf
 from repro.serve import ReproServer, ResultCache, ServeClient
 from repro.spec import JobSpec
@@ -40,6 +40,11 @@ SEED = 20170625
 @pytest.fixture(scope="module")
 def coloring():
     return proper_coloring_mrf(grid_graph(3, 3), 5)
+
+
+@pytest.fixture(scope="module")
+def wide_coloring():
+    return proper_coloring_mrf(path_graph(4), 200)
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +84,17 @@ def _wait_until(predicate, timeout=30.0, interval=0.05):
 
 
 class TestBitIdentity:
-    def test_sample_many_cold_and_hit_match_direct(self, client, coloring):
-        spec = JobSpec.sample_many(coloring, 16, seed=SEED, rounds=12)
+    # q=5 spins travel as int8; q=200 spins (up to 199) as int16.
+    @pytest.mark.parametrize("model", ["coloring", "wide_coloring"])
+    def test_sample_many_cold_and_hit_match_direct(self, client, request, model):
+        spec = JobSpec.sample_many(request.getfixturevalue(model), 16, seed=SEED, rounds=12)
         direct = repro.run_spec(spec)
         cold = client.submit(spec)
         hit = client.submit(spec)
         assert cold["cached"] is False and hit["cached"] is True
         np.testing.assert_array_equal(cold["result"], direct)
         np.testing.assert_array_equal(hit["result"], direct)
-        assert hit["result"].dtype == direct.dtype
+        assert cold["result"].dtype == hit["result"].dtype == direct.dtype == np.int64
 
     def test_tv_curve_bitwise(self, client, small_coloring):
         spec = JobSpec.tv_curve(small_coloring, (1, 2, 4, 8), replicas=64, seed=3)
@@ -267,12 +274,20 @@ class TestDisconnectAndCancel:
 
 
 class TestProtocolErrors:
-    def test_malformed_spec_is_400(self, server):
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [
+            ({"kind": "x"}, "kind"),
+            # a client of the int-list result form is refused by version
+            ({"version": 2, "kind": "sample_many"}, "speaks version 3"),
+        ],
+    )
+    def test_malformed_spec_is_400(self, server, spec, needle):
         connection = http.client.HTTPConnection(*server.address, timeout=30)
-        connection.request("POST", "/v1/jobs", body=json.dumps({"spec": {"kind": "x"}}))
+        connection.request("POST", "/v1/jobs", body=json.dumps({"spec": spec}))
         response = connection.getresponse()
         assert response.status == 400
-        assert "kind" in json.loads(response.read())["error"]
+        assert needle in json.loads(response.read())["error"]
         connection.close()
 
     def test_invalid_json_is_400(self, server):
@@ -513,6 +528,7 @@ class TestFingerprintFastPath:
             events = list(cli.stream(spec))
             assert events[-1]["event"] == "result"
             assert events[-1]["cached"] is True
+            np.testing.assert_array_equal(events[-1]["result"], repro.run_spec(spec))
 
 
 class TestCacheByteBound:
