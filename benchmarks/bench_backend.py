@@ -1,15 +1,11 @@
 """E18 — array-backend throughput: numpy vs torch-CPU on the hot kernels.
 
 The pluggable backend layer (:mod:`repro.backend`) runs the replica-ensemble
-engines and the vectorized LOCAL runtime through one array-ops interface.
-This experiment measures what the indirection costs (numpy through the shim
-is the baseline the regression gate tracks) and what a torch backend buys on
-the two workloads the tentpole names:
-
-* **E12-style ensemble workload** — ``EnsembleLocalMetropolisColoring`` on a
-  random 6-regular colouring instance, replica-rounds/sec;
-* **E13-style LOCAL workload** — the vectorized LubyGlauber protocol on the
-  same instance family, rounds/sec.
+engines through one array-ops interface.  This experiment measures what the
+indirection costs (numpy through the shim is the baseline the regression
+gate tracks) and what a torch backend buys on an E12-style ensemble
+workload: ``EnsembleLocalMetropolisColoring`` on a random 6-regular
+colouring instance, replica-rounds/sec.
 
 Metrics are emitted per backend (``numpy`` always; ``torch-cpu`` only when
 torch is importable, so the committed torch-less baseline and a torch-equipped
@@ -28,9 +24,7 @@ import time
 
 from benchmarks.conftest import report, write_bench_json
 from repro.chains.ensemble import EnsembleLocalMetropolisColoring
-from repro.distributed import run_luby_glauber_protocol
 from repro.graphs import random_regular_graph
-from repro.mrf import proper_coloring_mrf
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
@@ -43,7 +37,6 @@ Q = 21  # > (2 + sqrt 2) * Delta: inside Theorem 1.2's regime
 N = 256 if SMOKE else 4096
 REPLICAS = 32 if SMOKE else 256
 ENSEMBLE_ROUNDS = 8 if SMOKE else 64
-LOCAL_ROUNDS = 20 if SMOKE else 200
 SEED = 20170625
 
 BACKENDS = ["numpy"] + (
@@ -55,40 +48,24 @@ def _metric_key(workload: str, backend: str) -> str:
     return f"{workload}_{backend.replace('-', '_')}_rounds_per_sec"
 
 
-def _instance():
-    graph = random_regular_graph(DEGREE, N, seed=SEED)
-    return graph, proper_coloring_mrf(graph, Q)
-
-
 def backend_throughputs() -> dict[str, float]:
-    graph, mrf = _instance()
+    graph = random_regular_graph(DEGREE, N, seed=SEED)
     metrics: dict[str, float] = {}
     for backend in BACKENDS:
-        best_ensemble = best_local = 0.0
+        best = 0.0
         for _ in range(REPEATS):
             start = time.perf_counter()
             EnsembleLocalMetropolisColoring(
                 graph, Q, REPLICAS, seed=SEED, backend=backend
             ).run(ENSEMBLE_ROUNDS)
             elapsed = time.perf_counter() - start
-            best_ensemble = max(best_ensemble, REPLICAS * ENSEMBLE_ROUNDS / elapsed)
-
-            start = time.perf_counter()
-            config, stats = run_luby_glauber_protocol(
-                mrf, LOCAL_ROUNDS, seed=SEED, engine="vectorized", backend=backend
-            )
-            elapsed = time.perf_counter() - start
-            assert stats.rounds == LOCAL_ROUNDS
-            assert mrf.is_feasible(config)
-            best_local = max(best_local, LOCAL_ROUNDS / elapsed)
-        metrics[_metric_key("ensemble_lm", backend)] = best_ensemble
-        metrics[_metric_key("local_lg", backend)] = best_local
+            best = max(best, REPLICAS * ENSEMBLE_ROUNDS / elapsed)
+        metrics[_metric_key("ensemble_lm", backend)] = best
     if "torch-cpu" in BACKENDS:
-        for workload in ("ensemble_lm", "local_lg"):
-            metrics[f"{workload}_torch_cpu_vs_numpy"] = (
-                metrics[_metric_key(workload, "torch-cpu")]
-                / metrics[_metric_key(workload, "numpy")]
-            )
+        metrics["ensemble_lm_torch_cpu_vs_numpy"] = (
+            metrics[_metric_key("ensemble_lm", "torch-cpu")]
+            / metrics[_metric_key("ensemble_lm", "numpy")]
+        )
     return metrics
 
 
@@ -99,14 +76,11 @@ def test_backend_throughput():
         f"random {DEGREE}-regular graph (n={N}), q={Q} colourings",
         f"ensemble: LocalMetropolis, R={REPLICAS} replicas, {ENSEMBLE_ROUNDS} rounds "
         "(replica-rounds/sec)",
-        f"LOCAL:    vectorized LubyGlauber, {LOCAL_ROUNDS} rounds (rounds/sec)",
-        f"{'backend':>10} {'ensemble-LM':>13} {'LOCAL-LG':>11}",
+        f"{'backend':>10} {'ensemble-LM':>13}",
     ]
     for backend in BACKENDS:
         lines.append(
-            f"{backend:>10} "
-            f"{metrics[_metric_key('ensemble_lm', backend)]:>13.3g} "
-            f"{metrics[_metric_key('local_lg', backend)]:>11.3g}"
+            f"{backend:>10} {metrics[_metric_key('ensemble_lm', backend)]:>13.3g}"
         )
     if "torch-cpu" not in BACKENDS:
         lines.append("(torch not installed — numpy series only)")

@@ -1,21 +1,21 @@
-"""Array backends: selecting one, verifying parity, timing numpy vs torch.
+"""Array backends: selecting one and timing numpy vs torch.
 
-The replica-ensemble engines and the vectorized LOCAL runtime run their hot
-loops through the pluggable array-ops layer in :mod:`repro.backend`.  This
-example shows the three things a user of that layer cares about:
+The replica-ensemble engines run their hot loops through the pluggable
+array-ops layer in :mod:`repro.backend`.  This example shows:
 
 1. **Selection** — a backend can be named per call (``backend=`` on
    ``sample_many`` / ``make_ensemble``), per job (``JobSpec.backend``), or
    per process (``$REPRO_BACKEND``); explicit argument wins, then the spec,
    then the environment, then ``numpy``.
-2. **Reproducibility** — every backend draws its proposals from the engine's
-   single numpy ``Generator``, so runs are seed-for-seed deterministic on any
-   backend; the numpy backend is additionally *bit-identical* to the
-   pre-backend engines, torch backends are distributionally equivalent.
-3. **Throughput** — a small numpy-vs-torch timing on the two hot workloads
+2. **Throughput** — a small numpy-vs-torch timing on the ensemble workload
    (the tracked version, E18, lives in ``benchmarks/bench_backend.py``).
 
-Runs fine without torch installed: the torch sections are skipped with a
+Every backend draws its proposals from the engine's single numpy
+``Generator``, so runs are seed-for-seed deterministic on any backend; the
+numpy backend is additionally *bit-identical* to the pre-backend engines,
+torch backends are distributionally equivalent.
+
+Runs fine without torch installed: the torch timing is skipped with a
 note, the numpy sections always run.
 
 Run:  PYTHONPATH=src python examples/backend_bench.py
@@ -26,11 +26,8 @@ from __future__ import annotations
 import importlib.util
 import time
 
-import numpy as np
-
 import repro
 from repro.chains.ensemble import EnsembleLocalMetropolisColoring
-from repro.distributed import run_luby_glauber_protocol
 from repro.graphs import random_regular_graph
 from repro.mrf import proper_coloring_mrf
 
@@ -58,26 +55,6 @@ def selection_demo() -> None:
         print(f"unknown names fail loudly: {err}")
 
 
-def parity_demo() -> None:
-    if not HAVE_TORCH:
-        print("\ntorch not installed — skipping numpy/torch parity check")
-        print("(install with: pip install 'repro-local-sampling[gpu]')")
-        return
-    graph = random_regular_graph(6, 120, seed=2)
-    mrf = proper_coloring_mrf(graph, 21)
-    runs = {
-        backend: run_luby_glauber_protocol(
-            mrf, 30, seed=3, engine="vectorized", backend=backend
-        )[0]
-        for backend in ("numpy", "torch-cpu")
-    }
-    agree = float(np.mean(runs["numpy"] == runs["torch-cpu"]))
-    print("\nLubyGlauber, 30 rounds, same seed on numpy and torch-cpu:")
-    print(f"  per-vertex agreement: {agree:.3f}")
-    print("  (shared proposal stream from the numpy RNG bridge; only the")
-    print("   floating-point reduction order differs between backends)")
-
-
 def throughput_demo() -> None:
     backends = ["numpy"] + (["torch-cpu"] if HAVE_TORCH else [])
     graph = random_regular_graph(6, 512, seed=4)
@@ -91,13 +68,13 @@ def throughput_demo() -> None:
         elapsed = time.perf_counter() - start
         print(f"  {backend:>9}: {elapsed:6.2f} s ({replicas * rounds / elapsed:10.3g} replica-rounds/s)")
     if not HAVE_TORCH:
-        print("  (torch not installed — numpy only)")
+        print("  (torch not installed — numpy only; install with:")
+        print("   pip install 'repro-local-sampling[gpu]')")
     print("full tracked comparison: benchmarks/bench_backend.py (E18)")
 
 
 def main() -> None:
     selection_demo()
-    parity_demo()
     throughput_demo()
 
 

@@ -76,11 +76,10 @@ MUTATIONS = {
 
 #: Execution engines for :func:`sample`.  ``"chain"`` advances a global
 #: configuration directly (the analyst's view; fastest for one sample);
-#: ``"reference"`` and ``"vectorized"`` execute the genuine LOCAL-model
-#: message-passing protocol of :mod:`repro.distributed` on the
-#: :mod:`repro.local` runtime — per-node dict semantics vs whole-graph
-#: array rounds respectively.
-ENGINES = ("chain", "reference", "vectorized")
+#: ``"reference"`` executes the genuine LOCAL-model message-passing
+#: protocol of :mod:`repro.distributed` on the per-node :mod:`repro.local`
+#: runtime.
+ENGINES = ("chain", "reference")
 
 #: Safety factor applied to the heuristic round budgets.  The paper's
 #: theorems give O(.) bounds; the constants here were validated against the
@@ -162,11 +161,12 @@ def sample(
         Chain seeding and starting configuration.
     engine:
         ``"chain"`` (default) advances a global configuration directly;
-        ``"reference"`` / ``"vectorized"`` run the LOCAL-model
-        message-passing protocol on the corresponding runtime engine.  The
-        two distributed methods support all three engines on MRFs and the
-        reference engine on CSPs; ``"glauber"`` has no LOCAL protocol and
-        only supports ``"chain"``.
+        ``"reference"`` runs the LOCAL-model message-passing protocol on
+        the per-node runtime, for MRFs and CSPs alike.  ``"glauber"`` has
+        no LOCAL protocol and only supports ``"chain"``.  For round
+        complexity at scale use :func:`sample_many` or
+        :func:`make_ensemble`: each step of those engines is one LOCAL
+        round.
 
     Returns
     -------
@@ -178,9 +178,11 @@ def sample(
     validate_method(model, method)
     if rounds is None:
         rounds = default_round_budget(model, method, eps)
+    if rounds < 0:
+        raise ModelError(f"rounds must be >= 0, got {rounds}")
     if isinstance(model, LocalCSP):
         return _sample_csp(model, method, rounds, seed, initial, engine)
-    if engine != "chain":
+    if engine == "reference":
         if method == "glauber":
             raise ModelError(
                 "method 'glauber' has no LOCAL-model protocol; use engine='chain'"
@@ -199,7 +201,7 @@ def sample(
             if method == "local-metropolis"
             else run_luby_glauber_protocol
         )
-        config, _ = runner(model, rounds, seed=seed, initial=initial, engine=engine)
+        config, _ = runner(model, rounds, seed=seed, initial=initial)
         return config
     if method == "local-metropolis":
         chain = LocalMetropolisChain(model, initial=initial, seed=seed)
@@ -220,11 +222,6 @@ def _sample_csp(
     engine: str,
 ) -> np.ndarray:
     """CSP branch of :func:`sample`: sequential CSP chains or LOCAL protocol."""
-    if engine == "vectorized":
-        raise ModelError(
-            "CSP protocols run on the reference LOCAL runtime only; use "
-            "engine='chain' or engine='reference'"
-        )
     if engine == "reference":
         from repro.distributed.csp_protocols import (
             run_local_metropolis_csp_protocol,

@@ -1,9 +1,9 @@
 """Pluggable array backends for the ensemble engines.
 
-The replica-ensemble engines and the vectorized LOCAL runtime run their
-hot loops through the :class:`~repro.backend.base.ArrayBackend` interface
-(conventionally bound to a local ``xp``), so one engine implementation
-serves numpy, torch CPU and torch CUDA.
+The replica-ensemble engines run their hot loops through the
+:class:`~repro.backend.base.ArrayBackend` interface (conventionally bound
+to a local ``xp``), so one engine implementation serves numpy, torch CPU
+and torch CUDA.
 
 Selection order, everywhere a backend can be named::
 

@@ -1,8 +1,7 @@
 """The array-ops interface every execution backend implements.
 
-The replica-ensemble engines (:mod:`repro.chains.ensemble`) and the
-vectorized LOCAL runtime (:mod:`repro.local.vectorized`) express their hot
-loops as a small set of kernel primitives — CSR gathers/scatters, sparse
+The replica-ensemble engines (:mod:`repro.chains.ensemble`) express their
+hot loops as a small set of kernel primitives — CSR gathers/scatters, sparse
 count matmuls, flat gathers, products — over
 ``(R, n)``-batched arrays.  :class:`ArrayBackend` names exactly those
 primitives, so the same engine code runs on any array library that can
@@ -153,10 +152,6 @@ class ArrayBackend(ABC):
         """``np.repeat``: element ``a[i]`` repeated ``repeats[i]`` times."""
 
     @abstractmethod
-    def concatenate(self, parts):
-        """Concatenate 1-D arrays."""
-
-    @abstractmethod
     def bincount(self, x, minlength):
         """Occurrence counts of the non-negative ints in ``x``."""
 
@@ -198,16 +193,8 @@ class ArrayBackend(ABC):
         """Sum (bool inputs count as int)."""
 
     @abstractmethod
-    def cumsum(self, a, axis):
-        """Cumulative sum along ``axis``."""
-
-    @abstractmethod
     def any(self, a) -> bool:
         """Python bool: any entry truthy."""
-
-    @abstractmethod
-    def all(self, a) -> bool:
-        """Python bool: all entries truthy."""
 
     @abstractmethod
     def argmax(self, a) -> int:

@@ -88,9 +88,6 @@ class NumpyBackend(ArrayBackend):
     def repeat(self, a, repeats):
         return np.repeat(a, repeats)
 
-    def concatenate(self, parts):
-        return np.concatenate(parts)
-
     def bincount(self, x, minlength):
         return np.bincount(x, minlength=minlength)
 
@@ -115,14 +112,8 @@ class NumpyBackend(ArrayBackend):
     def sum(self, a, axis=None):
         return np.sum(a, axis=axis)
 
-    def cumsum(self, a, axis):
-        return np.cumsum(a, axis=axis)
-
     def any(self, a) -> bool:
         return bool(np.any(a))
-
-    def all(self, a) -> bool:
-        return bool(np.all(a))
 
     def argmax(self, a) -> int:
         return int(np.argmax(a))

@@ -165,9 +165,6 @@ class TorchBackend(ArrayBackend):
     def repeat(self, a, repeats):
         return self.torch.repeat_interleave(a, repeats)
 
-    def concatenate(self, parts):
-        return self.torch.cat(tuple(parts))
-
     def bincount(self, x, minlength):
         return self.torch.bincount(x, minlength=minlength)
 
@@ -212,14 +209,8 @@ class TorchBackend(ArrayBackend):
             a = a.to(self.torch.int64)
         return self.torch.sum(a) if axis is None else self.torch.sum(a, dim=axis)
 
-    def cumsum(self, a, axis):
-        return self.torch.cumsum(a, dim=axis)
-
     def any(self, a) -> bool:
         return bool(a.any())
-
-    def all(self, a) -> bool:
-        return bool(a.all())
 
     def argmax(self, a) -> int:
         return int(self.torch.argmax(a.to(self.torch.int64) if a.dtype is self.torch.bool else a))

@@ -20,6 +20,7 @@ __all__ = [
     "SeedLike",
     "as_generator",
     "as_seed_sequence",
+    "checked_initial",
     "greedy_feasible_config",
     "random_config",
 ]
@@ -86,6 +87,22 @@ def as_seed_sequence(
         f"unsupported seed type {type(seed).__name__}; expected "
         "int | numpy.random.SeedSequence | numpy.random.Generator | None"
     )
+
+
+def checked_initial(initial: Sequence[int] | np.ndarray, n: int, q: int) -> np.ndarray:
+    """Return a start configuration as a fresh int64 array, or raise.
+
+    The one start check of the sequential chains and the LOCAL protocol
+    runners, for MRFs and CSPs alike: ``initial`` must hold exactly ``n``
+    spins, each in ``0..q-1``; anything else raises
+    :class:`~repro.errors.ModelError`.
+    """
+    config = np.array(initial, dtype=np.int64)
+    if config.shape != (n,):
+        raise ModelError(f"initial configuration must have shape ({n},), got {config.shape}")
+    if np.any(config < 0) or np.any(config >= q):
+        raise ModelError(f"initial spins must lie in 0..{q - 1}")
+    return config
 
 
 def random_config(mrf: MRF, rng: np.random.Generator) -> np.ndarray:
@@ -163,14 +180,7 @@ class Chain(ABC):
         if initial is None:
             self.config = greedy_feasible_config(mrf, self.rng)
         else:
-            config = np.asarray(initial, dtype=np.int64)
-            if config.shape != (mrf.n,):
-                raise ModelError(
-                    f"initial configuration must have shape ({mrf.n},), got {config.shape}"
-                )
-            if np.any(config < 0) or np.any(config >= mrf.q):
-                raise ModelError(f"initial spins must lie in 0..{mrf.q - 1}")
-            self.config = config.copy()
+            self.config = checked_initial(initial, mrf.n, mrf.q)
         self.steps_taken = 0
 
     @abstractmethod

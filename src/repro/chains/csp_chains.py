@@ -24,6 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.chains.base import checked_initial
 from repro.chains.glauber import sample_spin
 from repro.chains.schedulers import LubyScheduler
 from repro.csp.hypergraph import conflict_graph
@@ -116,10 +117,7 @@ class _CSPChainBase:
         if initial is None:
             self.config = greedy_csp_config(csp)
         else:
-            config = np.asarray(initial, dtype=np.int64)
-            if config.shape != (csp.n,):
-                raise ModelError(f"initial configuration must have shape ({csp.n},)")
-            self.config = config.copy()
+            self.config = checked_initial(initial, csp.n, csp.q)
         self.steps_taken = 0
 
     def run(self, steps: int) -> np.ndarray:

@@ -709,19 +709,6 @@ def _heatbath_spins(xp: ArrayBackend, rng, weights, v_idx, undefined):
     for spin in range(1, q):
         cdf = cdf + weights[:, spin] / totals
         spins += cdf <= uniforms
-    return _settle_fallthrough(xp, spins, weights)
-
-
-def _settle_fallthrough(xp: ArrayBackend, spins, weights):
-    """Give each inverse-CDF draw that passed every spin a positive-mass one.
-
-    ``spins`` counts, per row of the ``(rows, q)`` ``weights``, the
-    cumulative entries ``<= u``; a row whose count is ``q`` takes its
-    largest positive-mass spin, never a zero-mass one (the rule of
-    :func:`repro.chains.cftp._inverse_cdf_spin`).  Rows that stopped
-    earlier keep their spin.  Updates ``spins`` in place and returns it.
-    """
-    q = int(weights.shape[1])
     past = spins == q
     if xp.any(past):
         rows = xp.nonzero1d(past)

@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=repro.ENGINES,
         default="chain",
         help="execution engine: direct chain, or the LOCAL-model protocol "
-        "on the reference (per-node) or vectorized (array) runtime",
+        "on the reference (per-node) runtime",
     )
     sample.add_argument("--eps", type=float, default=0.05)
     sample.add_argument("--rounds", type=int, default=None)

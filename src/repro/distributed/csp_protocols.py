@@ -29,7 +29,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.chains.csp_chains import constraint_pass_probability
+from repro.chains.base import checked_initial
+from repro.chains.csp_chains import constraint_pass_probability, greedy_csp_config
 from repro.chains.glauber import sample_spin
 from repro.csp.hypergraph import conflict_graph
 from repro.csp.model import LocalCSP
@@ -175,11 +176,9 @@ class LocalMetropolisCSPProtocol(Protocol):
 
 
 def _initial_for(csp: LocalCSP, initial: np.ndarray | None) -> np.ndarray:
-    if initial is not None:
-        return np.asarray(initial, dtype=np.int64)
-    from repro.chains.csp_chains import LubyGlauberCSP
-
-    return LubyGlauberCSP(csp, seed=0).config
+    if initial is None:
+        return greedy_csp_config(csp)
+    return checked_initial(initial, csp.n, csp.q)
 
 
 def run_luby_glauber_csp_protocol(

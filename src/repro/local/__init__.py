@@ -14,31 +14,24 @@ This package provides:
 * :mod:`repro.local.rng` — independent per-node randomness streams;
 * :mod:`repro.local.protocol` — the :class:`Protocol` interface and node contexts;
 * :mod:`repro.local.runtime` — the synchronous scheduler with round/message
-  accounting (``engine="reference"`` per-node semantics, ``engine="vectorized"``
-  array-form dispatch);
-* :mod:`repro.local.vectorized` — whole-graph array round handlers for
-  protocols that declare them.
+  accounting.
+
+This per-node runtime is the executable definition of the model and the
+oracle the batched engines are tested against.  For round complexity at
+scale use :func:`repro.sample_many` or :func:`repro.make_ensemble`: each
+step of those engines is one LOCAL round.
 """
 
 from repro.local.network import Network
 from repro.local.protocol import NodeContext, Protocol
 from repro.local.rng import spawn_node_rngs
-from repro.local.runtime import ENGINES, RunStats, run_protocol
-from repro.local.vectorized import (
-    VectorizedContext,
-    VectorizedProtocol,
-    run_vectorized,
-)
+from repro.local.runtime import RunStats, run_protocol
 
 __all__ = [
-    "ENGINES",
     "Network",
     "NodeContext",
     "Protocol",
     "RunStats",
-    "VectorizedContext",
-    "VectorizedProtocol",
     "run_protocol",
-    "run_vectorized",
     "spawn_node_rngs",
 ]

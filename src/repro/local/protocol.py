@@ -94,13 +94,3 @@ class Protocol(ABC):
     @abstractmethod
     def finalize(self, ctx: NodeContext) -> Any:
         """Return this node's output after the final round."""
-
-    def as_vectorized(self):
-        """Return this protocol's array-form counterpart, or ``None``.
-
-        Protocols with a :class:`repro.local.vectorized.VectorizedProtocol`
-        implementation override this; the runtime's ``engine="vectorized"``
-        dispatch calls it.  The default (``None``) means only the reference
-        engine can execute the protocol.
-        """
-        return None

@@ -14,20 +14,14 @@ import numpy as np
 
 from repro.chains.base import SeedLike, as_seed_sequence
 
-__all__ = ["spawn_node_rngs", "root_seed_sequence"]
-
-
-def root_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    """Coerce ``seed`` into a ``SeedSequence`` (shared :data:`SeedLike` surface).
-
-    Thin alias for :func:`repro.chains.base.as_seed_sequence`, kept so the
-    LOCAL runtime keeps reading in its own vocabulary; a Generator seed
-    draws one int to form the root (same semantics everywhere).
-    """
-    return as_seed_sequence(seed)
+__all__ = ["spawn_node_rngs"]
 
 
 def spawn_node_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators — one ``Psi_v`` per node."""
-    root = root_seed_sequence(seed)
+    """Return ``n`` independent generators — one ``Psi_v`` per node.
+
+    ``seed`` is coerced by :func:`repro.chains.base.as_seed_sequence`; a
+    Generator seed draws one int to form the root.
+    """
+    root = as_seed_sequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(n)]

@@ -8,12 +8,11 @@ from typing import Any
 import numpy as np
 
 from repro.chains.base import SeedLike
-from repro.errors import ProtocolError
 from repro.local.network import Network
 from repro.local.protocol import NodeContext, Protocol
 from repro.local.rng import spawn_node_rngs
 
-__all__ = ["ENGINES", "RunStats", "run_protocol"]
+__all__ = ["RunStats", "run_protocol"]
 
 
 @dataclass
@@ -57,20 +56,19 @@ def _payload_atoms(message: Any) -> int:
     return 1
 
 
-ENGINES = ("reference", "vectorized")
-
-
 def run_protocol(
     protocol: Protocol,
     network: Network,
     rounds: int,
     seed: SeedLike = None,
     private_inputs: list[Any] | None = None,
-    engine: str = "reference",
     collect_stats: bool = True,
-    backend: str | None = None,
-) -> tuple[list[Any] | np.ndarray, RunStats]:
+) -> tuple[list[Any], RunStats]:
     """Execute ``protocol`` on ``network`` for ``rounds`` synchronous rounds.
+
+    Every node runs its own :class:`Protocol` callbacks on its own context,
+    and every message is delivered and counted, so the returned stats are
+    measured, not derived.
 
     Parameters
     ----------
@@ -86,49 +84,17 @@ def run_protocol(
     private_inputs:
         Optional per-node private inputs (length ``n``); ``None`` gives every
         node ``None``.
-    engine:
-        ``"reference"`` (default) runs the per-node dict-based semantics;
-        ``"vectorized"`` dispatches to the protocol's array-form counterpart
-        (:meth:`Protocol.as_vectorized`), which must exist.
     collect_stats:
         When False, skip the per-message payload walk entirely —
         ``max_message_atoms`` and ``messages_per_round`` stay empty, but
         ``rounds`` and ``messages`` are still counted (they are free).
-    backend:
-        Array backend for the vectorized engine (``None`` resolves via
-        ``$REPRO_BACKEND``, then numpy); the reference engine is pure
-        Python and ignores it.
 
     Returns
     -------
     (outputs, stats):
-        ``outputs[v]`` is node ``v``'s output (a list for the reference
-        engine, an ``(n,)`` ndarray for the vectorized engine); ``stats``
-        is the round and message accounting.
+        ``outputs[v]`` is node ``v``'s output; ``stats`` is the round and
+        message accounting.
     """
-    if engine not in ENGINES:
-        raise ProtocolError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine == "vectorized":
-        from repro.local.vectorized import VectorizedProtocol, run_vectorized
-
-        if isinstance(protocol, VectorizedProtocol):
-            vectorized = protocol
-        else:
-            vectorized = protocol.as_vectorized()
-            if vectorized is None:
-                raise ProtocolError(
-                    f"{type(protocol).__name__} has no vectorized form; "
-                    "use engine='reference'"
-                )
-        return run_vectorized(
-            vectorized,
-            network,
-            rounds,
-            seed=seed,
-            private_inputs=private_inputs,
-            collect_stats=collect_stats,
-            backend=backend,
-        )
     n = network.n
     rngs = spawn_node_rngs(seed, n)
     if private_inputs is None:

@@ -12,8 +12,7 @@ Three layers, all stdlib-only:
   explicit context export/adopt for crossing the exec pool's
   process boundary.
 * Engine probes live at their call sites (``chains/ensemble.py``,
-  ``local/vectorized.py``, ``dynamic/ensemble.py``, ``exec/jobs.py``,
-  ``repro.serve``) and report the paper-level quantities: rounds/sec,
+  ``dynamic/ensemble.py``, ``exec/jobs.py``, ``repro.serve``) and report the paper-level quantities: rounds/sec,
   accepted-move fractions, Luby independent-set sizes, region sizes
   and budgets, per-backend kernel seconds.
 

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 import repro
+from repro.csp import not_all_equal_csp
 from repro.errors import ModelError
 from repro.graphs import cycle_graph, grid_graph
 from repro.mrf import proper_coloring_mrf
+
+# n=5 models for the argument checks of sample(): an MRF with q=4 and a
+# CSP with q=3, each with a valid start.
+START_MODELS = {
+    "mrf": (lambda: proper_coloring_mrf(cycle_graph(5), 4), [0, 1, 0, 1, 2]),
+    "csp": (lambda: not_all_equal_csp([(0, 1, 2), (2, 3, 4)], n=5, q=3), [0, 1, 2, 1, 0]),
+}
 
 
 class TestSample:
@@ -37,6 +45,55 @@ class TestSample:
         a = repro.sample(mrf, seed=3)
         b = repro.sample(mrf, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "seed", [1, np.random.default_rng(5)], ids=["int", "generator"]
+    )
+    def test_reference_engine(self, seed):
+        mrf = proper_coloring_mrf(cycle_graph(6), 5)
+        config = repro.sample(
+            mrf, method="luby-glauber", rounds=20, seed=seed, engine="reference"
+        )
+        assert mrf.is_feasible(config)
+
+    def test_glauber_has_no_local_engine(self):
+        mrf = proper_coloring_mrf(cycle_graph(6), 5)
+        with pytest.raises(ModelError, match="no LOCAL-model protocol"):
+            repro.sample(mrf, method="glauber", engine="reference")
+
+    @pytest.mark.parametrize("engine", ["warp-drive", "vectorized"])
+    def test_unknown_engine_rejected(self, engine):
+        mrf = proper_coloring_mrf(cycle_graph(6), 5)
+        with pytest.raises(ModelError, match=f"unknown engine '{engine}'"):
+            repro.sample(mrf, engine=engine)
+
+    def test_engines_constant(self):
+        assert repro.ENGINES == ("chain", "reference")
+
+    @pytest.mark.parametrize("engine", repro.ENGINES)
+    @pytest.mark.parametrize("kind", sorted(START_MODELS))
+    def test_negative_rounds_rejected(self, kind, engine):
+        model = START_MODELS[kind][0]()
+        with pytest.raises(ModelError, match="rounds must be >= 0, got -1"):
+            repro.sample(model, rounds=-1, seed=1, engine=engine)
+
+    @pytest.mark.parametrize("bad", ["short", "long", "negative", "too-large"])
+    @pytest.mark.parametrize("method", ["local-metropolis", "luby-glauber"])
+    @pytest.mark.parametrize("engine", repro.ENGINES)
+    @pytest.mark.parametrize("kind", sorted(START_MODELS))
+    def test_bad_initial_rejected(self, kind, engine, method, bad):
+        make, valid = START_MODELS[kind]
+        model = make()
+        initial = {
+            "short": valid[:-1],
+            "long": valid + [0],
+            "negative": valid[:-1] + [-1],
+            "too-large": valid[:-1] + [model.q],
+        }[bad]
+        with pytest.raises(ModelError, match="initial"):
+            repro.sample(
+                model, method=method, rounds=5, seed=1, initial=initial, engine=engine
+            )
 
 
 class TestSampleMany:

@@ -250,7 +250,6 @@ class TestTorchKernelParity:
             (lambda xp: xp.take(xp.asarray(floats), xp.asarray(flat_pairs)), True),
             (lambda xp: xp.where(xp.asarray(ints % 2 == 0), xp.asarray(ints), 0), True),
             (lambda xp: xp.sum(xp.asarray(ints <= 2), axis=1), True),
-            (lambda xp: xp.cumsum(xp.asarray(floats), axis=1), False),
             (lambda xp: xp.prod(xp.asarray(floats), axis=0), False),
             (lambda xp: xp.prod(xp.asarray(floats), axis=1), False),
             (lambda xp: xp.argmax_axis(xp.asarray(ints) > 1, axis=1), True),

@@ -35,7 +35,8 @@ class TestCommands:
         for method in ("local-metropolis", "luby-glauber", "glauber"):
             assert method in out
 
-    def test_sample_coloring(self, capsys):
+    @pytest.mark.parametrize("engine", ["chain", "reference"])
+    def test_sample_coloring(self, capsys, engine):
         code = main(
             [
                 "sample",
@@ -49,10 +50,13 @@ class TestCommands:
                 "3",
                 "--rounds",
                 "50",
+                "--engine",
+                engine,
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert f"engine: {engine}" in out
         assert "feasible: True" in out
 
     def test_sample_hardcore_on_grid(self, capsys):
@@ -110,11 +114,27 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_error_path_returns_nonzero(self, capsys):
-        # cycle of size 2 is invalid -> ReproError -> exit code 1.
-        code = main(["sample", "--graph", "cycle", "--size", "2"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # cycle of size 2 is invalid -> ReproError -> exit code 1.
+            (["--graph", "cycle", "--size", "2"], "error"),
+            (
+                ["--graph", "cycle", "--size", "6", "--q", "4", "--rounds", "-1",
+                 "--seed", "1"],
+                "rounds must be >= 0, got -1",
+            ),
+            (
+                ["--method", "glauber", "--engine", "reference", "--size", "6"],
+                "no LOCAL-model protocol",
+            ),
+        ],
+        ids=["bad-graph", "negative-rounds", "glauber-reference"],
+    )
+    def test_error_path_returns_nonzero(self, capsys, argv, message):
+        code = main(["sample", *argv])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestMixCommand:
@@ -351,7 +371,7 @@ class TestParallelCli:
         code = main(
             [
                 "sample", "--graph", "cycle", "--size", "8", "--samples", "4",
-                "--engine", "vectorized",
+                "--engine", "reference",
             ]
         )
         assert code == 1

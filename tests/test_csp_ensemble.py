@@ -275,8 +275,6 @@ class TestApiDispatch:
             csp, method="luby-glauber", rounds=40, seed=3, engine="reference"
         )
         assert config.shape == (4,)
-        with pytest.raises(ModelError, match="reference"):
-            repro.sample(csp, rounds=4, engine="vectorized")
         with pytest.raises(ModelError, match="no CSP kernel"):
             repro.sample(csp, method="glauber", rounds=4)
 

@@ -1,5 +1,6 @@
 """Tests for the message-passing implementations of Algorithms 1 and 2."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -13,6 +14,26 @@ from repro.errors import ProtocolError
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.local import Network, run_protocol
 from repro.mrf import exact_gibbs_distribution, hardcore_mrf, proper_coloring_mrf
+
+RUNNERS = (run_luby_glauber_protocol, run_local_metropolis_protocol)
+
+
+class TestRunners:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_zero_rounds_return_initial(self, runner):
+        mrf = proper_coloring_mrf(cycle_graph(5), 4)
+        initial = np.arange(5) % 2
+        config, stats = runner(mrf, rounds=0, seed=0, initial=initial)
+        assert np.array_equal(config, initial)
+        assert (stats.rounds, stats.messages, stats.max_message_atoms) == (0, 0, 0)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_edgeless_graph_sends_no_messages(self, runner):
+        mrf = proper_coloring_mrf(nx.empty_graph(4), 3)
+        _, stats = runner(mrf, rounds=3, seed=0)
+        assert stats.rounds == 3
+        assert stats.messages == 0
+        assert stats.max_message_atoms == 0
 
 
 class TestPrivateInputs:
@@ -62,6 +83,24 @@ class TestLubyGlauberProtocol:
         ]
         empirical = empirical_distribution(samples, mrf.n, mrf.q)
         assert gibbs.tv_distance(empirical) < 0.06
+
+    def test_rejects_undefined_conditional(self):
+        # A 2-colouring path whose middle vertex sees both colours in its
+        # neighbourhood: once the middle wins the Luby step (seed chosen so
+        # it does in round 1), its conditional marginal is identically zero.
+        mrf = proper_coloring_mrf(path_graph(3), 2)
+        with pytest.raises(ProtocolError, match="conditional marginal undefined"):
+            run_luby_glauber_protocol(mrf, rounds=1, seed=4, initial=np.array([0, 0, 1]))
+
+    def test_collect_stats_false_skips_payload_walk(self):
+        mrf = proper_coloring_mrf(cycle_graph(6), 4)
+        _, full = run_luby_glauber_protocol(mrf, rounds=5, seed=0, collect_stats=True)
+        _, fast = run_luby_glauber_protocol(mrf, rounds=5, seed=0, collect_stats=False)
+        assert fast.rounds == full.rounds
+        assert fast.messages == full.messages
+        assert fast.max_message_atoms == 0  # payload walking skipped
+        assert fast.messages_per_round == []
+        assert full.max_message_atoms == 2
 
     def test_missing_private_input_raises(self):
         from repro.distributed.sampling_protocols import LubyGlauberProtocol

@@ -24,7 +24,9 @@ from repro import JobSpec
 from repro.backend import resolve_backend_name
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
+    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberMRF,
 )
 from repro.csp import (
@@ -32,9 +34,15 @@ from repro.csp import (
     maximal_independent_set_csp,
     not_all_equal_csp,
 )
+from repro.distributed import (
+    run_local_metropolis_csp_protocol,
+    run_local_metropolis_protocol,
+    run_luby_glauber_csp_protocol,
+    run_luby_glauber_protocol,
+)
 from repro.errors import ReproError
 from repro.graphs import cycle_graph, grid_graph, torus_graph
-from repro.mrf import MRF, hardcore_mrf, ising_mrf
+from repro.mrf import MRF, hardcore_mrf, ising_mrf, proper_coloring_mrf
 
 
 def _numpy_default() -> bool:
@@ -83,6 +91,7 @@ def _sample(model, method, seed):
 
 
 MODELS = {
+    "coloring": lambda: proper_coloring_mrf(torus_graph(4, 4), 5),
     "hardcore": lambda: hardcore_mrf(torus_graph(4, 4), 0.7),
     "ising": lambda: ising_mrf(torus_graph(4, 4), 0.3, 1.2),
     "per-edge": per_edge_mrf,
@@ -93,6 +102,10 @@ MODELS = {
 }
 
 SPECS = {
+    # Uniform colourings dispatch to the colouring engines.
+    "coloring-lm": lambda: _sample(MODELS["coloring"](), "local-metropolis", 34),
+    "coloring-lg": lambda: _sample(MODELS["coloring"](), "luby-glauber", 35),
+    "coloring-glauber": lambda: _sample(MODELS["coloring"](), "glauber", 36),
     "hardcore-lg": lambda: _sample(MODELS["hardcore"](), "luby-glauber", 11),
     "hardcore-glauber": lambda: _sample(MODELS["hardcore"](), "glauber", 12),
     "ising-lg": lambda: _sample(MODELS["ising"](), "luby-glauber", 13),
@@ -125,6 +138,9 @@ SPECS = {
 }
 
 GOLDEN = {
+    "coloring-lm": "4127db8f0e1954cdf337653854eb209ed08017eb3948a0796a68827552cfed27",
+    "coloring-lg": "a489db0835922f1d85720a004bb0dd128dfcb2f4cfbd16fafe2f418a14bb8605",
+    "coloring-glauber": "8c398772342bc6f9bf5ee486f112338ac4bb64d86774a3637ea52b3c1de8a450",
     "hardcore-lg": "6eac0d4eaa389bc2eac47606168218573a9783de820921061dc8063707f2a37f",
     "hardcore-glauber": "08681804ee6ade035f9a5b8e709b099ece3f910d90032f5ed30d85d187eee70e",
     "ising-lg": "187228002054df6465a9bb0015b405a5d3f961969dc99fe7ff30086bd2c218ba",
@@ -159,12 +175,47 @@ REGION_RUNS = {
     "lm-csp-region": lambda: EnsembleLocalMetropolisCSP(
         nae_mixed(), REPLICAS, seed=33
     ).advance(3).advance_region(ROUNDS, REGION).config,
+    "lm-coloring-region": lambda: EnsembleLocalMetropolisColoring(
+        torus_graph(4, 4), 5, REPLICAS, seed=37
+    ).advance(3).advance_region(ROUNDS, REGION).config,
+    "lg-coloring-region": lambda: EnsembleLubyGlauberColoring(
+        torus_graph(4, 4), 5, REPLICAS, seed=38
+    ).advance_region(ROUNDS, REGION).config,
 }
 
 REGION_GOLDEN = {
     "glauber-region": "bf6927b832aa89719114c94037b63f71abc861a9a62db86aec01c30dfcda6905",
     "lg-mrf-region": "7cca218f52ee08b7f4902a33c5c884cfa5e85a1bc0866cca64071f5695a22d04",
     "lm-csp-region": "aaabe521bff3b1bda6ecf2805472ea4155eeb4fc1ec52c65075fab6381cee67d",
+    "lm-coloring-region": "baa5e47f6d5aa99e45701b1219d9b30e97b723e0dcf6927750c9fdd363250dd3",
+    "lg-coloring-region": "75704b8f08466bdb13849fb0874c722e0c3e55fbc60bcd92ea6973b9fcf7e84c",
+}
+
+# The reference LOCAL protocols: the per-node runtime's output bits and its
+# measured round, message and payload accounting.
+PROTOCOL_RUNS = {
+    "lg-protocol": lambda: run_luby_glauber_protocol(per_edge_mrf(), ROUNDS, seed=39),
+    "lm-protocol": lambda: run_local_metropolis_protocol(per_edge_mrf(), ROUNDS, seed=40),
+    "lg-csp-protocol": lambda: run_luby_glauber_csp_protocol(nae_mixed(), ROUNDS, seed=41),
+    "lm-csp-protocol": lambda: run_local_metropolis_csp_protocol(
+        nae_mixed(), ROUNDS, seed=42
+    ),
+}
+
+# name -> (digest, rounds, messages, max_message_atoms)
+PROTOCOL_GOLDEN = {
+    "lg-protocol": (
+        "e1cdeba9728021054395d256aedf67458742af8271a86e5a822a51fb46444672", 12, 408, 2
+    ),
+    "lm-protocol": (
+        "9b7c61a3cc34fcb617f57532b7bd0e2427e28ae09b8c2c7d9a2a6290f3f41292", 12, 408, 3
+    ),
+    "lg-csp-protocol": (
+        "db9e984b6b1c1a032e86361963a6fd004b4e74708ef37e47835851731c8b64ca", 12, 360, 2
+    ),
+    "lm-csp-protocol": (
+        "8fec26667daddc44300d096b81a507bdbf8a6c45dfd59d91eac4d8dde07f221a", 12, 360, 6
+    ),
 }
 
 
@@ -176,3 +227,11 @@ def test_run_spec_digest_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(REGION_RUNS))
 def test_region_advance_digest_is_pinned(name):
     assert digest(REGION_RUNS[name]()) == REGION_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_RUNS))
+def test_reference_protocol_digest_is_pinned(name):
+    config, stats = PROTOCOL_RUNS[name]()
+    assert (
+        digest(config), stats.rounds, stats.messages, stats.max_message_atoms
+    ) == PROTOCOL_GOLDEN[name]

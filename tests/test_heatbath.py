@@ -32,18 +32,11 @@ from repro.chains.glauber import sample_spin
 from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.csp import Constraint, LocalCSP
 from repro.csp.model import exact_csp_gibbs_distribution
-from repro.distributed.sampling_protocols import (
-    LocalMetropolisProtocol,
-    SamplingInput,
-    VectorizedLocalMetropolis,
-    VectorizedLubyGlauber,
-)
+from repro.distributed.sampling_protocols import LocalMetropolisProtocol, SamplingInput
 from repro.dynamic import sequential_region_glauber
 from repro.errors import ModelError
 from repro.graphs import path_graph, star_graph
-from repro.local.network import Network
 from repro.local.protocol import NodeContext
-from repro.local.vectorized import VectorizedContext
 from repro.mrf import MRF
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
 from repro.mrf.marginals import conditional_marginal_unnormalized
@@ -113,19 +106,6 @@ class FixedUniforms:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-def one_vectorized_round(protocol, vertex_activity):
-    """The spin of a lone vertex after one round with near-one uniforms."""
-    q = len(vertex_activity)
-    ctx = VectorizedContext(
-        Network(path_graph(1)),
-        FixedUniforms(np.random.default_rng(0)),
-        [SamplingInput(q, vertex_activity, {}, 0)],
-    )
-    protocol.initialize(ctx)
-    protocol.round(ctx, 1)
-    return protocol.finalize(ctx).tolist()
 
 
 class TestLawAgainstExactGibbs:
@@ -262,17 +242,9 @@ class TestSampler:
         protocol.initialize(node)
         protocol.compose(node, 0)
         assert node.state["proposal"] == 9
-        assert one_vectorized_round(VectorizedLocalMetropolis(), self.TAIL) == [9]
         ensemble = near_one(EnsembleLocalMetropolisMRF(mrf, 4, seed=0))
         ensemble.step()
         np.testing.assert_array_equal(ensemble.config, 9)
-
-    def test_vectorized_luby_glauber_skips_a_zero_mass_tail(self):
-        # Unnormalised weights whose row sum rounds to 1 above their cumsum,
-        # so the scaled near-one uniform passes every cumulative entry.
-        weights = self.TAIL / 10
-        assert np.cumsum(weights)[-1] < np.sum(weights) == 1.0
-        assert one_vectorized_round(VectorizedLubyGlauber(), weights) == [9]
 
     def test_sequential_region_glauber_skips_a_zero_mass_head(self):
         """A uniform of exactly 0 must not draw the zero-mass spin 0."""
