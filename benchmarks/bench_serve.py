@@ -75,8 +75,9 @@ def _measure_shape(client: ServeClient, make_spec) -> dict[str, float]:
 
     The hit path is measured twice: shipping the full model dict on every
     request (a fresh client per request, so the server's fingerprint
-    registry is never consulted) vs the fingerprint fast path (one warmed
-    client that sends the ~64-byte digest instead of the model payload).
+    registry is never consulted, and each request opens a new connection)
+    vs the fingerprint fast path (one warmed client that sends the ~64-byte
+    digest instead of the model payload over its kept-alive connection).
     """
     cold = _timed_requests(
         client, [make_spec(SEED + i) for i in range(COLD_REQUESTS)]
@@ -86,11 +87,11 @@ def _measure_shape(client: ServeClient, make_spec) -> dict[str, float]:
     full = []
     for _ in range(HIT_REQUESTS):
         # A fresh client has an empty _known_models set, so it serialises
-        # the whole model; connections are per-request either way.
-        fresh = ServeClient(client.host, client.port)
-        start = time.perf_counter()
-        fresh.submit(warmed)
-        full.append(time.perf_counter() - start)
+        # the whole model, and it has no idle connection to reuse.
+        with ServeClient(client.host, client.port) as fresh:
+            start = time.perf_counter()
+            fresh.submit(warmed)
+            full.append(time.perf_counter() - start)
     hits = _timed_requests(client, [warmed] * HIT_REQUESTS)
     return {
         "cold_rps": COLD_REQUESTS / sum(cold),
@@ -105,8 +106,10 @@ def _measure_shape(client: ServeClient, make_spec) -> dict[str, float]:
 def _measure() -> dict[str, dict[str, float]]:
     batch_model = proper_coloring_mrf(torus_graph(BATCH_SIDE, BATCH_SIDE), BATCH_Q)
     mix_model = proper_coloring_mrf(cycle_graph(6), 3)
-    with ReproServer(workers=2, cache_capacity=4 * COLD_REQUESTS) as server:
-        client = ServeClient(*server.address)
+    with (
+        ReproServer(workers=2, cache_capacity=4 * COLD_REQUESTS) as server,
+        ServeClient(*server.address) as client,
+    ):
         shapes = {
             "batch": _measure_shape(
                 client,

@@ -95,8 +95,7 @@ def csp_update_demo() -> None:
 def serve_mutation_demo() -> None:
     """A mutated model never hits pre-mutation cache entries."""
     mrf = proper_coloring_mrf(torus_graph(4, 4), q=8)
-    with ReproServer(workers=1) as server:
-        client = ServeClient(*server.address)
+    with ReproServer(workers=1) as server, ServeClient(*server.address) as client:
         spec = JobSpec.sample_many(mrf, 32, rounds=8, seed=SEED)
         client.submit(spec)
         hit = client.submit(spec)  # resubmits via the fingerprint fast path

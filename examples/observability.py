@@ -46,8 +46,7 @@ def traced_serve_demo(trace_file: Path) -> None:
     spec = JobSpec.mixing_time(
         model, eps=0.35, replicas=64, stride=4, max_rounds=64, seed=7
     )
-    with ReproServer(workers=1) as server:
-        client = ServeClient(*server.address)
+    with ReproServer(workers=1) as server, ServeClient(*server.address) as client:
         for event in client.stream(spec):
             print(f"stream event: {event['event']}")
         scrape = client.metrics()

@@ -63,8 +63,10 @@ def stats_demo(client: ServeClient) -> None:
 
 
 if __name__ == "__main__":
-    with ReproServer(workers=2, cache_capacity=32, max_pending=8) as server:
-        client = ServeClient(*server.address)
+    with (
+        ReproServer(workers=2, cache_capacity=32, max_pending=8) as server,
+        ServeClient(*server.address) as client,
+    ):
         print(f"== server up on http://{server.host}:{server.port} ==")
         print("\n== unary submit + cache hit ==")
         unary_and_cache_demo(client)

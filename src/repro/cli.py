@@ -590,25 +590,25 @@ def _command_submit(args: argparse.Namespace) -> int:
         raise ReproError(f"--server must be HOST:PORT, got {args.server!r}")
     model = _build_model(args)
     spec = _build_spec(args, model)
-    client = ServeClient(host, int(port), timeout=args.timeout)
-    if args.stream:
-        document = None
-        for event in client.stream(spec):
-            if event["event"] == "accepted":
-                print(f"accepted: job {event['job_id']}", flush=True)
-            elif event["event"] == "checkpoint":
-                print(
-                    f"round {event['round']:>6}   tv {event['value']:.6f}",
-                    flush=True,
-                )
-            elif event["event"] == "result":
-                document = event
-            elif event["event"] == "error":
-                raise ReproError(f"job failed: {event['message']}")
-        if document is None:
-            raise ReproError("stream ended without a result")
-    else:
-        document = client.submit(spec)
+    with ServeClient(host, int(port), timeout=args.timeout) as client:
+        if args.stream:
+            document = None
+            for event in client.stream(spec):
+                if event["event"] == "accepted":
+                    print(f"accepted: job {event['job_id']}", flush=True)
+                elif event["event"] == "checkpoint":
+                    print(
+                        f"round {event['round']:>6}   tv {event['value']:.6f}",
+                        flush=True,
+                    )
+                elif event["event"] == "result":
+                    document = event
+                elif event["event"] == "error":
+                    raise ReproError(f"job failed: {event['message']}")
+            if document is None:
+                raise ReproError("stream ended without a result")
+        else:
+            document = client.submit(spec)
     result = document["result"]
     cached = "hit" if document.get("cached") else "miss"
     print(f"model  : {model.name} (n={model.n})")

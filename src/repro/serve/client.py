@@ -1,10 +1,12 @@
 """Stdlib HTTP client for the sampling daemon.
 
 :class:`ServeClient` speaks the :mod:`repro.serve.server` request API with
-nothing beyond ``http.client``.  Each call opens a fresh connection (the
-server closes connections after every response anyway), so a client
-instance is cheap and safe to share across threads (its only state is the
-set of model fingerprints the server has acknowledged).
+nothing beyond ``http.client``.  Connections persist: a call reuses an
+idle connection of an earlier call when there is one, so a client pays
+for one TCP connect rather than one per request.  A client is safe to
+share across threads (concurrent calls never share a connection), and
+should be closed when done — ``with ServeClient(host, port) as client:``
+— to release its idle connections.
 
 Repeat submissions for the same model take the *fingerprint fast path*:
 once a full model payload has been accepted, later specs on that model
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 
 from repro.errors import ServeError, ServerOverloadedError
 from repro.obs import trace as _obs_trace
@@ -25,6 +28,13 @@ from repro.serve.wire import decode_result
 from repro.spec import JobSpec
 
 __all__ = ["ServeClient"]
+
+_HEADERS = {"Content-Type": "application/json"}
+
+#: How a reused connection fails when the server closed it while idle
+#: (``RemoteDisconnected`` is a ``ConnectionResetError``).  The server never
+#: read the request, so it is safe to send it again on a fresh connection.
+_STALE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 
 
 class _UnknownFingerprintError(ServeError):
@@ -47,36 +57,82 @@ class ServeClient:
         self.port = int(port)
         self.timeout = float(timeout)
         self._known_models: set[str] = set()
+        # Idle keep-alive connections.  A call owns the connection it takes
+        # until it has read the response in full, so the list never holds
+        # more connections than there were concurrent calls.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> ServeClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
-    def _request(self, method: str, path: str, payload=None, stream=False):
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+    def _send(self, method: str, path: str, body, stream: bool):
+        """Send one request; return ``(connection, response)``, body unread.
+
+        A unary call reuses an idle connection when there is one; if that
+        connection turns out stale before any response byte arrives, the
+        request goes once more on a fresh connection.  A stream always
+        opens its own: the server closes it when the stream ends.
+        """
+        if not stream:
+            with self._idle_lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is not None:
+                try:
+                    return connection, _exchange(connection, method, path, body)
+                except _STALE:
+                    pass
+        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        return connection, _exchange(connection, method, path, body)
+
+    def _fetch(self, method: str, path: str, payload=None, stream=False):
+        """Send one request; return ``(connection, response, body bytes)``.
+
+        The body is None for an accepted stream, whose response is left
+        unread on its own connection for the caller to close.  Otherwise the
+        connection goes back to the idle list unless the response closes it.
+        """
+        body = None if payload is None else json.dumps(payload)
+        connection = None
         try:
-            body = None if payload is None else json.dumps(payload)
-            connection.request(
-                method, path, body=body, headers={"Content-Type": "application/json"}
-            )
-            response = connection.getresponse()
+            connection, response = self._send(method, path, body, stream)
             if stream and response.status == 200:
-                return connection, response
+                return connection, response, None
             data = response.read()
-        except ServeError:
+        except (OSError, http.client.HTTPException) as error:
+            if connection is not None:
+                connection.close()
+            raise ServeError(f"request to {self.host}:{self.port} failed: {error}") from error
+        if stream or response.will_close:
             connection.close()
-            raise
-        except OSError as error:
-            connection.close()
-            raise ServeError(f"request to {self.host}:{self.port} failed: {error}")
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return connection, response, data
+
+    def _request(self, method: str, path: str, payload=None, stream=False):
+        connection, response, data = self._fetch(method, path, payload, stream)
+        if data is None:
+            return connection, response
         document = {}
         if data:
             try:
                 document = json.loads(data)
             except ValueError:
                 document = {"error": data.decode("utf-8", "replace")}
-        connection.close()
         if response.status == 429:
             raise ServerOverloadedError(document.get("error", "server overloaded"))
         if response.status == 409 and document.get("unknown_fingerprint"):
@@ -125,17 +181,7 @@ class ServeClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics`` — the Prometheus text-format exposition."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            connection.request("GET", "/v1/metrics")
-            response = connection.getresponse()
-            data = response.read()
-        except OSError as error:
-            raise ServeError(f"request to {self.host}:{self.port} failed: {error}")
-        finally:
-            connection.close()
+        _, response, data = self._fetch("GET", "/v1/metrics")
         if response.status != 200:
             raise ServeError(f"HTTP {response.status} from /v1/metrics")
         return data.decode("utf-8")
@@ -219,3 +265,16 @@ class ServeClient:
 
     def __repr__(self) -> str:
         return f"ServeClient({self.host!r}, {self.port})"
+
+
+def _exchange(connection: http.client.HTTPConnection, method: str, path: str, body):
+    """Send one request on ``connection`` and read the response head.
+
+    The connection is closed if that fails.
+    """
+    try:
+        connection.request(method, path, body=body, headers=_HEADERS)
+        return connection.getresponse()
+    except BaseException:
+        connection.close()
+        raise

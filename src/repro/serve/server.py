@@ -5,11 +5,16 @@ pool with an HTTP/JSON request API (stdlib only — ``asyncio`` transport,
 hand-rolled HTTP/1.1), a content-addressed result cache and admission
 control:
 
+* Connections persist (HTTP/1.1 keep-alive): a client pays for one TCP
+  connect, not one per request.  The server closes a connection after a
+  request that asks for it (``Connection: close`` or HTTP/1.0), a request
+  it cannot frame, a 413, a stream, the 500 safety net, at shutdown, or
+  when the next request is not read in full within ``_READ_TIMEOUT``.
 * ``POST /v1/jobs`` submits a :meth:`repro.spec.JobSpec.to_wire` payload.
   With ``"stream": true`` the response is a ``Connection: close`` JSON-lines
   stream of per-checkpoint :class:`~repro.exec.jobs.JobUpdate` events ending
   in a ``result``/``error`` line; otherwise one JSON document with the final
-  result.
+  result, after which the connection stays open.
 * Requests whose spec has a :meth:`~repro.spec.JobSpec.cache_key` are served
   from the LRU :class:`~repro.serve.cache.ResultCache` when possible —
   bit-identical to a fresh run by the key's contract — and cached on
@@ -54,6 +59,9 @@ __all__ = ["ReproServer"]
 _DISPATCH_POLL = 0.1
 #: Reject request bodies beyond this size (bytes) instead of buffering them.
 _MAX_BODY = 128 * 1024 * 1024
+#: Bound (seconds) on the wait for a connection's next request plus the
+#: reading of its head and body; a connection that misses it is closed.
+_READ_TIMEOUT = 30.0
 
 _REASONS = {
     200: "OK",
@@ -62,8 +70,13 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
+
+_JSON = "application/json"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 _CANCEL_ROUTE = re.compile(r"^/v1/jobs/(\d+)/cancel$")
 
@@ -97,13 +110,30 @@ class _JobContext:
     future: asyncio.Future | None  # unary responses; None for streamed
 
 
+@dataclass(eq=False)
+class _Connection:
+    """Loop-side state of one client connection."""
+
+    writer: asyncio.StreamWriter
+    task: asyncio.Task  # the handler serving this connection
+    keep_alive: bool = True  # cleared by the response that ends the connection
+    idle: bool = True  # awaiting a request (or lingering): shutdown may close it
+
+
+class _Refusal(Exception):
+    """A request that cannot be framed; answered with ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ReproServer:
     """An always-on sampling service over a persistent worker pool.
 
     Usable as a context manager::
 
-        with ReproServer(workers=4) as server:
-            client = ServeClient(*server.address)
+        with ReproServer(workers=4) as server, ServeClient(*server.address) as client:
             batch = client.run(JobSpec.sample_many(model, 256, seed=7))
 
     ``port=0`` (the default) binds an ephemeral port; read the bound
@@ -136,6 +166,8 @@ class ReproServer:
         self._dispatcher: threading.Thread | None = None
         self._server: asyncio.AbstractServer | None = None
         self._contexts: dict[int, _JobContext] = {}
+        self._connections: set[_Connection] = set()  # loop thread only
+        self._accepted = 0
         # fingerprint -> decoded model (loop thread only): a repeat client
         # submits by fingerprint instead of re-shipping the model, and the
         # server resolves it without decoding or hashing anything.
@@ -215,12 +247,23 @@ class ReproServer:
             self._runner.close()
 
     async def _shutdown(self) -> None:
+        # The order matters: on Python >= 3.12.1 wait_closed() waits for
+        # every open connection, so in-flight handlers must be answered and
+        # idle connections closed before it is awaited.  Waiting for the
+        # handlers themselves makes that hold on every version, and leaves
+        # no handler pending when the loop stops.
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for ctx in list(self._contexts.values()):
             self._finish(ctx, {"event": "error", "job_id": ctx.job_id,
                                "message": "server shutting down"})
+        for conn in list(self._connections):
+            if conn.idle:
+                conn.writer.close()
+        if self._connections:
+            await asyncio.wait([conn.task for conn in self._connections])
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def __enter__(self) -> ReproServer:
         self.start()
@@ -320,29 +363,44 @@ class ReproServer:
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
+        conn = _Connection(writer, asyncio.current_task())
+        self._connections.add(conn)
+        self._accepted += 1
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                await self._respond(writer, 400, {"error": "malformed HTTP request"})
-            else:
-                method, path, body = request
-                if body is _TOO_LARGE:
-                    await self._respond(
-                        writer, 413, {"error": "request body too large"}
-                    )
-                else:
-                    await self._route(method, path, body, writer)
+            # A handler that starts after close() began is past the
+            # shutdown sweep of idle connections: it must not wait.
+            while conn.keep_alive and not self._closed:
+                conn.idle = True
+                try:
+                    async with asyncio.timeout(_READ_TIMEOUT):
+                        request = await self._read_request(reader)
+                except TimeoutError:
+                    return  # a silent or slow client: drop the connection
+                if request is None:
+                    return  # the client closed between requests
+                conn.idle = False
+                method, path, body, conn.keep_alive = request
+                await self._route(method, path, body, conn)
+        except _Refusal as refusal:
+            conn.keep_alive = False
+            await self._try_respond(conn, refusal.status, {"error": str(refusal)})
+            conn.idle = True
+            if not self._closed:  # past the shutdown sweep nothing would end it early
+                await _linger(reader, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             # The client hung up; any job it submitted keeps running and
             # its result still lands in the cache via _route_event.
             pass
         except ServeError as error:
-            await self._try_respond(writer, 500, {"error": str(error)})
+            conn.keep_alive = False
+            await self._try_respond(conn, 500, {"error": str(error)})
         except Exception as error:  # pragma: no cover - handler safety net
+            conn.keep_alive = False
             await self._try_respond(
-                writer, 500, {"error": f"{type(error).__name__}: {error}"}
+                conn, 500, {"error": f"{type(error).__name__}: {error}"}
             )
         finally:
+            self._connections.discard(conn)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -350,73 +408,86 @@ class ReproServer:
                 pass
 
     async def _read_request(self, reader):
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1", "replace").split()
-        if len(parts) != 3:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1", "replace").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return None
-        if length > _MAX_BODY:
-            return method, path, _TOO_LARGE
-        body = await reader.readexactly(length) if length > 0 else b""
-        return method, path, body
+        """Read one request as ``(method, path, body, keep_alive)``.
 
-    async def _respond(self, writer, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _respond_text(self, writer, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    async def _try_respond(self, writer, status: int, payload: dict) -> None:
+        Returns None when the client closed the connection between
+        requests.  The head is one read bounded by the reader's 64 KiB
+        limit; a request whose framing cannot be trusted raises
+        :class:`_Refusal`, because on a persistent connection a misread
+        byte would start the next request.
+        """
         try:
-            await self._respond(writer, status, payload)
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if error.partial:
+                raise _Refusal(400, "malformed HTTP request") from None
+            return None
+        except asyncio.LimitOverrunError:
+            raise _Refusal(431, "request head too large") from None
+        request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+        parts = request_line.split()
+        if len(parts) != 3:
+            raise _Refusal(400, "malformed HTTP request")
+        method, path, version = parts
+        fields: dict[str, set[str]] = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            fields.setdefault(name.strip().lower(), set()).add(value.strip())
+        if "transfer-encoding" in fields:
+            raise _Refusal(501, "Transfer-Encoding is not supported; send Content-Length")
+        lengths = fields.get("content-length", {"0"})
+        length = lengths.pop()
+        if lengths or not (length.isascii() and length.isdigit()):
+            raise _Refusal(400, "Content-Length must be one non-negative integer")
+        if int(length) > _MAX_BODY:
+            raise _Refusal(413, "request body too large")
+        body = await reader.readexactly(int(length))
+        tokens = {
+            token.strip().lower()
+            for value in fields.get("connection", ())
+            for token in value.split(",")
+        }
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
+        return method.upper(), path, body, keep_alive
+
+    async def _write(self, conn: _Connection, status: int, body: bytes, content_type: str) -> None:
+        """Write one response; it says ``Connection: close`` when it ends the connection."""
+        if self._closed:
+            conn.keep_alive = False
+        close = "" if conn.keep_alive else "Connection: close\r\n"
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        ).encode("latin-1")
+        conn.writer.write(head + body)
+        await conn.writer.drain()
+
+    async def _respond(self, conn: _Connection, status: int, payload: dict) -> None:
+        await self._write(conn, status, json.dumps(payload).encode("utf-8"), _JSON)
+
+    async def _try_respond(self, conn: _Connection, status: int, payload: dict) -> None:
+        try:
+            await self._respond(conn, status, payload)
         except Exception:  # pragma: no cover - client already gone
             pass
 
-    async def _route(self, method: str, path: str, body: bytes, writer) -> None:
+    async def _route(self, method: str, path: str, body: bytes, conn: _Connection) -> None:
         if method == "GET" and path == "/v1/health":
             await self._respond(
-                writer, 200, {"ok": True, "workers": self.workers}
+                conn, 200, {"ok": True, "workers": self.workers}
             )
             return
         if method == "GET" and path == "/v1/stats":
-            await self._respond(writer, 200, self.stats())
+            await self._respond(conn, 200, self.stats())
             return
         if method == "GET" and path == "/v1/metrics":
-            await self._respond_text(writer, 200, self.render_metrics())
+            await self._write(conn, 200, self.render_metrics().encode("utf-8"), _PROMETHEUS)
             return
         if method == "POST" and path == "/v1/jobs":
             started = perf_counter()
             try:
-                await self._handle_submit(body, writer)
+                await self._handle_submit(body, conn)
             finally:
                 elapsed = perf_counter() - started
                 with self._latency_lock:
@@ -426,14 +497,14 @@ class ReproServer:
                 )
             return
         if method == "POST" and path == "/v1/invalidate":
-            await self._handle_invalidate(body, writer)
+            await self._handle_invalidate(body, conn)
             return
         cancel = _CANCEL_ROUTE.match(path)
         if method == "POST" and cancel:
             cancelled = self._runner.cancel(int(cancel.group(1)))
-            await self._respond(writer, 200, {"cancelled": bool(cancelled)})
+            await self._respond(conn, 200, {"cancelled": bool(cancelled)})
             return
-        await self._respond(writer, 404, {"error": f"no route {method} {path}"})
+        await self._respond(conn, 404, {"error": f"no route {method} {path}"})
 
     # ------------------------------------------------------------------
     # job submission
@@ -454,7 +525,7 @@ class ReproServer:
             self._models.popitem(last=False)
         return digest
 
-    async def _handle_submit(self, body: bytes, writer) -> None:
+    async def _handle_submit(self, body: bytes, conn: _Connection) -> None:
         try:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict):
@@ -463,14 +534,14 @@ class ReproServer:
             stream = bool(payload.get("stream", False))
         except UnknownModelError as error:
             await self._respond(
-                writer, 409, {"error": str(error), "unknown_fingerprint": True}
+                conn, 409, {"error": str(error), "unknown_fingerprint": True}
             )
             return
         except (ValueError, UnicodeDecodeError) as error:
-            await self._respond(writer, 400, {"error": f"malformed request: {error}"})
+            await self._respond(conn, 400, {"error": f"malformed request: {error}"})
             return
         except ModelError as error:
-            await self._respond(writer, 400, {"error": str(error)})
+            await self._respond(conn, 400, {"error": str(error)})
             return
 
         # An optional trace context rides beside the spec in the body (it
@@ -484,9 +555,9 @@ class ReproServer:
         with _obs_trace.span(
             "serve.request", parent=trace_parent, kind=spec.kind, stream=stream
         ):
-            await self._submit_parsed(spec, stream, writer)
+            await self._submit_parsed(spec, stream, conn)
 
-    async def _submit_parsed(self, spec: JobSpec, stream: bool, writer) -> None:
+    async def _submit_parsed(self, spec: JobSpec, stream: bool, conn: _Connection) -> None:
         fingerprint = self._register_model(spec.model)
         key = spec.cache_key()
         if key is not None:
@@ -500,9 +571,9 @@ class ReproServer:
                     "result": hit["result"],
                 }
                 if stream:
-                    await self._stream_lines(writer, [result_line])
+                    await self._stream_lines(conn, [result_line])
                 else:
-                    await self._respond(writer, 200, result_line)
+                    await self._respond(conn, 200, result_line)
                 return
 
         # Admission control *after* the cache check: a hit costs no worker
@@ -510,7 +581,7 @@ class ReproServer:
         if len(self._contexts) >= self.max_pending:
             self._rejected += 1
             await self._respond(
-                writer,
+                conn,
                 429,
                 {
                     "error": (
@@ -519,6 +590,11 @@ class ReproServer:
                     )
                 },
             )
+            return
+        if self._closed:
+            # close() has begun: a job registered now could miss the
+            # shutdown sweep of in-flight jobs and never settle.
+            await self._respond(conn, 500, {"error": "server shutting down"})
             return
 
         loop = asyncio.get_running_loop()
@@ -537,7 +613,7 @@ class ReproServer:
         try:
             job_id = self._runner.submit(spec)
         except ReproError as error:
-            await self._respond(writer, 500, {"error": str(error)})
+            await self._respond(conn, 500, {"error": str(error)})
             return
         ctx.job_id = job_id
         self._contexts[job_id] = ctx
@@ -545,16 +621,16 @@ class ReproServer:
         if not stream:
             outcome = await ctx.future
             if outcome.get("event") == "result":
-                await self._respond(writer, 200, outcome)
+                await self._respond(conn, 200, outcome)
             else:
                 await self._respond(
-                    writer, 500, {"error": outcome.get("message", "job failed")}
+                    conn, 500, {"error": outcome.get("message", "job failed")}
                 )
             return
 
-        await self._stream_job(writer, ctx)
+        await self._stream_job(conn, ctx)
 
-    async def _handle_invalidate(self, body: bytes, writer) -> None:
+    async def _handle_invalidate(self, body: bytes, conn: _Connection) -> None:
         """``POST /v1/invalidate`` — retire every result of one model.
 
         The cache key already hashes the model fingerprint, so a *mutated*
@@ -571,30 +647,31 @@ class ReproServer:
             if not isinstance(fingerprint, str) or not fingerprint:
                 raise ModelError("invalidate needs a non-empty 'fingerprint' string")
         except (ValueError, UnicodeDecodeError) as error:
-            await self._respond(writer, 400, {"error": f"malformed request: {error}"})
+            await self._respond(conn, 400, {"error": f"malformed request: {error}"})
             return
         except ModelError as error:
-            await self._respond(writer, 400, {"error": str(error)})
+            await self._respond(conn, 400, {"error": str(error)})
             return
         removed = self.cache.invalidate(fingerprint)
         self._models.pop(fingerprint, None)
         self._invalidations += 1
         await self._respond(
-            writer, 200, {"invalidated": removed, "fingerprint": fingerprint}
+            conn, 200, {"invalidated": removed, "fingerprint": fingerprint}
         )
 
-    async def _stream_lines(self, writer, lines) -> None:
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head)
+    async def _stream_lines(self, conn: _Connection, lines) -> None:
+        """Start a JSON-lines stream; it ends when its connection closes."""
+        conn.keep_alive = False
+        conn.writer.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Connection: close\r\n\r\n"
+        )
         for line in lines:
-            writer.write(json.dumps(line).encode("utf-8") + b"\n")
-        await writer.drain()
+            conn.writer.write(json.dumps(line).encode("utf-8") + b"\n")
+        await conn.writer.drain()
 
-    async def _stream_job(self, writer, ctx: _JobContext) -> None:
+    async def _stream_job(self, conn: _Connection, ctx: _JobContext) -> None:
         """Relay a job's event queue as JSON lines until it settles.
 
         A transport error mid-stream (client disconnect) stops the relay
@@ -602,14 +679,14 @@ class ReproServer:
         still caches its result.
         """
         await self._stream_lines(
-            writer, [{"event": "accepted", "job_id": ctx.job_id}]
+            conn, [{"event": "accepted", "job_id": ctx.job_id}]
         )
         while True:
             item = await ctx.queue.get()
             if item is None:
                 return
-            writer.write(json.dumps(item).encode("utf-8") + b"\n")
-            await writer.drain()
+            conn.writer.write(json.dumps(item).encode("utf-8") + b"\n")
+            await conn.writer.drain()
 
     # ------------------------------------------------------------------
     # introspection
@@ -637,6 +714,7 @@ class ReproServer:
             "invalidations": self._invalidations,
             "models": len(self._models),
             "cache": self.cache.stats(),
+            "connections": {"accepted": self._accepted, "open": len(self._connections)},
         }
 
     def render_metrics(self) -> str:
@@ -661,6 +739,10 @@ class ReproServer:
         lines.append(f"repro_serve_invalidations_total {stats['invalidations']}")
         lines.append("# TYPE repro_serve_registered_models gauge")
         lines.append(f"repro_serve_registered_models {stats['models']}")
+        lines.append("# TYPE repro_serve_connections_total counter")
+        lines.append(f"repro_serve_connections_total {stats['connections']['accepted']}")
+        lines.append("# TYPE repro_serve_open_connections gauge")
+        lines.append(f"repro_serve_open_connections {stats['connections']['open']}")
         cache = stats["cache"]
         lines.append("# TYPE repro_serve_cache_events_total counter")
         for event in ("hits", "misses", "evictions", "invalidated"):
@@ -693,8 +775,16 @@ class ReproServer:
         )
 
 
-class _TooLarge:
-    """Sentinel: request body exceeded ``_MAX_BODY`` and was not read."""
+async def _linger(reader, writer) -> None:
+    """Half-close, then discard input until the client closes or the deadline.
 
-
-_TOO_LARGE = _TooLarge()
+    Closing a socket that still holds unread input makes the kernel send a
+    reset, which can destroy the response before the client reads it.
+    """
+    try:
+        writer.write_eof()
+        async with asyncio.timeout(_READ_TIMEOUT):
+            while await reader.read(1 << 16):
+                pass
+    except (OSError, TimeoutError):
+        pass

@@ -180,17 +180,17 @@ def _execute_serve(cells, server: str) -> list[tuple[object, str | None, float |
     host, _, port = str(server).rpartition(":")
     if not host or not port.isdigit():
         raise ModelError(f"server must be HOST:PORT, got {server!r}")
-    client = ServeClient(host, int(port))
     outcomes = []
-    for cell in cells:
-        start = time.perf_counter()
-        try:
-            document = client.submit(cell.spec)
-            outcomes.append((document["result"], None, time.perf_counter() - start))
-        except ServeError as error:
-            outcomes.append(
-                (None, f"{type(error).__name__}: {error}", time.perf_counter() - start)
-            )
+    with ServeClient(host, int(port)) as client:
+        for cell in cells:
+            start = time.perf_counter()
+            try:
+                document = client.submit(cell.spec)
+                outcomes.append((document["result"], None, time.perf_counter() - start))
+            except ServeError as error:
+                outcomes.append(
+                    (None, f"{type(error).__name__}: {error}", time.perf_counter() - start)
+                )
     return outcomes
 
 

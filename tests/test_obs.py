@@ -324,8 +324,10 @@ class TestServedTraceEndToEnd:
         )
         trace.enable_tracing(path)
         try:
-            with ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv:
-                client = ServeClient(*srv.address)
+            with (
+                ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv,
+                ServeClient(*srv.address) as client,
+            ):
                 events = list(client.stream(spec))
                 assert events[-1]["event"] == "result"
 
@@ -361,8 +363,10 @@ class TestServedTraceEndToEnd:
 class TestServeSurface:
     def test_metrics_route_and_stats_latency(self, tmp_path):
         model = proper_coloring_mrf(path_graph(3), 3)
-        with ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv:
-            client = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv,
+            ServeClient(*srv.address) as client,
+        ):
             client.run(
                 JobSpec.sample_many(model, 8, rounds=2, seed=1)
             )

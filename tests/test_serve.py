@@ -11,13 +11,18 @@ The load-bearing guarantees under test:
 * a client disconnecting mid-stream neither kills the worker pool nor
   loses the result (it still lands in the cache);
 * cooperative cancellation settles a queued job through the normal event
-  stream.
+  stream;
+* connections persist across requests, close exactly when the server says
+  so, and neither a slow client nor an idle connection holds the server.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import socket
+import sys
 import threading
 import time
 
@@ -60,7 +65,8 @@ def server():
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ServeClient(*server.address)
+    with ServeClient(*server.address) as cli:
+        yield cli
 
 
 def _post_spec(server, spec_payload) -> tuple[int, dict]:
@@ -81,6 +87,21 @@ def _wait_until(predicate, timeout=30.0, interval=0.05):
             return True
         time.sleep(interval)
     return False
+
+
+def _raw_exchange(server, data: bytes) -> tuple[int, bytes, bytes]:
+    """Send raw bytes and read until the server closes the connection.
+
+    Returns (status, response head, rest).  A server that leaves the
+    connection open fails the read with a socket timeout.
+    """
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, rest
 
 
 class TestBitIdentity:
@@ -138,8 +159,10 @@ class TestCachePolicy:
         assert not np.array_equal(a["result"], b["result"])
 
     def test_lru_eviction_under_small_capacity(self, small_coloring):
-        with ReproServer(workers=1, cache_capacity=2, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=2, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             specs = [
                 JobSpec.sample_many(small_coloring, 4, seed=s, rounds=4)
                 for s in (101, 102, 103)
@@ -172,8 +195,10 @@ class TestAdmissionControl:
     def test_overload_rejects_instead_of_hanging(self, coloring):
         slow = JobSpec.sample_many(coloring, 256, seed=1, rounds=4000, name="slow")
         quick = JobSpec.sample_many(coloring, 2, seed=2, rounds=2)
-        with ReproServer(workers=1, cache_capacity=4, max_pending=1) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=4, max_pending=1) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             results: dict = {}
 
             def occupy():
@@ -198,8 +223,10 @@ class TestAdmissionControl:
     def test_cache_hits_served_even_when_saturated(self, coloring):
         warm = JobSpec.sample_many(coloring, 4, seed=5, rounds=4)
         slow = JobSpec.sample_many(coloring, 256, seed=6, rounds=4000)
-        with ReproServer(workers=1, cache_capacity=4, max_pending=1) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=4, max_pending=1) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             direct = cli.run(warm)  # populate the cache while idle
             results: dict = {}
             thread = threading.Thread(
@@ -249,8 +276,10 @@ class TestDisconnectAndCancel:
     def test_cancel_queued_job_settles_with_error(self, coloring, small_coloring):
         slow = JobSpec.sample_many(coloring, 256, seed=8, rounds=4000)
         queued = JobSpec.sample_many(small_coloring, 4, seed=9, rounds=4)
-        with ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=4, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             results: dict = {}
             thread = threading.Thread(
                 target=lambda: results.update(slow=cli.submit(slow))
@@ -296,6 +325,31 @@ class TestProtocolErrors:
         response = connection.getresponse()
         assert response.status == 400
         connection.close()
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            (b"GET /v1/health HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (b"GET /v1/health HTTP/1.1\r\n" + b"X-A: b\r\n" * 200_000 + b"\r\n", 431),
+            (b"GET /v1/health HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (
+                b"POST /v1/invalidate HTTP/1.1\r\nContent-Length: 2\r\n"
+                b'Content-Length: 25\r\n\r\n{"fingerprint": "abcdef"}',
+                400,
+            ),
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                501,
+            ),
+        ],
+        ids=["long-header-line", "huge-head", "negative-length", "conflicting-lengths",
+             "chunked"],
+    )
+    def test_untrusted_framing_is_refused_then_closed(self, server, data, status):
+        got, head, _ = _raw_exchange(server, data)  # reads to EOF
+        assert got == status
+        assert b"\r\nConnection: close" in head
 
     @pytest.mark.parametrize("fingerprint", [["x"], "x", "0" * 63, None])
     def test_malformed_fingerprint_is_400(self, server, small_coloring, fingerprint):
@@ -380,14 +434,56 @@ class TestLifecycle:
     def test_closed_server_refuses_restart_and_double_close(self):
         srv = ReproServer(workers=1)
         srv.start()
-        cli = ServeClient(*srv.address)
-        assert cli.health()["ok"] is True
-        srv.close()
-        srv.close()  # idempotent
-        with pytest.raises(ServeError, match="closed"):
-            srv.start()
-        with pytest.raises(ServeError):
-            cli.health()
+        with ServeClient(*srv.address) as cli:
+            assert cli.health()["ok"] is True
+            srv.close()
+            srv.close()  # idempotent
+            with pytest.raises(ServeError, match="closed"):
+                srv.start()
+            with pytest.raises(ServeError):
+                cli.health()
+
+    def test_close_is_prompt_with_an_idle_keep_alive_connection(self):
+        srv = ReproServer(workers=1)
+        srv.start()
+        try:
+            with ServeClient(*srv.address) as cli:
+                assert cli.health()["ok"] is True  # its connection stays open
+                assert srv.stats()["connections"]["open"] == 1
+                began = time.monotonic()
+                srv.close()
+                assert time.monotonic() - began < 2.0
+                assert srv.stats()["connections"]["open"] == 0
+        finally:
+            srv.close()
+
+    def test_close_is_prompt_with_a_job_in_flight(self, coloring):
+        slow = JobSpec.sample_many(coloring, 256, seed=10, rounds=8000)
+        srv = ReproServer(workers=1)
+        srv.start()
+        errors: list[str] = []
+        try:
+            with ServeClient(*srv.address) as cli:
+
+                def occupy():
+                    try:
+                        cli.submit(slow)
+                    except ServeError as error:
+                        errors.append(str(error))
+
+                thread = threading.Thread(target=occupy)
+                thread.start()
+                try:
+                    assert _wait_until(lambda: srv.stats()["pending"] >= 1, interval=0.01)
+                    began = time.monotonic()
+                    srv.close()
+                    assert time.monotonic() - began < 2.0
+                finally:
+                    thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            srv.close()
+        assert errors == ["server shutting down"]
 
     def test_address_before_start_raises(self):
         srv = ReproServer(workers=1)
@@ -396,12 +492,140 @@ class TestLifecycle:
         srv.close()
 
 
+class TestKeepAlive:
+    def test_two_requests_share_one_connection(self, server):
+        accepted = server.stats()["connections"]["accepted"]
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            connection.request("GET", "/v1/health")
+            first = connection.getresponse()
+            assert json.loads(first.read())["ok"] is True
+            sock = connection.sock
+            connection.request("GET", "/v1/health")
+            second = connection.getresponse()
+            assert json.loads(second.read())["ok"] is True
+            assert connection.sock is sock
+            assert first.will_close is False and second.will_close is False
+        finally:
+            connection.close()
+        assert server.stats()["connections"]["accepted"] == accepted + 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GET /v1/health HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+            b"GET /v1/health HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_requests_are_answered_then_closed(self, server, data):
+        status, head, body = _raw_exchange(server, data)  # reads to EOF
+        assert status == 200
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["ok"] is True
+
+    def test_stream_closes_its_connection_after_the_terminal_line(
+        self, server, small_coloring
+    ):
+        spec = JobSpec.tv_curve(small_coloring, (1, 2), replicas=16, seed=57)
+        body = json.dumps({"spec": spec.to_wire(), "stream": True}).encode()
+        data = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        status, head, lines = _raw_exchange(server, data)  # reads to EOF
+        assert status == 200
+        assert b"\r\nConnection: close" in head
+        events = [json.loads(line) for line in lines.splitlines()]
+        assert events[0]["event"] == "accepted"
+        assert events[-1]["event"] == "result"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Le",
+            b'POST /v1/jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n{"spec"',
+        ],
+        ids=["silent", "partial-head", "short-body"],
+    )
+    def test_read_deadline_closes_slow_connections(self, server, monkeypatch, data):
+        monkeypatch.setattr("repro.serve.server._READ_TIMEOUT", 0.2)
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(data)
+            assert sock.recv(1024) == b""  # closed without an answer
+
+    def test_client_resends_on_a_connection_closed_while_idle(
+        self, server, monkeypatch, small_coloring
+    ):
+        monkeypatch.setattr("repro.serve.server._READ_TIMEOUT", 0.2)
+        spec = JobSpec.sample_many(small_coloring, 4, seed=4711, rounds=4)
+        with ServeClient(*server.address) as cli:
+            assert cli.health()["ok"] is True
+            (stale,) = cli._idle
+            # The server's deadline closes the idle connection: EOF is readable.
+            assert select.select([stale.sock], [], [], 10)[0]
+            document = cli.submit(spec)  # no error surfaces
+            np.testing.assert_array_equal(document["result"], repro.run_spec(spec))
+            assert stale.sock is None  # tried, found closed, dropped
+            assert cli._idle and cli._idle[0] is not stale
+
+    def test_one_client_uses_one_connection(self, server, client, small_coloring):
+        spec = JobSpec.sample_many(small_coloring, 4, seed=4712, rounds=4)
+        direct = client.run(spec)  # cached from here on
+        accepted = server.stats()["connections"]["accepted"]
+        with ServeClient(*server.address) as cli:
+            for _ in range(20):
+                document = cli.submit(spec)
+                assert document["cached"] is True
+                np.testing.assert_array_equal(document["result"], direct)
+            stats = cli.stats()["connections"]
+            metrics = cli.metrics()
+        assert server.stats()["connections"]["accepted"] == accepted + 1
+        assert stats["accepted"] == accepted + 1 and stats["open"] >= 1
+        assert f"repro_serve_connections_total {accepted + 1}" in metrics
+        assert "# TYPE repro_serve_open_connections gauge" in metrics
+
+    def test_shared_client_under_thread_contention(self, server, small_coloring):
+        threads_n, hits = 8, 25
+        specs = [
+            JobSpec.sample_many(small_coloring, 4, seed=4800 + k, rounds=4)
+            for k in range(threads_n)
+        ]
+        direct = [repro.run_spec(spec) for spec in specs]
+        accepted = server.stats()["connections"]["accepted"]
+        results: dict[int, list] = {k: [] for k in range(threads_n)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeClient(*server.address) as cli:
+                for spec in specs:
+                    cli.run(spec)  # warm the cache
+
+                def hammer(k):
+                    for _ in range(hits):
+                        results[k].append(cli.run(specs[k]))
+
+                threads = [threading.Thread(target=hammer, args=(k,)) for k in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(threads_n):
+            assert len(results[k]) == hits
+            for batch in results[k]:
+                np.testing.assert_array_equal(batch, direct[k])
+        assert server.stats()["connections"]["accepted"] <= accepted + threads_n
+
+
 class TestDynamicModels:
     """Mutation safety: a mutated model must never see pre-mutation results."""
 
     def test_mutation_never_serves_stale_results(self, small_coloring):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             spec = JobSpec.sample_many(small_coloring, 4, seed=SEED, rounds=4)
             assert cli.submit(spec)["cached"] is False
             assert cli.submit(spec)["cached"] is True
@@ -415,8 +639,10 @@ class TestDynamicModels:
             assert np.array_equal(document["result"], direct)
 
     def test_invalidate_route_drops_the_models_entries(self, small_coloring):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             specs = [
                 JobSpec.sample_many(small_coloring, 4, seed=s, rounds=4)
                 for s in (1, 2)
@@ -437,20 +663,22 @@ class TestDynamicModels:
             assert cli.submit(other_spec)["cached"] is True  # untouched
 
     def test_invalidate_validation(self, server):
-        client = ServeClient(*server.address)
         connection = http.client.HTTPConnection(*server.address)
         connection.request(
             "POST", "/v1/invalidate", body=json.dumps({"fingerprint": 7})
         )
         assert connection.getresponse().status == 400
         connection.close()
-        assert client.invalidate("not-a-known-fingerprint") == 0
+        with ServeClient(*server.address) as client:
+            assert client.invalidate("not-a-known-fingerprint") == 0
 
 
 class TestFingerprintFastPath:
     def test_repeat_submissions_skip_the_model_payload(self, small_coloring):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             spec_a = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=4)
             spec_b = JobSpec.sample_many(small_coloring, 4, seed=2, rounds=4)
             first = cli.submit(spec_a)
@@ -469,8 +697,10 @@ class TestFingerprintFastPath:
     def test_unknown_fingerprint_falls_back_to_full_submission(
         self, small_coloring
     ):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             fingerprint = small_coloring.model_fingerprint()
             # pretend a previous life registered the model, then lose it
             cli._known_models.add(fingerprint)
@@ -497,8 +727,10 @@ class TestFingerprintFastPath:
     def test_hit_by_fingerprint_decodes_and_hashes_no_model(
         self, small_coloring, monkeypatch
     ):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             spec = JobSpec.sample_many(small_coloring, 4, seed=13, rounds=4)
             cold = cli.submit(spec)  # full model: decoded, fingerprinted, registered
             calls = []
@@ -521,8 +753,10 @@ class TestFingerprintFastPath:
             assert calls == []  # no decode, no model hash, client or server
 
     def test_streamed_submission_uses_fast_path_too(self, small_coloring):
-        with ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             spec = JobSpec.sample_many(small_coloring, 4, seed=5, rounds=4)
             cli.submit(spec)
             events = list(cli.stream(spec))
@@ -567,10 +801,12 @@ class TestCacheByteBound:
         assert cache.invalidate("f1") == 0
 
     def test_server_byte_occupancy_in_stats(self, small_coloring):
-        with ReproServer(
-            workers=1, cache_capacity=8, cache_max_bytes=1 << 20, max_pending=8
-        ) as srv:
-            cli = ServeClient(*srv.address)
+        with (
+            ReproServer(
+                workers=1, cache_capacity=8, cache_max_bytes=1 << 20, max_pending=8
+            ) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
             cli.submit(JobSpec.sample_many(small_coloring, 4, seed=1, rounds=4))
             stats = cli.stats()["cache"]
             assert stats["max_bytes"] == 1 << 20
