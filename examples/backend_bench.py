@@ -57,14 +57,12 @@ def selection_demo() -> None:
 
 def throughput_demo() -> None:
     backends = ["numpy"] + (["torch-cpu"] if HAVE_TORCH else [])
-    graph = random_regular_graph(6, 512, seed=4)
-    q, replicas, rounds = 21, 64, 16
+    mrf = proper_coloring_mrf(random_regular_graph(6, 512, seed=4), 21)
+    replicas, rounds = 64, 16
     print(f"\nEnsembleLocalMetropolisColoring, n=512, R={replicas}, {rounds} rounds:")
     for backend in backends:
         start = time.perf_counter()
-        EnsembleLocalMetropolisColoring(
-            graph, q, replicas, seed=5, backend=backend
-        ).run(rounds)
+        EnsembleLocalMetropolisColoring(mrf, replicas, seed=5, backend=backend).run(rounds)
         elapsed = time.perf_counter() - start
         print(f"  {backend:>9}: {elapsed:6.2f} s ({replicas * rounds / elapsed:10.3g} replica-rounds/s)")
     if not HAVE_TORCH:

@@ -10,8 +10,8 @@ independent replicas.  This example shows the batched way to run them:
    batches directly — here an empirical-TV-versus-round curve against the
    exact Gibbs distribution of a small model;
 3. a throughput comparison against running the same replicas one
-   sequential fast-path chain at a time (the full-size version, with the
-   >= 10x acceptance gate, lives in ``benchmarks/bench_scale_throughput.py``).
+   one-replica engine at a time (the tracked ensemble series, E12, lives
+   in ``benchmarks/bench_scale_throughput.py``).
 
 Run:  PYTHONPATH=src python examples/ensemble_throughput.py
 """
@@ -23,7 +23,6 @@ import time
 import repro
 from repro.analysis import batch_agreement, batch_tv_to_exact
 from repro.chains.ensemble import EnsembleLocalMetropolisColoring
-from repro.chains.fastpaths import FastLocalMetropolisColoring
 from repro.graphs import path_graph, random_regular_graph
 from repro.mrf import exact_gibbs_distribution, proper_coloring_mrf
 
@@ -37,11 +36,10 @@ def batched_sampling_demo() -> None:
 
 def tv_curve_demo() -> None:
     """Empirical TV to the exact Gibbs distribution, round by round."""
-    graph = path_graph(3)
-    mrf = proper_coloring_mrf(graph, 4)
+    mrf = proper_coloring_mrf(path_graph(3), 4)
     gibbs = exact_gibbs_distribution(mrf)
     replicas = 2000
-    ensemble = EnsembleLocalMetropolisColoring(graph, 4, replicas, seed=2)
+    ensemble = EnsembleLocalMetropolisColoring(mrf, replicas, seed=2)
     print(f"\nTV(empirical over {replicas} replicas, exact Gibbs) on path3/q4:")
     for round_number in (0, 1, 2, 4, 8, 16, 32):
         while ensemble.steps_taken < round_number:
@@ -52,10 +50,10 @@ def tv_curve_demo() -> None:
 
 def agreement_curve_demo() -> None:
     """Two ensembles from opposite starts; mean agreement per round."""
-    graph = random_regular_graph(4, 100, seed=3)
-    cold = EnsembleLocalMetropolisColoring(graph, 16, 256, seed=4)
+    mrf = proper_coloring_mrf(random_regular_graph(4, 100, seed=3), 16)
+    cold = EnsembleLocalMetropolisColoring(mrf, 256, seed=4)
     hot = EnsembleLocalMetropolisColoring(
-        graph, 16, 256, initial=cold.config[:, ::-1].copy(), seed=5
+        mrf, 256, initial=cold.config[:, ::-1].copy(), seed=5
     )
     print("\nmean per-vertex agreement between two independent ensembles:")
     for round_number in (1, 4, 16):
@@ -68,19 +66,19 @@ def agreement_curve_demo() -> None:
 
 
 def throughput_demo() -> None:
-    graph = random_regular_graph(10, 1000, seed=6)
-    q, replicas, rounds = 40, 256, 16
+    mrf = proper_coloring_mrf(random_regular_graph(10, 1000, seed=6), 40)
+    replicas, rounds = 256, 16
     start = time.perf_counter()
     for seed in range(replicas):
-        FastLocalMetropolisColoring(graph, q, seed=seed).run(rounds)
+        EnsembleLocalMetropolisColoring(mrf, 1, seed=seed).run(rounds)
     sequential = time.perf_counter() - start
     start = time.perf_counter()
-    EnsembleLocalMetropolisColoring(graph, q, replicas, seed=7).run(rounds)
+    EnsembleLocalMetropolisColoring(mrf, replicas, seed=7).run(rounds)
     batched = time.perf_counter() - start
-    updates = replicas * graph.number_of_nodes() * rounds
+    updates = replicas * mrf.n * rounds
     print(
         f"\nthroughput, {replicas} replicas x {rounds} rounds on n=1000:\n"
-        f"  sequential: {sequential:6.2f} s ({updates / sequential:10.3g} updates/s)\n"
+        f"  one by one: {sequential:6.2f} s ({updates / sequential:10.3g} updates/s)\n"
         f"  batched:    {batched:6.2f} s ({updates / batched:10.3g} updates/s)\n"
         f"  speedup:    {sequential / batched:.1f}x"
     )

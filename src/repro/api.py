@@ -37,7 +37,6 @@ from repro.chains.ensemble import (
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
     EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
 )
@@ -242,41 +241,6 @@ def _sample_csp(
     return chain.config.copy()
 
 
-def _uniform_coloring_q(mrf: MRF) -> int | None:
-    """Return ``q`` if ``mrf`` is a uniform proper-colouring model, else None.
-
-    Detects the models whose Gibbs distribution is uniform over proper
-    q-colourings — every edge matrix is a positive constant times
-    ``(J - I)`` and every vertex-activity row is a positive constant —
-    which is exactly when the specialised colouring ensembles of
-    :mod:`repro.chains.ensemble` apply.  Constant rescalings do not change
-    the distribution, so they are accepted.
-    """
-    # Relative comparisons only (atol=0): activities are scale-free, so a
-    # default absolute tolerance would misclassify small-magnitude
-    # non-uniform models as uniform colourings.
-    activity = mrf.vertex_activity
-    if np.any(activity <= 0.0) or not np.allclose(
-        activity, activity[:, :1], rtol=1e-9, atol=0.0
-    ):
-        return None
-    off_diagonal = ~np.eye(mrf.q, dtype=bool)
-    # The per-edge checks are independent, so edges sharing one frozen
-    # matrix object (the homogeneous / copy-on-write case) are checked once.
-    seen: set[int] = set()
-    for u, v in mrf.edges:
-        matrix = mrf.edge_activity(u, v)
-        if id(matrix) in seen:
-            continue
-        if np.any(np.diagonal(matrix) != 0.0):
-            return None
-        off = matrix[off_diagonal]
-        if np.any(off <= 0.0) or not np.allclose(off, off[0], rtol=1e-9, atol=0.0):
-            return None
-        seen.add(id(matrix))
-    return mrf.q
-
-
 def make_ensemble(
     model: MRF | LocalCSP,
     r: int,
@@ -290,16 +254,19 @@ def make_ensemble(
     """Build the batched replica-ensemble engine for ``(model, method)``.
 
     Dispatch, shared with :func:`sample_many` and the convergence layer:
-    ``"glauber"`` always gets the batched single-site
-    :class:`~repro.chains.ensemble.EnsembleGlauberDynamics`; weighted local
-    CSPs get the batched CSP kernels
+    weighted local CSPs get the batched CSP kernels
     (:class:`~repro.chains.ensemble.EnsembleLubyGlauberCSP` /
-    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisCSP`); uniform
-    proper-colouring MRFs get the specialised batched colouring kernels
-    for the two distributed methods; every other pairwise MRF gets the
-    general batched kernels
-    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF` and
-    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisMRF`.
+    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisCSP`); on a
+    pairwise MRF ``"glauber"`` gets the batched single-site
+    :class:`~repro.chains.ensemble.EnsembleGlauberDynamics` and
+    ``"luby-glauber"`` the heat-bath
+    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF`;
+    ``"local-metropolis"`` gets the specialised
+    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisColoring` on a
+    uniform proper colouring
+    (:attr:`~repro.compiled.CompiledMRF.is_uniform_coloring`) and
+    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisMRF` on any
+    other MRF.
     Every returned object exposes the same
     ``advance``/``run``/``config``/``iter_checkpoints`` protocol, and every
     in-process engine the region-restricted ``advance_region``.
@@ -353,21 +320,13 @@ def make_ensemble(
         )
         return ensemble_cls(model, r, initial=initial, seed=rng, backend=backend)
     if method == "glauber":
-        return EnsembleGlauberDynamics(model, r, initial=initial, seed=rng, backend=backend)
-    coloring_q = _uniform_coloring_q(model)
-    if coloring_q is not None:
-        ensemble_cls = (
-            EnsembleLocalMetropolisColoring
-            if method == "local-metropolis"
-            else EnsembleLubyGlauberColoring
-        )
-        return ensemble_cls(
-            model.graph, coloring_q, r, initial=initial, seed=rng, backend=backend
-        )
-    # General pairwise MRFs (hardcore, Ising, list colourings).
-    ensemble_cls = (
-        EnsembleLocalMetropolisMRF if method == "local-metropolis" else EnsembleLubyGlauberMRF
-    )
+        ensemble_cls = EnsembleGlauberDynamics
+    elif method == "luby-glauber":
+        ensemble_cls = EnsembleLubyGlauberMRF
+    elif model.compiled().is_uniform_coloring:
+        ensemble_cls = EnsembleLocalMetropolisColoring
+    else:
+        ensemble_cls = EnsembleLocalMetropolisMRF
     return ensemble_cls(model, r, initial=initial, seed=rng, backend=backend)
 
 

@@ -1,12 +1,12 @@
 """The array-ops interface every execution backend implements.
 
 The replica-ensemble engines (:mod:`repro.chains.ensemble`) express their
-hot loops as a small set of kernel primitives — CSR gathers/scatters, sparse
-count matmuls, flat gathers, products — over
-``(R, n)``-batched arrays.  :class:`ArrayBackend` names exactly those
-primitives, so the same engine code runs on any array library that can
-implement them: numpy (the default, bit-identical reference), torch
-CPU/CUDA, and in principle CuPy or JAX.
+hot loops as a small set of kernel primitives — row and flat gathers,
+sparse count matmuls (the edge-to-vertex scatter), elementwise selects,
+sums and products — over ``(n, R)``-batched arrays.  :class:`ArrayBackend`
+names exactly those primitives, so the same engine code runs on any array
+library that can implement them: numpy (the default, bit-identical
+reference), torch CPU/CUDA, and in principle CuPy or JAX.
 
 Design contract
 ---------------
@@ -80,10 +80,6 @@ class ArrayBackend(ABC):
         """``x`` as a numpy ndarray (may share memory — copy to keep)."""
 
     @abstractmethod
-    def copy(self, a):
-        """A fresh mutable copy of ``a``."""
-
-    @abstractmethod
     def astype(self, a, dtype):
         """``a`` converted to the backend dtype for numpy token ``dtype``."""
 
@@ -146,24 +142,6 @@ class ArrayBackend(ABC):
     @abstractmethod
     def nonzero1d(self, mask):
         """Indices of the True entries of a 1-D mask."""
-
-    @abstractmethod
-    def repeat(self, a, repeats):
-        """``np.repeat``: element ``a[i]`` repeated ``repeats[i]`` times."""
-
-    @abstractmethod
-    def bincount(self, x, minlength):
-        """Occurrence counts of the non-negative ints in ``x``."""
-
-    @abstractmethod
-    def expand_neighbour_slots(self, vertices, degrees, indptr):
-        """Per-vertex CSR slot expansion.
-
-        The batched-rejection primitive of
-        :func:`repro.chains.fastpaths.expand_neighbour_slots`: returns
-        ``(pair_of_slot, slots)`` with one entry per (vertex, neighbour)
-        slot of ``vertices``.
-        """
 
     # ------------------------------------------------------------------
     # sparse CSR

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.base import ArrayBackend
-from repro.chains.fastpaths import expand_neighbour_slots as _expand_slots
 
 __all__ = ["NumpyBackend"]
 
@@ -33,9 +32,6 @@ class NumpyBackend(ArrayBackend):
 
     def to_numpy(self, x):
         return np.asarray(x)
-
-    def copy(self, a):
-        return np.array(a)
 
     def astype(self, a, dtype):
         return np.asarray(a).astype(dtype)
@@ -84,15 +80,6 @@ class NumpyBackend(ArrayBackend):
 
     def nonzero1d(self, mask):
         return np.nonzero(mask)[0]
-
-    def repeat(self, a, repeats):
-        return np.repeat(a, repeats)
-
-    def bincount(self, x, minlength):
-        return np.bincount(x, minlength=minlength)
-
-    def expand_neighbour_slots(self, vertices, degrees, indptr):
-        return _expand_slots(vertices, degrees, indptr)
 
     # ------------------------------------------------------------------
     # sparse CSR

@@ -111,9 +111,6 @@ class TorchBackend(ArrayBackend):
             return x.detach().cpu().numpy()
         return np.asarray(x)
 
-    def copy(self, a):
-        return a.clone()
-
     def astype(self, a, dtype):
         return a.to(self._torch_dtype(dtype))
 
@@ -161,25 +158,6 @@ class TorchBackend(ArrayBackend):
 
     def nonzero1d(self, mask):
         return self.torch.nonzero(mask, as_tuple=True)[0]
-
-    def repeat(self, a, repeats):
-        return self.torch.repeat_interleave(a, repeats)
-
-    def bincount(self, x, minlength):
-        return self.torch.bincount(x, minlength=minlength)
-
-    def expand_neighbour_slots(self, vertices, degrees, indptr):
-        torch = self.torch
-        deg = degrees[vertices]
-        pair_of_slot = torch.repeat_interleave(
-            torch.arange(int(vertices.shape[0]), device=self.device), deg
-        )
-        csum = torch.cumsum(deg, 0)
-        within = torch.arange(
-            int(pair_of_slot.shape[0]), device=self.device
-        ) - torch.repeat_interleave(csum - deg, deg)
-        slots = torch.repeat_interleave(indptr[vertices], deg) + within
-        return pair_of_slot, slots
 
     # ------------------------------------------------------------------
     # sparse CSR — explicit gather + index_add_ scatter, exact int math

@@ -12,13 +12,15 @@ The paper's two distributed chains:
   pluggable independent-set scheduler (Luby step by default);
 * :class:`repro.chains.local_metropolis.LocalMetropolisChain` — Algorithm 2.
 
-Batched replica ensembles (:mod:`repro.chains.ensemble`):
+Batched replica ensembles (:mod:`repro.chains.ensemble`), advancing R
+independent replicas per step:
 
-* :class:`repro.chains.ensemble.EnsembleLocalMetropolisColoring` and
-  :class:`repro.chains.ensemble.EnsembleLubyGlauberColoring` — both
-  colouring fast paths advancing R independent replicas per step;
-* :class:`repro.chains.ensemble.EnsembleGlauberDynamics` — batched
-  single-site Glauber for general pairwise MRFs;
+* :class:`repro.chains.ensemble.EnsembleGlauberDynamics`,
+  :class:`repro.chains.ensemble.EnsembleLubyGlauberMRF` and
+  :class:`repro.chains.ensemble.EnsembleLocalMetropolisMRF` — the three
+  update rules for every pairwise MRF, colourings included;
+* :class:`repro.chains.ensemble.EnsembleLocalMetropolisColoring` — the
+  specialised LocalMetropolis kernel for uniform proper colourings;
 * :class:`repro.chains.ensemble.EnsembleLubyGlauberCSP` and
   :class:`repro.chains.ensemble.EnsembleLocalMetropolisCSP` — the CSP
   extensions of both distributed chains batched over replicas.
@@ -37,7 +39,6 @@ from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
 )
 from repro.chains.glauber import GlauberDynamics
@@ -57,7 +58,6 @@ __all__ = [
     "EnsembleGlauberDynamics",
     "EnsembleLocalMetropolisColoring",
     "EnsembleLocalMetropolisCSP",
-    "EnsembleLubyGlauberColoring",
     "EnsembleLubyGlauberCSP",
     "GlauberDynamics",
     "IndependentSetScheduler",

@@ -89,25 +89,56 @@ def as_seed_sequence(
     )
 
 
-def checked_initial(initial: Sequence[int] | np.ndarray, n: int, q: int) -> np.ndarray:
+def checked_initial(
+    initial: Sequence[int] | np.ndarray, n: int, q: int, replicas: int | None = None
+) -> np.ndarray:
     """Return a start configuration as a fresh int64 array, or raise.
 
-    The one start check of the sequential chains and the LOCAL protocol
-    runners, for MRFs and CSPs alike: ``initial`` must hold exactly ``n``
-    spins, each in ``0..q-1``; anything else raises
-    :class:`~repro.errors.ModelError`.
+    The one start check of the sequential chains, the LOCAL protocol
+    runners, the batched engines and :class:`~repro.spec.JobSpec`, for MRFs
+    and CSPs alike: ``initial`` must hold integral spins, each in
+    ``0..q-1``, in shape ``(n,)`` or, when ``replicas`` is given, also
+    ``(replicas, n)`` (one start per replica).  Anything else raises
+    :class:`~repro.errors.ModelError`; a fractional spin is refused, never
+    truncated.
     """
-    config = np.array(initial, dtype=np.int64)
-    if config.shape != (n,):
-        raise ModelError(f"initial configuration must have shape ({n},), got {config.shape}")
+    try:
+        config = np.asarray(initial)
+    except (TypeError, ValueError) as error:
+        raise ModelError(f"initial configuration is not an array of spins: {error}") from None
+    shapes = [(n,)] if replicas is None else [(n,), (replicas, n)]
+    if config.shape not in shapes:
+        expected = " or ".join(str(shape) for shape in shapes)
+        raise ModelError(
+            f"initial configuration must have shape {expected}, got {config.shape}"
+        )
+    if config.dtype.kind not in "biuf" or (
+        config.dtype.kind == "f" and not np.all(np.floor(config) == config)
+    ):
+        raise ModelError("initial spins must be integers")
     if np.any(config < 0) or np.any(config >= q):
         raise ModelError(f"initial spins must lie in 0..{q - 1}")
-    return config
+    return config.astype(np.int64)
 
 
 def random_config(mrf: MRF, rng: np.random.Generator) -> np.ndarray:
     """Return a uniformly random (not necessarily feasible) configuration."""
     return rng.integers(0, mrf.q, size=mrf.n, dtype=np.int64)
+
+
+def _bitmasks(flags: np.ndarray) -> list:
+    """Python-int bitmask of each row of a boolean ``(rows, q)`` array.
+
+    Bit ``s`` of mask ``i`` is ``flags[i, s]``.
+    """
+    rows, q = flags.shape
+    words = max(-(-q // 64), 1)
+    padded = np.zeros((rows, 64 * words), dtype=bool)
+    padded[:, :q] = flags
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8").tolist()
+    if words == 1:
+        return [row[0] for row in packed]
+    return [sum(word << (64 * k) for k, word in enumerate(row)) for row in packed]
 
 
 def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -122,35 +153,41 @@ def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> 
     configurations), so a best-effort start is fine.
 
     For proper colourings with ``q >= Delta + 1`` and for occupancy models
-    (hardcore, vertex cover) the result is always feasible.  Reads the
-    model's compiled edge and palette arrays (:meth:`MRF.compiled`).
+    (hardcore, vertex cover) the result is always feasible; without an RNG
+    it is the first-fit colouring.  Reads the model's compiled edge and
+    palette arrays (:meth:`MRF.compiled`) as Python-int bitmasks of the
+    allowed spins: one per vertex, and one per (palette table, neighbour
+    spin) of the spins compatible with that neighbour.
     """
     compiled = mrf.compiled()
     activity = compiled.vertex_activity
-    allowed = activity > 0
-    compatible = compiled.palette > 0
+    q = mrf.q
+    allowed = _bitmasks(activity > 0)
+    # compatible[t * q + c] holds the spins s with palette[t, s, c] > 0.
+    compatible = _bitmasks((compiled.palette > 0).transpose(0, 2, 1).reshape(-1, q))
+    fallback = np.argmax(activity, axis=1).tolist()
     # Edges are sorted with edge_u < edge_v, so grouped by edge_v they list
     # the already-assigned (smaller) neighbours of each vertex.
     order = np.argsort(compiled.edge_v, kind="stable")
-    lower = compiled.edge_u[order]
-    tables = compiled.edge_table[order]
+    lower = compiled.edge_u[order].tolist()
+    rows = (compiled.edge_table[order] * q).tolist()
     bounds = np.searchsorted(compiled.edge_v[order], np.arange(mrf.n + 1)).tolist()
-    config = np.zeros(mrf.n, dtype=np.int64)
+    config = [0] * mrf.n
+    # Inherently sequential (each choice reads the earlier ones), so the
+    # loop runs on Python ints: one AND per already-assigned neighbour.
     for v in range(mrf.n):
         spins = allowed[v]
-        start, stop = bounds[v], bounds[v + 1]
-        if stop > start:
-            spins = spins & compatible[
-                tables[start:stop], :, config[lower[start:stop]]
-            ].all(axis=0)
-        candidates = np.flatnonzero(spins)
-        if candidates.size == 0:
-            config[v] = int(np.argmax(activity[v]))
-        elif rng is None:
-            config[v] = int(candidates[0])
-        else:
-            config[v] = int(candidates[rng.integers(candidates.size)])
-    return config
+        for k in range(bounds[v], bounds[v + 1]):
+            spins &= compatible[rows[k] + config[lower[k]]]
+        if not spins:
+            config[v] = fallback[v]
+            continue
+        if rng is not None:
+            # Drop the lowest set bits to reach the drawn candidate.
+            for _ in range(int(rng.integers(spins.bit_count()))):
+                spins &= spins - 1
+        config[v] = (spins & -spins).bit_length() - 1
+    return np.asarray(config, dtype=np.int64)
 
 
 class Chain(ABC):

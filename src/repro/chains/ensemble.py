@@ -2,32 +2,26 @@
 
 Every empirical claim in this reproduction (TV decay, marginal error,
 agreement curves) averages over hundreds-to-thousands of *independent*
-replicas of the same chain.  Running those replicas one
-:class:`~repro.chains.fastpaths.FastLocalMetropolisColoring` object at a
-time leaves almost all the throughput on the table: per-round numpy-call
-overhead dominates once ``n`` is modest, and per-chain construction
-(greedy colouring, edge-array setup) is paid R times.
+replicas of the same chain.  Running those replicas one sequential chain
+object at a time leaves almost all the throughput on the table:
+per-round numpy-call overhead dominates once ``n`` is modest, and
+per-chain construction (greedy start, edge-array setup) is paid R times.
 
 The ensembles in this module store all replicas in one array and advance
 them with single whole-ensemble array operations:
 
-* :class:`EnsembleLocalMetropolisColoring` — Algorithm 2 for proper
-  q-colourings, R replicas per step;
-* :class:`EnsembleLubyGlauberColoring` — Algorithm 1 for proper
-  q-colourings, with the per-vertex Python neighbour loop of the
-  single-replica fast path replaced by CSR-style neighbour arrays, so the
-  rejection resampling of *all* pending (replica, vertex) pairs is one
-  vectorised pass per rejection round;
 * :class:`EnsembleGlauberDynamics` — batched single-site heat-bath Glauber
-  for *general* pairwise MRFs (Ising, hardcore, ...), so ensembles are not
-  colouring-only;
-* :class:`EnsembleLubyGlauberMRF` — batched Algorithm 1 for general
-  pairwise MRFs (hardcore, Ising, *list* colourings): each replica draws
-  its own Luby independent set and heat-bath-resamples every selected
-  vertex from its exact conditional marginal;
-* :class:`EnsembleLocalMetropolisMRF` — batched Algorithm 2 for general
-  pairwise MRFs: proposals proportional to ``b_v``, one three-factor edge
-  filter and one coin per (edge, replica);
+  for pairwise MRFs;
+* :class:`EnsembleLubyGlauberMRF` — batched Algorithm 1 for pairwise MRFs
+  (proper and list colourings, hardcore, Ising): each replica draws its
+  own Luby independent set and heat-bath-resamples every selected vertex
+  from its exact conditional marginal;
+* :class:`EnsembleLocalMetropolisMRF` — batched Algorithm 2 for pairwise
+  MRFs: proposals proportional to ``b_v``, one three-factor edge filter
+  and one coin per (edge, replica);
+* :class:`EnsembleLocalMetropolisColoring` — batched Algorithm 2 for
+  uniform proper q-colourings, the one specialised kernel: uniform
+  proposals and the three deterministic colouring rules, no coins;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
   replicas: constraints are bucketed by arity, so flat table indices are
@@ -46,14 +40,15 @@ of the neighbours' spins (or the constraints' flat indices) and one
 all-ones row, so there is no validity mask, slot expansion or segmented
 product.  One column-by-column inverse-CDF sampler then draws every
 pair's spin; it also draws the ``b_v`` proposals of
-:class:`EnsembleLocalMetropolisMRF`.
+:class:`EnsembleLocalMetropolisMRF`.  The same kernel, masked to a
+vertex region, is the region advance of every MRF and CSP engine.
 
-The general engines (all but the two colouring ones) build from the
-model's compiled index-array form (:mod:`repro.compiled`):
-``mrf.compiled()`` / ``csp.compiled()`` is computed on the first engine
-build and memoized per immutable model, so building a second engine over
-the same model reads the arrays instead of walking the networkx graph,
-the per-edge table dict or the constraint objects again.
+Every engine builds from the model's compiled index-array form
+(:mod:`repro.compiled`): ``mrf.compiled()`` / ``csp.compiled()`` is
+computed on the first engine build and memoized per immutable model, so
+building a second engine over the same model reads the arrays instead of
+walking the per-edge table dict or the constraint objects again.  No
+engine reads the networkx graph.
 
 Array-backend contract
 ----------------------
@@ -113,20 +108,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from time import perf_counter
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
 from repro.backend import ArrayBackend, get_backend
-from repro.chains.base import as_generator, greedy_feasible_config
-from repro.chains.fastpaths import (
-    build_csr_neighbours,
-    greedy_coloring,
-    sorted_edge_arrays,
-)
+from repro.chains.base import as_generator, checked_initial, greedy_feasible_config
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
-from repro.graphs.structure import check_vertex_labels
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -134,7 +122,6 @@ from repro.obs import trace as _obs_trace
 __all__ = [
     "EnsembleTrajectoryMixin",
     "EnsembleLocalMetropolisColoring",
-    "EnsembleLubyGlauberColoring",
     "EnsembleGlauberDynamics",
     "EnsembleLubyGlauberMRF",
     "EnsembleLocalMetropolisMRF",
@@ -216,7 +203,7 @@ class EnsembleTrajectoryMixin:
         :mod:`repro.exec` workers call this after every ``advance`` command
         to publish their shard's block of a ``multiprocessing.shared_memory``
         state array.  Hosts whose internal layout differs from the public
-        batch (the vertex-major colouring/CSP engines) override it to write
+        batch (the vertex-major MRF/CSP engines) override it to write
         straight from internal state instead of materialising the
         intermediate ``config`` copy.
         """
@@ -295,32 +282,24 @@ def _initial_spin_batch(
     replicas: int,
     dtype: np.dtype,
     default_start,
-    noun: str = "spins",
 ) -> np.ndarray:
     """Validate/tile a start spec into the internal ``(n, R)`` batch.
 
     ``initial`` is ``None`` (``default_start()`` replicated to all
     replicas), a length-n configuration shared by all replicas, or an
-    ``(R, n)`` batch giving each replica its own start.  Shared by the
-    colouring and CSP ensemble bases so their start semantics cannot
-    drift.
+    ``(R, n)`` batch giving each replica its own start; it is checked by
+    :func:`~repro.chains.base.checked_initial`.  Shared by the MRF and CSP
+    ensemble bases so their start semantics cannot drift.
     """
     if initial is None:
-        base = np.asarray(default_start(), dtype=np.int64)
-        return np.repeat(base[:, None], replicas, axis=1).astype(dtype)
-    config = np.asarray(initial, dtype=np.int64)
-    if config.shape == (n,):
-        config = np.repeat(config[:, None], replicas, axis=1)
-    elif config.shape == (replicas, n):
-        config = config.T.copy()
+        config = np.asarray(default_start(), dtype=np.int64)
     else:
-        raise ModelError(
-            f"initial configuration must have shape ({n},) or ({replicas}, {n}), "
-            f"got {config.shape}"
-        )
-    if np.any(config < 0) or np.any(config >= q):
-        raise ModelError(f"initial {noun} must lie in 0..{q - 1}")
-    return config.astype(dtype)
+        config = checked_initial(initial, n, q, replicas)
+    if config.ndim == 1:
+        config = np.repeat(config[:, None], replicas, axis=1)
+    else:
+        config = config.T
+    return np.ascontiguousarray(config, dtype=dtype)
 
 
 def _as_region(region, n: int) -> np.ndarray:
@@ -429,7 +408,7 @@ def _batched_luby_select(
     of the graph given by the (device) edge arrays (ties lose on both
     sides, exactly as the sequential kernels).  ``side_u``/``side_v`` are
     backend CSR handles of the one-sided incidence matrices.  Shared by
-    the colouring ensembles (simple graph) and the CSP ensembles (conflict
+    the MRF ensembles (model graph) and the CSP ensembles (conflict
     graph).
     """
     if edge_u is None or int(edge_u.shape[0]) == 0:
@@ -439,232 +418,6 @@ def _batched_luby_select(
     rv = ranks[edge_v]
     lose_counts = xp.spmm_count(side_u, ru <= rv) + xp.spmm_count(side_v, rv <= ru)
     return lose_counts == 0
-
-
-class _EnsembleColoringBase(_VertexMajorEnsemble):
-    """Shared state for the batched colouring chains.
-
-    Parameters
-    ----------
-    graph:
-        Simple graph with vertices ``0..n-1``.
-    q:
-        Number of colours.
-    replicas:
-        Number of independent replicas R advanced per step.
-    initial:
-        ``None`` (greedy colouring replicated to all replicas), a length-n
-        configuration shared by all replicas, or an ``(R, n)`` batch giving
-        each replica its own start.
-    seed:
-        Seed, :class:`numpy.random.SeedSequence` or Generator for the single
-        shared RNG stream (module docstring: seed and stream contract).
-    backend:
-        Array backend name or instance (module docstring: array-backend
-        contract); ``None`` resolves via ``$REPRO_BACKEND``, then numpy.
-    """
-
-    def __init__(
-        self,
-        graph: nx.Graph,
-        q: int,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
-    ) -> None:
-        check_vertex_labels(graph)
-        if q < 2:
-            raise ModelError(f"colouring needs q >= 2, got {q}")
-        if replicas < 1:
-            raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
-        self.n = graph.number_of_nodes()
-        self.q = int(q)
-        self.replicas = int(replicas)
-        self.graph = graph
-        self._dtype = _spin_dtype(self.q)
-        self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
-
-        self._eu, self._ev = sorted_edge_arrays(graph)
-        self._m = len(self._eu)
-        self._build_adjacency()
-        self._config = self.xp.asarray(self._initial_batch(initial))
-        self.steps_taken = 0
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_adjacency(self) -> None:
-        """CSR neighbour arrays plus the one-sided and full edge incidences."""
-        xp = self.xp
-        n = self.n
-        self._degrees, self._indptr, self._csr_indices = build_csr_neighbours(
-            self._eu, self._ev, n
-        )
-        self._degrees_d = xp.asarray(self._degrees)
-        self._indptr_d = xp.asarray(self._indptr)
-        self._csr_indices_d = xp.asarray(self._csr_indices)
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
-        self._side_u, self._side_v = _side_incidences(xp, self._eu, self._ev, n)
-        self._incidence = _edge_incidence(xp, self._eu, self._ev, n)
-
-    def _initial_batch(self, initial) -> np.ndarray:
-        return _initial_spin_batch(
-            initial,
-            self.n,
-            self.q,
-            self.replicas,
-            self._dtype,
-            lambda: greedy_coloring(self.graph, self.q),
-            noun="colours",
-        )
-
-    # ------------------------------------------------------------------
-    # batch views and diagnostics
-    # ------------------------------------------------------------------
-    def monochromatic_edges(self) -> np.ndarray:
-        """Per-replica count of improper (monochromatic) edges, shape ``(R,)``."""
-        if self._m == 0:
-            return np.zeros(self.replicas, dtype=np.int64)
-        xp = self.xp
-        same = self._config[self._eu_d] == self._config[self._ev_d]
-        return xp.to_numpy(xp.sum(same, axis=0))
-
-    def proper_mask(self) -> np.ndarray:
-        """Boolean ``(R,)`` mask of replicas whose colouring is proper."""
-        return self.monochromatic_edges() == 0
-
-    def is_proper(self) -> bool:
-        """Return True iff *every* replica's colouring is proper."""
-        return bool(self.proper_mask().all())
-
-    def step(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # region-restricted advancement (dynamic graphs)
-    # ------------------------------------------------------------------
-    def _resample_pairs(self, v_idx, r_idx) -> None:
-        """Heat-bath-resample the given (vertex, replica) pairs in place.
-
-        The pairs must form an independent set within each replica (their
-        neighbours' colours are read as fixed).  Uniform-available-colour
-        rejection sampling *is* the heat-bath conditional for proper
-        colourings, so this is the shared update kernel of the LubyGlauber
-        step and the region-restricted advance.
-        """
-        xp = self.xp
-        result = xp.copy(self._config)
-        guard = 0
-        while int(v_idx.shape[0]):
-            pending = int(v_idx.shape[0])
-            draws = xp.uniform_spins(self.rng, self.q, pending, self._dtype)
-            if self._m:
-                # Expand each pending pair to its CSR neighbour slots.  The
-                # neighbours of a selected vertex are unselected (Luby step),
-                # so their colours are fixed for the whole resampling pass.
-                pair_of_slot, slots = xp.expand_neighbour_slots(
-                    v_idx, self._degrees_d, self._indptr_d
-                )
-                neighbour_spins = self._config[
-                    self._csr_indices_d[slots],
-                    xp.repeat(r_idx, self._degrees_d[v_idx]),
-                ]
-                hits = neighbour_spins == draws[pair_of_slot]
-                conflict = xp.bincount(pair_of_slot[hits], minlength=pending) > 0
-            else:
-                conflict = xp.zeros(pending, dtype=bool)
-            ok = ~conflict
-            result[v_idx[ok], r_idx[ok]] = draws[ok]
-            # Carry only the conflicted pairs into the next rejection round —
-            # the work per round decays geometrically with the pending set.
-            v_idx, r_idx = v_idx[conflict], r_idx[conflict]
-            guard += 1
-            if guard > 200 * self.q:
-                raise ModelError(
-                    "rejection sampling stalled: some vertex has no available "
-                    "colour (needs q >= Delta + 1)"
-                )
-        self._config = result
-
-    def advance_region(self, steps: int, region) -> _EnsembleColoringBase:
-        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
-
-        Every round Luby-selects an independent set among the region
-        vertices (over region-internal edges only) and heat-bath-resamples
-        it; vertices outside the region never change, and their colours
-        enter the update as fixed boundary conditions through the full CSR
-        neighbour gathers.  Used by :mod:`repro.dynamic` for incremental
-        resampling after a graph mutation.  Note the kernel is the
-        heat-bath (LubyGlauber) one for *both* colouring engines — a
-        clamped LocalMetropolis round has no stationarity guarantee.
-        """
-        if steps < 0:
-            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
-        )
-        for _ in range(steps):
-            self._resample_pairs(*selector.select_pairs(self.rng, self.replicas))
-            self.steps_taken += 1
-        return self
-
-
-class EnsembleLocalMetropolisColoring(_EnsembleColoringBase):
-    """Batched Algorithm 2 for proper q-colourings.
-
-    One step advances all R replicas by one LocalMetropolis round: every
-    (replica, vertex) pair proposes a uniform colour, every (replica, edge)
-    pair applies the three deterministic filtering rules of Section 4.2,
-    and a vertex accepts iff none of its incident edges failed.
-    """
-
-    def step(self) -> None:
-        xp = self.xp
-        proposals = xp.uniform_spins(
-            self.rng, self.q, (self.n, self.replicas), self._dtype
-        )
-        if self._m == 0:
-            self._config = proposals
-            self.steps_taken += 1
-            return
-        pu = proposals[self._eu_d]
-        pv = proposals[self._ev_d]
-        xu = self._config[self._eu_d]
-        xv = self._config[self._ev_d]
-        failed = (pu == pv) | (pu == xv) | (pv == xu)
-        _metropolis_accept(self, proposals, failed, self._incidence)
-
-
-class EnsembleLubyGlauberColoring(_EnsembleColoringBase):
-    """Batched Algorithm 1 for proper q-colourings.
-
-    One step advances all R replicas by one LubyGlauber round: each replica
-    draws its own Luby independent set, then every selected (replica,
-    vertex) pair resamples a uniform *available* colour by vectorised
-    rejection.  The rejection pass checks every pending pair against its
-    neighbours' current colours through flat CSR neighbour arrays — one
-    gather + one segmented reduction per rejection round, no per-vertex
-    Python loop — and the amount of work decays geometrically as pairs
-    accept.
-    """
-
-    def _luby_select(self):
-        """Per-replica Luby step on the colouring graph, ``(n, R)`` boolean."""
-        return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
-            self._side_u, self._side_v,
-        )
-
-    def step(self) -> None:
-        xp = self.xp
-        v_idx, r_idx = xp.nonzero_pairs(self._luby_select())
-        if _obs_metrics.enabled:
-            _record_luby_step(self, v_idx)
-        self._resample_pairs(v_idx, r_idx)
-        self.steps_taken += 1
 
 
 def _multiply_factor_rows(xp: ArrayBackend, weights, factors, indices):
@@ -749,9 +502,9 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
     spin through the all-ones table, so they multiply by one.
 
     Parameters are those of the public subclasses: the model, the replica
-    count R, ``initial`` (``None`` for :func:`greedy_feasible_config`
-    replicated, a length-n configuration or an ``(R, n)`` batch), ``seed``
-    and ``backend`` (module docstring).
+    count R, ``initial`` (``None`` for :meth:`_default_start` replicated, a
+    length-n configuration or an ``(R, n)`` batch), ``seed`` and
+    ``backend`` (module docstring).
     """
 
     def __init__(
@@ -786,19 +539,27 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
                 self.q,
                 self.replicas,
                 self._dtype,
-                lambda: greedy_feasible_config(mrf, self.rng),
+                self._default_start,
             )
         )
         self._heatbath_ready = False
         self.steps_taken = 0
+
+    def _default_start(self) -> np.ndarray:
+        """The start every replica gets when ``initial`` is None.
+
+        :func:`greedy_feasible_config` with a random pick among the
+        compatible spins, drawn from the engine's stream.
+        """
+        return greedy_feasible_config(self.mrf, self.rng)
 
     def _ensure_heatbath_structures(self) -> None:
         """The padded neighbour offsets and factor rows of the heat-bath kernel.
 
         Built eagerly by :class:`EnsembleGlauberDynamics` and
         :class:`EnsembleLubyGlauberMRF` (their every step reads them) and
-        lazily by the region advance of :class:`EnsembleLocalMetropolisMRF`,
-        whose steps never do: a model whose padding exceeds
+        lazily by the region advance of the LocalMetropolis engines, whose
+        steps never do: a model whose padding exceeds
         :data:`repro.compiled.MAX_PADDING` still runs LocalMetropolis.
         """
         if self._heatbath_ready:
@@ -829,7 +590,7 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         region never change and enter the weights as fixed boundary spins
         through the full padded neighbour gathers.  Used by
         :mod:`repro.dynamic` for incremental resampling.  The kernel is
-        this masked LubyGlauber one for the LocalMetropolis engine too — a
+        this masked LubyGlauber one for the LocalMetropolis engines too — a
         clamped LocalMetropolis round has no stationarity guarantee.
         """
         if steps < 0:
@@ -844,11 +605,22 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         return self
 
     def is_feasible(self) -> np.ndarray:
-        """Per-replica feasibility mask, shape ``(R,)``."""
-        config = self.xp.to_numpy(self._config).T
-        return np.array(
-            [self.mrf.is_feasible(config[i]) for i in range(self.replicas)]
-        )
+        """Per-replica feasibility mask, shape ``(R,)``: the support of mu.
+
+        A replica is feasible iff the activity ``b_v`` of every spin and the
+        factor ``A_uv`` of every edge are positive: one gather over the
+        compiled arrays per check, so, unlike a weight product, many tiny
+        factors cannot underflow to "infeasible".
+        """
+        compiled = self.mrf.compiled()
+        config = self.xp.to_numpy(self._config).astype(np.int64)
+        feasible = np.all(np.take_along_axis(compiled.vertex_activity, config, axis=1) > 0, axis=0)
+        if compiled.m:
+            factors = compiled.palette[
+                compiled.edge_table[:, None], config[self._eu], config[self._ev]
+            ]
+            feasible &= np.all(factors > 0, axis=0)
+        return feasible
 
     def _heatbath_weights(self, v_idx, r_idx):
         """Weights ``b_v(c) * prod_u A_uv(c, X_u)`` of eq. (2), one row per pair.
@@ -934,12 +706,10 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
 class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
     """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
 
-    The general-model sibling of :class:`EnsembleLubyGlauberColoring`:
-    where the colouring engine rejection-samples uniform available
-    colours, this engine heat-bath-resamples every selected (replica,
-    vertex) pair from its exact conditional marginal (paper eq. (2)), so
-    it covers hardcore, Ising and *list-colouring* models — any pairwise
-    MRF — with one batched kernel.
+    Every selected (replica, vertex) pair is heat-bath-resampled from its
+    exact conditional marginal (paper eq. (2)), so one batched kernel
+    covers proper and list colourings, hardcore and Ising models — any
+    pairwise MRF.
 
     One step advances all R replicas by one LubyGlauber round: each
     replica draws its own Luby independent set, then the conditional
@@ -1054,6 +824,63 @@ class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
         # One coin per (edge, replica): u < p always holds at p = 1 and
         # never at p = 0, as the sequential chain's deterministic branches.
         failed = xp.random(self.rng, (self._eu.size, self.replicas)) >= pass_probability
+        _metropolis_accept(self, proposals, failed, self._incidence)
+
+
+class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
+    """Batched Algorithm 2 for uniform proper q-colourings.
+
+    The one specialised kernel: for ``A_e = J - I`` every filter is
+    deterministic given the proposals, so a step draws no coin and no
+    ``b_v`` weights.  Every (replica, vertex) pair proposes a uniform
+    colour, every (replica, edge) pair applies the three filtering rules
+    of Section 4.2, and a vertex accepts iff none of its incident edges
+    failed.  :func:`repro.api.make_ensemble` picks it for LocalMetropolis
+    on a model whose compiled form is a uniform colouring
+    (:attr:`~repro.compiled.CompiledMRF.is_uniform_coloring`); any other
+    model raises :class:`~repro.errors.ModelError`.
+
+    The start without ``initial`` is the deterministic first-fit
+    colouring (:func:`greedy_feasible_config` without an RNG), and the
+    region advance is the inherited masked LubyGlauber heat-bath.
+    """
+
+    def __init__(
+        self,
+        mrf: MRF,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+        backend: str | ArrayBackend | None = None,
+    ) -> None:
+        if not mrf.compiled().is_uniform_coloring:
+            raise ModelError(
+                f"{type(self).__name__} needs a uniform proper colouring "
+                "(A_e a positive multiple of J - I, constant b_v); use "
+                "EnsembleLocalMetropolisMRF for other models"
+            )
+        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        self._incidence = _edge_incidence(self.xp, self._eu, self._ev, self.n)
+
+    def _default_start(self) -> np.ndarray:
+        """The first-fit colouring: no draw from the engine's stream."""
+        return greedy_feasible_config(self.mrf)
+
+    def step(self) -> None:
+        """Uniform proposals; the three colouring rules per edge; accept if clean."""
+        xp = self.xp
+        proposals = xp.uniform_spins(
+            self.rng, self.q, (self.n, self.replicas), self._dtype
+        )
+        if self._incidence is None:
+            self._config = proposals
+            self.steps_taken += 1
+            return
+        pu = proposals[self._eu_d]
+        pv = proposals[self._ev_d]
+        xu = self._config[self._eu_d]
+        xv = self._config[self._ev_d]
+        failed = (pu == pv) | (pu == xv) | (pv == xu)
         _metropolis_accept(self, proposals, failed, self._incidence)
 
 

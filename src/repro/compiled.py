@@ -1,6 +1,6 @@
-"""Compiled array forms of the models: what the general engines build from.
+"""Compiled array forms of the models: what every batched engine builds from.
 
-The batched general engines of :mod:`repro.chains.ensemble` never walk a
+The batched engines of :mod:`repro.chains.ensemble` never walk a
 model's Python structures (the networkx graph, the per-edge table dict,
 the :class:`~repro.csp.model.Constraint` objects).  They read the
 :class:`CompiledMRF` returned by :meth:`repro.mrf.model.MRF.compiled` or
@@ -127,6 +127,31 @@ class CompiledMRF:
         pads = [np.arange(self.n, dtype=np.int64)[:, None], self.palette.shape[0] - 1]
         return _padded_rows(
             ends[order], [others[order], tables[order]], pads, self.n, "neighbour"
+        )
+
+    @cached_property
+    def is_uniform_coloring(self) -> bool:
+        """True iff the Gibbs distribution is uniform over proper q-colourings.
+
+        That is: every edge table is a positive constant times ``J - I``
+        (zero diagonal, one positive off-diagonal value) and every
+        vertex-activity row is a positive constant.  Rescalings do not
+        change the distribution, so the checks are relative only
+        (``rtol=1e-9``, ``atol=0``): an absolute tolerance would take a
+        small-magnitude non-uniform model for a colouring.  Reads each
+        distinct edge table once (every palette entry but the pad).
+        """
+        activity = self.vertex_activity
+        if np.any(activity <= 0.0) or not np.allclose(
+            activity, activity[:, :1], rtol=1e-9, atol=0.0
+        ):
+            return False
+        tables = self.palette[:-1]
+        off = tables[:, ~np.eye(self.q, dtype=bool)]
+        return bool(
+            np.all(np.diagonal(tables, axis1=1, axis2=2) == 0.0)
+            and np.all(off > 0.0)
+            and np.allclose(off, off[:, :1], rtol=1e-9, atol=0.0)
         )
 
     @property

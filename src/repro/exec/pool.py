@@ -37,6 +37,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.chains.base import checked_initial
 from repro.chains.ensemble import EnsembleTrajectoryMixin
 from repro.errors import ExecError, ModelError
 from repro.exec.shards import ShardSpec, make_shard_plan, slice_initial
@@ -252,6 +253,8 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         self.n = int(model.n)
         self.replicas = int(replicas)
         self.shards = make_shard_plan(replicas, seed=seed, shard_size=shard_size)
+        if initial is not None:
+            initial = checked_initial(initial, self.n, model.q, self.replicas)
         initial_array, per_replica = slice_initial(initial, self.n, self.replicas)
         if workers is None:
             workers = 0

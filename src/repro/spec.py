@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.analysis.convergence import canonical_checkpoints
-from repro.chains.base import SeedLike
+from repro.chains.base import SeedLike, checked_initial
 from repro.csp.model import LocalCSP
 from repro.errors import BackendError, ModelError, UnknownModelError
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
@@ -188,6 +188,9 @@ class JobSpec:
             resolve_backend_name(self.backend)
         if self.replicas < 1:
             raise ModelError(f"job needs r >= 1 replicas, got {self.replicas}")
+        if self.initial is not None:
+            # Checked here, not first in a worker: a bad start is a 400.
+            checked_initial(self.initial, self.model.n, self.model.q, self.replicas)
         if self.rounds is not None and self.rounds < 0:
             raise ModelError(f"rounds must be >= 0, got {self.rounds}")
         if self.kind == "tv_curve":
@@ -468,7 +471,7 @@ class JobSpec:
                 method=str(payload.get("method", "local-metropolis")),
                 replicas=int(params.pop("replicas", 1)),
                 seed=seed,
-                initial=_canonical_initial(params.pop("initial", None)),
+                initial=params.pop("initial", None),
                 name=None if name is None else str(name),
                 parallel=0 if sharded else None,
                 shard_size=None if shard_size is None else int(shard_size),

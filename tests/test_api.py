@@ -117,21 +117,22 @@ class TestSampleMany:
         assert batch.shape == (1, 6)
 
     def test_coloring_detection_is_scale_free(self):
-        """The batched-kernel dispatch must compare activities by ratio:
+        """The colouring-kernel dispatch must compare activities by ratio:
         a rescaled uniform colouring is still a colouring, while a
         tiny-magnitude *non*-uniform model is not (regression for the
         absolute-tolerance bug)."""
-        from repro.api import _uniform_coloring_q
         from repro.graphs import path_graph
         from repro.mrf import MRF
 
         q = 3
         scaled = 1e-9 * (np.ones((q, q)) - np.eye(q))
-        assert _uniform_coloring_q(MRF(path_graph(3), q, scaled, np.full(q, 7.0))) == q
+        scaled_mrf = MRF(path_graph(3), q, scaled, np.full(q, 7.0))
+        assert scaled_mrf.compiled().is_uniform_coloring is True
         lopsided = np.array(
             [[0.0, 1e-9, 5e-9], [1e-9, 0.0, 1e-9], [5e-9, 1e-9, 0.0]]
         )
-        assert _uniform_coloring_q(MRF(path_graph(3), q, lopsided, np.ones(q))) is None
+        lopsided_mrf = MRF(path_graph(3), q, lopsided, np.ones(q))
+        assert lopsided_mrf.compiled().is_uniform_coloring is False
 
 
 class TestBudget:

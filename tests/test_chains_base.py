@@ -5,11 +5,67 @@ import pytest
 
 from repro.chains import GlauberDynamics, greedy_feasible_config, random_config
 from repro.errors import ModelError
-from repro.graphs import cycle_graph, path_graph
-from repro.mrf import hardcore_mrf, proper_coloring_mrf
+from repro.graphs import cycle_graph, grid_graph, path_graph, torus_graph
+from repro.mrf import MRF, hardcore_mrf, ising_mrf, list_coloring_mrf, proper_coloring_mrf
+
+
+def reference_greedy(mrf, rng=None):
+    """The greedy start as a plain array loop: the oracle of the bitmask one."""
+    compiled = mrf.compiled()
+    config = np.zeros(mrf.n, dtype=np.int64)
+    for v in range(mrf.n):
+        spins = compiled.vertex_activity[v] > 0
+        for u, v_, t in zip(compiled.edge_u, compiled.edge_v, compiled.edge_table):
+            if v_ == v:
+                spins = spins & (compiled.palette[t, :, config[u]] > 0)
+        candidates = np.flatnonzero(spins)
+        if candidates.size == 0:
+            config[v] = int(np.argmax(compiled.vertex_activity[v]))
+        elif rng is None:
+            config[v] = int(candidates[0])
+        else:
+            config[v] = int(candidates[rng.integers(candidates.size)])
+    return config
+
+
+def sparse_tables_mrf():
+    """Random symmetric tables and activities with many zeros, q = 4."""
+    graph = grid_graph(4, 5)
+    rng = np.random.default_rng(5)
+    tables = {}
+    for u, v in graph.edges():
+        raw = rng.uniform(0.0, 2.0, size=(4, 4))
+        raw[raw < 0.6] = 0.0
+        tables[(u, v)] = (raw + raw.T) / 2.0
+    activity = rng.uniform(0.0, 1.5, size=(20, 4))
+    activity[activity < 0.3] = 0.0
+    return MRF(graph, 4, tables, activity)
 
 
 class TestInitialConfigs:
+    @pytest.mark.parametrize(
+        "mrf",
+        [
+            proper_coloring_mrf(torus_graph(6, 6), 5),
+            proper_coloring_mrf(grid_graph(4, 4), 2),
+            proper_coloring_mrf(path_graph(5), 70),
+            hardcore_mrf(torus_graph(4, 4), 0.7),
+            ising_mrf(grid_graph(3, 4), 0.3, 1.2),
+            list_coloring_mrf(cycle_graph(6), 5, {v: [v % 5, (v + 2) % 5] for v in range(6)}),
+            sparse_tables_mrf(),
+        ],
+        ids=["coloring", "tight-coloring", "q70", "hardcore", "ising", "list", "sparse"],
+    )
+    def test_greedy_matches_the_reference_loop(self, mrf):
+        """Same spins and same RNG draws as the plain loop, with and without an RNG."""
+        assert np.array_equal(greedy_feasible_config(mrf), reference_greedy(mrf))
+        for seed in range(3):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                greedy_feasible_config(mrf, ours), reference_greedy(mrf, theirs)
+            )
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_greedy_coloring_is_proper_when_q_exceeds_degree(self):
         for q in (3, 4, 5):
             mrf = proper_coloring_mrf(cycle_graph(7), q)

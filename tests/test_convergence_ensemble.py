@@ -24,7 +24,6 @@ from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberColoring,
 )
 from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.errors import ConvergenceError
@@ -79,10 +78,6 @@ class TestEnsembleProtocol:
         ensemble = make_ensemble(path3_ising, 4, method="glauber", seed=2)
         assert isinstance(ensemble, EnsembleGlauberDynamics)
         assert ensemble.run(6).shape == (4, 3)
-
-    def test_luby_glauber_coloring_dispatch(self, cycle4_coloring):
-        ensemble = make_ensemble(cycle4_coloring, 4, method="luby-glauber", seed=3)
-        assert isinstance(ensemble, EnsembleLubyGlauberColoring)
 
     def test_general_mrf_initial_batch_per_replica(self, path3_ising):
         initial = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]])

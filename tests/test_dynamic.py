@@ -373,10 +373,10 @@ class TestDynamicEnsemble:
     def test_engine_family_follows_the_model(self):
         """A mutation that changes the dispatch family rebuilds accordingly."""
         uniform, _ = _coloring_pair()
-        dyn = DynamicEnsemble(uniform, 4, method="luby-glauber", seed=1)
-        assert type(dyn.engine).__name__ == "EnsembleLubyGlauberColoring"
+        dyn = DynamicEnsemble(uniform, 4, method="local-metropolis", seed=1)
+        assert type(dyn.engine).__name__ == "EnsembleLocalMetropolisColoring"
         dyn.update_factor(0, 1, np.ones((3, 3)))  # no longer a colouring
-        assert type(dyn.engine).__name__ == "EnsembleLubyGlauberMRF"
+        assert type(dyn.engine).__name__ == "EnsembleLocalMetropolisMRF"
 
     def test_mix_and_run_advance_the_full_model(self):
         initial, _ = _coloring_pair()

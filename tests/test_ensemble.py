@@ -8,8 +8,8 @@ Markov kernel as the corresponding sequential chain.  Validated three ways:
 * *stationarity* — after burn-in, the cross-replica empirical distribution
   matches the exact Gibbs distribution (chi-squared on exactly-enumerable
   models);
-* *invariants* — the per-round structural invariants of the sequential fast
-  paths (monotone monochromatic-edge counts for LocalMetropolis,
+* *invariants* — the per-round structural invariants of the sequential
+  chains (monotone monochromatic-edge counts for LocalMetropolis,
   independent-set update sets for LubyGlauber) hold in every replica.
 """
 
@@ -18,63 +18,75 @@ import pytest
 from statutils import assert_same_distribution, assert_stationary
 
 import repro
-from repro.chains import GlauberDynamics, LubyGlauberChain
+from repro.chains import GlauberDynamics, LocalMetropolisChain, LubyGlauberChain
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberMRF,
 )
-from repro.chains.fastpaths import FastLocalMetropolisColoring
 from repro.errors import InfeasibleStateError, ModelError
 from repro.graphs import cycle_graph, grid_graph, is_independent_set, path_graph
 from repro.mrf import (
     exact_gibbs_distribution,
     hardcore_mrf,
     ising_mrf,
+    list_coloring_mrf,
     proper_coloring_mrf,
 )
 
+#: The two engines that run a uniform colouring's distributed chains.
 ENSEMBLE_COLORING_CLASSES = (
     EnsembleLocalMetropolisColoring,
-    EnsembleLubyGlauberColoring,
+    EnsembleLubyGlauberMRF,
 )
+
+
+def monochromatic_edges(mrf, batch) -> np.ndarray:
+    """Per-replica count of monochromatic edges of an ``(R, n)`` batch."""
+    compiled = mrf.compiled()
+    return (batch[:, compiled.edge_u] == batch[:, compiled.edge_v]).sum(axis=1)
 
 
 class TestConstruction:
     @pytest.mark.parametrize("cls", ENSEMBLE_COLORING_CLASSES)
     def test_shapes_and_greedy_start(self, cls):
-        ensemble = cls(grid_graph(5, 5), 8, 12, seed=0)
+        ensemble = cls(proper_coloring_mrf(grid_graph(5, 5), 8), 12, seed=0)
         assert ensemble.config.shape == (12, 25)
         assert ensemble.config.dtype == np.int64
-        assert ensemble.is_proper()
-        assert ensemble.proper_mask().shape == (12,)
+        assert ensemble.is_feasible().shape == (12,)
+        assert ensemble.is_feasible().all()
 
     def test_shared_initial_is_tiled(self):
         initial = np.array([0, 1, 2, 0, 1, 2])
         ensemble = EnsembleLocalMetropolisColoring(
-            cycle_graph(6), 4, 5, initial=initial, seed=0
+            proper_coloring_mrf(cycle_graph(6), 4), 5, initial=initial, seed=0
         )
         assert np.array_equal(ensemble.config, np.tile(initial, (5, 1)))
 
     def test_per_replica_initial(self):
         batch = np.array([[0, 1, 2, 0], [2, 0, 1, 2], [1, 2, 0, 1]])
-        ensemble = EnsembleLubyGlauberColoring(path_graph(4), 3, 3, initial=batch, seed=0)
+        ensemble = EnsembleLubyGlauberMRF(
+            proper_coloring_mrf(path_graph(4), 3), 3, initial=batch, seed=0
+        )
         assert np.array_equal(ensemble.config, batch)
 
     def test_validation(self):
+        mrf = proper_coloring_mrf(path_graph(3), 3)
         with pytest.raises(ModelError):
-            EnsembleLocalMetropolisColoring(path_graph(3), 1, 4)
+            EnsembleLocalMetropolisColoring(mrf, 0)
         with pytest.raises(ModelError):
-            EnsembleLocalMetropolisColoring(path_graph(3), 3, 0)
+            EnsembleLocalMetropolisColoring(mrf, 4, initial=[0, 1])
         with pytest.raises(ModelError):
-            EnsembleLocalMetropolisColoring(path_graph(3), 3, 4, initial=[0, 1])
+            EnsembleLocalMetropolisColoring(mrf, 4, initial=[0, 1, 9])
+        with pytest.raises(ModelError, match="integers"):
+            EnsembleLocalMetropolisColoring(mrf, 4, initial=[0.5, 1, 2])
         with pytest.raises(ModelError):
-            EnsembleLocalMetropolisColoring(path_graph(3), 3, 4, initial=[0, 1, 9])
-        with pytest.raises(ModelError):
-            EnsembleLocalMetropolisColoring(
-                path_graph(3), 3, 4, initial=np.zeros((2, 3), dtype=int)
-            )
+            EnsembleLocalMetropolisColoring(mrf, 4, initial=np.zeros((2, 3), dtype=int))
+
+    def test_colouring_engine_refuses_other_models(self):
+        # Colouring filters on an Ising model would sample the wrong law.
+        with pytest.raises(ModelError, match="uniform proper colouring"):
+            EnsembleLocalMetropolisColoring(ising_mrf(path_graph(3), 0.5, 1.0), 4)
 
     @pytest.mark.parametrize("cls", ENSEMBLE_COLORING_CLASSES)
     def test_edgeless_graph(self, cls):
@@ -82,41 +94,72 @@ class TestConstruction:
 
         graph = nx.Graph()
         graph.add_nodes_from(range(4))
-        ensemble = cls(graph, 3, 6, seed=0)
+        ensemble = cls(proper_coloring_mrf(graph, 3), 6, seed=0)
         ensemble.run(4)
-        assert ensemble.is_proper()
+        assert ensemble.is_feasible().all()
 
     @pytest.mark.parametrize("cls", ENSEMBLE_COLORING_CLASSES)
     def test_seed_reproducible(self, cls):
-        first = cls(grid_graph(4, 4), 8, 7, seed=9).run(12)
-        second = cls(grid_graph(4, 4), 8, 7, seed=9).run(12)
+        mrf = proper_coloring_mrf(grid_graph(4, 4), 8)
+        first = cls(mrf, 7, seed=9).run(12)
+        second = cls(mrf, 7, seed=9).run(12)
         assert np.array_equal(first, second)
-        third = cls(grid_graph(4, 4), 8, 7, seed=10).run(12)
+        third = cls(mrf, 7, seed=10).run(12)
         assert not np.array_equal(first, third)
 
     def test_run_returns_copy(self):
-        ensemble = EnsembleLocalMetropolisColoring(cycle_graph(6), 5, 4, seed=0)
+        ensemble = EnsembleLocalMetropolisColoring(
+            proper_coloring_mrf(cycle_graph(6), 5), 4, seed=0
+        )
         batch = ensemble.run(3)
         batch[:] = 0
         assert not np.array_equal(ensemble.config, batch)
 
 
+class TestFeasibility:
+    @pytest.mark.parametrize(
+        "mrf",
+        [
+            proper_coloring_mrf(cycle_graph(5), 3),
+            hardcore_mrf(grid_graph(2, 3), 0.8),
+            list_coloring_mrf(
+                path_graph(4), 4, {0: [0, 1], 1: [1, 2], 2: [0, 3], 3: [2]}
+            ),
+        ],
+        ids=["coloring", "hardcore", "list-coloring"],
+    )
+    def test_mask_equals_the_per_row_check(self, mrf):
+        """The vectorised support check agrees with ``mrf.is_feasible``."""
+        rng = np.random.default_rng(17)
+        batch = np.concatenate(
+            [
+                rng.integers(0, mrf.q, size=(40, mrf.n)),
+                repro.sample_many(mrf, 8, method="luby-glauber", rounds=4, seed=18),
+            ]
+        )
+        ensemble = EnsembleLubyGlauberMRF(mrf, len(batch), initial=batch, seed=19)
+        expected = np.array([mrf.is_feasible(row) for row in batch])
+        assert expected.any() and not expected.all()
+        assert np.array_equal(ensemble.is_feasible(), expected)
+
+
 class TestInvariants:
     def test_lm_monochromatic_never_increases(self):
+        mrf = proper_coloring_mrf(cycle_graph(30), 6)
         ensemble = EnsembleLocalMetropolisColoring(
-            cycle_graph(30), 6, 16, initial=np.zeros(30, dtype=int), seed=1
+            mrf, 16, initial=np.zeros(30, dtype=int), seed=1
         )
-        previous = ensemble.monochromatic_edges()
+        previous = monochromatic_edges(mrf, ensemble.config)
         for _ in range(60):
             ensemble.step()
-            current = ensemble.monochromatic_edges()
+            current = monochromatic_edges(mrf, ensemble.config)
             assert np.all(current <= previous)
             previous = current
-        assert ensemble.is_proper()
+        assert ensemble.is_feasible().all()
 
     def test_lg_changed_sets_are_independent(self):
         graph = grid_graph(5, 5)
-        ensemble = EnsembleLubyGlauberColoring(graph, 9, 8, seed=2)
+        ensemble = EnsembleLubyGlauberMRF(proper_coloring_mrf(graph, 9), 8, seed=2)
         for _ in range(15):
             before = ensemble.config
             ensemble.step()
@@ -126,19 +169,23 @@ class TestInvariants:
                 assert is_independent_set(graph, changed)
 
     def test_lg_preserves_propriety(self):
-        ensemble = EnsembleLubyGlauberColoring(grid_graph(6, 6), 9, 12, seed=3)
-        assert ensemble.is_proper()
+        ensemble = EnsembleLubyGlauberMRF(proper_coloring_mrf(grid_graph(6, 6), 9), 12, seed=3)
+        assert ensemble.is_feasible().all()
         ensemble.run(30)
-        assert ensemble.is_proper()
+        assert ensemble.is_feasible().all()
 
     def test_lg_rejection_guard(self):
-        # Same stall instance as the sequential fast-path test: q = 2 on C4
-        # from (0, 0, 1, 1) leaves whoever is selected with no available
-        # colour in every replica.
-        ensemble = EnsembleLubyGlauberColoring(
-            cycle_graph(4), 2, 4, initial=np.array([0, 0, 1, 1]), seed=4
+        # q = 2 on C4 from (0, 0, 1, 1): every vertex sees both colours in
+        # its neighbourhood, so whoever the Luby step selects has no
+        # available colour in every replica and its conditional is undefined.
+        ensemble = repro.make_ensemble(
+            proper_coloring_mrf(cycle_graph(4), 2),
+            4,
+            method="luby-glauber",
+            initial=np.array([0, 0, 1, 1]),
+            seed=4,
         )
-        with pytest.raises(ModelError, match="no available"):
+        with pytest.raises(InfeasibleStateError, match="undefined"):
             ensemble.step()
 
 
@@ -147,13 +194,17 @@ class TestStationarity:
     verified by the shared statistical harness (chi-square goodness-of-fit
     plus the exact-TV concentration bound)."""
 
-    @pytest.mark.parametrize("cls", ENSEMBLE_COLORING_CLASSES)
-    def test_coloring_ensemble_stationary(self, cls):
-        graph = path_graph(3)
-        mrf = proper_coloring_mrf(graph, 4)
-        gibbs = exact_gibbs_distribution(mrf)
-        ensemble = cls(graph, 4, 4000, seed=11)
-        assert_stationary(ensemble.run(60), gibbs)
+    @pytest.mark.parametrize("parallel", [None, 0], ids=["direct", "sharded"])
+    @pytest.mark.parametrize("method", repro.METHODS)
+    def test_coloring_law_row(self, method, parallel):
+        """Every method on a uniform colouring, in-process and sharded."""
+        mrf = proper_coloring_mrf(path_graph(3), 4)
+        rounds = 80 if method == "glauber" else 60
+        ensemble = repro.make_ensemble(mrf, 4000, method=method, seed=11, parallel=parallel)
+        batch = ensemble.run(rounds)
+        if parallel is not None:
+            ensemble.close()
+        assert_stationary(batch, exact_gibbs_distribution(mrf))
 
     def test_glauber_ensemble_matches_exact_hardcore(self):
         mrf = hardcore_mrf(path_graph(3), 1.5)
@@ -256,11 +307,11 @@ class TestSequentialEquivalence:
         gibbs = exact_gibbs_distribution(mrf)
         pair_target = GibbsDistribution(2, 5, gibbs.pair_marginal(0, 1).ravel())
 
-        ensemble = EnsembleLocalMetropolisColoring(graph, 5, 4000, seed=7)
+        ensemble = EnsembleLocalMetropolisColoring(mrf, 4000, seed=7)
         batch = ensemble.run(60)
         assert_stationary(batch[:, [0, 1]], pair_target)
 
-        sequential = FastLocalMetropolisColoring(graph, 5, seed=8)
+        sequential = LocalMetropolisChain(mrf, seed=8)
         sequential.run(60)
         samples = []
         for _ in range(8000):
@@ -303,6 +354,11 @@ class TestSampleMany:
             repro.sample_many(mrf, 0)
         with pytest.raises(ModelError, match="unknown method"):
             repro.sample_many(mrf, 4, method="simulated-annealing")
+
+    def test_rejects_a_fractional_start(self):
+        mrf = proper_coloring_mrf(path_graph(3), 3)
+        with pytest.raises(ModelError, match="integers"):
+            repro.sample_many(mrf, 2, rounds=2, seed=1, initial=[0.7, 1.9, 2.2])
 
     def test_stationary_through_api(self):
         mrf = proper_coloring_mrf(path_graph(3), 4)

@@ -26,7 +26,6 @@ from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberMRF,
 )
 from repro.csp import (
@@ -102,7 +101,8 @@ MODELS = {
 }
 
 SPECS = {
-    # Uniform colourings dispatch to the colouring engines.
+    # Uniform colourings: the colouring engine runs LocalMetropolis, the
+    # general MRF engines the other two methods.
     "coloring-lm": lambda: _sample(MODELS["coloring"](), "local-metropolis", 34),
     "coloring-lg": lambda: _sample(MODELS["coloring"](), "luby-glauber", 35),
     "coloring-glauber": lambda: _sample(MODELS["coloring"](), "glauber", 36),
@@ -139,7 +139,7 @@ SPECS = {
 
 GOLDEN = {
     "coloring-lm": "4127db8f0e1954cdf337653854eb209ed08017eb3948a0796a68827552cfed27",
-    "coloring-lg": "a489db0835922f1d85720a004bb0dd128dfcb2f4cfbd16fafe2f418a14bb8605",
+    "coloring-lg": "1d67344a9ae9611c59d8cdf7702ccf4f57dbf8a3100c43f8eb74a6f0db2682f4",
     "coloring-glauber": "8c398772342bc6f9bf5ee486f112338ac4bb64d86774a3637ea52b3c1de8a450",
     "hardcore-lg": "6eac0d4eaa389bc2eac47606168218573a9783de820921061dc8063707f2a37f",
     "hardcore-glauber": "08681804ee6ade035f9a5b8e709b099ece3f910d90032f5ed30d85d187eee70e",
@@ -163,7 +163,7 @@ GOLDEN = {
 }
 
 # Region-restricted advances: the heat-bath kernels on a clamped boundary,
-# including the LocalMetropolis CSP engine's lazily built heat-bath path.
+# including the LocalMetropolis engines' lazily built heat-bath paths.
 REGION = [1, 2, 5, 6, 7]
 REGION_RUNS = {
     "glauber-region": lambda: EnsembleGlauberDynamics(
@@ -176,19 +176,15 @@ REGION_RUNS = {
         nae_mixed(), REPLICAS, seed=33
     ).advance(3).advance_region(ROUNDS, REGION).config,
     "lm-coloring-region": lambda: EnsembleLocalMetropolisColoring(
-        torus_graph(4, 4), 5, REPLICAS, seed=37
+        MODELS["coloring"](), REPLICAS, seed=37
     ).advance(3).advance_region(ROUNDS, REGION).config,
-    "lg-coloring-region": lambda: EnsembleLubyGlauberColoring(
-        torus_graph(4, 4), 5, REPLICAS, seed=38
-    ).advance_region(ROUNDS, REGION).config,
 }
 
 REGION_GOLDEN = {
     "glauber-region": "bf6927b832aa89719114c94037b63f71abc861a9a62db86aec01c30dfcda6905",
     "lg-mrf-region": "7cca218f52ee08b7f4902a33c5c884cfa5e85a1bc0866cca64071f5695a22d04",
     "lm-csp-region": "aaabe521bff3b1bda6ecf2805472ea4155eeb4fc1ec52c65075fab6381cee67d",
-    "lm-coloring-region": "baa5e47f6d5aa99e45701b1219d9b30e97b723e0dcf6927750c9fdd363250dd3",
-    "lg-coloring-region": "75704b8f08466bdb13849fb0874c722e0c3e55fbc60bcd92ea6973b9fcf7e84c",
+    "lm-coloring-region": "37127004b4c3822b7f3f3dc5b23e8d6ce3c873e7c868a92bb78f7becb055a7fa",
 }
 
 # The reference LOCAL protocols: the per-node runtime's output bits and its

@@ -26,7 +26,6 @@ from repro.chains.ensemble import (
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
     EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
 )
@@ -97,7 +96,7 @@ def test_run_spec_is_stationary(parallel):
 #: Every valid (model kind, method) cell of ``make_ensemble`` and its engine.
 DISPATCH = {
     ("coloring", "local-metropolis"): EnsembleLocalMetropolisColoring,
-    ("coloring", "luby-glauber"): EnsembleLubyGlauberColoring,
+    ("coloring", "luby-glauber"): EnsembleLubyGlauberMRF,
     ("coloring", "glauber"): EnsembleGlauberDynamics,
     ("general", "local-metropolis"): EnsembleLocalMetropolisMRF,
     ("general", "luby-glauber"): EnsembleLubyGlauberMRF,

@@ -21,7 +21,6 @@ from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberColoring,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
 )
@@ -50,10 +49,13 @@ def _lm_mrf_ensemble(seed):
 
 ENGINE_FACTORIES = {
     "lm-coloring": lambda seed: EnsembleLocalMetropolisColoring(
-        grid_graph(4, 4), 8, REPLICAS, seed=seed
+        proper_coloring_mrf(grid_graph(4, 4), 8), REPLICAS, seed=seed
     ),
-    "lg-coloring": lambda seed: EnsembleLubyGlauberColoring(
-        grid_graph(4, 4), 8, REPLICAS, seed=seed
+    "lg-coloring": lambda seed: make_ensemble(
+        proper_coloring_mrf(grid_graph(4, 4), 8),
+        REPLICAS,
+        method="luby-glauber",
+        seed=seed,
     ),
     "glauber": lambda seed: EnsembleGlauberDynamics(
         ising_mrf(path_graph(5), beta=0.9, field=0.4), REPLICAS, seed=seed

@@ -411,6 +411,24 @@ class TestProtocolErrors:
         assert field in document["error"]
         assert client.stats()["jobs"]["submitted"] == submitted
 
+    @pytest.mark.parametrize(
+        "initial, needle",
+        [([0.7, 1.9, 2.2], "integers"), ([0, 1, 7], "0..2"), ([[0, 1, 2]] * 3, "shape")],
+        ids=["fractional", "out-of-range", "wrong-shape"],
+    )
+    def test_invalid_initial_is_400_and_never_submitted(
+        self, server, client, initial, needle
+    ):
+        """A bad start is refused at decode: never truncated, never a 500."""
+        spec = JobSpec.sample_many(proper_coloring_mrf(path_graph(3), 3), 2, seed=1, rounds=2)
+        wire = spec.to_wire()
+        wire["params"]["initial"] = initial
+        submitted = client.stats()["jobs"]["submitted"]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert needle in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeError, match="no route"):
             client._request("GET", "/v1/nope")
