@@ -43,18 +43,9 @@ from repro.api import (
     sample_many,
     tv_curve,
 )
-from repro.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from repro.csp import LocalCSP
 from repro.dynamic import DynamicEnsemble
 from repro.errors import (
-    BackendError,
-    BackendUnavailableError,
     ConvergenceError,
     ExecError,
     FallbackEngineWarning,
@@ -85,10 +76,7 @@ __all__ = [
     "MRF",
     "MUTATIONS",
     "DynamicEnsemble",
-    "ArrayBackend",
     "LocalCSP",
-    "BackendError",
-    "BackendUnavailableError",
     "ConvergenceError",
     "ExecError",
     "FallbackEngineWarning",
@@ -99,9 +87,7 @@ __all__ = [
     "ReproError",
     "StateSpaceTooLargeError",
     "__version__",
-    "available_backends",
     "default_round_budget",
-    "get_backend",
     "exact_gibbs_distribution",
     "hardcore_mrf",
     "independent_set_mrf",
@@ -114,9 +100,7 @@ __all__ = [
     "obs",
     "potts_mrf",
     "proper_coloring_mrf",
-    "register_backend",
     "resample_region",
-    "resolve_backend_name",
     "run_spec",
     "sample",
     "sample_many",

@@ -106,7 +106,6 @@ class SequentialChainEnsemble(EnsembleTrajectoryMixin):
         with _obs_trace.span(
             "engine.advance",
             engine=type(self).__name__,
-            backend="python",
             steps=int(steps),
             replicas=self.replicas,
         ):
@@ -116,12 +115,8 @@ class SequentialChainEnsemble(EnsembleTrajectoryMixin):
                     chain.step()
             elapsed = perf_counter() - start
         if _obs_metrics.enabled and steps:
-            _obs_metrics.inc(
-                "repro_engine_rounds_total", steps, engine=type(self).__name__, backend="python"
-            )
-            _obs_metrics.inc(
-                "repro_engine_seconds_total", elapsed, engine=type(self).__name__, backend="python"
-            )
+            _obs_metrics.inc("repro_engine_rounds_total", steps, engine=type(self).__name__)
+            _obs_metrics.inc("repro_engine_seconds_total", elapsed, engine=type(self).__name__)
         self.steps_taken += steps
         return self
 

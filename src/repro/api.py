@@ -29,7 +29,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.analysis.convergence import mixing_time_probes, tv_curve_probes
-from repro.backend import ArrayBackend, get_backend
 from repro.chains.base import SeedLike, as_generator, as_seed_sequence
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
@@ -249,7 +248,6 @@ def make_ensemble(
     initial: np.ndarray | None = None,
     parallel: int | None = None,
     shard_size: int | None = None,
-    backend: str | ArrayBackend | None = None,
 ):
     """Build the batched replica-ensemble engine for ``(model, method)``.
 
@@ -283,11 +281,6 @@ def make_ensemble(
     :class:`~repro.exec.pool.ShardedEnsemble` should be closed (it is a
     context manager) to release its workers; it requires an int or
     :class:`numpy.random.SeedSequence` seed.
-
-    ``backend`` selects the array backend the batched kernels run on
-    (:mod:`repro.backend`; name, instance, or ``None`` to resolve via
-    ``$REPRO_BACKEND``, then numpy).  The numpy backend is bit-identical
-    to the pre-backend engines.
     """
     if r < 1:
         raise ModelError(f"ensemble needs r >= 1 replicas, got {r}")
@@ -295,10 +288,6 @@ def make_ensemble(
     if parallel is not None:
         from repro.exec.pool import ShardedEnsemble
 
-        # Resolve eagerly: an unusable backend fails here in the parent,
-        # not mid-run in a worker, and the picklable *name* (never an
-        # instance) is what travels to the worker processes.
-        backend_name = get_backend(backend).name
         return ShardedEnsemble(
             model,
             r,
@@ -307,7 +296,6 @@ def make_ensemble(
             initial=initial,
             workers=parallel,
             shard_size=shard_size,
-            backend=backend_name,
         )
     if shard_size is not None:
         raise ModelError("shard_size only applies to sharded runs; pass parallel=")
@@ -318,7 +306,7 @@ def make_ensemble(
             if method == "local-metropolis"
             else EnsembleLubyGlauberCSP
         )
-        return ensemble_cls(model, r, initial=initial, seed=rng, backend=backend)
+        return ensemble_cls(model, r, initial=initial, seed=rng)
     if method == "glauber":
         ensemble_cls = EnsembleGlauberDynamics
     elif method == "luby-glauber":
@@ -327,7 +315,7 @@ def make_ensemble(
         ensemble_cls = EnsembleLocalMetropolisColoring
     else:
         ensemble_cls = EnsembleLocalMetropolisMRF
-    return ensemble_cls(model, r, initial=initial, seed=rng, backend=backend)
+    return ensemble_cls(model, r, initial=initial, seed=rng)
 
 
 def sample_many(
@@ -340,7 +328,6 @@ def sample_many(
     initial: np.ndarray | None = None,
     parallel: int | None = None,
     shard_size: int | None = None,
-    backend: str | ArrayBackend | None = None,
 ) -> np.ndarray:
     """Draw ``r`` independent approximate Gibbs samples as an ``(r, n)`` batch.
 
@@ -364,10 +351,6 @@ def sample_many(
         Requires an int or ``SeedSequence`` seed, and the result is
         bit-identical for every worker count given the same seed and
         ``shard_size``.
-    backend:
-        Array backend for the batched kernels (:mod:`repro.backend`);
-        ``None`` resolves via ``$REPRO_BACKEND``, then numpy (the
-        bit-identical reference).
 
     Returns
     -------
@@ -384,7 +367,6 @@ def sample_many(
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
-        backend=backend,
     ).run()
 
 
@@ -398,7 +380,6 @@ def tv_curve(
     target: GibbsDistribution | None = None,
     parallel: int | None = None,
     shard_size: int | None = None,
-    backend: str | ArrayBackend | None = None,
 ) -> list[tuple[int, float]]:
     """Ensemble-native TV-decay curve of ``method`` on ``model``.
 
@@ -423,7 +404,6 @@ def tv_curve(
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
-        backend=backend,
     ).run(target=target)
 
 
@@ -439,7 +419,6 @@ def mixing_time(
     target: GibbsDistribution | None = None,
     parallel: int | None = None,
     shard_size: int | None = None,
-    backend: str | ArrayBackend | None = None,
 ) -> int:
     """Empirical mixing time ``tau(eps)`` of ``method`` on ``model``.
 
@@ -463,7 +442,6 @@ def mixing_time(
         initial=initial,
         parallel=parallel,
         shard_size=shard_size,
-        backend=backend,
     ).run(target=target)
 
 
@@ -509,7 +487,6 @@ def resample_region(
     method: str = "luby-glauber",
     eps: float = 0.05,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    backend: str | ArrayBackend | None = None,
 ) -> np.ndarray:
     """Resample ``region`` of an ``(R, n)`` batch under ``model``, boundary clamped.
 
@@ -528,10 +505,7 @@ def resample_region(
     if batch.ndim != 2 or batch.shape[1] != model.n:
         raise ModelError(f"batch must have shape (R, {model.n}), got {batch.shape}")
     region = np.asarray(sorted(int(v) for v in region), dtype=np.int64)
-    ensemble = make_ensemble(
-        model, batch.shape[0], method=method, seed=seed, initial=batch,
-        backend=backend,
-    )
+    ensemble = make_ensemble(model, batch.shape[0], method=method, seed=seed, initial=batch)
     if rounds is None:
         rounds = region_round_budget(model, method, int(region.size), eps)
     return ensemble.advance_region(rounds, region).config
@@ -577,7 +551,6 @@ def run_spec(
         initial=spec.initial,
         parallel=spec.parallel,
         shard_size=spec.shard_size,
-        backend=spec.backend,
     )
     try:
         if spec.kind == "sample_many":

@@ -50,20 +50,6 @@ building a second engine over the same model reads the arrays instead of
 walking the per-edge table dict or the constraint objects again.  No
 engine reads the networkx graph.
 
-Array-backend contract
-----------------------
-
-Every advance-path kernel below runs through an
-:class:`~repro.backend.base.ArrayBackend` (the local ``xp``), selected by
-the ``backend=`` constructor argument: numpy by default, torch CPU/CUDA
-optionally.  Setup and precompute (the compiled model form, padded and
-CSR tables, greedy starts) stay plain numpy/scipy and hand the finished
-structures to the backend once; diagnostics return numpy.  All backends
-draw randomness from the engine's single numpy Generator through the
-backend RNG bridge, so the proposal stream is backend-independent; only
-the numpy backend is *bitwise* reproducible (see
-:mod:`repro.backend.base`).
-
 Layout and exactness contract
 -----------------------------
 
@@ -111,7 +97,6 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backend import ArrayBackend, get_backend
 from repro.chains.base import as_generator, checked_initial, greedy_feasible_config
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
@@ -157,11 +142,9 @@ class EnsembleTrajectoryMixin:
 
     def _advance_instrumented(self, steps: int):
         engine = type(self).__name__
-        backend = getattr(getattr(self, "xp", None), "name", "python")
         with _obs_trace.span(
             "engine.advance",
             engine=engine,
-            backend=backend,
             steps=int(steps),
             replicas=int(getattr(self, "replicas", 1)),
         ):
@@ -170,8 +153,8 @@ class EnsembleTrajectoryMixin:
                 self.step()
             elapsed = perf_counter() - start
         if _obs_metrics.enabled and steps:
-            _obs_metrics.inc("repro_engine_rounds_total", steps, engine=engine, backend=backend)
-            _obs_metrics.inc("repro_engine_seconds_total", elapsed, engine=engine, backend=backend)
+            _obs_metrics.inc("repro_engine_rounds_total", steps, engine=engine)
+            _obs_metrics.inc("repro_engine_seconds_total", elapsed, engine=engine)
         return self
 
     def run(self, steps: int) -> np.ndarray:
@@ -211,25 +194,46 @@ class EnsembleTrajectoryMixin:
         return out
 
 
+def _count_true(incidence, mask):
+    """Sparse ``incidence @ mask`` over a boolean ``(m, R)`` mask.
+
+    Counts, per vertex and replica, the True entries among the vertex's
+    incident edges or constraints: the reduction of the Luby step and of
+    the LocalMetropolis accept.  Viewing the mask as uint8 keeps the sparse
+    matmul in integer arithmetic without a copy; callers only compare the
+    counts with zero.
+    """
+    return incidence @ mask.view(np.uint8)
+
+
+def _uniform_spins(rng: np.random.Generator, q: int, size, dtype: np.dtype) -> np.ndarray:
+    """Uniform spins in ``0..q-1`` with shape ``size`` in ``dtype``.
+
+    int8 bounded-integer generation is measurably slower in numpy, so
+    sub-16-bit dtypes draw via int16: part of the RNG stream contract.
+    """
+    if dtype.itemsize < 2:
+        return rng.integers(0, q, size=size, dtype=np.int16).astype(dtype)
+    return rng.integers(0, q, size=size, dtype=dtype)
+
+
 def _metropolis_accept(engine, proposals, failed, incidence) -> None:
     """The accept step of every LocalMetropolis engine; ends the round.
 
     ``failed`` is the ``(factors, R)`` mask of failed checks (edges, or
-    constraints) and ``incidence`` the backend CSR handle of the
-    ``(n, factors)`` vertex incidence: a vertex takes its ``(n, R)``
-    proposal iff none of its factors failed.  With metrics enabled, one
-    device->host sum of the blocked mask is the entire overhead of the
-    accepted-move probes.
+    constraints) and ``incidence`` the scipy CSR ``(n, factors)`` vertex
+    incidence: a vertex takes its ``(n, R)`` proposal iff none of its
+    factors failed.  With metrics enabled, one count of the blocked mask is
+    the entire overhead of the accepted-move probes.
     """
-    xp = engine.xp
-    blocked = xp.spmm_count(incidence, failed) > 0
+    blocked = _count_true(incidence, failed) > 0
     if _obs_metrics.enabled:
         total = engine.n * engine.replicas
-        rejected = int(xp.to_numpy(xp.sum(blocked)))
+        rejected = int(np.count_nonzero(blocked))
         name = type(engine).__name__
         _obs_metrics.inc("repro_engine_proposals_total", total, engine=name)
         _obs_metrics.inc("repro_engine_accepted_total", total - rejected, engine=name)
-    engine._config = xp.where(blocked, engine._config, proposals)
+    engine._config = np.where(blocked, engine._config, proposals)
     engine.steps_taken += 1
 
 
@@ -254,11 +258,11 @@ class _VertexMajorEnsemble(EnsembleTrajectoryMixin):
     @property
     def config(self) -> np.ndarray:
         """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self.xp.to_numpy(self._config).T.astype(np.int64)
+        return self._config.T.astype(np.int64)
 
     def write_batch_into(self, out: np.ndarray) -> np.ndarray:
         """Transposed write from the internal vertex-major state, no copy."""
-        np.copyto(out, self.xp.to_numpy(self._config).T)
+        np.copyto(out, self._config.T)
         return out
 
 
@@ -328,38 +332,27 @@ class _RegionSelector:
     resampling.
     """
 
-    def __init__(self, xp: ArrayBackend, region: np.ndarray, edge_u, edge_v, n: int):
-        self.xp = xp
+    def __init__(self, region: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
         self.region = region
         self.size = int(region.size)
-        self.region_d = xp.asarray(region)
         local_of = np.full(n, -1, dtype=np.int64)
         local_of[region] = np.arange(self.size, dtype=np.int64)
-        if edge_u is not None and len(edge_u):
-            internal = (local_of[edge_u] >= 0) & (local_of[edge_v] >= 0)
-            leu = local_of[edge_u[internal]]
-            lev = local_of[edge_v[internal]]
-        else:
-            leu = lev = np.zeros(0, dtype=np.int64)
-        if len(leu):
-            self._leu_d = xp.asarray(leu)
-            self._lev_d = xp.asarray(lev)
-        else:
-            self._leu_d = self._lev_d = None
-        self._side_u, self._side_v = _side_incidences(xp, leu, lev, self.size)
+        internal = (local_of[edge_u] >= 0) & (local_of[edge_v] >= 0)
+        self._leu = local_of[edge_u[internal]]
+        self._lev = local_of[edge_v[internal]]
+        self._side_u, self._side_v = _side_incidences(self._leu, self._lev, self.size)
 
     def select_pairs(self, rng: np.random.Generator, replicas: int):
         """Luby-select over the region; return global ``(v_idx, r_idx)`` pairs."""
         mask = _batched_luby_select(
-            self.xp, rng, self.size, replicas,
-            self._leu_d, self._lev_d, self._side_u, self._side_v,
+            rng, self.size, replicas, self._leu, self._lev, self._side_u, self._side_v
         )
-        s_idx, r_idx = self.xp.nonzero_pairs(mask)
-        return self.region_d[s_idx], r_idx
+        s_idx, r_idx = np.nonzero(mask)
+        return self.region[s_idx], r_idx
 
 
-def _side_incidences(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
-    """Backend CSR handles of the one-sided ``(n, m)`` edge incidences.
+def _side_incidences(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """Scipy CSR matrices of the one-sided ``(n, m)`` edge incidences.
 
     ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto each
     edge's u endpoint (``side_v`` likewise) — the Luby step's "lost to a
@@ -371,13 +364,13 @@ def _side_incidences(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n
     ones = np.ones(m, dtype=np.int32)
     arange = np.arange(m)
     return (
-        xp.csr(sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m))),
-        xp.csr(sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m))),
+        sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m)),
+        sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m)),
     )
 
 
-def _edge_incidence(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
-    """Backend CSR handle of the ``(n, m)`` vertex-edge incidence (None without edges).
+def _edge_incidence(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
+    """Scipy CSR matrix of the ``(n, m)`` vertex-edge incidence (None without edges).
 
     ``incidence @ failed`` counts each vertex's failed incident edges: the
     LocalMetropolis accept reduction.  Sparse matmul is the fastest
@@ -389,38 +382,37 @@ def _edge_incidence(xp: ArrayBackend, edge_u: np.ndarray, edge_v: np.ndarray, n:
         return None
     arange = np.arange(m)
     ends = (np.concatenate([edge_u, edge_v]), np.concatenate([arange, arange]))
-    return xp.csr(sp.csr_matrix((np.ones(2 * m, dtype=np.int32), ends), shape=(n, m)))
+    return sp.csr_matrix((np.ones(2 * m, dtype=np.int32), ends), shape=(n, m))
 
 
 def _batched_luby_select(
-    xp: ArrayBackend,
     rng: np.random.Generator,
     n: int,
     replicas: int,
-    edge_u,
-    edge_v,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
     side_u,
     side_v,
-):
+) -> np.ndarray:
     """Per-replica Luby step: i.i.d. ranks, strict local maxima win.
 
     Returns an ``(n, R)`` boolean mask; each column is an independent set
-    of the graph given by the (device) edge arrays (ties lose on both
-    sides, exactly as the sequential kernels).  ``side_u``/``side_v`` are
-    backend CSR handles of the one-sided incidence matrices.  Shared by
-    the MRF ensembles (model graph) and the CSP ensembles (conflict
-    graph).
+    of the graph given by the edge arrays (ties lose on both sides, exactly
+    as the sequential kernels).  ``side_u``/``side_v`` are the one-sided
+    incidence matrices of :func:`_side_incidences` (``None`` without
+    edges, when every vertex is selected).  Shared by the MRF ensembles
+    (model graph) and the CSP ensembles (conflict graph).
     """
-    if edge_u is None or int(edge_u.shape[0]) == 0:
-        return xp.ones((n, replicas), dtype=bool)
-    ranks = xp.random_f32(rng, (n, replicas))
+    if side_u is None:
+        return np.ones((n, replicas), dtype=bool)
+    ranks = rng.random((n, replicas), dtype=np.float32)
     ru = ranks[edge_u]
     rv = ranks[edge_v]
-    lose_counts = xp.spmm_count(side_u, ru <= rv) + xp.spmm_count(side_v, rv <= ru)
+    lose_counts = _count_true(side_u, ru <= rv) + _count_true(side_v, rv <= ru)
     return lose_counts == 0
 
 
-def _multiply_factor_rows(xp: ArrayBackend, weights, factors, indices):
+def _multiply_factor_rows(weights, factors, indices):
     """The heat-bath product loop: ``weights *= factors[index]`` per position.
 
     ``weights`` is a fresh ``(pairs, q)`` array holding each pair's own
@@ -433,11 +425,11 @@ def _multiply_factor_rows(xp: ArrayBackend, weights, factors, indices):
     in position order.
     """
     for index in indices:
-        weights *= xp.take_rows(factors, index)
+        weights *= np.take(factors, index, axis=0)
     return weights
 
 
-def _heatbath_spins(xp: ArrayBackend, rng, weights, v_idx, undefined):
+def _heatbath_spins(rng, weights, v_idx, undefined):
     """Inverse-CDF draw of one spin per row of the ``(pairs, q)`` ``weights``.
 
     The sampler of every heat-bath engine and of the LocalMetropolis MRF
@@ -453,20 +445,20 @@ def _heatbath_spins(xp: ArrayBackend, rng, weights, v_idx, undefined):
     whose weights are all zero raises ``undefined(vertex)``.
     """
     q = int(weights.shape[1])
-    totals = xp.sum(weights, axis=1)
-    if xp.any(totals <= 0.0):
-        raise undefined(int(v_idx[xp.argmax(totals <= 0.0)]))
-    uniforms = xp.random(rng, int(weights.shape[0]))
+    totals = np.sum(weights, axis=1)
+    if np.any(totals <= 0.0):
+        raise undefined(int(v_idx[np.argmax(totals <= 0.0)]))
+    uniforms = rng.random(int(weights.shape[0]))
     cdf = weights[:, 0] / totals
-    spins = xp.astype(cdf <= uniforms, np.int64)
+    spins = (cdf <= uniforms).astype(np.int64)
     for spin in range(1, q):
         cdf = cdf + weights[:, spin] / totals
         spins += cdf <= uniforms
     past = spins == q
-    if xp.any(past):
-        rows = xp.nonzero1d(past)
-        positive = xp.take_rows(weights, rows) > 0.0
-        spins[rows] = xp.argmax_axis(positive * xp.arange(q), axis=1)
+    if np.any(past):
+        rows = np.flatnonzero(past)
+        positive = np.take(weights, rows, axis=0) > 0.0
+        spins[rows] = np.argmax(positive * np.arange(q), axis=1)
     return spins
 
 
@@ -486,8 +478,9 @@ class _HeatBathEnsemble(_VertexMajorEnsemble):
         independent, for a CSP).
         """
         weights = self._heatbath_weights(v_idx, r_idx)
-        spins = _heatbath_spins(self.xp, self.rng, weights, v_idx, self._undefined_marginal)
-        self._config[v_idx, r_idx] = self.xp.astype(spins, self._dtype)
+        self._config[v_idx, r_idx] = _heatbath_spins(
+            self.rng, weights, v_idx, self._undefined_marginal
+        )
 
 
 class _EnsembleMRFBase(_HeatBathEnsemble):
@@ -503,8 +496,8 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
 
     Parameters are those of the public subclasses: the model, the replica
     count R, ``initial`` (``None`` for :meth:`_default_start` replicated, a
-    length-n configuration or an ``(R, n)`` batch), ``seed`` and
-    ``backend`` (module docstring).
+    length-n configuration or an ``(R, n)`` batch) and ``seed`` (module
+    docstring).
     """
 
     def __init__(
@@ -513,7 +506,6 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
@@ -523,24 +515,13 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         self.replicas = int(replicas)
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
-        xp = self.xp
         compiled = mrf.compiled()
-        self._vertex_activity = xp.asarray(compiled.vertex_activity)
+        self._vertex_activity = compiled.vertex_activity
         self._eu, self._ev = compiled.edge_u, compiled.edge_v
-        self._eu_d = xp.asarray(self._eu)
-        self._ev_d = xp.asarray(self._ev)
         # Replica i's row index: the pairs of a one-vertex-per-replica update.
-        self._rows = xp.arange(self.replicas)
-        self._config = xp.asarray(
-            _initial_spin_batch(
-                initial,
-                self.n,
-                self.q,
-                self.replicas,
-                self._dtype,
-                self._default_start,
-            )
+        self._rows = np.arange(self.replicas)
+        self._config = _initial_spin_batch(
+            initial, self.n, self.q, self.replicas, self._dtype, self._default_start
         )
         self._heatbath_ready = False
         self.steps_taken = 0
@@ -564,21 +545,19 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         """
         if self._heatbath_ready:
             return
-        xp, compiled = self.xp, self.mrf.compiled()
+        compiled = self.mrf.compiled()
         # Row t * q + s is column s of palette table t: the factors
         # A_uv(c, s) over c of a neighbour u in spin s.
-        self._factor_rows = xp.asarray(
-            np.ascontiguousarray(compiled.palette.transpose(0, 2, 1)).reshape(-1, self.q)
-        )
+        self._factor_rows = np.ascontiguousarray(
+            compiled.palette.transpose(0, 2, 1)
+        ).reshape(-1, self.q)
         # Row k holds, per vertex, the flat offset u * R of its k-th
         # neighbour's spins in the (n, R) batch and the first factor row
         # t * q of that edge's table.
-        self._neighbour_offsets = xp.asarray(
+        self._neighbour_offsets = (
             np.ascontiguousarray(compiled.padded_neighbours.T) * self.replicas
         )
-        self._table_offsets = xp.asarray(
-            np.ascontiguousarray(compiled.padded_tables.T) * self.q
-        )
+        self._table_offsets = np.ascontiguousarray(compiled.padded_tables.T) * self.q
         self._heatbath_ready = True
 
     def advance_region(self, steps: int, region) -> _EnsembleMRFBase:
@@ -596,9 +575,7 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         self._ensure_heatbath_structures()
-        selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._eu, self._ev, self.n
-        )
+        selector = _RegionSelector(_as_region(region, self.n), self._eu, self._ev, self.n)
         for _ in range(steps):
             self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
             self.steps_taken += 1
@@ -613,7 +590,7 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         factors cannot underflow to "infeasible".
         """
         compiled = self.mrf.compiled()
-        config = self.xp.to_numpy(self._config).astype(np.int64)
+        config = self._config.astype(np.int64)
         feasible = np.all(np.take_along_axis(compiled.vertex_activity, config, axis=1) > 0, axis=0)
         if compiled.m:
             factors = compiled.palette[
@@ -626,18 +603,17 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         """Weights ``b_v(c) * prod_u A_uv(c, X_u)`` of eq. (2), one row per pair.
 
         Multiplied in the sequential oracle's order, ``((b_v * A_1) * A_2)
-        ...`` over ascending neighbours, so on numpy each row equals
+        ...`` over ascending neighbours, so each row equals
         :func:`~repro.mrf.marginals.conditional_marginal_unnormalized` bit
         for bit.  Requires :meth:`_ensure_heatbath_structures`.
         """
-        xp = self.xp
         indices = (
-            xp.take_rows(tables, v_idx)
-            + xp.take(self._config, xp.take_rows(neighbours, v_idx) + r_idx)
+            np.take(tables, v_idx)
+            + np.take(self._config, np.take(neighbours, v_idx) + r_idx)
             for neighbours, tables in zip(self._neighbour_offsets, self._table_offsets)
         )
-        weights = xp.take_rows(self._vertex_activity, v_idx)
-        return _multiply_factor_rows(xp, weights, self._factor_rows, indices)
+        weights = np.take(self._vertex_activity, v_idx, axis=0)
+        return _multiply_factor_rows(weights, self._factor_rows, indices)
 
     def _undefined_marginal(self, vertex: int) -> InfeasibleStateError:
         return InfeasibleStateError(
@@ -668,14 +644,13 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._ensure_heatbath_structures()
 
     def step(self) -> None:
         """One single-site heat-bath update in every replica."""
-        vertices = self.xp.integers(self.rng, self.n, self.replicas)
+        vertices = self.rng.integers(self.n, size=self.replicas)
         if _obs_metrics.enabled:
             _obs_metrics.inc(
                 "repro_engine_site_updates_total", self.replicas, engine=type(self).__name__
@@ -693,12 +668,10 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
         """
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        xp = self.xp
         region = _as_region(region, self.n)
-        region_d = xp.asarray(region)
         for _ in range(steps):
-            picks = xp.integers(self.rng, int(region.size), self.replicas)
-            self._heatbath_update(region_d[picks], self._rows)
+            picks = self.rng.integers(int(region.size), size=self.replicas)
+            self._heatbath_update(region[picks], self._rows)
             self.steps_taken += 1
         return self
 
@@ -732,22 +705,20 @@ class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
+        super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._ensure_heatbath_structures()
-        self._side_u, self._side_v = _side_incidences(self.xp, self._eu, self._ev, self.n)
+        self._side_u, self._side_v = _side_incidences(self._eu, self._ev, self.n)
 
     def _luby_select(self):
         """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
         return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._eu_d, self._ev_d,
-            self._side_u, self._side_v,
+            self.rng, self.n, self.replicas, self._eu, self._ev, self._side_u, self._side_v
         )
 
     def step(self) -> None:
         """Select independent sets; heat-bath-update all pairs in parallel."""
-        v_idx, r_idx = self.xp.nonzero_pairs(self._luby_select())
+        v_idx, r_idx = np.nonzero(self._luby_select())
         if _obs_metrics.enabled:
             _record_luby_step(self, v_idx)
         self._heatbath_update(v_idx, r_idx)
@@ -780,50 +751,42 @@ class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
-        xp = self.xp
+        super().__init__(mrf, replicas, initial=initial, seed=seed)
         compiled = mrf.compiled()
         palette = compiled.palette
-        self._normalised = xp.asarray(
-            (palette / palette.max(axis=(1, 2), keepdims=True)).ravel()
-        )
+        self._normalised = (palette / palette.max(axis=(1, 2), keepdims=True)).ravel()
         # Edge i's row t * q of the flat (P * q, q) normalised palette, as an
         # (m, 1) column: (row + a) * q + b addresses Ã_i(a, b).
-        self._edge_rows = xp.asarray(compiled.edge_table[:, None] * self.q)
-        self._incidence = _edge_incidence(xp, self._eu, self._ev, self.n)
-        # Proposal pairs in vertex-major order: vertex of each pair, its
-        # weights b_v, and the (n, R) grid that lays the drawn spins out.
-        pairs = np.arange(self.n * self.replicas)
-        self._proposal_vertices = xp.asarray(pairs // self.replicas)
-        self._proposal_weights = xp.take_rows(self._vertex_activity, self._proposal_vertices)
-        self._proposal_grid = xp.asarray(pairs.reshape(self.n, self.replicas))
+        self._edge_rows = compiled.edge_table[:, None] * self.q
+        self._incidence = _edge_incidence(self._eu, self._ev, self.n)
+        # Proposal pairs in vertex-major order: the vertex of each pair and
+        # its weights b_v; the drawn spins reshape to the (n, R) batch.
+        self._proposal_vertices = np.arange(self.n * self.replicas) // self.replicas
+        self._proposal_weights = np.take(self._vertex_activity, self._proposal_vertices, axis=0)
 
     def step(self) -> None:
         """Proposals from ``b_v``; one three-factor filter per edge; accept if clean."""
-        xp = self.xp
         spins = _heatbath_spins(
-            xp, self.rng, self._proposal_weights, self._proposal_vertices,
-            self._undefined_marginal,
+            self.rng, self._proposal_weights, self._proposal_vertices, self._undefined_marginal
         )
-        proposals = xp.take(xp.astype(spins, self._dtype), self._proposal_grid)
+        proposals = spins.astype(self._dtype).reshape(self.n, self.replicas)
         if self._incidence is None:
             self._config = proposals
             self.steps_taken += 1
             return
         q = self.q
-        sigma_v = proposals[self._ev_d]
-        proposed = (self._edge_rows + proposals[self._eu_d]) * q
-        current = (self._edge_rows + self._config[self._eu_d]) * q
+        sigma_v = proposals[self._ev]
+        proposed = (self._edge_rows + proposals[self._eu]) * q
+        current = (self._edge_rows + self._config[self._eu]) * q
         pass_probability = (
-            xp.take(self._normalised, proposed + sigma_v)
-            * xp.take(self._normalised, current + sigma_v)
-            * xp.take(self._normalised, proposed + self._config[self._ev_d])
+            np.take(self._normalised, proposed + sigma_v)
+            * np.take(self._normalised, current + sigma_v)
+            * np.take(self._normalised, proposed + self._config[self._ev])
         )
         # One coin per (edge, replica): u < p always holds at p = 1 and
         # never at p = 0, as the sequential chain's deterministic branches.
-        failed = xp.random(self.rng, (self._eu.size, self.replicas)) >= pass_probability
+        failed = self.rng.random((self._eu.size, self.replicas)) >= pass_probability
         _metropolis_accept(self, proposals, failed, self._incidence)
 
 
@@ -851,7 +814,6 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
         if not mrf.compiled().is_uniform_coloring:
             raise ModelError(
@@ -859,8 +821,8 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
                 "(A_e a positive multiple of J - I, constant b_v); use "
                 "EnsembleLocalMetropolisMRF for other models"
             )
-        super().__init__(mrf, replicas, initial=initial, seed=seed, backend=backend)
-        self._incidence = _edge_incidence(self.xp, self._eu, self._ev, self.n)
+        super().__init__(mrf, replicas, initial=initial, seed=seed)
+        self._incidence = _edge_incidence(self._eu, self._ev, self.n)
 
     def _default_start(self) -> np.ndarray:
         """The first-fit colouring: no draw from the engine's stream."""
@@ -868,18 +830,15 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
 
     def step(self) -> None:
         """Uniform proposals; the three colouring rules per edge; accept if clean."""
-        xp = self.xp
-        proposals = xp.uniform_spins(
-            self.rng, self.q, (self.n, self.replicas), self._dtype
-        )
+        proposals = _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)
         if self._incidence is None:
             self._config = proposals
             self.steps_taken += 1
             return
-        pu = proposals[self._eu_d]
-        pv = proposals[self._ev_d]
-        xu = self._config[self._eu_d]
-        xv = self._config[self._ev_d]
+        pu = proposals[self._eu]
+        pv = proposals[self._ev]
+        xu = self._config[self._eu]
+        xv = self._config[self._ev]
         failed = (pu == pv) | (pu == xv) | (pv == xu)
         _metropolis_accept(self, proposals, failed, self._incidence)
 
@@ -914,9 +873,6 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
     seed:
         Seed, :class:`numpy.random.SeedSequence` or Generator for the single
         shared RNG stream (module docstring: seed and stream contract).
-    backend:
-        Array backend name or instance (module docstring: array-backend
-        contract); ``None`` resolves via ``$REPRO_BACKEND``, then numpy.
     """
 
     def __init__(
@@ -925,7 +881,6 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
         if replicas < 1:
             raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
@@ -935,47 +890,34 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         self.replicas = int(replicas)
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
-        self.xp = get_backend(backend)
         compiled = csp.compiled()
         self._num_constraints = compiled.num_constraints
-        xp = self.xp
-        self._table_starts_d = xp.asarray(compiled.table_starts)
-        self._flat_raw_d = xp.asarray(compiled.flat_raw)
-        # Per arity bucket k on the backend: (k, constraint ids, (k, C_k)
-        # position-major scopes, (k, 1, 1) strides, (C_k, 1) table starts).
-        # Gathering an (n, R) batch at the scopes gives (k, C_k, R): one
-        # contiguous (C_k, R) plane per scope position.
+        # Per arity bucket k: (k, constraint ids, (k, C_k) position-major
+        # scopes, (k, 1, 1) strides, (C_k, 1) table starts).  Gathering an
+        # (n, R) batch at the scopes gives (k, C_k, R): one contiguous
+        # (C_k, R) plane per scope position.
         self._buckets = [
             (
                 bucket.arity,
-                xp.asarray(bucket.constraints),
-                xp.asarray(np.ascontiguousarray(bucket.scopes.T)),
-                xp.asarray(bucket.strides[:, None, None]),
-                xp.asarray(bucket.table_starts[:, None]),
+                bucket.constraints,
+                np.ascontiguousarray(bucket.scopes.T),
+                bucket.strides[:, None, None],
+                bucket.table_starts[:, None],
             )
             for bucket in compiled.buckets
         ]
         if self._num_constraints:
             ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
-            self._vertex_incidence = xp.csr(
-                sp.csr_matrix(
-                    (ones, compiled.incidence_constraint, compiled.incidence_indptr),
-                    shape=(self.n, self._num_constraints),
-                )
+            self._vertex_incidence = sp.csr_matrix(
+                (ones, compiled.incidence_constraint, compiled.incidence_indptr),
+                shape=(self.n, self._num_constraints),
             )
         else:
             self._vertex_incidence = None
-        self._config = xp.asarray(
-            _initial_spin_batch(
-                initial,
-                self.n,
-                self.q,
-                self.replicas,
-                self._dtype,
-                lambda: compiled.greedy_start,
-            )
+        self._config = _initial_spin_batch(
+            initial, self.n, self.q, self.replicas, self._dtype, lambda: compiled.greedy_start
         )
-        self._spin_arange = xp.arange(self.q)
+        self._spin_arange = np.arange(self.q)
         self._heatbath_ready = False
         self.steps_taken = 0
 
@@ -986,7 +928,7 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         """Scatter per-bucket ``(C_k, R)`` results into constraint order."""
         if len(parts) == 1:  # one arity: the bucket is every constraint, in order
             return parts[0]
-        out = self.xp.zeros((self._num_constraints, self.replicas), dtype=dtype)
+        out = np.zeros((self._num_constraints, self.replicas), dtype=dtype)
         for (_, ids, _, _, _), part in zip(self._buckets, parts):
             out[ids] = part
         return out
@@ -998,10 +940,9 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         inside the flattened table stack (relative to the constraint's
         table start).
         """
-        xp = self.xp
         return self._by_constraint(
             [
-                xp.sum(batch[scopes] * strides, axis=0)
+                np.sum(batch[scopes] * strides, axis=0)
                 for _, _, scopes, strides, _ in self._buckets
             ],
             np.int64,
@@ -1011,10 +952,10 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         """Boolean ``(R,)`` mask of replicas with positive total weight."""
         if not self._num_constraints:
             return np.ones(self.replicas, dtype=bool)
-        xp = self.xp
+        compiled = self.csp.compiled()
         flat = self._scope_flat_indices(self._config)
-        values = self._flat_raw_d[self._table_starts_d[:, None] + flat]
-        return np.all(xp.to_numpy(values) > 0.0, axis=0)
+        values = compiled.flat_raw[compiled.table_starts[:, None] + flat]
+        return np.all(values > 0.0, axis=0)
 
     def is_feasible(self) -> bool:
         """Return True iff *every* replica's configuration is feasible."""
@@ -1036,15 +977,11 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         """
         if self._heatbath_ready:
             return
-        xp, compiled = self.xp, self.csp.compiled()
+        compiled = self.csp.compiled()
         # Conflict-graph edge arrays drive the batched Luby step; ties lose
         # on both sides, exactly as LubyScheduler's strict local maxima.
         self._cu, self._cv = compiled.conflict_u, compiled.conflict_v
-        self._cu_d = xp.asarray(self._cu)
-        self._cv_d = xp.asarray(self._cv)
-        self._conflict_u, self._conflict_v = _side_incidences(
-            xp, self._cu, self._cv, self.n
-        )
+        self._conflict_u, self._conflict_v = _side_incidences(self._cu, self._cv, self.n)
         # Row k holds, per vertex, for its k-th containing constraint c: the
         # flat offset c * R of c's row in the (C + 1, R) flat-index buffer,
         # the start of c's table among the factors, and the stride of the
@@ -1053,28 +990,25 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         # tables and stride 0, so they read a factor of one.
         constraints = np.ascontiguousarray(compiled.padded_constraints.T)
         starts = np.append(compiled.table_starts, compiled.flat_raw.size)
-        self._incidence_offsets = xp.asarray(constraints * self.replicas)
-        self._incidence_starts = xp.asarray(starts[constraints])
-        self._incidence_strides = xp.asarray(
-            np.ascontiguousarray(compiled.padded_strides.T)
-        )
-        self._factors = xp.asarray(np.append(compiled.flat_raw, 1.0))
-        self._flat = xp.zeros((self._num_constraints + 1, self.replicas), dtype=np.int64)
+        self._incidence_offsets = constraints * self.replicas
+        self._incidence_starts = starts[constraints]
+        self._incidence_strides = np.ascontiguousarray(compiled.padded_strides.T)
+        self._factors = np.append(compiled.flat_raw, 1.0)
+        self._flat = np.zeros((self._num_constraints + 1, self.replicas), dtype=np.int64)
         self._heatbath_ready = True
 
     def _heatbath_weights(self, v_idx, r_idx):
         """Weights ``prod_c f_c(sigma with v -> s)`` over spins ``s``, one row per pair.
 
-        Multiplied in constraint order from ones, so on numpy each row
-        equals the unnormalised weights of
+        Multiplied in constraint order from ones, so each row equals the
+        unnormalised weights of
         :meth:`~repro.csp.model.LocalCSP.conditional_marginal` bit for bit.
         The pairs must be strongly independent within each replica (no two
         share a constraint scope), so every co-scoped vertex is fixed
         conditioning.  Requires :meth:`_ensure_heatbath_structures`.
         """
-        xp = self.xp
         self._flat[:-1] = self._scope_flat_indices(self._config)
-        current = xp.take(self._config, v_idx * self.replicas + r_idx)
+        current = np.take(self._config, v_idx * self.replicas + r_idx)
 
         def indices():
             for offsets, starts, strides in zip(
@@ -1082,16 +1016,16 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             ):
                 # f_c's flat index with v's axis at spin 0, then one entry
                 # per candidate spin of v.
-                stride = xp.take_rows(strides, v_idx)
+                stride = np.take(strides, v_idx)
                 base = (
-                    xp.take_rows(starts, v_idx)
-                    + xp.take(self._flat, xp.take_rows(offsets, v_idx) + r_idx)
+                    np.take(starts, v_idx)
+                    + np.take(self._flat, np.take(offsets, v_idx) + r_idx)
                     - current * stride
                 )
                 yield base[:, None] + stride[:, None] * self._spin_arange
 
-        weights = xp.ones((int(v_idx.shape[0]), self.q))
-        return _multiply_factor_rows(xp, weights, self._factors, indices())
+        weights = np.ones((int(v_idx.shape[0]), self.q))
+        return _multiply_factor_rows(weights, self._factors, indices())
 
     def _undefined_marginal(self, vertex: int) -> ModelError:
         return ModelError(
@@ -1113,9 +1047,7 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         self._ensure_heatbath_structures()
-        selector = _RegionSelector(
-            self.xp, _as_region(region, self.n), self._cu, self._cv, self.n
-        )
+        selector = _RegionSelector(_as_region(region, self.n), self._cu, self._cv, self.n)
         for _ in range(steps):
             self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
             self.steps_taken += 1
@@ -1143,9 +1075,8 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
+        super().__init__(csp, replicas, initial=initial, seed=seed)
         # Every step Luby-selects on the conflict graph and heat-bath
         # updates through the padded incidence — build them eagerly.
         self._ensure_heatbath_structures()
@@ -1153,13 +1084,13 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
     def _luby_select(self):
         """Per-replica Luby step on the conflict graph, ``(n, R)`` boolean."""
         return _batched_luby_select(
-            self.xp, self.rng, self.n, self.replicas, self._cu_d, self._cv_d,
+            self.rng, self.n, self.replicas, self._cu, self._cv,
             self._conflict_u, self._conflict_v,
         )
 
     def step(self) -> None:
         """Select strongly independent sets; heat-bath-update them in parallel."""
-        v_idx, r_idx = self.xp.nonzero_pairs(self._luby_select())
+        v_idx, r_idx = np.nonzero(self._luby_select())
         if _obs_metrics.enabled:
             _record_luby_step(self, v_idx)
         self._heatbath_update(v_idx, r_idx)
@@ -1196,9 +1127,8 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        super().__init__(csp, replicas, initial=initial, seed=seed, backend=backend)
+        super().__init__(csp, replicas, initial=initial, seed=seed)
         compiled = csp.compiled()
         total_rows = compiled.mixing_rows
         if total_rows > self.MAX_MIXING_ROWS:
@@ -1208,19 +1138,17 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
                 f"{self.MAX_MIXING_ROWS} cap; use the sequential "
                 "LocalMetropolisCSP chain for very-high-arity CSPs"
             )
-        xp = self.xp
-        self._flat_norm = xp.asarray(compiled.flat_norm)
+        self._flat_norm = compiled.flat_norm
         # One (2^k, C_k, R) mixing-index array per bucket, rewritten in
         # place every step: reusing it spares the allocator a fresh
         # multi-megabyte block (and its page faults) per round.
         self._mixing_index = [
-            xp.zeros((2**arity, int(ids.shape[0]), self.replicas), dtype=np.int64)
+            np.zeros((2**arity, ids.size, self.replicas), dtype=np.int64)
             for arity, ids, _, _, _ in self._buckets
         ]
 
     def _pass_probabilities(self, proposals):
         """``(C, R)`` product of every constraint's ``2^k - 1`` mixing factors."""
-        xp = self.xp
         parts = []
         for (arity, _, scopes, strides, starts), index in zip(
             self._buckets, self._mixing_index
@@ -1232,21 +1160,18 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
             # mixing that reads the proposal at the positions whose bit is
             # set in ``mask`` and the current spin elsewhere; doubling
             # over the positions fills rows [w, 2w) from rows [0, w).
-            index[0] = starts + xp.sum(current, axis=0)
+            index[0] = starts + np.sum(current, axis=0)
             for position in range(arity):
                 width = 1 << position
                 index[width : 2 * width] = index[:width]
                 index[width : 2 * width] += change[position]
             # Row 0 is the current configuration itself, not a mixing.
-            parts.append(xp.prod(self._flat_norm[index[1:]], axis=0))
+            parts.append(np.prod(self._flat_norm[index[1:]], axis=0))
         return self._by_constraint(parts, float)
 
     def step(self) -> None:
         """Uniform proposals; batched 2^k - 1-factor filter; accept if clean."""
-        xp = self.xp
-        proposals = xp.uniform_spins(
-            self.rng, self.q, (self.n, self.replicas), self._dtype
-        )
+        proposals = _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)
         if not self._num_constraints:
             self._config = proposals
             self.steps_taken += 1
@@ -1255,5 +1180,5 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
         # One shared coin per (constraint, replica): u < p is almost surely
         # true at p = 1 and never true at p = 0, so the deterministic
         # branches of the sequential chain need no special-casing.
-        coins = xp.random(self.rng, (self._num_constraints, self.replicas))
+        coins = self.rng.random((self._num_constraints, self.replicas))
         _metropolis_accept(self, proposals, coins >= pass_probability, self._vertex_incidence)

@@ -534,23 +534,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_backend() -> str | None:
-    """The backend name a submitted spec should carry.
-
-    The local commands resolve ``$REPRO_BACKEND`` inside the engines; a
-    submitted job executes on the *server*, so the client's environment
-    must be folded into the spec explicitly.  The numpy default stays
-    ``None`` — it is bit-identical, and naming it would gratuitously
-    require the server to know the name.
-    """
-    from repro.backend import resolve_backend_name
-
-    name = resolve_backend_name(None)
-    return None if name == "numpy" else name
-
-
 def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
-    backend = _submit_backend()
     if args.kind == "sample_many":
         return JobSpec.sample_many(
             model,
@@ -559,7 +543,6 @@ def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
             eps=args.eps if args.eps is not None else 0.05,
             rounds=args.rounds,
             seed=args.seed,
-            backend=backend,
         )
     if args.kind == "tv_curve":
         return JobSpec.tv_curve(
@@ -568,7 +551,6 @@ def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
             method=args.method,
             replicas=args.replicas,
             seed=args.seed,
-            backend=backend,
         )
     return JobSpec.mixing_time(
         model,
@@ -578,7 +560,6 @@ def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
         max_rounds=args.max_rounds,
         stride=args.stride,
         seed=args.seed,
-        backend=backend,
     )
 
 

@@ -16,9 +16,9 @@ memoizes it.  Models are immutable (mutations return new instances), so
 the form never goes stale.  It is never built at construction, decode or
 fingerprint time, and the models leave it out of their pickles, so it
 adds nothing to a served job's wire or pickle size.  Every array is a
-read-only numpy array; engines hand them to their array backend as they
-are.  Equal models compile to equal arrays, so an engine's bits do not
-depend on whether the form was memoized.
+read-only numpy array that engines read as it is, with no copy.  Equal
+models compile to equal arrays, so an engine's bits do not depend on
+whether the form was memoized.
 
 The padded tables the heat-bath engines walk (``padded_neighbours`` /
 ``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold

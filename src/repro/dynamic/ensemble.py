@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import default_round_budget, make_ensemble
-from repro.backend import ArrayBackend
 from repro.chains.base import SeedLike, as_generator
 from repro.csp.model import Constraint, LocalCSP
 from repro.dynamic.region import influenced_region, region_round_budget
@@ -64,8 +63,6 @@ class DynamicEnsemble:
         or ``None``).  The whole trajectory — including every engine
         rebuild after a mutation — is bit-identical for a fixed
         ``SeedSequence`` and operation sequence.
-    backend:
-        Array backend for the batched kernels (:mod:`repro.backend`).
     """
 
     def __init__(
@@ -76,7 +73,6 @@ class DynamicEnsemble:
         eps: float = 0.05,
         radius: int = 2,
         seed: SeedLike = None,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
         if radius < 0:
             raise ModelError(f"radius must be >= 0, got {radius}")
@@ -85,11 +81,8 @@ class DynamicEnsemble:
         self.method = method
         self.eps = float(eps)
         self.radius = int(radius)
-        self.backend = backend
         self.rng = as_generator(seed)
-        self._engine = make_ensemble(
-            model, self.replicas, method=method, seed=self.rng, backend=backend
-        )
+        self._engine = make_ensemble(model, self.replicas, method=method, seed=self.rng)
         self._pending: set[int] = set()
         self.mutations = 0
         self.resamples = 0
@@ -265,7 +258,6 @@ class DynamicEnsemble:
             method=self.method,
             seed=self.rng,
             initial=self._engine.config,
-            backend=self.backend,
         )
         self.mutations += 1
         if _obs_metrics.enabled:

@@ -92,25 +92,6 @@ class ServerOverloadedError(ServeError):
     """
 
 
-class BackendError(ReproError):
-    """The array-backend layer (:mod:`repro.backend`) was misused.
-
-    Examples: an unknown backend name (the message lists the registered
-    backends), or a backend-specific operation invoked on arrays it cannot
-    handle.
-    """
-
-
-class BackendUnavailableError(BackendError):
-    """A registered backend cannot run on this machine.
-
-    Raised at *construction* time — e.g. ``backend="torch"`` without torch
-    installed, or ``backend="torch-cuda"`` without a visible CUDA device —
-    so a misconfigured run fails before any sampling work starts, never
-    mid-run.
-    """
-
-
 class FallbackEngineWarning(RuntimeWarning):
     """Formerly: a model/method pair had no batched replica-ensemble kernel.
 

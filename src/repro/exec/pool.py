@@ -76,32 +76,19 @@ def _shard_initial_blocks(shards, initial, per_replica):
     return [initial] * len(shards)
 
 
-def _build_shard_engines(model, method, shards, initial_blocks, backend=None):
+def _build_shard_engines(model, method, shards, initial_blocks):
     """Construct one ensemble engine per shard, seeded by the shard's stream.
 
     Shared verbatim between in-process execution and the worker processes —
     the construction path *is* the determinism contract, so there must be
-    exactly one of it.  ``backend`` is a registered backend *name* (names
-    pickle; instances do not).
+    exactly one of it.
     """
     from repro.api import make_ensemble
 
-    engines = []
-    for spec, block in zip(shards, initial_blocks):
-        engines.append(
-            (
-                spec,
-                make_ensemble(
-                    model,
-                    spec.size,
-                    method=method,
-                    seed=spec.seed,
-                    initial=block,
-                    backend=backend,
-                ),
-            )
-        )
-    return engines
+    return [
+        (spec, make_ensemble(model, spec.size, method=method, seed=spec.seed, initial=block))
+        for spec, block in zip(shards, initial_blocks)
+    ]
 
 
 def _parent_tracker_pid() -> int | None:
@@ -147,7 +134,6 @@ def _worker_main(  # pragma: no cover - runs in worker processes, invisible to c
     method: str,
     shards: list[ShardSpec],
     initial_blocks,
-    backend: str | None,
     shm_name: str,
     shape: tuple[int, int],
     parent_tracker_pid: int | None,
@@ -161,9 +147,7 @@ def _worker_main(  # pragma: no cover - runs in worker processes, invisible to c
         shm = shared_memory.SharedMemory(name=shm_name)
         _untrack(shm, parent_tracker_pid)
         batch = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-        engines = _build_shard_engines(
-            model, method, shards, initial_blocks, backend=backend
-        )
+        engines = _build_shard_engines(model, method, shards, initial_blocks)
         for spec, engine in engines:
             engine.write_batch_into(batch[spec.start : spec.stop])
         replies.put((worker_id, "ready", None))
@@ -225,11 +209,6 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         if their partitions match.
     start_method:
         Multiprocessing start method (default :func:`default_start_method`).
-    backend:
-        Registered array-backend *name* for the shard engines
-        (:mod:`repro.backend`); a name rather than an instance because it
-        must pickle to the workers.  ``None`` resolves per-process via
-        ``$REPRO_BACKEND``, then numpy.
 
     Use as a context manager (or call :meth:`close`) to release worker
     processes and the shared-memory block deterministically.
@@ -245,11 +224,9 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         workers: int | None = None,
         shard_size: int | None = None,
         start_method: str | None = None,
-        backend: str | None = None,
     ) -> None:
         self.model = model
         self.method = method
-        self.backend = backend
         self.n = int(model.n)
         self.replicas = int(replicas)
         self.shards = make_shard_plan(replicas, seed=seed, shard_size=shard_size)
@@ -267,9 +244,7 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         self._pool = None
         initial_blocks = _shard_initial_blocks(self.shards, initial_array, per_replica)
         if self.workers == 0:
-            self._engines = _build_shard_engines(
-                model, method, self.shards, initial_blocks, backend=backend
-            )
+            self._engines = _build_shard_engines(model, method, self.shards, initial_blocks)
         else:
             self._pool = _ShardWorkerPool(
                 model,
@@ -280,7 +255,6 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
                 self.n,
                 self.workers,
                 start_method or default_start_method(),
-                backend=backend,
             )
 
     # ------------------------------------------------------------------
@@ -368,7 +342,6 @@ class _ShardWorkerPool:
         n: int,
         workers: int,
         start_method: str,
-        backend: str | None = None,
     ) -> None:
         self._ctx = mp.get_context(start_method)
         self._shm = shared_memory.SharedMemory(
@@ -390,7 +363,6 @@ class _ShardWorkerPool:
                         method,
                         shards[worker_id::workers],
                         initial_blocks[worker_id::workers],
-                        backend,
                         self._shm.name,
                         (replicas, n),
                         tracker_pid,

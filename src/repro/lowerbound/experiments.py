@@ -61,18 +61,11 @@ def _phase_initial_lift(lift: CycleLift, pattern: list[int] | np.ndarray) -> np.
     return initial
 
 
-def _make_engine(mrf, replicas, initial, seed, engine, backend):
+def _make_engine(mrf, replicas, initial, seed, engine):
     if engine == "ensemble":
         from repro.api import make_ensemble
 
-        return make_ensemble(
-            mrf,
-            replicas,
-            method="luby-glauber",
-            seed=seed,
-            initial=initial,
-            backend=backend,
-        )
+        return make_ensemble(mrf, replicas, method="luby-glauber", seed=seed, initial=initial)
     if engine == "sequential":
         from repro.analysis.convergence import SequentialChainEnsemble
         from repro.chains.luby_glauber import LubyGlauberChain
@@ -153,7 +146,6 @@ def sample_gadget_phases(
     seed=None,
     start_phase: int = 1,
     engine: str = "ensemble",
-    backend=None,
 ) -> GadgetPhaseSample:
     """Run ``replicas`` hardcore chains on the gadget and report phases.
 
@@ -167,7 +159,7 @@ def sample_gadget_phases(
         raise ModelError(f"rounds must be >= 0, got {rounds}")
     mrf = hardcore_mrf(gadget.graph, fugacity)
     initial = _phase_initial_gadget(gadget, start_phase)
-    ensemble = _make_engine(mrf, replicas, initial, seed, engine, backend)
+    ensemble = _make_engine(mrf, replicas, initial, seed, engine)
     ensemble.advance(rounds)
     configs = np.asarray(ensemble.config, dtype=np.int64)
     phases = batch_phase_of_configurations(configs, gadget.plus_side, gadget.minus_side)
@@ -190,7 +182,6 @@ def sample_lift_phases(
     seed=None,
     start_pattern: list[int] | np.ndarray | None = None,
     engine: str = "ensemble",
-    backend=None,
 ) -> LiftPhaseSample:
     """Run ``replicas`` hardcore chains on the lift and report phase cuts.
 
@@ -211,7 +202,7 @@ def sample_lift_phases(
         )
     mrf = hardcore_mrf(lift.graph, fugacity)
     initial = _phase_initial_lift(lift, start_pattern)
-    ensemble = _make_engine(mrf, replicas, initial, seed, engine, backend)
+    ensemble = _make_engine(mrf, replicas, initial, seed, engine)
     ensemble.advance(rounds)
     configs = np.asarray(ensemble.config, dtype=np.int64)
     phase_vectors = batch_phase_vectors(configs, lift)

@@ -14,7 +14,7 @@ Three layers, all stdlib-only:
 * Engine probes live at their call sites (``chains/ensemble.py``,
   ``dynamic/ensemble.py``, ``exec/jobs.py``, ``repro.serve``) and report the paper-level quantities: rounds/sec,
   accepted-move fractions, Luby independent-set sizes, region sizes
-  and budgets, per-backend kernel seconds.
+  and budgets, per-engine kernel seconds.
 
 Typical use::
 

@@ -77,7 +77,7 @@ class MetricsRegistry:
     """Thread-safe store of counters, gauges, and histograms.
 
     Series are keyed by ``(name, sorted label items)``.  Label values are
-    coerced to ``str`` so backends/engines can pass whatever identifies
+    coerced to ``str`` so engines and routes can pass whatever identifies
     them without worrying about types.
     """
 

@@ -22,10 +22,7 @@ this class), the CLI (``repro submit``) and the serving daemon
   sampled bit, and *nothing else*.  Because results are bit-identical for
   any worker count, placement (``parallel``) is excluded, but *whether*
   the run is sharded (and the shard size) is included — shard plans change
-  the RNG streams.  The same rule governs ``backend``: the numpy backend
-  is the bit-identical reference, so ``backend in (None, "numpy")`` is
-  excluded (keys are stable across releases that predate the field), while
-  any other backend changes floating-point bits and is included.
+  the RNG streams.
 
 Requests without a reproducible seed (``seed=None`` or a live Generator)
 have no cache key: their results are honest fresh randomness and must
@@ -44,7 +41,7 @@ import numpy as np
 from repro.analysis.convergence import canonical_checkpoints
 from repro.chains.base import SeedLike, checked_initial
 from repro.csp.model import LocalCSP
-from repro.errors import BackendError, ModelError, UnknownModelError
+from repro.errors import ModelError, UnknownModelError
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
 
 __all__ = ["JOB_KINDS", "METHODS", "JobSpec", "validate_method"]
@@ -150,13 +147,6 @@ class JobSpec:
     fixes the RNG streams), the worker count is pure placement.  The cache
     key and the wire form therefore carry "sharded + shard_size", never
     the worker count.
-
-    ``backend`` names the array backend the engines run on
-    (:mod:`repro.backend`); ``None`` resolves server-side via
-    ``$REPRO_BACKEND``, then numpy.  It enters the cache key and the wire
-    params only when it is a non-numpy backend (see module docstring).
-    In-process runs may pass an :class:`~repro.backend.ArrayBackend`
-    instance instead of a name.
     """
 
     kind: str
@@ -173,19 +163,11 @@ class JobSpec:
     name: str | None = None
     parallel: int | None = None
     shard_size: int | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
             raise ModelError(f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}")
         validate_method(self.model, self.method)
-        if isinstance(self.backend, str):
-            # Validate against the registry now (raises BackendError for
-            # unknown names) without constructing the backend — a client
-            # may submit a torch job to a torch-equipped server.
-            from repro.backend import resolve_backend_name
-
-            resolve_backend_name(self.backend)
         if self.replicas < 1:
             raise ModelError(f"job needs r >= 1 replicas, got {self.replicas}")
         if self.initial is not None:
@@ -232,7 +214,6 @@ class JobSpec:
         name: str | None = None,
         parallel: int | None = None,
         shard_size: int | None = None,
-        backend: str | None = None,
     ) -> JobSpec:
         """A spec whose result is ``repro.api.sample_many(...)`` — an ``(R, n)`` batch."""
         return cls(
@@ -247,7 +228,6 @@ class JobSpec:
             name=name,
             parallel=parallel,
             shard_size=shard_size,
-            backend=backend,
         )
 
     @classmethod
@@ -262,7 +242,6 @@ class JobSpec:
         name: str | None = None,
         parallel: int | None = None,
         shard_size: int | None = None,
-        backend: str | None = None,
     ) -> JobSpec:
         """A spec whose result is ``repro.api.tv_curve(...)``; checkpoints stream live."""
         return cls(
@@ -276,7 +255,6 @@ class JobSpec:
             name=name,
             parallel=parallel,
             shard_size=shard_size,
-            backend=backend,
         )
 
     @classmethod
@@ -293,7 +271,6 @@ class JobSpec:
         name: str | None = None,
         parallel: int | None = None,
         shard_size: int | None = None,
-        backend: str | None = None,
     ) -> JobSpec:
         """A spec whose result is ``repro.api.mixing_time(...)``; TV probes stream live."""
         return cls(
@@ -309,7 +286,6 @@ class JobSpec:
             name=name,
             parallel=parallel,
             shard_size=shard_size,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------
@@ -357,11 +333,6 @@ class JobSpec:
             params["shard_size"] = (
                 None if self.shard_size is None else int(self.shard_size)
             )
-        # The numpy backend is the bit-identical reference, so naming it
-        # (or naming nothing) must hash like a pre-backend-field spec;
-        # only backends that change result bits enter the params.
-        if self.backend not in (None, "numpy"):
-            params["backend"] = str(self.backend)
         return params
 
     def cache_key(self) -> str | None:
@@ -441,7 +412,9 @@ class JobSpec:
         lookup: nothing is decoded or hashed.  A well-formed fingerprint
         missing from ``models`` raises
         :class:`~repro.errors.UnknownModelError`; every other malformed
-        field raises :class:`~repro.errors.ModelError`.
+        field raises :class:`~repro.errors.ModelError`, and so does a
+        ``params`` key that :meth:`params_dict` does not emit for the
+        spec's kind: a misspelt parameter must not run at its default.
         """
         if not isinstance(payload, dict):
             raise ModelError(f"job payload must be a dict, got {type(payload).__name__}")
@@ -463,19 +436,17 @@ class JobSpec:
                 if seed < 0:
                     raise ModelError(f"seed must be a non-negative integer, got {seed}")
             name = payload.get("name")
-            sharded = bool(params.pop("sharded", False))
-            shard_size = params.pop("shard_size", None) if sharded else None
-            backend = params.pop("backend", None)
+            sharded = bool(params.get("sharded", False))
+            shard_size = params.get("shard_size") if sharded else None
             common = dict(
                 model=model,
                 method=str(payload.get("method", "local-metropolis")),
-                replicas=int(params.pop("replicas", 1)),
+                replicas=int(params.get("replicas", 1)),
                 seed=seed,
-                initial=params.pop("initial", None),
+                initial=params.get("initial"),
                 name=None if name is None else str(name),
                 parallel=0 if sharded else None,
                 shard_size=None if shard_size is None else int(shard_size),
-                backend=None if backend is None else str(backend),
             )
             eps = params.get("eps")
             if eps is not None:
@@ -484,27 +455,32 @@ class JobSpec:
                     raise ModelError(f"eps must be finite, got {eps}")
             if kind == "sample_many":
                 rounds = params.get("rounds")
-                return cls(
+                spec = cls(
                     kind=kind,
                     rounds=None if rounds is None else int(rounds),
                     eps=eps,
                     **common,
                 )
-            if kind == "tv_curve":
-                return cls(
+            elif kind == "tv_curve":
+                spec = cls(kind=kind, checkpoints=params.get("checkpoints"), **common)
+            else:
+                spec = cls(
                     kind=kind,
-                    checkpoints=params.get("checkpoints"),
+                    eps=eps,
+                    max_rounds=int(params.get("max_rounds", 10_000)),
+                    stride=int(params.get("stride", 1)),
                     **common,
                 )
-            return cls(
-                kind=kind,
-                eps=eps,
-                max_rounds=int(params.get("max_rounds", 10_000)),
-                stride=int(params.get("stride", 1)),
-                **common,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, BackendError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ModelError(f"malformed JobSpec payload: {error}") from None
+        known = spec.params_dict()
+        stray = [key for key in params if key not in known]
+        if stray:
+            raise ModelError(
+                f"unknown {kind} param(s) {', '.join(map(repr, stray))}; "
+                f"a {kind} job takes {', '.join(known)}"
+            )
+        return spec
 
     def with_name(self, name: str | None) -> JobSpec:
         """A copy of this spec relabelled as ``name`` (specs are frozen)."""

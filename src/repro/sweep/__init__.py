@@ -1,7 +1,7 @@
 """Declarative scenario sweeps over the unified :class:`~repro.spec.JobSpec`.
 
 One TOML/JSON config describes a cartesian grid (model family x size x
-method x backend x workers x replicas x rounds x seed replicates);
+method x workers x replicas x rounds x seed replicates);
 :func:`expand_grid` freezes it into per-cell specs with deterministic
 ``SeedSequence``-derived seeds, and :func:`run_sweep` executes the cells
 in-process, on a :class:`~repro.exec.jobs.JobRunner` pool, or against a

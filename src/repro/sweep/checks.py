@@ -126,10 +126,10 @@ def equivalence_check(
 ) -> dict:
     """Two-sample homogeneity verdict: do two batches share a distribution?
 
-    The sweep runner applies this between cells that differ only in their
-    array backend — non-numpy backends change floating-point bits, so
-    bit-identity is off the table and distributional equality is the
-    contract.
+    The sweep runner applies this between cells that differ only in
+    placement: an unsharded cell and a sharded one run different shard
+    plans (different RNG streams), so bit-identity is off the table and
+    distributional equality is the contract.
     """
     batch_a = np.asarray(batch_a, dtype=np.int64)
     batch_b = np.asarray(batch_b, dtype=np.int64)

@@ -1,8 +1,7 @@
 """Declarative sweep grids: a TOML/JSON config expanded into frozen JobSpecs.
 
 A sweep config describes a cartesian experiment grid — model family x size
-x method x backend x workers x replicas x rounds x seed replicate — in one
-document::
+x method x workers x replicas x rounds x seed replicate — in one document::
 
     [sweep]
     name = "lb-squeeze"
@@ -18,7 +17,6 @@ document::
     [sweep.axes]
     size = [8, 16]
     method = ["glauber", "luby-glauber"]
-    backend = ["numpy"]
     replicas = [64]
 
 :func:`expand_grid` turns that into a :class:`SweepGrid` of
@@ -51,7 +49,7 @@ from repro.spec import JOB_KINDS, JobSpec
 __all__ = ["SweepCell", "SweepGrid", "load_grid_config", "expand_grid", "load_grid"]
 
 #: Cartesian axes in expansion order (models vary slowest, seeds fastest).
-AXIS_ORDER = ("size", "method", "backend", "workers", "replicas", "rounds")
+AXIS_ORDER = ("size", "method", "workers", "replicas", "rounds")
 
 _FAMILIES = (
     "coloring",
@@ -220,7 +218,6 @@ def _cell_spec(
     model,
     label: str,
     method: str,
-    backend,
     workers,
     replicas: int,
     rounds,
@@ -229,7 +226,6 @@ def _cell_spec(
 ) -> JobSpec:
     kind = sweep.get("kind", "sample_many")
     parallel = None if workers is None or workers < 0 else int(workers)
-    backend = None if backend in (None, "numpy") else str(backend)
     if kind == "sample_many":
         return JobSpec.sample_many(
             model,
@@ -240,7 +236,6 @@ def _cell_spec(
             seed=seed,
             name=name,
             parallel=parallel,
-            backend=backend,
         )
     if kind == "tv_curve":
         checkpoints = sweep.get("checkpoints")
@@ -254,7 +249,6 @@ def _cell_spec(
             seed=seed,
             name=name,
             parallel=parallel,
-            backend=backend,
         )
     return JobSpec.mixing_time(
         model,
@@ -266,7 +260,6 @@ def _cell_spec(
         seed=seed,
         name=name,
         parallel=parallel,
-        backend=backend,
     )
 
 
@@ -300,7 +293,6 @@ def expand_grid(config: dict) -> SweepGrid:
     values = {
         "size": [int(v) for v in axes.get("size", [sweep.get("size", 16)])],
         "method": [str(v) for v in axes.get("method", [sweep.get("method", "local-metropolis")])],
-        "backend": list(axes.get("backend", [sweep.get("backend")])),
         "workers": list(axes.get("workers", [sweep.get("workers", -1)])),
         "replicas": [int(v) for v in axes.get("replicas", [sweep.get("replicas", 64)])],
         "rounds": list(axes.get("rounds", [sweep.get("rounds")])),
@@ -318,7 +310,7 @@ def expand_grid(config: dict) -> SweepGrid:
     index = 0
     for entry in models:
         label = _model_label(entry)
-        for size, method, backend, workers, replicas, rounds in itertools.product(
+        for size, method, workers, replicas, rounds in itertools.product(
             *(values[axis] for axis in AXIS_ORDER)
         ):
             cache_token = (label, size)
@@ -334,7 +326,6 @@ def expand_grid(config: dict) -> SweepGrid:
                     label,
                     size,
                     method,
-                    None if backend in (None, "numpy") else str(backend),
                     workers is not None and workers >= 0,  # sharded?
                     replicas,
                     rounds,
@@ -345,7 +336,6 @@ def expand_grid(config: dict) -> SweepGrid:
                     "model": label,
                     "size": size,
                     "method": method,
-                    "backend": "numpy" if backend is None else str(backend),
                     "workers": -1 if workers is None else int(workers),
                     "replicas": replicas,
                     "rounds": rounds,
@@ -356,7 +346,6 @@ def expand_grid(config: dict) -> SweepGrid:
                     model,
                     label,
                     method,
-                    backend,
                     workers,
                     replicas,
                     rounds,

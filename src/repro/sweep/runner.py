@@ -15,9 +15,10 @@ Three execution modes, one result table:
 Within one sweep, duplicate cells (same ``cache_key()``) are executed
 once: later occurrences are marked ``status="dedup"`` pointing at the
 executing cell.  Per-cell :mod:`repro.sweep.checks` verdicts (stationarity
-against the exact Gibbs law where enumerable; backend equivalence between
-cells differing only in their array backend) are attached to the table,
-which is plain JSON under the ``repro.sweep/v1`` schema.
+against the exact Gibbs law where enumerable; placement equivalence between
+an unsharded cell and the sharded cells of the same coordinate) are
+attached to the table, which is plain JSON under the ``repro.sweep/v1``
+schema.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _exact_reference(spec, cache: dict):
 
 
 def _attach_checks(grid, rows, results, alpha: float) -> None:
-    """Fold stationarity and backend-equivalence verdicts into the rows."""
+    """Fold stationarity and placement-equivalence verdicts into the rows."""
     exact_cache: dict = {}
     sampled = [
         cell
@@ -123,23 +124,20 @@ def _attach_checks(grid, rows, results, alpha: float) -> None:
             verdict = stationarity_check(results[cell.index], exact, alpha=alpha)
         rows[cell.index]["checks"]["stationarity"] = verdict
 
-    # Backend equivalence: cells identical up to backend (and placement)
-    # must share a distribution; the first cell of each group — the numpy
-    # reference when present — anchors the comparison.
+    # Placement equivalence: cells identical up to placement must share a
+    # distribution.  An unsharded cell (workers < 0) and a sharded one run
+    # different shard plans, so their bits differ but their law must not;
+    # the first unsharded cell of each group anchors the comparison.
     groups: dict = {}
     for cell in sampled:
         token = tuple(
-            (key, value)
-            for key, value in sorted(cell.coords.items())
-            if key not in ("backend", "workers")
+            (key, value) for key, value in sorted(cell.coords.items()) if key != "workers"
         )
         groups.setdefault(token, []).append(cell)
     for members in groups.values():
         if len(members) < 2:
             continue
-        members.sort(
-            key=lambda cell: (cell.coords["backend"] != "numpy", cell.index)
-        )
+        members.sort(key=lambda cell: (cell.coords["workers"] >= 0, cell.index))
         reference = members[0]
         for other in members[1:]:
             verdict = equivalence_check(
@@ -149,7 +147,7 @@ def _attach_checks(grid, rows, results, alpha: float) -> None:
                 alpha=alpha,
             )
             verdict["reference_cell"] = reference.index
-            rows[other.index]["checks"]["backend_equivalence"] = verdict
+            rows[other.index]["checks"]["placement_equivalence"] = verdict
 
 
 def _execute_local(cells) -> list[tuple[object, str | None, float | None]]:

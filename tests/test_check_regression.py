@@ -33,7 +33,7 @@ class TestParseTolerance:
 ROWS = [
     ("BENCH_E12.json", "rounds_per_sec", "123.4", "120.0", "ok"),
     ("BENCH_E13.json", "speedup_n256", "8.1", "12.0", "REGRESSED"),
-    ("BENCH_E18.json", "torch_series", "55", "—", "only in current"),
+    ("BENCH_E21.json", "new_series", "55", "—", "only in current"),
 ]
 
 

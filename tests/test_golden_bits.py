@@ -7,9 +7,6 @@ few region-restricted engine runs) so that a change to engine set-up,
 kernel arithmetic, RNG draw order or exact enumeration that moves a bit
 fails here.  A change that *means* to move bits re-pins the digests and
 says so in CHANGES.md.
-
-The digests are numpy-backend bits, so the module is skipped when
-``$REPRO_BACKEND`` resolves to another backend.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import pytest
 
 import repro
 from repro import JobSpec
-from repro.backend import resolve_backend_name
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
@@ -39,21 +35,8 @@ from repro.distributed import (
     run_luby_glauber_csp_protocol,
     run_luby_glauber_protocol,
 )
-from repro.errors import ReproError
 from repro.graphs import cycle_graph, grid_graph, torus_graph
 from repro.mrf import MRF, hardcore_mrf, ising_mrf, proper_coloring_mrf
-
-
-def _numpy_default() -> bool:
-    try:
-        return resolve_backend_name() == "numpy"
-    except ReproError:
-        return False
-
-
-pytestmark = pytest.mark.skipif(
-    not _numpy_default(), reason="golden digests are numpy-backend bits"
-)
 
 REPLICAS = 8
 ROUNDS = 12

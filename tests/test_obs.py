@@ -154,7 +154,7 @@ def assert_valid_prometheus(text):
 class TestPrometheusRendering:
     def test_rendering_is_valid_exposition_format(self):
         reg = MetricsRegistry()
-        reg.inc("repro_engine_rounds_total", 7, engine="E", backend="numpy")
+        reg.inc("repro_engine_rounds_total", 7, engine="E")
         reg.set_gauge("repro_workers", 2)
         reg.observe("repro_seconds", 0.003, route="/v1/jobs")
         assert_valid_prometheus(reg.render_prometheus())

@@ -383,6 +383,8 @@ class TestProtocolErrors:
             ("tv_curve", "checkpoints", [1.5]),
             ("sample_many", "rounds", -3),
             ("sample_many", "method", "bogus"),
+            ("sample_many", "backend", "torch"),
+            ("sample_many", "round", 5),
             ("csp", "method", "glauber"),
         ],
     )

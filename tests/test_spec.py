@@ -196,6 +196,33 @@ class TestCacheKey:
         ).cache_key()
 
 
+#: Literal cache keys of four seeded specs.  A served cache hit is looked up
+#: by this key, so a refactor that moves one silently turns every cached
+#: result into a miss; a change that means to move keys re-pins these and
+#: says so in CHANGES.md.
+PINNED_KEYS = {
+    "sample_many": "beb977228ae52634111fe711ac4e063f9d57414bcc6c316656e7837db58c5966",
+    "sample_many_sharded": "694a598c1342488da7c5c59da2574ab6738a78ef084b251a3023fd02d37b44ee",
+    "tv_curve": "32b1d9d0350925bad3b78429926daa3f9ef5acf682952311a3e81c91398a4274",
+    "mixing_time": "3be078507da6294bc82d4cb23b8a8c613cc23bd74c0c1e8c76a1a8819d08ad3b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_cache_key_is_pinned(name, coloring, small_coloring, csp):
+    specs = {
+        "sample_many": lambda: JobSpec.sample_many(coloring, 16, seed=SEED, rounds=12),
+        "sample_many_sharded": lambda: JobSpec.sample_many(
+            coloring, 16, seed=SEED, rounds=12, parallel=0, shard_size=4
+        ),
+        "tv_curve": lambda: JobSpec.tv_curve(small_coloring, (1, 2, 4), replicas=64, seed=SEED),
+        "mixing_time": lambda: JobSpec.mixing_time(
+            csp, eps=0.25, method="luby-glauber", replicas=128, seed=SEED
+        ),
+    }
+    assert specs[name]().cache_key() == PINNED_KEYS[name]
+
+
 class TestWire:
     def test_roundtrip_preserves_results_and_key(self, coloring):
         spec = JobSpec.sample_many(coloring, 8, seed=SEED, rounds=8, name="wired")
@@ -253,6 +280,35 @@ class TestWire:
             JobSpec.from_wire(dict(wire, seed=[1]))
         with pytest.raises(ModelError, match="non-negative"):
             JobSpec.from_wire(dict(wire, seed=-1))
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("sample_many", "round", 5),
+            ("sample_many", "backend", "numpy"),
+            ("sample_many", "checkpoints", [1, 2]),
+            ("sample_many", "shard_size", 2),
+            ("tv_curve", "eps", 0.1),
+            ("tv_curve", "rounds", 3),
+            ("mixing_time", "rounds", 3),
+            ("mixing_time", "checkpoints", [1]),
+        ],
+    )
+    def test_unknown_params_rejected(self, small_coloring, kind, key, value):
+        """A key ``params_dict`` does not emit for the kind is refused by name.
+
+        Each kind has its own keys, and ``shard_size`` belongs to sharded
+        payloads only.
+        """
+        specs = {
+            "sample_many": JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2),
+            "tv_curve": JobSpec.tv_curve(small_coloring, (1, 2), replicas=8, seed=1),
+            "mixing_time": JobSpec.mixing_time(small_coloring, eps=0.5, replicas=8, seed=1),
+        }
+        wire = specs[kind].to_wire()
+        wire["params"][key] = value
+        with pytest.raises(ModelError, match=repr(key)):
+            JobSpec.from_wire(wire)
 
     def test_fingerprint_reference_resolves_through_models(self, coloring):
         spec = JobSpec.sample_many(coloring, 4, seed=1, rounds=2)

@@ -121,6 +121,23 @@ class TestRunner:
             verdict = row["checks"]["stationarity"]
             assert verdict["applicable"] and verdict["passed"]
 
+    @pytest.mark.parametrize("workers", [[-1, 0], [0, -1]])
+    def test_sharded_cell_is_checked_against_the_unsharded_one(self, workers):
+        """Placement equivalence: the two cells run different shard plans, so
+        their bits differ but their law must not; the unsharded cell is the
+        reference whatever its position in the grid."""
+        config = _base_config(
+            seeds=1, axes={"size": [4], "workers": workers, "replicas": [256]}
+        )
+        rows = run_sweep(expand_grid(config), mode="local").table["cells"]
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        unsharded = next(row for row in rows if row["coords"]["workers"] < 0)
+        sharded = next(row for row in rows if row["coords"]["workers"] >= 0)
+        assert "placement_equivalence" not in unsharded["checks"]
+        verdict = sharded["checks"]["placement_equivalence"]
+        assert verdict["applicable"] and verdict["passed"]
+        assert verdict["reference_cell"] == unsharded["index"]
+
     def test_duplicate_cells_dedup_by_cache_key(self):
         config = _base_config(
             seeds=1,
@@ -213,6 +230,10 @@ class TestConfigValidation:
     def test_unknown_axis(self):
         with pytest.raises(ModelError):
             expand_grid(_base_config(axes={"size": [4], "temperature": [1.0]}))
+
+    def test_backend_axis_is_refused(self):
+        with pytest.raises(ModelError, match="backend"):
+            expand_grid(_base_config(axes={"size": [4], "backend": ["numpy"]}))
 
     def test_empty_axis_and_bad_seeds(self):
         with pytest.raises(ModelError):
