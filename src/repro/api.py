@@ -16,38 +16,26 @@ Those three build a :class:`~repro.spec.JobSpec` and run it through
 Models are either pairwise :class:`~repro.mrf.model.MRF` instances or
 general weighted local CSPs (:class:`~repro.csp.model.LocalCSP`) — the
 paper's remarks extend both distributed chains to CSPs, and every facade
-function dispatches on the model type.  The heavy lifting lives in
+function dispatches on the model type through the one table of
+:mod:`repro.families`.  The heavy lifting lives in
 :mod:`repro.chains`; this facade exists so the examples and downstream
 users do not need to assemble chains by hand.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.convergence import mixing_time_probes, tv_curve_probes
-from repro.chains.base import SeedLike, as_generator, as_seed_sequence
-from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
-from repro.chains.ensemble import (
-    EnsembleGlauberDynamics,
-    EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
-)
-from repro.chains.glauber import GlauberDynamics
-from repro.chains.local_metropolis import LocalMetropolisChain
-from repro.chains.luby_glauber import LubyGlauberChain
-from repro.csp.hypergraph import csp_neighbors
+from repro.chains.base import as_generator, as_seed_sequence
 from repro.csp.model import LocalCSP, exact_csp_gibbs_distribution
 from repro.errors import ModelError
+from repro.families import METHODS, dispatch, model_degree, round_budget, validate_method
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
 from repro.mrf.model import MRF
-from repro.spec import METHODS, JobSpec, validate_method
+from repro.spec import JobSpec
 
 __all__ = [
     "sample",
@@ -79,23 +67,6 @@ MUTATIONS = {
 #: runtime.
 ENGINES = ("chain", "reference")
 
-#: Safety factor applied to the heuristic round budgets.  The paper's
-#: theorems give O(.) bounds; the constants here were validated against the
-#: exact-mixing experiments (E2/E3) with margin to spare.
-_BUDGET_CONSTANT = 8.0
-
-
-def model_degree(model: MRF | LocalCSP) -> int:
-    """Maximum neighbourhood size of a model.
-
-    For MRFs this is the graph degree; for CSPs it is the degree of the
-    *conflict graph* — ``Gamma(v)`` counts every co-scoped vertex, the
-    neighbourhood both CSP chains operate on.
-    """
-    if isinstance(model, LocalCSP):
-        return max((len(s) for s in csp_neighbors(model)), default=0)
-    return int(model.max_degree)
-
 
 def _exact_distribution(model: MRF | LocalCSP) -> GibbsDistribution:
     """Exact Gibbs distribution of an MRF or CSP model."""
@@ -117,19 +88,7 @@ def default_round_budget(model: MRF | LocalCSP, method: str, eps: float) -> int:
     :meth:`repro.chains.luby_glauber.LubyGlauberChain.rounds_bound` with the
     exact total influence from :func:`repro.mrf.influence.dobrushin_alpha`.
     """
-    if not 0.0 < eps < 1.0:
-        raise ModelError(f"eps must be in (0, 1), got {eps}")
-    n = max(model.n, 2)
-    log_term = math.log(n / eps)
-    if method == "local-metropolis":
-        scale = 1.0
-    elif method == "luby-glauber":
-        scale = model_degree(model) + 1.0
-    elif method == "glauber":
-        scale = float(n)
-    else:
-        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
-    return max(1, int(math.ceil(_BUDGET_CONSTANT * scale * log_term)))
+    return round_budget(model, method, model.n, eps)
 
 
 def sample(
@@ -173,69 +132,20 @@ def sample(
     """
     if engine not in ENGINES:
         raise ModelError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    validate_method(model, method)
+    row = dispatch(model, method)
     if rounds is None:
         rounds = default_round_budget(model, method, eps)
     if rounds < 0:
         raise ModelError(f"rounds must be >= 0, got {rounds}")
-    if isinstance(model, LocalCSP):
-        return _sample_csp(model, method, rounds, seed, initial, engine)
     if engine == "reference":
-        if method == "glauber":
-            raise ModelError(
-                "method 'glauber' has no LOCAL-model protocol; use engine='chain'"
-            )
-        from repro.distributed.sampling_protocols import (
-            run_local_metropolis_protocol,
-            run_luby_glauber_protocol,
-        )
-
         # Shared SeedLike coercion: SeedSequence roots pass through to the
         # LOCAL runtime unchanged (so seed=x and seed=SeedSequence(x) run
         # the same protocol execution); a Generator derives one draw.
-        seed = as_seed_sequence(seed)
-        runner = (
-            run_local_metropolis_protocol
-            if method == "local-metropolis"
-            else run_luby_glauber_protocol
+        config, _ = row.local_runner()(
+            model, rounds, seed=as_seed_sequence(seed), initial=initial
         )
-        config, _ = runner(model, rounds, seed=seed, initial=initial)
         return config
-    if method == "local-metropolis":
-        chain = LocalMetropolisChain(model, initial=initial, seed=seed)
-    elif method == "luby-glauber":
-        chain = LubyGlauberChain(model, initial=initial, seed=seed)
-    else:
-        chain = GlauberDynamics(model, initial=initial, seed=seed)
-    chain.run(rounds)
-    return chain.config.copy()
-
-
-def _sample_csp(
-    csp: LocalCSP,
-    method: str,
-    rounds: int,
-    seed,
-    initial: np.ndarray | None,
-    engine: str,
-) -> np.ndarray:
-    """CSP branch of :func:`sample`: sequential CSP chains or LOCAL protocol."""
-    if engine == "reference":
-        from repro.distributed.csp_protocols import (
-            run_local_metropolis_csp_protocol,
-            run_luby_glauber_csp_protocol,
-        )
-
-        seed = as_seed_sequence(seed)
-        runner = (
-            run_local_metropolis_csp_protocol
-            if method == "local-metropolis"
-            else run_luby_glauber_csp_protocol
-        )
-        config, _ = runner(csp, rounds, seed=seed, initial=initial)
-        return config
-    chain_cls = LocalMetropolisCSP if method == "local-metropolis" else LubyGlauberCSP
-    chain = chain_cls(csp, initial=initial, seed=seed)
+    chain = row.chain(model, initial=initial, seed=seed)
     chain.run(rounds)
     return chain.config.copy()
 
@@ -251,23 +161,12 @@ def make_ensemble(
 ):
     """Build the batched replica-ensemble engine for ``(model, method)``.
 
-    Dispatch, shared with :func:`sample_many` and the convergence layer:
-    weighted local CSPs get the batched CSP kernels
-    (:class:`~repro.chains.ensemble.EnsembleLubyGlauberCSP` /
-    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisCSP`); on a
-    pairwise MRF ``"glauber"`` gets the batched single-site
-    :class:`~repro.chains.ensemble.EnsembleGlauberDynamics` and
-    ``"luby-glauber"`` the heat-bath
-    :class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF`;
-    ``"local-metropolis"`` gets the specialised
-    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisColoring` on a
-    uniform proper colouring
-    (:attr:`~repro.compiled.CompiledMRF.is_uniform_coloring`) and
-    :class:`~repro.chains.ensemble.EnsembleLocalMetropolisMRF` on any
-    other MRF.
-    Every returned object exposes the same
-    ``advance``/``run``/``config``/``iter_checkpoints`` protocol, and every
-    in-process engine the region-restricted ``advance_region``.
+    The engine is the ``ensemble`` of the :data:`repro.families.DISPATCH`
+    row that :func:`repro.families.dispatch` picks, shared with
+    :func:`sample_many` and the convergence layer.  Every returned object
+    exposes the same ``advance``/``run``/``config``/``iter_checkpoints``
+    protocol, and every in-process engine the region-restricted
+    ``advance_region``.
 
     ``initial`` is ``None`` (a shared deterministic start), a length-n
     configuration, or an ``(r, n)`` batch giving each replica its own
@@ -300,22 +199,7 @@ def make_ensemble(
     if shard_size is not None:
         raise ModelError("shard_size only applies to sharded runs; pass parallel=")
     rng = as_generator(seed)
-    if isinstance(model, LocalCSP):
-        ensemble_cls = (
-            EnsembleLocalMetropolisCSP
-            if method == "local-metropolis"
-            else EnsembleLubyGlauberCSP
-        )
-        return ensemble_cls(model, r, initial=initial, seed=rng)
-    if method == "glauber":
-        ensemble_cls = EnsembleGlauberDynamics
-    elif method == "luby-glauber":
-        ensemble_cls = EnsembleLubyGlauberMRF
-    elif model.compiled().is_uniform_coloring:
-        ensemble_cls = EnsembleLocalMetropolisColoring
-    else:
-        ensemble_cls = EnsembleLocalMetropolisMRF
-    return ensemble_cls(model, r, initial=initial, seed=rng)
+    return dispatch(model, method).ensemble(model, r, initial=initial, seed=rng)
 
 
 def sample_many(

@@ -89,7 +89,8 @@ def greedy_csp_config(csp: LocalCSP) -> np.ndarray:
 
     Vertices are assigned in order; each takes the smallest spin under
     which every constraint whose scope it completes evaluates non-zero,
-    or spin 0 if no spin does.  The deterministic default start shared by
+    and :class:`~repro.errors.InfeasibleStateError` is raised if no spin
+    does.  The deterministic default start shared by
     the sequential CSP chains and the replica ensembles of
     :mod:`repro.chains.ensemble` — both start every run (and every
     replica) from the same configuration unless told otherwise, so

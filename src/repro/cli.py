@@ -35,11 +35,11 @@ Commands
     Print the library's headline constants (thresholds, uniqueness
     boundary) and version.
 
-The CLI covers the models the paper's theorems address (colourings,
-hardcore, Ising) plus the CSP extensions of both distributed chains
-(``dominating-set``, ``mis``, ``nae`` hypergraph colourings) on the
-standard experiment topologies; anything richer should use the Python
-API.
+The ``--model`` families (the models the paper's theorems address —
+colourings, hardcore, Ising — plus list colourings and the CSP extensions
+of both distributed chains) and the ``--graph`` topologies are the
+registry of :mod:`repro.families`, which sweep grids read too; anything
+richer should use the Python API.
 """
 
 from __future__ import annotations
@@ -49,111 +49,45 @@ import json
 import sys
 
 import repro
-from repro.api import model_degree
-from repro.csp import (
-    dominating_set_csp,
-    maximal_independent_set_csp,
-    not_all_equal_csp,
-)
+from repro.api import _exact_distribution, model_degree
 from repro.csp.model import LocalCSP
 from repro.errors import ReproError
-from repro.graphs import (
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_regular_graph,
-    torus_graph,
-)
-from repro.mrf import hardcore_mrf, ising_mrf, proper_coloring_mrf
+from repro.families import FAMILIES, GRAPHS, build_model, dispatch, methods_for, model_kind
 from repro.mrf.model import MRF
 from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["main", "build_parser"]
 
-#: Weighted-local-CSP model specs: built by ``_build_model`` and dispatched
-#: through the same ``repro.sample`` / ``repro.make_ensemble`` facade as
-#: MRFs (the CSP remarks after Algorithms 1-2).
-CSP_MODELS = ("dominating-set", "mis", "nae")
 
-
-def _build_graph(args: argparse.Namespace):
-    kind = args.graph
-    size = args.size
-    if kind == "path":
-        return path_graph(size)
-    if kind == "cycle":
-        return cycle_graph(size)
-    if kind == "grid":
-        return grid_graph(size, size)
-    if kind == "torus":
-        return torus_graph(size, size)
-    if kind == "regular":
-        return random_regular_graph(args.degree, size, seed=args.seed)
-    raise ReproError(f"unknown graph kind {kind!r}")
-
-
-def _nae_csp(graph, q: int) -> LocalCSP:
-    """Hypergraph colouring: NAE constraint on every inclusive neighbourhood.
-
-    The scope of vertex ``v`` is ``Gamma+(v) = {v} union Gamma(v)`` (deduped
-    across vertices); on a cycle this is the 3-uniform NAE-hypergraph the
-    CSP ensemble benchmark (E15) measures.
-    """
-    scopes = sorted(
-        {
-            tuple(sorted({v, *graph.neighbors(v)}))
-            for v in range(graph.number_of_nodes())
-            if graph.degree(v) >= 1
-        }
-    )
-    if not scopes:
-        raise ReproError("nae needs a graph with at least one edge")
-    return not_all_equal_csp(scopes, n=graph.number_of_nodes(), q=q)
-
-
-def _build_model(args: argparse.Namespace) -> MRF | LocalCSP:
-    graph = _build_graph(args)
-    if args.model == "coloring":
-        return proper_coloring_mrf(graph, args.q)
-    if args.model == "hardcore":
-        return hardcore_mrf(graph, args.fugacity)
-    if args.model == "ising":
-        return ising_mrf(graph, args.beta)
-    if args.model == "dominating-set":
-        return dominating_set_csp(graph, weight=args.weight)
-    if args.model == "mis":
-        return maximal_independent_set_csp(graph)
-    if args.model == "nae":
-        return _nae_csp(graph, args.q)
-    raise ReproError(f"unknown model {args.model!r}")
+def _model(args: argparse.Namespace) -> MRF | LocalCSP:
+    """The model the ``--model``/``--graph`` flags name, built by the registry."""
+    entry = {"family": args.model, "graph": args.graph, "degree": args.degree}
+    for param in FAMILIES[args.model].params:
+        if param.cli:
+            entry[param.name] = getattr(args, param.name)
+    return build_model(entry, args.size, args.seed)
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
-        choices=("coloring", "hardcore", "ising", *CSP_MODELS),
+        choices=tuple(FAMILIES),
         default="coloring",
-        help="MRF models (coloring/hardcore/ising) or weighted local CSPs "
-        "(dominating-set, mis, nae hypergraph colouring on inclusive "
-        "neighbourhoods)",
+        help="model family (repro.families.FAMILIES)",
     )
-    parser.add_argument(
-        "--graph",
-        choices=("path", "cycle", "grid", "torus", "regular"),
-        default="cycle",
-    )
+    parser.add_argument("--graph", choices=tuple(GRAPHS), default="cycle")
     parser.add_argument(
         "--size", type=int, default=16, help="vertices (side length for grid/torus)"
     )
     parser.add_argument("--degree", type=int, default=4, help="degree for regular graphs")
-    parser.add_argument(
-        "--q", type=int, default=8, help="colours for colouring/nae models"
-    )
-    parser.add_argument("--fugacity", type=float, default=1.0, help="hardcore lambda")
-    parser.add_argument("--beta", type=float, default=1.5, help="Ising edge activity")
-    parser.add_argument(
-        "--weight", type=float, default=1.0, help="per-pick weight for dominating-set"
-    )
+    # One flag per CLI parameter of the registry, with its one default.
+    params = {p.name: p for family in FAMILIES.values() for p in family.params if p.cli}
+    for param in params.values():
+        users = ", ".join(f.name for f in FAMILIES.values() if param in f.params)
+        parser.add_argument(
+            f"--{param.name}", type=param.type, default=param.default,
+            help=f"{param.help} ({users}; default %(default)s)",
+        )
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -368,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_sample(args: argparse.Namespace) -> int:
-    model = _build_model(args)
+    model = _model(args)
     if args.samples < 1:
         raise ReproError(f"--samples must be >= 1, got {args.samples}")
     rounds = args.rounds
@@ -419,14 +353,15 @@ def _command_sample(args: argparse.Namespace) -> int:
 
 
 def _command_budget(args: argparse.Namespace) -> int:
-    model = _build_model(args)
+    model = _model(args)
     print(
         f"model: {model.name} (n={model.n}, Delta={model_degree(model)}), "
         f"eps={args.eps}"
     )
+    kind = model_kind(model)
     for method in repro.METHODS:
-        if isinstance(model, LocalCSP) and method == "glauber":
-            print(f"  {method:<17} {'n/a':>8} (no CSP kernel)")
+        if method not in methods_for(kind):
+            print(f"  {method:<17} {'n/a':>8} (no {kind.upper()} kernel)")
             continue
         budget = repro.default_round_budget(model, method, args.eps)
         print(f"  {method:<17} {budget:>8} rounds")
@@ -434,31 +369,22 @@ def _command_budget(args: argparse.Namespace) -> int:
 
 
 def _command_mix(args: argparse.Namespace) -> int:
-    from repro.analysis.convergence import ensemble_tv_curve
-    from repro.csp.model import exact_csp_gibbs_distribution
-    from repro.mrf.distribution import exact_gibbs_distribution
-
-    model = _build_model(args)
+    model = _model(args)
     checkpoints = _parse_checkpoints(args.checkpoints)
-    if isinstance(model, LocalCSP):
-        target = exact_csp_gibbs_distribution(model)
-    else:
-        target = exact_gibbs_distribution(model)
-    ensemble = repro.make_ensemble(
-        model, args.replicas, method=args.method, seed=args.seed, parallel=args.jobs
+    # One exact target serves the curve and the mixing time.
+    target = _exact_distribution(model)
+    curve = repro.tv_curve(
+        model, checkpoints, method=args.method, replicas=args.replicas, seed=args.seed,
+        target=target, parallel=args.jobs,
     )
-    try:
-        curve = ensemble_tv_curve(ensemble, target, checkpoints=checkpoints)
-    finally:
-        if args.jobs is not None:
-            ensemble.close()
+    engine = dispatch(model, args.method).ensemble.__name__
     payload = {
         "model": model.name,
         "graph": args.graph,
         "n": model.n,
         "q": model.q,
         "method": args.method,
-        "engine": type(ensemble).__name__,
+        "engine": engine if args.jobs is None else "ShardedEnsemble",
         "replicas": args.replicas,
         "seed": args.seed,
         "curve": [[rounds, tv] for rounds, tv in curve],
@@ -569,7 +495,7 @@ def _command_submit(args: argparse.Namespace) -> int:
     host, _, port = args.server.rpartition(":")
     if not host or not port.isdigit():
         raise ReproError(f"--server must be HOST:PORT, got {args.server!r}")
-    model = _build_model(args)
+    model = _model(args)
     spec = _build_spec(args, model)
     with ServeClient(host, int(port), timeout=args.timeout) as client:
         if args.stream:
@@ -648,7 +574,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 def _command_dynamic(args: argparse.Namespace) -> int:
     from repro.dynamic import DynamicEnsemble, region_round_budget
 
-    model = _build_model(args)
+    model = _model(args)
     if args.steps < 1:
         raise ReproError(f"--steps must be >= 1, got {args.steps}")
     is_csp = isinstance(model, LocalCSP)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.errors import StateSpaceTooLargeError
+from repro.errors import InfeasibleStateError, StateSpaceTooLargeError
 from repro.serialize import table_palette
 
 __all__ = [
@@ -270,9 +270,10 @@ class CompiledCSP:
         Vertices are assigned in order.  A constraint is checked at its
         largest scope vertex, the first moment all of its spins are
         assigned; each vertex takes the smallest spin under which every
-        constraint it completes has a non-zero value, or spin 0 if none
-        does.  Computed on first use: an engine given an initial
-        configuration never pays for it.
+        constraint it completes has a non-zero value; if none does,
+        :class:`~repro.errors.InfeasibleStateError` names the vertex.
+        Computed on first use: an engine given an initial configuration
+        never pays for it.
         """
         n, q = self.n, self.q
         config = [0] * n
@@ -308,6 +309,11 @@ class CompiledCSP:
                 if all(values[base + stride * spin] != 0.0 for base, stride in checks):
                     config[v] = spin
                     break
+            else:
+                raise InfeasibleStateError(
+                    f"the greedy start is infeasible: no spin of vertex {v} satisfies "
+                    "every constraint it completes; pass a feasible start as initial="
+                )
         return _frozen(np.asarray(config, dtype=np.int64))
 
 

@@ -8,7 +8,8 @@ vertices, taken in the *union* of the pre- and post-mutation adjacency (an
 edge removal still couples its former endpoints through the boundary
 conditions they leave behind).
 
-:func:`region_round_budget` mirrors :func:`repro.api.default_round_budget`
+:func:`region_round_budget` is the formula of
+:func:`repro.api.default_round_budget` (:func:`repro.families.round_budget`)
 with the region size in place of ``n`` — the point of incremental
 resampling is that the warm-started region re-mixes in rounds governed by
 ``|S|``, not ``n``.  :func:`sequential_region_glauber` is the plain
@@ -18,16 +19,15 @@ tests compare the batched ``advance_region`` implementations against.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 import numpy as np
 
-from repro.api import _BUDGET_CONSTANT, METHODS, model_degree
 from repro.chains.cftp import _inverse_cdf_spin
 from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
+from repro.families import round_budget
 from repro.mrf.marginals import conditional_marginal
 from repro.mrf.model import MRF
 
@@ -94,30 +94,14 @@ def region_round_budget(
 ) -> int:
     """Round budget for re-mixing a region of ``size`` vertices.
 
-    The region kernels are the heat-bath ones — per-round LubyGlauber over
-    the region for the distributed methods (a clamped LocalMetropolis
-    round has no stationarity guarantee, so ``"local-metropolis"`` shares
-    the LubyGlauber budget), single-site Glauber for ``"glauber"`` — so
-    the shapes mirror :func:`repro.api.default_round_budget` with ``|S|``
-    in place of ``n``:
-
-    * distributed methods: ``O(Delta * log(|S| / eps))``;
-    * ``glauber``:         ``O(|S| * log(|S| / eps))``.
+    ``O(Delta * log(|S| / eps))`` for the distributed methods, whose region
+    kernels are the LubyGlauber heat-bath ones, and ``O(|S| * log(|S| /
+    eps))`` for ``"glauber"`` (:func:`repro.families.round_budget`).
     """
-    if not 0.0 < eps < 1.0:
-        raise ModelError(f"eps must be in (0, 1), got {eps}")
     size = int(size)
     if size < 1:
         raise ModelError(f"region size must be >= 1, got {size}")
-    clamped = max(size, 2)
-    log_term = math.log(clamped / eps)
-    if method == "glauber":
-        scale = float(clamped)
-    elif method in ("local-metropolis", "luby-glauber"):
-        scale = model_degree(model) + 1.0
-    else:
-        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
-    return max(1, int(math.ceil(_BUDGET_CONSTANT * scale * log_term)))
+    return round_budget(model, method, size, eps, region=True)
 
 
 def sequential_region_glauber(

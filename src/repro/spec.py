@@ -40,26 +40,13 @@ import numpy as np
 
 from repro.analysis.convergence import canonical_checkpoints
 from repro.chains.base import SeedLike, checked_initial
-from repro.csp.model import LocalCSP
 from repro.errors import ModelError, UnknownModelError
+from repro.families import validate_method
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
 
-__all__ = ["JOB_KINDS", "METHODS", "JobSpec", "validate_method"]
+__all__ = ["JOB_KINDS", "JobSpec"]
 
 JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
-
-METHODS = ("local-metropolis", "luby-glauber", "glauber")
-
-
-def validate_method(model, method: str) -> None:
-    """Raise :class:`~repro.errors.ModelError` unless ``method`` can sample ``model``."""
-    if method not in METHODS:
-        raise ModelError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "glauber" and isinstance(model, LocalCSP):
-        raise ModelError(
-            "method 'glauber' has no CSP kernel; use 'local-metropolis' or "
-            "'luby-glauber'"
-        )
 
 
 #: Wire-format version; bumped on incompatible changes so a client and a

@@ -10,14 +10,18 @@ x method x workers x replicas x rounds x seed replicate — in one document::
     seeds = 2                     # seed replicates per coordinate
 
     [[sweep.models]]
-    family = "coloring"           # coloring | hardcore | ising
+    family = "coloring"           # a repro.families.FAMILIES name
     graph = "cycle"               # path | cycle | grid | torus | regular
-    q = 5
+    q = 5                         # the family's parameters; defaults otherwise
 
     [sweep.axes]
     size = [8, 16]
     method = ["glauber", "luby-glauber"]
     replicas = [64]
+
+Each model entry is built by :func:`repro.families.build_model`, as the
+CLI's ``--model`` flags are; a key that is not ``family``, ``graph``,
+``degree``, ``name`` or one of the family's parameters is refused.
 
 :func:`expand_grid` turns that into a :class:`SweepGrid` of
 :class:`SweepCell` entries, each carrying a frozen
@@ -44,24 +48,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ModelError
+from repro.families import build_model
 from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["SweepCell", "SweepGrid", "load_grid_config", "expand_grid", "load_grid"]
 
 #: Cartesian axes in expansion order (models vary slowest, seeds fastest).
 AXIS_ORDER = ("size", "method", "workers", "replicas", "rounds")
-
-_FAMILIES = (
-    "coloring",
-    "hardcore",
-    "ising",
-    "list-coloring",
-    "coloring-csp",
-    "nae",
-    "dominating-set",
-    "mis",
-)
-_GRAPHS = ("path", "cycle", "grid", "torus", "regular")
 
 
 @dataclass(frozen=True)
@@ -107,90 +100,6 @@ def load_grid_config(path: str | Path) -> dict:
     )
 
 
-def _build_graph(kind: str, size: int, degree: int, seed: int):
-    from repro.graphs import (
-        cycle_graph,
-        grid_graph,
-        path_graph,
-        random_regular_graph,
-        torus_graph,
-    )
-
-    if kind == "path":
-        return path_graph(size)
-    if kind == "cycle":
-        return cycle_graph(size)
-    if kind == "grid":
-        return grid_graph(size, size)
-    if kind == "torus":
-        return torus_graph(size, size)
-    if kind == "regular":
-        return random_regular_graph(degree, size, seed=seed)
-    raise ModelError(f"unknown sweep graph {kind!r}; choose from {_GRAPHS}")
-
-
-def _build_model(entry: dict, size: int, base_seed: int):
-    """Instantiate one ``[[sweep.models]]`` entry at one size-axis value."""
-    family = entry.get("family")
-    if family not in _FAMILIES:
-        raise ModelError(
-            f"sweep model family must be one of {_FAMILIES}, got {family!r}"
-        )
-    graph_kind = entry.get("graph", "cycle")
-    graph = _build_graph(graph_kind, size, int(entry.get("degree", 4)), base_seed)
-    if family == "coloring":
-        from repro.mrf import proper_coloring_mrf
-
-        return proper_coloring_mrf(graph, int(entry.get("q", 5)))
-    if family == "hardcore":
-        from repro.mrf import hardcore_mrf
-
-        return hardcore_mrf(graph, float(entry.get("fugacity", 1.0)))
-    if family == "list-coloring":
-        from repro.mrf import list_coloring_mrf
-
-        q = int(entry.get("q", 5))
-        list_size = int(entry.get("list_size", max(2, q - 1)))
-        if not 1 <= list_size <= q:
-            raise ModelError(
-                f"list-coloring list_size must be in 1..{q}, got {list_size}"
-            )
-        # Deterministic per-vertex lists: derived from the config's
-        # base_seed only, so re-expanding the grid reproduces the model.
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed))
-        lists = {
-            v: sorted(rng.choice(q, size=list_size, replace=False).tolist())
-            for v in range(graph.number_of_nodes())
-        }
-        return list_coloring_mrf(graph, q, lists)
-    if family == "coloring-csp":
-        from repro.csp.builders import coloring_csp
-
-        return coloring_csp(graph, int(entry.get("q", 5)))
-    if family == "nae":
-        from repro.csp.builders import not_all_equal_csp
-
-        # Hyperedges: one NAE constraint per inclusive neighbourhood.
-        scopes = [
-            tuple(sorted(set(graph.neighbors(v)) | {v}))
-            for v in range(graph.number_of_nodes())
-        ]
-        return not_all_equal_csp(
-            scopes, graph.number_of_nodes(), int(entry.get("q", 5))
-        )
-    if family == "dominating-set":
-        from repro.csp.builders import dominating_set_csp
-
-        return dominating_set_csp(graph, float(entry.get("weight", 1.0)))
-    if family == "mis":
-        from repro.csp.builders import maximal_independent_set_csp
-
-        return maximal_independent_set_csp(graph)
-    from repro.mrf import ising_mrf
-
-    return ising_mrf(graph, float(entry.get("beta", 0.5)))
-
-
 def _model_label(entry: dict) -> str:
     if "name" in entry:
         return str(entry["name"])
@@ -216,7 +125,6 @@ def _seed_for_coordinate(coord_key, seed_map: dict, root: np.random.SeedSequence
 def _cell_spec(
     sweep: dict,
     model,
-    label: str,
     method: str,
     workers,
     replicas: int,
@@ -280,6 +188,9 @@ def expand_grid(config: dict) -> SweepGrid:
     models = sweep.get("models")
     if not models:
         raise ModelError("sweep config needs at least one [[sweep.models]] entry")
+    labels = [_model_label(entry) for entry in models]
+    if len(set(labels)) < len(labels):
+        raise ModelError(f"[[sweep.models]] labels must differ (set name = ...), got {labels}")
     seeds = int(sweep.get("seeds", 1))
     if seeds < 1:
         raise ModelError(f"[sweep] seeds must be >= 1, got {seeds}")
@@ -308,14 +219,13 @@ def expand_grid(config: dict) -> SweepGrid:
     seed_map: dict = {}
     model_cache: dict = {}
     index = 0
-    for entry in models:
-        label = _model_label(entry)
+    for entry, label in zip(models, labels):
         for size, method, workers, replicas, rounds in itertools.product(
             *(values[axis] for axis in AXIS_ORDER)
         ):
             cache_token = (label, size)
             if cache_token not in model_cache:
-                model_cache[cache_token] = _build_model(entry, size, base_seed)
+                model_cache[cache_token] = build_model(entry, size, base_seed)
             model = model_cache[cache_token]
             for seed_index in range(seeds):
                 # The coordinate identifies the result bits; the worker
@@ -344,7 +254,6 @@ def expand_grid(config: dict) -> SweepGrid:
                 spec = _cell_spec(
                     sweep,
                     model,
-                    label,
                     method,
                     workers,
                     replicas,

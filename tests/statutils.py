@@ -18,6 +18,8 @@ with explicit significance levels:
 * :func:`empirical_tv_bound` — the TV concentration bound itself, also
   useful to derive tolerances for derived quantities (two empirical TV
   curves agree within the sum of their bounds).
+* :func:`clamped` — an exact distribution conditioned on a configuration
+  outside a region: the law a region-restricted advance must sample.
 
 All tests are calibrated for *independent* rows (replica ensembles).  For
 dependent rows — consecutive states of one sequential chain — pass
@@ -42,6 +44,7 @@ __all__ = [
     "empirical_tv_bound",
     "assert_stationary",
     "assert_same_distribution",
+    "clamped",
 ]
 
 #: Default significance level: the probability of a *correct* engine
@@ -224,3 +227,12 @@ def assert_same_distribution(
         f"(df={observed_a.size - 1}, alpha={alpha}): the batches do not share "
         "a distribution"
     )
+
+
+def clamped(exact: GibbsDistribution, config, region) -> GibbsDistribution:
+    """``exact`` conditioned on ``config`` outside ``region``."""
+    n, q = exact.n, exact.q
+    digits = np.arange(q**n)[:, None] // q ** np.arange(n - 1, -1, -1) % q
+    outside = [v for v in range(n) if v not in region]
+    keep = np.all(digits[:, outside] == np.asarray(config)[outside], axis=1)
+    return GibbsDistribution(n, q, exact.probs * keep)

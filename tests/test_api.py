@@ -1,9 +1,13 @@
 """Tests for the top-level sampling API."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import repro
+from repro.dynamic import region_round_budget
 from repro.csp import not_all_equal_csp
 from repro.errors import ModelError
 from repro.graphs import cycle_graph, grid_graph
@@ -160,3 +164,20 @@ class TestBudget:
         mrf = proper_coloring_mrf(cycle_graph(6), 5)
         with pytest.raises(ModelError):
             repro.default_round_budget(mrf, "nope", 0.1)
+
+    def test_full_and_region_budgets_are_one_formula(self):
+        """``ceil(8 * scale * log(size / eps))``, scale 1, Delta + 1 or size."""
+        mrf = proper_coloring_mrf(cycle_graph(8), 6)
+        full = [repro.default_round_budget(mrf, method, 0.05) for method in repro.METHODS]
+        region = [region_round_budget(mrf, method, 4, 0.05) for method in repro.METHODS]
+        assert full == [41, 122, 325]
+        # A LocalMetropolis region re-mixes with the LubyGlauber kernel.
+        assert region == [106, 106, 141]
+
+
+def test_import_leaves_the_local_protocols_unloaded():
+    """The LOCAL runners of the dispatch table are imported on first use."""
+    code = "import sys, repro; print(sorted(m for m in sys.modules if 'distributed' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import _model, build_parser, main
+from repro.families import FAMILIES
+from repro.graphs import cycle_graph
+from repro.mrf import proper_coloring_mrf
+from repro.sweep import expand_grid
 
 
 class TestParser:
@@ -20,6 +25,27 @@ class TestParser:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "--method", "bogus"])
+
+
+class TestFamilyRegistry:
+    """``--model`` and sweep ``family`` entries read one registry."""
+
+    def test_one_default_per_parameter(self):
+        seen = {}
+        for family in FAMILIES.values():
+            for param in family.params:
+                assert seen.setdefault(param.name, param) == param, param.name
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cli_args_and_sweep_entry_build_the_same_model(self, family):
+        args = build_parser().parse_args(
+            ["sample", "--model", family, "--size", "6", "--seed", "7"]
+        )
+        grid = expand_grid(
+            {"sweep": {"base_seed": 7, "size": 6, "models": [{"family": family}]}}
+        )
+        sweep_model = grid.cells[0].spec.model
+        assert _model(args).model_fingerprint() == sweep_model.model_fingerprint()
 
 
 class TestCommands:
@@ -166,6 +192,11 @@ class TestMixCommand:
         assert [rounds for rounds, _ in payload["curve"]] == [1, 2, 4]
         assert all(0.0 <= tv <= 1.0 for _, tv in payload["curve"])
         assert "mixing_time" not in payload
+        # mix runs the facade's curve: the same seed gives the same numbers.
+        curve = repro.tv_curve(
+            proper_coloring_mrf(cycle_graph(4), 3), [1, 2, 4], replicas=128, seed=0
+        )
+        assert payload["curve"] == [[rounds, tv] for rounds, tv in curve]
 
     def test_eps_adds_mixing_time(self, capsys):
         code = main(
@@ -333,6 +364,13 @@ class TestCSPModels:
         tvs = [tv for _, tv in payload["curve"]]
         assert tvs[0] > tvs[-1]
 
+    def test_infeasible_greedy_start_is_refused(self, capsys):
+        # The default 16-cycle: no MIS spin of vertex 15 fits its greedy prefix.
+        code = main(["sample", "--model", "mis"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "vertex 15" in err and "initial=" in err
+
     def test_nae_rejects_edgeless_graph(self, capsys):
         code = main(["sample", "--model", "nae", "--graph", "path", "--size", "1"])
         assert code == 1
@@ -394,7 +432,10 @@ class TestParallelCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "ShardedEnsemble"
         assert payload["jobs"] == 2
-        assert len(payload["curve"]) == 2
+        curve = repro.tv_curve(
+            proper_coloring_mrf(cycle_graph(5), 3), [1, 2], replicas=64, seed=0, parallel=0
+        )
+        assert payload["curve"] == [[rounds, tv] for rounds, tv in curve]
 
 
 class TestServeCli:

@@ -29,10 +29,11 @@ from repro.csp import (
     dominating_set_csp,
     exact_csp_gibbs_distribution,
     is_strongly_independent,
+    maximal_independent_set_csp,
     mrf_as_csp,
     not_all_equal_csp,
 )
-from repro.errors import ModelError, StateSpaceTooLargeError
+from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.graphs import cycle_graph, path_graph
 from repro.mrf import ising_mrf
 
@@ -176,17 +177,17 @@ class TestInvariants:
 
 
 class TestStationarity:
-    """Cross-replica distribution == exact CSP Gibbs measure."""
+    """Cross-replica distribution == exact CSP Gibbs measure, on weighted
+    CSPs (the law matrix's registry CSPs have 0/1 tables)."""
 
     @pytest.mark.parametrize("cls", ENSEMBLE_CSP_CLASSES)
     @pytest.mark.parametrize(
         "make_csp",
         [
-            lambda: dominating_set_csp(path_graph(3)),
             lambda: dominating_set_csp(path_graph(4), weight=2.0),
-            lambda: nae_ring_csp(4, 3),
             lambda: mrf_as_csp(ising_mrf(path_graph(3), beta=1.4, field=0.8)),
         ],
+        ids=["domset-weighted", "ising-as-csp"],
     )
     def test_ensemble_stationary(self, cls, make_csp):
         csp = make_csp()
@@ -258,6 +259,15 @@ class TestApiDispatch:
         assert isinstance(lg, EnsembleLubyGlauberCSP)
         with pytest.raises(ModelError, match="no CSP kernel"):
             repro.make_ensemble(csp, 4, method="glauber")
+
+    def test_infeasible_greedy_start_is_refused(self):
+        # On C7 the greedy MIS prefix leaves vertex 6 no spin; a feasible
+        # initial= configuration runs.
+        csp = maximal_independent_set_csp(cycle_graph(7))
+        with pytest.raises(InfeasibleStateError, match="vertex 6 .*initial="):
+            repro.sample_many(csp, 4, rounds=2, seed=0)
+        batch = repro.sample_many(csp, 4, rounds=2, seed=0, initial=[1, 0, 1, 0, 1, 0, 0])
+        assert all(csp.is_feasible(row) for row in batch)
 
     def test_sample_many_csp(self):
         csp = dominating_set_csp(cycle_graph(6))

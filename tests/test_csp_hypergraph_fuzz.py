@@ -27,6 +27,7 @@ from repro.csp import (
     csp_neighbors,
     is_strongly_independent,
 )
+from repro.errors import InfeasibleStateError
 
 FUZZ_SEEDS = range(30)
 
@@ -107,7 +108,11 @@ def test_arity_one_constraints_create_no_neighbours():
 
 
 def reference_greedy_start(csp: LocalCSP) -> np.ndarray:
-    """The per-vertex, per-spin, per-constraint loop the compiled start replaces."""
+    """The per-vertex, per-spin, per-constraint loop the compiled start replaces.
+
+    Raises :class:`InfeasibleStateError` at the first vertex with no spin
+    that keeps the constraints it completes alive.
+    """
     config = np.zeros(csp.n, dtype=np.int64)
     for v in range(csp.n):
         candidates = []
@@ -119,7 +124,9 @@ def reference_greedy_start(csp: LocalCSP) -> np.ndarray:
                 if max(csp.constraints[index].scope) <= v
             ):
                 candidates.append(spin)
-        config[v] = candidates[0] if candidates else 0
+        if not candidates:
+            raise InfeasibleStateError(f"vertex {v}")
+        config[v] = candidates[0]
     return config
 
 
@@ -165,4 +172,11 @@ def test_compiled_flat_indices_evaluate_every_constraint(seed):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_compiled_greedy_start_matches_the_loop(seed):
     csp = random_csp(np.random.default_rng(seed))
-    np.testing.assert_array_equal(csp.compiled().greedy_start, reference_greedy_start(csp))
+    try:
+        expected = reference_greedy_start(csp)
+    except InfeasibleStateError as refusal:
+        # Both refuse, at the same vertex.
+        with pytest.raises(InfeasibleStateError, match=rf"\b{refusal} satisfies"):
+            csp.compiled().greedy_start
+        return
+    np.testing.assert_array_equal(csp.compiled().greedy_start, expected)

@@ -6,8 +6,10 @@ Markov kernel as the corresponding sequential chain.  Validated three ways:
 * *bitwise* — :class:`EnsembleGlauberDynamics` with one replica reproduces
   :class:`GlauberDynamics` state-for-state from the same seed;
 * *stationarity* — after burn-in, the cross-replica empirical distribution
-  matches the exact Gibbs distribution (chi-squared on exactly-enumerable
-  models);
+  matches the exact Gibbs distribution: the law matrix of
+  ``tests/test_law_matrix.py`` runs every registry family under every
+  method, and this file checks the LocalMetropolis engine against the
+  sequential chain;
 * *invariants* — the per-round structural invariants of the sequential
   chains (monotone monochromatic-edge counts for LocalMetropolis,
   independent-set update sets for LubyGlauber) hold in every replica.
@@ -189,48 +191,6 @@ class TestInvariants:
             ensemble.step()
 
 
-class TestStationarity:
-    """Cross-replica distribution == exact Gibbs on enumerable models,
-    verified by the shared statistical harness (chi-square goodness-of-fit
-    plus the exact-TV concentration bound)."""
-
-    @pytest.mark.parametrize("parallel", [None, 0], ids=["direct", "sharded"])
-    @pytest.mark.parametrize("method", repro.METHODS)
-    def test_coloring_law_row(self, method, parallel):
-        """Every method on a uniform colouring, in-process and sharded."""
-        mrf = proper_coloring_mrf(path_graph(3), 4)
-        rounds = 80 if method == "glauber" else 60
-        ensemble = repro.make_ensemble(mrf, 4000, method=method, seed=11, parallel=parallel)
-        batch = ensemble.run(rounds)
-        if parallel is not None:
-            ensemble.close()
-        assert_stationary(batch, exact_gibbs_distribution(mrf))
-
-    def test_glauber_ensemble_matches_exact_hardcore(self):
-        mrf = hardcore_mrf(path_graph(3), 1.5)
-        gibbs = exact_gibbs_distribution(mrf)
-        ensemble = EnsembleGlauberDynamics(mrf, 4000, seed=12)
-        assert_stationary(ensemble.run(80), gibbs)
-
-    def test_glauber_ensemble_matches_exact_ising(self):
-        mrf = ising_mrf(path_graph(3), beta=0.8, field=1.2)
-        gibbs = exact_gibbs_distribution(mrf)
-        ensemble = EnsembleGlauberDynamics(mrf, 4000, seed=13)
-        assert_stationary(ensemble.run(80), gibbs)
-
-    def test_luby_glauber_mrf_matches_exact_hardcore(self):
-        mrf = hardcore_mrf(cycle_graph(4), 1.5)
-        gibbs = exact_gibbs_distribution(mrf)
-        ensemble = EnsembleLubyGlauberMRF(mrf, 4000, seed=14)
-        assert_stationary(ensemble.run(60), gibbs)
-
-    def test_luby_glauber_mrf_matches_exact_ising(self):
-        mrf = ising_mrf(path_graph(3), beta=0.8, field=1.2)
-        gibbs = exact_gibbs_distribution(mrf)
-        ensemble = EnsembleLubyGlauberMRF(mrf, 4000, seed=15)
-        assert_stationary(ensemble.run(60), gibbs)
-
-
 class TestSequentialEquivalence:
     def test_glauber_single_replica_bitwise(self):
         """R=1 ensemble Glauber == sequential Glauber, state-for-state."""
@@ -359,9 +319,3 @@ class TestSampleMany:
         mrf = proper_coloring_mrf(path_graph(3), 3)
         with pytest.raises(ModelError, match="integers"):
             repro.sample_many(mrf, 2, rounds=2, seed=1, initial=[0.7, 1.9, 2.2])
-
-    def test_stationary_through_api(self):
-        mrf = proper_coloring_mrf(path_graph(3), 4)
-        gibbs = exact_gibbs_distribution(mrf)
-        batch = repro.sample_many(mrf, 3000, rounds=60, seed=5)
-        assert_stationary(batch, gibbs)

@@ -6,7 +6,8 @@ pins the sha256 digest of seeded :func:`repro.run_spec` results (and of a
 few region-restricted engine runs) so that a change to engine set-up,
 kernel arithmetic, RNG draw order or exact enumeration that moves a bit
 fails here.  A change that *means* to move bits re-pins the digests and
-says so in CHANGES.md.
+says so in CHANGES.md.  Every row of the dispatch table
+(:data:`repro.families.DISPATCH`) must run at least one pinned spec.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.distributed import (
     run_luby_glauber_csp_protocol,
     run_luby_glauber_protocol,
 )
+from repro.families import DISPATCH, dispatch
 from repro.graphs import cycle_graph, grid_graph, torus_graph
 from repro.mrf import MRF, hardcore_mrf, ising_mrf, proper_coloring_mrf
 
@@ -201,6 +203,17 @@ PROTOCOL_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_run_spec_digest_is_pinned(name):
     assert digest(repro.run_spec(SPECS[name]())) == GOLDEN[name]
+
+
+def test_every_dispatch_row_has_a_pinned_digest():
+    """A new :data:`repro.families.DISPATCH` row fails here until a SPECS entry pins it."""
+    pinned = {dispatch(spec.model, spec.method) for spec in (make() for make in SPECS.values())}
+    missing = [
+        f"{row.kind}/{row.method}/{row.ensemble.__name__} when={row.when}"
+        for row in DISPATCH
+        if row not in pinned
+    ]
+    assert not missing, f"dispatch rows with no pinned digest: {missing}"
 
 
 @pytest.mark.parametrize("name", sorted(REGION_RUNS))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from statutils import assert_stationary
+from statutils import assert_stationary, clamped
 
 from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.coupling import CoupledLocalMetropolis
@@ -37,7 +37,7 @@ from repro.errors import ModelError
 from repro.graphs import path_graph, star_graph
 from repro.local.protocol import NodeContext
 from repro.mrf import MRF
-from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
+from repro.mrf.distribution import exact_gibbs_distribution
 from repro.mrf.marginals import conditional_marginal_unnormalized
 
 REPLICAS = 4000
@@ -80,15 +80,6 @@ def uneven_csp() -> LocalCSP:
             table[(2,) * len(scope)] = 0.0
         constraints.append(Constraint(scope, table))
     return LocalCSP(5, 3, constraints)
-
-
-def clamped(exact: GibbsDistribution, config, region) -> GibbsDistribution:
-    """``exact`` conditioned on ``config`` outside ``region``."""
-    n, q = exact.n, exact.q
-    digits = np.arange(q**n)[:, None] // q ** np.arange(n - 1, -1, -1) % q
-    outside = [v for v in range(n) if v not in region]
-    keep = np.all(digits[:, outside] == np.asarray(config)[outside], axis=1)
-    return GibbsDistribution(n, q, exact.probs * keep)
 
 
 class FixedUniforms:

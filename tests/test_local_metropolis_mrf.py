@@ -5,9 +5,9 @@ for every pairwise MRF that is not a uniform colouring.  Its one-step law
 is checked against rows of the exact transition matrix: on the per-edge
 model below both it and the sequential chain are still far from Gibbs
 after 150 rounds, so a stationarity test there would measure the chain,
-not the engine.  Stationarity is checked on a fast-mixing model through
-:func:`repro.run_spec`, in-process and sharded.  The dispatch walk pins
-that every valid (model, method) pair gets a batched engine.
+not the engine.  Stationarity on the registry families, in-process and
+sharded, is the law matrix's (``tests/test_law_matrix.py``).  The dispatch
+walk pins that every valid (model, method) pair gets a batched engine.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from statutils import assert_stationary
 
 import repro
-from repro import JobSpec
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
@@ -34,7 +33,7 @@ from repro.csp import dominating_set_csp
 from repro.errors import ModelError
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.mrf import MRF, hardcore_mrf, ising_mrf, proper_coloring_mrf
-from repro.mrf.distribution import GibbsDistribution, config_index, exact_gibbs_distribution
+from repro.mrf.distribution import GibbsDistribution, config_index
 
 REPLICAS = 20_000
 
@@ -82,15 +81,6 @@ def test_one_step_matches_the_transition_matrix_row(name, state):
     row = local_metropolis_transition_matrix(mrf)[config_index(state, mrf.q)]
     ensemble = EnsembleLocalMetropolisMRF(mrf, REPLICAS, initial=state, seed=71)
     assert_stationary(ensemble.run(1), GibbsDistribution(mrf.n, mrf.q, row))
-
-
-@pytest.mark.parametrize("parallel", [None, 0])
-def test_run_spec_is_stationary(parallel):
-    mrf = hardcore_mrf(cycle_graph(5), 0.7)
-    spec = JobSpec.sample_many(
-        mrf, REPLICAS, method="local-metropolis", rounds=60, seed=72, parallel=parallel
-    )
-    assert_stationary(repro.run_spec(spec), exact_gibbs_distribution(mrf))
 
 
 #: Every valid (model kind, method) cell of ``make_ensemble`` and its engine.

@@ -227,6 +227,20 @@ class TestConfigValidation:
                 _base_config(models=[{"family": "ising", "graph": "moebius"}])
             )
 
+    def test_misspelt_model_key_is_refused(self):
+        # It used to expand silently to the family's default parameters.
+        with pytest.raises(ModelError, match=r"'fugacty'.*\('fugacity',\)"):
+            expand_grid(_base_config(models=[{"family": "hardcore", "fugacty": 0.01}]))
+
+    def test_entries_sharing_a_label_are_refused(self):
+        # The second entry used to run the first one's model under its label.
+        models = [{"family": "coloring", "q": 4}, {"family": "coloring", "q": 5}]
+        with pytest.raises(ModelError, match="labels must differ"):
+            expand_grid(_base_config(models=models))
+        models[1]["name"] = "coloring-q5"
+        cells = expand_grid(_base_config(models=models)).cells
+        assert {cell.spec.model.q for cell in cells} == {4, 5}
+
     def test_unknown_axis(self):
         with pytest.raises(ModelError):
             expand_grid(_base_config(axes={"size": [4], "temperature": [1.0]}))
