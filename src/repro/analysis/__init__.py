@@ -26,6 +26,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.empirical import (
     batch_agreement,
+    batch_config_counts,
     batch_empirical_distribution,
     batch_marginals,
     batch_max_marginal_error,
@@ -55,6 +56,7 @@ __all__ = [
     "autocorrelation",
     "batch_agreement",
     "batch_effective_sample_size",
+    "batch_config_counts",
     "batch_empirical_distribution",
     "batch_marginals",
     "batch_max_marginal_error",

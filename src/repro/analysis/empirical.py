@@ -10,6 +10,16 @@ Two families of estimators live here:
   :func:`repro.api.sample_many` with whole-array numpy operations — no
   Python-level per-replica loop, so estimating over thousands of replicas
   costs microseconds, not milliseconds.
+
+Every joint estimator counts through :func:`batch_config_counts`: one
+range check, one product with the row-major powers of ``q`` and one
+``bincount``.  :func:`batch_tv_to_exact`, the per-round probe of every
+mixing-time job, compares those counts with the exact probabilities
+directly, ``0.5 * |exact.probs - counts / R|.sum()``.  It builds no
+:class:`~repro.mrf.distribution.GibbsDistribution`, whose validation and
+renormalisation cost as much as the count, and returns the same float as
+the distance to the empirical distribution.  The sweep's checks
+(:mod:`repro.sweep.checks`) count through the same helper.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ __all__ = [
     "empirical_distribution",
     "marginal_from_samples",
     "pair_counts",
+    "batch_config_counts",
     "batch_empirical_distribution",
     "batch_marginals",
     "batch_tv_to_exact",
@@ -78,29 +89,57 @@ def pair_counts(
 # ----------------------------------------------------------------------
 # ensemble-native estimators over (R, n) batches
 # ----------------------------------------------------------------------
-def _check_batch(batch: np.ndarray, q: int) -> np.ndarray:
+def _check_batch(batch: np.ndarray, q: int, n: int | None = None) -> np.ndarray:
+    """Validate an ``(R, n)`` batch of spins in ``0..q-1``; return it as int64.
+
+    ``n``, when given, is the vertex count the batch must have.  An integer
+    batch is range-checked by one comparison on its unsigned view, where a
+    negative spin reads as a huge one.
+    """
     batch = np.asarray(batch)
     if batch.ndim != 2:
         raise ModelError(f"batch must be a 2-D (R, n) array, got shape {batch.shape}")
     if batch.shape[0] == 0:
         raise ModelError("batch estimators need at least one replica")
-    if np.any(batch < 0) or np.any(batch >= q):
+    if n is not None and batch.shape[1] != n:
+        raise ModelError(
+            f"batch has {batch.shape[1]} vertices but the distribution has {n}"
+        )
+    if batch.dtype.kind in "iu":
+        unsigned = batch.view(np.dtype(f"u{batch.dtype.itemsize}"))
+        out_of_range = unsigned.max(initial=0) >= q
+    else:
+        out_of_range = np.any(batch < 0) or np.any(batch >= q)
+    if out_of_range:
         raise ModelError(f"batch spins must lie in 0..{q - 1}")
     return batch.astype(np.int64, copy=False)
+
+
+def batch_config_counts(batch: np.ndarray, q: int, n: int | None = None) -> np.ndarray:
+    """Count the replicas of an ``(R, n)`` batch in each configuration of ``[q]^n``.
+
+    Returns a length-``q**n`` int64 vector indexed as
+    :func:`~repro.mrf.distribution.config_index`: one product with the
+    row-major powers of ``q`` ranks all replicas, one bincount tallies
+    them.  Raises :class:`~repro.errors.ModelError` for a spin outside
+    ``0..q-1`` (or, with ``n`` given, a batch of another width).  Only
+    sensible when ``q**n`` is small enough to materialise.
+    """
+    batch = _check_batch(batch, q, n)
+    width = batch.shape[1]
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.bincount(powers @ batch.T, minlength=q**width)
 
 
 def batch_empirical_distribution(batch: np.ndarray, q: int) -> GibbsDistribution:
     """Build the empirical distribution over ``[q]^n`` from an ``(R, n)`` batch.
 
-    Vectorised counterpart of :func:`empirical_distribution`: one
-    matrix-vector product ranks all replicas, one bincount tallies them.
-    Only sensible when ``q**n`` is small enough to materialise.
+    Vectorised counterpart of :func:`empirical_distribution`, normalising
+    :func:`batch_config_counts`.  Only sensible when ``q**n`` is small
+    enough to materialise.
     """
-    batch = _check_batch(batch, q)
-    n = batch.shape[1]
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    indices = batch @ powers
-    return GibbsDistribution(n, q, np.bincount(indices, minlength=q**n).astype(float))
+    counts = batch_config_counts(batch, q)
+    return GibbsDistribution(np.shape(batch)[1], q, counts.astype(float))
 
 
 def batch_marginals(batch: np.ndarray, q: int) -> np.ndarray:
@@ -119,13 +158,14 @@ def batch_marginals(batch: np.ndarray, q: int) -> np.ndarray:
 def batch_tv_to_exact(batch: np.ndarray, exact: GibbsDistribution) -> float:
     """Total-variation distance between a batch's empirical distribution and
     an exact one (paper Section 2.3) — the workhorse of the E2-style
-    convergence experiments, now one call per recorded round."""
-    batch = _check_batch(batch, exact.q)
-    if batch.shape[1] != exact.n:
-        raise ModelError(
-            f"batch has {batch.shape[1]} vertices but the distribution has {exact.n}"
-        )
-    return exact.tv_distance(batch_empirical_distribution(batch, exact.q))
+    convergence experiments, one call per recorded round.
+
+    Compares the counts with ``exact.probs`` directly; the result equals
+    ``exact.tv_distance(batch_empirical_distribution(batch, exact.q))``
+    under ``==``.
+    """
+    counts = batch_config_counts(batch, exact.q, exact.n)
+    return exact.tv_distance(counts / len(batch))
 
 
 def batch_max_marginal_error(batch: np.ndarray, exact: GibbsDistribution) -> float:
@@ -134,11 +174,7 @@ def batch_max_marginal_error(batch: np.ndarray, exact: GibbsDistribution) -> flo
     Unlike :func:`batch_tv_to_exact` this stays meaningful when ``q**n`` is
     too large to enumerate a joint empirical distribution reliably.
     """
-    batch = _check_batch(batch, exact.q)
-    if batch.shape[1] != exact.n:
-        raise ModelError(
-            f"batch has {batch.shape[1]} vertices but the distribution has {exact.n}"
-        )
+    batch = _check_batch(batch, exact.q, exact.n)
     empirical = batch_marginals(batch, exact.q)
     exact_marginals = np.stack([exact.marginal(v) for v in range(exact.n)])
     return float(0.5 * np.abs(empirical - exact_marginals).sum(axis=1).max())

@@ -57,10 +57,16 @@ Publicly an ensemble is an ``(R, n)`` batch: ``config`` returns an
 ``(R, n)`` int64 numpy array, and ``run(steps)`` returns a fresh
 ``(R, n)`` copy.  Internally every batched engine stores the transposed
 *vertex-major* ``(n, R)`` layout in the smallest integer dtype that holds
-``q``: every per-edge operation then gathers contiguous rows, and the
-edge-to-vertex "any incident edge failed" reduction is a sparse
-incidence-matrix product — both memory-bandwidth bound rather than
-Python-overhead bound.
+``q``: every per-edge or per-neighbour operation then gathers contiguous
+rows, memory-bandwidth bound rather than Python-overhead bound.  The
+Luby step compares each vertex's rank with Δ row gathers from a padded
+neighbour table (:class:`_LubySelector`).  The LocalMetropolis accept's
+edge-to-vertex "any incident edge failed" reduction stays a sparse
+incidence-matrix product: an incidence has no width, so LocalMetropolis
+runs models (a star with thousands of leaves) whose padded tables
+:data:`repro.compiled.MAX_PADDING` refuses.  The accept itself is integer
+arithmetic, not a ``np.where`` select, which is an order of magnitude
+slower on int8 spins.
 
 Each replica evolves by exactly the same Markov kernel as the
 corresponding sequential chain (same proposal distribution, same filters,
@@ -98,6 +104,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.chains.base import as_generator, checked_initial, greedy_feasible_config
+from repro.compiled import _padded_rows
 from repro.csp.model import LocalCSP
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.mrf.model import MRF
@@ -194,18 +201,6 @@ class EnsembleTrajectoryMixin:
         return out
 
 
-def _count_true(incidence, mask):
-    """Sparse ``incidence @ mask`` over a boolean ``(m, R)`` mask.
-
-    Counts, per vertex and replica, the True entries among the vertex's
-    incident edges or constraints: the reduction of the Luby step and of
-    the LocalMetropolis accept.  Viewing the mask as uint8 keeps the sparse
-    matmul in integer arithmetic without a copy; callers only compare the
-    counts with zero.
-    """
-    return incidence @ mask.view(np.uint8)
-
-
 def _uniform_spins(rng: np.random.Generator, q: int, size, dtype: np.dtype) -> np.ndarray:
     """Uniform spins in ``0..q-1`` with shape ``size`` in ``dtype``.
 
@@ -223,17 +218,22 @@ def _metropolis_accept(engine, proposals, failed, incidence) -> None:
     ``failed`` is the ``(factors, R)`` mask of failed checks (edges, or
     constraints) and ``incidence`` the scipy CSR ``(n, factors)`` vertex
     incidence: a vertex takes its ``(n, R)`` proposal iff none of its
-    factors failed.  With metrics enabled, one count of the blocked mask is
-    the entire overhead of the accepted-move probes.
+    factors failed.  The sparse product counts each vertex's failed
+    factors; viewing the mask as uint8 keeps it in integer arithmetic
+    without a copy.  The blocked pairs keep their spin through
+    ``proposals + (config - proposals) * blocked``, the same integers as a
+    ``np.where`` select at a fraction of its cost.  With metrics enabled,
+    one count of the blocked mask is the entire overhead of the
+    accepted-move probes.
     """
-    blocked = _count_true(incidence, failed) > 0
+    blocked = (incidence @ failed.view(np.uint8)) > 0
     if _obs_metrics.enabled:
         total = engine.n * engine.replicas
         rejected = int(np.count_nonzero(blocked))
         name = type(engine).__name__
         _obs_metrics.inc("repro_engine_proposals_total", total, engine=name)
         _obs_metrics.inc("repro_engine_accepted_total", total - rejected, engine=name)
-    engine._config = np.where(blocked, engine._config, proposals)
+    engine._config = proposals + (engine._config - proposals) * blocked
     engine.steps_taken += 1
 
 
@@ -319,8 +319,62 @@ def _as_region(region, n: int) -> np.ndarray:
     return vertices
 
 
-class _RegionSelector:
-    """Precompiled masked-Luby structures for a vertex region.
+class _LubySelector:
+    """The batched Luby step of one graph: i.i.d. ranks, strict local maxima win.
+
+    Every step draws one float32 rank per (vertex, replica) into rows
+    ``0..n-1`` of an ``(n + 1, R)`` buffer, and a vertex is selected in a
+    replica iff its rank is ``>`` every neighbour's: ties lose on both
+    sides, exactly as the sequential kernels, so each column is an
+    independent set.  The neighbours are a position-major ``(width, n)``
+    table built by :func:`repro.compiled._padded_rows` (so
+    :data:`repro.compiled.MAX_PADDING` refuses it before anything is
+    allocated); pad slots name the sentinel row ``n``, whose rank ``-1``
+    every draw beats.  A step is one rank draw plus ``width`` row gathers
+    and comparisons.  A graph without edges selects every vertex and draws
+    no ranks.  Shared by the MRF engines (model graph), the CSP engines
+    (conflict graph) and :class:`_RegionSelector`.
+    """
+
+    def __init__(self, edge_u: np.ndarray, edge_v: np.ndarray, n: int, replicas: int):
+        self.n = int(n)
+        self.replicas = int(replicas)
+        self._neighbours = None
+        if not len(edge_u):
+            return
+        ends = np.concatenate([edge_u, edge_v])
+        order = np.argsort(ends, kind="stable")
+        others = np.concatenate([edge_v, edge_u])[order]
+        (table,) = _padded_rows(ends[order], [others], [self.n], self.n, "Luby neighbour")
+        self._neighbours = np.ascontiguousarray(table.T)
+        self._ranks = np.full((self.n + 1, self.replicas), -1.0, dtype=np.float32)
+
+    def select(self, rng: np.random.Generator) -> np.ndarray:
+        """One Luby step: the ``(n, R)`` boolean mask of selected pairs."""
+        if self._neighbours is None:
+            return np.ones((self.n, self.replicas), dtype=bool)
+        ranks = self._ranks
+        own = ranks[: self.n]
+        rng.random(dtype=np.float32, out=own)
+        selected = own > np.take(ranks, self._neighbours[0], axis=0)
+        for neighbours in self._neighbours[1:]:
+            selected &= own > np.take(ranks, neighbours, axis=0)
+        return selected
+
+    def select_pairs(self, rng: np.random.Generator):
+        """One Luby step: the selected ``(v_idx, r_idx)`` pairs, vertex-major.
+
+        The order of a 2-D ``np.nonzero`` of the mask, from the flat indices:
+        a floor division and a subtraction take half the time of
+        ``np.divmod``.
+        """
+        flat = np.flatnonzero(self.select(rng))
+        v_idx = flat // self.replicas
+        return v_idx, flat - v_idx * self.replicas
+
+
+class _RegionSelector(_LubySelector):
+    """The Luby step of a vertex region, over its internal edges.
 
     Restricting the Luby step to the *region-internal* edges is exact:
     heat-bath updates preserve the conditional Gibbs distribution given
@@ -332,41 +386,21 @@ class _RegionSelector:
     resampling.
     """
 
-    def __init__(self, region: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, n: int):
-        self.region = region
-        self.size = int(region.size)
+    def __init__(
+        self, region: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, n: int, replicas: int
+    ):
         local_of = np.full(n, -1, dtype=np.int64)
-        local_of[region] = np.arange(self.size, dtype=np.int64)
+        local_of[region] = np.arange(region.size, dtype=np.int64)
         internal = (local_of[edge_u] >= 0) & (local_of[edge_v] >= 0)
-        self._leu = local_of[edge_u[internal]]
-        self._lev = local_of[edge_v[internal]]
-        self._side_u, self._side_v = _side_incidences(self._leu, self._lev, self.size)
-
-    def select_pairs(self, rng: np.random.Generator, replicas: int):
-        """Luby-select over the region; return global ``(v_idx, r_idx)`` pairs."""
-        mask = _batched_luby_select(
-            rng, self.size, replicas, self._leu, self._lev, self._side_u, self._side_v
+        super().__init__(
+            local_of[edge_u[internal]], local_of[edge_v[internal]], region.size, replicas
         )
-        s_idx, r_idx = np.nonzero(mask)
+        self.region = region
+
+    def select_pairs(self, rng: np.random.Generator):
+        """Luby-select over the region; return global ``(v_idx, r_idx)`` pairs."""
+        s_idx, r_idx = super().select_pairs(rng)
         return self.region[s_idx], r_idx
-
-
-def _side_incidences(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
-    """Scipy CSR matrices of the one-sided ``(n, m)`` edge incidences.
-
-    ``side_u @ flags`` scatters a per-edge ``(m, R)`` flag array onto each
-    edge's u endpoint (``side_v`` likewise) — the Luby step's "lost to a
-    neighbour" reduction.  ``(None, None)`` when there are no edges.
-    """
-    m = len(edge_u)
-    if not m:
-        return None, None
-    ones = np.ones(m, dtype=np.int32)
-    arange = np.arange(m)
-    return (
-        sp.csr_matrix((ones, (edge_u, arange)), shape=(n, m)),
-        sp.csr_matrix((ones, (edge_v, arange)), shape=(n, m)),
-    )
 
 
 def _edge_incidence(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
@@ -383,33 +417,6 @@ def _edge_incidence(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
     arange = np.arange(m)
     ends = (np.concatenate([edge_u, edge_v]), np.concatenate([arange, arange]))
     return sp.csr_matrix((np.ones(2 * m, dtype=np.int32), ends), shape=(n, m))
-
-
-def _batched_luby_select(
-    rng: np.random.Generator,
-    n: int,
-    replicas: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    side_u,
-    side_v,
-) -> np.ndarray:
-    """Per-replica Luby step: i.i.d. ranks, strict local maxima win.
-
-    Returns an ``(n, R)`` boolean mask; each column is an independent set
-    of the graph given by the edge arrays (ties lose on both sides, exactly
-    as the sequential kernels).  ``side_u``/``side_v`` are the one-sided
-    incidence matrices of :func:`_side_incidences` (``None`` without
-    edges, when every vertex is selected).  Shared by the MRF ensembles
-    (model graph) and the CSP ensembles (conflict graph).
-    """
-    if side_u is None:
-        return np.ones((n, replicas), dtype=bool)
-    ranks = rng.random((n, replicas), dtype=np.float32)
-    ru = ranks[edge_u]
-    rv = ranks[edge_v]
-    lose_counts = _count_true(side_u, ru <= rv) + _count_true(side_v, rv <= ru)
-    return lose_counts == 0
 
 
 def _multiply_factor_rows(weights, factors, indices):
@@ -575,9 +582,11 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         self._ensure_heatbath_structures()
-        selector = _RegionSelector(_as_region(region, self.n), self._eu, self._ev, self.n)
+        selector = _RegionSelector(
+            _as_region(region, self.n), self._eu, self._ev, self.n, self.replicas
+        )
         for _ in range(steps):
-            self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
+            self._heatbath_update(*selector.select_pairs(self.rng))
             self.steps_taken += 1
         return self
 
@@ -708,17 +717,11 @@ class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
     ) -> None:
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._ensure_heatbath_structures()
-        self._side_u, self._side_v = _side_incidences(self._eu, self._ev, self.n)
-
-    def _luby_select(self):
-        """Per-replica Luby step on the model graph, ``(n, R)`` boolean."""
-        return _batched_luby_select(
-            self.rng, self.n, self.replicas, self._eu, self._ev, self._side_u, self._side_v
-        )
+        self._luby = _LubySelector(self._eu, self._ev, self.n, self.replicas)
 
     def step(self) -> None:
         """Select independent sets; heat-bath-update all pairs in parallel."""
-        v_idx, r_idx = np.nonzero(self._luby_select())
+        v_idx, r_idx = self._luby.select_pairs(self.rng)
         if _obs_metrics.enabled:
             _record_luby_step(self, v_idx)
         self._heatbath_update(v_idx, r_idx)
@@ -981,7 +984,7 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         # Conflict-graph edge arrays drive the batched Luby step; ties lose
         # on both sides, exactly as LubyScheduler's strict local maxima.
         self._cu, self._cv = compiled.conflict_u, compiled.conflict_v
-        self._conflict_u, self._conflict_v = _side_incidences(self._cu, self._cv, self.n)
+        self._luby = _LubySelector(self._cu, self._cv, self.n, self.replicas)
         # Row k holds, per vertex, for its k-th containing constraint c: the
         # flat offset c * R of c's row in the (C + 1, R) flat-index buffer,
         # the start of c's table among the factors, and the stride of the
@@ -1047,9 +1050,11 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         self._ensure_heatbath_structures()
-        selector = _RegionSelector(_as_region(region, self.n), self._cu, self._cv, self.n)
+        selector = _RegionSelector(
+            _as_region(region, self.n), self._cu, self._cv, self.n, self.replicas
+        )
         for _ in range(steps):
-            self._heatbath_update(*selector.select_pairs(self.rng, self.replicas))
+            self._heatbath_update(*selector.select_pairs(self.rng))
             self.steps_taken += 1
         return self
 
@@ -1081,16 +1086,9 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
         # updates through the padded incidence — build them eagerly.
         self._ensure_heatbath_structures()
 
-    def _luby_select(self):
-        """Per-replica Luby step on the conflict graph, ``(n, R)`` boolean."""
-        return _batched_luby_select(
-            self.rng, self.n, self.replicas, self._cu, self._cv,
-            self._conflict_u, self._conflict_v,
-        )
-
     def step(self) -> None:
         """Select strongly independent sets; heat-bath-update them in parallel."""
-        v_idx, r_idx = np.nonzero(self._luby_select())
+        v_idx, r_idx = self._luby.select_pairs(self.rng)
         if _obs_metrics.enabled:
             _record_luby_step(self, v_idx)
         self._heatbath_update(v_idx, r_idx)

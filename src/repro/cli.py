@@ -153,10 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also estimate the empirical mixing time tau(eps)",
     )
     mix.add_argument(
-        "--max-rounds", type=int, default=4096, help="mixing-time round budget"
+        "--max-rounds", type=int, default=None,
+        help="mixing-time round budget (default: repro.mixing_time's)",
     )
     mix.add_argument(
-        "--stride", type=int, default=1, help="rounds between mixing-time checks"
+        "--stride", type=int, default=None,
+        help="rounds between mixing-time checks (default: repro.mixing_time's)",
     )
     mix.add_argument(
         "--jobs",
@@ -222,8 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoints", default="1,2,4,8,16,32",
         help="tv_curve rounds, comma-separated",
     )
-    submit.add_argument("--max-rounds", type=int, default=4096)
-    submit.add_argument("--stride", type=int, default=1)
+    submit.add_argument(
+        "--max-rounds", type=int, default=None,
+        help="mixing_time round budget (default: JobSpec.mixing_time's)",
+    )
+    submit.add_argument(
+        "--stride", type=int, default=None, help="rounds between mixing_time checks"
+    )
     submit.add_argument(
         "--stream", action="store_true",
         help="stream per-checkpoint events instead of waiting silently",
@@ -398,11 +405,10 @@ def _command_mix(args: argparse.Namespace) -> int:
             args.eps,
             method=args.method,
             replicas=args.replicas,
-            max_rounds=args.max_rounds,
-            stride=args.stride,
             seed=args.seed,
             target=target,
             parallel=args.jobs,
+            **_given(max_rounds=args.max_rounds, stride=args.stride),
         )
     json.dump(payload, sys.stdout, indent=2)
     print()
@@ -460,15 +466,20 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given(**values) -> dict:
+    """The keyword arguments the user set: an unset (None) one keeps the callee's default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
     if args.kind == "sample_many":
         return JobSpec.sample_many(
             model,
             args.replicas,
             method=args.method,
-            eps=args.eps if args.eps is not None else 0.05,
             rounds=args.rounds,
             seed=args.seed,
+            **_given(eps=args.eps),
         )
     if args.kind == "tv_curve":
         return JobSpec.tv_curve(
@@ -480,12 +491,10 @@ def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
         )
     return JobSpec.mixing_time(
         model,
-        eps=args.eps if args.eps is not None else 0.125,
         method=args.method,
         replicas=args.replicas,
-        max_rounds=args.max_rounds,
-        stride=args.stride,
         seed=args.seed,
+        **_given(eps=args.eps, max_rounds=args.max_rounds, stride=args.stride),
     )
 
 

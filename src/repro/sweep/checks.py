@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from repro.analysis.empirical import batch_config_counts
+
 __all__ = [
     "DEFAULT_ALPHA",
     "MAX_CHECK_STATES",
@@ -44,13 +46,6 @@ def empirical_tv_bound(support_size: int, samples: int, alpha: float = DEFAULT_A
     mean_term = math.sqrt(support_size / (4.0 * samples))
     deviation_term = math.sqrt(math.log(1.0 / alpha) / (2.0 * samples))
     return mean_term + deviation_term
-
-
-def _config_counts(batch: np.ndarray, q: int) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.int64)
-    n = batch.shape[1]
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.bincount(batch @ powers, minlength=q**n).astype(float)
 
 
 def _pooled_cells(counts, expected, min_expected):
@@ -83,12 +78,10 @@ def stationarity_check(
     "escaped": int}``.  A cell passes when no sample escapes the exact
     support, the pooled chi-square statistic stays under its ``1 - alpha``
     quantile, and the empirical TV stays under the concentration bound.
+    A spin outside ``0..q-1`` raises :class:`~repro.errors.ModelError`.
     """
-    from repro.mrf.distribution import GibbsDistribution
-
-    batch = np.asarray(batch, dtype=np.int64)
-    replicas = batch.shape[0]
-    counts = _config_counts(batch, exact.q)
+    counts = batch_config_counts(batch, exact.q, exact.n)
+    replicas = len(batch)
     support = exact.probs > 0.0
     support_size = int(support.sum())
     escaped = int(counts[~support].sum())
@@ -102,8 +95,7 @@ def stationarity_check(
         threshold = _chi2_threshold(observed.size - 1, alpha)
         chi2_ok = statistic < threshold
 
-    empirical = GibbsDistribution(exact.n, exact.q, counts)
-    tv = float(exact.tv_distance(empirical))
+    tv = exact.tv_distance(counts / replicas)
     tv_bound = empirical_tv_bound(support_size, replicas, alpha)
     return {
         "applicable": True,
@@ -131,11 +123,9 @@ def equivalence_check(
     plans (different RNG streams), so bit-identity is off the table and
     distributional equality is the contract.
     """
-    batch_a = np.asarray(batch_a, dtype=np.int64)
-    batch_b = np.asarray(batch_b, dtype=np.int64)
-    counts_a = _config_counts(batch_a, q)
-    counts_b = _config_counts(batch_b, q)
-    r_a, r_b = batch_a.shape[0], batch_b.shape[0]
+    counts_a = batch_config_counts(batch_a, q)
+    counts_b = batch_config_counts(batch_b, q)
+    r_a, r_b = len(batch_a), len(batch_b)
     pooled = (counts_a + counts_b) / (r_a + r_b)
     seen = pooled > 0.0
     large = pooled[seen] * min(r_a, r_b) >= min_expected

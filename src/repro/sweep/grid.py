@@ -122,6 +122,11 @@ def _seed_for_coordinate(coord_key, seed_map: dict, root: np.random.SeedSequence
     return seed_map[coord_key]
 
 
+def _set_keys(sweep: dict, **casts) -> dict:
+    """The ``[sweep]`` values the config sets, cast; the rest keep the ``JobSpec`` defaults."""
+    return {key: cast(sweep[key]) for key, cast in casts.items() if key in sweep}
+
+
 def _cell_spec(
     sweep: dict,
     model,
@@ -139,11 +144,11 @@ def _cell_spec(
             model,
             replicas,
             method=method,
-            eps=float(sweep.get("eps", 0.05)),
             rounds=None if rounds is None else int(rounds),
             seed=seed,
             name=name,
             parallel=parallel,
+            **_set_keys(sweep, eps=float),
         )
     if kind == "tv_curve":
         checkpoints = sweep.get("checkpoints")
@@ -160,14 +165,12 @@ def _cell_spec(
         )
     return JobSpec.mixing_time(
         model,
-        eps=float(sweep.get("eps", 0.125)),
         method=method,
         replicas=replicas,
-        max_rounds=int(sweep.get("max_rounds", 10_000)),
-        stride=int(sweep.get("stride", 1)),
         seed=seed,
         name=name,
         parallel=parallel,
+        **_set_keys(sweep, eps=float, max_rounds=int, stride=int),
     )
 
 

@@ -5,10 +5,11 @@ import json
 import pytest
 
 import repro
-from repro.cli import _model, build_parser, main
+from repro.cli import _build_spec, _model, build_parser, main
 from repro.families import FAMILIES
 from repro.graphs import cycle_graph
 from repro.mrf import proper_coloring_mrf
+from repro.spec import JobSpec
 from repro.sweep import expand_grid
 
 
@@ -46,6 +47,50 @@ class TestFamilyRegistry:
         )
         sweep_model = grid.cells[0].spec.model
         assert _model(args).model_fingerprint() == sweep_model.model_fingerprint()
+
+
+class TestJobDefaults:
+    """The CLI and the sweep forward only the values set: ``JobSpec`` owns every default."""
+
+    def test_submit_mixing_time_without_eps_or_max_rounds(self):
+        args = build_parser().parse_args(
+            ["submit", "--kind", "mixing_time", "--graph", "cycle", "--size", "6",
+             "--q", "3", "--replicas", "64", "--seed", "5"]
+        )
+        model = _model(args)
+        default = JobSpec.mixing_time(model, method=args.method, replicas=64, seed=5)
+        assert _build_spec(args, model).cache_key() == default.cache_key()
+
+    def test_submit_sample_many_without_eps(self):
+        args = build_parser().parse_args(
+            ["submit", "--graph", "cycle", "--size", "6", "--q", "3", "--seed", "5"]
+        )
+        model = _model(args)
+        default = JobSpec.sample_many(model, args.replicas, method=args.method, seed=5)
+        assert _build_spec(args, model).cache_key() == default.cache_key()
+
+    def test_sweep_mixing_time_cell_without_eps_or_max_rounds(self):
+        grid = expand_grid(
+            {"sweep": {"kind": "mixing_time", "base_seed": 7, "size": 6, "replicas": 64,
+                       "models": [{"family": "coloring", "graph": "cycle", "q": 3}]}}
+        )
+        spec = grid.cells[0].spec
+        default = JobSpec.mixing_time(spec.model, method=spec.method, replicas=64, seed=spec.seed)
+        assert spec.cache_key() == default.cache_key()
+
+    def test_set_values_are_forwarded(self):
+        args = build_parser().parse_args(
+            ["submit", "--kind", "mixing_time", "--graph", "cycle", "--size", "6", "--q", "3",
+             "--eps", "0.2", "--max-rounds", "64", "--stride", "4", "--seed", "5"]
+        )
+        spec = _build_spec(args, _model(args))
+        assert (spec.eps, spec.max_rounds, spec.stride) == (0.2, 64, 4)
+        grid = expand_grid(
+            {"sweep": {"kind": "mixing_time", "eps": 0.2, "max_rounds": 64, "stride": 4,
+                       "size": 6, "models": [{"family": "coloring", "graph": "cycle", "q": 3}]}}
+        )
+        spec = grid.cells[0].spec
+        assert (spec.eps, spec.max_rounds, spec.stride) == (0.2, 64, 4)
 
 
 class TestCommands:

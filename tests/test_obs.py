@@ -28,7 +28,7 @@ import pytest
 
 import repro
 from repro.graphs import cycle_graph, path_graph
-from repro.mrf import ising_mrf, proper_coloring_mrf
+from repro.mrf import proper_coloring_mrf
 from repro.obs import metrics, trace
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry
 from repro.serve import ReproServer, ServeClient

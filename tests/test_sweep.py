@@ -21,7 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import batch_empirical_distribution
 from repro.errors import ModelError
+from repro.graphs import path_graph
+from repro.mrf import exact_gibbs_distribution, proper_coloring_mrf
 from repro.sweep import (
     SCHEMA,
     expand_grid,
@@ -29,6 +32,7 @@ from repro.sweep import (
     load_grid_config,
     run_sweep,
 )
+from repro.sweep.checks import equivalence_check, stationarity_check
 
 
 def _base_config(**sweep_overrides):
@@ -351,3 +355,28 @@ class TestFamilyCoverage:
             "nae-cycle",
             "mis-path",
         }
+
+
+class TestChecks:
+    """The verdicts count a batch through the estimators' range-checked helper."""
+
+    EXACT = exact_gibbs_distribution(proper_coloring_mrf(path_graph(3), 3))
+
+    @pytest.mark.parametrize("row", [[0, 1, 3], [0, -1, 0]])
+    def test_out_of_range_spins_are_refused(self, row):
+        # Unchecked, [0, 1, 3] has the index of the proper colouring
+        # [0, 2, 0] and would be counted inside the support.
+        batch = np.array([[0, 2, 0], row])
+        with pytest.raises(ModelError, match="0..2"):
+            stationarity_check(batch, self.EXACT)
+        with pytest.raises(ModelError, match="0..2"):
+            equivalence_check(batch, np.array([[0, 2, 0], [1, 0, 1]]), 3)
+
+    def test_verdict_tv_is_the_distance_to_the_empirical_law(self):
+        batch = np.random.default_rng(0).integers(0, 3, size=(500, 3))
+        verdict = stationarity_check(batch, self.EXACT)
+        empirical = batch_empirical_distribution(batch, 3)
+        assert verdict["tv"] == self.EXACT.tv_distance(empirical)
+        improper = (batch[:, 0] == batch[:, 1]) | (batch[:, 1] == batch[:, 2])
+        assert verdict["escaped"] == int(improper.sum()) > 0
+        assert not verdict["passed"]
