@@ -22,7 +22,7 @@ import numpy as np
 
 import repro
 from repro.csp import dominating_set_csp
-from repro.exec import JobRunner, SamplingJob
+from repro.exec import JobRunner, JobSpec
 from repro.graphs import cycle_graph, torus_graph
 from repro.mrf import proper_coloring_mrf
 
@@ -48,13 +48,13 @@ def job_scheduler_demo() -> None:
     coloring = proper_coloring_mrf(cycle_graph(6), q=3)
     csp = dominating_set_csp(cycle_graph(8))
     jobs = [
-        SamplingJob.sample_many(coloring, 256, method="local-metropolis",
+        JobSpec.sample_many(coloring, 256, method="local-metropolis",
                                 seed=1, name="coloring-batch"),
-        SamplingJob.sample_many(csp, 128, method="luby-glauber",
+        JobSpec.sample_many(csp, 128, method="luby-glauber",
                                 seed=2, name="dominating-set-batch"),
-        SamplingJob.tv_curve(csp, (1, 2, 4, 8, 16), method="luby-glauber",
+        JobSpec.tv_curve(csp, (1, 2, 4, 8, 16), method="luby-glauber",
                              replicas=512, seed=3, name="csp-tv-curve"),
-        SamplingJob.mixing_time(coloring, eps=0.25, replicas=1024,
+        JobSpec.mixing_time(coloring, eps=0.25, replicas=1024,
                                 stride=2, max_rounds=500, seed=4,
                                 name="coloring-mixing-time"),
     ]

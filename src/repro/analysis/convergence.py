@@ -22,21 +22,17 @@ and every convergence function accepts either an ensemble or a
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from time import perf_counter
 
 import numpy as np
 
 from repro.analysis.empirical import batch_agreement, batch_tv_to_exact
 from repro.chains.base import SeedLike, as_seed_sequence
-from repro.chains.ensemble import EnsembleTrajectoryMixin
-from repro.errors import ConvergenceError, ModelError, ReproError
+from repro.chains.ensemble import EnsembleTrajectoryMixin, canonical_checkpoints
+from repro.errors import ConvergenceError, ModelError
 from repro.mrf.distribution import GibbsDistribution
-from repro.obs import metrics as _obs_metrics
-from repro.obs import trace as _obs_trace
 
 __all__ = [
     "SequentialChainEnsemble",
-    "canonical_checkpoints",
     "tv_curve_probes",
     "mixing_time_probes",
     "ensemble_tv_curve",
@@ -90,57 +86,14 @@ class SequentialChainEnsemble(EnsembleTrajectoryMixin):
             chain.step()
         self.steps_taken += 1
 
-    def advance(self, steps: int):
-        """Advance all chains ``steps`` rounds; returns ``self`` for chaining."""
-        if steps < 0:
-            raise ModelError(f"advance needs steps >= 0, got {steps}")
-        # Per-chain inner loop: each chain owns its RNG, so chain-major and
+    def _run_steps(self, steps: int) -> None:
+        # Chain-major: each chain owns its RNG, so chain-major and
         # round-major orders produce identical trajectories, and chain-major
         # avoids R attribute lookups per round.
-        if not (_obs_metrics.enabled or _obs_trace.enabled):
-            for chain in self._chains:
-                for _ in range(steps):
-                    chain.step()
-            self.steps_taken += steps
-            return self
-        with _obs_trace.span(
-            "engine.advance",
-            engine=type(self).__name__,
-            steps=int(steps),
-            replicas=self.replicas,
-        ):
-            start = perf_counter()
-            for chain in self._chains:
-                for _ in range(steps):
-                    chain.step()
-            elapsed = perf_counter() - start
-        if _obs_metrics.enabled and steps:
-            _obs_metrics.inc("repro_engine_rounds_total", steps, engine=type(self).__name__)
-            _obs_metrics.inc("repro_engine_seconds_total", elapsed, engine=type(self).__name__)
+        for chain in self._chains:
+            for _ in range(steps):
+                chain.step()
         self.steps_taken += steps
-        return self
-
-
-def canonical_checkpoints(
-    checkpoints: Sequence[int] | None, error: type[ReproError] = ConvergenceError
-) -> tuple[int, ...]:
-    """The checkpoints as ints; raises ``error`` unless they increase strictly from 1.
-
-    The one checkpoint rule, also applied by :class:`~repro.spec.JobSpec`.
-    ``2.0`` is accepted; ``1.5`` is rejected rather than truncated.
-    """
-    values = () if checkpoints is None else tuple(checkpoints)
-    if not values:
-        raise error("checkpoints must be a non-empty sequence of rounds")
-    try:
-        rounds = tuple(int(value) for value in values)
-    except (TypeError, ValueError, OverflowError):
-        rounds = ()
-    if rounds != values or any(b <= a for a, b in zip((0, *rounds), rounds)):
-        raise error(
-            f"checkpoints must be strictly increasing positive integers, got {list(values)!r}"
-        )
-    return rounds
 
 
 def _as_ensemble(source, n_chains: int | None, seed) -> object:
@@ -204,10 +157,9 @@ def tv_curve_probes(
     ensemble, target: GibbsDistribution, checkpoints: Sequence[int]
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(round, tv)`` at each checkpoint: advance, then read the batch once."""
-    previous = 0
-    for checkpoint in canonical_checkpoints(checkpoints):
+    rounds = canonical_checkpoints(checkpoints)
+    for previous, checkpoint in zip((0, *rounds), rounds):
         ensemble.advance(checkpoint - previous)
-        previous = checkpoint
         yield checkpoint, batch_tv_to_exact(ensemble.config, target)
 
 
@@ -233,14 +185,11 @@ def ensemble_agreement_curve(
         if not hasattr(ensemble, "advance") or not hasattr(ensemble, "config"):
             raise ConvergenceError(f"{name} does not expose the ensemble protocol")
     curve: list[tuple[int, float]] = []
-    previous = 0
-    for checkpoint in checkpoints:
-        delta = checkpoint - previous
-        ensemble_x.advance(delta)
-        ensemble_y.advance(delta)
-        previous = checkpoint
+    for previous, checkpoint in zip((0, *checkpoints), checkpoints):
+        ensemble_x.advance(checkpoint - previous)
+        ensemble_y.advance(checkpoint - previous)
         agreement = batch_agreement(ensemble_x.config, ensemble_y.config)
-        curve.append((previous, float(agreement.mean())))
+        curve.append((checkpoint, float(agreement.mean())))
     return curve
 
 

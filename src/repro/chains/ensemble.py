@@ -43,12 +43,11 @@ pair's spin; it also draws the ``b_v`` proposals of
 :class:`EnsembleLocalMetropolisMRF`.  The same kernel, masked to a
 vertex region, is the region advance of every MRF and CSP engine.
 
-Every engine builds from the model's compiled index-array form
-(:mod:`repro.compiled`): ``mrf.compiled()`` / ``csp.compiled()`` is
-computed on the first engine build and memoized per immutable model, so
-building a second engine over the same model reads the arrays instead of
-walking the per-edge table dict or the constraint objects again.  No
-engine reads the networkx graph.
+Every engine builds from the model's index-array form
+(:mod:`repro.compiled`): ``mrf.compiled()`` returns the arrays an MRF is
+stored as, and ``csp.compiled()`` is computed on the first engine build
+and memoized per immutable CSP, so no engine walks constraint objects
+twice or reads a networkx graph.
 
 Layout and exactness contract
 -----------------------------
@@ -106,12 +105,15 @@ import scipy.sparse as sp
 from repro.chains.base import as_generator, checked_initial, greedy_feasible_config
 from repro.compiled import _padded_rows
 from repro.csp.model import LocalCSP
-from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
+from repro.errors import (
+    ConvergenceError, InfeasibleStateError, ModelError, ReproError, StateSpaceTooLargeError
+)
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
 __all__ = [
+    "canonical_checkpoints",
     "EnsembleTrajectoryMixin",
     "EnsembleLocalMetropolisColoring",
     "EnsembleGlauberDynamics",
@@ -120,6 +122,30 @@ __all__ = [
     "EnsembleLubyGlauberCSP",
     "EnsembleLocalMetropolisCSP",
 ]
+
+
+def canonical_checkpoints(
+    checkpoints: Sequence[int] | None, error: type[ReproError] = ConvergenceError
+) -> tuple[int, ...]:
+    """The checkpoints as ints; raises ``error`` unless they increase strictly from 1.
+
+    The one checkpoint rule, applied by
+    :meth:`EnsembleTrajectoryMixin.iter_checkpoints`, the probe loops of
+    :mod:`repro.analysis.convergence` and :class:`~repro.spec.JobSpec`.
+    ``2.0`` is accepted; ``1.5`` is rejected rather than truncated.
+    """
+    values = () if checkpoints is None else tuple(checkpoints)
+    if not values:
+        raise error("checkpoints must be a non-empty sequence of rounds")
+    try:
+        rounds = tuple(int(value) for value in values)
+    except (TypeError, ValueError, OverflowError):
+        rounds = ()
+    if rounds != values or any(b <= a for a, b in zip((0, *rounds), rounds)):
+        raise error(
+            f"checkpoints must be strictly increasing positive integers, got {list(values)!r}"
+        )
+    return rounds
 
 
 class EnsembleTrajectoryMixin:
@@ -134,7 +160,8 @@ class EnsembleTrajectoryMixin:
     TV-decay and agreement curves are built on.
 
     Host classes provide ``step()`` and a ``config`` property returning the
-    ``(R, n)`` batch.
+    ``(R, n)`` batch; :meth:`_run_steps` is the one step loop, which a host
+    may override to order its work differently.
     """
 
     def advance(self, steps: int):
@@ -142,12 +169,8 @@ class EnsembleTrajectoryMixin:
         if steps < 0:
             raise ModelError(f"advance needs steps >= 0, got {steps}")
         if not (_obs_metrics.enabled or _obs_trace.enabled):
-            for _ in range(steps):
-                self.step()
+            self._run_steps(steps)
             return self
-        return self._advance_instrumented(steps)
-
-    def _advance_instrumented(self, steps: int):
         engine = type(self).__name__
         with _obs_trace.span(
             "engine.advance",
@@ -156,13 +179,17 @@ class EnsembleTrajectoryMixin:
             replicas=int(getattr(self, "replicas", 1)),
         ):
             start = perf_counter()
-            for _ in range(steps):
-                self.step()
+            self._run_steps(steps)
             elapsed = perf_counter() - start
         if _obs_metrics.enabled and steps:
             _obs_metrics.inc("repro_engine_rounds_total", steps, engine=engine)
             _obs_metrics.inc("repro_engine_seconds_total", elapsed, engine=engine)
         return self
+
+    def _run_steps(self, steps: int) -> None:
+        """Take ``steps`` rounds: ``step()`` once per round."""
+        for _ in range(steps):
+            self.step()
 
     def run(self, steps: int) -> np.ndarray:
         """Advance all replicas ``steps`` rounds; return the ``(R, n)`` batch."""
@@ -172,19 +199,16 @@ class EnsembleTrajectoryMixin:
         """Yield ``(round, batch)`` at each checkpoint.
 
         ``checkpoints`` must be strictly increasing positive integers,
-        counted from the ensemble's current position; the ensemble is left
-        at the last checkpoint.
+        counted from the ensemble's current position
+        (:func:`canonical_checkpoints`); a refused list raises
+        :class:`~repro.errors.ModelError` here, before any round runs.  The
+        ensemble is left at the last checkpoint.
         """
-        previous = 0
-        for checkpoint in checkpoints:
-            if int(checkpoint) != checkpoint or checkpoint <= previous:
-                raise ModelError(
-                    "checkpoints must be strictly increasing positive integers, "
-                    f"got {list(checkpoints)!r}"
-                )
-            self.advance(int(checkpoint) - previous)
-            previous = int(checkpoint)
-            yield previous, self.config
+        rounds = canonical_checkpoints(checkpoints, error=ModelError)
+        return (
+            (checkpoint, self.advance(checkpoint - previous).config)
+            for previous, checkpoint in zip((0, *rounds), rounds)
+        )
 
     def write_batch_into(self, out: np.ndarray) -> np.ndarray:
         """Write the current ``(R, n)`` int64 batch into ``out``; return ``out``.

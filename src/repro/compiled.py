@@ -1,24 +1,22 @@
-"""Compiled array forms of the models: what every batched engine builds from.
+"""Array forms of the models: what every batched engine builds from.
 
-The batched engines of :mod:`repro.chains.ensemble` never walk a
-model's Python structures (the networkx graph, the per-edge table dict,
-the :class:`~repro.csp.model.Constraint` objects).  They read the
-:class:`CompiledMRF` returned by :meth:`repro.mrf.model.MRF.compiled` or
-the :class:`CompiledCSP` returned by
+The batched engines of :mod:`repro.chains.ensemble` never walk a model's
+Python structures.  They read the :class:`CompiledMRF` of
+:meth:`repro.mrf.model.MRF.compiled` or the :class:`CompiledCSP` of
 :meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges, padded
 neighbour tables, arity-bucketed scopes, incidences) plus each distinct
-factor table once (deduplicated by value with
-:func:`repro.serialize.table_palette`), all built with array operations
-rather than per-slot Python loops.
+factor table once, deduplicated by value.  Every array is read-only and
+engines read it as it is, with no copy; equal models have equal arrays,
+so an engine's bits do not depend on how its model was built.
 
-A model computes its form on the first call (the first engine build) and
-memoizes it.  Models are immutable (mutations return new instances), so
-the form never goes stale.  It is never built at construction, decode or
-fingerprint time, and the models leave it out of their pickles, so it
-adds nothing to a served job's wire or pickle size.  Every array is a
-read-only numpy array that engines read as it is, with no copy.  Equal
-models compile to equal arrays, so an engine's bits do not depend on
-whether the form was memoized.
+An MRF's :class:`CompiledMRF` is its storage: every way of making an
+:class:`~repro.mrf.model.MRF` builds it in canonical form and
+``compiled()`` returns it.  Its stored fields are what it pickles; the
+padded tables, the ``(n, q)`` vertex table and the colouring test are
+derived on first use.  A CSP stores its constraints and compiles its
+:class:`CompiledCSP` on the first ``compiled()`` call (never at
+construction, decode or fingerprint time), memoized per immutable
+instance and left out of its pickles.
 
 The padded tables the heat-bath engines walk (``padded_neighbours`` /
 ``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
@@ -31,7 +29,7 @@ allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,9 +37,7 @@ import numpy as np
 from repro.errors import InfeasibleStateError, StateSpaceTooLargeError
 from repro.serialize import table_palette
 
-__all__ = [
-    "MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF", "compile_csp", "compile_mrf"
-]
+__all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF", "compile_csp"]
 
 #: Cap on the pad slots of one padded table (``n * width`` minus the real
 #: slots): 4M slots, 32 MB per int64 table.
@@ -92,17 +88,23 @@ def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np
 
 @dataclass(frozen=True, eq=False)
 class CompiledMRF:
-    """Index-array form of a pairwise :class:`~repro.mrf.model.MRF`.
+    """The stored form of a pairwise :class:`~repro.mrf.model.MRF`.
 
     ``edge_u[i] < edge_v[i]`` in sorted order, and ``palette[edge_table[i]]``
-    is the activity table of edge ``i``.  The last palette entry is an
-    all-ones table that no edge uses: the table of every pad slot.
+    is the activity table of edge ``i``.  The palette holds each distinct
+    table once (by its float64 bytes), in first-use order along the edges,
+    and then an all-ones table that no edge uses: the table of every pad
+    slot.  ``vertex_palette[vertex_index[v]]`` is the activity vector
+    ``b_v``, the distinct rows again in first-use order.  Every palette
+    entry but the pad is used.
 
     ``padded_neighbours[v]`` lists the neighbours of ``v`` ascending,
     padded with ``v`` itself to ``max(max_degree, 1)`` columns, and
     ``padded_tables`` holds the matching palette indices (the all-ones
     table at the pads), so a pad slot reads a spin and multiplies by one.
-    Both are built on first use (see :data:`MAX_PADDING`).
+    They, the ``(n, q)`` :attr:`vertex_activity` table and
+    :attr:`is_uniform_coloring` are derived on first use (see
+    :data:`MAX_PADDING`) and left out of pickles.
     """
 
     n: int
@@ -111,12 +113,21 @@ class CompiledMRF:
     edge_v: np.ndarray
     edge_table: np.ndarray
     palette: np.ndarray
-    vertex_activity: np.ndarray
+    vertex_index: np.ndarray
+    vertex_palette: np.ndarray
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @property
     def m(self) -> int:
         """Number of edges."""
         return int(self.edge_u.size)
+
+    @cached_property
+    def vertex_activity(self) -> np.ndarray:
+        """The ``(n, q)`` vertex activity table: row ``v`` is ``b_v``."""
+        return _frozen(self.vertex_palette[self.vertex_index])
 
     @cached_property
     def _padded(self) -> list[np.ndarray]:
@@ -139,9 +150,9 @@ class CompiledMRF:
         change the distribution, so the checks are relative only
         (``rtol=1e-9``, ``atol=0``): an absolute tolerance would take a
         small-magnitude non-uniform model for a colouring.  Reads each
-        distinct edge table once (every palette entry but the pad).
+        distinct edge table and vertex row once.
         """
-        activity = self.vertex_activity
+        activity = self.vertex_palette
         if np.any(activity <= 0.0) or not np.allclose(
             activity, activity[:, :1], rtol=1e-9, atol=0.0
         ):
@@ -163,22 +174,6 @@ class CompiledMRF:
     def padded_tables(self) -> np.ndarray:
         """``(n, width)`` palette index of each padded neighbour slot."""
         return self._padded[1]
-
-
-def compile_mrf(mrf) -> CompiledMRF:
-    """Build the :class:`CompiledMRF` of ``mrf`` (use ``mrf.compiled()``)."""
-    q = mrf.q
-    edges = np.asarray(mrf.edges, dtype=np.int64).reshape(-1, 2)
-    tables, edge_table = table_palette(mrf.edge_tables())
-    return CompiledMRF(
-        n=mrf.n,
-        q=q,
-        edge_u=_frozen(np.ascontiguousarray(edges[:, 0])),
-        edge_v=_frozen(np.ascontiguousarray(edges[:, 1])),
-        edge_table=_frozen(np.asarray(edge_table, dtype=np.int64)),
-        palette=_frozen(np.stack([*tables, np.ones((q, q))])),
-        vertex_activity=mrf.vertex_activity,
-    )
 
 
 @dataclass(frozen=True, eq=False)

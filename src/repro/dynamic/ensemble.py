@@ -226,22 +226,18 @@ class DynamicEnsemble:
         return self.model
 
     def _shared_edge_activity(self) -> np.ndarray:
-        model = self.model
-        if not model.edges:
+        """The one edge table of a homogeneous model: its one non-pad palette entry."""
+        palette = self.model.compiled().palette
+        if palette.shape[0] == 1:
             raise ModelError(
                 "add_edge on an edgeless model needs an explicit activity matrix"
             )
-        first = model.edge_activity(*model.edges[0])
-        if any(
-            model.edge_activity(u, v) is not first
-            and not np.array_equal(model.edge_activity(u, v), first)
-            for u, v in model.edges[1:]
-        ):
+        if palette.shape[0] > 2:
             raise ModelError(
                 "model has heterogeneous edge activities; pass the new "
                 "edge's activity matrix explicitly"
             )
-        return first
+        return palette[0]
 
     def _mutate(self, new_model, touched) -> DynamicEnsemble:
         region = influenced_region(

@@ -24,7 +24,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.chains.cftp import _inverse_cdf_spin
-from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
 from repro.families import round_budget
@@ -38,11 +37,12 @@ __all__ = [
 ]
 
 
-def _adjacency(model: MRF | LocalCSP) -> list[set[int]]:
-    """Neighbour sets of a model: graph adjacency (MRF) or co-scope (CSP)."""
+def _edge_arrays(model: MRF | LocalCSP) -> tuple[np.ndarray, np.ndarray]:
+    """The graph edges of an MRF, or the conflict-graph (co-scope) edges of a CSP."""
+    compiled = model.compiled()
     if isinstance(model, LocalCSP):
-        return csp_neighbors(model)
-    return [set(model.neighbors(v)) for v in range(model.n)]
+        return compiled.conflict_u, compiled.conflict_v
+    return compiled.edge_u, compiled.edge_v
 
 
 def influenced_region(
@@ -55,10 +55,10 @@ def influenced_region(
 
     ``touched`` is the set of vertices whose incident factors changed (the
     endpoints of an added/removed edge, the scope of an added/removed
-    constraint).  The ball is grown over the union of the old and new
-    neighbourhood structures, so both an insertion's new couplings and a
-    deletion's former couplings are covered.  Returns a sorted int64
-    vertex array; radius 0 is the touched set itself.
+    constraint).  The ball is grown breadth-first over the union of the old
+    and new edge arrays (co-scope pairs for a CSP), so both an insertion's
+    new couplings and a deletion's former couplings are covered.  Returns a
+    sorted int64 vertex array; radius 0 is the touched set itself.
     """
     if old_model.n != new_model.n:
         raise ModelError(
@@ -68,25 +68,25 @@ def influenced_region(
     if radius < 0:
         raise ModelError(f"radius must be >= 0, got {radius}")
     n = old_model.n
-    frontier = {int(v) for v in touched}
-    if not frontier:
+    touched = np.asarray([int(v) for v in touched], dtype=np.int64)
+    if not touched.size:
         raise ModelError("a mutation must touch at least one vertex")
-    if any(v < 0 or v >= n for v in frontier):
+    if touched.min() < 0 or touched.max() >= n:
         raise ModelError(f"touched vertices must lie in 0..{n - 1}")
-    old_adj = _adjacency(old_model)
-    new_adj = _adjacency(new_model)
-    region = set(frontier)
+    (old_u, old_v), (new_u, new_v) = _edge_arrays(old_model), _edge_arrays(new_model)
+    ends = np.concatenate([old_u, old_v, new_u, new_v])
+    others = np.concatenate([old_v, old_u, new_v, new_u])
+    region = np.zeros(n, dtype=bool)
+    region[touched] = True
+    frontier = region.copy()
     for _ in range(radius):
-        frontier = {
-            u
-            for v in frontier
-            for u in old_adj[v] | new_adj[v]
-            if u not in region
-        }
-        if not frontier:
+        reached = np.zeros(n, dtype=bool)
+        reached[others[frontier[ends]]] = True
+        frontier = reached & ~region
+        if not frontier.any():
             break
-        region.update(frontier)
-    return np.asarray(sorted(region), dtype=np.int64)
+        region |= frontier
+    return np.flatnonzero(region)
 
 
 def region_round_budget(

@@ -10,16 +10,17 @@ Three layers, each usable on its own:
   executed in-process or on a persistent pool of worker processes over a
   ``multiprocessing.shared_memory`` state array, behind the standard
   ensemble protocol (``advance``/``run``/``config``/``iter_checkpoints``);
-* :mod:`repro.exec.jobs` — :class:`SamplingJob`/:class:`JobRunner`: a
+* :mod:`repro.exec.jobs` — :class:`JobRunner`: a
   scheduler that multiplexes many heterogeneous sampling requests onto a
-  shared worker pool and streams per-checkpoint results.
+  shared worker pool and streams per-checkpoint results.  A job is a
+  :class:`~repro.spec.JobSpec`, the one request description.
 
 The facade (:mod:`repro.api`) exposes the pool layer through the
 ``parallel=`` argument of ``make_ensemble`` / ``sample_many`` /
 ``tv_curve`` / ``mixing_time``, and the CLI through ``--jobs``.
 """
 
-from repro.exec.jobs import JobRunner, JobUpdate, SamplingJob
+from repro.exec.jobs import JobRunner, JobUpdate
 from repro.spec import JobSpec
 from repro.exec.pool import ShardedEnsemble, default_start_method
 from repro.exec.shards import (
@@ -35,7 +36,6 @@ __all__ = [
     "JobRunner",
     "JobSpec",
     "JobUpdate",
-    "SamplingJob",
     "ShardSpec",
     "ShardedEnsemble",
     "as_seed_sequence",

@@ -7,10 +7,10 @@ requests* — sample batches, TV curves, mixing-time estimates, over
 different models and methods — onto a persistent pool of generic workers,
 streaming progress back as it happens:
 
->>> from repro.exec import JobRunner, SamplingJob
+>>> from repro.exec import JobRunner, JobSpec
 >>> with JobRunner(workers=4) as runner:
-...     a = runner.submit(SamplingJob.sample_many(coloring, 256, seed=1))
-...     b = runner.submit(SamplingJob.tv_curve(csp, (1, 2, 4, 8), seed=2))
+...     a = runner.submit(JobSpec.sample_many(coloring, 256, seed=1))
+...     b = runner.submit(JobSpec.tv_curve(csp, (1, 2, 4, 8), seed=2))
 ...     for event in runner.stream():      # checkpoints arrive live
 ...         print(event.label, event.kind, event.round, event.value)
 ...     results = runner.results
@@ -37,17 +37,12 @@ from repro.errors import ExecError, ModelError, ReproError
 from repro.obs import trace as _obs_trace
 from repro.spec import JOB_KINDS, JobSpec
 
-__all__ = ["JOB_KINDS", "SamplingJob", "JobUpdate", "JobRunner"]
+__all__ = ["JOB_KINDS", "JobUpdate", "JobRunner"]
 
 #: Seconds between liveness checks while waiting for job events.
 _POLL_INTERVAL = 1.0
 #: Seconds to wait for a worker to exit after its stop sentinel.
 _JOIN_TIMEOUT = 10.0
-
-#: The job description is the unified request spec — one dataclass shared
-#: by the facade, this scheduler, the CLI and the serving daemon.  The
-#: historical name is kept as the scheduler-facing alias.
-SamplingJob = JobSpec
 
 
 class _JobCancelled(BaseException):
@@ -242,7 +237,7 @@ class JobRunner:
         for process in self._processes:
             process.start()
         self._ids = itertools.count()
-        self._jobs: dict[int, SamplingJob] = {}
+        self._jobs: dict[int, JobSpec] = {}
         self._pending: set[int] = set()
         self._active: dict[int, int] = {}  # worker pid -> job it is executing
         self._quiet_seconds = 0.0
@@ -258,7 +253,7 @@ class JobRunner:
         self.elapsed: dict[int, float] = {}
         self._closed = False
 
-    def submit(self, job: SamplingJob, trace: dict | None = None) -> int:
+    def submit(self, job: JobSpec, trace: dict | None = None) -> int:
         """Queue a job; returns its id (the key into ``results``/``errors``).
 
         ``trace`` optionally carries an exported trace context
@@ -266,8 +261,8 @@ class JobRunner:
         worker-side spans on; when omitted and tracing is enabled in this
         process, the ambient context is captured automatically.
         """
-        if not isinstance(job, SamplingJob):
-            raise ModelError(f"submit needs a SamplingJob, got {type(job).__name__}")
+        if not isinstance(job, JobSpec):
+            raise ModelError(f"submit needs a JobSpec, got {type(job).__name__}")
         self._ensure_open()
         with _obs_trace.span("runner.submit", label=job.label, kind=job.kind):
             if trace is None:

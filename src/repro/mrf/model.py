@@ -12,29 +12,34 @@ The weight of a configuration ``sigma in [q]^V`` is
     w(sigma) = prod_{e=uv in E} A_e(sigma_u, sigma_v) * prod_{v in V} b_v(sigma_v)
 
 and the Gibbs distribution is ``mu(sigma) = w(sigma) / Z``.
+
+An MRF's arrays are its storage: a :class:`~repro.compiled.CompiledMRF` of
+sorted edges and palette indices.  The constructor, :meth:`MRF.from_dict`
+and every ``with_*``/``without_*`` mutation go through one private
+constructor, which refuses a graph that is not simple or an invalid table
+and canonicalises the arrays.  The engines read them (:meth:`MRF.compiled`),
+:meth:`MRF.to_dict` lists them and the fingerprint hashes that listing.
+The networkx ``graph`` (kept as given to the constructor), ``edges``,
+neighbourhoods, degrees, per-edge tables and the ``(n, q)``
+``vertex_activity`` table are derived on first use and never pickled.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
 
+from repro.compiled import CompiledMRF, _frozen
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
-from repro.serialize import (
-    frozen_table,
-    palette_index,
-    payload_fingerprint,
-    table_palette,
-)
-
-if TYPE_CHECKING:
-    from repro.compiled import CompiledMRF
+from repro.serialize import palette_index, payload_fingerprint, table_palette
 
 __all__ = ["MRF", "Config", "as_config"]
+
+_SIMPLE = "an MRF's edges must form a simple graph"
 
 #: A configuration is an assignment of a spin to every vertex, stored as an
 #: immutable tuple so it can key dictionaries and appear in enumerations.
@@ -44,6 +49,38 @@ Config = tuple[int, ...]
 def as_config(values: Iterable[int]) -> Config:
     """Coerce an iterable of spins (e.g. a numpy array) into a :data:`Config`."""
     return tuple(int(x) for x in values)
+
+
+def _first_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``values`` ``0, 1, ...`` in order of first appearance.
+
+    Returns ``(index, order)``: ``index[i]`` is the new number of
+    ``values[i]`` and ``order[k]`` the value numbered ``k``.
+    """
+    used, first = np.unique(values, return_index=True)
+    order = used[np.argsort(first)]
+    rank = np.zeros(int(used[-1]) + 1 if used.size else 0, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[values], order
+
+
+def _stack_edge_tables(tables: list[np.ndarray], q: int) -> tuple[np.ndarray, tuple | None]:
+    """The ``(P, q, q)`` stack of ``tables`` and ``(k, problem)`` for the
+    first that is not a valid edge activity, or None."""
+    for k, table in enumerate(tables):
+        if table.shape != (q, q):
+            return np.zeros((0, q, q)), (k, f"activity must be {q}x{q}, got {table.shape}")
+    stack = np.array(tables, dtype=float).reshape(-1, q, q)
+    for bad, problem in (
+        (~np.isfinite(stack).all(axis=(1, 2)), "activities must be finite"),
+        ((stack < 0).any(axis=(1, 2)), "activities must be non-negative"),
+        (~np.isclose(stack, stack.transpose(0, 2, 1)).all(axis=(1, 2)),
+         "activity matrix must be symmetric"),
+        ((stack == 0).all(axis=(1, 2)), "activity matrix must not be identically zero"),
+    ):
+        if bad.any():
+            return stack, (int(np.argmax(bad)), problem)
+    return stack, None
 
 
 class MRF:
@@ -75,121 +112,142 @@ class MRF:
         name: str = "mrf",
     ) -> None:
         check_vertex_labels(graph)
+        n = graph.number_of_nodes()
+        edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        if isinstance(edge_activities, Mapping):
+            matrices = []
+            for u, v in edges.tolist():
+                key = (u, v) if (u, v) in edge_activities else (v, u)
+                if key not in edge_activities:
+                    raise ModelError(f"no edge activity supplied for edge {(min(u, v), max(u, v))}")
+                matrices.append(np.asarray(edge_activities[key], dtype=float))
+            tables, edge_index = table_palette(matrices)
+        else:
+            tables, edge_index = [np.asarray(edge_activities, dtype=float)], [0] * len(edges)
+        if isinstance(vertex_activities, Mapping):
+            missing = [v for v in range(n) if v not in vertex_activities]
+            if missing:
+                raise ModelError(f"no vertex activity supplied for vertex {missing[0]}")
+            rows = np.array([vertex_activities[v] for v in range(n)], dtype=float)
+        else:
+            rows = np.asarray(vertex_activities, dtype=float)
+        if rows.shape not in ((q,), (n, q)):
+            raise ModelError(
+                f"vertex activities must have shape ({q},) or ({n}, {q}), got {rows.shape}"
+            )
+        vertex_index = np.zeros(n, dtype=np.int64) if rows.ndim == 1 else np.arange(n)
+        self._build(n, q, edges[:, 0], edges[:, 1], np.asarray(edge_index, dtype=np.int64),
+                    tables, vertex_index, rows, name)
+        self.__dict__["graph"] = graph
+
+    def _build(
+        self, n: int, q: int, edge_u: np.ndarray, edge_v: np.ndarray, edge_index: np.ndarray,
+        tables: Sequence[np.ndarray], vertex_index: np.ndarray, rows: np.ndarray, name: str,
+    ) -> None:
+        """The one constructor: check, canonicalise and store the palette arrays.
+
+        Edge ``i`` joins ``edge_u[i]`` and ``edge_v[i]`` (either
+        orientation, any order) with table ``tables[edge_index[i]]``, and
+        vertex ``v`` has activity ``rows[vertex_index[v]]``; the indices
+        are in range.  Every supplied table and row is validated, and each
+        palette keeps the distinct used entries (by float64 bytes) in
+        first-use order along the sorted edges or the vertices.
+        """
         if q < 2:
             raise ModelError(f"MRF needs q >= 2 spin states, got {q}")
-        self.graph = graph
-        self.q = int(q)
-        self.n = graph.number_of_nodes()
-        self.name = name
-        self.edges: list[tuple[int, int]] = [
-            (min(u, v), max(u, v)) for u, v in graph.edges()
-        ]
-        self.edges.sort()
-        self._neighbors: list[tuple[int, ...]] = [
-            tuple(sorted(graph.neighbors(v))) for v in range(self.n)
-        ]
-        self._edge_activity = self._build_edge_activities(edge_activities)
-        self.vertex_activity = self._build_vertex_activities(vertex_activities)
-        self._fingerprint: str | None = None
-        self._compiled: CompiledMRF | None = None
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _build_edge_activities(
-        self, spec: np.ndarray | Mapping[tuple[int, int], np.ndarray]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        activities: dict[tuple[int, int], np.ndarray] = {}
-        if isinstance(spec, Mapping):
-            # Frozen matrices are shared by identity across edges (the
-            # copy-on-write mutation path maps every edge to one frozen
-            # table), so each distinct object is validated exactly once.
-            checked: dict[int, np.ndarray] = {}
-            for edge in self.edges:
-                u, v = edge
-                if edge in spec:
-                    matrix = spec[edge]
-                elif (v, u) in spec:
-                    matrix = spec[(v, u)]
-                else:
-                    raise ModelError(f"no edge activity supplied for edge {edge}")
-                matrix = np.asarray(matrix, dtype=float)
-                if not matrix.flags.writeable and id(matrix) in checked:
-                    activities[edge] = checked[id(matrix)]
-                    continue
-                frozen = self._check_edge_matrix(matrix, edge)
-                if not matrix.flags.writeable:
-                    checked[id(matrix)] = frozen
-                activities[edge] = frozen
-        else:
-            matrix = self._check_edge_matrix(np.asarray(spec, dtype=float), None)
-            for edge in self.edges:
-                activities[edge] = matrix
-        return activities
-
-    def _check_edge_matrix(
-        self, matrix: np.ndarray, edge: tuple[int, int] | None
-    ) -> np.ndarray:
-        label = f"edge {edge}" if edge is not None else "shared edge activity"
-        if matrix.shape != (self.q, self.q):
-            raise ModelError(
-                f"{label}: activity must be {self.q}x{self.q}, got {matrix.shape}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ModelError(f"{label}: activities must be finite")
-        if np.any(matrix < 0):
-            raise ModelError(f"{label}: activities must be non-negative")
-        if not np.allclose(matrix, matrix.T):
-            raise ModelError(f"{label}: activity matrix must be symmetric")
-        if np.all(matrix == 0):
-            raise ModelError(f"{label}: activity matrix must not be identically zero")
-        if matrix.flags.writeable:  # already-frozen tables are shared, not copied
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-        return matrix
-
-    def _build_vertex_activities(
-        self, spec: np.ndarray | Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        if (
-            isinstance(spec, np.ndarray)
-            and spec.dtype == np.float64
-            and spec.shape == (self.n, self.q)
-            and not spec.flags.writeable
-        ):
-            # Copy-on-write fast path: share a frozen (n, q) table instead
-            # of copying it; the validity checks below still run.
-            table = spec
-        else:
-            table = np.empty((self.n, self.q), dtype=float)
-            if isinstance(spec, Mapping):
-                for v in range(self.n):
-                    if v not in spec:
-                        raise ModelError(f"no vertex activity supplied for vertex {v}")
-                    table[v] = np.asarray(spec[v], dtype=float)
-            else:
-                arr = np.asarray(spec, dtype=float)
-                if arr.shape == (self.q,):
-                    table[:] = arr
-                elif arr.shape == (self.n, self.q):
-                    table[:] = arr
-                else:
-                    raise ModelError(
-                        f"vertex activities must have shape ({self.q},) or "
-                        f"({self.n}, {self.q}), got {arr.shape}"
-                    )
-        if not np.all(np.isfinite(table)):
+        lo, hi = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+        bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
+        if bad.size:
+            u, v = lo[bad[0]], hi[bad[0]]
+            if u == v:
+                raise ModelError(f"edge ({u}, {v}) is a self-loop; {_SIMPLE}")
+            raise ModelError(f"edge ({u}, {v}) outside vertices 0..{n - 1}")
+        keys = lo * n + hi
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            lo, hi, keys, edge_index = lo[order], hi[order], keys[order], edge_index[order]
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeated.size:
+                i = repeated[0]
+                raise ModelError(f"edge ({lo[i]}, {hi[i]}) is repeated; {_SIMPLE}")
+        distinct, value = table_palette(tables)
+        value = np.asarray(value, dtype=np.int64)[edge_index]
+        stack, problem = _stack_edge_tables(distinct, q)
+        if problem:
+            uses = np.flatnonzero(value == problem[0])
+            where = f"edge ({lo[uses[0]]}, {hi[uses[0]]})" if uses.size else "edge activity"
+            raise ModelError(f"{where}: {problem[1]}")
+        rows = rows.reshape(-1, q)
+        if not np.all(np.isfinite(rows)):
             raise ModelError("vertex activities must be finite")
-        if np.any(table < 0):
+        if np.any(rows < 0):
             raise ModelError("vertex activities must be non-negative")
-        if np.any(np.all(table == 0, axis=1)):
+        if np.any(np.all(rows == 0, axis=1)):
             raise ModelError("every vertex needs at least one positive activity")
-        table.setflags(write=False)
-        return table
+        distinct_rows, row_value = table_palette(list(rows))
+        edge_table, used = _first_use(value)
+        vertex_index, used_rows = _first_use(np.asarray(row_value, dtype=np.int64)[vertex_index])
+        arrays = CompiledMRF(
+            n=int(n),
+            q=int(q),
+            edge_u=_frozen(lo),
+            edge_v=_frozen(hi),
+            edge_table=_frozen(edge_table),
+            palette=_frozen(np.concatenate([stack[used], np.ones((1, q, q))])),
+            vertex_index=_frozen(vertex_index),
+            vertex_palette=_frozen(np.array(distinct_rows, dtype=float).reshape(-1, q)[used_rows]),
+        )
+        self.__setstate__({"name": name, "arrays": arrays})
+
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "arrays": self._arrays}
+
+    def __setstate__(self, state: dict) -> None:
+        self.name = state["name"]
+        self._arrays: CompiledMRF = state["arrays"]
+        self.n, self.q = self._arrays.n, self._arrays.q
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
-    # basic accessors
+    # derived views and accessors (built on first use, never pickled)
     # ------------------------------------------------------------------
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The model graph as a networkx graph: vertices ``0..n-1``, sorted edges."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n))
+        graph.add_edges_from(self.edges)
+        return graph
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges ``(u, v)``, ``u < v``, in sorted order."""
+        return list(zip(self._arrays.edge_u.tolist(), self._arrays.edge_v.tolist()))
+
+    @cached_property
+    def _neighbors(self) -> list[tuple[int, ...]]:
+        arrays = self._arrays
+        ends = np.concatenate([arrays.edge_u, arrays.edge_v])
+        others = np.concatenate([arrays.edge_v, arrays.edge_u])
+        order = np.lexsort((others, ends))
+        bounds = np.searchsorted(ends[order], np.arange(self.n + 1)).tolist()
+        flat = others[order].tolist()
+        return [tuple(flat[bounds[v] : bounds[v + 1]]) for v in range(self.n)]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The palette entries but the pad, one shared read-only view each."""
+        return tuple(self._arrays.palette[:-1])
+
+    @cached_property
+    def _edge_lookup(self) -> dict[tuple[int, int], np.ndarray]:
+        return dict(zip(self.edges, self.edge_tables()))
+
+    @property
+    def vertex_activity(self) -> np.ndarray:
+        """The read-only ``(n, q)`` vertex activity table: row ``v`` is ``b_v``."""
+        return self._arrays.vertex_activity
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Return the sorted neighbourhood Γ(v)."""
         return self._neighbors[v]
@@ -198,24 +256,25 @@ class MRF:
         """Return deg(v)."""
         return len(self._neighbors[v])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        """Return the maximum degree Δ of the underlying graph."""
-        if self.n == 0:
-            return 0
-        return max(len(nbrs) for nbrs in self._neighbors)
+        """The maximum degree Δ of the underlying graph."""
+        ends = np.concatenate([self._arrays.edge_u, self._arrays.edge_v])
+        return int(np.bincount(ends, minlength=1).max())
 
     def edge_activity(self, u: int, v: int) -> np.ndarray:
         """Return ``A_{uv}`` (symmetric, so orientation is irrelevant)."""
-        key = (min(u, v), max(u, v))
         try:
-            return self._edge_activity[key]
+            return self._edge_lookup[(min(u, v), max(u, v))]
         except KeyError:
             raise ModelError(f"({u}, {v}) is not an edge of the MRF graph") from None
 
     def edge_tables(self) -> list[np.ndarray]:
-        """The edge activity tables, one per edge in canonical ``edges`` order."""
-        return [self._edge_activity[edge] for edge in self.edges]
+        """The edge activity tables, one per edge in canonical ``edges`` order.
+
+        Edges with one palette entry share one read-only array.
+        """
+        return [self._tables[t] for t in self._arrays.edge_table.tolist()]
 
     def normalized_edge_activity(self, u: int, v: int) -> np.ndarray:
         """Return ``Ã_e = A_e / max_{i,j} A_e(i, j)`` — the LocalMetropolis filter matrix."""
@@ -231,13 +290,13 @@ class MRF:
             raise ModelError(
                 f"configuration length {len(config)} != number of vertices {self.n}"
             )
-        weight = 1.0
+        weight, activity = 1.0, self.vertex_activity
         for v in range(self.n):
-            weight *= self.vertex_activity[v, config[v]]
+            weight *= activity[v, config[v]]
             if weight == 0.0:
                 return 0.0
-        for u, v in self.edges:
-            weight *= self._edge_activity[(u, v)][config[u], config[v]]
+        for (u, v), table in self._edge_lookup.items():
+            weight *= table[config[u], config[v]]
             if weight == 0.0:
                 return 0.0
         return weight
@@ -263,63 +322,65 @@ class MRF:
         distribution is the uniform distribution over CSP solutions, and the
         LocalMetropolis edge checks are deterministic given the proposals.
         """
-        if np.any((self.vertex_activity != 0.0) & (self.vertex_activity != 1.0)):
-            return False
+        arrays = self._arrays
         return all(
-            bool(np.all((matrix == 0.0) | (matrix == 1.0)))
-            for matrix in self._edge_activity.values()
+            bool(np.all((values == 0.0) | (values == 1.0)))
+            for values in (arrays.vertex_palette, arrays.palette)
         )
 
     # ------------------------------------------------------------------
     # copy-on-write mutation
     # ------------------------------------------------------------------
-    def _replace(
-        self,
-        edge_activities: Mapping[tuple[int, int], np.ndarray],
-        vertex_activities: np.ndarray,
-    ) -> MRF:
-        """Build a sibling MRF sharing the (read-only) activity arrays."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(edge_activities.keys())
-        return MRF(graph, self.q, edge_activities, vertex_activities, name=self.name)
+    def _find_edge(self, u: int, v: int, required: bool = True) -> tuple[int, bool]:
+        """The sorted position of edge ``{u, v}``, and whether it is an edge.
+
+        Raises when it is not and ``required``.
+        """
+        lo, hi = min(int(u), int(v)), max(int(u), int(v))
+        arrays = self._arrays
+        start, stop = np.searchsorted(arrays.edge_u, [lo, lo + 1])
+        i = int(start + np.searchsorted(arrays.edge_v[start:stop], hi))
+        present = bool(i < stop and arrays.edge_v[i] == hi)
+        if required and not present:
+            raise ModelError(f"({u}, {v}) is not an edge of the MRF graph")
+        return i, present
+
+    def _derive(self, edge_u, edge_v, edge_index, tables, vertex_index, rows) -> MRF:
+        model = MRF.__new__(MRF)
+        model._build(self.n, self.q, edge_u, edge_v, edge_index, tables, vertex_index, rows,
+                     self.name)
+        return model
 
     def with_edge(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with edge ``{u, v}`` added (or its activity replaced).
 
-        Copy-on-write: the untouched per-edge and per-vertex activity
-        tables are shared with ``self`` (they are read-only), so the cost
-        is O(n + m) bookkeeping, not a model rebuild.  The derived model is
-        a new instance, and :meth:`model_fingerprint` is memoized per
-        immutable instance, so the derived model's fingerprint reflects the
-        mutation while ``self`` keeps its own.
+        Copy-on-write, like every mutation: an O(m) edit of the stored
+        arrays (the new table joins the palette), canonicalised by the one
+        constructor into a new instance with its own fingerprint.
         """
         u, v = int(u), int(v)
-        if u == v:
-            raise ModelError(f"cannot add a self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ModelError(f"edge ({u}, {v}) outside vertices 0..{self.n - 1}")
-        key = (min(u, v), max(u, v))
-        activities = dict(self._edge_activity)
-        activities[key] = self._check_edge_matrix(
-            np.asarray(activity, dtype=float), key
-        )
-        return self._replace(activities, self.vertex_activity)
+        arrays = self._arrays
+        tables = [*self._tables, np.asarray(activity, dtype=float)]
+        i, present = self._find_edge(u, v, required=False)
+        # An existing edge is deleted and re-inserted at its sorted position.
+        edges = [
+            np.insert(np.delete(values, [i] if present else []), i, value)
+            for values, value in ((arrays.edge_u, min(u, v)), (arrays.edge_v, max(u, v)),
+                                  (arrays.edge_table, len(tables) - 1))
+        ]
+        return self._derive(*edges, tables, arrays.vertex_index, arrays.vertex_palette)
 
     def without_edge(self, u: int, v: int) -> MRF:
         """Return a copy with edge ``{u, v}`` removed (copy-on-write)."""
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        if key not in self._edge_activity:
-            raise ModelError(f"({u}, {v}) is not an edge of the MRF graph")
-        activities = dict(self._edge_activity)
-        del activities[key]
-        return self._replace(activities, self.vertex_activity)
+        i, _ = self._find_edge(u, v)
+        arrays = self._arrays
+        edges = [np.delete(values, i) for values in (arrays.edge_u, arrays.edge_v,
+                                                     arrays.edge_table)]
+        return self._derive(*edges, self._tables, arrays.vertex_index, arrays.vertex_palette)
 
     def with_edge_activity(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with the factor on existing edge ``{u, v}`` replaced."""
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        if key not in self._edge_activity:
-            raise ModelError(f"({u}, {v}) is not an edge of the MRF graph")
+        self._find_edge(u, v)
         return self.with_edge(u, v, activity)
 
     def with_vertex_activity(self, v: int, activity: np.ndarray) -> MRF:
@@ -327,9 +388,15 @@ class MRF:
         v = int(v)
         if not (0 <= v < self.n):
             raise ModelError(f"vertex {v} outside 0..{self.n - 1}")
-        table = np.array(self.vertex_activity, dtype=float)
-        table[v] = np.asarray(activity, dtype=float)
-        return self._replace(self._edge_activity, table)
+        row = np.asarray(activity, dtype=float)
+        if row.shape != (self.q,):
+            raise ModelError(f"vertex {v}: activity must have shape ({self.q},), got {row.shape}")
+        arrays = self._arrays
+        rows = np.concatenate([arrays.vertex_palette, row[None]])
+        vertex_index = arrays.vertex_index.copy()
+        vertex_index[v] = len(rows) - 1
+        return self._derive(arrays.edge_u, arrays.edge_v, arrays.edge_table, self._tables,
+                            vertex_index, rows)
 
     # ------------------------------------------------------------------
     # canonical serialization
@@ -337,45 +404,42 @@ class MRF:
     def to_dict(self) -> dict:
         """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
 
-        ``edges`` lists the edges in canonical sorted order.
-        ``edge_palette`` holds each distinct edge activity table once, in
-        first-use order along ``edges``, and ``edge_index[i]`` is the
-        palette position of edge ``i``'s table; ``vertex_palette`` and
-        ``vertex_index`` do the same for the rows of the vertex activity
-        table.  Tables are deduplicated by value (their float64 bytes), so
-        the payload depends only on the model's mathematical content,
-        never on how the instance was built or which tables it shares —
-        two equal models serialise to equal payloads.
+        Lists the stored arrays but the pad table: the sorted ``edges``,
+        ``edge_palette``/``edge_index`` and ``vertex_palette``/
+        ``vertex_index``.  They are canonical, so the payload depends only
+        on the model's content, never on how the instance was built — two
+        equal models serialise to equal payloads.
         """
-        tables, edge_index = table_palette(self.edge_tables())
-        rows, vertex_index = table_palette(list(self.vertex_activity))
+        arrays = self._arrays
         return {
             "type": "mrf",
             "name": self.name,
             "n": self.n,
             "q": self.q,
-            "edges": [[u, v] for u, v in self.edges],
-            "edge_palette": [table.tolist() for table in tables],
-            "edge_index": edge_index,
-            "vertex_palette": [row.tolist() for row in rows],
-            "vertex_index": vertex_index,
+            "edges": np.stack([arrays.edge_u, arrays.edge_v], axis=1).tolist(),
+            "edge_palette": arrays.palette[:-1].tolist(),
+            "edge_index": arrays.edge_table.tolist(),
+            "vertex_palette": arrays.vertex_palette.tolist(),
+            "vertex_index": arrays.vertex_index.tolist(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> MRF:
         """Rebuild an :class:`MRF` from a :meth:`to_dict` payload.
 
-        The edges naming one palette entry share one frozen table, so the
-        rebuilt model validates (and pickles) each distinct table once.
+        Loads the listed arrays through the one constructor, which refuses
+        a self-loop, a repeated edge or an invalid table like any other
+        entry path.
         """
         try:
             n = int(payload["n"])
             q = int(payload["q"])
-            edges = [(int(u), int(v)) for u, v in payload["edges"]]
-            tables = [frozen_table(table) for table in payload["edge_palette"]]
-            edge_index = palette_index(
-                payload["edge_index"], len(tables), len(edges), "edge"
-            )
+            edges = np.asarray(payload["edges"], dtype=np.int64)
+            if edges.size and edges.shape[1:] != (2,):
+                raise ValueError(f"edges must be vertex pairs, got shape {edges.shape}")
+            edges = edges.reshape(-1, 2)
+            tables = [np.asarray(table, dtype=float) for table in payload["edge_palette"]]
+            edge_index = palette_index(payload["edge_index"], len(tables), len(edges), "edge")
             rows = np.asarray(payload["vertex_palette"], dtype=float)
             vertex_index = palette_index(payload["vertex_index"], len(rows), n, "vertex")
             name = str(payload.get("name", "mrf"))
@@ -385,13 +449,9 @@ class MRF:
             raise ModelError(
                 f"vertex palette rows must have length {q}, got shape {rows.shape}"
             )
-        vertex_table = rows[vertex_index]
-        vertex_table.setflags(write=False)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(edges)
-        activities = {edge: tables[i] for edge, i in zip(edges, edge_index)}
-        return cls(graph, q, activities, vertex_table, name=name)
+        model = cls.__new__(cls)
+        model._build(n, q, edges[:, 0], edges[:, 1], edge_index, tables, vertex_index, rows, name)
+        return model
 
     def model_fingerprint(self) -> str:
         """Stable content hash of the distribution-defining payload.
@@ -412,29 +472,8 @@ class MRF:
         return self._fingerprint
 
     def compiled(self) -> CompiledMRF:
-        """The :class:`~repro.compiled.CompiledMRF` index-array form.
-
-        Built on the first call (the first engine build) and memoized per
-        immutable instance, like :meth:`model_fingerprint`; left out of
-        pickles, so a worker that unpickles a job compiles its own copy.
-        """
-        if self._compiled is None:
-            from repro.compiled import compile_mrf
-
-            self._compiled = compile_mrf(self)
-        return self._compiled
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_compiled"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._compiled = None
+        """The stored :class:`~repro.compiled.CompiledMRF` record; builds nothing."""
+        return self._arrays
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MRF(name={self.name!r}, n={self.n}, q={self.q}, "
-            f"edges={len(self.edges)})"
-        )
+        return f"MRF(name={self.name!r}, n={self.n}, q={self.q}, edges={self._arrays.m})"

@@ -112,19 +112,21 @@ def frozen_table(values) -> np.ndarray:
     return table
 
 
-def palette_index(values, size: int, count: int, what: str) -> list[int]:
-    """Validate payload palette indices: ``count`` integers in ``0..size-1``.
+def palette_index(values, size: int, count: int, what: str) -> np.ndarray:
+    """Validate payload palette indices: ``count`` integers in ``0..size-1``, as int64.
 
     Raises :class:`~repro.errors.ModelError` on a count mismatch or an
     out-of-range index.  Non-integer entries raise ``TypeError`` or
     ``ValueError``, which the caller reports as a malformed payload.
     """
-    index = [int(position) for position in values]
-    if len(index) != count:
+    index = np.asarray(values, dtype=np.int64)
+    if index.ndim != 1:
+        raise ValueError(f"{what} palette index must be a list of integers")
+    if index.size != count:
         raise ModelError(
-            f"{what} palette index has {len(index)} entries; expected {count}"
+            f"{what} palette index has {index.size} entries; expected {count}"
         )
-    if index and (min(index) < 0 or max(index) >= size):
+    if index.size and (index.min() < 0 or index.max() >= size):
         raise ModelError(f"{what} palette index outside 0..{size - 1}")
     return index
 

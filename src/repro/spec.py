@@ -3,9 +3,8 @@
 Every layer that accepts work speaks this dataclass: the facade
 (``sample_many``/``tv_curve``/``mixing_time`` build a spec and
 :meth:`JobSpec.run` it through :func:`repro.api.run_spec`), the job
-scheduler (:class:`repro.exec.jobs.JobRunner`, whose ``SamplingJob`` is
-this class), the CLI (``repro submit``) and the serving daemon
-(:mod:`repro.serve`).  A spec is:
+scheduler (:class:`repro.exec.jobs.JobRunner`), the CLI (``repro
+submit``) and the serving daemon (:mod:`repro.serve`).  A spec is:
 
 * **validated at construction** — a bad method, method/model pairing,
   replica count, round count or checkpoint list raises
@@ -38,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.convergence import canonical_checkpoints
 from repro.chains.base import SeedLike, checked_initial
+from repro.chains.ensemble import canonical_checkpoints
 from repro.errors import ModelError, UnknownModelError
 from repro.families import validate_method
 from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint

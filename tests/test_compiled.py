@@ -1,10 +1,12 @@
-"""The compiled index-array forms the general engines build from.
+"""The index-array forms the general engines build from.
 
-``MRF.compiled()`` / ``LocalCSP.compiled()`` must describe exactly the
-model's Python structures, be memoized per immutable instance (built on
-the first engine build, never at construction, decode or fingerprint
-time), stay read-only, and stay out of pickles.  The batched
-LocalMetropolis CSP filter built on them must equal the sequential
+``MRF.compiled()`` is the record the model stores: it must describe the
+model exactly, hold the model's only copy of its arrays (engines read
+them, not copies), stay read-only and pickle without its derived tables.
+``LocalCSP.compiled()`` must describe the constraints, be memoized per
+immutable instance (built on the first engine build, never at
+construction, decode or fingerprint time) and stay out of pickles.  The
+batched LocalMetropolis CSP filter built on it must equal the sequential
 chain's pass probabilities bit for bit.
 """
 
@@ -23,6 +25,7 @@ from repro.chains.csp_chains import constraint_pass_probability, greedy_csp_conf
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisCSP,
+    EnsembleLocalMetropolisMRF,
     EnsembleLubyGlauberCSP,
     EnsembleLubyGlauberMRF,
     _uniform_spins,
@@ -236,6 +239,7 @@ class TestCompiledCSP:
 
 
 MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
+CSPS = MODELS[1:]
 
 
 class TestMemoization:
@@ -249,16 +253,13 @@ class TestMemoization:
         for bucket in getattr(compiled, "buckets", ()):
             assert not any(a.flags.writeable for a in _arrays(bucket))
 
-    @pytest.mark.parametrize("make", MODELS)
+    @pytest.mark.parametrize("make", CSPS)
     def test_not_built_by_construction_decode_or_fingerprint(self, make, monkeypatch):
         calls = []
-        for name in ("compile_mrf", "compile_csp"):
-            original = getattr(repro.compiled, name)
-            monkeypatch.setattr(
-                repro.compiled,
-                name,
-                lambda model, original=original: calls.append(model) or original(model),
-            )
+        original = repro.compiled.compile_csp
+        monkeypatch.setattr(
+            repro.compiled, "compile_csp", lambda model: calls.append(model) or original(model)
+        )
         model = make()
         model.model_fingerprint()
         decoded = model_from_dict(model.to_dict())
@@ -269,7 +270,7 @@ class TestMemoization:
         model.compiled()
         assert calls == [model]
 
-    @pytest.mark.parametrize("make", MODELS)
+    @pytest.mark.parametrize("make", CSPS)
     def test_left_out_of_pickles(self, make):
         model = make()
         before = pickle.dumps(model)
@@ -280,6 +281,41 @@ class TestMemoization:
         restored = pickle.loads(after)
         assert restored._compiled is None
         assert restored.model_fingerprint() == model.model_fingerprint()
+
+    @pytest.mark.parametrize(
+        "build",
+        [per_edge_mrf, lambda: MRF.from_dict(per_edge_mrf().to_dict()), uneven_mrf],
+        ids=["constructed", "decoded", "uneven"],
+    )
+    def test_mrf_stores_its_arrays_and_no_per_edge_dict(self, build):
+        mrf = build()
+        assert not any(isinstance(value, dict) for value in vars(mrf).values())
+        compiled = mrf.compiled()
+        assert compiled is mrf.compiled()
+        # Nothing but the stored fields until something reads a derived table.
+        assert set(vars(compiled)) == {
+            "n", "q", "edge_u", "edge_v", "edge_table", "palette",
+            "vertex_index", "vertex_palette",
+        }
+
+    @pytest.mark.parametrize("method", ["luby-glauber", "glauber", "local-metropolis"])
+    def test_mrf_pickle_holds_the_arrays_only(self, method):
+        mrf = per_edge_mrf()
+        before = pickle.dumps(mrf)
+        repro.run_spec(JobSpec.sample_many(mrf, 3, method=method, rounds=2, seed=4))
+        mrf.graph, mrf.edges, mrf.neighbors(0), mrf.edge_activity(0, 1)
+        mrf.compiled().padded_tables, mrf.vertex_activity, mrf.model_fingerprint()
+        after = pickle.dumps(mrf)
+        assert len(after) == len(before)
+        restored = pickle.loads(after)
+        assert set(vars(restored)) == {"name", "n", "q", "_arrays", "_fingerprint"}
+        assert restored.model_fingerprint() == mrf.model_fingerprint()
+        for field in ("edge_u", "edge_v", "edge_table", "palette", "vertex_index",
+                      "vertex_palette"):
+            np.testing.assert_array_equal(
+                getattr(restored.compiled(), field), getattr(mrf.compiled(), field)
+            )
+        assert sorted(restored.graph.edges()) == sorted(mrf.graph.edges())
 
     def test_mutation_compiles_a_new_form(self):
         mrf = per_edge_mrf()
@@ -310,19 +346,20 @@ class TestMemoization:
 
 
 class TestEnginesReadTheCompiledForm:
-    def test_mrf_engines_read_one_compiled_form(self, monkeypatch):
-        calls = []
-        original = repro.compiled.compile_mrf
-        monkeypatch.setattr(
-            repro.compiled, "compile_mrf", lambda model: calls.append(model) or original(model)
-        )
+    def test_mrf_engines_hold_the_model_arrays(self):
         mrf = per_edge_mrf()
-        engines = [EnsembleLubyGlauberMRF(mrf, 2, seed=0), EnsembleGlauberDynamics(mrf, 2, seed=0)]
-        assert calls == [mrf]
-        palette = mrf.compiled().palette
+        compiled = mrf.compiled()
+        engines = [
+            EnsembleLubyGlauberMRF(mrf, 2, seed=0),
+            EnsembleGlauberDynamics(mrf, 2, seed=0),
+            EnsembleLocalMetropolisMRF(mrf, 2, seed=0),
+        ]
         for engine in engines:
-            rows = engine._factor_rows.reshape(palette.shape)
-            np.testing.assert_array_equal(rows, palette.transpose(0, 2, 1))
+            assert engine._eu is compiled.edge_u and engine._ev is compiled.edge_v
+            assert engine._vertex_activity is compiled.vertex_activity
+        for engine in engines[:2]:
+            rows = engine._factor_rows.reshape(compiled.palette.shape)
+            np.testing.assert_array_equal(rows, compiled.palette.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_filter_equals_the_sequential_pass_probability(self, seed):

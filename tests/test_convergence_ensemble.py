@@ -26,7 +26,7 @@ from repro.chains.ensemble import (
     EnsembleLocalMetropolisMRF,
 )
 from repro.chains.local_metropolis import LocalMetropolisChain
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ModelError
 from repro.graphs import cycle_graph, path_graph
 from repro.mrf import exact_gibbs_distribution, proper_coloring_mrf
 
@@ -58,6 +58,13 @@ class TestEnsembleProtocol:
         assert ensemble.steps_taken == 8  # 3 + 5 relative rounds
         batch = ensemble.config
         assert batch.shape == (16, 4)
+
+    @pytest.mark.parametrize("checkpoints", [[2, 5, 3], [1, 2.5], []])
+    def test_refused_checkpoints_take_no_round(self, cycle4_coloring, checkpoints):
+        ensemble = make_ensemble(cycle4_coloring, 4, seed=0)
+        with pytest.raises(ModelError, match="checkpoints"):
+            list(ensemble.iter_checkpoints(checkpoints))
+        assert ensemble.steps_taken == 0
 
     def test_sequential_chain_ensemble_protocol(self, path3_ising):
         ensemble = make_ensemble(path3_ising, 5, method="local-metropolis", seed=1)

@@ -19,10 +19,13 @@ the :func:`repro.api.mutate` / :func:`repro.api.resample_region` facades.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import MUTATIONS, mutate, resample_region
 from repro.csp.builders import coloring_csp
+from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import Constraint, LocalCSP
 from repro.dynamic import (
     DynamicEnsemble,
@@ -205,6 +208,15 @@ class TestModelMutationAPI:
 # ----------------------------------------------------------------------
 # influenced regions and round budgets
 # ----------------------------------------------------------------------
+def _ball(adjacency: list[set[int]], touched: set[int], radius: int) -> list[int]:
+    """Breadth-first ball of ``radius`` around ``touched``: the reference region."""
+    region, frontier = set(touched), set(touched)
+    for _ in range(radius):
+        frontier = {u for w in frontier for u in adjacency[w]} - region
+        region |= frontier
+    return sorted(region)
+
+
 class TestInfluencedRegion:
     def test_ball_growth_on_a_path(self):
         model = proper_coloring_mrf(path_graph(7), 3)
@@ -237,6 +249,43 @@ class TestInfluencedRegion:
         initial, mutated, _ = _csp_pair()
         region = influenced_region(initial, mutated, (2, 3), radius=2)
         assert region.tolist() == [2, 3]  # (0,1) is a separate component
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), radius=st.integers(0, 3))
+    def test_mrf_region_is_the_union_graph_ball(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        old = ising_mrf(nx.gnm_random_graph(9, int(rng.integers(0, 15)), seed=seed), 0.4)
+        u, v = (int(x) for x in rng.choice(9, size=2, replace=False))
+        new = old.without_edge(u, v) if (min(u, v), max(u, v)) in old.edges else (
+            old.with_edge(u, v, np.ones((2, 2)))
+        )
+        adjacency = [set(old.graph[w]) | set(new.graph[w]) for w in range(9)]
+        touched = {u, v, int(rng.integers(9))}
+        assert influenced_region(old, new, touched, radius).tolist() == _ball(
+            adjacency, touched, radius
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), radius=st.integers(0, 3))
+    def test_csp_region_is_the_union_co_scope_ball(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        scopes = [
+            tuple(int(x) for x in rng.choice(9, size=int(rng.integers(1, 4)), replace=False))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        old = LocalCSP(9, 2, [Constraint(scope, np.ones((2,) * len(scope))) for scope in scopes])
+        if rng.random() < 0.5:
+            index = int(rng.integers(len(scopes)))
+            new, touched = old.without_constraint(index), set(scopes[index])
+        else:
+            scope = (int(rng.integers(9)), int(rng.integers(9)))
+            scope = tuple(sorted(set(scope)))
+            new = old.with_constraint(Constraint(scope, np.ones((2,) * len(scope))))
+            touched = set(scope)
+        adjacency = [a | b for a, b in zip(csp_neighbors(old), csp_neighbors(new))]
+        assert influenced_region(old, new, touched, radius).tolist() == _ball(
+            adjacency, touched, radius
+        )
 
     def test_region_round_budget_shapes(self):
         model = proper_coloring_mrf(cycle_graph(8), 4)

@@ -24,7 +24,7 @@ from repro.errors import ExecError, ModelError
 from repro.exec import (
     DEFAULT_NUM_SHARDS,
     JobRunner,
-    SamplingJob,
+    JobSpec,
     ShardedEnsemble,
     as_seed_sequence,
     make_shard_plan,
@@ -233,10 +233,10 @@ def test_sharded_rejects_generator_seeds_and_bad_workers():
 def _spec_of_kind(kind, **placement):
     model = proper_coloring_mrf(path_graph(4), 3)
     if kind == "sample_many":
-        return SamplingJob.sample_many(model, 12, rounds=5, seed=1, **placement)
+        return JobSpec.sample_many(model, 12, rounds=5, seed=1, **placement)
     if kind == "tv_curve":
-        return SamplingJob.tv_curve(model, (1, 2, 4), replicas=64, seed=2, **placement)
-    return SamplingJob.mixing_time(
+        return JobSpec.tv_curve(model, (1, 2, 4), replicas=64, seed=2, **placement)
+    return JobSpec.mixing_time(
         model, eps=0.35, replicas=256, max_rounds=200, stride=4, seed=3, **placement
     )
 
@@ -289,16 +289,16 @@ class TestExecuteJob:
 class TestJobs:
     def test_job_validation(self):
         with pytest.raises(ModelError, match="kind"):
-            SamplingJob(kind="nope", model=_coloring())
+            JobSpec(kind="nope", model=_coloring())
         with pytest.raises(ModelError, match="checkpoints"):
-            SamplingJob(kind="tv_curve", model=_coloring(), replicas=4)
+            JobSpec(kind="tv_curve", model=_coloring(), replicas=4)
         with pytest.raises(ModelError, match="eps"):
-            SamplingJob(kind="mixing_time", model=_coloring(), replicas=4)
+            JobSpec(kind="mixing_time", model=_coloring(), replicas=4)
         # stride=0 would spin the worker loop forever; max_rounds likewise.
         with pytest.raises(ModelError, match="stride"):
-            SamplingJob.mixing_time(_coloring(), eps=0.1, stride=0)
+            JobSpec.mixing_time(_coloring(), eps=0.1, stride=0)
         with pytest.raises(ModelError, match="max_rounds"):
-            SamplingJob.mixing_time(_coloring(), eps=0.1, max_rounds=0)
+            JobSpec.mixing_time(_coloring(), eps=0.1, max_rounds=0)
         with pytest.raises(ModelError, match="workers"):
             JobRunner(workers=0)
 
@@ -307,14 +307,14 @@ class TestJobs:
         ising = ising_mrf(path_graph(4), beta=0.7, field=0.2)
         csp = _csp()
         jobs = [
-            SamplingJob.sample_many(coloring, 12, method="local-metropolis",
+            JobSpec.sample_many(coloring, 12, method="local-metropolis",
                                     rounds=5, seed=1),
-            SamplingJob.sample_many(coloring, 12, method="luby-glauber",
+            JobSpec.sample_many(coloring, 12, method="luby-glauber",
                                     rounds=5, seed=2),
-            SamplingJob.sample_many(ising, 6, method="glauber", rounds=5, seed=3),
-            SamplingJob.sample_many(csp, 8, method="luby-glauber", rounds=4, seed=4),
-            SamplingJob.tv_curve(coloring, (1, 2, 4), replicas=64, seed=5),
-            SamplingJob.mixing_time(coloring, eps=0.35, replicas=256,
+            JobSpec.sample_many(ising, 6, method="glauber", rounds=5, seed=3),
+            JobSpec.sample_many(csp, 8, method="luby-glauber", rounds=4, seed=4),
+            JobSpec.tv_curve(coloring, (1, 2, 4), replicas=64, seed=5),
+            JobSpec.mixing_time(coloring, eps=0.35, replicas=256,
                                     max_rounds=200, stride=4, seed=6),
         ]
         with JobRunner(workers=2) as runner:
@@ -348,7 +348,7 @@ class TestJobs:
         checkpoints = (1, 2, 4, 8)
         with JobRunner(workers=1) as runner:
             job_id = runner.submit(
-                SamplingJob.tv_curve(model, checkpoints, replicas=64, seed=9,
+                JobSpec.tv_curve(model, checkpoints, replicas=64, seed=9,
                                      name="curve")
             )
             events = list(runner.stream())
@@ -363,9 +363,9 @@ class TestJobs:
 
     def test_failed_job_does_not_poison_the_pool(self):
         model = proper_coloring_mrf(path_graph(3), 3)
-        doomed = SamplingJob.mixing_time(model, eps=1e-9, replicas=8,
+        doomed = JobSpec.mixing_time(model, eps=1e-9, replicas=8,
                                          max_rounds=3, seed=1, name="doomed")
-        fine = SamplingJob.sample_many(model, 4, rounds=2, seed=2, name="fine")
+        fine = JobSpec.sample_many(model, 4, rounds=2, seed=2, name="fine")
         with JobRunner(workers=1) as runner:
             doomed_id = runner.submit(doomed)
             fine_id = runner.submit(fine)
@@ -380,10 +380,10 @@ class TestJobs:
         """run_all never raises: each job yields (result, error, elapsed) in order."""
         model = proper_coloring_mrf(path_graph(3), 3)
         jobs = [
-            SamplingJob.sample_many(model, 4, rounds=2, seed=1, name="first"),
-            SamplingJob.mixing_time(model, eps=1e-9, replicas=8,
+            JobSpec.sample_many(model, 4, rounds=2, seed=1, name="first"),
+            JobSpec.mixing_time(model, eps=1e-9, replicas=8,
                                     max_rounds=3, seed=2, name="doomed"),
-            SamplingJob.sample_many(model, 4, rounds=2, seed=3, name="last"),
+            JobSpec.sample_many(model, 4, rounds=2, seed=3, name="last"),
         ]
         with JobRunner(workers=2) as runner:
             outcomes = runner.run_all(jobs)
@@ -404,7 +404,7 @@ class TestJobs:
         # A stride far beyond the kill point keeps the victim in pure
         # compute when terminated — away from the shared tasks queue's
         # lock, the one structure a dying worker could still wedge.
-        slow = SamplingJob.mixing_time(model, eps=1e-9, replicas=4096,
+        slow = JobSpec.mixing_time(model, eps=1e-9, replicas=4096,
                                        stride=1_000_000, max_rounds=1_000_000,
                                        seed=1, name="slow")
         with JobRunner(workers=2) as runner:
@@ -416,7 +416,7 @@ class TestJobs:
             victim.terminate()
             victim.join()
             fine_id = runner.submit(
-                SamplingJob.sample_many(model, 4, rounds=2, seed=2, name="fine")
+                JobSpec.sample_many(model, 4, rounds=2, seed=2, name="fine")
             )
             for _ in stream:
                 pass
@@ -433,7 +433,7 @@ class TestJobs:
 
         trace_file = tmp_path / "exec.jsonl"
         model = proper_coloring_mrf(path_graph(3), 3)
-        slow = SamplingJob.mixing_time(model, eps=1e-9, replicas=4096,
+        slow = JobSpec.mixing_time(model, eps=1e-9, replicas=4096,
                                        stride=1_000_000, max_rounds=1_000_000,
                                        seed=1, name="slow")
         obs_trace.enable_tracing(trace_file)
@@ -449,7 +449,7 @@ class TestJobs:
                 victim.terminate()
                 victim.join()
                 fine_id = runner.submit(
-                    SamplingJob.sample_many(model, 4, rounds=2, seed=2,
+                    JobSpec.sample_many(model, 4, rounds=2, seed=2,
                                             name="fine")
                 )
                 events = list(stream)
@@ -482,7 +482,7 @@ class TestJobs:
             victim.terminate()
             victim.join()
             job_id = runner.submit(
-                SamplingJob.sample_many(model, 4, rounds=2, seed=3, name="orphanable")
+                JobSpec.sample_many(model, 4, rounds=2, seed=3, name="orphanable")
             )
             for _ in runner.stream():
                 pass
@@ -492,7 +492,7 @@ class TestJobs:
         runner = JobRunner(workers=1)
         runner.close()
         with pytest.raises(ExecError, match="closed"):
-            runner.submit(SamplingJob.sample_many(_coloring(), 2, seed=1))
+            runner.submit(JobSpec.sample_many(_coloring(), 2, seed=1))
         with JobRunner(workers=1) as open_runner:
-            with pytest.raises(ModelError, match="SamplingJob"):
+            with pytest.raises(ModelError, match="JobSpec"):
                 open_runner.submit("not a job")

@@ -1,11 +1,20 @@
 """Tests for the MRF container (repro.mrf.model)."""
 
+import json
+import pickle
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro import DynamicEnsemble, JobSpec
 from repro.errors import ModelError
-from repro.graphs import path_graph, cycle_graph
-from repro.mrf import MRF, proper_coloring_mrf
+from repro.families import DISPATCH, dispatch
+from repro.graphs import cycle_graph, path_graph, torus_graph
+from repro.mrf import MRF, hardcore_mrf, proper_coloring_mrf
 from repro.mrf.model import as_config
 
 
@@ -129,3 +138,177 @@ class TestAccessors:
             path3_coloring.vertex_activity[0, 0] = 5.0
         with pytest.raises(ValueError):
             path3_coloring.edge_activity(0, 1)[0, 0] = 5.0
+
+
+class TestSimpleGraph:
+    """Every entry path refuses a graph that is not simple, by the one rule."""
+
+    def test_constructor_refuses_a_self_loop(self):
+        graph = path_graph(2)
+        graph.add_edge(1, 1)
+        with pytest.raises(ModelError, match="self-loop; an MRF's edges must form a simple"):
+            MRF(graph, 2, two_state_edge(), np.ones(2))
+
+    def test_constructor_refuses_a_repeated_edge(self):
+        graph = nx.MultiGraph([(0, 1), (1, 0)])
+        with pytest.raises(ModelError, match="repeated; an MRF's edges must form a simple"):
+            MRF(graph, 2, two_state_edge(), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "edges, edge_index",
+        [([[1, 1]], [0]), ([[0, 1], [0, 1]], [0, 1]), ([[0, 1], [1, 0]], [1, 1])],
+        ids=["self-loop", "repeated", "reversed-repeat"],
+    )
+    def test_from_dict_refuses_a_self_loop_or_repeated_edge(self, edges, edge_index):
+        payload = MRF(path_graph(2), 2, two_state_edge(), np.ones(2)).to_dict()
+        payload.update(
+            edges=edges,
+            edge_index=edge_index,
+            edge_palette=[two_state_edge().tolist(), two_state_edge(2.0, 1.0).tolist()],
+        )
+        with pytest.raises(ModelError, match="an MRF's edges must form a simple graph"):
+            MRF.from_dict(payload)
+
+    def test_with_edge_refuses_a_self_loop_by_the_same_rule(self):
+        mrf = MRF(path_graph(3), 2, two_state_edge(), np.ones(2))
+        with pytest.raises(ModelError, match="self-loop; an MRF's edges must form a simple"):
+            mrf.with_edge(1, 1, two_state_edge())
+        with pytest.raises(ModelError, match="outside vertices"):
+            mrf.with_edge(0, 3, two_state_edge())
+
+
+Q = 3
+#: Edge tables: a colouring, a soft table, a constant, a value-equal copy of
+#: the colouring (must share its palette entry) and one differing only in
+#: the sign of its zeros (distinct float64 bytes, so a distinct entry).
+TABLES = [
+    np.ones((Q, Q)) - np.eye(Q),
+    np.array([[2.0, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 3.0]]),
+    np.full((Q, Q), 0.25),
+    np.ones((Q, Q)) - np.eye(Q),
+    np.where(np.eye(Q) > 0, -0.0, 1.0),
+]
+ROWS = [np.ones(Q), np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0]), np.ones(Q)]
+N = 6
+START_EDGES = {(0, 1): 1, (1, 2): 0, (2, 3): 2, (3, 4): 3, (0, 5): 1}
+START_ROWS = [0, 1, 1, 2, 3, 0]
+
+
+def _fresh(edges: dict, rows: list) -> MRF:
+    """The model built from scratch by the public constructor."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(N))
+    graph.add_edges_from(edges)
+    tables = {edge: TABLES[k] for edge, k in edges.items()}
+    return MRF(graph, Q, tables, np.array([ROWS[k] for k in rows]))
+
+
+def _stored(mrf: MRF) -> list[np.ndarray]:
+    arrays = mrf.compiled()
+    return [
+        arrays.edge_u, arrays.edge_v, arrays.edge_table, arrays.palette,
+        arrays.vertex_index, arrays.vertex_palette,
+    ]
+
+
+def _in_first_use_order(index: np.ndarray, size: int) -> bool:
+    """Entries ``0..size-1`` each used, and first used in that order."""
+    firsts = [int(value) for i, value in enumerate(index) if value not in index[:i]]
+    return firsts == list(range(size))
+
+
+OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["with_edge", "without_edge", "with_edge_activity",
+                         "with_vertex_activity"]),
+        st.integers(0, N - 1),
+        st.integers(0, N - 1),
+        st.integers(0, len(TABLES) - 1),
+    ),
+    max_size=12,
+)
+
+
+class TestStoredForm:
+    @settings(max_examples=80, deadline=None)
+    @given(OPERATIONS)
+    def test_mutations_store_the_arrays_of_a_fresh_build(self, operations):
+        edges, rows = dict(START_EDGES), list(START_ROWS)
+        mrf = _fresh(edges, rows)
+        for op, u, v, k in operations:
+            key = (min(u, v), max(u, v))
+            if op == "with_vertex_activity":
+                mrf = mrf.with_vertex_activity(u, ROWS[k % len(ROWS)])
+                rows[u] = k % len(ROWS)
+            elif u == v or (op != "with_edge" and key not in edges):
+                with pytest.raises(ModelError):
+                    getattr(mrf, op)(u, v, *([TABLES[k]] if op != "without_edge" else []))
+            elif op == "without_edge":
+                mrf = mrf.without_edge(v, u)
+                del edges[key]
+            else:
+                mrf = getattr(mrf, op)(v, u, TABLES[k])
+                edges[key] = k
+        fresh = _fresh(edges, rows)
+        decoded = MRF.from_dict(json.loads(json.dumps(mrf.to_dict())))
+        for built in (fresh, decoded):
+            for mine, theirs in zip(_stored(mrf), _stored(built)):
+                assert mine.dtype == theirs.dtype
+                np.testing.assert_array_equal(mine, theirs)
+            assert built.model_fingerprint() == mrf.model_fingerprint()
+        arrays = mrf.compiled()
+        assert _in_first_use_order(arrays.edge_table.tolist(), arrays.palette.shape[0] - 1)
+        assert _in_first_use_order(arrays.vertex_index.tolist(), arrays.vertex_palette.shape[0])
+        np.testing.assert_array_equal(arrays.palette[-1], np.ones((Q, Q)))
+        assert mrf.edges == sorted(edges)
+        for (u, v), k in edges.items():
+            np.testing.assert_array_equal(mrf.edge_activity(v, u), TABLES[k])
+
+
+def _refuse_networkx(self, *args, **kwargs):
+    raise AssertionError("a networkx graph was built")
+
+
+class TestNoNetworkx:
+    """Decode, mutate, identify, pickle and run an MRF without building a graph."""
+
+    def test_model_paths_build_no_graph(self, monkeypatch):
+        mrf = hardcore_mrf(torus_graph(4, 4), 1.5)
+        payload = json.loads(json.dumps(mrf.to_dict()))
+        monkeypatch.setattr(nx.Graph, "__init__", _refuse_networkx)
+        decoded = MRF.from_dict(payload)
+        derived = [
+            decoded.with_edge(0, 5, np.ones((2, 2))),
+            decoded.without_edge(0, 1),
+            decoded.with_edge_activity(0, 1, np.full((2, 2), 2.0)),
+            decoded.with_vertex_activity(3, [1.0, 0.5]),
+        ]
+        for model in [decoded, *derived]:
+            model.model_fingerprint()
+            JobSpec.sample_many(model, 2, rounds=1, seed=0).cache_key()
+            restored = pickle.loads(pickle.dumps(model))
+            assert restored.model_fingerprint() == model.model_fingerprint()
+        with pytest.raises(AssertionError, match="networkx"):
+            decoded.graph
+
+    @pytest.mark.parametrize("row", [row for row in DISPATCH if row.kind == "mrf"],
+                             ids=lambda row: row.ensemble.__name__)
+    def test_every_mrf_dispatch_row_runs_without_a_graph(self, monkeypatch, row):
+        model = (
+            proper_coloring_mrf(path_graph(4), 3) if row.when is not None
+            else hardcore_mrf(path_graph(4), 0.7)
+        )
+        monkeypatch.setattr(nx.Graph, "__init__", _refuse_networkx)
+        assert dispatch(model, row.method) is row
+        batch = repro.run_spec(JobSpec.sample_many(model, 4, method=row.method, rounds=3, seed=1))
+        assert batch.shape == (4, 4)
+        curve = repro.run_spec(
+            JobSpec.tv_curve(model, (1, 2), method=row.method, replicas=64, seed=2)
+        )
+        assert [r for r, _ in curve] == [1, 2]
+
+    def test_dynamic_remove_and_resample_build_no_graph(self, monkeypatch):
+        dyn = DynamicEnsemble(proper_coloring_mrf(torus_graph(6, 6), 6), 8, seed=3)
+        monkeypatch.setattr(nx.Graph, "__init__", _refuse_networkx)
+        dyn.remove_edge(0, 1).resample()
+        assert dyn.resamples == 1 and dyn.config.shape == (8, 36)

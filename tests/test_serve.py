@@ -386,6 +386,9 @@ class TestProtocolErrors:
             ("sample_many", "backend", "torch"),
             ("sample_many", "round", 5),
             ("csp", "method", "glauber"),
+            # an MRF lives on a simple graph: a self-loop or a repeated edge
+            ("sample_many", "edges", [[0, 1], [0, 5], [1, 1], [2, 3], [3, 4], [4, 5]]),
+            ("sample_many", "edges", [[0, 1], [0, 5], [0, 1], [2, 3], [3, 4], [4, 5]]),
         ],
     )
     def test_invalid_job_fields_are_400_and_never_submitted(
@@ -405,6 +408,8 @@ class TestProtocolErrors:
         wire = specs[base].to_wire()
         if field == "method":
             wire["method"] = value
+        elif field == "edges":
+            wire["model"]["edges"] = value
         else:
             wire["params"][field] = value
         submitted = client.stats()["jobs"]["submitted"]
