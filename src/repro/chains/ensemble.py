@@ -44,10 +44,10 @@ pair's spin; it also draws the ``b_v`` proposals of
 vertex region, is the region advance of every MRF and CSP engine.
 
 Every engine builds from the model's index-array form
-(:mod:`repro.compiled`): ``mrf.compiled()`` returns the arrays an MRF is
-stored as, and ``csp.compiled()`` is computed on the first engine build
-and memoized per immutable CSP, so no engine walks constraint objects
-twice or reads a networkx graph.
+(:mod:`repro.compiled`): ``mrf.compiled()`` and ``csp.compiled()`` return
+the arrays the model is stored as, and the tables an engine reads beyond
+them are derived once per model and memoized, so no engine walks
+constraint objects or reads a networkx graph.
 
 Layout and exactness contract
 -----------------------------
@@ -261,35 +261,6 @@ def _metropolis_accept(engine, proposals, failed, incidence) -> None:
     engine.steps_taken += 1
 
 
-def _record_luby_step(engine, v_idx) -> None:
-    """Independent-set size accounting for a LubyGlauber round.
-
-    ``v_idx`` is the flat vertex index of every selected (vertex, replica)
-    pair across all R replicas; the histogram records the per-replica mean
-    independent-set size.
-    """
-    pairs = int(v_idx.shape[0])
-    name = type(engine).__name__
-    _obs_metrics.inc("repro_engine_luby_selected_total", pairs, engine=name)
-    _obs_metrics.observe(
-        "repro_engine_luby_set_size", pairs / max(engine.replicas, 1), engine=name
-    )
-
-
-class _VertexMajorEnsemble(EnsembleTrajectoryMixin):
-    """Batch views of an engine whose ``self._config`` is the ``(n, R)`` batch."""
-
-    @property
-    def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self._config.T.astype(np.int64)
-
-    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
-        """Transposed write from the internal vertex-major state, no copy."""
-        np.copyto(out, self._config.T)
-        return out
-
-
 def _spin_dtype(q: int) -> np.dtype:
     """Smallest signed integer dtype that holds spins ``0..q-1``.
 
@@ -493,13 +464,55 @@ def _heatbath_spins(rng, weights, v_idx, undefined):
     return spins
 
 
-class _HeatBathEnsemble(_VertexMajorEnsemble):
-    """The heat-bath update shared by Glauber and both LubyGlauber engines.
+class _HeatBathEnsemble(EnsembleTrajectoryMixin):
+    """State, heat-bath update and region advance of every batched engine.
 
-    Hosts provide ``_heatbath_weights(v_idx, r_idx)``, the ``(pairs, q)``
-    conditional weights of the given (vertex, replica) pairs, and
-    ``_undefined_marginal(vertex)``, the error of a zero-mass marginal.
+    ``self._config`` is the vertex-major ``(n, R)`` batch in the smallest
+    integer dtype that holds ``q``.  Hosts (the MRF and CSP bases) set what
+    their hooks read before calling ``__init__``, and provide
+    ``_default_start()``, the start of every replica when ``initial`` is
+    None; ``_luby_edges()``, the edges of the graph the Luby step runs on
+    (the model graph, or the CSP's conflict graph);
+    ``_ensure_heatbath_structures()``, which builds the heat-bath tables
+    once; ``_heatbath_weights(v_idx, r_idx)``, the ``(pairs, q)``
+    conditional weights of the given (vertex, replica) pairs; and
+    ``_undefined_marginal(vertex)``.  Engines provide ``step()``.  The
+    Glauber and LubyGlauber engines, whose every step reads the heat-bath
+    tables, build them with the engine; the LocalMetropolis engines at
+    their first region advance, so a model too uneven for the tables
+    (:data:`repro.compiled.MAX_PADDING`) still runs LocalMetropolis.  The
+    parameters are those of the public subclasses (module docstring).
     """
+
+    def __init__(
+        self,
+        model: MRF | LocalCSP,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+    ) -> None:
+        if replicas < 1:
+            raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
+        self.n = model.n
+        self.q = model.q
+        self.replicas = int(replicas)
+        self._dtype = _spin_dtype(self.q)
+        self.rng = as_generator(seed)
+        self._config = _initial_spin_batch(
+            initial, self.n, self.q, self.replicas, self._dtype, self._default_start
+        )
+        self._heatbath_ready = False
+        self.steps_taken = 0
+
+    @property
+    def config(self) -> np.ndarray:
+        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
+        return self._config.T.astype(np.int64)
+
+    def write_batch_into(self, out: np.ndarray) -> np.ndarray:
+        """Transposed write from the internal vertex-major state, no copy."""
+        np.copyto(out, self._config.T)
+        return out
 
     def _heatbath_update(self, v_idx, r_idx) -> None:
         """Heat-bath-resample the given (vertex, replica) pairs in place.
@@ -513,22 +526,64 @@ class _HeatBathEnsemble(_VertexMajorEnsemble):
             self.rng, weights, v_idx, self._undefined_marginal
         )
 
+    def advance_region(self, steps: int, region) -> _HeatBathEnsemble:
+        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
+
+        Every round Luby-selects an independent set among the region
+        vertices, over the region-internal edges of the Luby graph (so a
+        CSP's selection is strongly independent), and heat-bath-resamples
+        it from the exact conditional marginals; vertices outside the
+        region never change and enter the weights as fixed boundary spins.
+        Used by :mod:`repro.dynamic` for incremental resampling.  The
+        kernel is this masked LubyGlauber one for the LocalMetropolis
+        engines too — a clamped LocalMetropolis round has no stationarity
+        guarantee.
+        """
+        if steps < 0:
+            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
+        self._ensure_heatbath_structures()
+        selector = _RegionSelector(
+            _as_region(region, self.n), *self._luby_edges(), self.n, self.replicas
+        )
+        for _ in range(steps):
+            self._heatbath_update(*selector.select_pairs(self.rng))
+            self.steps_taken += 1
+        return self
+
+
+class _LubyGlauberRound(_HeatBathEnsemble):
+    """The round of both LubyGlauber engines, over their host's Luby graph.
+
+    The heat-bath tables and the :class:`_LubySelector` are built with the
+    engine, so a model too uneven for them is refused at build.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._ensure_heatbath_structures()
+        self._luby = _LubySelector(*self._luby_edges(), self.n, self.replicas)
+
+    def step(self) -> None:
+        """One LubyGlauber round: select independent sets, heat-bath-update them in parallel."""
+        v_idx, r_idx = self._luby.select_pairs(self.rng)
+        if _obs_metrics.enabled:
+            # The selected pairs, and the mean independent-set size per replica.
+            pairs, name = int(v_idx.shape[0]), type(self).__name__
+            _obs_metrics.inc("repro_engine_luby_selected_total", pairs, engine=name)
+            _obs_metrics.observe("repro_engine_luby_set_size", pairs / self.replicas, engine=name)
+        self._heatbath_update(v_idx, r_idx)
+        self.steps_taken += 1
+
 
 class _EnsembleMRFBase(_HeatBathEnsemble):
-    """Shared state, heat-bath weights and region advance of the general-MRF engines.
+    """Heat-bath weights and structures of the general-MRF engines.
 
-    Replicas are stored vertex-major, an ``(n, R)`` batch in the smallest
-    integer dtype that holds ``q``, and the conditional weights of paper
-    eq. (2) are read from the model's padded neighbour tables
-    (``mrf.compiled()``): one pass per neighbour position, up to the
-    maximum degree, each a flat gather of the neighbours' spins and a row
-    gather of the matching factor rows.  Pad slots read the vertex's own
-    spin through the all-ones table, so they multiply by one.
-
-    Parameters are those of the public subclasses: the model, the replica
-    count R, ``initial`` (``None`` for :meth:`_default_start` replicated, a
-    length-n configuration or an ``(R, n)`` batch) and ``seed`` (module
-    docstring).
+    The conditional weights of paper eq. (2) are read from the model's
+    padded neighbour tables (``mrf.compiled()``): one pass per neighbour
+    position, up to the maximum degree, each a flat gather of the
+    neighbours' spins and a row gather of the matching factor rows.  Pad
+    slots read the vertex's own spin through the all-ones table, so they
+    multiply by one.  The Luby graph is the model graph.
     """
 
     def __init__(
@@ -538,24 +593,13 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
-        if replicas < 1:
-            raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
         self.mrf = mrf
-        self.n = mrf.n
-        self.q = mrf.q
-        self.replicas = int(replicas)
-        self._dtype = _spin_dtype(self.q)
-        self.rng = as_generator(seed)
         compiled = mrf.compiled()
         self._vertex_activity = compiled.vertex_activity
         self._eu, self._ev = compiled.edge_u, compiled.edge_v
+        super().__init__(mrf, replicas, initial=initial, seed=seed)
         # Replica i's row index: the pairs of a one-vertex-per-replica update.
         self._rows = np.arange(self.replicas)
-        self._config = _initial_spin_batch(
-            initial, self.n, self.q, self.replicas, self._dtype, self._default_start
-        )
-        self._heatbath_ready = False
-        self.steps_taken = 0
 
     def _default_start(self) -> np.ndarray:
         """The start every replica gets when ``initial`` is None.
@@ -565,15 +609,11 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         """
         return greedy_feasible_config(self.mrf, self.rng)
 
-    def _ensure_heatbath_structures(self) -> None:
-        """The padded neighbour offsets and factor rows of the heat-bath kernel.
+    def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._eu, self._ev
 
-        Built eagerly by :class:`EnsembleGlauberDynamics` and
-        :class:`EnsembleLubyGlauberMRF` (their every step reads them) and
-        lazily by the region advance of the LocalMetropolis engines, whose
-        steps never do: a model whose padding exceeds
-        :data:`repro.compiled.MAX_PADDING` still runs LocalMetropolis.
-        """
+    def _ensure_heatbath_structures(self) -> None:
+        """The padded neighbour offsets and factor rows of the heat-bath kernel."""
         if self._heatbath_ready:
             return
         compiled = self.mrf.compiled()
@@ -590,29 +630,6 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         )
         self._table_offsets = np.ascontiguousarray(compiled.padded_tables.T) * self.q
         self._heatbath_ready = True
-
-    def advance_region(self, steps: int, region) -> _EnsembleMRFBase:
-        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
-
-        Every round Luby-selects an independent set among the region
-        vertices (over region-internal edges only) and heat-bath-resamples
-        it from the exact conditional marginals; vertices outside the
-        region never change and enter the weights as fixed boundary spins
-        through the full padded neighbour gathers.  Used by
-        :mod:`repro.dynamic` for incremental resampling.  The kernel is
-        this masked LubyGlauber one for the LocalMetropolis engines too — a
-        clamped LocalMetropolis round has no stationarity guarantee.
-        """
-        if steps < 0:
-            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        self._ensure_heatbath_structures()
-        selector = _RegionSelector(
-            _as_region(region, self.n), self._eu, self._ev, self.n, self.replicas
-        )
-        for _ in range(steps):
-            self._heatbath_update(*selector.select_pairs(self.rng))
-            self.steps_taken += 1
-        return self
 
     def is_feasible(self) -> np.ndarray:
         """Per-replica feasibility mask, shape ``(R,)``: the support of mu.
@@ -709,7 +726,7 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
         return self
 
 
-class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
+class EnsembleLubyGlauberMRF(_LubyGlauberRound, _EnsembleMRFBase):
     """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
 
     Every selected (replica, vertex) pair is heat-bath-resampled from its
@@ -731,25 +748,6 @@ class EnsembleLubyGlauberMRF(_EnsembleMRFBase):
     Luby selection law, same heat-bath conditional), so the ensemble is
     distributionally identical to independent sequential runs.
     """
-
-    def __init__(
-        self,
-        mrf: MRF,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(mrf, replicas, initial=initial, seed=seed)
-        self._ensure_heatbath_structures()
-        self._luby = _LubySelector(self._eu, self._ev, self.n, self.replicas)
-
-    def step(self) -> None:
-        """Select independent sets; heat-bath-update all pairs in parallel."""
-        v_idx, r_idx = self._luby.select_pairs(self.rng)
-        if _obs_metrics.enabled:
-            _record_luby_step(self, v_idx)
-        self._heatbath_update(v_idx, r_idx)
-        self.steps_taken += 1
 
 
 class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
@@ -884,22 +882,8 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
     array, so gathering the ``(n, R)`` spin batch at the scopes and
     weighting each position by its row-major stride gives the flat index
     of every ``f_c(sigma|_{S_c})`` — gathers and integer arithmetic, no
-    per-constraint Python loop.
-
-    Parameters
-    ----------
-    csp:
-        The weighted local CSP.
-    replicas:
-        Number of independent replicas R advanced per step.
-    initial:
-        ``None`` (the deterministic greedy configuration of
-        :func:`repro.chains.csp_chains.greedy_csp_config` replicated to all
-        replicas), a length-n configuration shared by all replicas, or an
-        ``(R, n)`` batch giving each replica its own start.
-    seed:
-        Seed, :class:`numpy.random.SeedSequence` or Generator for the single
-        shared RNG stream (module docstring: seed and stream contract).
+    per-constraint Python loop.  The Luby graph is the conflict graph, so
+    every selected set is strongly independent.
     """
 
     def __init__(
@@ -909,14 +893,7 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
-        if replicas < 1:
-            raise ModelError(f"ensemble needs replicas >= 1, got {replicas}")
         self.csp = csp
-        self.n = csp.n
-        self.q = csp.q
-        self.replicas = int(replicas)
-        self._dtype = _spin_dtype(self.q)
-        self.rng = as_generator(seed)
         compiled = csp.compiled()
         self._num_constraints = compiled.num_constraints
         # Per arity bucket k: (k, constraint ids, (k, C_k) position-major
@@ -937,16 +914,20 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
             self._vertex_incidence = sp.csr_matrix(
                 (ones, compiled.incidence_constraint, compiled.incidence_indptr),
-                shape=(self.n, self._num_constraints),
+                shape=(csp.n, self._num_constraints),
             )
         else:
             self._vertex_incidence = None
-        self._config = _initial_spin_batch(
-            initial, self.n, self.q, self.replicas, self._dtype, lambda: compiled.greedy_start
-        )
-        self._spin_arange = np.arange(self.q)
-        self._heatbath_ready = False
-        self.steps_taken = 0
+        self._spin_arange = np.arange(csp.q)
+        super().__init__(csp, replicas, initial=initial, seed=seed)
+
+    def _default_start(self) -> np.ndarray:
+        """The deterministic greedy configuration (``CompiledCSP.greedy_start``)."""
+        return self.csp.compiled().greedy_start
+
+    def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        compiled = self.csp.compiled()
+        return compiled.conflict_u, compiled.conflict_v
 
     # ------------------------------------------------------------------
     # batch views and diagnostics
@@ -975,8 +956,8 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             np.int64,
         )
 
-    def feasible_mask(self) -> np.ndarray:
-        """Boolean ``(R,)`` mask of replicas with positive total weight."""
+    def is_feasible(self) -> np.ndarray:
+        """Per-replica feasibility mask, shape ``(R,)``: every factor is positive."""
         if not self._num_constraints:
             return np.ones(self.replicas, dtype=bool)
         compiled = self.csp.compiled()
@@ -984,31 +965,14 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         values = compiled.flat_raw[compiled.table_starts[:, None] + flat]
         return np.all(values > 0.0, axis=0)
 
-    def is_feasible(self) -> bool:
-        """Return True iff *every* replica's configuration is feasible."""
-        return bool(self.feasible_mask().all())
-
-    def step(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # heat-bath machinery (LubyGlauber step and region-restricted advance)
     # ------------------------------------------------------------------
     def _ensure_heatbath_structures(self) -> None:
-        """Conflict-graph Luby structures plus the padded (constraint, stride) incidence.
-
-        Built eagerly by :class:`EnsembleLubyGlauberCSP` (its every step
-        needs them) and lazily by the region-restricted advance on
-        :class:`EnsembleLocalMetropolisCSP` (which otherwise never pays
-        for them).
-        """
+        """The padded (constraint, stride) incidence of the heat-bath weights."""
         if self._heatbath_ready:
             return
         compiled = self.csp.compiled()
-        # Conflict-graph edge arrays drive the batched Luby step; ties lose
-        # on both sides, exactly as LubyScheduler's strict local maxima.
-        self._cu, self._cv = compiled.conflict_u, compiled.conflict_v
-        self._luby = _LubySelector(self._cu, self._cv, self.n, self.replicas)
         # Row k holds, per vertex, for its k-th containing constraint c: the
         # flat offset c * R of c's row in the (C + 1, R) flat-index buffer,
         # the start of c's table among the factors, and the stride of the
@@ -1059,31 +1023,8 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             f"CSP conditional marginal at vertex {vertex} is undefined (zero mass)"
         )
 
-    def advance_region(self, steps: int, region) -> _EnsembleCSPBase:
-        """Advance only ``region`` for ``steps`` rounds, boundary clamped.
 
-        Every round Luby-selects a strongly independent set among the
-        region vertices (over region-internal *conflict-graph* edges) and
-        heat-bath-resamples it; vertices outside the region never change
-        and enter the marginals as fixed conditioning.  Used by
-        :mod:`repro.dynamic` for incremental resampling after a constraint
-        mutation.  Note the kernel is the heat-bath (LubyGlauber) one for
-        *both* CSP engines — a clamped LocalMetropolis round has no
-        stationarity guarantee.
-        """
-        if steps < 0:
-            raise ModelError(f"advance_region needs steps >= 0, got {steps}")
-        self._ensure_heatbath_structures()
-        selector = _RegionSelector(
-            _as_region(region, self.n), self._cu, self._cv, self.n, self.replicas
-        )
-        for _ in range(steps):
-            self._heatbath_update(*selector.select_pairs(self.rng))
-            self.steps_taken += 1
-        return self
-
-
-class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
+class EnsembleLubyGlauberCSP(_LubyGlauberRound, _EnsembleCSPBase):
     """Batched LubyGlauber on a weighted local CSP (remark after Algorithm 1).
 
     One step advances all R replicas by one round: each replica draws its
@@ -1097,26 +1038,6 @@ class EnsembleLubyGlauberCSP(_EnsembleCSPBase):
     factor values of the pair's vertex, and they are multiplied in — no
     per-vertex Python loop.
     """
-
-    def __init__(
-        self,
-        csp: LocalCSP,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(csp, replicas, initial=initial, seed=seed)
-        # Every step Luby-selects on the conflict graph and heat-bath
-        # updates through the padded incidence — build them eagerly.
-        self._ensure_heatbath_structures()
-
-    def step(self) -> None:
-        """Select strongly independent sets; heat-bath-update them in parallel."""
-        v_idx, r_idx = self._luby.select_pairs(self.rng)
-        if _obs_metrics.enabled:
-            _record_luby_step(self, v_idx)
-        self._heatbath_update(v_idx, r_idx)
-        self.steps_taken += 1
 
 
 class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):

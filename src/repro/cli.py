@@ -587,7 +587,7 @@ def _command_dynamic(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ReproError(f"--steps must be >= 1, got {args.steps}")
     is_csp = isinstance(model, LocalCSP)
-    if is_csp and not model.constraints:
+    if is_csp and not model.compiled().num_constraints:
         raise ReproError("the dynamic demo needs a model with constraints")
     if not is_csp and not model.edges:
         raise ReproError("the dynamic demo needs a model with edges")
@@ -625,7 +625,7 @@ def _command_dynamic(args: argparse.Namespace) -> int:
         if is_csp:
             # Toggle the tail constraint: re-appending the removed one
             # then restores the exact constraint order (and fingerprint).
-            index = len(dyn.model.constraints) - 1
+            index = dyn.model.compiled().num_constraints - 1
             constraint = dyn.model.constraints[index]
             detail = list(int(v) for v in constraint.scope)
             dyn.remove_constraint(index)

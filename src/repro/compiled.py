@@ -3,26 +3,27 @@
 The batched engines of :mod:`repro.chains.ensemble` never walk a model's
 Python structures.  They read the :class:`CompiledMRF` of
 :meth:`repro.mrf.model.MRF.compiled` or the :class:`CompiledCSP` of
-:meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges, padded
-neighbour tables, arity-bucketed scopes, incidences) plus each distinct
-factor table once, deduplicated by value.  Every array is read-only and
-engines read it as it is, with no copy; equal models have equal arrays,
-so an engine's bits do not depend on how its model was built.
+:meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges or scopes,
+padded neighbour tables, arity-bucketed scopes, incidences) plus each
+distinct factor table once, deduplicated by value.  Every array is
+read-only and engines read it as it is, with no copy; equal models have
+equal arrays, so an engine's bits do not depend on how its model was
+built.
 
-An MRF's :class:`CompiledMRF` is its storage: every way of making an
-:class:`~repro.mrf.model.MRF` builds it in canonical form and
-``compiled()`` returns it.  Its stored fields are what it pickles; the
-padded tables, the ``(n, q)`` vertex table and the colouring test are
-derived on first use.  A CSP stores its constraints and compiles its
-:class:`CompiledCSP` on the first ``compiled()`` call (never at
-construction, decode or fingerprint time), memoized per immutable
-instance and left out of its pickles.
+Each record is its model's storage: every way of making an
+:class:`~repro.mrf.model.MRF` or a :class:`~repro.csp.model.LocalCSP`
+builds it in canonical form and ``compiled()`` returns it.  Its stored
+fields are what it pickles.  Everything else an engine reads (padded
+tables, the ``(n, q)`` vertex table and the colouring test of an MRF;
+arity buckets, flat tables, incidences, conflict edges and the greedy
+start of a CSP) is derived on first use, memoized on the record and left
+out of pickles.
 
 The padded tables the heat-bath engines walk (``padded_neighbours`` /
 ``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
 ``n x width`` slots, ``width`` being the largest degree, so a few
-high-degree vertices among many low-degree ones make them mostly padding.  They are built on first use,
-and a model whose padding would exceed :data:`MAX_PADDING` slots raises
+high-degree vertices among many low-degree ones make them mostly padding.
+A model whose padding would exceed :data:`MAX_PADDING` slots raises
 :class:`~repro.errors.StateSpaceTooLargeError` before anything is
 allocated.
 """
@@ -35,9 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import InfeasibleStateError, StateSpaceTooLargeError
-from repro.serialize import table_palette
 
-__all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF", "compile_csp"]
+__all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF"]
 
 #: Cap on the pad slots of one padded table (``n * width`` minus the real
 #: slots): 4M slots, 32 MB per int64 table.
@@ -56,6 +56,19 @@ def _csr_indptr(owners: np.ndarray, n: int) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
     return indptr
+
+
+def _first_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``values`` ``0, 1, ...`` in order of first appearance.
+
+    Returns ``(index, order)``: ``index[i]`` is the new number of
+    ``values[i]`` and ``order[k]`` the value numbered ``k``.
+    """
+    used, first = np.unique(values, return_index=True)
+    order = used[np.argsort(first)]
+    rank = np.zeros(int(used[-1]) + 1 if used.size else 0, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[values], order
 
 
 def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np.ndarray]:
@@ -197,40 +210,116 @@ class ArityBucket:
 
 @dataclass(frozen=True, eq=False)
 class CompiledCSP:
-    """Index-array form of a :class:`~repro.csp.model.LocalCSP`.
+    """The stored form of a :class:`~repro.csp.model.LocalCSP`.
 
-    ``buckets`` are in ascending arity.  ``flat_raw`` concatenates the
-    distinct constraint tables (row-major) and ``flat_norm`` the same
-    tables divided by their maxima (the LocalMetropolis filter factors);
-    ``table_starts[c]`` is constraint ``c``'s offset in both.  The slots
-    ``incidence_indptr[v]:incidence_indptr[v + 1]`` of ``incidence_constraint``
-    / ``incidence_stride`` list the constraints containing ``v`` in
-    constraint order, with the stride of ``v``'s axis in each table;
-    ``padded_constraints`` / ``padded_strides`` hold the same lists as
-    ``(n, width)`` rows.  ``conflict_u < conflict_v`` are the sorted edges
-    of the conflict graph (vertices sharing a scope).
+    Constraint ``c`` has the scope ``scope_vertex[scope_indptr[c]:
+    scope_indptr[c + 1]]``, in the order given, and the table
+    ``palette[constraint_table[c]]`` of shape ``(q,) * arity``.  The palette
+    holds each distinct table once (by its float64 bytes), read-only, in
+    first-use order along the constraints.  These stored fields are all a
+    pickle holds; every other field is derived on first use.  The slots
+    ``incidence_indptr[v]:incidence_indptr[v + 1]`` of
+    ``incidence_constraint`` / ``incidence_stride`` list the constraints
+    containing ``v`` in constraint order, with the stride of ``v``'s axis
+    in each table; ``padded_constraints`` / ``padded_strides`` hold the
+    same lists as ``(n, width)`` rows.
     """
 
     n: int
     q: int
-    num_constraints: int
-    buckets: tuple[ArityBucket, ...]
-    table_starts: np.ndarray
-    flat_raw: np.ndarray
-    flat_norm: np.ndarray
-    incidence_indptr: np.ndarray
-    incidence_constraint: np.ndarray
-    incidence_stride: np.ndarray
-    conflict_u: np.ndarray
-    conflict_v: np.ndarray
+    scope_indptr: np.ndarray
+    scope_vertex: np.ndarray
+    constraint_table: np.ndarray
+    palette: tuple[np.ndarray, ...]
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    @property
+    def num_constraints(self) -> int:
+        """Number of constraints."""
+        return int(self.constraint_table.size)
+
+    @cached_property
+    def buckets(self) -> tuple[ArityBucket, ...]:
+        """The constraints grouped by arity, ascending."""
+        arity = np.diff(self.scope_indptr)
+        buckets = []
+        for k in np.unique(arity).tolist():
+            ids = np.flatnonzero(arity == k)
+            scopes = self.scope_vertex[self.scope_indptr[ids, None] + np.arange(k)]
+            strides = self.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            arrays = map(_frozen, (ids, scopes, strides, self.table_starts[ids]))
+            buckets.append(ArityBucket(k, *arrays))
+        return tuple(buckets)
+
+    @cached_property
+    def table_starts(self) -> np.ndarray:
+        """``(C,)`` offset of each constraint's table in ``flat_raw`` and ``flat_norm``."""
+        sizes = np.array([table.size for table in self.palette], dtype=np.int64)
+        return _frozen((np.cumsum(sizes) - sizes)[self.constraint_table])
+
+    @cached_property
+    def flat_raw(self) -> np.ndarray:
+        """The palette tables concatenated row-major."""
+        return _frozen(np.concatenate([np.zeros(0), *(t.ravel() for t in self.palette)]))
+
+    @cached_property
+    def flat_norm(self) -> np.ndarray:
+        """``flat_raw`` with each table divided by its maximum."""
+        return _frozen(np.concatenate([np.zeros(0), *(t.ravel() / t.max() for t in self.palette)]))
+
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arity = np.diff(self.scope_indptr)
+        owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
+        stride = self.q ** (arity[owner] - 1 - np.arange(owner.size) + self.scope_indptr[owner])
+        # A stable sort keeps each vertex's slots in constraint order.
+        order = np.argsort(self.scope_vertex, kind="stable")
+        indptr = _csr_indptr(self.scope_vertex, self.n)
+        return _frozen(indptr), _frozen(owner[order]), _frozen(stride[order])
+
+    @property
+    def incidence_indptr(self) -> np.ndarray:
+        """``(n + 1,)`` CSR offsets of each vertex's incidence slots."""
+        return self._incidence[0]
+
+    @property
+    def incidence_constraint(self) -> np.ndarray:
+        """The constraint of each incidence slot (vertex-major, constraint order)."""
+        return self._incidence[1]
+
+    @property
+    def incidence_stride(self) -> np.ndarray:
+        """The stride of the slot vertex's axis in its constraint's table."""
+        return self._incidence[2]
+
+    @cached_property
+    def _conflict(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = [_EMPTY], [_EMPTY]
+        for bucket in self.buckets:
+            first, second = np.triu_indices(bucket.arity, k=1)
+            lo.append(np.minimum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
+            hi.append(np.maximum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
+        # Sorted, then deduplicated by a mask: np.unique is 50x slower here.
+        keys = np.sort(np.concatenate(lo) * self.n + np.concatenate(hi))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+        return _frozen(keys // self.n), _frozen(keys % self.n)
+
+    @property
+    def conflict_u(self) -> np.ndarray:
+        """Lower ends of the sorted conflict edges (vertices sharing a scope)."""
+        return self._conflict[0]
+
+    @property
+    def conflict_v(self) -> np.ndarray:
+        """Upper ends of the sorted conflict edges."""
+        return self._conflict[1]
 
     @property
     def mixing_rows(self) -> int:
         """``sum_c (2**|S_c| - 1)``: the factors of one LocalMetropolis filter."""
-        return sum(
-            int(bucket.constraints.size) * (2**bucket.arity - 1)
-            for bucket in self.buckets
-        )
+        return int(np.sum(2 ** np.diff(self.scope_indptr) - 1))
 
     @cached_property
     def _padded_incidence(self) -> list[np.ndarray]:
@@ -311,62 +400,3 @@ class CompiledCSP:
                 )
         return _frozen(np.asarray(config, dtype=np.int64))
 
-
-def compile_csp(csp) -> CompiledCSP:
-    """Build the :class:`CompiledCSP` of ``csp`` (use ``csp.compiled()``)."""
-    n, q = csp.n, csp.q
-    constraints = csp.constraints
-    tables, table_index = table_palette([constraint.table for constraint in constraints])
-    sizes = np.asarray([table.size for table in tables], dtype=np.int64)
-    palette_starts = np.cumsum(sizes) - sizes
-    table_starts = palette_starts[np.asarray(table_index, dtype=np.int64)]
-    if tables:
-        flat_raw = np.concatenate([table.ravel() for table in tables])
-        flat_norm = np.concatenate([table.ravel() / table.max() for table in tables])
-    else:
-        flat_raw = flat_norm = np.zeros(0, dtype=float)
-
-    arities = np.asarray([constraint.arity for constraint in constraints], dtype=np.int64)
-    buckets = []
-    slot_vertex, slot_constraint, slot_stride = [_EMPTY], [_EMPTY], [_EMPTY]
-    conflict_lo, conflict_hi = [_EMPTY], [_EMPTY]
-    for arity in np.unique(arities).tolist():
-        ids = np.flatnonzero(arities == arity)
-        scopes = np.asarray(
-            [constraints[i].scope for i in ids.tolist()], dtype=np.int64
-        ).reshape(ids.size, arity)
-        strides = q ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-        buckets.append(
-            ArityBucket(
-                arity=arity,
-                constraints=_frozen(ids),
-                scopes=_frozen(scopes),
-                strides=_frozen(strides),
-                table_starts=_frozen(table_starts[ids]),
-            )
-        )
-        slot_vertex.append(scopes.ravel())
-        slot_constraint.append(np.repeat(ids, arity))
-        slot_stride.append(np.tile(strides, ids.size))
-        first, second = np.triu_indices(arity, k=1)
-        conflict_lo.append(np.minimum(scopes[:, first], scopes[:, second]).ravel())
-        conflict_hi.append(np.maximum(scopes[:, first], scopes[:, second]).ravel())
-
-    vertex = np.concatenate(slot_vertex)
-    constraint = np.concatenate(slot_constraint)
-    incidence = np.lexsort((constraint, vertex))
-    keys = np.unique(np.concatenate(conflict_lo) * n + np.concatenate(conflict_hi))
-    return CompiledCSP(
-        n=n,
-        q=q,
-        num_constraints=len(constraints),
-        buckets=tuple(buckets),
-        table_starts=_frozen(table_starts),
-        flat_raw=_frozen(flat_raw),
-        flat_norm=_frozen(flat_norm),
-        incidence_indptr=_frozen(_csr_indptr(vertex, n)),
-        incidence_constraint=_frozen(constraint[incidence]),
-        incidence_stride=_frozen(np.concatenate(slot_stride)[incidence]),
-        conflict_u=_frozen(keys // n),
-        conflict_v=_frozen(keys % n),
-    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import networkx as nx
+import numpy as np
 
 from repro.csp.model import LocalCSP
 
@@ -22,12 +23,10 @@ __all__ = ["csp_neighbors", "conflict_graph", "is_strongly_independent"]
 def csp_neighbors(csp: LocalCSP) -> list[set[int]]:
     """Return ``Gamma(v)`` for each vertex: co-scoped vertices."""
     neighborhoods: list[set[int]] = [set() for _ in range(csp.n)]
-    for constraint in csp.constraints:
-        scope = constraint.scope
-        for u in scope:
-            for v in scope:
-                if u != v:
-                    neighborhoods[u].add(v)
+    compiled = csp.compiled()
+    for u, v in zip(compiled.conflict_u.tolist(), compiled.conflict_v.tolist()):
+        neighborhoods[u].add(v)
+        neighborhoods[v].add(u)
     return neighborhoods
 
 
@@ -38,20 +37,21 @@ def conflict_graph(csp: LocalCSP) -> nx.Graph:
     of the CSP hypergraph, so the Luby step on the conflict graph yields a
     valid LubyGlauber schedule for the CSP.
     """
+    compiled = csp.compiled()
     graph = nx.Graph()
     graph.add_nodes_from(range(csp.n))
-    for constraint in csp.constraints:
-        scope = constraint.scope
-        for i, u in enumerate(scope):
-            for v in scope[i + 1 :]:
-                graph.add_edge(u, v)
+    graph.add_edges_from(zip(compiled.conflict_u.tolist(), compiled.conflict_v.tolist()))
     return graph
 
 
 def is_strongly_independent(csp: LocalCSP, vertices: Iterable[int]) -> bool:
-    """Return True iff no constraint scope contains two of ``vertices``."""
-    chosen = set(vertices)
-    for constraint in csp.constraints:
-        if len(chosen.intersection(constraint.scope)) >= 2:
-            return False
-    return True
+    """Return True iff no constraint scope contains two of ``vertices``.
+
+    That is, no conflict edge joins two of them; a vertex outside
+    ``0..n-1`` is in no scope.
+    """
+    picked = np.fromiter(vertices, dtype=np.int64)
+    chosen = np.zeros(csp.n, dtype=bool)
+    chosen[picked[(picked >= 0) & (picked < csp.n)]] = True
+    compiled = csp.compiled()
+    return not np.any(chosen[compiled.conflict_u] & chosen[compiled.conflict_v])

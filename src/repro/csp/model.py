@@ -4,28 +4,60 @@ The weight of a configuration is ``w(sigma) = prod_c f_c(sigma|_{S_c})`` and
 the Gibbs distribution is proportional to it (paper Section 2.2).  Boolean
 constraint functions make mu the uniform distribution over CSP solutions —
 the "local sampling" counterpart of LCL problems.
+
+A CSP's arrays are its storage (:class:`~repro.compiled.CompiledCSP`),
+built in canonical form by one private constructor for every entry path;
+engines, :meth:`LocalCSP.to_dict` and the fingerprint read them.
+:class:`Constraint` is the input value type and the view the sequential
+chains and LOCAL protocols read (``constraints``, derived on first use).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
+from repro.compiled import CompiledCSP, _first_use, _frozen
 from repro.errors import ModelError, StateSpaceTooLargeError
 from repro.mrf.distribution import GibbsDistribution, spin_blocks
-from repro.serialize import (
-    frozen_table,
-    palette_index,
-    payload_fingerprint,
-    table_palette,
-)
-
-if TYPE_CHECKING:
-    from repro.compiled import CompiledCSP
+from repro.serialize import frozen_table, palette_index, payload_fingerprint, table_palette
 
 __all__ = ["Constraint", "LocalCSP", "exact_csp_gibbs_distribution"]
+
+
+def _table_problem(table: np.ndarray, arity: int, q: int | None = None) -> str | None:
+    """Why ``table`` is no valid constraint function of ``arity`` (over ``q`` spins), or None.
+
+    The one table validator: :class:`Constraint` runs it on its table, the
+    CSP constructor once per distinct palette entry.
+    """
+    if table.ndim != arity:
+        return f"table must have one axis per scope vertex ({arity}), got shape {table.shape}"
+    if len(set(table.shape)) != 1:
+        return "all table axes must share the domain size"
+    if q is not None and table.shape[0] != q:
+        return f"table domain {table.shape[0]} != CSP domain {q}"
+    if not np.all(np.isfinite(table)):
+        return (
+            "constraint function must be finite (no NaN/inf entries — a non-finite "
+            "factor makes the max-normalisation emit NaN)"
+        )
+    if np.any(table < 0):
+        return "constraint function must be non-negative"
+    if np.all(table == 0):
+        return "constraint function must not be identically zero"
+    return None
+
+
+def _scope_arrays(scopes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, vertex)`` arrays of a sequence of scopes."""
+    sizes = np.fromiter(map(len, scopes), dtype=np.int64, count=len(scopes))
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
+    flat = itertools.chain.from_iterable(scopes)
+    return indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
 
 
 class Constraint:
@@ -50,26 +82,11 @@ class Constraint:
         if not self.scope:
             raise ModelError(f"{name}: scope must be non-empty")
         table = np.asarray(table, dtype=float)
-        if table.ndim != len(self.scope):
-            raise ModelError(
-                f"{name}: table must have one axis per scope vertex "
-                f"({len(self.scope)}), got shape {table.shape}"
-            )
-        sizes = set(table.shape)
-        if len(sizes) != 1:
-            raise ModelError(f"{name}: all table axes must share the domain size")
-        if not np.all(np.isfinite(table)):
-            raise ModelError(
-                f"{name}: constraint function must be finite (no NaN/inf entries "
-                "— a non-finite factor makes the max-normalisation emit NaN)"
-            )
-        if np.any(table < 0):
-            raise ModelError(f"{name}: constraint function must be non-negative")
-        if np.all(table == 0):
-            raise ModelError(f"{name}: constraint function must not be identically zero")
+        problem = _table_problem(table, len(self.scope))
+        if problem:
+            raise ModelError(f"{name}: {problem}")
         if table.flags.writeable:  # already-frozen tables are shared, not copied
-            table = table.copy()
-            table.setflags(write=False)
+            table = frozen_table(table)
         self.table = table
         self.name = name
 
@@ -86,10 +103,6 @@ class Constraint:
     def evaluate(self, config: Sequence[int]) -> float:
         """Return ``f_c(sigma|_{S_c})`` for a full configuration ``sigma``."""
         return float(self.table[tuple(config[v] for v in self.scope)])
-
-    def evaluate_scope(self, local: Sequence[int]) -> float:
-        """Return ``f_c`` on spins given in scope order."""
-        return float(self.table[tuple(int(s) for s in local)])
 
     def normalized_table(self) -> np.ndarray:
         """Return ``f̃_c = f_c / max f_c`` — the LocalMetropolis filter factor.
@@ -113,35 +126,114 @@ class Constraint:
 class LocalCSP:
     """A weighted CSP over vertices ``0..n-1`` with spin domain ``[q]``.
 
-    Immutable: ``constraints`` is a tuple of :class:`Constraint` objects
-    (themselves frozen), and the mutation methods return new instances.
+    Immutable: the mutation methods return new instances.
     """
 
     def __init__(self, n: int, q: int, constraints: Sequence[Constraint], name: str = "csp") -> None:
+        constraints = tuple(constraints)
+        indptr, vertex = _scope_arrays([c.scope for c in constraints])
+        self._build(n, q, indptr, vertex, np.arange(len(constraints)),
+                    [c.table for c in constraints], [c.name for c in constraints], name)
+
+    def _build(
+        self, n: int, q: int, scope_indptr: np.ndarray, scope_vertex: np.ndarray,
+        table_index: np.ndarray, tables: Sequence[np.ndarray], names: Sequence[str], name: str,
+    ) -> None:
+        """The one constructor: check, canonicalise and store the arrays.
+
+        Constraint ``c`` (named ``names[c]``) has the scope
+        ``scope_vertex[scope_indptr[c]:scope_indptr[c + 1]]`` and the table
+        ``tables[table_index[c]]``.  Every distinct supplied table is checked,
+        used or not; the palette keeps the used ones in first-use order.
+        """
         if n < 1:
             raise ModelError(f"LocalCSP needs n >= 1, got {n}")
         if q < 2:
             raise ModelError(f"LocalCSP needs q >= 2, got {q}")
-        self.n = int(n)
-        self.q = int(q)
-        self.name = name
-        self.constraints = tuple(constraints)
+        arity = np.diff(scope_indptr)
+        owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
+        # A repeated scope vertex sits next to its repeat in (owner, vertex) order.
+        order = np.lexsort((scope_vertex, owner))
+        by_owner, by_vertex = owner[order], scope_vertex[order]
+        repeat = (by_owner[1:] == by_owner[:-1]) & (by_vertex[1:] == by_vertex[:-1])
+        for bad, problem in (
+            (np.flatnonzero(arity == 0), "scope must be non-empty"),
+            (owner[(scope_vertex < 0) | (scope_vertex >= n)], f"scope {{}} outside 0..{n - 1}"),
+            (by_owner[1:][repeat], "scope vertices must be distinct, got {}"),
+        ):
+            if bad.size:
+                c = int(bad[0])
+                scope = tuple(scope_vertex[scope_indptr[c] : scope_indptr[c + 1]].tolist())
+                raise ModelError(f"{names[c]}: {problem.format(scope)}")
+        distinct, position = table_palette(tables)
+        value = np.asarray(position, dtype=np.int64)[table_index]
+        for k, table in enumerate(distinct):
+            problem = _table_problem(table, table.ndim, q)
+            if problem:
+                uses = np.flatnonzero(value == k)
+                where = names[uses[0]] if uses.size else f"palette entry {position.index(k)}"
+                raise ModelError(f"{where}: {problem}")
+        ndim = np.array([table.ndim for table in distinct], dtype=np.int64)
+        mismatch = np.flatnonzero(ndim[value] != arity)
+        if mismatch.size:
+            c = int(mismatch[0])
+            raise ModelError(f"{names[c]}: {_table_problem(distinct[value[c]], arity[c])}")
+        constraint_table, used = _first_use(value)
+        palette = [distinct[k] for k in used.tolist()]
+        arrays = CompiledCSP(
+            n=int(n), q=int(q), scope_indptr=_frozen(scope_indptr),
+            scope_vertex=_frozen(scope_vertex), constraint_table=_frozen(constraint_table),
+            palette=tuple(frozen_table(t) if t.flags.writeable else t for t in palette),
+        )
+        self.__setstate__({"name": name, "constraint_names": tuple(names), "arrays": arrays})
+
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "constraint_names": self.constraint_names,
+                "arrays": self._arrays}
+
+    def __setstate__(self, state: dict) -> None:
+        self.name = state["name"]
+        self.constraint_names: tuple[str, ...] = state["constraint_names"]
+        self._arrays: CompiledCSP = state["arrays"]
+        self.n, self.q = self._arrays.n, self._arrays.q
         self._fingerprint: str | None = None
-        self._compiled: CompiledCSP | None = None
-        for constraint in self.constraints:
-            if constraint.q != q:
-                raise ModelError(
-                    f"{constraint.name}: table domain {constraint.q} != CSP domain {q}"
-                )
-            if any(v < 0 or v >= n for v in constraint.scope):
-                raise ModelError(
-                    f"{constraint.name}: scope {constraint.scope} outside 0..{n - 1}"
-                )
-        # Constraints incident to each vertex, used by conditional marginals.
-        self.incident: list[list[int]] = [[] for _ in range(n)]
-        for index, constraint in enumerate(self.constraints):
-            for v in constraint.scope:
-                self.incident[v].append(index)
+
+    # ------------------------------------------------------------------
+    # derived views (built on first use, never pickled)
+    # ------------------------------------------------------------------
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The constraints as :class:`Constraint` views sharing the palette tables."""
+        arrays = self._arrays
+        tables = [arrays.palette[t] for t in arrays.constraint_table.tolist()]
+        return tuple(map(Constraint, self._scopes(), tables, self.constraint_names))
+
+    def _scopes(self) -> list[list[int]]:
+        bounds, vertices = self._arrays.scope_indptr.tolist(), self._arrays.scope_vertex.tolist()
+        return [vertices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def incident(self) -> list[list[int]]:
+        """The constraints containing each vertex, in constraint order."""
+        arrays = self._arrays
+        bounds = arrays.incidence_indptr.tolist()
+        flat = arrays.incidence_constraint.tolist()
+        return [flat[bounds[v] : bounds[v + 1]] for v in range(self.n)]
+
+    @cached_property
+    def max_degree(self) -> int:
+        """The largest ``|Gamma(v)|``: the maximum degree of the conflict graph."""
+        arrays = self._arrays
+        ends = np.concatenate([arrays.conflict_u, arrays.conflict_v])
+        return int(np.bincount(ends, minlength=1).max())
+
+    def scope(self, index: int) -> tuple[int, ...]:
+        """The scope of constraint ``index``, in the order given."""
+        index, count = int(index), len(self.constraint_names)
+        if not 0 <= index < count:
+            raise ModelError(f"constraint index {index} outside 0..{count - 1}")
+        start, stop = self._arrays.scope_indptr[index : index + 2].tolist()
+        return tuple(self._arrays.scope_vertex[start:stop].tolist())
 
     def weight(self, config: Sequence[int]) -> float:
         """Return ``w(sigma) = prod_c f_c(sigma|_{S_c})``."""
@@ -170,7 +262,7 @@ class LocalCSP:
             position = constraint.scope.index(v)
             for spin in range(self.q):
                 base[position] = spin
-                weights[spin] *= constraint.evaluate_scope(base)
+                weights[spin] *= float(constraint.table[tuple(base)])
         total = weights.sum()
         if total <= 0.0:
             raise ModelError(
@@ -181,57 +273,66 @@ class LocalCSP:
     # ------------------------------------------------------------------
     # copy-on-write mutation
     # ------------------------------------------------------------------
-    def with_constraint(self, constraint: Constraint) -> LocalCSP:
-        """Return a copy with ``constraint`` appended (copy-on-write).
+    def _derive(self, scope_indptr, scope_vertex, table_index, tables, names) -> LocalCSP:
+        model = LocalCSP.__new__(LocalCSP)
+        model._build(self.n, self.q, scope_indptr, scope_vertex, table_index, tables, names,
+                     self.name)
+        return model
 
-        :class:`Constraint` objects are immutable (frozen tables), so the
-        derived model shares them with ``self``; only the index lists are
-        rebuilt.  The derived model is a new instance, and
-        :meth:`model_fingerprint` is memoized per immutable instance, so
-        the derived model's fingerprint reflects the mutation while
-        ``self`` keeps its own.
+    def with_constraint(self, constraint: Constraint) -> LocalCSP:
+        """Return a copy with ``constraint`` appended.
+
+        Copy-on-write, like both mutations: an O(C) edit of the stored
+        arrays (the new table joins the palette), canonicalised by the one
+        constructor into a new instance with its own fingerprint.
         """
-        return LocalCSP(
-            self.n, self.q, [*self.constraints, constraint], name=self.name
+        arrays = self._arrays
+        return self._derive(
+            np.append(arrays.scope_indptr, arrays.scope_indptr[-1] + len(constraint.scope)),
+            np.concatenate([arrays.scope_vertex, np.asarray(constraint.scope, dtype=np.int64)]),
+            np.append(arrays.constraint_table, len(arrays.palette)),
+            (*arrays.palette, constraint.table),
+            (*self.constraint_names, constraint.name),
         )
 
     def without_constraint(self, index: int) -> LocalCSP:
         """Return a copy with constraint ``index`` removed (copy-on-write)."""
-        index = int(index)
-        if not (0 <= index < len(self.constraints)):
-            raise ModelError(
-                f"constraint index {index} outside 0..{len(self.constraints) - 1}"
-            )
-        remaining = [
-            constraint
-            for position, constraint in enumerate(self.constraints)
-            if position != index
-        ]
-        return LocalCSP(self.n, self.q, remaining, name=self.name)
+        arity, index, arrays = len(self.scope(index)), int(index), self._arrays
+        start = int(arrays.scope_indptr[index])
+        scope_indptr = np.delete(arrays.scope_indptr, index + 1)
+        scope_indptr[index + 1 :] -= arity
+        return self._derive(
+            scope_indptr, np.delete(arrays.scope_vertex, np.s_[start : start + arity]),
+            np.delete(arrays.constraint_table, index), arrays.palette,
+            self.constraint_names[:index] + self.constraint_names[index + 1 :],
+        )
 
+    # ------------------------------------------------------------------
+    # canonical serialization
+    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
 
-        ``palette`` holds each distinct constraint table once, in
-        first-use order along the constraints (deduplicated by shape and
-        float64 bytes); each ``constraints`` entry carries its name, its
-        scope and the palette position of its table.  Constraint *order*
-        is preserved: it does not change the Gibbs distribution, but it
-        does fix the factor-evaluation order of the chains, which is part
-        of the bit-level determinism contract the serving cache relies on.
+        Lists the stored arrays: ``palette`` holds each distinct table once,
+        in first-use order along the constraints, and each ``constraints``
+        entry carries its name, its scope and the palette position of its
+        table.  Constraint *order* is preserved: it does not change the
+        Gibbs distribution, but it does fix the factor-evaluation order of
+        the chains, which is part of the bit-level determinism contract the
+        serving cache relies on.
         """
-        tables, index = table_palette(
-            [constraint.table for constraint in self.constraints]
-        )
+        arrays = self._arrays
         return {
             "type": "csp",
             "name": self.name,
             "n": self.n,
             "q": self.q,
-            "palette": [table.tolist() for table in tables],
+            "palette": [table.tolist() for table in arrays.palette],
             "constraints": [
-                {"name": constraint.name, "scope": list(constraint.scope), "table": i}
-                for constraint, i in zip(self.constraints, index)
+                {"name": name, "scope": scope, "table": t}
+                for name, scope, t in zip(
+                    self.constraint_names, self._scopes(), arrays.constraint_table.tolist()
+                )
             ],
         }
 
@@ -239,31 +340,26 @@ class LocalCSP:
     def from_dict(cls, payload: dict) -> LocalCSP:
         """Rebuild a :class:`LocalCSP` from a :meth:`to_dict` payload.
 
-        Constraints naming one palette entry share one frozen table.
+        Loads the listed arrays through the one constructor, which checks
+        every palette entry, used or not, like any other entry path; no
+        :class:`Constraint` is built.
         """
         try:
             n = int(payload["n"])
             q = int(payload["q"])
             tables = [frozen_table(table) for table in payload["palette"]]
             entries = list(payload["constraints"])
-            index = palette_index(
-                [entry["table"] for entry in entries],
-                len(tables),
-                len(entries),
-                "constraint",
+            table_index = palette_index(
+                [entry["table"] for entry in entries], len(tables), len(entries), "constraint"
             )
-            constraints = [
-                Constraint(
-                    entry["scope"],
-                    tables[i],
-                    name=str(entry.get("name", "constraint")),
-                )
-                for entry, i in zip(entries, index)
-            ]
+            scope_indptr, scope_vertex = _scope_arrays([entry["scope"] for entry in entries])
+            names = [str(entry.get("name", "constraint")) for entry in entries]
             name = str(payload.get("name", "csp"))
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ModelError(f"malformed CSP payload: {error}") from None
-        return cls(n, q, constraints, name=name)
+        model = cls.__new__(cls)
+        model._build(n, q, scope_indptr, scope_vertex, table_index, tables, names, name)
+        return model
 
     def model_fingerprint(self) -> str:
         """Stable content hash of the distribution-defining payload.
@@ -282,29 +378,12 @@ class LocalCSP:
         return self._fingerprint
 
     def compiled(self) -> CompiledCSP:
-        """The :class:`~repro.compiled.CompiledCSP` index-array form.
-
-        Built on the first call (the first engine build) and memoized per
-        immutable instance, like :meth:`model_fingerprint`; left out of
-        pickles, so a worker that unpickles a job compiles its own copy.
-        """
-        if self._compiled is None:
-            from repro.compiled import compile_csp
-
-            self._compiled = compile_csp(self)
-        return self._compiled
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_compiled"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._compiled = None
+        """The stored :class:`~repro.compiled.CompiledCSP` record; builds nothing."""
+        return self._arrays
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LocalCSP(name={self.name!r}, n={self.n}, q={self.q}, constraints={len(self.constraints)})"
+        count = len(self.constraint_names)
+        return f"LocalCSP(name={self.name!r}, n={self.n}, q={self.q}, constraints={count})"
 
 
 def exact_csp_gibbs_distribution(csp: LocalCSP, max_states: int = 2_000_000) -> GibbsDistribution:
@@ -318,12 +397,14 @@ def exact_csp_gibbs_distribution(csp: LocalCSP, max_states: int = 2_000_000) -> 
         raise StateSpaceTooLargeError(
             f"state space {csp.q}**{csp.n} = {size} exceeds max_states={max_states}"
         )
+    tables = [csp.compiled().palette[t] for t in csp.compiled().constraint_table.tolist()]
+    factors = list(zip(tables, csp._scopes()))
     weights = np.empty(size)
     for start, spins in spin_blocks(csp.n, csp.q):
         # The factors of LocalCSP.weight, in its order: equal bit for bit.
         block = np.ones(spins.shape[1])
-        for constraint in csp.constraints:
-            block *= constraint.table[tuple(spins[v] for v in constraint.scope)]
+        for table, scope in factors:
+            block *= table[tuple(spins[scope])]
         weights[start : start + block.size] = block
     if weights.sum() <= 0.0:
         raise ModelError("CSP has no feasible configuration (Z = 0)")

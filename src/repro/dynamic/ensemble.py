@@ -170,14 +170,7 @@ class DynamicEnsemble:
     def remove_constraint(self, index: int) -> DynamicEnsemble:
         """Remove constraint ``index``; mark its scope's influence ball."""
         model = self._require_csp("remove_constraint")
-        index = int(index)
-        if not (0 <= index < len(model.constraints)):
-            raise ModelError(
-                f"constraint index {index} outside "
-                f"0..{len(model.constraints) - 1}"
-            )
-        touched = model.constraints[index].scope
-        return self._mutate(model.without_constraint(index), touched)
+        return self._mutate(model.without_constraint(index), model.scope(index))
 
     # ------------------------------------------------------------------
     # incremental resampling

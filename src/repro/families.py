@@ -34,7 +34,6 @@ from repro.chains.luby_glauber import LubyGlauberChain
 from repro.csp.builders import (
     coloring_csp, dominating_set_csp, maximal_independent_set_csp, not_all_equal_csp,
 )
-from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import LocalCSP
 from repro.errors import ModelError
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_regular_graph, torus_graph
@@ -274,8 +273,6 @@ def model_degree(model: MRF | LocalCSP) -> int:
     *conflict graph* — ``Gamma(v)`` counts every co-scoped vertex, the
     neighbourhood both CSP chains operate on.
     """
-    if isinstance(model, LocalCSP):
-        return max((len(s) for s in csp_neighbors(model)), default=0)
     return int(model.max_degree)
 
 

@@ -28,19 +28,6 @@ from repro.mrf.model import MRF
 __all__ = ["influence_matrix", "dobrushin_alpha", "coloring_total_influence"]
 
 
-def _feasible_neighborhood_patterns(mrf: MRF, vertices: list[int]) -> list[tuple[int, ...]]:
-    """Enumerate spin patterns on ``vertices`` extendable to a feasible config.
-
-    A pattern is kept iff some full configuration agreeing with it has
-    positive weight.  Exhaustive (``q**n`` scan) — intended for small models.
-    """
-    keep: set[tuple[int, ...]] = set()
-    for config in itertools.product(range(mrf.q), repeat=mrf.n):
-        if mrf.is_feasible(config):
-            keep.add(tuple(config[v] for v in vertices))
-    return sorted(keep)
-
-
 def influence_matrix(mrf: MRF, max_states: int = 500_000) -> np.ndarray:
     """Return the exact ``n x n`` influence matrix ``R = (rho_{i,j})``.
 

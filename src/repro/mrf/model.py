@@ -32,7 +32,7 @@ from functools import cached_property
 import networkx as nx
 import numpy as np
 
-from repro.compiled import CompiledMRF, _frozen
+from repro.compiled import CompiledMRF, _first_use, _frozen
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
 from repro.serialize import palette_index, payload_fingerprint, table_palette
@@ -49,19 +49,6 @@ Config = tuple[int, ...]
 def as_config(values: Iterable[int]) -> Config:
     """Coerce an iterable of spins (e.g. a numpy array) into a :data:`Config`."""
     return tuple(int(x) for x in values)
-
-
-def _first_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Renumber ``values`` ``0, 1, ...`` in order of first appearance.
-
-    Returns ``(index, order)``: ``index[i]`` is the new number of
-    ``values[i]`` and ``order[k]`` the value numbered ``k``.
-    """
-    used, first = np.unique(values, return_index=True)
-    order = used[np.argsort(first)]
-    rank = np.zeros(int(used[-1]) + 1 if used.size else 0, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    return rank[values], order
 
 
 def _stack_edge_tables(tables: list[np.ndarray], q: int) -> tuple[np.ndarray, tuple | None]:

@@ -468,10 +468,6 @@ class JobSpec:
             )
         return spec
 
-    def with_name(self, name: str | None) -> JobSpec:
-        """A copy of this spec relabelled as ``name`` (specs are frozen)."""
-        return replace(self, name=name)
-
     def with_placement(
         self, parallel: int | None = None, shard_size: int | None = None
     ) -> JobSpec:

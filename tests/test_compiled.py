@@ -1,13 +1,12 @@
 """The index-array forms the general engines build from.
 
-``MRF.compiled()`` is the record the model stores: it must describe the
-model exactly, hold the model's only copy of its arrays (engines read
-them, not copies), stay read-only and pickle without its derived tables.
-``LocalCSP.compiled()`` must describe the constraints, be memoized per
-immutable instance (built on the first engine build, never at
-construction, decode or fingerprint time) and stay out of pickles.  The
-batched LocalMetropolis CSP filter built on it must equal the sequential
-chain's pass probabilities bit for bit.
+``MRF.compiled()`` and ``LocalCSP.compiled()`` are the records the models
+store: each must describe its model exactly, hold the model's only copy of
+its arrays (engines read them, not copies), stay read-only and pickle
+without its derived tables.  The CSP cases compare against walks over the
+scopes the test built the model from, never against the model's own
+derived views.  The batched LocalMetropolis CSP filter built on the record
+must equal the sequential chain's pass probabilities bit for bit.
 """
 
 from __future__ import annotations
@@ -56,15 +55,21 @@ def per_edge_mrf(seed: int = 3) -> MRF:
     return MRF(graph, 3, tables, rng.uniform(0.5, 1.5, size=(12, 3)))
 
 
-def mixed_csp() -> LocalCSP:
+MIXED_SCOPES = [(0, 1, 2), (3,), (2, 4), (1, 3, 5, 6), (6,), (5, 0), (4, 6, 2)]
+ISOLATED_SCOPES = [(0, 1), (2, 0, 4), (0,), (1, 4)]  # vertex 3 in none, vertex 0 in three
+
+
+def mixed_constraints() -> list[Constraint]:
     """Arities 1, 2, 3 and 4 interleaved in constraint order."""
     rng = np.random.default_rng(8)
-    scopes = [(0, 1, 2), (3,), (2, 4), (1, 3, 5, 6), (6,), (5, 0), (4, 6, 2)]
-    constraints = [
+    return [
         Constraint(scope, rng.uniform(0.2, 1.0, size=(3,) * len(scope)))
-        for scope in scopes
+        for scope in MIXED_SCOPES
     ]
-    return LocalCSP(7, 3, constraints)
+
+
+def mixed_csp() -> LocalCSP:
+    return LocalCSP(7, 3, mixed_constraints())
 
 
 def uneven_mrf() -> MRF:
@@ -76,12 +81,10 @@ def uneven_mrf() -> MRF:
 
 
 def isolated_vertex_csp() -> LocalCSP:
-    """Vertex 3 is in no constraint; vertex 0 is in three."""
     rng = np.random.default_rng(9)
-    scopes = [(0, 1), (2, 0, 4), (0,), (1, 4)]
     constraints = [
         Constraint(scope, rng.uniform(0.2, 1.0, size=(2,) * len(scope)))
-        for scope in scopes
+        for scope in ISOLATED_SCOPES
     ]
     return LocalCSP(5, 2, constraints)
 
@@ -179,22 +182,24 @@ class TestCompiledMRF:
 
 
 class TestCompiledCSP:
-    @pytest.mark.parametrize("make", [mixed_csp, isolated_vertex_csp])
-    def test_padded_incidence_lists_each_vertex_constraints(self, make):
+    @pytest.mark.parametrize(
+        "make, scopes", [(mixed_csp, MIXED_SCOPES), (isolated_vertex_csp, ISOLATED_SCOPES)]
+    )
+    def test_padded_incidence_lists_each_vertex_constraints(self, make, scopes):
         csp = make()
         compiled = csp.compiled()
-        width = max(max(len(csp.incident[v]) for v in range(csp.n)), 1)
+        incident = [[c for c, scope in enumerate(scopes) if v in scope] for v in range(csp.n)]
+        width = max(max(map(len, incident)), 1)
         assert compiled.padded_constraints.shape == (csp.n, width)
         assert not compiled.padded_constraints.flags.writeable
         assert not compiled.padded_strides.flags.writeable
         for v in range(csp.n):
-            incident = list(csp.incident[v])
-            count = len(incident)
-            assert compiled.padded_constraints[v, :count].tolist() == incident
-            for k, c in enumerate(incident):
-                scope = csp.constraints[c].scope
+            count = len(incident[v])
+            assert compiled.padded_constraints[v, :count].tolist() == incident[v]
+            for k, c in enumerate(incident[v]):
+                scope = scopes[c]
                 assert compiled.padded_strides[v, k] == csp.q ** (len(scope) - 1 - scope.index(v))
-            assert np.all(compiled.padded_constraints[v, count:] == len(csp.constraints))
+            assert np.all(compiled.padded_constraints[v, count:] == len(scopes))
             assert np.all(compiled.padded_strides[v, count:] == 0)
 
     def test_padded_incidence_is_capped(self, monkeypatch):
@@ -239,7 +244,15 @@ class TestCompiledCSP:
 
 
 MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
-CSPS = MODELS[1:]
+CSP_STATE = {"name", "constraint_names", "n", "q", "_arrays", "_fingerprint"}
+CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
+#: The arrays each record derives on first use, which engines share by identity.
+MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables")
+CSP_DERIVED = (
+    "table_starts", "flat_raw", "flat_norm", "incidence_indptr", "incidence_constraint",
+    "incidence_stride", "conflict_u", "conflict_v", "padded_constraints", "padded_strides",
+    "greedy_start",
+)
 
 
 class TestMemoization:
@@ -248,39 +261,62 @@ class TestMemoization:
         model = make()
         compiled = model.compiled()
         assert model.compiled() is compiled
-        for array in _arrays(compiled):
+        names = CSP_DERIVED if isinstance(model, LocalCSP) else MRF_DERIVED
+        derived = [getattr(compiled, name) for name in names]
+        assert all(getattr(compiled, name) is array for name, array in zip(names, derived))
+        buckets = getattr(compiled, "buckets", ())
+        arrays = [
+            *_arrays(compiled), *derived, *map(np.asarray, compiled.palette),
+            *(array for bucket in buckets for array in _arrays(bucket)),
+        ]
+        assert len(arrays) >= len(names) + 3
+        for array in arrays:
             assert not array.flags.writeable
-        for bucket in getattr(compiled, "buckets", ()):
-            assert not any(a.flags.writeable for a in _arrays(bucket))
 
-    @pytest.mark.parametrize("make", CSPS)
-    def test_not_built_by_construction_decode_or_fingerprint(self, make, monkeypatch):
-        calls = []
-        original = repro.compiled.compile_csp
-        monkeypatch.setattr(
-            repro.compiled, "compile_csp", lambda model: calls.append(model) or original(model)
-        )
-        model = make()
-        model.model_fingerprint()
-        decoded = model_from_dict(model.to_dict())
-        decoded.model_fingerprint()
-        JobSpec.sample_many(decoded, 2, rounds=1, seed=0).cache_key()
-        assert calls == []
-        model.compiled()
-        model.compiled()
-        assert calls == [model]
+    @pytest.mark.parametrize(
+        "build",
+        [
+            mixed_csp,
+            lambda: LocalCSP.from_dict(mixed_csp().to_dict()),
+            lambda: mixed_csp().without_constraint(2),
+            lambda: mixed_csp().with_constraint(Constraint((1, 5), np.ones((3, 3)))),
+        ],
+        ids=["constructed", "decoded", "removed", "appended"],
+    )
+    def test_csp_stores_its_arrays_and_no_constraint_objects(self, build):
+        csp = build()
+        assert set(vars(csp)) == CSP_STATE
+        compiled = csp.compiled()
+        assert compiled is csp.compiled()
+        # Nothing but the stored fields until something reads a derived one;
+        # identifying the model derives nothing.
+        csp.model_fingerprint()
+        JobSpec.sample_many(csp, 2, rounds=1, seed=0).cache_key()
+        assert set(vars(compiled)) == CSP_FIELDS
+        assert set(vars(csp)) == CSP_STATE
 
-    @pytest.mark.parametrize("make", CSPS)
-    def test_left_out_of_pickles(self, make):
-        model = make()
-        before = pickle.dumps(model)
-        repro.run_spec(JobSpec.sample_many(model, 3, method="luby-glauber", rounds=2, seed=4))
-        assert model._compiled is not None
-        after = pickle.dumps(model)
+    @pytest.mark.parametrize("method", ["luby-glauber", "local-metropolis"])
+    def test_csp_pickle_holds_the_arrays_only(self, method):
+        csp = mixed_csp()
+        before = pickle.dumps(csp)
+        repro.run_spec(JobSpec.sample_many(csp, 3, method=method, rounds=2, seed=4))
+        compiled = csp.compiled()
+        csp.constraints, csp.incident, csp.max_degree, csp.model_fingerprint()
+        for derived in ("buckets", "mixing_rows", *CSP_DERIVED):
+            getattr(compiled, derived)
+        after = pickle.dumps(csp)
         assert len(after) == len(before)
         restored = pickle.loads(after)
-        assert restored._compiled is None
-        assert restored.model_fingerprint() == model.model_fingerprint()
+        assert set(vars(restored)) == CSP_STATE
+        assert set(vars(restored.compiled())) == CSP_FIELDS
+        assert restored.constraint_names == csp.constraint_names
+        assert restored.model_fingerprint() == csp.model_fingerprint()
+        for field in ("scope_indptr", "scope_vertex", "constraint_table"):
+            np.testing.assert_array_equal(
+                getattr(restored.compiled(), field), getattr(compiled, field)
+            )
+        for mine, theirs in zip(restored.compiled().palette, compiled.palette, strict=True):
+            assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize(
         "build",
@@ -378,9 +414,26 @@ class TestEnginesReadTheCompiledForm:
                 )
                 for r in range(6)
             ]
-            for c in csp.constraints
+            for c in mixed_constraints()
         ])
         np.testing.assert_array_equal(got, expected)
+
+    def test_csp_engines_read_the_memoized_derived_fields(self):
+        csp = mixed_csp()
+        compiled = csp.compiled()
+        engines = [
+            EnsembleLubyGlauberCSP(csp, 2, seed=0),
+            EnsembleLocalMetropolisCSP(csp, 2, seed=0),
+            EnsembleLocalMetropolisCSP(csp, 3, seed=1),
+        ]
+        assert compiled is csp.compiled()
+        for engine in engines:
+            for (arity, ids, _, _, starts), bucket in zip(
+                engine._buckets, compiled.buckets, strict=True
+            ):
+                assert arity == bucket.arity and ids is bucket.constraints
+                assert starts.base is bucket.table_starts
+        assert engines[1]._flat_norm is engines[2]._flat_norm is compiled.flat_norm
 
     def test_filter_over_one_arity_uses_no_scatter(self):
         csp = not_all_equal_csp([(0, 1, 2), (2, 3, 4), (4, 5, 0)], n=6, q=3)

@@ -1,8 +1,16 @@
 """Tests for weighted local CSPs: model, builders, hypergraph structure."""
 
+import json
+import pickle
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro import DynamicEnsemble, JobSpec
 from repro.csp import (
     Constraint,
     LocalCSP,
@@ -17,7 +25,8 @@ from repro.csp import (
     not_all_equal_csp,
 )
 from repro.errors import ModelError
-from repro.graphs import cycle_graph, path_graph, star_graph
+from repro.families import DISPATCH
+from repro.graphs import cycle_graph, path_graph, star_graph, torus_graph
 from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
 
 
@@ -86,6 +95,198 @@ class TestLocalCSP:
     def test_scope_out_of_range_rejected(self):
         with pytest.raises(ModelError, match="outside"):
             LocalCSP(2, 2, [Constraint((0, 5), np.ones((2, 2)))])
+
+    def test_constraint_index_out_of_range_rejected(self):
+        csp = coloring_csp(path_graph(3), 3)
+        for index in (-1, 2):
+            with pytest.raises(ModelError, match="outside 0..1"):
+                csp.without_constraint(index)
+            with pytest.raises(ModelError, match="outside 0..1"):
+                csp.scope(index)
+        assert csp.scope(1) == (1, 2)
+
+
+def _payload(**edits) -> dict:
+    """A decoded q=2 payload with arities 1, 2 and 3, with ``edits`` applied."""
+    payload = json.loads(json.dumps(dominating_set_csp(path_graph(4), weight=2.0).to_dict()))
+    for key, value in edits.items():
+        if key == "palette":
+            payload["palette"].append(value)
+        else:
+            payload["constraints"][0][key] = value
+    return payload
+
+
+class TestFromDict:
+    """``from_dict`` checks what every other entry path checks, and builds no Constraint."""
+
+    @pytest.mark.parametrize(
+        "edits, needle",
+        [
+            ({"scope": [0, 0]}, "distinct"),
+            ({"scope": [0, 4]}, "outside 0..3"),
+            ({"scope": []}, "non-empty"),
+            ({"scope": [0, 1, 2]}, "one axis per scope vertex"),
+            ({"table": 7}, "palette index"),
+            ({"palette": [[float("nan"), -1.0], [0.0, 0.0]]}, "palette entry 3: .*finite"),
+            ({"palette": [-1.0, 1.0]}, "palette entry 3: .*non-negative"),
+            ({"palette": [[1.0, 1.0, 1.0]] * 3}, "palette entry 3: table domain 3"),
+            ({"scope": "ab"}, "malformed"),
+        ],
+    )
+    def test_refused(self, edits, needle):
+        with pytest.raises(ModelError, match=needle):
+            LocalCSP.from_dict(_payload(**edits))
+
+    def test_unused_entry_is_named_by_its_payload_position(self):
+        payload = _payload()
+        # Entry 3 repeats entry 0, so the bad entry 4 is the fourth distinct one.
+        payload["palette"] += [payload["palette"][0], [[float("nan"), -1.0], [0.0, 0.0]]]
+        with pytest.raises(ModelError, match="palette entry 4: .*finite"):
+            LocalCSP.from_dict(payload)
+
+    def test_scope_checks_hold_at_any_n(self):
+        """Past 2**62 vertices no (constraint, vertex) pair is mistaken for a repeat."""
+        payload = _payload()
+        payload["n"] = 2**62
+        for entry in payload["constraints"]:
+            entry["scope"] = [v * 2**60 for v in entry["scope"]]
+        csp = LocalCSP.from_dict(payload)  # vertex 0 is in constraints 0, 1 and 4
+        assert csp.scope(4) == (0,)
+        payload["constraints"][5]["scope"] = [2**62 - 1, 2**62 - 1]
+        payload["constraints"][5]["table"] = 0
+        with pytest.raises(ModelError, match=r"pick-weight\(1\): scope vertices must be distinct"):
+            LocalCSP.from_dict(payload)
+
+    def test_non_finite_used_entry_is_refused_naming_its_constraint(self):
+        payload = _payload()
+        payload["palette"][0][0][0] = float("inf")
+        name = payload["constraints"][0]["name"]
+        with pytest.raises(ModelError, match=rf"{re.escape(name)}: .*finite"):
+            LocalCSP.from_dict(payload)
+
+
+#: Tables over q=3: a colouring, a unary row, a 3-ary NAE table, a
+#: value-equal copy of the colouring (must share its palette entry), one
+#: differing only in the sign of its zeros (distinct float64 bytes, so a
+#: distinct entry) and a unary row with a zero.
+Q = 3
+TABLES = [
+    np.ones((Q, Q)) - np.eye(Q),
+    np.array([1.0, 2.0, 0.5]),
+    np.where(np.arange(Q**3).reshape(Q, Q, Q) % 13 == 0, 0.0, 1.0),
+    np.ones((Q, Q)) - np.eye(Q),
+    np.where(np.eye(Q) > 0, -0.0, 1.0),
+    np.array([0.0, 1.0, 1.0]),
+]
+N = 6
+START = [((0, 1), 0), ((2,), 1), ((1, 2, 3), 2), ((3, 4), 3), ((5, 0), 4), ((4,), 5)]
+OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["with_constraint", "without_constraint"]),
+        st.integers(0, len(TABLES) - 1),
+        st.permutations(range(N)),
+        st.integers(-1, 8),
+    ),
+    max_size=12,
+)
+
+
+def _constraint(scope, k: int) -> Constraint:
+    return Constraint(scope, TABLES[k], name=f"t{k}{tuple(scope)}")
+
+
+def _stored(csp: LocalCSP) -> list[np.ndarray]:
+    arrays = csp.compiled()
+    return [arrays.scope_indptr, arrays.scope_vertex, arrays.constraint_table]
+
+
+class TestStoredForm:
+    @settings(max_examples=80, deadline=None)
+    @given(OPERATIONS)
+    def test_mutations_store_the_arrays_of_a_fresh_build(self, operations):
+        constraints = list(START)
+        csp = LocalCSP(N, Q, [_constraint(*entry) for entry in START])
+        for op, k, order, index in operations:
+            if op == "with_constraint":
+                scope = tuple(order[: TABLES[k].ndim])
+                csp = csp.with_constraint(_constraint(scope, k))
+                constraints.append((scope, k))
+            elif 0 <= index < len(constraints):
+                csp = csp.without_constraint(index)
+                del constraints[index]
+            else:
+                with pytest.raises(ModelError, match="outside"):
+                    csp.without_constraint(index)
+        fresh = LocalCSP(N, Q, [_constraint(*entry) for entry in constraints])
+        decoded = LocalCSP.from_dict(json.loads(json.dumps(csp.to_dict())))
+        for built in (fresh, decoded):
+            for mine, theirs in zip(_stored(csp), _stored(built), strict=True):
+                assert mine.dtype == theirs.dtype == np.int64
+                np.testing.assert_array_equal(mine, theirs)
+            mine, theirs = csp.compiled().palette, built.compiled().palette
+            assert [t.tobytes() for t in mine] == [t.tobytes() for t in theirs]
+            assert built.constraint_names == csp.constraint_names
+            assert built.model_fingerprint() == csp.model_fingerprint()
+        # The palette: each table once by its bytes, in first-use order.
+        arrays = csp.compiled()
+        firsts = list(dict.fromkeys(TABLES[k].tobytes() for _, k in constraints))
+        assert [table.tobytes() for table in arrays.palette] == firsts
+        assert not any(table.flags.writeable for table in arrays.palette)
+        assert [csp.scope(c) for c in range(len(constraints))] == [s for s, _ in constraints]
+
+
+def _refuse_constraint(self, *args, **kwargs):
+    raise AssertionError("a Constraint was built")
+
+
+def _mixed_csp() -> LocalCSP:
+    """Arities 1, 2 and 3: covers of P5 plus a unary pick weight per vertex."""
+    return dominating_set_csp(path_graph(5), weight=2.0)
+
+
+class TestNoConstraintObjects:
+    """Decode, mutate, identify, pickle and run a CSP without building a Constraint."""
+
+    def test_model_paths_build_no_constraint(self, monkeypatch):
+        payload = json.loads(json.dumps(_mixed_csp().to_dict()))
+        extra = Constraint((0, 4), np.ones((2, 2)), name="extra")
+        monkeypatch.setattr(Constraint, "__init__", _refuse_constraint)
+        decoded = LocalCSP.from_dict(payload)
+        derived = [decoded.with_constraint(extra), decoded.without_constraint(3)]
+        # Vertex 2 shares a cover with 0, 1, 3 and 4 until cover(3) goes.
+        for model, degree in zip([decoded, *derived], [4, 4, 3], strict=True):
+            model.model_fingerprint()
+            JobSpec.sample_many(model, 2, rounds=1, seed=0).cache_key()
+            restored = pickle.loads(pickle.dumps(model))
+            assert restored.model_fingerprint() == model.model_fingerprint()
+            assert repro.model_degree(model) == degree
+        with pytest.raises(AssertionError, match="Constraint"):
+            decoded.constraints
+
+    @pytest.mark.parametrize("parallel", [None, 0], ids=["direct", "sharded"])
+    @pytest.mark.parametrize("row", [row for row in DISPATCH if row.kind == "csp"],
+                             ids=lambda row: row.ensemble.__name__)
+    def test_every_csp_dispatch_row_runs_without_a_constraint(self, monkeypatch, row, parallel):
+        model = _mixed_csp()
+        monkeypatch.setattr(Constraint, "__init__", _refuse_constraint)
+        shards = {} if parallel is None else {"parallel": parallel, "shard_size": 2}
+        batch = repro.run_spec(
+            JobSpec.sample_many(model, 4, method=row.method, rounds=3, seed=1, **shards)
+        )
+        assert batch.shape == (4, 5)
+        curve = repro.run_spec(
+            JobSpec.tv_curve(model, (1, 2), method=row.method, replicas=64, seed=2, **shards)
+        )
+        assert [r for r, _ in curve] == [1, 2]
+
+    @pytest.mark.parametrize("method", ["luby-glauber", "local-metropolis"])
+    def test_dynamic_remove_and_resample_build_no_constraint(self, monkeypatch, method):
+        model = dominating_set_csp(torus_graph(4, 4))
+        monkeypatch.setattr(Constraint, "__init__", _refuse_constraint)
+        dyn = DynamicEnsemble(model, 8, method=method, seed=3)
+        dyn.remove_constraint(3).resample()
+        assert dyn.resamples == 1 and dyn.config.shape == (8, 16)
 
 
 class TestBuilders:

@@ -1,17 +1,22 @@
 """Property-style fuzz tests for :mod:`repro.csp.hypergraph` invariants.
 
-Seeded random weighted CSPs of arity 1-3 exercise the three structural
-primitives the CSP chains are built on:
+Seeded random weighted CSPs of arity 1-3 exercise the structures the CSP
+chains are built on.  A CSP stores only its scope and palette arrays, and
+``csp_neighbors``, ``conflict_graph``, ``constraints``, ``incident`` and
+the compiled tables are all derived from them, so every test compares
+against a walk over the constraints the test built the model from:
 
-* ``csp_neighbors`` is symmetric and contains exactly the co-scoped pairs;
-* ``conflict_graph`` is the graph whose adjacency *is* ``csp_neighbors``
-  (and in particular arity-1 constraints create no edges);
-* ``is_strongly_independent`` agrees with pairwise non-adjacency in the
-  conflict graph — the property that makes the Luby step on the conflict
-  graph a valid strongly-independent-set schedule;
-* the compiled form the batched engines read (``csp.compiled()``) derives
-  the same conflict edges, vertex incidence, flat table indices and greedy
-  start as the Python structures it replaces.
+* ``csp_neighbors`` and ``conflict_graph`` hold exactly the co-scoped
+  pairs (arity-1 constraints create no edges);
+* ``is_strongly_independent`` holds iff no scope contains two of the
+  vertices (a vertex outside ``0..n-1`` is in none) — the property that
+  makes the Luby step on the conflict graph a valid
+  strongly-independent-set schedule;
+* ``model_degree`` is the largest co-scope count;
+* the compiled form the batched engines read (``csp.compiled()``) has the
+  conflict edges, vertex incidence, flat table indices and greedy start
+  of the walk, and the ``constraints`` / ``incident`` views return the
+  inputs.
 """
 
 import itertools
@@ -19,7 +24,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.chains.fastpaths import sorted_edge_arrays
+import repro
 from repro.csp import (
     LocalCSP,
     Constraint,
@@ -32,8 +37,8 @@ from repro.errors import InfeasibleStateError
 FUZZ_SEEDS = range(30)
 
 
-def random_csp(rng: np.random.Generator) -> LocalCSP:
-    """A random weighted local CSP with arities in 1..3."""
+def random_csp(rng: np.random.Generator) -> tuple[LocalCSP, list[Constraint]]:
+    """A random weighted local CSP with arities in 1..3, and its input constraints."""
     n = int(rng.integers(2, 9))
     q = int(rng.integers(2, 5))
     constraints = []
@@ -46,57 +51,59 @@ def random_csp(rng: np.random.Generator) -> LocalCSP:
         zeros.flat[int(rng.integers(table.size))] = False
         table[zeros] = 0.0
         constraints.append(Constraint(scope, table, name=f"fuzz{index}"))
-    return LocalCSP(n, q, constraints)
+    return LocalCSP(n, q, constraints), constraints
+
+
+def coscoped(n: int, constraints: list[Constraint]) -> list[set[int]]:
+    """``Gamma(v)`` by walking the scopes."""
+    neighbourhoods = [set() for _ in range(n)]
+    for constraint in constraints:
+        for u, v in itertools.permutations(constraint.scope, 2):
+            neighbourhoods[u].add(v)
+    return neighbourhoods
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_csp_neighbors_symmetric_and_coscoped(seed):
-    csp = random_csp(np.random.default_rng(seed))
-    neighborhoods = csp_neighbors(csp)
-    coscoped = {
-        (u, v)
-        for c in csp.constraints
-        for u in c.scope
-        for v in c.scope
-        if u != v
-    }
-    for v, neighbours in enumerate(neighborhoods):
-        assert v not in neighbours
-        for u in neighbours:
-            assert v in neighborhoods[u], "csp_neighbors must be symmetric"
-            assert (u, v) in coscoped
-    for u, v in coscoped:
-        assert v in neighborhoods[u]
+def test_csp_neighbors_are_the_coscoped_vertices(seed):
+    csp, constraints = random_csp(np.random.default_rng(seed))
+    assert csp_neighbors(csp) == coscoped(csp.n, constraints)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_conflict_graph_adjacency_is_csp_neighbors(seed):
-    csp = random_csp(np.random.default_rng(seed))
+def test_conflict_graph_joins_the_coscoped_pairs(seed):
+    csp, constraints = random_csp(np.random.default_rng(seed))
     graph = conflict_graph(csp)
-    neighborhoods = csp_neighbors(csp)
-    assert graph.number_of_nodes() == csp.n
-    for v in range(csp.n):
-        assert set(graph.neighbors(v)) == neighborhoods[v]
-    # Symmetry of the adjacency relation itself.
-    for u, v in graph.edges():
-        assert graph.has_edge(v, u)
+    assert sorted(graph.nodes()) == list(range(csp.n))
+    for v, neighbours in enumerate(coscoped(csp.n, constraints)):
+        assert set(graph.neighbors(v)) == neighbours
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_strongly_independent_matches_conflict_graph(seed):
+def test_strongly_independent_iff_no_scope_holds_two(seed):
     rng = np.random.default_rng(seed)
-    csp = random_csp(rng)
-    graph = conflict_graph(csp)
+    csp, constraints = random_csp(rng)
     subsets = [
         [int(u) for u in rng.choice(csp.n, size=size, replace=False)]
         for size in range(0, csp.n + 1)
         for _ in range(3)
     ]
     for vertices in subsets:
-        pairwise_independent = all(
-            not graph.has_edge(u, v) for u, v in itertools.combinations(vertices, 2)
-        )
-        assert is_strongly_independent(csp, vertices) == pairwise_independent
+        expected = all(len(set(vertices) & set(c.scope)) < 2 for c in constraints)
+        assert is_strongly_independent(csp, vertices) == expected
+        # A vertex outside 0..n-1 is in no scope: it changes nothing.
+        outside = [-1, -csp.n, csp.n, csp.n + 3]
+        assert is_strongly_independent(csp, vertices + outside) == expected
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_model_degree_is_the_largest_coscope_count(seed):
+    csp, constraints = random_csp(np.random.default_rng(seed))
+    assert repro.model_degree(csp) == max(map(len, coscoped(csp.n, constraints)))
+
+
+def test_model_degree_without_constraints_is_zero():
+    assert repro.model_degree(LocalCSP(4, 3, [])) == 0
+    assert csp_neighbors(LocalCSP(4, 3, [])) == [set()] * 4
 
 
 def test_arity_one_constraints_create_no_neighbours():
@@ -105,23 +112,38 @@ def test_arity_one_constraints_create_no_neighbours():
     assert conflict_graph(csp).number_of_edges() == 0
     assert all(len(s) == 0 for s in csp_neighbors(csp))
     assert is_strongly_independent(csp, range(4))
+    assert repro.model_degree(csp) == 0
 
 
-def reference_greedy_start(csp: LocalCSP) -> np.ndarray:
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_views_return_the_input_constraints(seed):
+    csp, constraints = random_csp(np.random.default_rng(seed))
+    assert len(csp.constraints) == len(constraints)
+    for view, given in zip(csp.constraints, constraints):
+        assert view.scope == given.scope and view.name == given.name
+        assert view.table.tobytes() == given.table.tobytes()
+        assert not view.table.flags.writeable
+    assert csp.incident == [
+        [c for c, constraint in enumerate(constraints) if v in constraint.scope]
+        for v in range(csp.n)
+    ]
+
+
+def reference_greedy_start(n: int, q: int, constraints: list[Constraint]) -> np.ndarray:
     """The per-vertex, per-spin, per-constraint loop the compiled start replaces.
 
     Raises :class:`InfeasibleStateError` at the first vertex with no spin
     that keeps the constraints it completes alive.
     """
-    config = np.zeros(csp.n, dtype=np.int64)
-    for v in range(csp.n):
+    config = np.zeros(n, dtype=np.int64)
+    for v in range(n):
         candidates = []
-        for spin in range(csp.q):
+        for spin in range(q):
             config[v] = spin
             if all(
-                csp.constraints[index].evaluate(config) != 0.0
-                for index in csp.incident[v]
-                if max(csp.constraints[index].scope) <= v
+                constraint.evaluate(config) != 0.0
+                for constraint in constraints
+                if v in constraint.scope and max(constraint.scope) <= v
             ):
                 candidates.append(spin)
         if not candidates:
@@ -132,17 +154,19 @@ def reference_greedy_start(csp: LocalCSP) -> np.ndarray:
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_compiled_conflict_edges_and_incidence(seed):
-    csp = random_csp(np.random.default_rng(seed))
+    csp, constraints = random_csp(np.random.default_rng(seed))
     compiled = csp.compiled()
-    edge_u, edge_v = sorted_edge_arrays(conflict_graph(csp))
-    np.testing.assert_array_equal(compiled.conflict_u, edge_u)
-    np.testing.assert_array_equal(compiled.conflict_v, edge_v)
+    pairs = sorted(
+        {(min(u, v), max(u, v)) for c in constraints for u, v in itertools.combinations(c.scope, 2)}
+    )
+    assert list(zip(compiled.conflict_u.tolist(), compiled.conflict_v.tolist())) == pairs
     for v in range(csp.n):
         slots = slice(compiled.incidence_indptr[v], compiled.incidence_indptr[v + 1])
-        assert compiled.incidence_constraint[slots].tolist() == csp.incident[v]
+        incident = [c for c, constraint in enumerate(constraints) if v in constraint.scope]
+        assert compiled.incidence_constraint[slots].tolist() == incident
         strides = [
-            csp.q ** (len(csp.constraints[c].scope) - 1 - csp.constraints[c].scope.index(v))
-            for c in csp.incident[v]
+            csp.q ** (len(constraints[c].scope) - 1 - constraints[c].scope.index(v))
+            for c in incident
         ]
         assert compiled.incidence_stride[slots].tolist() == strides
 
@@ -150,30 +174,34 @@ def test_compiled_conflict_edges_and_incidence(seed):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_compiled_flat_indices_evaluate_every_constraint(seed):
     rng = np.random.default_rng(seed)
-    csp = random_csp(rng)
+    csp, constraints = random_csp(rng)
     compiled = csp.compiled()
     seen = []
     for bucket in compiled.buckets:
         seen.extend(bucket.constraints.tolist())
         for c, scope in zip(bucket.constraints.tolist(), bucket.scopes.tolist()):
-            assert tuple(scope) == csp.constraints[c].scope
-    assert sorted(seen) == list(range(len(csp.constraints)))
-    assert [b.arity for b in compiled.buckets] == sorted({c.arity for c in csp.constraints})
+            assert tuple(scope) == constraints[c].scope
+    assert sorted(seen) == list(range(len(constraints)))
+    assert [b.arity for b in compiled.buckets] == sorted({c.arity for c in constraints})
     for config in rng.integers(0, csp.q, size=(5, csp.n)):
         for bucket in compiled.buckets:
             flat = bucket.table_starts + config[bucket.scopes] @ bucket.strides
             for c, index in zip(bucket.constraints.tolist(), flat.tolist()):
-                constraint = csp.constraints[c]
+                constraint = constraints[c]
                 assert compiled.flat_raw[index] == constraint.evaluate(config)
                 local = tuple(int(config[u]) for u in constraint.scope)
                 assert compiled.flat_norm[index] == constraint.normalized_table()[local]
+        weight = 1.0
+        for constraint in constraints:
+            weight *= constraint.evaluate(config)
+        assert csp.weight(config) == weight
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_compiled_greedy_start_matches_the_loop(seed):
-    csp = random_csp(np.random.default_rng(seed))
+    csp, constraints = random_csp(np.random.default_rng(seed))
     try:
-        expected = reference_greedy_start(csp)
+        expected = reference_greedy_start(csp.n, csp.q, constraints)
     except InfeasibleStateError as refusal:
         # Both refuse, at the same vertex.
         with pytest.raises(InfeasibleStateError, match=rf"\b{refusal} satisfies"):

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 import repro
 from repro.api import MUTATIONS, mutate, resample_region
 from repro.csp.builders import coloring_csp
-from repro.csp.hypergraph import csp_neighbors
 from repro.csp.model import Constraint, LocalCSP
 from repro.dynamic import (
     DynamicEnsemble,
@@ -282,7 +281,12 @@ class TestInfluencedRegion:
             scope = tuple(sorted(set(scope)))
             new = old.with_constraint(Constraint(scope, np.ones((2,) * len(scope))))
             touched = set(scope)
-        adjacency = [a | b for a, b in zip(csp_neighbors(old), csp_neighbors(new))]
+            scopes.append(scope)
+        # The co-scope adjacency of every scope the old or the new model has.
+        adjacency = [set() for _ in range(9)]
+        for scope in scopes:
+            for w in scope:
+                adjacency[w] |= set(scope) - {w}
         assert influenced_region(old, new, touched, radius).tolist() == _ball(
             adjacency, touched, radius
         )

@@ -11,7 +11,9 @@ replaced:
   float32 rank ties forced through a stub RNG;
 * the accept against a ``np.where`` select, at int8 and int16 spins;
 * the TV probe against the distance to a normalised empirical
-  :class:`~repro.mrf.distribution.GibbsDistribution`, compared with ``==``.
+  :class:`~repro.mrf.distribution.GibbsDistribution`, compared with ``==``;
+* every engine's feasibility mask against the model's own test, row by
+  row.
 """
 
 from __future__ import annotations
@@ -296,3 +298,20 @@ class TestTvProbe:
         for dtype in (np.int8, np.int64, np.float64):
             with pytest.raises(repro.ModelError, match="0..2"):
                 batch_tv_to_exact(np.array([[0, 2, 0], [0, -1, 0]], dtype=dtype), exact)
+
+
+@pytest.mark.parametrize(
+    "row", DISPATCH, ids=[f"{row.kind}-{row.ensemble.__name__}" for row in DISPATCH]
+)
+def test_feasibility_mask_is_the_model_test_row_by_row(row):
+    """``is_feasible()`` is an ``(R,)`` bool mask, from a start with infeasible rows."""
+    model = _model_for(row)
+    start = np.random.default_rng(3).integers(0, model.q, size=(64, model.n))
+    ensemble = repro.make_ensemble(model, 64, method=row.method, initial=start, seed=4)
+    for _ in range(3):
+        mask = ensemble.is_feasible()
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (64,)
+        expected = [model.is_feasible(config) for config in ensemble.config]
+        assert mask.tolist() == expected
+        ensemble.advance(1)
+    assert not all(model.is_feasible(config) for config in start)

@@ -9,6 +9,7 @@ every parameter that can reach a sampled bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -256,6 +257,31 @@ class TestPaletteForm:
         assert child.model_fingerprint() == MRF.from_dict(child.to_dict()).model_fingerprint()
         restored = child.with_edge(0, 1, parent.edge_activity(0, 1))
         assert restored.model_fingerprint() == before
+
+
+#: sha256 of ``canonical_json(model.to_dict())``, names included, for one
+#: model of each CSP family.  Pinned from the constraint-object storage
+#: the array storage replaced: the payload bytes must not move.
+CSP_PAYLOAD_DIGESTS = [
+    ({"family": "coloring-csp", "graph": "grid", "q": 3}, 3,
+     "835ab0346adefb7ca1ca7a54f104a100de87c996cf0cf5542106610d4d167878"),
+    ({"family": "nae", "graph": "cycle", "q": 3}, 7,
+     "8ea4dc9f8224759ef1f138a76b6e75cb3e20e311e9f560699329e662434f0d0a"),
+    ({"family": "dominating-set", "graph": "grid", "weight": 2.0}, 3,
+     "bcbe78bd2b2038d7aef11fc09c8505a8c1398cdaa5e1bb6389a9494500c22c21"),
+    ({"family": "mis", "graph": "path"}, 5,
+     "5f7bbcdb9efa8ccf138e069c60c298c88548669a9a06df6aa52c42be6b7078d9"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, size, digest", CSP_PAYLOAD_DIGESTS, ids=[e["family"] for e, _, _ in CSP_PAYLOAD_DIGESTS]
+)
+def test_csp_payload_bytes_are_pinned(entry, size, digest):
+    model = repro.families.build_model(entry, size)
+    text = canonical_json(model.to_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert canonical_json(LocalCSP.from_dict(json.loads(text)).to_dict()) == text
 
 
 class TestMalformed:

@@ -32,7 +32,7 @@ import pytest
 import repro
 import repro.spec
 from repro.csp.builders import not_all_equal_csp
-from repro.csp.model import LocalCSP
+from repro.csp.model import Constraint, LocalCSP
 from repro.errors import ServeError, ServerOverloadedError
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.mrf import MRF, proper_coloring_mrf
@@ -148,6 +148,41 @@ class TestBitIdentity:
             if event["event"] == "checkpoint"
         ]
         assert checkpoints == direct
+
+
+def _mixed_arity_csp() -> LocalCSP:
+    """NAE scopes of arities 2-4 plus unary constraints, q=3."""
+    nae = not_all_equal_csp([(0, 1, 2), (2, 3), (3, 4, 5, 0), (1, 5)], n=6, q=3)
+    unary = np.array([1.0, 2.0, 0.5])
+    for v in (0, 3, 4):
+        nae = nae.with_constraint(Constraint((v,), unary, name=f"tilt({v})"))
+    return nae
+
+
+class TestServedCSP:
+    @pytest.mark.parametrize("method", ["local-metropolis", "luby-glauber"])
+    def test_by_payload_then_by_fingerprint_match_direct(self, method, monkeypatch):
+        csp = _mixed_arity_csp()
+        with (
+            ReproServer(workers=1, cache_capacity=8, max_pending=8) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
+            first = JobSpec.sample_many(csp, 8, method=method, seed=SEED, rounds=12)
+            by_payload = cli.submit(first)
+            assert csp.model_fingerprint() in cli._known_models
+            decodes = []
+            from_dict = repro.spec.model_from_dict
+            monkeypatch.setattr(
+                repro.spec,
+                "model_from_dict",
+                lambda payload: decodes.append(payload) or from_dict(payload),
+            )
+            second = JobSpec.sample_many(csp, 8, method=method, seed=SEED + 1, rounds=12)
+            by_fingerprint = cli.submit(second)
+            assert decodes == []  # resolved by fingerprint, no payload decoded
+            assert by_payload["cached"] is False and by_fingerprint["cached"] is False
+            np.testing.assert_array_equal(by_payload["result"], repro.run_spec(first))
+            np.testing.assert_array_equal(by_fingerprint["result"], repro.run_spec(second))
 
 
 class TestCachePolicy:
@@ -416,6 +451,28 @@ class TestProtocolErrors:
         status, document = _post_spec(server, wire)
         assert status == 400
         assert field in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda model: model["constraints"][0].update(scope=[0, 0, 1]), "distinct"),
+            (lambda model: model["constraints"][0].update(scope=[0, 1, 4]), "outside 0..3"),
+            (lambda model: model["constraints"][0].update(scope=[0, 1]), "one axis"),
+            # sent as Infinity
+            (lambda model: model["palette"][0][0][0].__setitem__(0, float("inf")), "finite"),
+            (lambda model: model["palette"].append([float("nan"), -1.0, 0.0]), "palette entry 1"),
+        ],
+        ids=["repeated-vertex", "vertex-past-n", "arity-mismatch", "non-finite", "unused-entry"],
+    )
+    def test_malformed_csp_is_400_and_never_submitted(self, server, client, edit, needle):
+        csp = not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3)
+        wire = JobSpec.sample_many(csp, 4, method="luby-glauber", seed=1, rounds=2).to_wire()
+        edit(wire["model"])
+        submitted = client.stats()["jobs"]["submitted"]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert needle in document["error"]
         assert client.stats()["jobs"]["submitted"] == submitted
 
     @pytest.mark.parametrize(
