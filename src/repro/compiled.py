@@ -13,11 +13,12 @@ built.
 Each record is its model's storage: every way of making an
 :class:`~repro.mrf.model.MRF` or a :class:`~repro.csp.model.LocalCSP`
 builds it in canonical form and ``compiled()`` returns it.  Its stored
-fields are what it pickles.  Everything else an engine reads (padded
-tables, the ``(n, q)`` vertex table and the colouring test of an MRF;
-arity buckets, flat tables, incidences, conflict edges and the greedy
-start of a CSP) is derived on first use, memoized on the record and left
-out of pickles.
+fields are what it pickles, what the wire form encodes and what the
+fingerprint hashes (:func:`repro.serialize.model_fingerprint`).
+Everything else (the fingerprint itself; padded tables, the ``(n, q)``
+vertex table and the colouring test of an MRF; arity buckets, flat
+tables, incidences, conflict edges and the greedy start of a CSP) is
+derived on first use, memoized on the record and left out of pickles.
 
 The padded tables the heat-bath engines walk (``padded_neighbours`` /
 ``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
@@ -30,12 +31,14 @@ allocated.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from repro.errors import InfeasibleStateError, StateSpaceTooLargeError
+from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
+from repro.serialize import encode_array, model_fingerprint
 
 __all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF"]
 
@@ -50,6 +53,14 @@ _EMPTY.setflags(write=False)
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _check_index(index: np.ndarray, size: int, count: int, what: str) -> None:
+    """Refuse a palette index that is not ``count`` entries in ``0..size-1``."""
+    if index.shape != (count,):
+        raise ModelError(f"{what} palette index has {index.size} entries; expected {count}")
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise ModelError(f"{what} palette index outside 0..{size - 1}")
 
 
 def _csr_indptr(owners: np.ndarray, n: int) -> np.ndarray:
@@ -99,8 +110,46 @@ def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np
     return tables
 
 
+class _Stored:
+    """What both records share: their stored fields, pickles, wire form and fingerprint.
+
+    The stored fields are ``n``, ``q`` and then the arrays of ``ARRAYS``,
+    which maps each to the ``(kind, ndim)`` it decodes with
+    (:func:`repro.serialize.decode_array`); ``ndim`` None marks a tuple of
+    tables of any rank (a CSP's palette), one array per entry.
+    """
+
+    kind: str
+    ARRAYS: dict[str, tuple[str, int | None]]
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def stored_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """``(field, array)`` for every stored array, in field order."""
+        for field, (_, ndim) in self.ARRAYS.items():
+            value = getattr(self, field)
+            for array in value if ndim is None else (value,):
+                yield field, array
+
+    def encoded(self) -> dict:
+        """Every stored array in the codec of :mod:`repro.serialize`; a tuple as a list."""
+        encoded = {}
+        for field, (_, ndim) in self.ARRAYS.items():
+            value = getattr(self, field)
+            encoded[field] = (
+                [encode_array(array) for array in value] if ndim is None else encode_array(value)
+            )
+        return encoded
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The model's content hash over its stored fields, computed once."""
+        return model_fingerprint(self.kind, self.n, self.q, self.stored_arrays())
+
+
 @dataclass(frozen=True, eq=False)
-class CompiledMRF:
+class CompiledMRF(_Stored):
     """The stored form of a pairwise :class:`~repro.mrf.model.MRF`.
 
     ``edge_u[i] < edge_v[i]`` in sorted order, and ``palette[edge_table[i]]``
@@ -120,6 +169,11 @@ class CompiledMRF:
     :data:`MAX_PADDING`) and left out of pickles.
     """
 
+    kind = "mrf"
+    ARRAYS = {
+        "edge_u": ("int", 1), "edge_v": ("int", 1), "edge_table": ("int", 1),
+        "palette": ("float", 3), "vertex_index": ("int", 1), "vertex_palette": ("float", 2),
+    }
     n: int
     q: int
     edge_u: np.ndarray
@@ -128,9 +182,6 @@ class CompiledMRF:
     palette: np.ndarray
     vertex_index: np.ndarray
     vertex_palette: np.ndarray
-
-    def __getstate__(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @property
     def m(self) -> int:
@@ -209,7 +260,7 @@ class ArityBucket:
 
 
 @dataclass(frozen=True, eq=False)
-class CompiledCSP:
+class CompiledCSP(_Stored):
     """The stored form of a :class:`~repro.csp.model.LocalCSP`.
 
     Constraint ``c`` has the scope ``scope_vertex[scope_indptr[c]:
@@ -225,15 +276,17 @@ class CompiledCSP:
     same lists as ``(n, width)`` rows.
     """
 
+    kind = "csp"
+    ARRAYS = {
+        "scope_indptr": ("int", 1), "scope_vertex": ("int", 1), "constraint_table": ("int", 1),
+        "palette": ("float", None),
+    }
     n: int
     q: int
     scope_indptr: np.ndarray
     scope_vertex: np.ndarray
     constraint_table: np.ndarray
     palette: tuple[np.ndarray, ...]
-
-    def __getstate__(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @property
     def num_constraints(self) -> int:

@@ -6,8 +6,13 @@ constraint functions make mu the uniform distribution over CSP solutions —
 the "local sampling" counterpart of LCL problems.
 
 A CSP's arrays are its storage (:class:`~repro.compiled.CompiledCSP`),
-built in canonical form by one private constructor for every entry path;
-engines, :meth:`LocalCSP.to_dict` and the fingerprint read them.
+built in canonical form by one private constructor for every entry path.
+That constructor is the one validator: it refuses ``n >= 2**31``, a scope
+CSR that does not start at 0, decreases or does not end at its vertex
+count, a bad scope, a palette index out of range or of the wrong length
+and an invalid table.  The engines read the arrays, :meth:`LocalCSP.to_dict`
+encodes them with the array codec of :mod:`repro.serialize` and the
+fingerprint hashes their bytes.
 :class:`Constraint` is the input value type and the view the sequential
 chains and LOCAL protocols read (``constraints``, derived on first use).
 """
@@ -20,10 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.compiled import CompiledCSP, _first_use, _frozen
+from repro.compiled import CompiledCSP, _check_index, _first_use, _frozen
 from repro.errors import ModelError, StateSpaceTooLargeError
 from repro.mrf.distribution import GibbsDistribution, spin_blocks
-from repro.serialize import frozen_table, palette_index, payload_fingerprint, table_palette
+from repro.serialize import MAX_COUNT, decode_fields, frozen_table, table_palette
 
 __all__ = ["Constraint", "LocalCSP", "exact_csp_gibbs_distribution"]
 
@@ -139,18 +144,31 @@ class LocalCSP:
         self, n: int, q: int, scope_indptr: np.ndarray, scope_vertex: np.ndarray,
         table_index: np.ndarray, tables: Sequence[np.ndarray], names: Sequence[str], name: str,
     ) -> None:
-        """The one constructor: check, canonicalise and store the arrays.
+        """The one constructor and validator: check, canonicalise and store the arrays.
 
         Constraint ``c`` (named ``names[c]``) has the scope
         ``scope_vertex[scope_indptr[c]:scope_indptr[c + 1]]`` and the table
-        ``tables[table_index[c]]``.  Every distinct supplied table is checked,
-        used or not; the palette keeps the used ones in first-use order.
+        ``tables[table_index[c]]``.  The CSR offsets, the index counts and
+        ranges and every distinct supplied table, used or not, are checked;
+        the palette keeps the used tables in first-use order.
         """
-        if n < 1:
-            raise ModelError(f"LocalCSP needs n >= 1, got {n}")
+        if not 1 <= n < MAX_COUNT:
+            raise ModelError(f"a LocalCSP needs 1 <= n < 2**31 vertices, got n = {n}")
         if q < 2:
             raise ModelError(f"LocalCSP needs q >= 2, got {q}")
+        count = len(names)
+        if scope_indptr.shape != (count + 1,):
+            raise ModelError(
+                f"scope_indptr has {scope_indptr.size} offsets; expected {count + 1} "
+                f"for {count} constraint names"
+            )
         arity = np.diff(scope_indptr)
+        if scope_indptr[0] != 0 or scope_indptr[-1] != scope_vertex.size or np.any(arity < 0):
+            raise ModelError(
+                "scope_indptr must start at 0, never decrease and end at the "
+                f"{scope_vertex.size} scope vertices"
+            )
+        _check_index(table_index, len(tables), count, "constraint")
         owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
         # A repeated scope vertex sits next to its repeat in (owner, vertex) order.
         order = np.lexsort((scope_vertex, owner))
@@ -196,7 +214,6 @@ class LocalCSP:
         self.constraint_names: tuple[str, ...] = state["constraint_names"]
         self._arrays: CompiledCSP = state["arrays"]
         self.n, self.q = self._arrays.n, self._arrays.q
-        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # derived views (built on first use, never pickled)
@@ -311,71 +328,47 @@ class LocalCSP:
     # canonical serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
+        """Plain-JSON wire form; inverse of :meth:`from_dict`.
 
-        Lists the stored arrays: ``palette`` holds each distinct table once,
-        in first-use order along the constraints, and each ``constraints``
-        entry carries its name, its scope and the palette position of its
-        table.  Constraint *order* is preserved: it does not change the
-        Gibbs distribution, but it does fix the factor-evaluation order of
-        the chains, which is part of the bit-level determinism contract the
+        The name, the constraint names, ``n``, ``q`` and, under ``arrays``,
+        every stored field of :meth:`compiled` in the array codec of
+        :mod:`repro.serialize` (the palette as a list, one array per
+        table).  Constraint *order* is kept: it does not change the Gibbs
+        distribution, but it fixes the factor-evaluation order of the
+        chains, which is part of the bit-level determinism contract the
         serving cache relies on.
         """
-        arrays = self._arrays
         return {
-            "type": "csp",
-            "name": self.name,
-            "n": self.n,
-            "q": self.q,
-            "palette": [table.tolist() for table in arrays.palette],
-            "constraints": [
-                {"name": name, "scope": scope, "table": t}
-                for name, scope, t in zip(
-                    self.constraint_names, self._scopes(), arrays.constraint_table.tolist()
-                )
-            ],
+            "type": "csp", "name": self.name, "n": self.n, "q": self.q,
+            "constraint_names": list(self.constraint_names), "arrays": self._arrays.encoded(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> LocalCSP:
         """Rebuild a :class:`LocalCSP` from a :meth:`to_dict` payload.
 
-        Loads the listed arrays through the one constructor, which checks
-        every palette entry, used or not, like any other entry path; no
-        :class:`Constraint` is built.
+        Decodes the arrays and hands them to the one constructor, which
+        checks the scope offsets, the indices and every palette entry,
+        used or not, like any other entry path; no :class:`Constraint` is
+        built.
         """
-        try:
-            n = int(payload["n"])
-            q = int(payload["q"])
-            tables = [frozen_table(table) for table in payload["palette"]]
-            entries = list(payload["constraints"])
-            table_index = palette_index(
-                [entry["table"] for entry in entries], len(tables), len(entries), "constraint"
-            )
-            scope_indptr, scope_vertex = _scope_arrays([entry["scope"] for entry in entries])
-            names = [str(entry.get("name", "constraint")) for entry in entries]
-            name = str(payload.get("name", "csp"))
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
-            raise ModelError(f"malformed CSP payload: {error}") from None
+        n, q, name, arrays = decode_fields(payload, "CSP", CompiledCSP.ARRAYS)
+        names = payload.get("constraint_names")
+        if not isinstance(names, list):
+            raise ModelError("malformed CSP payload: constraint_names must be a list")
         model = cls.__new__(cls)
-        model._build(n, q, scope_indptr, scope_vertex, table_index, tables, names, name)
+        model._build(n, q, arrays["scope_indptr"], arrays["scope_vertex"],
+                     arrays["constraint_table"], arrays["palette"], list(map(str, names)), name)
         return model
 
     def model_fingerprint(self) -> str:
-        """Stable content hash of the distribution-defining payload.
+        """Content hash of the stored arrays (:func:`repro.serialize.model_fingerprint`).
 
-        Model and constraint names are cosmetic and excluded (see
-        :meth:`repro.mrf.model.MRF.model_fingerprint` for the contract);
-        scope order, constraint order and every table value are hashed.
-        Computed on the first call and memoized per immutable instance.
+        Model and constraint names are excluded; scope order, constraint
+        order and every table value are hashed.  Memoized on the stored
+        record.
         """
-        if self._fingerprint is None:
-            payload = self.to_dict()
-            del payload["name"]
-            for entry in payload["constraints"]:
-                del entry["name"]
-            self._fingerprint = payload_fingerprint(payload)
-        return self._fingerprint
+        return self._arrays.fingerprint
 
     def compiled(self) -> CompiledCSP:
         """The stored :class:`~repro.compiled.CompiledCSP` record; builds nothing."""

@@ -16,9 +16,11 @@ and the Gibbs distribution is ``mu(sigma) = w(sigma) / Z``.
 An MRF's arrays are its storage: a :class:`~repro.compiled.CompiledMRF` of
 sorted edges and palette indices.  The constructor, :meth:`MRF.from_dict`
 and every ``with_*``/``without_*`` mutation go through one private
-constructor, which refuses a graph that is not simple or an invalid table
-and canonicalises the arrays.  The engines read them (:meth:`MRF.compiled`),
-:meth:`MRF.to_dict` lists them and the fingerprint hashes that listing.
+constructor, the one validator: it refuses ``n >= 2**31``, a graph that is
+not simple, a palette index out of range or of the wrong length and an
+invalid table, and canonicalises the arrays.  The engines read them
+(:meth:`MRF.compiled`), :meth:`MRF.to_dict` encodes them with the array
+codec of :mod:`repro.serialize` and the fingerprint hashes their bytes.
 The networkx ``graph`` (kept as given to the constructor), ``edges``,
 neighbourhoods, degrees, per-edge tables and the ``(n, q)``
 ``vertex_activity`` table are derived on first use and never pickled.
@@ -32,10 +34,10 @@ from functools import cached_property
 import networkx as nx
 import numpy as np
 
-from repro.compiled import CompiledMRF, _first_use, _frozen
+from repro.compiled import CompiledMRF, _check_index, _first_use, _frozen
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
-from repro.serialize import palette_index, payload_fingerprint, table_palette
+from repro.serialize import MAX_COUNT, decode_fields, table_palette
 
 __all__ = ["MRF", "Config", "as_config"]
 
@@ -124,24 +126,32 @@ class MRF:
             )
         vertex_index = np.zeros(n, dtype=np.int64) if rows.ndim == 1 else np.arange(n)
         self._build(n, q, edges[:, 0], edges[:, 1], np.asarray(edge_index, dtype=np.int64),
-                    tables, vertex_index, rows, name)
+                    tables, vertex_index, rows.reshape(-1, q), name)
         self.__dict__["graph"] = graph
 
     def _build(
         self, n: int, q: int, edge_u: np.ndarray, edge_v: np.ndarray, edge_index: np.ndarray,
         tables: Sequence[np.ndarray], vertex_index: np.ndarray, rows: np.ndarray, name: str,
     ) -> None:
-        """The one constructor: check, canonicalise and store the palette arrays.
+        """The one constructor and validator: check, canonicalise and store the arrays.
 
         Edge ``i`` joins ``edge_u[i]`` and ``edge_v[i]`` (either
         orientation, any order) with table ``tables[edge_index[i]]``, and
-        vertex ``v`` has activity ``rows[vertex_index[v]]``; the indices
-        are in range.  Every supplied table and row is validated, and each
-        palette keeps the distinct used entries (by float64 bytes) in
-        first-use order along the sorted edges or the vertices.
+        vertex ``v`` has activity ``rows[vertex_index[v]]``.  The index
+        counts and ranges, every supplied table and every row are checked,
+        and each palette keeps the distinct used entries (by float64
+        bytes) in first-use order along the sorted edges or the vertices.
         """
+        if not 0 <= n < MAX_COUNT:
+            raise ModelError(f"an MRF needs 0 <= n < 2**31 vertices, got n = {n}")
         if q < 2:
             raise ModelError(f"MRF needs q >= 2 spin states, got {q}")
+        if edge_v.shape != edge_u.shape:
+            raise ModelError(f"{edge_u.size} edge_u entries but {edge_v.size} edge_v entries")
+        _check_index(edge_index, len(tables), edge_u.size, "edge")
+        if rows.ndim != 2 or rows.shape[1] != q:
+            raise ModelError(f"vertex palette rows must have length {q}, got shape {rows.shape}")
+        _check_index(vertex_index, len(rows), n, "vertex")
         lo, hi = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
         bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
         if bad.size:
@@ -164,7 +174,6 @@ class MRF:
             uses = np.flatnonzero(value == problem[0])
             where = f"edge ({lo[uses[0]]}, {hi[uses[0]]})" if uses.size else "edge activity"
             raise ModelError(f"{where}: {problem[1]}")
-        rows = rows.reshape(-1, q)
         if not np.all(np.isfinite(rows)):
             raise ModelError("vertex activities must be finite")
         if np.any(rows < 0):
@@ -193,7 +202,6 @@ class MRF:
         self.name = state["name"]
         self._arrays: CompiledMRF = state["arrays"]
         self.n, self.q = self._arrays.n, self._arrays.q
-        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # derived views and accessors (built on first use, never pickled)
@@ -389,74 +397,43 @@ class MRF:
     # canonical serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Canonical plain-JSON palette form; inverse of :meth:`from_dict`.
+        """Plain-JSON wire form; inverse of :meth:`from_dict`.
 
-        Lists the stored arrays but the pad table: the sorted ``edges``,
-        ``edge_palette``/``edge_index`` and ``vertex_palette``/
-        ``vertex_index``.  They are canonical, so the payload depends only
-        on the model's content, never on how the instance was built — two
-        equal models serialise to equal payloads.
+        The name, ``n``, ``q`` and, under ``arrays``, every stored field of
+        :meth:`compiled` in the array codec of :mod:`repro.serialize`.  The
+        fields are canonical, so two equal models serialise to equal
+        payloads, however they were built.
         """
-        arrays = self._arrays
         return {
-            "type": "mrf",
-            "name": self.name,
-            "n": self.n,
-            "q": self.q,
-            "edges": np.stack([arrays.edge_u, arrays.edge_v], axis=1).tolist(),
-            "edge_palette": arrays.palette[:-1].tolist(),
-            "edge_index": arrays.edge_table.tolist(),
-            "vertex_palette": arrays.vertex_palette.tolist(),
-            "vertex_index": arrays.vertex_index.tolist(),
+            "type": "mrf", "name": self.name, "n": self.n, "q": self.q,
+            "arrays": self._arrays.encoded(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> MRF:
         """Rebuild an :class:`MRF` from a :meth:`to_dict` payload.
 
-        Loads the listed arrays through the one constructor, which refuses
-        a self-loop, a repeated edge or an invalid table like any other
-        entry path.
+        Decodes the arrays and hands them to the one constructor, which
+        refuses a self-loop, a repeated edge, a bad index or an invalid
+        table like any other entry path.  An unused palette entry, such as
+        the pad table, is checked and dropped.
         """
-        try:
-            n = int(payload["n"])
-            q = int(payload["q"])
-            edges = np.asarray(payload["edges"], dtype=np.int64)
-            if edges.size and edges.shape[1:] != (2,):
-                raise ValueError(f"edges must be vertex pairs, got shape {edges.shape}")
-            edges = edges.reshape(-1, 2)
-            tables = [np.asarray(table, dtype=float) for table in payload["edge_palette"]]
-            edge_index = palette_index(payload["edge_index"], len(tables), len(edges), "edge")
-            rows = np.asarray(payload["vertex_palette"], dtype=float)
-            vertex_index = palette_index(payload["vertex_index"], len(rows), n, "vertex")
-            name = str(payload.get("name", "mrf"))
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
-            raise ModelError(f"malformed MRF payload: {error}") from None
-        if rows.ndim != 2 or rows.shape[1] != q:
-            raise ModelError(
-                f"vertex palette rows must have length {q}, got shape {rows.shape}"
-            )
+        n, q, name, arrays = decode_fields(payload, "MRF", CompiledMRF.ARRAYS)
         model = cls.__new__(cls)
-        model._build(n, q, edges[:, 0], edges[:, 1], edge_index, tables, vertex_index, rows, name)
+        model._build(n, q, arrays["edge_u"], arrays["edge_v"], arrays["edge_table"],
+                     list(arrays["palette"]), arrays["vertex_index"], arrays["vertex_palette"],
+                     name)
         return model
 
     def model_fingerprint(self) -> str:
-        """Stable content hash of the distribution-defining payload.
+        """Content hash of the stored arrays (:func:`repro.serialize.model_fingerprint`).
 
-        The ``name`` field is cosmetic and excluded: two independently
-        built copies of the same model hash identically, so result caches
-        keyed on this fingerprint deduplicate across processes.  Equal
-        fingerprints imply bit-identical sampling results for equal
-        requests (every value that can influence a sampled bit is hashed).
-        Computed on the first call and memoized: an instance never changes
-        (mutations return new instances), and a model that is only sampled
-        never pays for it.
+        The name is excluded: two independently built copies of the same
+        model hash identically, so result caches keyed on it deduplicate
+        across processes.  Memoized on the stored record, so a model is
+        hashed at most once and a model that is only sampled never is.
         """
-        if self._fingerprint is None:
-            payload = self.to_dict()
-            del payload["name"]
-            self._fingerprint = payload_fingerprint(payload)
-        return self._fingerprint
+        return self._arrays.fingerprint
 
     def compiled(self) -> CompiledMRF:
         """The stored :class:`~repro.compiled.CompiledMRF` record; builds nothing."""

@@ -1,30 +1,36 @@
-"""Canonical model serialization and content fingerprints.
+"""Model serialization, the array codec and content fingerprints.
 
 The serving layer (:mod:`repro.serve`) caches sampling results keyed by
 *what was requested*, not by which in-memory objects happened to describe
-it.  That requires a canonical, identity-free form for models:
+it.  A model is its stored arrays (:class:`~repro.compiled.CompiledMRF`,
+:class:`~repro.compiled.CompiledCSP`), and both its identity and its wire
+form are those arrays:
 
+* :func:`encode_array` / :func:`decode_array` are the one array codec.
+  An array travels as ``{"dtype", "shape", "b64"}``: its little-endian
+  bytes, base64-encoded, in the smallest of ``|i1``/``<i2``/``<i4``/``<i8``
+  that holds every entry of an integer array, or in ``<f8``.  Decoding
+  checks the dtype, rank, extents and byte count and returns a fresh int64
+  or float64 array.  Model fields, ``initial`` starts and ``sample_many``
+  batches all travel this way;
 * :meth:`repro.mrf.model.MRF.to_dict` / :meth:`repro.csp.model.LocalCSP.to_dict`
-  emit a plain-JSON *palette form*.  Every distinct factor table appears
-  once, deduplicated by its float64 bytes in first-use order along the
-  canonical (sorted) edge order or the constraint order, and each edge or
-  constraint carries an index into that palette; an MRF's vertex
-  activities travel the same way, as a palette of rows plus one index per
-  vertex.  A colouring, hardcore or Ising model therefore ships one
-  ``q x q`` table instead of ``m`` copies.  ``from_dict`` rebuilds an
-  equivalent model whose factors share one frozen array per palette entry;
-* ``model_fingerprint()`` hashes the *distribution-defining* part of that
-  payload (names are cosmetic and excluded), so two independently built
-  copies of the same model share one fingerprint — and therefore one cache
-  line.  Models are immutable (mutations return new instances), so each
-  instance computes its fingerprint on the first call and memoizes it.
+  emit the model's names, ``n``, ``q`` and every stored field through the
+  codec; ``from_dict`` decodes them and hands them to the model's one
+  constructor, which validates them like any other entry path;
+* :func:`model_fingerprint` hashes the stored fields directly.
+
+Fingerprint recipe: the SHA-256 of the ASCII header ``"{kind} {n} {q}\\n"``
+(``kind`` is ``mrf`` or ``csp``) followed by one line
+``"{field} {dtype} {shape}\\n"`` per stored array in field order (``dtype``
+the little-endian ``dtype.str``, ``<i8`` or ``<f8``; ``shape`` the extents
+joined by commas), then the arrays' little-endian bytes in the same order.
+A CSP's palette contributes one ``palette`` line and one array per table.
+Each record computes it on first use and memoizes it; pickles leave it out.
 
 Fingerprint contract: equal fingerprints guarantee bit-identical sampling
 results for equal requests.  Everything that can change a sampled bit
-(edge/constraint order, activity values, ``n``, ``q``) is part of the
-hashed payload; everything that cannot (model/constraint names, object
-identity, whether equal tables are shared or copied, array dtypes beyond
-their float values) is not.
+(``n``, ``q``, edge or constraint order, every index and table entry) is
+hashed; the model and constraint names are not.
 
 This module deliberately has no model imports at module level — the model
 classes import the helpers below, and :func:`model_from_dict` resolves the
@@ -33,34 +39,49 @@ concrete class lazily by payload ``type``.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from collections.abc import Sequence
+import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
 
 __all__ = [
+    "MAX_COUNT",
     "canonical_json",
-    "payload_fingerprint",
+    "decode_array",
+    "decode_fields",
+    "encode_array",
+    "model_fingerprint",
     "table_palette",
     "frozen_table",
-    "palette_index",
     "model_to_dict",
     "model_from_dict",
 ]
+
+#: The wire dtypes of an integer array, smallest first, and of a float array.
+INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")
+FLOAT_DTYPES = ("<f8",)
+
+#: Bound on every count a payload declares: a model's ``n`` and the
+#: entries of a decoded array (a zero extent counting as one) stay below
+#: it, so ``lo * n + hi`` vertex-pair keys cannot wrap in int64.
+MAX_COUNT = 1 << 31
+
+#: Largest rank of a decoded array: a table of arity 32 over two spins
+#: already holds 2**32 entries.
+_MAX_RANK = 32
 
 
 def canonical_json(payload) -> str:
     """Serialise ``payload`` into its canonical JSON text.
 
     Sorted keys, no whitespace, ``allow_nan=False`` — two structurally
-    equal payloads always produce the same bytes, which is what makes the
-    fingerprint (and hence every cache key built on it) stable across
-    processes and sessions.  Floats rely on ``repr``-style shortest
-    round-trip formatting, so distinct float64 values never collide and
-    equal values never diverge.
+    equal payloads always produce the same bytes, which is what makes a
+    cache key built on it stable across processes and sessions.
     """
     try:
         return json.dumps(
@@ -70,10 +91,111 @@ def canonical_json(payload) -> str:
         raise ModelError(f"payload is not canonically serialisable: {error}") from None
 
 
-def payload_fingerprint(payload) -> str:
-    """SHA-256 hex digest of :func:`canonical_json` of ``payload``."""
-    text = canonical_json(payload)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def encode_array(array) -> dict:
+    """An int or float array as ``{"dtype", "shape", "b64"}``; see :func:`decode_array`."""
+    array = np.asarray(array)
+    if array.dtype.kind == "f":
+        dtype = np.dtype(FLOAT_DTYPES[0])
+    else:
+        lo, hi = (int(array.min()), int(array.max())) if array.size else (0, 0)
+        dtype = next(
+            np.dtype(name) for name in INT_DTYPES
+            if np.iinfo(name).min <= lo and hi <= np.iinfo(name).max
+        )
+    data = np.ascontiguousarray(array, dtype=dtype)
+    return {
+        "dtype": dtype.str,
+        "shape": list(array.shape),
+        "b64": base64.b64encode(data).decode("ascii"),
+    }
+
+
+def decode_array(payload, kind: str, ndim: int | None = None, what: str = "array",
+                 error: type[Exception] = ModelError) -> np.ndarray:
+    """Decode an :func:`encode_array` payload into a fresh int64 or float64 array.
+
+    ``kind`` is ``"int"`` or ``"float"``: the dtype must be one of
+    :data:`INT_DTYPES` or :data:`FLOAT_DTYPES`.  ``ndim`` fixes the rank
+    (``None``: any rank from 1 to 32).  The extents must be non-negative
+    ints holding fewer than :data:`MAX_COUNT` entries, and the bytes must
+    match them.  Anything else raises ``error`` naming ``what``.
+    """
+    if not isinstance(payload, dict):
+        raise error(
+            f"{what} must be a {{dtype, shape, b64}} object, got {type(payload).__name__}"
+        )
+    dtype = payload.get("dtype")
+    allowed = INT_DTYPES if kind == "int" else FLOAT_DTYPES
+    if not (isinstance(dtype, str) and dtype in allowed):
+        holds = "integers" if kind == "int" else "floats"
+        raise error(f"{what} holds {holds}: its dtype must be one of {allowed}, got {dtype!r}")
+    shape = payload.get("shape")
+    if not (
+        isinstance(shape, list)
+        and (len(shape) == ndim if ndim is not None else 1 <= len(shape) <= _MAX_RANK)
+        and all(type(extent) is int and extent >= 0 for extent in shape)
+    ):
+        rank = f"{ndim}" if ndim is not None else f"1 to {_MAX_RANK}"
+        raise error(f"{what} shape must be a list of {rank} non-negative ints, got {shape!r}")
+    if math.prod(max(extent, 1) for extent in shape) >= MAX_COUNT:
+        raise error(f"{what} shape {shape} has {MAX_COUNT} or more entries")
+    text = payload.get("b64")
+    if not isinstance(text, str):
+        raise error(f"{what} b64 must be a string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as problem:  # binascii.Error, or non-ASCII text
+        raise error(f"{what} b64 is not valid base64: {problem}") from None
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise error(f"{what} of shape {shape} in {dtype} needs {expected} bytes, got {len(raw)}")
+    target = np.int64 if kind == "int" else np.float64
+    return np.frombuffer(raw, dtype=dtype).astype(target).reshape(shape)
+
+
+def decode_fields(payload: dict, label: str, fields: dict[str, tuple[str, int | None]]):
+    """``(n, q, name, arrays)`` of a model's ``to_dict`` payload.
+
+    ``fields`` is the record's ``ARRAYS``: each stored array field with the
+    ``kind`` and ``ndim`` of :func:`decode_array`, ``ndim=None`` marking a
+    list of arrays of any rank (a CSP's palette).  A missing or malformed
+    part raises :class:`~repro.errors.ModelError` naming the ``label``
+    payload; the model's constructor then validates what the arrays hold.
+    """
+    try:
+        n, q = int(payload["n"]), int(payload["q"])
+        name = str(payload.get("name", label.lower()))
+        arrays = payload["arrays"]
+        if not isinstance(arrays, dict):
+            raise TypeError(f"arrays must be an object, got {type(arrays).__name__}")
+        decoded = {}
+        for field, (kind, ndim) in fields.items():
+            value = arrays[field]
+            if ndim is not None:
+                decoded[field] = decode_array(value, kind, ndim, what=field)
+            elif isinstance(value, list):
+                decoded[field] = [decode_array(entry, kind, what=f"{field}[{k}]")
+                                  for k, entry in enumerate(value)]
+            else:
+                raise TypeError(f"{field} must be a list of arrays, got {type(value).__name__}")
+    except (KeyError, TypeError, ValueError, OverflowError, ModelError) as error:
+        raise ModelError(f"malformed {label} payload: {error}") from None
+    return n, q, name, decoded
+
+
+def model_fingerprint(kind: str, n: int, q: int,
+                      arrays: Iterable[tuple[str, np.ndarray]]) -> str:
+    """The SHA-256 hex digest of a model's stored arrays (recipe in the module docstring)."""
+    arrays = [(field, np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")))
+              for field, array in arrays]
+    lines = [f"{kind} {n} {q}\n"] + [
+        f"{field} {array.dtype.str} {','.join(map(str, array.shape))}\n"
+        for field, array in arrays
+    ]
+    digest = hashlib.sha256("".join(lines).encode("ascii"))
+    for _, array in arrays:
+        digest.update(array)
+    return digest.hexdigest()
 
 
 def table_palette(tables: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
@@ -83,10 +205,10 @@ def table_palette(tables: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[
     the first array seen with its shape and bytes) and, for every input
     table, its position in ``palette``.  Object identity is tried before
     the bytes, so tables shared by reference — the usual case, since
-    builders, :meth:`from_dict` and copy-on-write mutations all share
-    frozen arrays — cost one dict lookup each.  ``tables`` is a sequence,
-    not an iterator: every array stays alive for the whole call, which is
-    what makes ``id`` a safe key.
+    builders and copy-on-write mutations share frozen arrays — cost one
+    dict lookup each.  ``tables`` is a sequence, not an iterator: every
+    array stays alive for the whole call, which is what makes ``id`` a
+    safe key.
     """
     palette: list[np.ndarray] = []
     index: list[int] = []
@@ -112,25 +234,6 @@ def frozen_table(values) -> np.ndarray:
     return table
 
 
-def palette_index(values, size: int, count: int, what: str) -> np.ndarray:
-    """Validate payload palette indices: ``count`` integers in ``0..size-1``, as int64.
-
-    Raises :class:`~repro.errors.ModelError` on a count mismatch or an
-    out-of-range index.  Non-integer entries raise ``TypeError`` or
-    ``ValueError``, which the caller reports as a malformed payload.
-    """
-    index = np.asarray(values, dtype=np.int64)
-    if index.ndim != 1:
-        raise ValueError(f"{what} palette index must be a list of integers")
-    if index.size != count:
-        raise ModelError(
-            f"{what} palette index has {index.size} entries; expected {count}"
-        )
-    if index.size and (index.min() < 0 or index.max() >= size):
-        raise ModelError(f"{what} palette index outside 0..{size - 1}")
-    return index
-
-
 def model_to_dict(model) -> dict:
     """Serialise an :class:`~repro.mrf.model.MRF` or :class:`~repro.csp.model.LocalCSP`."""
     to_dict = getattr(model, "to_dict", None)
@@ -147,7 +250,7 @@ def model_from_dict(payload: dict):
 
     Dispatches on ``payload["type"]`` (``"mrf"`` or ``"csp"``); the inverse
     of :func:`model_to_dict` up to object identity — the rebuilt model has
-    the same fingerprint as the original.
+    the same stored arrays and fingerprint as the original.
     """
     if not isinstance(payload, dict):
         raise ModelError(f"model payload must be a dict, got {type(payload).__name__}")

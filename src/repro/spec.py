@@ -12,10 +12,11 @@ submit``) and the serving daemon (:mod:`repro.serve`).  A spec is:
 * **self-contained and picklable** — workers execute it with no other
   context;
 * **wire-serialisable** (:meth:`to_wire` / :meth:`from_wire`) — the model
-  travels as its canonical palette payload (:mod:`repro.serialize`), so a
-  request submitted over HTTP rebuilds an equivalent model on the server,
-  or as a fingerprint (:meth:`to_wire_fingerprint`) that the receiver
-  resolves through its registry of decoded models;
+  travels as its stored arrays in the array codec of :mod:`repro.serialize`
+  (as does an ``initial`` start), so a request submitted over HTTP rebuilds
+  a model with the same arrays on the server, or as a fingerprint
+  (:meth:`to_wire_fingerprint`) that the receiver resolves through its
+  registry of decoded models;
 * **content-addressable** (:meth:`cache_key`) — the key hashes the model
   fingerprint, method, seed and every parameter that can influence a
   sampled bit, and *nothing else*.  Because results are bit-identical for
@@ -30,6 +31,7 @@ never be replayed.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections.abc import Mapping
@@ -41,7 +43,9 @@ from repro.chains.base import SeedLike, checked_initial
 from repro.chains.ensemble import canonical_checkpoints
 from repro.errors import ModelError, UnknownModelError
 from repro.families import validate_method
-from repro.serialize import model_from_dict, model_to_dict, payload_fingerprint
+from repro.serialize import (
+    canonical_json, decode_array, encode_array, model_from_dict, model_to_dict,
+)
 
 __all__ = ["JOB_KINDS", "JobSpec"]
 
@@ -50,12 +54,12 @@ JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
 
 #: Wire-format version; bumped on incompatible changes so a client and a
 #: long-running daemon from different releases fail loudly, not subtly.
-#: Version 2 carries models in the palette form of :mod:`repro.serialize`;
-#: version 3 returns sample batches as base64 arrays in their spin dtype
-#: (:mod:`repro.serve.wire`).
-WIRE_VERSION = 3
+#: Version 3 returned sample batches as base64 arrays; version 4 carries
+#: models and ``initial`` starts in the same array codec
+#: (:mod:`repro.serialize`), with the fingerprint over the stored bytes.
+WIRE_VERSION = 4
 
-#: A model fingerprint: the SHA-256 hex digest of its canonical payload.
+#: A model fingerprint: the SHA-256 hex digest of its stored arrays.
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -91,13 +95,6 @@ def _canonical_seed(seed, strict: bool):
             f"{type(seed).__name__}"
         )
     return value
-
-
-def _canonical_initial(initial):
-    """Normalise a start spec to nested int lists (or ``None``)."""
-    if initial is None:
-        return None
-    return np.asarray(initial, dtype=np.int64).tolist()
 
 
 def _wire_model(payload, models: Mapping[str, object] | None):
@@ -301,9 +298,10 @@ class JobSpec:
         placement, not parameters; sharding and shard size change the RNG
         streams, so they are parameters.
         """
+        initial = self.initial
         params: dict = {
             "replicas": int(self.replicas),
-            "initial": _canonical_initial(self.initial),
+            "initial": None if initial is None else encode_array(np.asarray(initial, np.int64)),
         }
         if self.kind == "sample_many":
             params["rounds"] = None if self.rounds is None else int(self.rounds)
@@ -335,15 +333,14 @@ class JobSpec:
         fingerprint = getattr(self.model, "model_fingerprint", None)
         if fingerprint is None:
             return None
-        return payload_fingerprint(
-            {
-                "model": fingerprint(),
-                "kind": self.kind,
-                "method": self.method,
-                "seed": seed,
-                "params": self.params_dict(),
-            }
-        )
+        request = {
+            "model": fingerprint(),
+            "kind": self.kind,
+            "method": self.method,
+            "seed": seed,
+            "params": self.params_dict(),
+        }
+        return hashlib.sha256(canonical_json(request).encode("ascii")).hexdigest()
 
     def to_wire(self) -> dict:
         """Serialise into a plain-JSON payload; inverse of :meth:`from_wire`.
@@ -422,6 +419,9 @@ class JobSpec:
                 if seed < 0:
                     raise ModelError(f"seed must be a non-negative integer, got {seed}")
             name = payload.get("name")
+            initial = params.get("initial")
+            if initial is not None:
+                initial = decode_array(initial, "int", what="initial")
             sharded = bool(params.get("sharded", False))
             shard_size = params.get("shard_size") if sharded else None
             common = dict(
@@ -429,7 +429,7 @@ class JobSpec:
                 method=str(payload.get("method", "local-metropolis")),
                 replicas=int(params.get("replicas", 1)),
                 seed=seed,
-                initial=params.get("initial"),
+                initial=initial,
                 name=None if name is None else str(name),
                 parallel=0 if sharded else None,
                 shard_size=None if shard_size is None else int(shard_size),

@@ -29,7 +29,6 @@ from repro.chains.ensemble import (
     EnsembleLubyGlauberMRF,
     _uniform_spins,
 )
-from repro.chains.fastpaths import sorted_edge_arrays
 from repro.chains.luby_glauber import LubyGlauberChain
 from repro.csp import (
     Constraint,
@@ -99,9 +98,9 @@ class TestCompiledMRF:
     def test_edges_match_the_graph(self):
         mrf = per_edge_mrf()
         compiled = mrf.compiled()
-        edge_u, edge_v = sorted_edge_arrays(mrf.graph)
-        np.testing.assert_array_equal(compiled.edge_u, edge_u)
-        np.testing.assert_array_equal(compiled.edge_v, edge_v)
+        edges = np.array(sorted((min(u, v), max(u, v)) for u, v in mrf.graph.edges()))
+        np.testing.assert_array_equal(compiled.edge_u, edges[:, 0])
+        np.testing.assert_array_equal(compiled.edge_v, edges[:, 1])
 
     def test_every_edge_names_its_table(self):
         mrf = per_edge_mrf()
@@ -244,7 +243,7 @@ class TestCompiledCSP:
 
 
 MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
-CSP_STATE = {"name", "constraint_names", "n", "q", "_arrays", "_fingerprint"}
+CSP_STATE = {"name", "constraint_names", "n", "q", "_arrays"}
 CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
 #: The arrays each record derives on first use, which engines share by identity.
 MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables")
@@ -289,10 +288,11 @@ class TestMemoization:
         compiled = csp.compiled()
         assert compiled is csp.compiled()
         # Nothing but the stored fields until something reads a derived one;
-        # identifying the model derives nothing.
+        # identifying the model derives nothing but its memoized fingerprint.
+        assert set(vars(compiled)) == CSP_FIELDS
         csp.model_fingerprint()
         JobSpec.sample_many(csp, 2, rounds=1, seed=0).cache_key()
-        assert set(vars(compiled)) == CSP_FIELDS
+        assert set(vars(compiled)) == CSP_FIELDS | {"fingerprint"}
         assert set(vars(csp)) == CSP_STATE
 
     @pytest.mark.parametrize("method", ["luby-glauber", "local-metropolis"])
@@ -344,7 +344,8 @@ class TestMemoization:
         after = pickle.dumps(mrf)
         assert len(after) == len(before)
         restored = pickle.loads(after)
-        assert set(vars(restored)) == {"name", "n", "q", "_arrays", "_fingerprint"}
+        assert set(vars(restored)) == {"name", "n", "q", "_arrays"}
+        assert "fingerprint" not in vars(restored.compiled())
         assert restored.model_fingerprint() == mrf.model_fingerprint()
         for field in ("edge_u", "edge_v", "edge_table", "palette", "vertex_index",
                       "vertex_palette"):

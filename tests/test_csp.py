@@ -28,6 +28,7 @@ from repro.errors import ModelError
 from repro.families import DISPATCH
 from repro.graphs import cycle_graph, path_graph, star_graph, torus_graph
 from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
+from repro.serialize import decode_array, encode_array
 
 
 class TestConstraint:
@@ -106,15 +107,36 @@ class TestLocalCSP:
         assert csp.scope(1) == (1, 2)
 
 
-def _payload(**edits) -> dict:
-    """A decoded q=2 payload with arities 1, 2 and 3, with ``edits`` applied."""
-    payload = json.loads(json.dumps(dominating_set_csp(path_graph(4), weight=2.0).to_dict()))
-    for key, value in edits.items():
-        if key == "palette":
-            payload["palette"].append(value)
-        else:
-            payload["constraints"][0][key] = value
-    return payload
+_BASE = dominating_set_csp(path_graph(4), weight=2.0)
+_SCOPES = [list(_BASE.scope(c)) for c in range(len(_BASE.constraint_names))]
+
+
+def _with_scopes(payload: dict, scopes) -> None:
+    """Re-encode ``payload``'s scope CSR arrays from a list of scopes."""
+    sizes = [len(scope) for scope in scopes]
+    payload["arrays"]["scope_indptr"] = encode_array(np.cumsum([0, *sizes]))
+    payload["arrays"]["scope_vertex"] = encode_array(
+        np.array([v for scope in scopes for v in scope], dtype=np.int64)
+    )
+
+
+def _payload(scope=None, table=None, palette=None, arrays=()) -> dict:
+    """A decoded q=2 payload with arities 1, 2 and 3.
+
+    Constraint 0 gets ``scope`` or palette index ``table``, ``palette``
+    joins the palette and ``arrays`` replaces raw ``arrays`` entries.
+    """
+    payload = json.loads(json.dumps(_BASE.to_dict()))
+    if scope is not None:
+        _with_scopes(payload, [scope, *_SCOPES[1:]])
+    if table is not None:
+        index = decode_array(payload["arrays"]["constraint_table"], "int")
+        index[0] = table
+        payload["arrays"]["constraint_table"] = encode_array(index)
+    if palette is not None:
+        payload["arrays"]["palette"].append(encode_array(np.array(palette, dtype=float)))
+    payload["arrays"].update(arrays)
+    return json.loads(json.dumps(payload))
 
 
 class TestFromDict:
@@ -131,37 +153,65 @@ class TestFromDict:
             ({"palette": [[float("nan"), -1.0], [0.0, 0.0]]}, "palette entry 3: .*finite"),
             ({"palette": [-1.0, 1.0]}, "palette entry 3: .*non-negative"),
             ({"palette": [[1.0, 1.0, 1.0]] * 3}, "palette entry 3: table domain 3"),
-            ({"scope": "ab"}, "malformed"),
+            ({"arrays": {"scope_vertex": "ab"}}, "malformed"),
         ],
     )
     def test_refused(self, edits, needle):
         with pytest.raises(ModelError, match=needle):
             LocalCSP.from_dict(_payload(**edits))
 
+    @pytest.mark.parametrize(
+        "indptr",
+        [[1, 2, 5, 8, 10, 11, 12, 13, 14], [0, 2, 5, 4, 10, 11, 12, 13, 14],
+         [0, 2, 5, 8, 10, 11, 12, 13, 13], [0, 2, 5, 8, 10, 11, 12, 13, 15]],
+        ids=["not-from-0", "decreasing", "short-end", "long-end"],
+    )
+    def test_scope_offsets_are_checked(self, indptr):
+        payload = _payload(arrays={"scope_indptr": encode_array(np.array(indptr))})
+        with pytest.raises(ModelError, match="scope_indptr must start at 0"):
+            LocalCSP.from_dict(payload)
+
     def test_unused_entry_is_named_by_its_payload_position(self):
         payload = _payload()
+        palette = payload["arrays"]["palette"]
         # Entry 3 repeats entry 0, so the bad entry 4 is the fourth distinct one.
-        payload["palette"] += [payload["palette"][0], [[float("nan"), -1.0], [0.0, 0.0]]]
+        palette += [palette[0], encode_array(np.array([[float("nan"), -1.0], [0.0, 0.0]]))]
         with pytest.raises(ModelError, match="palette entry 4: .*finite"):
             LocalCSP.from_dict(payload)
 
-    def test_scope_checks_hold_at_any_n(self):
-        """Past 2**62 vertices no (constraint, vertex) pair is mistaken for a repeat."""
+    def test_scope_checks_hold_up_to_the_vertex_bound(self):
+        """At n = 2**31 - 1 no (constraint, vertex) pair is mistaken for a repeat.
+
+        Nothing here reads ``max_degree``, ``incident`` or an engine: they
+        allocate O(n).
+        """
         payload = _payload()
-        payload["n"] = 2**62
-        for entry in payload["constraints"]:
-            entry["scope"] = [v * 2**60 for v in entry["scope"]]
+        payload["n"] = 2**31 - 1
+        scopes = [[v * 2**29 for v in scope] for scope in _SCOPES]
+        _with_scopes(payload, scopes)
         csp = LocalCSP.from_dict(payload)  # vertex 0 is in constraints 0, 1 and 4
         assert csp.scope(4) == (0,)
-        payload["constraints"][5]["scope"] = [2**62 - 1, 2**62 - 1]
-        payload["constraints"][5]["table"] = 0
+        scopes[5] = [2**31 - 2, 2**31 - 2]
+        _with_scopes(payload, scopes)
+        payload["arrays"]["constraint_table"] = encode_array(np.array([0, 1, 1, 0, 2, 0, 2, 2]))
         with pytest.raises(ModelError, match=r"pick-weight\(1\): scope vertices must be distinct"):
             LocalCSP.from_dict(payload)
 
+    @pytest.mark.parametrize("model", [_BASE, proper_coloring_mrf(path_graph(4), 3)],
+                             ids=["csp", "mrf"])
+    def test_n_of_2_to_the_31_is_refused(self, model):
+        """Vertex pairs are keyed as ``lo * n + hi`` in int64."""
+        payload = json.loads(json.dumps(model.to_dict()))
+        payload["n"] = 2**31
+        with pytest.raises(ModelError, match=r"n < 2\*\*31 vertices, got n = 2147483648"):
+            repro.serialize.model_from_dict(payload)
+
     def test_non_finite_used_entry_is_refused_naming_its_constraint(self):
         payload = _payload()
-        payload["palette"][0][0][0] = float("inf")
-        name = payload["constraints"][0]["name"]
+        table = decode_array(payload["arrays"]["palette"][0], "float")
+        table[0, 0] = float("inf")
+        payload["arrays"]["palette"][0] = encode_array(table)
+        name = payload["constraint_names"][0]
         with pytest.raises(ModelError, match=rf"{re.escape(name)}: .*finite"):
             LocalCSP.from_dict(payload)
 

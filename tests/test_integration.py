@@ -1,19 +1,16 @@
 """Cross-module integration tests.
 
 These tie independent subsystems together: the high-level API against the
-exact CFTP sampler, the message-passing protocols against the chain
-implementations, and the vectorised coupled chain against the generic
-coupling machinery.
+exact CFTP sampler and the message-passing protocols against the chain
+implementations.
 """
 
 import numpy as np
-import pytest
 
 import repro
 from repro.analysis import empirical_distribution, marginal_from_samples
 from repro.chains import LubyGlauberChain
 from repro.chains.cftp import MonotoneCFTP
-from repro.chains.fastpaths import FastCoupledLocalMetropolis
 from repro.distributed import run_luby_glauber_protocol
 from repro.graphs import cycle_graph, path_graph, torus_graph
 from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
@@ -57,50 +54,6 @@ class TestSamplerCrossValidation:
         b = empirical_distribution(chain_samples, 4, 3)
         assert gibbs.tv_distance(a) < 0.08
         assert gibbs.tv_distance(b) < 0.08
-
-
-class TestFastCoupledChain:
-    def test_coalesces_on_torus(self):
-        graph = torus_graph(16, 16)
-        n = 256
-        coupled = FastCoupledLocalMetropolis(
-            graph, 18, np.zeros(n, dtype=int), np.ones(n, dtype=int), seed=0
-        )
-        for step in range(1, 2001):
-            coupled.step()
-            if coupled.agree():
-                break
-        assert coupled.agree()
-        assert step < 500  # q/Delta = 4.5: tens of rounds expected
-
-    def test_copies_individually_faithful(self):
-        graph = torus_graph(8, 8)
-        coupled = FastCoupledLocalMetropolis(
-            graph, 18, np.zeros(64, dtype=int), np.ones(64, dtype=int), seed=1
-        )
-        coupled.run(100)
-        edges_u = coupled.edge_u
-        edges_v = coupled.edge_v
-        assert not np.any(coupled.config[edges_u] == coupled.config[edges_v])
-        assert not np.any(coupled.config_y[edges_u] == coupled.config_y[edges_v])
-
-    def test_hamming_reaches_zero_monotonically_in_distribution(self):
-        """Disagreement count trends to zero (not necessarily monotonically
-        per step, but the endpoint is coalescence)."""
-        graph = cycle_graph(64)
-        coupled = FastCoupledLocalMetropolis(
-            graph, 9, np.zeros(64, dtype=int), np.ones(64, dtype=int), seed=2
-        )
-        start = coupled.hamming()
-        coupled.run(400)
-        assert coupled.hamming() <= start
-        assert coupled.agree()
-
-    def test_initial_validation(self):
-        with pytest.raises(Exception):
-            FastCoupledLocalMetropolis(
-                cycle_graph(4), 5, np.zeros(4, dtype=int), np.ones(3, dtype=int)
-            )
 
 
 class TestEndToEndBudgets:

@@ -16,6 +16,7 @@ from repro.families import DISPATCH, dispatch
 from repro.graphs import cycle_graph, path_graph, torus_graph
 from repro.mrf import MRF, hardcore_mrf, proper_coloring_mrf
 from repro.mrf.model import as_config
+from repro.serialize import encode_array
 
 
 def two_state_edge(off_diag=1.0, diag=0.0):
@@ -161,10 +162,12 @@ class TestSimpleGraph:
     )
     def test_from_dict_refuses_a_self_loop_or_repeated_edge(self, edges, edge_index):
         payload = MRF(path_graph(2), 2, two_state_edge(), np.ones(2)).to_dict()
-        payload.update(
-            edges=edges,
-            edge_index=edge_index,
-            edge_palette=[two_state_edge().tolist(), two_state_edge(2.0, 1.0).tolist()],
+        edges = np.array(edges)
+        payload["arrays"].update(
+            edge_u=encode_array(edges[:, 0]),
+            edge_v=encode_array(edges[:, 1]),
+            edge_table=encode_array(np.array(edge_index)),
+            palette=encode_array(np.array([two_state_edge(), two_state_edge(2.0, 1.0)])),
         )
         with pytest.raises(ModelError, match="an MRF's edges must form a simple graph"):
             MRF.from_dict(payload)

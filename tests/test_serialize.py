@@ -1,16 +1,18 @@
-"""Canonical serialization: to_dict/from_dict round-trips and fingerprints.
+"""Canonical serialization: the array codec, round trips and fingerprints.
 
 The contract under test (see :mod:`repro.serialize`): a round-tripped
-model is *operationally identical* — same exact distribution, same
-sampling bits for the same seed — and ``model_fingerprint()`` is stable
-across round trips, independent of cosmetic names, and sensitive to
-every parameter that can reach a sampled bit.
+model has the same stored arrays and is *operationally identical* — same
+exact distribution, same sampling bits for the same seed — and
+``model_fingerprint()`` follows its documented recipe, is stable across
+round trips, independent of cosmetic names, and sensitive to every
+parameter that can reach a sampled bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -35,9 +37,10 @@ from repro.mrf import (
 from repro.mrf.model import MRF
 from repro.serialize import (
     canonical_json,
+    decode_array,
+    encode_array,
     model_from_dict,
     model_to_dict,
-    payload_fingerprint,
 )
 
 SEED = 20170625
@@ -129,7 +132,49 @@ class TestFuzzRoundTrip:
             _assert_equivalent(model, clone)
 
 
+def _family_model(name: str):
+    """A small model of registry family ``name``, on a 3x3 grid."""
+    return repro.families.build_model({"family": name, "graph": "grid"}, 3, seed=0)
+
+
+def _recipe(model) -> str:
+    """The fingerprint recipe of :mod:`repro.serialize`, recomputed here."""
+    arrays = model.compiled()
+    if isinstance(model, LocalCSP):
+        kind, fields = "csp", ["scope_indptr", "scope_vertex", "constraint_table"]
+        tables = [("palette", table) for table in arrays.palette]
+    else:
+        kind, tables = "mrf", []
+        fields = ["edge_u", "edge_v", "edge_table", "palette", "vertex_index", "vertex_palette"]
+    stored = [(field, getattr(arrays, field)) for field in fields] + tables
+    header = f"{kind} {model.n} {model.q}\n"
+    for field, array in stored:
+        assert array.dtype.str in ("<i8", "<f8")
+        header += f"{field} {array.dtype.str} {','.join(str(e) for e in array.shape)}\n"
+    digest = hashlib.sha256(header.encode("ascii"))
+    for _, array in stored:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 class TestFingerprint:
+    @pytest.mark.parametrize("name", repro.families.FAMILIES)
+    def test_follows_the_documented_recipe(self, name):
+        model = _family_model(name)
+        assert model.model_fingerprint() == _recipe(model)
+
+    @pytest.mark.parametrize("name", repro.families.FAMILIES)
+    def test_wire_round_trip_keeps_the_arrays_and_fingerprint(self, name):
+        model = _family_model(name)
+        spec = repro.JobSpec.sample_many(model, 2, rounds=1, seed=0)
+        clone = repro.JobSpec.from_wire(json.loads(json.dumps(spec.to_wire()))).model
+        mine = list(model.compiled().stored_arrays())
+        theirs = list(clone.compiled().stored_arrays())
+        assert [field for field, _ in mine] == [field for field, _ in theirs]
+        for (field, a), (_, b) in zip(mine, theirs, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert clone.model_fingerprint() == model.model_fingerprint()
+
     def test_name_is_cosmetic(self, path3_coloring):
         payload = path3_coloring.to_dict()
         payload["name"] = "renamed"
@@ -140,9 +185,9 @@ class TestFingerprint:
     def test_csp_constraint_names_are_cosmetic(self):
         csp = dominating_set_csp(cycle_graph(4))
         payload = csp.to_dict()
-        for constraint in payload["constraints"]:
-            constraint["name"] = "anon"
+        payload["constraint_names"] = ["anon"] * len(payload["constraint_names"])
         clone = LocalCSP.from_dict(payload)
+        assert clone.constraint_names == ("anon",) * 4
         assert clone.model_fingerprint() == csp.model_fingerprint()
 
     def test_parameters_reach_the_fingerprint(self):
@@ -160,8 +205,25 @@ class TestFingerprint:
             != dominating_set_csp(graph, weight=2.0).model_fingerprint()
         )
 
+    def test_n_q_and_every_stored_entry_reach_the_fingerprint(self):
+        for model in (_hetero_mrf(), dominating_set_csp(path_graph(4), weight=2.0)):
+            kind = "csp" if isinstance(model, LocalCSP) else "mrf"
+            stored = list(model.compiled().stored_arrays())
+            fingerprint = model.model_fingerprint()
+            assert repro.serialize.model_fingerprint(kind, model.n, model.q, stored) == fingerprint
+            for n, q in ((model.n + 1, model.q), (model.n, model.q + 1)):
+                assert repro.serialize.model_fingerprint(kind, n, q, stored) != fingerprint
+            for k, (field, array) in enumerate(stored):
+                for position in range(array.size):
+                    changed = array.copy()
+                    changed.flat[position] += 1
+                    edited = [*stored[:k], (field, changed), *stored[k + 1:]]
+                    assert repro.serialize.model_fingerprint(
+                        kind, model.n, model.q, edited
+                    ) != fingerprint, (field, position)
+
     def test_fingerprint_stable_across_processes_contract(self, path3_coloring):
-        # sha256 over canonical JSON: recomputing must be bit-stable.
+        # sha256 over the stored bytes: recomputing must be bit-stable.
         assert (
             path3_coloring.model_fingerprint()
             == MRF.from_dict(path3_coloring.to_dict()).model_fingerprint()
@@ -169,15 +231,24 @@ class TestFingerprint:
 
     def test_constraint_order_is_significant(self):
         # Factor evaluation order fixes float-product order, hence bits:
-        # reordering constraints is a *different* canonical payload.
+        # reordering constraints makes a *different* model identity.
         csp = coloring_csp(path_graph(3), 3)
-        payload = csp.to_dict()
-        reordered = dict(payload, constraints=list(reversed(payload["constraints"])))
-        assert payload_fingerprint(
-            {k: v for k, v in payload.items() if k != "name"}
-        ) != payload_fingerprint(
-            {k: v for k, v in reordered.items() if k != "name"}
-        )
+        reordered = LocalCSP(csp.n, csp.q, list(reversed(csp.constraints)))
+        assert reordered.model_fingerprint() != csp.model_fingerprint()
+
+
+def _decoded(payload: dict) -> dict:
+    """The decoded arrays of an MRF payload."""
+    return {
+        field: decode_array(value, "float" if "palette" in field else "int")
+        for field, value in payload["arrays"].items()
+    }
+
+
+def _edit(payload: dict, field: str, edit) -> None:
+    """Replace an integer ``field`` of ``payload`` by ``edit(decoded)``, re-encoded."""
+    arrays = payload["arrays"]
+    arrays[field] = encode_array(edit(decode_array(arrays[field], "int")))
 
 
 def _hetero_mrf() -> MRF:
@@ -202,32 +273,34 @@ class TestPaletteForm:
         )
         assert shared.to_dict() == copies.to_dict()
         assert shared.model_fingerprint() == copies.model_fingerprint()
-        payload = shared.to_dict()
-        assert payload["edge_palette"] == [table.tolist()]
-        assert payload["edge_index"] == [0] * 6
-        assert payload["vertex_palette"] == [[1.0, 1.0, 1.0]]
-        assert payload["vertex_index"] == [0] * 6
+        arrays = _decoded(shared.to_dict())
+        assert arrays["palette"].tolist() == [table.tolist(), np.ones((3, 3)).tolist()]
+        assert arrays["edge_table"].tolist() == [0] * 6
+        assert arrays["vertex_palette"].tolist() == [[1.0, 1.0, 1.0]]
+        assert arrays["vertex_index"].tolist() == [0] * 6
 
     def test_palette_is_in_first_use_order(self):
-        payload = _hetero_mrf().to_dict()
+        arrays = _decoded(_hetero_mrf().to_dict())
         # (0, 1) is the first edge in canonical order, so its table is entry 0.
-        assert payload["edges"][0] == [0, 1]
-        assert payload["edge_index"] == [0, 1, 1, 1, 1, 1]
-        assert payload["edge_palette"][0] == np.full((3, 3), 2.0).tolist()
-        assert payload["vertex_index"] == [0, 0, 1, 0, 0, 0]
+        assert (arrays["edge_u"][0], arrays["edge_v"][0]) == (0, 1)
+        assert arrays["edge_table"].tolist() == [0, 1, 1, 1, 1, 1]
+        assert arrays["palette"][0].tolist() == np.full((3, 3), 2.0).tolist()
+        assert arrays["vertex_index"].tolist() == [0, 0, 1, 0, 0, 0]
 
     def test_from_dict_shares_frozen_tables(self):
         model = _hetero_mrf()
         payload = json.loads(json.dumps(model.to_dict()))
         clone = MRF.from_dict(payload)
         tables = [clone.edge_activity(u, v) for u, v in clone.edges]
-        assert len({id(table) for table in tables}) == len(payload["edge_palette"])
+        # Every palette entry but the trailing pad table is used.
+        assert len({id(table) for table in tables}) == payload["arrays"]["palette"]["shape"][0] - 1
         assert not any(table.flags.writeable for table in tables)
         assert clone.model_fingerprint() == model.model_fingerprint()
 
         csp = dominating_set_csp(cycle_graph(6))
         csp_payload = json.loads(json.dumps(csp.to_dict()))
-        assert len(csp_payload["palette"]) == 1  # every closed neighbourhood has 3 vertices
+        # every closed neighbourhood has 3 vertices
+        assert len(csp_payload["arrays"]["palette"]) == 1
         csp_clone = LocalCSP.from_dict(csp_payload)
         csp_tables = [constraint.table for constraint in csp_clone.constraints]
         assert len({id(table) for table in csp_tables}) == 1
@@ -235,18 +308,22 @@ class TestPaletteForm:
 
     @pytest.mark.parametrize("build", [_hetero_mrf, lambda: dominating_set_csp(cycle_graph(5))])
     def test_fingerprint_is_memoized(self, monkeypatch, build):
+        """Hashed once per stored record; a pickled copy hashes its own once."""
         model = build()
         calls = []
-        to_dict = type(model).to_dict
+        fingerprint = repro.compiled.model_fingerprint
 
-        def counting_to_dict(self):
-            calls.append(self)
-            return to_dict(self)
+        def counting(*args):
+            calls.append(args[0])
+            return fingerprint(*args)
 
-        monkeypatch.setattr(type(model), "to_dict", counting_to_dict)
+        monkeypatch.setattr(repro.compiled, "model_fingerprint", counting)
         first = model.model_fingerprint()
         assert model.model_fingerprint() == first
         assert len(calls) == 1
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy.model_fingerprint() == copy.model_fingerprint() == first
+        assert len(calls) == 2
 
     def test_without_edge_gets_its_own_fingerprint(self):
         parent = _hetero_mrf()
@@ -260,17 +337,17 @@ class TestPaletteForm:
 
 
 #: sha256 of ``canonical_json(model.to_dict())``, names included, for one
-#: model of each CSP family.  Pinned from the constraint-object storage
-#: the array storage replaced: the payload bytes must not move.
+#: model of each CSP family: the payload bytes must not move.  Re-pinned
+#: when the payload became the stored arrays in the array codec.
 CSP_PAYLOAD_DIGESTS = [
     ({"family": "coloring-csp", "graph": "grid", "q": 3}, 3,
-     "835ab0346adefb7ca1ca7a54f104a100de87c996cf0cf5542106610d4d167878"),
+     "679aef127cd24d7d38d7a472c4bfa2b054a6a194e7b315020634adb7cbcb5c38"),
     ({"family": "nae", "graph": "cycle", "q": 3}, 7,
-     "8ea4dc9f8224759ef1f138a76b6e75cb3e20e311e9f560699329e662434f0d0a"),
+     "8298ff7329e5fd6f1599fab4b63af9841fd47b89a61b6cb33c5afa15326aa3dc"),
     ({"family": "dominating-set", "graph": "grid", "weight": 2.0}, 3,
-     "bcbe78bd2b2038d7aef11fc09c8505a8c1398cdaa5e1bb6389a9494500c22c21"),
+     "7db24b6711196af06dc5c584362be522150e4b9315e30b1f7bf3569acb4d856a"),
     ({"family": "mis", "graph": "path"}, 5,
-     "5f7bbcdb9efa8ccf138e069c60c298c88548669a9a06df6aa52c42be6b7078d9"),
+     "60abd03a8a9d1402a22dd372e979012acd97b983cc28bcd363cece2f30035761"),
 ]
 
 
@@ -294,36 +371,44 @@ class TestMalformed:
             model_from_dict([1, 2, 3])
 
     def test_mrf_table_count_mismatch_rejected(self, path3_coloring):
-        for field in ("edge_index", "vertex_index"):
+        for field in ("edge_table", "vertex_index"):
             payload = path3_coloring.to_dict()
-            payload[field] = payload[field][:-1]
+            _edit(payload, field, lambda array: array[:-1])
             with pytest.raises(ModelError, match="palette index has"):
                 MRF.from_dict(payload)
 
-    @pytest.mark.parametrize("field", ["edge_index", "vertex_index"])
-    @pytest.mark.parametrize("bad", [-1, 1])
-    def test_mrf_palette_index_out_of_range_rejected(self, path3_coloring, field, bad):
-        payload = path3_coloring.to_dict()  # one-entry palettes: only 0 is valid
-        payload[field][0] = bad
+    @pytest.mark.parametrize("field, palette", [("edge_table", "palette"),
+                                                ("vertex_index", "vertex_palette")])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_mrf_palette_index_out_of_range_rejected(self, path3_coloring, field, palette, past):
+        payload = path3_coloring.to_dict()
+        bad = payload["arrays"][palette]["shape"][0] if past else -1
+
+        def edit(array):
+            array[0] = bad
+            return array
+
+        _edit(payload, field, edit)
         with pytest.raises(ModelError, match="palette index outside"):
             MRF.from_dict(payload)
 
     def test_csp_palette_index_out_of_range_rejected(self):
         payload = dominating_set_csp(cycle_graph(3)).to_dict()
-        payload["constraints"][0]["table"] = len(payload["palette"])
+        size = len(payload["arrays"]["palette"])
+        _edit(payload, "constraint_table", lambda array: np.concatenate([[size], array[1:]]))
         with pytest.raises(ModelError, match="palette index outside"):
             LocalCSP.from_dict(payload)
 
     def test_mrf_vertex_palette_width_checked(self, path3_coloring):
         payload = path3_coloring.to_dict()
-        payload["vertex_palette"] = [[1.0, 1.0]]  # q = 3
+        payload["arrays"]["vertex_palette"] = encode_array(np.ones((1, 2)))  # q = 3
         with pytest.raises(ModelError, match="vertex palette"):
             MRF.from_dict(payload)
 
     def test_csp_malformed_constraint_rejected(self):
         payload = dominating_set_csp(cycle_graph(3)).to_dict()
-        payload["constraints"][0] = {"scope": [0, 1]}  # missing table
-        with pytest.raises(ModelError):
+        del payload["arrays"]["constraint_table"]  # a constraint without its table
+        with pytest.raises(ModelError, match="constraint_table"):
             LocalCSP.from_dict(payload)
 
     def test_canonical_json_rejects_nan(self):

@@ -36,6 +36,7 @@ from repro.csp.model import Constraint, LocalCSP
 from repro.errors import ServeError, ServerOverloadedError
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.mrf import MRF, proper_coloring_mrf
+from repro.serialize import decode_array, encode_array
 from repro.serve import ReproServer, ResultCache, ServeClient
 from repro.spec import JobSpec
 
@@ -78,6 +79,22 @@ def _post_spec(server, spec_payload) -> tuple[int, dict]:
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def _first_scope(model: dict, scope: list[int]) -> None:
+    """Give constraint 0 of a CSP payload ``scope``, re-encoding the scope arrays."""
+    arrays = model["arrays"]
+    indptr = decode_array(arrays["scope_indptr"], "int")
+    vertex = decode_array(arrays["scope_vertex"], "int")
+    arrays["scope_vertex"] = encode_array(np.concatenate([scope, vertex[indptr[1]:]]))
+    arrays["scope_indptr"] = encode_array(np.append(0, indptr[1:] - indptr[1] + len(scope)))
+
+
+def _first_table_entry(model: dict, value: float) -> None:
+    """Set the first entry of a CSP payload's palette table 0 (sent as a float64)."""
+    table = decode_array(model["arrays"]["palette"][0], "float")
+    table.flat[0] = value
+    model["arrays"]["palette"][0] = encode_array(table)
 
 
 def _wait_until(predicate, timeout=30.0, interval=0.05):
@@ -342,8 +359,10 @@ class TestProtocolErrors:
         "spec, needle",
         [
             ({"kind": "x"}, "kind"),
-            # a client of the int-list result form is refused by version
-            ({"version": 2, "kind": "sample_many"}, "speaks version 3"),
+            # clients of the int-list result form and of the nested-list
+            # model form are refused by version
+            ({"version": 2, "kind": "sample_many"}, "speaks version 4"),
+            ({"version": 3, "kind": "sample_many"}, "speaks version 4"),
         ],
     )
     def test_malformed_spec_is_400(self, server, spec, needle):
@@ -403,7 +422,9 @@ class TestProtocolErrors:
 
     def test_non_finite_model_is_400(self, server, small_coloring):
         wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
-        wire["model"]["edge_palette"][0][0][1] = float("inf")  # sent as Infinity
+        palette = decode_array(wire["model"]["arrays"]["palette"], "float")
+        palette[0, 0, 1] = float("inf")
+        wire["model"]["arrays"]["palette"] = encode_array(palette)
         status, document = _post_spec(server, wire)
         assert status == 400
         assert "finite" in document["error"]
@@ -444,7 +465,10 @@ class TestProtocolErrors:
         if field == "method":
             wire["method"] = value
         elif field == "edges":
-            wire["model"]["edges"] = value
+            edges = np.array(value)
+            wire["model"]["arrays"].update(
+                edge_u=encode_array(edges[:, 0]), edge_v=encode_array(edges[:, 1])
+            )
         else:
             wire["params"][field] = value
         submitted = client.stats()["jobs"]["submitted"]
@@ -456,18 +480,44 @@ class TestProtocolErrors:
     @pytest.mark.parametrize(
         "edit, needle",
         [
-            (lambda model: model["constraints"][0].update(scope=[0, 0, 1]), "distinct"),
-            (lambda model: model["constraints"][0].update(scope=[0, 1, 4]), "outside 0..3"),
-            (lambda model: model["constraints"][0].update(scope=[0, 1]), "one axis"),
-            # sent as Infinity
-            (lambda model: model["palette"][0][0][0].__setitem__(0, float("inf")), "finite"),
-            (lambda model: model["palette"].append([float("nan"), -1.0, 0.0]), "palette entry 1"),
+            (lambda model: _first_scope(model, [0, 0, 1]), "distinct"),
+            (lambda model: _first_scope(model, [0, 1, 4]), "outside 0..3"),
+            (lambda model: _first_scope(model, [0, 1]), "one axis"),
+            (lambda model: _first_table_entry(model, float("inf")), "finite"),
+            (lambda model: model["arrays"]["palette"].append(
+                encode_array(np.array([float("nan"), -1.0, 0.0]))), "palette entry 1"),
         ],
         ids=["repeated-vertex", "vertex-past-n", "arity-mismatch", "non-finite", "unused-entry"],
     )
     def test_malformed_csp_is_400_and_never_submitted(self, server, client, edit, needle):
         csp = not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3)
         wire = JobSpec.sample_many(csp, 4, method="luby-glauber", seed=1, rounds=2).to_wire()
+        edit(wire["model"])
+        submitted = client.stats()["jobs"]["submitted"]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert needle in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
+
+    @pytest.mark.parametrize(
+        "kind, edit, needle",
+        [
+            ("mrf", lambda model: model["arrays"]["edge_u"].update(b64="AAAA"), "edge_u of shape"),
+            ("mrf", lambda model: model["arrays"]["vertex_index"].update(shape=[2**62, 0]),
+             "shape"),
+            ("csp", lambda model: model["arrays"].update(
+                scope_indptr=encode_array(np.array([0, 3, 7]))), "scope_indptr must start at 0"),
+            ("csp", lambda model: model.update(n=2**31), "2**31"),
+        ],
+        ids=["mrf-truncated-b64", "mrf-huge-extent", "csp-indptr-past-end", "csp-huge-n"],
+    )
+    def test_malformed_model_arrays_are_400(self, server, client, small_coloring, kind, edit,
+                                            needle):
+        spec = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2)
+        if kind == "csp":
+            csp = not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3)
+            spec = JobSpec.sample_many(csp, 4, method="luby-glauber", seed=1, rounds=2)
+        wire = spec.to_wire()
         edit(wire["model"])
         submitted = client.stats()["jobs"]["submitted"]
         status, document = _post_spec(server, wire)
@@ -486,7 +536,7 @@ class TestProtocolErrors:
         """A bad start is refused at decode: never truncated, never a 500."""
         spec = JobSpec.sample_many(proper_coloring_mrf(path_graph(3), 3), 2, seed=1, rounds=2)
         wire = spec.to_wire()
-        wire["params"]["initial"] = initial
+        wire["params"]["initial"] = encode_array(np.array(initial))
         submitted = client.stats()["jobs"]["submitted"]
         status, document = _post_spec(server, wire)
         assert status == 400

@@ -22,6 +22,7 @@ from repro.csp.builders import not_all_equal_csp
 from repro.errors import ModelError, UnknownModelError
 from repro.graphs import cycle_graph, grid_graph
 from repro.mrf import proper_coloring_mrf
+from repro.serialize import decode_array, encode_array
 from repro.spec import JobSpec
 
 SEED = 20170625
@@ -196,16 +197,21 @@ class TestCacheKey:
         ).cache_key()
 
 
-#: Literal cache keys of four seeded specs.  A served cache hit is looked up
+#: Literal cache keys of five seeded specs.  A served cache hit is looked up
 #: by this key, so a refactor that moves one silently turns every cached
 #: result into a miss; a change that means to move keys re-pins these and
-#: says so in CHANGES.md.
+#: says so in CHANGES.md.  Last re-pinned when the model fingerprint became
+#: a hash of the stored arrays and ``initial`` joined the array codec.
 PINNED_KEYS = {
-    "sample_many": "beb977228ae52634111fe711ac4e063f9d57414bcc6c316656e7837db58c5966",
-    "sample_many_sharded": "694a598c1342488da7c5c59da2574ab6738a78ef084b251a3023fd02d37b44ee",
-    "tv_curve": "32b1d9d0350925bad3b78429926daa3f9ef5acf682952311a3e81c91398a4274",
-    "mixing_time": "3be078507da6294bc82d4cb23b8a8c613cc23bd74c0c1e8c76a1a8819d08ad3b",
+    "sample_many": "ce519e9473ef1790cd5f251505bacb0a7f395289442f9b5b164b4d094fd3ea5e",
+    "sample_many_sharded": "88ab1a2e95ea0eddb6a4ee81b04e9ae66b4e38044aaa45b3a15095c8e1709325",
+    "sample_many_initial": "ffe2534ae023cfd3023865e57d2396307dc9f7fbf1db5853b34ac129b8cda119",
+    "tv_curve": "51a93696422460ed249d770d4ea5839c396a9befffbf529735ba8ca9bc892b60",
+    "mixing_time": "706380fb7fed9d36ebf8363c54a7df4b60e3a3235d7a2dd3a64963e8cd42902b",
 }
+
+#: A per-replica start batch: four proper 3-colourings of the 6-cycle.
+INITIAL = [[0, 1, 2, 0, 1, 2], [1, 2, 0, 1, 2, 0], [2, 0, 1, 2, 0, 1], [0, 1, 0, 1, 0, 1]]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
@@ -215,12 +221,25 @@ def test_cache_key_is_pinned(name, coloring, small_coloring, csp):
         "sample_many_sharded": lambda: JobSpec.sample_many(
             coloring, 16, seed=SEED, rounds=12, parallel=0, shard_size=4
         ),
+        "sample_many_initial": lambda: JobSpec.sample_many(
+            small_coloring, 4, seed=SEED, rounds=3, initial=INITIAL
+        ),
         "tv_curve": lambda: JobSpec.tv_curve(small_coloring, (1, 2, 4), replicas=64, seed=SEED),
         "mixing_time": lambda: JobSpec.mixing_time(
             csp, eps=0.25, method="luby-glauber", replicas=128, seed=SEED
         ),
     }
     assert specs[name]().cache_key() == PINNED_KEYS[name]
+
+
+def test_initial_key_does_not_depend_on_its_container(small_coloring):
+    specs = [
+        JobSpec.sample_many(small_coloring, 4, seed=SEED, rounds=3, initial=initial)
+        for initial in (INITIAL, np.array(INITIAL, dtype=np.int64), np.array(INITIAL, np.int8))
+    ]
+    specs.append(JobSpec.from_wire(json.loads(json.dumps(specs[0].to_wire()))))
+    assert {spec.cache_key() for spec in specs} == {PINNED_KEYS["sample_many_initial"]}
+    np.testing.assert_array_equal(repro.run_spec(specs[-1]), repro.run_spec(specs[0]))
 
 
 class TestWire:
@@ -347,8 +366,10 @@ _WIRE_FIELDS = [
     ("params", "initial"), ("params", "sharded"), ("params", "shard_size"),
     ("params", "backend"), ("params", "checkpoints"), ("params", "max_rounds"),
     ("params", "stride"), ("model", "type"), ("model", "fingerprint"),
-    ("model", "n"), ("model", "q"), ("model", "edges"), ("model", "edge_palette"),
-    ("model", "edge_index"), ("model", "vertex_palette"), ("model", "vertex_index"),
+    ("model", "n"), ("model", "q"), ("model", "arrays"), ("model", "arrays", "edge_u"),
+    ("model", "arrays", "palette"), ("model", "arrays", "edge_table"),
+    ("model", "arrays", "vertex_palette"), ("model", "arrays", "vertex_index"),
+    ("model", "arrays", "edge_u", "shape"),
 ]
 
 
@@ -385,3 +406,98 @@ class TestWireFuzz:
             return
         assert isinstance(rebuilt, JobSpec)
         rebuilt.cache_key()  # a served request hashes the spec next
+
+
+def _fault_specs() -> list[JobSpec]:
+    """Valid specs whose payloads the fault injector breaks: both model kinds,
+    a per-vertex activity palette, and ``initial`` starts of both ranks."""
+    mrf = proper_coloring_mrf(cycle_graph(4), 3).with_vertex_activity(2, [1.0, 2.0, 0.5])
+    nae = not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3)
+    return [
+        JobSpec.sample_many(mrf, 2, seed=1, rounds=2, initial=[[0, 1, 0, 1], [1, 2, 1, 2]]),
+        JobSpec.sample_many(nae, 2, method="luby-glauber", seed=1, rounds=2,
+                            initial=[0, 1, 2, 0]),
+    ]
+
+
+def _encoded_arrays(wire: dict) -> list[tuple[object, object]]:
+    """``(container, key)`` of every encoded array in a wire payload."""
+    arrays = wire["model"]["arrays"]
+    found = [(arrays, field) for field, value in arrays.items() if isinstance(value, dict)]
+    found += [(arrays["palette"], k) for k in range(len(arrays["palette"]))
+              if isinstance(arrays["palette"], list)]
+    return found + [(wire["params"], "initial")]
+
+
+def _redo(encoded: dict, edit) -> dict:
+    """Decode ``encoded``, apply ``edit`` and re-encode: a valid array, bad content."""
+    kind = "float" if encoded["dtype"] == "<f8" else "int"
+    return encode_array(edit(decode_array(encoded, kind)))
+
+
+def _set_entry(data):
+    value = data.draw(st.sampled_from([-1, 1, 2, 3, 4, 7, 2**31, 2**40]))
+
+    def edit(array):
+        array.flat[data.draw(st.integers(0, max(array.size - 1, 0)))] = value
+        return array
+
+    return edit
+
+
+#: Each fault breaks one part of one encoded array (or the arrays object).
+_FAULTS = {
+    "dtype": lambda data, target: target.update(dtype=data.draw(
+        st.sampled_from(["<f8", "|i1", "<i4", "<i8", ">i8", "|O", "<U4", "i8", ""])
+        | st.text(max_size=3)
+    )),
+    "rank": lambda data, target: target.update(shape=data.draw(
+        st.sampled_from([target["shape"] + [1], target["shape"][:-1], []])
+    )),
+    "extent": lambda data, target: target["shape"].__setitem__(
+        data.draw(st.integers(0, len(target["shape"]) - 1)),
+        data.draw(st.sampled_from([-1, 0, 2, 2**31, 2**62, 10**30])),
+    ),
+    "empty-huge": lambda data, target: target.update(b64="", shape=[0] + [data.draw(
+        st.sampled_from([2**31, 2**62, 10**30])
+    )] * (len(target["shape"]) - 1)),
+    "b64-invalid": lambda data, target: target.update(b64=target["b64"][:1] + data.draw(
+        st.sampled_from(["!", "é", "*", " ", "="])
+    ) + target["b64"][1:]),
+    "b64-truncated": lambda data, target: target.update(
+        b64=target["b64"][: data.draw(st.integers(0, max(len(target["b64"]) - 1, 0)))]
+    ),
+    "entry": lambda data, target: target.update(_redo(target, _set_entry(data))),
+    "length": lambda data, target: target.update(_redo(target, lambda array: data.draw(
+        st.sampled_from([array[:-1], np.concatenate([array, array[:1]])])
+    ))),
+    "float-for-int": lambda data, target: target.update(
+        _redo(target, lambda array: array.astype(float) + data.draw(st.sampled_from([0.0, 0.5])))
+    ),
+}
+
+
+class TestArrayFaults:
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_broken_array_payload_is_spec_or_model_error(self, data):
+        """One broken part of an encoded model or ``initial`` array: a spec or a
+        ModelError (a served 400), never another exception (a served 500)."""
+        wire = json.loads(json.dumps(data.draw(st.sampled_from(_fault_specs())).to_wire()))
+        fault = data.draw(st.sampled_from([*_FAULTS, "arrays", "indptr"]))
+        if fault == "arrays":
+            wire["model"]["arrays"] = data.draw(st.sampled_from([[], "arrays", 3, None]))
+        elif fault == "indptr" and "scope_indptr" in wire["model"]["arrays"]:
+            arrays = wire["model"]["arrays"]
+            arrays["scope_indptr"] = _redo(arrays["scope_indptr"], lambda indptr: data.draw(
+                st.sampled_from([indptr + 1, indptr[::-1], np.append(indptr[:-1], 99)])
+            ))
+        else:  # an MRF has no scope_indptr: break an entry instead
+            container, key = data.draw(st.sampled_from(_encoded_arrays(wire)))
+            _FAULTS.get(fault, _FAULTS["entry"])(data, container[key])
+        try:
+            rebuilt = JobSpec.from_wire(wire)
+        except ModelError:
+            return
+        assert isinstance(rebuilt, JobSpec)
+        rebuilt.cache_key()

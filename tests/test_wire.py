@@ -1,8 +1,9 @@
 """The serving wire codec: exact round trips and typed errors.
 
-A ``sample_many`` batch travels as ``{"dtype", "shape", "b64"}`` in the
-smallest signed integer dtype that holds its spins; everything a decoder
-reads comes off the network, so every malformed field must raise
+A ``sample_many`` batch travels in the array codec of
+:mod:`repro.serialize`, ``{"dtype", "shape", "b64"}``, in the smallest
+signed integer dtype that holds its spins; everything a decoder reads
+comes off the network, so every malformed field must raise
 :class:`~repro.errors.ServeError` rather than a numpy or Python error.
 """
 
@@ -36,11 +37,15 @@ class TestSampleBatchRoundTrip:
             (127, "|i1"),
             (128, "<i2"),
             (32_767, "<i2"),
-            (32_768, "<i8"),
+            (32_768, "<i4"),
+            (2**31 - 1, "<i4"),
+            (2**31, "<i8"),
             (-128, "|i1"),
             (-129, "<i2"),
             (-32_768, "<i2"),
-            (-32_769, "<i8"),
+            (-32_769, "<i4"),
+            (-(2**31), "<i4"),
+            (-(2**31) - 1, "<i8"),
             (INT64.max, "<i8"),
             (INT64.min, "<i8"),
         ],
@@ -90,6 +95,7 @@ class TestTypedErrors:
             ("shape", [2.0, 3]),
             ("shape", [True, 3]),
             ("shape", None),
+            ("shape", [2**31, 3]),
             ("b64", "not base64!"),
             ("b64", "AAAAé"),
             ("b64", ["AAAA"]),
@@ -99,6 +105,12 @@ class TestTypedErrors:
         payload = dict(_batch_payload(), **{field: value})
         with pytest.raises(ServeError, match=field):
             decode_result("sample_many", payload)
+
+    @pytest.mark.parametrize("shape", [[0, 10**30], [0, 2**62], [2**62, 0]])
+    def test_huge_extents_of_an_empty_batch(self, shape):
+        """Zero bytes match any shape with a zero extent; numpy must never see these."""
+        with pytest.raises(ServeError, match="shape"):
+            decode_result("sample_many", {"dtype": "|i1", "shape": shape, "b64": ""})
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_byte_length_off_by_one(self, delta):
