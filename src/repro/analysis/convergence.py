@@ -1,9 +1,13 @@
 """Ensemble-native convergence measurement.
 
 The paper's empirical story is told through TV-decay and mixing-time
-curves: run many independent replicas of a chain from a common worst-ish
-start and trace the distance between the ensemble's empirical distribution
-and the exact target as rounds progress.  This module measures those
+curves: run many independent replicas of a chain from a common start and
+trace the distance between the ensemble's empirical distribution and the
+exact target as rounds progress.  Without ``initial`` that start is the
+model's greedy start (:func:`repro.chains.base.start_config`): the
+smallest allowed spin per vertex, in vertex order.  It is not chosen to be
+far from the target (for hardcore it is the empty set), so a mixing-time
+estimate from a far start passes one as ``initial``.  This module measures those
 curves *on top of the replica-ensemble engines* of
 :mod:`repro.chains.ensemble` — every checkpoint is one ``advance`` of a
 whole ``(R, n)`` batch plus one whole-batch estimator call from

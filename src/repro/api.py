@@ -60,11 +60,12 @@ MUTATIONS = {
     "csp": ("add_constraint", "remove_constraint"),
 }
 
-#: Execution engines for :func:`sample`.  ``"chain"`` advances a global
-#: configuration directly (the analyst's view; fastest for one sample);
-#: ``"reference"`` executes the genuine LOCAL-model message-passing
-#: protocol of :mod:`repro.distributed` on the per-node :mod:`repro.local`
-#: runtime.
+#: Execution engines for :func:`sample`.  ``"chain"`` runs the sequential
+#: chain, the oracle the batched engines are tested against; ``"reference"``
+#: executes the genuine LOCAL-model message-passing protocol of
+#: :mod:`repro.distributed` on the per-node :mod:`repro.local` runtime.
+#: Neither is the fast path: for one sample of LocalMetropolis or
+#: LubyGlauber, ``sample_many(model, 1)`` is faster.
 ENGINES = ("chain", "reference")
 
 
@@ -115,15 +116,20 @@ def sample(
     rounds:
         Explicit number of chain iterations; overrides the budget heuristic.
     seed, initial:
-        Chain seeding and starting configuration.
+        Chain seeding and starting configuration; without ``initial`` the
+        run starts at the model's greedy start
+        (:func:`~repro.chains.base.start_config`).
     engine:
-        ``"chain"`` (default) advances a global configuration directly;
-        ``"reference"`` runs the LOCAL-model message-passing protocol on
-        the per-node runtime, for MRFs and CSPs alike.  ``"glauber"`` has
-        no LOCAL protocol and only supports ``"chain"``.  For round
-        complexity at scale use :func:`sample_many` or
-        :func:`make_ensemble`: each step of those engines is one LOCAL
-        round.
+        ``"chain"`` (default) runs the sequential chain, the oracle of the
+        batched engines; ``"reference"`` runs the LOCAL-model
+        message-passing protocol on the per-node runtime, for MRFs and
+        CSPs alike.  ``"glauber"`` has no LOCAL protocol and only supports
+        ``"chain"``.  Neither is the fast path: on a q=16 colouring of the
+        16x16 torus, one LocalMetropolis sample takes about 130 ms on the
+        chain and 3 ms through ``sample_many(model, 1)``; only Glauber is
+        faster sequentially.  For round complexity at scale use
+        :func:`sample_many` or :func:`make_ensemble`: each step of those
+        engines is one LOCAL round.
 
     Returns
     -------
@@ -168,9 +174,10 @@ def make_ensemble(
     protocol, and every in-process engine the region-restricted
     ``advance_region``.
 
-    ``initial`` is ``None`` (a shared deterministic start), a length-n
-    configuration, or an ``(r, n)`` batch giving each replica its own
-    start.
+    ``initial`` is a length-n configuration, an ``(r, n)`` batch giving
+    each replica its own start, or ``None``: the model's greedy start
+    (:func:`~repro.chains.base.start_config`, the smallest allowed spin
+    per vertex in vertex order) for every replica and every shard.
 
     ``parallel`` switches to the sharded execution subsystem
     (:mod:`repro.exec`): the batch is split into deterministic shards
@@ -267,13 +274,16 @@ def tv_curve(
 ) -> list[tuple[int, float]]:
     """Ensemble-native TV-decay curve of ``method`` on ``model``.
 
-    Builds the fastest ensemble via :func:`make_ensemble` (all replicas
-    share a worst-ish deterministic start unless ``initial`` says
-    otherwise) and measures the TV distance between the ensemble's
-    empirical distribution and the exact Gibbs distribution — the CSP
-    Gibbs measure for :class:`~repro.csp.model.LocalCSP` models — at each
-    checkpoint.  Requires ``q**n`` enumerable unless ``target`` is given;
-    the estimate's noise floor scales like ``sqrt(q**n / replicas)``.
+    Builds the ensemble via :func:`make_ensemble` and measures the TV
+    distance between the ensemble's empirical distribution and the exact
+    Gibbs distribution — the CSP Gibbs measure for
+    :class:`~repro.csp.model.LocalCSP` models — at each checkpoint.  All
+    replicas start at the model's greedy start unless ``initial`` says
+    otherwise: the smallest allowed spin per vertex, in vertex order,
+    which is not a far start (for hardcore it is the empty set), so a
+    mixing estimate from a far start needs ``initial``.  Requires
+    ``q**n`` enumerable unless ``target`` is given; the estimate's noise
+    floor scales like ``sqrt(q**n / replicas)``.
     ``parallel``/``shard_size`` shard the ensemble across worker processes
     (:mod:`repro.exec`); each checkpoint is one barrier.
 

@@ -33,7 +33,7 @@ Verification machinery:
   path-coupling contraction estimates (experiments E2-E5).
 """
 
-from repro.chains.base import Chain, greedy_feasible_config, random_config
+from repro.chains.base import Chain, random_config
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
@@ -68,6 +68,5 @@ __all__ = [
     "LubyScheduler",
     "MetropolisChain",
     "SingleSiteScheduler",
-    "greedy_feasible_config",
     "random_config",
 ]

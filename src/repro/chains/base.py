@@ -12,6 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.csp.model import LocalCSP
 from repro.errors import ModelError
 from repro.mrf.model import MRF, Config, as_config
 
@@ -21,8 +22,8 @@ __all__ = [
     "as_generator",
     "as_seed_sequence",
     "checked_initial",
-    "greedy_feasible_config",
     "random_config",
+    "start_config",
 ]
 
 #: Everything the chains and replica-ensemble engines accept as a seed.
@@ -121,73 +122,30 @@ def checked_initial(
     return config.astype(np.int64)
 
 
+def start_config(
+    model: MRF | LocalCSP,
+    initial: Sequence[int] | np.ndarray | None = None,
+    replicas: int | None = None,
+) -> np.ndarray:
+    """The start of a run: ``initial`` checked, else the model's greedy start.
+
+    The one start rule of the batched engines, their shards, the
+    sequential chains and the LOCAL protocol runners, for MRFs and CSPs
+    alike: a given ``initial`` goes through :func:`checked_initial`;
+    ``None`` gives a fresh copy of ``model.compiled().greedy_start``, the
+    smallest allowed spin per vertex in vertex order.  It draws no random
+    number, so every replica, shard and oracle of one model starts from
+    the same configuration.  For hardcore that start is the empty set: a
+    mixing estimate from a far start needs ``initial``.
+    """
+    if initial is None:
+        return model.compiled().greedy_start.copy()
+    return checked_initial(initial, model.n, model.q, replicas)
+
+
 def random_config(mrf: MRF, rng: np.random.Generator) -> np.ndarray:
     """Return a uniformly random (not necessarily feasible) configuration."""
     return rng.integers(0, mrf.q, size=mrf.n, dtype=np.int64)
-
-
-def _bitmasks(flags: np.ndarray) -> list:
-    """Python-int bitmask of each row of a boolean ``(rows, q)`` array.
-
-    Bit ``s`` of mask ``i`` is ``flags[i, s]``.
-    """
-    rows, q = flags.shape
-    words = max(-(-q // 64), 1)
-    padded = np.zeros((rows, 64 * words), dtype=bool)
-    padded[:, :q] = flags
-    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8").tolist()
-    if words == 1:
-        return [row[0] for row in packed]
-    return [sum(word << (64 * k) for k, word in enumerate(row)) for row in packed]
-
-
-def greedy_feasible_config(mrf: MRF, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Construct a configuration greedily, preferring feasibility.
-
-    Vertices are assigned in order; each vertex picks a spin with positive
-    vertex activity that is compatible (positive edge activity) with all
-    already-assigned neighbours, chosen at random among such spins when an
-    RNG is supplied, else the smallest.  If no compatible spin exists the
-    vertex falls back to its highest-activity spin — the chains of this paper
-    tolerate infeasible starts (they are absorbing towards feasible
-    configurations), so a best-effort start is fine.
-
-    For proper colourings with ``q >= Delta + 1`` and for occupancy models
-    (hardcore, vertex cover) the result is always feasible; without an RNG
-    it is the first-fit colouring.  Reads the model's compiled edge and
-    palette arrays (:meth:`MRF.compiled`) as Python-int bitmasks of the
-    allowed spins: one per vertex, and one per (palette table, neighbour
-    spin) of the spins compatible with that neighbour.
-    """
-    compiled = mrf.compiled()
-    activity = compiled.vertex_activity
-    q = mrf.q
-    allowed = _bitmasks(activity > 0)
-    # compatible[t * q + c] holds the spins s with palette[t, s, c] > 0.
-    compatible = _bitmasks((compiled.palette > 0).transpose(0, 2, 1).reshape(-1, q))
-    fallback = np.argmax(activity, axis=1).tolist()
-    # Edges are sorted with edge_u < edge_v, so grouped by edge_v they list
-    # the already-assigned (smaller) neighbours of each vertex.
-    order = np.argsort(compiled.edge_v, kind="stable")
-    lower = compiled.edge_u[order].tolist()
-    rows = (compiled.edge_table[order] * q).tolist()
-    bounds = np.searchsorted(compiled.edge_v[order], np.arange(mrf.n + 1)).tolist()
-    config = [0] * mrf.n
-    # Inherently sequential (each choice reads the earlier ones), so the
-    # loop runs on Python ints: one AND per already-assigned neighbour.
-    for v in range(mrf.n):
-        spins = allowed[v]
-        for k in range(bounds[v], bounds[v + 1]):
-            spins &= compatible[rows[k] + config[lower[k]]]
-        if not spins:
-            config[v] = fallback[v]
-            continue
-        if rng is not None:
-            # Drop the lowest set bits to reach the drawn candidate.
-            for _ in range(int(rng.integers(spins.bit_count()))):
-                spins &= spins - 1
-        config[v] = (spins & -spins).bit_length() - 1
-    return np.asarray(config, dtype=np.int64)
 
 
 class Chain(ABC):
@@ -200,7 +158,8 @@ class Chain(ABC):
         distribution (verified exactly in the test-suite via transition
         matrices).
     initial:
-        Starting configuration; ``None`` uses :func:`greedy_feasible_config`.
+        Starting configuration; ``None`` uses the greedy start
+        (:func:`start_config`).
     seed:
         Seed, :class:`numpy.random.SeedSequence` or Generator for the
         chain's private randomness (see :func:`as_generator`).
@@ -214,10 +173,7 @@ class Chain(ABC):
     ) -> None:
         self.mrf = mrf
         self.rng = as_generator(seed)
-        if initial is None:
-            self.config = greedy_feasible_config(mrf, self.rng)
-        else:
-            self.config = checked_initial(initial, mrf.n, mrf.q)
+        self.config = start_config(mrf, initial)
         self.steps_taken = 0
 
     @abstractmethod

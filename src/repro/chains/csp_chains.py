@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.chains.base import checked_initial
+from repro.chains.base import as_generator, start_config
 from repro.chains.glauber import sample_spin
 from repro.chains.schedulers import LubyScheduler
 from repro.csp.hypergraph import conflict_graph
@@ -36,7 +36,6 @@ __all__ = [
     "LubyGlauberCSP",
     "LocalMetropolisCSP",
     "constraint_pass_probability",
-    "greedy_csp_config",
     "local_metropolis_csp_transition_matrix",
 ]
 
@@ -84,23 +83,6 @@ def constraint_pass_probability(
     return probability
 
 
-def greedy_csp_config(csp: LocalCSP) -> np.ndarray:
-    """Assign vertices greedily, preferring spins keeping all constraints alive.
-
-    Vertices are assigned in order; each takes the smallest spin under
-    which every constraint whose scope it completes evaluates non-zero,
-    and :class:`~repro.errors.InfeasibleStateError` is raised if no spin
-    does.  The deterministic default start shared by
-    the sequential CSP chains and the replica ensembles of
-    :mod:`repro.chains.ensemble` — both start every run (and every
-    replica) from the same configuration unless told otherwise, so
-    cross-implementation trajectories are comparable.  Computed once per
-    model (:attr:`repro.compiled.CompiledCSP.greedy_start`); each call
-    returns a fresh copy.
-    """
-    return csp.compiled().greedy_start.copy()
-
-
 class _CSPChainBase:
     """Shared state for CSP chains: configuration, RNG, feasibility helpers."""
 
@@ -111,14 +93,8 @@ class _CSPChainBase:
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self.csp = csp
-        if isinstance(seed, np.random.Generator):
-            self.rng = seed
-        else:
-            self.rng = np.random.default_rng(seed)
-        if initial is None:
-            self.config = greedy_csp_config(csp)
-        else:
-            self.config = checked_initial(initial, csp.n, csp.q)
+        self.rng = as_generator(seed)
+        self.config = start_config(csp, initial)
         self.steps_taken = 0
 
     def run(self, steps: int) -> np.ndarray:

@@ -54,12 +54,15 @@ Layout and exactness contract
 
 Publicly an ensemble is an ``(R, n)`` batch: ``config`` returns an
 ``(R, n)`` int64 numpy array, and ``run(steps)`` returns a fresh
-``(R, n)`` copy.  Internally every batched engine stores the transposed
-*vertex-major* ``(n, R)`` layout in the smallest integer dtype that holds
-``q``: every per-edge or per-neighbour operation then gathers contiguous
-rows, memory-bandwidth bound rather than Python-overhead bound.  The
-Luby step compares each vertex's rank with Δ row gathers from a padded
-neighbour table (:class:`_LubySelector`).  The LocalMetropolis accept's
+``(R, n)`` copy.  ``initial`` is one start for every replica or an
+``(R, n)`` batch; without it every replica starts at the model's greedy
+start (:func:`~repro.chains.base.start_config`).  Internally every
+batched engine stores the transposed *vertex-major* ``(n, R)`` layout in
+the smallest integer dtype that holds ``q``: every per-edge or
+per-neighbour operation then gathers contiguous rows, memory-bandwidth
+bound rather than Python-overhead bound.  The Luby step compares each
+vertex's rank with Δ row gathers from a padded neighbour table
+(:class:`_LubySelector`).  The LocalMetropolis accept's
 edge-to-vertex "any incident edge failed" reduction stays a sparse
 incidence-matrix product: an incidence has no width, so LocalMetropolis
 runs models (a star with thousands of leaves) whose padded tables
@@ -102,7 +105,7 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 
-from repro.chains.base import as_generator, checked_initial, greedy_feasible_config
+from repro.chains.base import as_generator, start_config
 from repro.compiled import _padded_rows
 from repro.csp.model import LocalCSP
 from repro.errors import (
@@ -274,33 +277,6 @@ def _spin_dtype(q: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _initial_spin_batch(
-    initial,
-    n: int,
-    q: int,
-    replicas: int,
-    dtype: np.dtype,
-    default_start,
-) -> np.ndarray:
-    """Validate/tile a start spec into the internal ``(n, R)`` batch.
-
-    ``initial`` is ``None`` (``default_start()`` replicated to all
-    replicas), a length-n configuration shared by all replicas, or an
-    ``(R, n)`` batch giving each replica its own start; it is checked by
-    :func:`~repro.chains.base.checked_initial`.  Shared by the MRF and CSP
-    ensemble bases so their start semantics cannot drift.
-    """
-    if initial is None:
-        config = np.asarray(default_start(), dtype=np.int64)
-    else:
-        config = checked_initial(initial, n, q, replicas)
-    if config.ndim == 1:
-        config = np.repeat(config[:, None], replicas, axis=1)
-    else:
-        config = config.T
-    return np.ascontiguousarray(config, dtype=dtype)
-
-
 def _as_region(region, n: int) -> np.ndarray:
     """Validate a vertex region into a sorted unique int64 array."""
     vertices = np.unique(np.asarray(sorted(int(v) for v in region), dtype=np.int64))
@@ -470,8 +446,7 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
     ``self._config`` is the vertex-major ``(n, R)`` batch in the smallest
     integer dtype that holds ``q``.  Hosts (the MRF and CSP bases) set what
     their hooks read before calling ``__init__``, and provide
-    ``_default_start()``, the start of every replica when ``initial`` is
-    None; ``_luby_edges()``, the edges of the graph the Luby step runs on
+    ``_luby_edges()``, the edges of the graph the Luby step runs on
     (the model graph, or the CSP's conflict graph);
     ``_ensure_heatbath_structures()``, which builds the heat-bath tables
     once; ``_heatbath_weights(v_idx, r_idx)``, the ``(pairs, q)``
@@ -498,9 +473,13 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         self.replicas = int(replicas)
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
-        self._config = _initial_spin_batch(
-            initial, self.n, self.q, self.replicas, self._dtype, self._default_start
-        )
+        # One start per replica, or one start shared by every replica.
+        start = start_config(model, initial, self.replicas)
+        if start.ndim == 1:
+            start = np.repeat(start[:, None], self.replicas, axis=1)
+        else:
+            start = start.T
+        self._config = np.ascontiguousarray(start, dtype=self._dtype)
         self._heatbath_ready = False
         self.steps_taken = 0
 
@@ -600,14 +579,6 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         # Replica i's row index: the pairs of a one-vertex-per-replica update.
         self._rows = np.arange(self.replicas)
-
-    def _default_start(self) -> np.ndarray:
-        """The start every replica gets when ``initial`` is None.
-
-        :func:`greedy_feasible_config` with a random pick among the
-        compatible spins, drawn from the engine's stream.
-        """
-        return greedy_feasible_config(self.mrf, self.rng)
 
     def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
         return self._eu, self._ev
@@ -828,9 +799,7 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
     (:attr:`~repro.compiled.CompiledMRF.is_uniform_coloring`); any other
     model raises :class:`~repro.errors.ModelError`.
 
-    The start without ``initial`` is the deterministic first-fit
-    colouring (:func:`greedy_feasible_config` without an RNG), and the
-    region advance is the inherited masked LubyGlauber heat-bath.
+    The region advance is the inherited masked LubyGlauber heat-bath.
     """
 
     def __init__(
@@ -848,10 +817,6 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
             )
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._incidence = _edge_incidence(self._eu, self._ev, self.n)
-
-    def _default_start(self) -> np.ndarray:
-        """The first-fit colouring: no draw from the engine's stream."""
-        return greedy_feasible_config(self.mrf)
 
     def step(self) -> None:
         """Uniform proposals; the three colouring rules per edge; accept if clean."""
@@ -920,10 +885,6 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             self._vertex_incidence = None
         self._spin_arange = np.arange(csp.q)
         super().__init__(csp, replicas, initial=initial, seed=seed)
-
-    def _default_start(self) -> np.ndarray:
-        """The deterministic greedy configuration (``CompiledCSP.greedy_start``)."""
-        return self.csp.compiled().greedy_start
 
     def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
         compiled = self.csp.compiled()

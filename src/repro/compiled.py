@@ -15,10 +15,12 @@ Each record is its model's storage: every way of making an
 builds it in canonical form and ``compiled()`` returns it.  Its stored
 fields are what it pickles, what the wire form encodes and what the
 fingerprint hashes (:func:`repro.serialize.model_fingerprint`).
-Everything else (the fingerprint itself; padded tables, the ``(n, q)``
-vertex table and the colouring test of an MRF; arity buckets, flat
-tables, incidences, conflict edges and the greedy start of a CSP) is
-derived on first use, memoized on the record and left out of pickles.
+Everything else (the fingerprint itself and the greedy start of both;
+padded tables, the ``(n, q)`` vertex table and the colouring test of an
+MRF; arity buckets, flat tables, incidences and conflict edges of a CSP)
+is derived on first use, memoized on the record and left out of pickles.
+The greedy start is the start of every run given no ``initial``
+(:func:`repro.chains.base.start_config`).
 
 The padded tables the heat-bath engines walk (``padded_neighbours`` /
 ``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
@@ -80,6 +82,21 @@ def _first_use(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.zeros(int(used[-1]) + 1 if used.size else 0, dtype=np.int64)
     rank[order] = np.arange(order.size)
     return rank[values], order
+
+
+def _bitmasks(flags: np.ndarray) -> list:
+    """Python-int bitmask of each row of a boolean ``(rows, q)`` array.
+
+    Bit ``s`` of mask ``i`` is ``flags[i, s]``.
+    """
+    rows, q = flags.shape
+    words = max(-(-q // 64), 1)
+    padded = np.zeros((rows, 64 * words), dtype=bool)
+    padded[:, :q] = flags
+    packed = np.packbits(padded, axis=1, bitorder="little").view("<u8").tolist()
+    if words == 1:
+        return [row[0] for row in packed]
+    return [sum(word << (64 * k) for k, word in enumerate(row)) for row in packed]
 
 
 def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np.ndarray]:
@@ -164,9 +181,9 @@ class CompiledMRF(_Stored):
     padded with ``v`` itself to ``max(max_degree, 1)`` columns, and
     ``padded_tables`` holds the matching palette indices (the all-ones
     table at the pads), so a pad slot reads a spin and multiplies by one.
-    They, the ``(n, q)`` :attr:`vertex_activity` table and
-    :attr:`is_uniform_coloring` are derived on first use (see
-    :data:`MAX_PADDING`) and left out of pickles.
+    They, the ``(n, q)`` :attr:`vertex_activity` table,
+    :attr:`is_uniform_coloring` and :attr:`greedy_start` are derived on
+    first use (see :data:`MAX_PADDING`) and left out of pickles.
     """
 
     kind = "mrf"
@@ -228,6 +245,39 @@ class CompiledMRF(_Stored):
             and np.all(off > 0.0)
             and np.allclose(off, off[:, :1], rtol=1e-9, atol=0.0)
         )
+
+    @cached_property
+    def greedy_start(self) -> np.ndarray:
+        """The first-fit configuration: the default start of every MRF path.
+
+        Vertices are assigned in order; each takes the smallest spin with
+        positive vertex activity that is compatible (positive edge
+        activity) with every already-assigned neighbour.  A vertex with no
+        such spin takes its highest-activity spin: the chains of this
+        paper tolerate infeasible starts, so a best-effort start is fine.
+        For proper colourings with ``q >= Delta + 1`` and for occupancy
+        models (hardcore: the empty set) the result is feasible.
+        """
+        q = self.q
+        allowed = _bitmasks(self.vertex_activity > 0)
+        # compatible[t * q + c] holds the spins s with palette[t, s, c] > 0.
+        compatible = _bitmasks((self.palette > 0).transpose(0, 2, 1).reshape(-1, q))
+        fallback = np.argmax(self.vertex_activity, axis=1).tolist()
+        # Edges are sorted with edge_u < edge_v, so grouped by edge_v they list
+        # the already-assigned (smaller) neighbours of each vertex.
+        order = np.argsort(self.edge_v, kind="stable")
+        lower = self.edge_u[order].tolist()
+        rows = (self.edge_table[order] * q).tolist()
+        bounds = np.searchsorted(self.edge_v[order], np.arange(self.n + 1)).tolist()
+        config = [0] * self.n
+        # Inherently sequential (each choice reads the earlier ones), so the
+        # loop runs on Python ints: one AND per already-assigned neighbour.
+        for v in range(self.n):
+            spins = allowed[v]
+            for k in range(bounds[v], bounds[v + 1]):
+                spins &= compatible[rows[k] + config[lower[k]]]
+            config[v] = (spins & -spins).bit_length() - 1 if spins else fallback[v]
+        return _frozen(np.asarray(config, dtype=np.int64))
 
     @property
     def padded_neighbours(self) -> np.ndarray:
@@ -402,7 +452,7 @@ class CompiledCSP(_Stored):
 
     @cached_property
     def greedy_start(self) -> np.ndarray:
-        """The deterministic greedy configuration of every CSP chain.
+        """The greedy configuration: the default start of every CSP path.
 
         Vertices are assigned in order.  A constraint is checked at its
         largest scope vertex, the first moment all of its spins are

@@ -154,8 +154,8 @@ class LocalCSP:
         """
         if not 1 <= n < MAX_COUNT:
             raise ModelError(f"a LocalCSP needs 1 <= n < 2**31 vertices, got n = {n}")
-        if q < 2:
-            raise ModelError(f"LocalCSP needs q >= 2, got {q}")
+        if not 2 <= q < MAX_COUNT:
+            raise ModelError(f"a LocalCSP needs 2 <= q < 2**31 spin states, got q = {q}")
         count = len(names)
         if scope_indptr.shape != (count + 1,):
             raise ModelError(
@@ -170,14 +170,17 @@ class LocalCSP:
             )
         _check_index(table_index, len(tables), count, "constraint")
         owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
-        # A repeated scope vertex sits next to its repeat in (owner, vertex) order.
-        order = np.lexsort((scope_vertex, owner))
-        by_owner, by_vertex = owner[order], scope_vertex[order]
-        repeat = (by_owner[1:] == by_owner[:-1]) & (by_vertex[1:] == by_vertex[:-1])
+        outside = (scope_vertex < 0) | (scope_vertex >= n)
+        # A repeated scope vertex sits next to its repeat in (owner, vertex)
+        # order, which one sort of the int64 key owner * n + vertex gives.
+        # With n < 2**31 and fewer than 2**31 slots the key stays below 2**62
+        # once every vertex is in range; if one is not, that check raises.
+        keys = np.sort(owner * n + scope_vertex) if not outside.any() else owner[:0]
+        repeated = keys[1:][keys[1:] == keys[:-1]] // n
         for bad, problem in (
             (np.flatnonzero(arity == 0), "scope must be non-empty"),
-            (owner[(scope_vertex < 0) | (scope_vertex >= n)], f"scope {{}} outside 0..{n - 1}"),
-            (by_owner[1:][repeat], "scope vertices must be distinct, got {}"),
+            (owner[outside], f"scope {{}} outside 0..{n - 1}"),
+            (repeated, "scope vertices must be distinct, got {}"),
         ):
             if bad.size:
                 c = int(bad[0])

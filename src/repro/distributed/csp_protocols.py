@@ -29,8 +29,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.chains.base import checked_initial
-from repro.chains.csp_chains import constraint_pass_probability, greedy_csp_config
+from repro.chains.base import start_config
+from repro.chains.csp_chains import constraint_pass_probability
 from repro.chains.glauber import sample_spin
 from repro.csp.hypergraph import conflict_graph
 from repro.csp.model import LocalCSP
@@ -175,12 +175,6 @@ class LocalMetropolisCSPProtocol(Protocol):
         return int(ctx.state["spin"])
 
 
-def _initial_for(csp: LocalCSP, initial: np.ndarray | None) -> np.ndarray:
-    if initial is None:
-        return greedy_csp_config(csp)
-    return checked_initial(initial, csp.n, csp.q)
-
-
 def run_luby_glauber_csp_protocol(
     csp: LocalCSP,
     rounds: int,
@@ -189,7 +183,7 @@ def run_luby_glauber_csp_protocol(
 ) -> tuple[np.ndarray, RunStats]:
     """Run the LubyGlauber CSP protocol; return (configuration, stats)."""
     network = Network(conflict_graph(csp))
-    start = _initial_for(csp, initial)
+    start = start_config(csp, initial)
     outputs, stats = run_protocol(
         LubyGlauberCSPProtocol(),
         network,
@@ -208,7 +202,7 @@ def run_local_metropolis_csp_protocol(
 ) -> tuple[np.ndarray, RunStats]:
     """Run the LocalMetropolis CSP protocol; return (configuration, stats)."""
     network = Network(conflict_graph(csp))
-    start = _initial_for(csp, initial)
+    start = start_config(csp, initial)
     outputs, stats = run_protocol(
         LocalMetropolisCSPProtocol(),
         network,

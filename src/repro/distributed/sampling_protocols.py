@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.chains.base import checked_initial, greedy_feasible_config
+from repro.chains.base import start_config
 from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.glauber import sample_spin
 from repro.errors import ProtocolError
@@ -169,12 +169,6 @@ class LocalMetropolisProtocol(Protocol):
         return int(ctx.state["spin"])
 
 
-def _initial_for(mrf: MRF, initial: np.ndarray | None) -> np.ndarray:
-    if initial is None:
-        return greedy_feasible_config(mrf)
-    return checked_initial(initial, mrf.n, mrf.q)
-
-
 def run_luby_glauber_protocol(
     mrf: MRF,
     rounds: int,
@@ -184,7 +178,7 @@ def run_luby_glauber_protocol(
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 1 on the LOCAL runtime; return (configuration, stats)."""
     network = Network(mrf.graph)
-    initial = _initial_for(mrf, initial)
+    initial = start_config(mrf, initial)
     outputs, stats = run_protocol(
         LubyGlauberProtocol(),
         network,
@@ -205,7 +199,7 @@ def run_local_metropolis_protocol(
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 2 on the LOCAL runtime; return (configuration, stats)."""
     network = Network(mrf.graph)
-    initial = _initial_for(mrf, initial)
+    initial = start_config(mrf, initial)
     outputs, stats = run_protocol(
         LocalMetropolisProtocol(),
         network,

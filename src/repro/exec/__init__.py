@@ -28,7 +28,6 @@ from repro.exec.shards import (
     ShardSpec,
     as_seed_sequence,
     make_shard_plan,
-    slice_initial,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "as_seed_sequence",
     "default_start_method",
     "make_shard_plan",
-    "slice_initial",
 ]

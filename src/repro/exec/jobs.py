@@ -207,12 +207,12 @@ class JobRunner:
     is what makes those guarantees hold under arbitrary kill timing.
     """
 
-    def __init__(self, workers: int = 2, start_method: str | None = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ModelError(f"JobRunner needs workers >= 1, got {workers}")
         from repro.exec.pool import default_start_method
 
-        self._ctx = mp.get_context(start_method or default_start_method())
+        self._ctx = mp.get_context(default_start_method())
         self._tasks = self._ctx.Queue()
         self.workers = int(workers)
         # SimpleQueues: a worker's put is a synchronous pipe write (no

@@ -37,10 +37,10 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.chains.base import checked_initial
+from repro.chains.base import start_config
 from repro.chains.ensemble import EnsembleTrajectoryMixin
 from repro.errors import ExecError, ModelError
-from repro.exec.shards import ShardSpec, make_shard_plan, slice_initial
+from repro.exec.shards import ShardSpec, make_shard_plan
 
 __all__ = ["ShardedEnsemble", "default_start_method"]
 
@@ -51,7 +51,7 @@ _JOIN_TIMEOUT = 10.0
 
 
 def default_start_method() -> str:
-    """The multiprocessing start method the pool uses.
+    """The multiprocessing start method of the shard pool and the job runner.
 
     ``REPRO_EXEC_START_METHOD`` overrides; otherwise ``fork`` where the
     platform offers it (cheap startup, no re-import) and ``spawn``
@@ -64,16 +64,16 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _shard_initial_blocks(shards, initial, per_replica):
+def _shard_initial_blocks(shards, start):
     """Per-shard start blocks aligned with ``shards``.
 
     A per-replica ``(R, n)`` batch is sliced to each shard's rows (so a
     worker is only ever shipped its own shards' rows, not the full batch);
-    a shared length-n start or ``None`` is repeated as-is.
+    a shared length-n start is repeated as-is.
     """
-    if per_replica:
-        return [initial[spec.start : spec.stop] for spec in shards]
-    return [initial] * len(shards)
+    if start.ndim == 2:
+        return [start[spec.start : spec.stop] for spec in shards]
+    return [start] * len(shards)
 
 
 def _build_shard_engines(model, method, shards, initial_blocks):
@@ -197,18 +197,20 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         — see :func:`repro.exec.shards.as_seed_sequence`.
     initial:
         ``None``, a shared length-n start, or an ``(R, n)`` per-replica
-        batch (shard ``s`` starts from its row slice).
+        batch (shard ``s`` starts from its row slice).  ``None`` is the
+        model's greedy start (:func:`repro.chains.base.start_config`),
+        computed once here, so every shard starts where an unsharded run
+        does.
     workers:
         ``0`` / ``None`` executes the shards serially in-process — the
         reference every pooled run is bit-identical to; ``k >= 1`` runs a
-        persistent pool of ``min(k, num_shards)`` worker processes.
+        persistent pool of ``min(k, num_shards)`` worker processes,
+        started by :func:`default_start_method`.
     shard_size:
         Replicas per shard (default: split into
         :data:`repro.exec.shards.DEFAULT_NUM_SHARDS` near-equal shards).
         Part of the determinism contract — two runs shard-compatible only
         if their partitions match.
-    start_method:
-        Multiprocessing start method (default :func:`default_start_method`).
 
     Use as a context manager (or call :meth:`close`) to release worker
     processes and the shared-memory block deterministically.
@@ -223,16 +225,13 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         initial=None,
         workers: int | None = None,
         shard_size: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         self.model = model
         self.method = method
         self.n = int(model.n)
         self.replicas = int(replicas)
         self.shards = make_shard_plan(replicas, seed=seed, shard_size=shard_size)
-        if initial is not None:
-            initial = checked_initial(initial, self.n, model.q, self.replicas)
-        initial_array, per_replica = slice_initial(initial, self.n, self.replicas)
+        start = start_config(model, initial, self.replicas)
         if workers is None:
             workers = 0
         if workers < 0:
@@ -242,7 +241,7 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         self._closed = False
         self._engines = None
         self._pool = None
-        initial_blocks = _shard_initial_blocks(self.shards, initial_array, per_replica)
+        initial_blocks = _shard_initial_blocks(self.shards, start)
         if self.workers == 0:
             self._engines = _build_shard_engines(model, method, self.shards, initial_blocks)
         else:
@@ -254,7 +253,6 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
                 self.replicas,
                 self.n,
                 self.workers,
-                start_method or default_start_method(),
             )
 
     # ------------------------------------------------------------------
@@ -341,9 +339,8 @@ class _ShardWorkerPool:
         replicas: int,
         n: int,
         workers: int,
-        start_method: str,
     ) -> None:
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(default_start_method())
         self._shm = shared_memory.SharedMemory(
             create=True, size=max(replicas * n * 8, 8)
         )

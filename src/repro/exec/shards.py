@@ -35,7 +35,6 @@ __all__ = [
     "ShardSpec",
     "as_seed_sequence",
     "make_shard_plan",
-    "slice_initial",
 ]
 
 #: Default number of shards a replica batch is split into (fewer when there
@@ -109,30 +108,3 @@ def make_shard_plan(
         )
         for i, start in enumerate(starts)
     ]
-
-
-def slice_initial(
-    initial,
-    n: int,
-    replicas: int,
-) -> tuple[np.ndarray | None, bool]:
-    """Validate a start spec against ``(replicas, n)``; return it normalised.
-
-    Returns ``(array, per_replica)``: ``(None, False)`` for the engine
-    default start, a length-``n`` shared start with ``per_replica=False``,
-    or an ``(R, n)`` batch with ``per_replica=True`` — in which case shard
-    ``s`` starts from ``array[s.start:s.stop]``.  Centralising the check
-    here keeps the error surface identical between in-process and pooled
-    execution.
-    """
-    if initial is None:
-        return None, False
-    config = np.asarray(initial, dtype=np.int64)
-    if config.shape == (n,):
-        return config, False
-    if config.shape == (replicas, n):
-        return config, True
-    raise ModelError(
-        f"initial configuration must have shape ({n},) or ({replicas}, {n}), "
-        f"got {config.shape}"
-    )

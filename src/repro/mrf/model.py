@@ -144,8 +144,8 @@ class MRF:
         """
         if not 0 <= n < MAX_COUNT:
             raise ModelError(f"an MRF needs 0 <= n < 2**31 vertices, got n = {n}")
-        if q < 2:
-            raise ModelError(f"MRF needs q >= 2 spin states, got {q}")
+        if not 2 <= q < MAX_COUNT:
+            raise ModelError(f"an MRF needs 2 <= q < 2**31 spin states, got q = {q}")
         if edge_v.shape != edge_u.shape:
             raise ModelError(f"{edge_u.size} edge_u entries but {edge_v.size} edge_v entries")
         _check_index(edge_index, len(tables), edge_u.size, "edge")

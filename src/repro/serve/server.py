@@ -148,7 +148,6 @@ class ReproServer:
         cache_capacity: int = 128,
         cache_max_bytes: int | None = None,
         max_pending: int = 32,
-        start_method: str | None = None,
     ) -> None:
         if max_pending < 1:
             raise ModelError(f"max_pending must be >= 1, got {max_pending}")
@@ -157,7 +156,6 @@ class ReproServer:
         self.workers = int(workers)
         self.max_pending = int(max_pending)
         self.cache = ResultCache(cache_capacity, max_bytes=cache_max_bytes)
-        self._start_method = start_method
         self.host: str | None = None
         self.port: int | None = None
         self._runner: JobRunner | None = None
@@ -191,7 +189,7 @@ class ReproServer:
             raise ServeError("this ReproServer has been closed")
         if self._loop is not None:
             raise ServeError("this ReproServer has already been started")
-        self._runner = JobRunner(workers=self.workers, start_method=self._start_method)
+        self._runner = JobRunner(workers=self.workers)
         self._loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever, name="repro-serve-loop", daemon=True

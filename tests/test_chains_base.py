@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.chains import GlauberDynamics, greedy_feasible_config, random_config
+from repro.chains import GlauberDynamics, random_config
 from repro.errors import ModelError
 from repro.graphs import cycle_graph, grid_graph, path_graph, torus_graph
 from repro.mrf import MRF, hardcore_mrf, ising_mrf, list_coloring_mrf, proper_coloring_mrf
 
 
-def reference_greedy(mrf, rng=None):
+def reference_greedy(mrf):
     """The greedy start as a plain array loop: the oracle of the bitmask one."""
     compiled = mrf.compiled()
     config = np.zeros(mrf.n, dtype=np.int64)
@@ -21,10 +21,8 @@ def reference_greedy(mrf, rng=None):
         candidates = np.flatnonzero(spins)
         if candidates.size == 0:
             config[v] = int(np.argmax(compiled.vertex_activity[v]))
-        elif rng is None:
-            config[v] = int(candidates[0])
         else:
-            config[v] = int(candidates[rng.integers(candidates.size)])
+            config[v] = int(candidates[0])
     return config
 
 
@@ -57,29 +55,21 @@ class TestInitialConfigs:
         ids=["coloring", "tight-coloring", "q70", "hardcore", "ising", "list", "sparse"],
     )
     def test_greedy_matches_the_reference_loop(self, mrf):
-        """Same spins and same RNG draws as the plain loop, with and without an RNG."""
-        assert np.array_equal(greedy_feasible_config(mrf), reference_greedy(mrf))
-        for seed in range(3):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(
-                greedy_feasible_config(mrf, ours), reference_greedy(mrf, theirs)
-            )
-            assert ours.bit_generator.state == theirs.bit_generator.state
+        """The compiled greedy start is the plain loop's, spin for spin."""
+        start = mrf.compiled().greedy_start
+        assert np.array_equal(start, reference_greedy(mrf))
+        assert start.dtype == np.int64 and not start.flags.writeable
+        assert mrf.compiled().greedy_start is start
 
     def test_greedy_coloring_is_proper_when_q_exceeds_degree(self):
         for q in (3, 4, 5):
             mrf = proper_coloring_mrf(cycle_graph(7), q)
-            config = greedy_feasible_config(mrf)
-            assert mrf.is_feasible(config)
+            assert mrf.is_feasible(mrf.compiled().greedy_start)
 
     def test_greedy_hardcore_feasible(self):
         mrf = hardcore_mrf(cycle_graph(6), 2.0)
-        assert mrf.is_feasible(greedy_feasible_config(mrf))
-
-    def test_greedy_with_rng_still_feasible(self, rng):
-        mrf = proper_coloring_mrf(cycle_graph(7), 4)
-        config = greedy_feasible_config(mrf, rng)
-        assert mrf.is_feasible(config)
+        assert mrf.is_feasible(mrf.compiled().greedy_start)
+        assert not mrf.compiled().greedy_start.any()
 
     def test_random_config_in_range(self, rng):
         mrf = proper_coloring_mrf(path_graph(5), 3)

@@ -20,7 +20,8 @@ import pytest
 import repro
 import repro.compiled
 from repro import JobSpec
-from repro.chains.csp_chains import constraint_pass_probability, greedy_csp_config
+from repro.chains.base import start_config
+from repro.chains.csp_chains import constraint_pass_probability
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisCSP,
@@ -227,7 +228,7 @@ class TestCompiledCSP:
 
     def test_greedy_start_is_shared_by_engines_and_chains(self):
         csp = dominating_set_csp(cycle_graph(7))
-        start = greedy_csp_config(csp)
+        start = start_config(csp)
         start[:] = 9  # a copy: the memoized start is untouched
         np.testing.assert_array_equal(
             EnsembleLubyGlauberCSP(csp, 3, seed=0).config,
@@ -246,7 +247,7 @@ MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_gra
 CSP_STATE = {"name", "constraint_names", "n", "q", "_arrays"}
 CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
 #: The arrays each record derives on first use, which engines share by identity.
-MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables")
+MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables", "greedy_start")
 CSP_DERIVED = (
     "table_starts", "flat_raw", "flat_norm", "incidence_indptr", "incidence_constraint",
     "incidence_stride", "conflict_u", "conflict_v", "padded_constraints", "padded_strides",
@@ -340,7 +341,8 @@ class TestMemoization:
         before = pickle.dumps(mrf)
         repro.run_spec(JobSpec.sample_many(mrf, 3, method=method, rounds=2, seed=4))
         mrf.graph, mrf.edges, mrf.neighbors(0), mrf.edge_activity(0, 1)
-        mrf.compiled().padded_tables, mrf.vertex_activity, mrf.model_fingerprint()
+        mrf.compiled().padded_tables, mrf.compiled().greedy_start, mrf.vertex_activity
+        mrf.model_fingerprint()
         after = pickle.dumps(mrf)
         assert len(after) == len(before)
         restored = pickle.loads(after)

@@ -97,6 +97,17 @@ class TestLocalCSP:
         with pytest.raises(ModelError, match="outside"):
             LocalCSP(2, 2, [Constraint((0, 5), np.ones((2, 2)))])
 
+    @pytest.mark.parametrize("q", [1, 2**31, 2**40, 10**30])
+    def test_q_outside_2_to_2_to_the_31_is_refused(self, q):
+        """With no constraints no table bounds q, so the constructor does."""
+        with pytest.raises(ModelError, match=rf"2 <= q < 2\*\*31 spin states, got q = {q}"):
+            LocalCSP(3, q, [])
+        payload = json.loads(json.dumps(LocalCSP(3, 2, []).to_dict()))
+        payload["q"] = q
+        with pytest.raises(ModelError, match=rf"got q = {q}"):
+            LocalCSP.from_dict(payload)
+        assert LocalCSP(3, 2**31 - 1, []).q == 2**31 - 1
+
     def test_constraint_index_out_of_range_rejected(self):
         csp = coloring_csp(path_graph(3), 3)
         for index in (-1, 2):
@@ -204,6 +215,9 @@ class TestFromDict:
         payload = json.loads(json.dumps(model.to_dict()))
         payload["n"] = 2**31
         with pytest.raises(ModelError, match=r"n < 2\*\*31 vertices, got n = 2147483648"):
+            repro.serialize.model_from_dict(payload)
+        payload["n"], payload["q"] = model.n, 2**31
+        with pytest.raises(ModelError, match=r"q < 2\*\*31 spin states, got q = 2147483648"):
             repro.serialize.model_from_dict(payload)
 
     def test_non_finite_used_entry_is_refused_naming_its_constraint(self):

@@ -8,7 +8,6 @@ from repro.chains.csp_chains import (
     LocalMetropolisCSP,
     LubyGlauberCSP,
     constraint_pass_probability,
-    greedy_csp_config,
     local_metropolis_csp_transition_matrix,
 )
 from repro.errors import ModelError
@@ -156,9 +155,9 @@ class TestChainBehaviour:
         assert chain.is_feasible()
 
     def test_greedy_start_shared_and_deterministic(self):
-        """Both chains (and the ensembles) start from greedy_csp_config."""
+        """Both chains (and the ensembles) start from the compiled greedy start."""
         csp = dominating_set_csp(path_graph(5))
-        base = greedy_csp_config(csp)
-        assert np.array_equal(base, greedy_csp_config(csp))
+        base = csp.compiled().greedy_start
+        assert np.array_equal(base, dominating_set_csp(path_graph(5)).compiled().greedy_start)
         assert np.array_equal(LubyGlauberCSP(csp, seed=0).config, base)
         assert np.array_equal(LocalMetropolisCSP(csp, seed=0).config, base)

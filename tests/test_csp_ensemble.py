@@ -17,7 +17,7 @@ from statutils import assert_same_distribution, assert_stationary
 
 import repro
 from repro.analysis.convergence import SequentialChainEnsemble
-from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP, greedy_csp_config
+from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
     EnsembleLocalMetropolisCSP,
     EnsembleLubyGlauberCSP,
@@ -54,7 +54,7 @@ class TestConstruction:
         assert ensemble.config.shape == (9, 6)
         assert ensemble.config.dtype == np.int64
         assert np.array_equal(
-            ensemble.config, np.tile(greedy_csp_config(csp), (9, 1))
+            ensemble.config, np.tile(csp.compiled().greedy_start, (9, 1))
         )
 
     @pytest.mark.parametrize("cls", ENSEMBLE_CSP_CLASSES)

@@ -28,7 +28,6 @@ from repro.exec import (
     ShardedEnsemble,
     as_seed_sequence,
     make_shard_plan,
-    slice_initial,
 )
 from repro.exec.jobs import JOB_KINDS, _execute_job, _JobCancelled
 from repro.graphs import cycle_graph, grid_graph, path_graph
@@ -76,15 +75,6 @@ class TestShardPlan:
             make_shard_plan(0, seed=SEED)
         with pytest.raises(ModelError, match="shard_size"):
             make_shard_plan(4, seed=SEED, shard_size=0)
-
-    def test_slice_initial_validates_shapes(self):
-        shared, per_replica = slice_initial([0, 1, 2], n=3, replicas=5)
-        assert not per_replica and shared.shape == (3,)
-        batch, per_replica = slice_initial(np.zeros((5, 3)), n=3, replicas=5)
-        assert per_replica and batch.shape == (5, 3)
-        assert slice_initial(None, n=3, replicas=5) == (None, False)
-        with pytest.raises(ModelError, match="initial configuration"):
-            slice_initial(np.zeros((4, 3)), n=3, replicas=5)
 
 
 # ----------------------------------------------------------------------

@@ -124,16 +124,16 @@ SPECS = {
 
 GOLDEN = {
     "coloring-lm": "4127db8f0e1954cdf337653854eb209ed08017eb3948a0796a68827552cfed27",
-    "coloring-lg": "1d67344a9ae9611c59d8cdf7702ccf4f57dbf8a3100c43f8eb74a6f0db2682f4",
-    "coloring-glauber": "8c398772342bc6f9bf5ee486f112338ac4bb64d86774a3637ea52b3c1de8a450",
-    "hardcore-lg": "6eac0d4eaa389bc2eac47606168218573a9783de820921061dc8063707f2a37f",
-    "hardcore-glauber": "08681804ee6ade035f9a5b8e709b099ece3f910d90032f5ed30d85d187eee70e",
-    "ising-lg": "187228002054df6465a9bb0015b405a5d3f961969dc99fe7ff30086bd2c218ba",
-    "ising-glauber": "0b5464cecd73a772aafea618d7b44f985088bd87d4dd3cdea1e7e0f7ddbc4bdb",
-    "ising-lm": "1d485827807bd2a39eeb4a56c6d1b52aee61259737dafa4506b60f745373647e",
-    "per-edge-lg": "384fc01fa8487eac8c2bf524d6631f7cceeaa797519e976d6d238ba69e753b8a",
-    "per-edge-glauber": "8846b396d6e4706af6acef59419d1f26650b83201e017f36ca037c829cfda251",
-    "per-edge-lm": "42132922e0c1483a9923d8807eb339ceffea45e132df6c93c9a4bee5308515a0",
+    "coloring-lg": "95d3a8c09279d75f1e1744dee087f73b214f32b083547e1d7f6ad762fd7c9142",
+    "coloring-glauber": "aa6c3528c64758f7f9cb6456f5996de818308e828f1ca83af9985901de24ccdf",
+    "hardcore-lg": "42ac45eeb31c23b8ff3292e1163e8405569966aefbc41bad2dab52d85e843b6b",
+    "hardcore-glauber": "67b165781c7810851272c796341732b115a90736ec549fedc908e44bb0d81af0",
+    "ising-lg": "198dac1953650cf0483191082b157efe3a9e40b40a630ba21f6910924355fbf8",
+    "ising-glauber": "e25cbc69fc502117456ebb61076bf9e919d2ebfe2024d096c42d3da22565dfde",
+    "ising-lm": "0fdf2f13917d1cea83f8762e86d60c56e658faa2d4a2bfce68873ce4d83bcb7d",
+    "per-edge-lg": "2c781f7d421622d95c12e4a3352f49b69cd0e7fcaf1d78abe664ba422fabf89c",
+    "per-edge-glauber": "1c3b935ad7510efca972b45520718cb08efb011cd83a44700cb64575f4b09c8c",
+    "per-edge-lm": "e65f2e6bc82f8f25ab7d46d1b0768cb34b0656e3c9fddd6388d33fe1b17bf7f3",
     "domset-lm": "53532c8c2c8b3e71ce5a9179c53d39f39b32249742c92ad38424bfafc9d0fd40",
     "domset-lg": "59969eb3d91472cee6ffa4ee0f0b1da97edd80c8c6f4adbce600253272dadfba",
     "domset-weighted-lm": "858fc8a08e8e7e37d1e39366fbfaae5cec4d88816817847f681923380be7f2dd",
@@ -142,8 +142,8 @@ GOLDEN = {
     "nae-lg": "1d39b4a840790b28404ee6dbefa2483bc5f696e7c470992884f406dd464c9989",
     "mis-lm": "4a305b401ef20371bc777b792953084d86248cda00f5bc089974e4b12bebd843",
     "mis-lg": "4a305b401ef20371bc777b792953084d86248cda00f5bc089974e4b12bebd843",
-    "hardcore-lm-fallback": "2daa495dab7de1e31411064787cbb7d2f5a94696d420ebad374c5f0b9c2db523",
-    "hardcore-mix": "031b4af5197ec30a926f48cf40e11a7dbc470048a21e4003b7a3c07c5dab1baa",
+    "hardcore-lm-fallback": "7c97f815462850e22309eac7985eb2bbadf161e5813fe8e0518b9acd210b9d51",
+    "hardcore-mix": "76a50887d8f1c2e9301755428990ad81479ee21c25b43215cf524541e0503269",
     "nae-tv": "569320bd81e23de737332d72241ed88bbaaaaff55512f415f0d197dc13c13fd5",
 }
 
@@ -166,8 +166,8 @@ REGION_RUNS = {
 }
 
 REGION_GOLDEN = {
-    "glauber-region": "bf6927b832aa89719114c94037b63f71abc861a9a62db86aec01c30dfcda6905",
-    "lg-mrf-region": "7cca218f52ee08b7f4902a33c5c884cfa5e85a1bc0866cca64071f5695a22d04",
+    "glauber-region": "457769449b7d10fb909a2e202af473e3e5b1b5f211b5c475ba0a14c1d299a4e1",
+    "lg-mrf-region": "f02835b1567057ba774d301f7c7b03d56b3cd44d62b2784e46f17016ceffc53e",
     "lm-csp-region": "aaabe521bff3b1bda6ecf2805472ea4155eeb4fc1ec52c65075fab6381cee67d",
     "lm-coloring-region": "37127004b4c3822b7f3f3dc5b23e8d6ce3c873e7c868a92bb78f7becb055a7fa",
 }

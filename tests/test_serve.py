@@ -525,6 +525,18 @@ class TestProtocolErrors:
         assert needle in document["error"]
         assert client.stats()["jobs"]["submitted"] == submitted
 
+    @pytest.mark.parametrize("q", [10**30, 2**40])
+    def test_huge_q_is_400_and_never_submitted(self, server, client, q):
+        """No constraint bounds q, so the model does: never a worker's 500 or MemoryError."""
+        wire = JobSpec.sample_many(LocalCSP(4, 3, []), 4, method="luby-glauber", seed=1,
+                                   rounds=2).to_wire()
+        wire["model"]["q"] = q
+        submitted = client.stats()["jobs"]["submitted"]
+        status, document = _post_spec(server, wire)
+        assert status == 400
+        assert f"got q = {q}" in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
+
     @pytest.mark.parametrize(
         "initial, needle",
         [([0.7, 1.9, 2.2], "integers"), ([0, 1, 7], "0..2"), ([[0, 1, 2]] * 3, "shape")],
