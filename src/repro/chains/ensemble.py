@@ -114,6 +114,7 @@ from repro.errors import (
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
+from repro.serialize import wire_int
 
 __all__ = [
     "canonical_checkpoints",
@@ -135,16 +136,17 @@ def canonical_checkpoints(
     The one checkpoint rule, applied by
     :meth:`EnsembleTrajectoryMixin.iter_checkpoints`, the probe loops of
     :mod:`repro.analysis.convergence` and :class:`~repro.spec.JobSpec`.
-    ``2.0`` is accepted; ``1.5`` is rejected rather than truncated.
+    ``2.0`` is accepted; ``1.5``, ``True`` and ``"2"`` are rejected rather
+    than coerced (:func:`~repro.serialize.wire_int`).
     """
     values = () if checkpoints is None else tuple(checkpoints)
     if not values:
         raise error("checkpoints must be a non-empty sequence of rounds")
     try:
-        rounds = tuple(int(value) for value in values)
-    except (TypeError, ValueError, OverflowError):
+        rounds = tuple(wire_int(value, "checkpoint") for value in values)
+    except TypeError:
         rounds = ()
-    if rounds != values or any(b <= a for a, b in zip((0, *rounds), rounds)):
+    if not rounds or any(b <= a for a, b in zip((0, *rounds), rounds)):
         raise error(
             f"checkpoints must be strictly increasing positive integers, got {list(values)!r}"
         )
@@ -561,8 +563,9 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
     padded neighbour tables (``mrf.compiled()``): one pass per neighbour
     position, up to the maximum degree, each a flat gather of the
     neighbours' spins and a row gather of the matching factor rows.  Pad
-    slots read the vertex's own spin through the all-ones table, so they
-    multiply by one.  The Luby graph is the model graph.
+    slots read the vertex's own spin through an all-ones table appended
+    to the palette, so they multiply by one.  The Luby graph is the model
+    graph.
     """
 
     def __init__(
@@ -589,10 +592,10 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
             return
         compiled = self.mrf.compiled()
         # Row t * q + s is column s of palette table t: the factors
-        # A_uv(c, s) over c of a neighbour u in spin s.
-        self._factor_rows = np.ascontiguousarray(
-            compiled.palette.transpose(0, 2, 1)
-        ).reshape(-1, self.q)
+        # A_uv(c, s) over c of a neighbour u in spin s.  Table P, one past
+        # the palette, is all ones: the table of every pad slot.
+        tables = np.concatenate([compiled.palette, np.ones((1, self.q, self.q))])
+        self._factor_rows = np.ascontiguousarray(tables.transpose(0, 2, 1)).reshape(-1, self.q)
         # Row k holds, per vertex, the flat offset u * R of its k-th
         # neighbour's spins in the (n, R) batch and the first factor row
         # t * q of that edge's table.

@@ -12,7 +12,8 @@ built.
 
 Each record is its model's storage: every way of making an
 :class:`~repro.mrf.model.MRF` or a :class:`~repro.csp.model.LocalCSP`
-builds it in canonical form and ``compiled()`` returns it.  Its stored
+builds it in canonical form and ``compiled()`` returns it.  A model is
+its name and its record (:class:`_StoredModel`), and the record's stored
 fields are what it pickles, what the wire form encodes and what the
 fingerprint hashes (:func:`repro.serialize.model_fingerprint`).
 Everything else (the fingerprint itself and the greedy start of both;
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
-from repro.serialize import encode_array, model_fingerprint
+from repro.serialize import decode_fields, encode_array, model_fingerprint
 
 __all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF"]
 
@@ -165,22 +166,81 @@ class _Stored:
         return model_fingerprint(self.kind, self.n, self.q, self.stored_arrays())
 
 
+class _StoredModel:
+    """The shell of :class:`~repro.mrf.model.MRF` and :class:`~repro.csp.model.LocalCSP`.
+
+    A model is its ``name`` and one stored record of type ``RECORD``: that
+    pair is all it pickles, its wire form is the name, ``n``, ``q`` and the
+    record's arrays, and its fingerprint is the record's.  Every entry path
+    ends in the subclass's ``_build(n, q, name=..., **arrays)``, the one
+    constructor and validator, whose array parameters are the record's
+    ``ARRAYS`` fields.
+    """
+
+    RECORD: type[_Stored]
+
+    @classmethod
+    def _from_arrays(cls, n: int, q: int, name: str, **arrays):
+        """A model of this class built by its ``_build`` from stored-field arrays."""
+        model = cls.__new__(cls)
+        model._build(n, q, name=name, **arrays)
+        return model
+
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "arrays": self._arrays}
+
+    def __setstate__(self, state: dict) -> None:
+        self.name: str = state["name"]
+        self._arrays = state["arrays"]
+        self.n, self.q = self._arrays.n, self._arrays.q
+
+    def _derive(self, **changes):
+        """A copy-on-write edit: this model with the stored arrays in ``changes`` replaced."""
+        arrays = {field: getattr(self._arrays, field) for field in self.RECORD.ARRAYS}
+        return self._from_arrays(self.n, self.q, self.name, **{**arrays, **changes})
+
+    def to_dict(self) -> dict:
+        """Plain-JSON wire form: the name, ``n``, ``q`` and the record's canonical arrays."""
+        return {
+            "type": self.RECORD.kind, "name": self.name, "n": self.n, "q": self.q,
+            "arrays": self._arrays.encoded(),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        """Rebuild a model from a :meth:`to_dict` payload, checked like every entry path."""
+        n, q, name, arrays = decode_fields(payload, cls.RECORD.kind.upper(), cls.RECORD.ARRAYS)
+        return cls._from_arrays(n, q, name, **arrays)
+
+    def model_fingerprint(self) -> str:
+        """Content hash of the stored arrays (:func:`repro.serialize.model_fingerprint`).
+
+        The name is excluded, so copies built apart hash alike.  Memoized
+        on the record: a model that is only sampled is never hashed.
+        """
+        return self._arrays.fingerprint
+
+    def compiled(self):
+        """The stored record (``RECORD``); builds nothing."""
+        return self._arrays
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledMRF(_Stored):
     """The stored form of a pairwise :class:`~repro.mrf.model.MRF`.
 
     ``edge_u[i] < edge_v[i]`` in sorted order, and ``palette[edge_table[i]]``
     is the activity table of edge ``i``.  The palette holds each distinct
-    table once (by its float64 bytes), in first-use order along the edges,
-    and then an all-ones table that no edge uses: the table of every pad
-    slot.  ``vertex_palette[vertex_index[v]]`` is the activity vector
+    table once (by its float64 bytes), in first-use order along the
+    edges.  ``vertex_palette[vertex_index[v]]`` is the activity vector
     ``b_v``, the distinct rows again in first-use order.  Every palette
-    entry but the pad is used.
+    entry is used.
 
     ``padded_neighbours[v]`` lists the neighbours of ``v`` ascending,
     padded with ``v`` itself to ``max(max_degree, 1)`` columns, and
-    ``padded_tables`` holds the matching palette indices (the all-ones
-    table at the pads), so a pad slot reads a spin and multiplies by one.
+    ``padded_tables`` holds the matching palette indices and, at the pads,
+    ``P``, one past the palette: the heat-bath engines read an all-ones
+    table there, so a pad slot reads a spin and multiplies by one.
     They, the ``(n, q)`` :attr:`vertex_activity` table,
     :attr:`is_uniform_coloring` and :attr:`greedy_start` are derived on
     first use (see :data:`MAX_PADDING`) and left out of pickles.
@@ -216,7 +276,7 @@ class CompiledMRF(_Stored):
         others = np.concatenate([self.edge_v, self.edge_u])
         order = np.lexsort((others, ends))
         tables = np.concatenate([self.edge_table, self.edge_table])
-        pads = [np.arange(self.n, dtype=np.int64)[:, None], self.palette.shape[0] - 1]
+        pads = [np.arange(self.n, dtype=np.int64)[:, None], self.palette.shape[0]]
         return _padded_rows(
             ends[order], [others[order], tables[order]], pads, self.n, "neighbour"
         )
@@ -238,10 +298,9 @@ class CompiledMRF(_Stored):
             activity, activity[:, :1], rtol=1e-9, atol=0.0
         ):
             return False
-        tables = self.palette[:-1]
-        off = tables[:, ~np.eye(self.q, dtype=bool)]
+        off = self.palette[:, ~np.eye(self.q, dtype=bool)]
         return bool(
-            np.all(np.diagonal(tables, axis1=1, axis2=2) == 0.0)
+            np.all(np.diagonal(self.palette, axis1=1, axis2=2) == 0.0)
             and np.all(off > 0.0)
             and np.allclose(off, off[:, :1], rtol=1e-9, atol=0.0)
         )
@@ -286,7 +345,7 @@ class CompiledMRF(_Stored):
 
     @property
     def padded_tables(self) -> np.ndarray:
-        """``(n, width)`` palette index of each padded neighbour slot."""
+        """``(n, width)`` palette index of each padded neighbour slot; ``P`` at the pads."""
         return self._padded[1]
 
 

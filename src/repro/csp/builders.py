@@ -49,7 +49,7 @@ def _cover_constraints(graph: nx.Graph) -> list[Constraint]:
         scope = tuple(sorted(set(graph.neighbors(v)) | {v}))
         if len(scope) not in tables:
             tables[len(scope)] = _cover_table(len(scope))
-        constraints.append(Constraint(scope, tables[len(scope)], name=f"cover({v})"))
+        constraints.append(Constraint(scope, tables[len(scope)]))
     return constraints
 
 
@@ -69,7 +69,7 @@ def dominating_set_csp(graph: nx.Graph, weight: float = 1.0) -> LocalCSP:
     if weight != 1.0:
         unary = frozen_table([1.0, weight])
         for v in range(n):
-            constraints.append(Constraint((v,), unary, name=f"pick-weight({v})"))
+            constraints.append(Constraint((v,), unary))
     return LocalCSP(n, 2, constraints, name=f"dominating-set(w={weight})")
 
 
@@ -83,7 +83,7 @@ def maximal_independent_set_csp(graph: nx.Graph) -> LocalCSP:
     check_vertex_labels(graph)
     independence = frozen_table([[1.0, 1.0], [1.0, 0.0]])
     constraints = [
-        Constraint((u, v), independence, name=f"indep({u},{v})")
+        Constraint((u, v), independence)
         for u, v in sorted((min(e), max(e)) for e in graph.edges())
     ]
     constraints.extend(_cover_constraints(graph))
@@ -99,15 +99,24 @@ def mrf_as_csp(mrf: MRF) -> LocalCSP:
     constraint per vertex (the activity vector) — the embedding that makes
     MRFs "a special class of weighted local CSPs" (Section 2.2).  Used to
     cross-validate the CSP chains against the MRF chains.
+
+    Built from the MRF's arrays: the scopes are the sorted edges, then each
+    vertex; the tables are the ``P`` edge tables (``edge_table``), then the
+    vertex rows (``P + vertex_index``).
     """
-    constraints = []
-    for u, v in mrf.edges:
-        constraints.append(
-            Constraint((u, v), mrf.edge_activity(u, v), name=f"edge({u},{v})")
-        )
-    for v in range(mrf.n):
-        constraints.append(Constraint((v,), mrf.vertex_activity[v], name=f"vertex({v})"))
-    return LocalCSP(mrf.n, mrf.q, constraints, name=f"csp[{mrf.name}]")
+    arrays = mrf.compiled()
+    m, n = arrays.m, mrf.n
+    return LocalCSP._from_arrays(
+        n, mrf.q, f"csp[{mrf.name}]",
+        scope_indptr=np.concatenate([np.arange(0, 2 * m, 2), np.arange(2 * m, 2 * m + n + 1)]),
+        scope_vertex=np.concatenate(
+            [np.stack([arrays.edge_u, arrays.edge_v], axis=1).ravel(), np.arange(n)]
+        ),
+        constraint_table=np.concatenate(
+            [arrays.edge_table, len(arrays.palette) + arrays.vertex_index]
+        ),
+        palette=[*arrays.palette, *arrays.vertex_palette],
+    )
 
 
 def coloring_csp(graph: nx.Graph, q: int) -> LocalCSP:
@@ -116,10 +125,7 @@ def coloring_csp(graph: nx.Graph, q: int) -> LocalCSP:
     if q < 2:
         raise ModelError(f"coloring_csp needs q >= 2, got {q}")
     table = frozen_table(np.ones((q, q)) - np.eye(q))
-    constraints = [
-        Constraint((min(u, v), max(u, v)), table, name=f"neq({u},{v})")
-        for u, v in graph.edges()
-    ]
+    constraints = [Constraint((min(u, v), max(u, v)), table) for u, v in graph.edges()]
     return LocalCSP(graph.number_of_nodes(), q, constraints, name=f"coloring-csp(q={q})")
 
 
@@ -142,5 +148,5 @@ def not_all_equal_csp(scopes: list[tuple[int, ...]], n: int, q: int) -> LocalCSP
             for spin in range(q):
                 table[(spin,) * arity] = 0.0
             tables[arity] = frozen_table(table)
-        constraints.append(Constraint(scope, tables[arity], name=f"nae{tuple(scope)}"))
+        constraints.append(Constraint(scope, tables[arity]))
     return LocalCSP(n, q, constraints, name="not-all-equal")

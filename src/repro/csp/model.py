@@ -5,14 +5,16 @@ the Gibbs distribution is proportional to it (paper Section 2.2).  Boolean
 constraint functions make mu the uniform distribution over CSP solutions —
 the "local sampling" counterpart of LCL problems.
 
-A CSP's arrays are its storage (:class:`~repro.compiled.CompiledCSP`),
-built in canonical form by one private constructor for every entry path.
-That constructor is the one validator: it refuses ``n >= 2**31``, a scope
-CSR that does not start at 0, decreases or does not end at its vertex
-count, a bad scope, a palette index out of range or of the wrong length
-and an invalid table.  The engines read the arrays, :meth:`LocalCSP.to_dict`
-encodes them with the array codec of :mod:`repro.serialize` and the
-fingerprint hashes their bytes.
+A CSP is its name and its arrays (:class:`~repro.compiled.CompiledCSP`),
+built in canonical form by one private constructor for every entry path;
+a constraint has no name, and errors name it by its index.  That
+constructor is the one validator: it refuses ``n >= 2**31``, a scope CSR
+that does not start at 0, decreases or does not end at its vertex count,
+a bad scope, a palette index out of range or of the wrong length and an
+invalid table.  It keeps the constraint order, which fixes the chains'
+factor-evaluation order and so their bits.  The engines read the arrays,
+:meth:`LocalCSP.to_dict` encodes them with the array codec of
+:mod:`repro.serialize` and the fingerprint hashes their bytes.
 :class:`Constraint` is the input value type and the view the sequential
 chains and LOCAL protocols read (``constraints``, derived on first use).
 """
@@ -25,10 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.compiled import CompiledCSP, _check_index, _first_use, _frozen
+from repro.compiled import CompiledCSP, _check_index, _first_use, _frozen, _StoredModel
 from repro.errors import ModelError, StateSpaceTooLargeError
 from repro.mrf.distribution import GibbsDistribution, spin_blocks
-from repro.serialize import MAX_COUNT, decode_fields, frozen_table, table_palette
+from repro.serialize import MAX_COUNT, frozen_table, table_palette
 
 __all__ = ["Constraint", "LocalCSP", "exact_csp_gibbs_distribution"]
 
@@ -76,24 +78,21 @@ class Constraint:
         A non-negative array of shape ``(q,) * len(scope)``;
         ``table[sigma_{s1}, ..., sigma_{sk}]`` is ``f_c`` evaluated on the
         restriction of the configuration to the scope.
-    name:
-        Optional label for error messages and reports.
     """
 
-    def __init__(self, scope: Sequence[int], table: np.ndarray, name: str = "constraint") -> None:
+    def __init__(self, scope: Sequence[int], table: np.ndarray) -> None:
         self.scope = tuple(int(v) for v in scope)
         if len(set(self.scope)) != len(self.scope):
-            raise ModelError(f"{name}: scope vertices must be distinct, got {self.scope}")
+            raise ModelError(f"scope vertices must be distinct, got {self.scope}")
         if not self.scope:
-            raise ModelError(f"{name}: scope must be non-empty")
+            raise ModelError("scope must be non-empty")
         table = np.asarray(table, dtype=float)
         problem = _table_problem(table, len(self.scope))
         if problem:
-            raise ModelError(f"{name}: {problem}")
+            raise ModelError(f"constraint on {self.scope}: {problem}")
         if table.flags.writeable:  # already-frozen tables are shared, not copied
             table = frozen_table(table)
         self.table = table
-        self.name = name
 
     @property
     def arity(self) -> int:
@@ -119,56 +118,56 @@ class Constraint:
         maximum = float(self.table.max())
         if not np.isfinite(maximum) or maximum <= 0.0:
             raise ModelError(
-                f"{self.name}: non-normalisable constraint (max factor "
+                f"constraint on {self.scope}: non-normalisable (max factor "
                 f"{maximum}); cannot form the LocalMetropolis filter"
             )
         return self.table / maximum
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Constraint(name={self.name!r}, scope={self.scope})"
+        return f"Constraint(scope={self.scope})"
 
 
-class LocalCSP:
+class LocalCSP(_StoredModel):
     """A weighted CSP over vertices ``0..n-1`` with spin domain ``[q]``.
 
     Immutable: the mutation methods return new instances.
     """
 
+    RECORD = CompiledCSP
+    _arrays: CompiledCSP
+
     def __init__(self, n: int, q: int, constraints: Sequence[Constraint], name: str = "csp") -> None:
         constraints = tuple(constraints)
         indptr, vertex = _scope_arrays([c.scope for c in constraints])
-        self._build(n, q, indptr, vertex, np.arange(len(constraints)),
-                    [c.table for c in constraints], [c.name for c in constraints], name)
+        self._build(n, q, name=name, scope_indptr=indptr, scope_vertex=vertex,
+                    constraint_table=np.arange(len(constraints)),
+                    palette=[c.table for c in constraints])
 
     def _build(
-        self, n: int, q: int, scope_indptr: np.ndarray, scope_vertex: np.ndarray,
-        table_index: np.ndarray, tables: Sequence[np.ndarray], names: Sequence[str], name: str,
+        self, n: int, q: int, *, name: str, scope_indptr: np.ndarray, scope_vertex: np.ndarray,
+        constraint_table: np.ndarray, palette: Sequence[np.ndarray],
     ) -> None:
         """The one constructor and validator: check, canonicalise and store the arrays.
 
-        Constraint ``c`` (named ``names[c]``) has the scope
+        Constraint ``c`` has the scope
         ``scope_vertex[scope_indptr[c]:scope_indptr[c + 1]]`` and the table
-        ``tables[table_index[c]]``.  The CSR offsets, the index counts and
-        ranges and every distinct supplied table, used or not, are checked;
-        the palette keeps the used tables in first-use order.
+        ``palette[constraint_table[c]]``.  The CSR offsets, the index counts
+        and ranges and every distinct supplied table, used or not, are
+        checked, and a refused constraint is named by its index; the
+        palette keeps the used tables in first-use order.
         """
         if not 1 <= n < MAX_COUNT:
             raise ModelError(f"a LocalCSP needs 1 <= n < 2**31 vertices, got n = {n}")
         if not 2 <= q < MAX_COUNT:
             raise ModelError(f"a LocalCSP needs 2 <= q < 2**31 spin states, got q = {q}")
-        count = len(names)
-        if scope_indptr.shape != (count + 1,):
-            raise ModelError(
-                f"scope_indptr has {scope_indptr.size} offsets; expected {count + 1} "
-                f"for {count} constraint names"
-            )
         arity = np.diff(scope_indptr)
-        if scope_indptr[0] != 0 or scope_indptr[-1] != scope_vertex.size or np.any(arity < 0):
+        ends = scope_indptr[[0, -1]].tolist() if scope_indptr.size else None
+        if ends != [0, scope_vertex.size] or np.any(arity < 0):
             raise ModelError(
                 "scope_indptr must start at 0, never decrease and end at the "
                 f"{scope_vertex.size} scope vertices"
             )
-        _check_index(table_index, len(tables), count, "constraint")
+        _check_index(constraint_table, len(palette), arity.size, "constraint")
         owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
         outside = (scope_vertex < 0) | (scope_vertex >= n)
         # A repeated scope vertex sits next to its repeat in (owner, vertex)
@@ -185,38 +184,28 @@ class LocalCSP:
             if bad.size:
                 c = int(bad[0])
                 scope = tuple(scope_vertex[scope_indptr[c] : scope_indptr[c + 1]].tolist())
-                raise ModelError(f"{names[c]}: {problem.format(scope)}")
-        distinct, position = table_palette(tables)
-        value = np.asarray(position, dtype=np.int64)[table_index]
+                raise ModelError(f"constraint {c}: {problem.format(scope)}")
+        distinct, position = table_palette(palette)
+        value = np.asarray(position, dtype=np.int64)[constraint_table]
         for k, table in enumerate(distinct):
             problem = _table_problem(table, table.ndim, q)
             if problem:
-                uses = np.flatnonzero(value == k)
-                where = names[uses[0]] if uses.size else f"palette entry {position.index(k)}"
+                use = np.flatnonzero(value == k)
+                where = f"constraint {use[0]}" if use.size else f"palette entry {position.index(k)}"
                 raise ModelError(f"{where}: {problem}")
         ndim = np.array([table.ndim for table in distinct], dtype=np.int64)
         mismatch = np.flatnonzero(ndim[value] != arity)
         if mismatch.size:
             c = int(mismatch[0])
-            raise ModelError(f"{names[c]}: {_table_problem(distinct[value[c]], arity[c])}")
+            raise ModelError(f"constraint {c}: {_table_problem(distinct[value[c]], arity[c])}")
         constraint_table, used = _first_use(value)
-        palette = [distinct[k] for k in used.tolist()]
+        tables = [distinct[k] for k in used.tolist()]
         arrays = CompiledCSP(
             n=int(n), q=int(q), scope_indptr=_frozen(scope_indptr),
             scope_vertex=_frozen(scope_vertex), constraint_table=_frozen(constraint_table),
-            palette=tuple(frozen_table(t) if t.flags.writeable else t for t in palette),
+            palette=tuple(frozen_table(t) if t.flags.writeable else t for t in tables),
         )
-        self.__setstate__({"name": name, "constraint_names": tuple(names), "arrays": arrays})
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "constraint_names": self.constraint_names,
-                "arrays": self._arrays}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.constraint_names: tuple[str, ...] = state["constraint_names"]
-        self._arrays: CompiledCSP = state["arrays"]
-        self.n, self.q = self._arrays.n, self._arrays.q
+        self.__setstate__({"name": name, "arrays": arrays})
 
     # ------------------------------------------------------------------
     # derived views (built on first use, never pickled)
@@ -226,7 +215,7 @@ class LocalCSP:
         """The constraints as :class:`Constraint` views sharing the palette tables."""
         arrays = self._arrays
         tables = [arrays.palette[t] for t in arrays.constraint_table.tolist()]
-        return tuple(map(Constraint, self._scopes(), tables, self.constraint_names))
+        return tuple(map(Constraint, self._scopes(), tables))
 
     def _scopes(self) -> list[list[int]]:
         bounds, vertices = self._arrays.scope_indptr.tolist(), self._arrays.scope_vertex.tolist()
@@ -249,7 +238,7 @@ class LocalCSP:
 
     def scope(self, index: int) -> tuple[int, ...]:
         """The scope of constraint ``index``, in the order given."""
-        index, count = int(index), len(self.constraint_names)
+        index, count = int(index), self._arrays.num_constraints
         if not 0 <= index < count:
             raise ModelError(f"constraint index {index} outside 0..{count - 1}")
         start, stop = self._arrays.scope_indptr[index : index + 2].tolist()
@@ -293,12 +282,6 @@ class LocalCSP:
     # ------------------------------------------------------------------
     # copy-on-write mutation
     # ------------------------------------------------------------------
-    def _derive(self, scope_indptr, scope_vertex, table_index, tables, names) -> LocalCSP:
-        model = LocalCSP.__new__(LocalCSP)
-        model._build(self.n, self.q, scope_indptr, scope_vertex, table_index, tables, names,
-                     self.name)
-        return model
-
     def with_constraint(self, constraint: Constraint) -> LocalCSP:
         """Return a copy with ``constraint`` appended.
 
@@ -306,13 +289,12 @@ class LocalCSP:
         arrays (the new table joins the palette), canonicalised by the one
         constructor into a new instance with its own fingerprint.
         """
-        arrays = self._arrays
+        arrays, scope = self._arrays, np.asarray(constraint.scope, dtype=np.int64)
         return self._derive(
-            np.append(arrays.scope_indptr, arrays.scope_indptr[-1] + len(constraint.scope)),
-            np.concatenate([arrays.scope_vertex, np.asarray(constraint.scope, dtype=np.int64)]),
-            np.append(arrays.constraint_table, len(arrays.palette)),
-            (*arrays.palette, constraint.table),
-            (*self.constraint_names, constraint.name),
+            scope_indptr=np.append(arrays.scope_indptr, arrays.scope_indptr[-1] + scope.size),
+            scope_vertex=np.concatenate([arrays.scope_vertex, scope]),
+            constraint_table=np.append(arrays.constraint_table, len(arrays.palette)),
+            palette=(*arrays.palette, constraint.table),
         )
 
     def without_constraint(self, index: int) -> LocalCSP:
@@ -322,63 +304,13 @@ class LocalCSP:
         scope_indptr = np.delete(arrays.scope_indptr, index + 1)
         scope_indptr[index + 1 :] -= arity
         return self._derive(
-            scope_indptr, np.delete(arrays.scope_vertex, np.s_[start : start + arity]),
-            np.delete(arrays.constraint_table, index), arrays.palette,
-            self.constraint_names[:index] + self.constraint_names[index + 1 :],
+            scope_indptr=scope_indptr,
+            scope_vertex=np.delete(arrays.scope_vertex, np.s_[start : start + arity]),
+            constraint_table=np.delete(arrays.constraint_table, index),
         )
 
-    # ------------------------------------------------------------------
-    # canonical serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON wire form; inverse of :meth:`from_dict`.
-
-        The name, the constraint names, ``n``, ``q`` and, under ``arrays``,
-        every stored field of :meth:`compiled` in the array codec of
-        :mod:`repro.serialize` (the palette as a list, one array per
-        table).  Constraint *order* is kept: it does not change the Gibbs
-        distribution, but it fixes the factor-evaluation order of the
-        chains, which is part of the bit-level determinism contract the
-        serving cache relies on.
-        """
-        return {
-            "type": "csp", "name": self.name, "n": self.n, "q": self.q,
-            "constraint_names": list(self.constraint_names), "arrays": self._arrays.encoded(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> LocalCSP:
-        """Rebuild a :class:`LocalCSP` from a :meth:`to_dict` payload.
-
-        Decodes the arrays and hands them to the one constructor, which
-        checks the scope offsets, the indices and every palette entry,
-        used or not, like any other entry path; no :class:`Constraint` is
-        built.
-        """
-        n, q, name, arrays = decode_fields(payload, "CSP", CompiledCSP.ARRAYS)
-        names = payload.get("constraint_names")
-        if not isinstance(names, list):
-            raise ModelError("malformed CSP payload: constraint_names must be a list")
-        model = cls.__new__(cls)
-        model._build(n, q, arrays["scope_indptr"], arrays["scope_vertex"],
-                     arrays["constraint_table"], arrays["palette"], list(map(str, names)), name)
-        return model
-
-    def model_fingerprint(self) -> str:
-        """Content hash of the stored arrays (:func:`repro.serialize.model_fingerprint`).
-
-        Model and constraint names are excluded; scope order, constraint
-        order and every table value are hashed.  Memoized on the stored
-        record.
-        """
-        return self._arrays.fingerprint
-
-    def compiled(self) -> CompiledCSP:
-        """The stored :class:`~repro.compiled.CompiledCSP` record; builds nothing."""
-        return self._arrays
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        count = len(self.constraint_names)
+        count = self._arrays.num_constraints
         return f"LocalCSP(name={self.name!r}, n={self.n}, q={self.q}, constraints={count})"
 
 

@@ -219,13 +219,13 @@ class DynamicEnsemble:
         return self.model
 
     def _shared_edge_activity(self) -> np.ndarray:
-        """The one edge table of a homogeneous model: its one non-pad palette entry."""
+        """The one edge table of a homogeneous model: its one palette entry."""
         palette = self.model.compiled().palette
-        if palette.shape[0] == 1:
+        if palette.shape[0] == 0:
             raise ModelError(
                 "add_edge on an edgeless model needs an explicit activity matrix"
             )
-        if palette.shape[0] > 2:
+        if palette.shape[0] > 1:
             raise ModelError(
                 "model has heterogeneous edge activities; pass the new "
                 "edge's activity matrix explicitly"

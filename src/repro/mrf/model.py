@@ -13,8 +13,8 @@ The weight of a configuration ``sigma in [q]^V`` is
 
 and the Gibbs distribution is ``mu(sigma) = w(sigma) / Z``.
 
-An MRF's arrays are its storage: a :class:`~repro.compiled.CompiledMRF` of
-sorted edges and palette indices.  The constructor, :meth:`MRF.from_dict`
+An MRF is its name and its arrays: a :class:`~repro.compiled.CompiledMRF`
+of sorted edges and palette indices.  The constructor, :meth:`MRF.from_dict`
 and every ``with_*``/``without_*`` mutation go through one private
 constructor, the one validator: it refuses ``n >= 2**31``, a graph that is
 not simple, a palette index out of range or of the wrong length and an
@@ -34,10 +34,10 @@ from functools import cached_property
 import networkx as nx
 import numpy as np
 
-from repro.compiled import CompiledMRF, _check_index, _first_use, _frozen
+from repro.compiled import CompiledMRF, _check_index, _first_use, _frozen, _StoredModel
 from repro.errors import ModelError
 from repro.graphs.structure import check_vertex_labels
-from repro.serialize import MAX_COUNT, decode_fields, table_palette
+from repro.serialize import MAX_COUNT, table_palette
 
 __all__ = ["MRF", "Config", "as_config"]
 
@@ -72,7 +72,7 @@ def _stack_edge_tables(tables: list[np.ndarray], q: int) -> tuple[np.ndarray, tu
     return stack, None
 
 
-class MRF:
+class MRF(_StoredModel):
     """A Markov random field on a graph with vertices ``0..n-1``.
 
     Parameters
@@ -91,6 +91,9 @@ class MRF:
     name:
         Optional human-readable model name used in reprs and reports.
     """
+
+    RECORD = CompiledMRF
+    _arrays: CompiledMRF
 
     def __init__(
         self,
@@ -125,33 +128,43 @@ class MRF:
                 f"vertex activities must have shape ({q},) or ({n}, {q}), got {rows.shape}"
             )
         vertex_index = np.zeros(n, dtype=np.int64) if rows.ndim == 1 else np.arange(n)
-        self._build(n, q, edges[:, 0], edges[:, 1], np.asarray(edge_index, dtype=np.int64),
-                    tables, vertex_index, rows.reshape(-1, q), name)
+        self._build(
+            n, q, name=name, edge_u=edges[:, 0], edge_v=edges[:, 1],
+            edge_table=np.asarray(edge_index, dtype=np.int64), palette=tables,
+            vertex_index=vertex_index, vertex_palette=rows.reshape(-1, q),
+        )
         self.__dict__["graph"] = graph
 
     def _build(
-        self, n: int, q: int, edge_u: np.ndarray, edge_v: np.ndarray, edge_index: np.ndarray,
-        tables: Sequence[np.ndarray], vertex_index: np.ndarray, rows: np.ndarray, name: str,
+        self, n: int, q: int, *, name: str, edge_u: np.ndarray, edge_v: np.ndarray,
+        edge_table: np.ndarray, palette: Sequence[np.ndarray], vertex_index: np.ndarray,
+        vertex_palette: np.ndarray,
     ) -> None:
         """The one constructor and validator: check, canonicalise and store the arrays.
 
         Edge ``i`` joins ``edge_u[i]`` and ``edge_v[i]`` (either
-        orientation, any order) with table ``tables[edge_index[i]]``, and
-        vertex ``v`` has activity ``rows[vertex_index[v]]``.  The index
-        counts and ranges, every supplied table and every row are checked,
-        and each palette keeps the distinct used entries (by float64
-        bytes) in first-use order along the sorted edges or the vertices.
+        orientation, any order) with table ``palette[edge_table[i]]``, and
+        vertex ``v`` has activity ``vertex_palette[vertex_index[v]]``.  The
+        index counts and ranges, every supplied table and every row are
+        checked, and each palette keeps the distinct used entries (by
+        float64 bytes) in first-use order along the sorted edges or the
+        vertices.
         """
+        # table_palette keys tables by id: a list keeps every row view of a
+        # 3-D palette alive, so no two of them can share one.
+        tables = list(palette)
         if not 0 <= n < MAX_COUNT:
             raise ModelError(f"an MRF needs 0 <= n < 2**31 vertices, got n = {n}")
         if not 2 <= q < MAX_COUNT:
             raise ModelError(f"an MRF needs 2 <= q < 2**31 spin states, got q = {q}")
         if edge_v.shape != edge_u.shape:
             raise ModelError(f"{edge_u.size} edge_u entries but {edge_v.size} edge_v entries")
-        _check_index(edge_index, len(tables), edge_u.size, "edge")
-        if rows.ndim != 2 or rows.shape[1] != q:
-            raise ModelError(f"vertex palette rows must have length {q}, got shape {rows.shape}")
-        _check_index(vertex_index, len(rows), n, "vertex")
+        _check_index(edge_table, len(tables), edge_u.size, "edge")
+        if vertex_palette.ndim != 2 or vertex_palette.shape[1] != q:
+            raise ModelError(
+                f"vertex palette rows must have length {q}, got shape {vertex_palette.shape}"
+            )
+        _check_index(vertex_index, len(vertex_palette), n, "vertex")
         lo, hi = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
         bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
         if bad.size:
@@ -162,25 +175,25 @@ class MRF:
         keys = lo * n + hi
         if np.any(keys[1:] <= keys[:-1]):
             order = np.argsort(keys, kind="stable")
-            lo, hi, keys, edge_index = lo[order], hi[order], keys[order], edge_index[order]
+            lo, hi, keys, edge_table = lo[order], hi[order], keys[order], edge_table[order]
             repeated = np.flatnonzero(keys[1:] == keys[:-1])
             if repeated.size:
                 i = repeated[0]
                 raise ModelError(f"edge ({lo[i]}, {hi[i]}) is repeated; {_SIMPLE}")
         distinct, value = table_palette(tables)
-        value = np.asarray(value, dtype=np.int64)[edge_index]
+        value = np.asarray(value, dtype=np.int64)[edge_table]
         stack, problem = _stack_edge_tables(distinct, q)
         if problem:
             uses = np.flatnonzero(value == problem[0])
             where = f"edge ({lo[uses[0]]}, {hi[uses[0]]})" if uses.size else "edge activity"
             raise ModelError(f"{where}: {problem[1]}")
-        if not np.all(np.isfinite(rows)):
+        if not np.all(np.isfinite(vertex_palette)):
             raise ModelError("vertex activities must be finite")
-        if np.any(rows < 0):
+        if np.any(vertex_palette < 0):
             raise ModelError("vertex activities must be non-negative")
-        if np.any(np.all(rows == 0, axis=1)):
+        if np.any(np.all(vertex_palette == 0, axis=1)):
             raise ModelError("every vertex needs at least one positive activity")
-        distinct_rows, row_value = table_palette(list(rows))
+        distinct_rows, row_value = table_palette(list(vertex_palette))
         edge_table, used = _first_use(value)
         vertex_index, used_rows = _first_use(np.asarray(row_value, dtype=np.int64)[vertex_index])
         arrays = CompiledMRF(
@@ -189,19 +202,11 @@ class MRF:
             edge_u=_frozen(lo),
             edge_v=_frozen(hi),
             edge_table=_frozen(edge_table),
-            palette=_frozen(np.concatenate([stack[used], np.ones((1, q, q))])),
+            palette=_frozen(stack[used]),
             vertex_index=_frozen(vertex_index),
             vertex_palette=_frozen(np.array(distinct_rows, dtype=float).reshape(-1, q)[used_rows]),
         )
         self.__setstate__({"name": name, "arrays": arrays})
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "arrays": self._arrays}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self._arrays: CompiledMRF = state["arrays"]
-        self.n, self.q = self._arrays.n, self._arrays.q
 
     # ------------------------------------------------------------------
     # derived views and accessors (built on first use, never pickled)
@@ -231,8 +236,8 @@ class MRF:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
-        """The palette entries but the pad, one shared read-only view each."""
-        return tuple(self._arrays.palette[:-1])
+        """The palette entries, one shared read-only view each."""
+        return tuple(self._arrays.palette)
 
     @cached_property
     def _edge_lookup(self) -> dict[tuple[int, int], np.ndarray]:
@@ -340,12 +345,6 @@ class MRF:
             raise ModelError(f"({u}, {v}) is not an edge of the MRF graph")
         return i, present
 
-    def _derive(self, edge_u, edge_v, edge_index, tables, vertex_index, rows) -> MRF:
-        model = MRF.__new__(MRF)
-        model._build(self.n, self.q, edge_u, edge_v, edge_index, tables, vertex_index, rows,
-                     self.name)
-        return model
-
     def with_edge(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with edge ``{u, v}`` added (or its activity replaced).
 
@@ -358,20 +357,18 @@ class MRF:
         tables = [*self._tables, np.asarray(activity, dtype=float)]
         i, present = self._find_edge(u, v, required=False)
         # An existing edge is deleted and re-inserted at its sorted position.
-        edges = [
-            np.insert(np.delete(values, [i] if present else []), i, value)
-            for values, value in ((arrays.edge_u, min(u, v)), (arrays.edge_v, max(u, v)),
-                                  (arrays.edge_table, len(tables) - 1))
-        ]
-        return self._derive(*edges, tables, arrays.vertex_index, arrays.vertex_palette)
+        edges = {
+            field: np.insert(np.delete(getattr(arrays, field), [i] if present else []), i, value)
+            for field, value in (("edge_u", min(u, v)), ("edge_v", max(u, v)),
+                                 ("edge_table", len(tables) - 1))
+        }
+        return self._derive(palette=tables, **edges)
 
     def without_edge(self, u: int, v: int) -> MRF:
         """Return a copy with edge ``{u, v}`` removed (copy-on-write)."""
         i, _ = self._find_edge(u, v)
-        arrays = self._arrays
-        edges = [np.delete(values, i) for values in (arrays.edge_u, arrays.edge_v,
-                                                     arrays.edge_table)]
-        return self._derive(*edges, self._tables, arrays.vertex_index, arrays.vertex_palette)
+        edges = ("edge_u", "edge_v", "edge_table")
+        return self._derive(**{edge: np.delete(getattr(self._arrays, edge), i) for edge in edges})
 
     def with_edge_activity(self, u: int, v: int, activity: np.ndarray) -> MRF:
         """Return a copy with the factor on existing edge ``{u, v}`` replaced."""
@@ -390,54 +387,7 @@ class MRF:
         rows = np.concatenate([arrays.vertex_palette, row[None]])
         vertex_index = arrays.vertex_index.copy()
         vertex_index[v] = len(rows) - 1
-        return self._derive(arrays.edge_u, arrays.edge_v, arrays.edge_table, self._tables,
-                            vertex_index, rows)
-
-    # ------------------------------------------------------------------
-    # canonical serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON wire form; inverse of :meth:`from_dict`.
-
-        The name, ``n``, ``q`` and, under ``arrays``, every stored field of
-        :meth:`compiled` in the array codec of :mod:`repro.serialize`.  The
-        fields are canonical, so two equal models serialise to equal
-        payloads, however they were built.
-        """
-        return {
-            "type": "mrf", "name": self.name, "n": self.n, "q": self.q,
-            "arrays": self._arrays.encoded(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> MRF:
-        """Rebuild an :class:`MRF` from a :meth:`to_dict` payload.
-
-        Decodes the arrays and hands them to the one constructor, which
-        refuses a self-loop, a repeated edge, a bad index or an invalid
-        table like any other entry path.  An unused palette entry, such as
-        the pad table, is checked and dropped.
-        """
-        n, q, name, arrays = decode_fields(payload, "MRF", CompiledMRF.ARRAYS)
-        model = cls.__new__(cls)
-        model._build(n, q, arrays["edge_u"], arrays["edge_v"], arrays["edge_table"],
-                     list(arrays["palette"]), arrays["vertex_index"], arrays["vertex_palette"],
-                     name)
-        return model
-
-    def model_fingerprint(self) -> str:
-        """Content hash of the stored arrays (:func:`repro.serialize.model_fingerprint`).
-
-        The name is excluded: two independently built copies of the same
-        model hash identically, so result caches keyed on it deduplicate
-        across processes.  Memoized on the stored record, so a model is
-        hashed at most once and a model that is only sampled never is.
-        """
-        return self._arrays.fingerprint
-
-    def compiled(self) -> CompiledMRF:
-        """The stored :class:`~repro.compiled.CompiledMRF` record; builds nothing."""
-        return self._arrays
+        return self._derive(vertex_index=vertex_index, vertex_palette=rows)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MRF(name={self.name!r}, n={self.n}, q={self.q}, edges={self._arrays.m})"

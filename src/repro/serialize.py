@@ -14,9 +14,10 @@ form are those arrays:
   or float64 array.  Model fields, ``initial`` starts and ``sample_many``
   batches all travel this way;
 * :meth:`repro.mrf.model.MRF.to_dict` / :meth:`repro.csp.model.LocalCSP.to_dict`
-  emit the model's names, ``n``, ``q`` and every stored field through the
-  codec; ``from_dict`` decodes them and hands them to the model's one
-  constructor, which validates them like any other entry path;
+  emit the model's ``type``, ``name``, ``n``, ``q`` and every stored field
+  through the codec; ``from_dict`` refuses any other key, decodes them and
+  hands them to the model's one constructor, which validates them like
+  any other entry path;
 * :func:`model_fingerprint` hashes the stored fields directly.
 
 Fingerprint recipe: the SHA-256 of the ASCII header ``"{kind} {n} {q}\\n"``
@@ -30,7 +31,7 @@ Each record computes it on first use and memoizes it; pickles leave it out.
 Fingerprint contract: equal fingerprints guarantee bit-identical sampling
 results for equal requests.  Everything that can change a sampled bit
 (``n``, ``q``, edge or constraint order, every index and table entry) is
-hashed; the model and constraint names are not.
+hashed; the model name is not.
 
 This module deliberately has no model imports at module level — the model
 classes import the helpers below, and :func:`model_from_dict` resolves the
@@ -51,6 +52,7 @@ from repro.errors import ModelError
 
 __all__ = [
     "MAX_COUNT",
+    "MODEL_KEYS",
     "canonical_json",
     "decode_array",
     "decode_fields",
@@ -60,6 +62,7 @@ __all__ = [
     "frozen_table",
     "model_to_dict",
     "model_from_dict",
+    "wire_int",
 ]
 
 #: The wire dtypes of an integer array, smallest first, and of a float array.
@@ -70,6 +73,9 @@ FLOAT_DTYPES = ("<f8",)
 #: entries of a decoded array (a zero extent counting as one) stay below
 #: it, so ``lo * n + hi`` vertex-pair keys cannot wrap in int64.
 MAX_COUNT = 1 << 31
+
+#: The keys of a model payload: a model is its name, ``n``, ``q`` and arrays.
+MODEL_KEYS = ("type", "name", "n", "q", "arrays")
 
 #: Largest rank of a decoded array: a table of arity 32 over two spins
 #: already holds 2**32 entries.
@@ -153,21 +159,39 @@ def decode_array(payload, kind: str, ndim: int | None = None, what: str = "array
     return np.frombuffer(raw, dtype=dtype).astype(target).reshape(shape)
 
 
+def wire_int(value, what: str) -> int:
+    """An int or integral float as an int; a bool, string or fraction raises ``TypeError``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def decode_fields(payload: dict, label: str, fields: dict[str, tuple[str, int | None]]):
     """``(n, q, name, arrays)`` of a model's ``to_dict`` payload.
 
     ``fields`` is the record's ``ARRAYS``: each stored array field with the
     ``kind`` and ``ndim`` of :func:`decode_array`, ``ndim=None`` marking a
-    list of arrays of any rank (a CSP's palette).  A missing or malformed
-    part raises :class:`~repro.errors.ModelError` naming the ``label``
-    payload; the model's constructor then validates what the arrays hold.
+    list of arrays of any rank (a CSP's palette).  A key outside
+    :data:`MODEL_KEYS` or ``fields``, a missing or malformed part or a
+    non-integer ``n`` or ``q`` raises :class:`~repro.errors.ModelError`
+    naming it; the model's constructor then validates the arrays.
     """
     try:
-        n, q = int(payload["n"]), int(payload["q"])
+        if not isinstance(payload, dict):
+            raise TypeError(f"it must be an object, got {type(payload).__name__}")
+        stray = [key for key in payload if key not in MODEL_KEYS]
+        if stray:
+            raise ValueError(f"unknown key(s) {stray}; a model payload has only {MODEL_KEYS}")
+        n, q = wire_int(payload["n"], "n"), wire_int(payload["q"], "q")
         name = str(payload.get("name", label.lower()))
         arrays = payload["arrays"]
         if not isinstance(arrays, dict):
             raise TypeError(f"arrays must be an object, got {type(arrays).__name__}")
+        stray = [key for key in arrays if key not in fields]
+        if stray:
+            raise ValueError(f"unknown array(s) {stray}; {label} arrays are {list(fields)}")
         decoded = {}
         for field, (kind, ndim) in fields.items():
             value = arrays[field]

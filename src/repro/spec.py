@@ -44,7 +44,7 @@ from repro.chains.ensemble import canonical_checkpoints
 from repro.errors import ModelError, UnknownModelError
 from repro.families import validate_method
 from repro.serialize import (
-    canonical_json, decode_array, encode_array, model_from_dict, model_to_dict,
+    canonical_json, decode_array, encode_array, model_from_dict, model_to_dict, wire_int,
 )
 
 __all__ = ["JOB_KINDS", "JobSpec"]
@@ -56,8 +56,9 @@ JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
 #: long-running daemon from different releases fail loudly, not subtly.
 #: Version 3 returned sample batches as base64 arrays; version 4 carries
 #: models and ``initial`` starts in the same array codec
-#: (:mod:`repro.serialize`), with the fingerprint over the stored bytes.
-WIRE_VERSION = 4
+#: (:mod:`repro.serialize`), with the fingerprint over the stored bytes;
+#: version 5 ships a model as exactly its name, ``n``, ``q`` and arrays.
+WIRE_VERSION = 5
 
 #: A model fingerprint: the SHA-256 hex digest of its stored arrays.
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
@@ -398,6 +399,8 @@ class JobSpec:
         field raises :class:`~repro.errors.ModelError`, and so does a
         ``params`` key that :meth:`params_dict` does not emit for the
         spec's kind: a misspelt parameter must not run at its default.
+        Numbers are checked, never coerced: integers by
+        :func:`~repro.serialize.wire_int`, ``eps`` as a number.
         """
         if not isinstance(payload, dict):
             raise ModelError(f"job payload must be a dict, got {type(payload).__name__}")
@@ -415,27 +418,31 @@ class JobSpec:
             params = dict(payload.get("params") or {})
             seed = payload.get("seed")
             if seed is not None:
-                seed = int(seed)
+                seed = wire_int(seed, "seed")
                 if seed < 0:
                     raise ModelError(f"seed must be a non-negative integer, got {seed}")
             name = payload.get("name")
             initial = params.get("initial")
             if initial is not None:
                 initial = decode_array(initial, "int", what="initial")
-            sharded = bool(params.get("sharded", False))
+            sharded = params.get("sharded", False)
+            if not isinstance(sharded, bool):
+                raise TypeError(f"sharded must be true or false, got {sharded!r}")
             shard_size = params.get("shard_size") if sharded else None
             common = dict(
                 model=model,
                 method=str(payload.get("method", "local-metropolis")),
-                replicas=int(params.get("replicas", 1)),
+                replicas=wire_int(params.get("replicas", 1), "replicas"),
                 seed=seed,
                 initial=initial,
                 name=None if name is None else str(name),
                 parallel=0 if sharded else None,
-                shard_size=None if shard_size is None else int(shard_size),
+                shard_size=None if shard_size is None else wire_int(shard_size, "shard_size"),
             )
             eps = params.get("eps")
             if eps is not None:
+                if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+                    raise TypeError(f"eps must be a number, got {eps!r}")
                 eps = float(eps)
                 if not math.isfinite(eps):
                     raise ModelError(f"eps must be finite, got {eps}")
@@ -443,7 +450,7 @@ class JobSpec:
                 rounds = params.get("rounds")
                 spec = cls(
                     kind=kind,
-                    rounds=None if rounds is None else int(rounds),
+                    rounds=None if rounds is None else wire_int(rounds, "rounds"),
                     eps=eps,
                     **common,
                 )
@@ -453,8 +460,8 @@ class JobSpec:
                 spec = cls(
                     kind=kind,
                     eps=eps,
-                    max_rounds=int(params.get("max_rounds", 10_000)),
-                    stride=int(params.get("stride", 1)),
+                    max_rounds=wire_int(params.get("max_rounds", 10_000), "max_rounds"),
+                    stride=wire_int(params.get("stride", 1), "stride"),
                     **common,
                 )
         except (KeyError, TypeError, ValueError, OverflowError) as error:

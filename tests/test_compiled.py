@@ -106,9 +106,8 @@ class TestCompiledMRF:
     def test_every_edge_names_its_table(self):
         mrf = per_edge_mrf()
         compiled = mrf.compiled()
-        # One table per edge, plus the all-ones pad table.
-        assert compiled.palette.shape == (mrf.graph.number_of_edges() + 1, 3, 3)
-        np.testing.assert_array_equal(compiled.palette[-1], np.ones((3, 3)))
+        # One table per edge, and no table that no edge uses.
+        assert compiled.palette.shape == (mrf.graph.number_of_edges(), 3, 3)
         for u, v, table in zip(compiled.edge_u, compiled.edge_v, compiled.edge_table):
             np.testing.assert_array_equal(
                 compiled.palette[table], mrf.edge_activity(int(u), int(v))
@@ -118,7 +117,7 @@ class TestCompiledMRF:
     def test_padded_rows_are_ascending_neighbourhoods_padded_with_ones(self, make):
         mrf = make()
         compiled = mrf.compiled()
-        ones = compiled.palette.shape[0] - 1
+        past = compiled.palette.shape[0]
         width = max(max(mrf.degree(v) for v in range(mrf.n)), 1)
         assert compiled.padded_neighbours.shape == (mrf.n, width)
         assert not compiled.padded_neighbours.flags.writeable
@@ -131,13 +130,14 @@ class TestCompiledMRF:
                 np.testing.assert_array_equal(
                     compiled.palette[compiled.padded_tables[v, k]], mrf.edge_activity(u, v)
                 )
-            # Pads read the vertex's own spin through the all-ones table.
+            # Pads read the vertex's own spin and name table P, one past the
+            # palette, which the engines read as all ones.
             assert np.all(compiled.padded_neighbours[v, degree:] == v)
-            assert np.all(compiled.padded_tables[v, degree:] == ones)
+            assert np.all(compiled.padded_tables[v, degree:] == past)
 
     def test_shared_tables_compile_to_one_palette_entry(self):
         compiled = ising_mrf(torus_graph(4, 4), 0.4).compiled()
-        assert compiled.palette.shape == (2, 2, 2)  # the shared table + the pad table
+        assert compiled.palette.shape == (1, 2, 2)  # the shared table
         assert not compiled.edge_table.any()
 
     def test_edgeless_model(self):
@@ -146,7 +146,7 @@ class TestCompiledMRF:
         assert compiled.m == 0
         assert compiled.padded_neighbours.tolist() == [[0]]
         assert compiled.padded_tables.tolist() == [[0]]
-        np.testing.assert_array_equal(compiled.palette, np.ones((1, 2, 2)))
+        assert compiled.palette.shape == (0, 2, 2)
 
     def test_uneven_degrees_beyond_the_padding_cap_are_refused(self):
         """A 3000-leaf star would pad 3001 x 3000 slots; nothing that large is built."""
@@ -244,7 +244,7 @@ class TestCompiledCSP:
 
 
 MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
-CSP_STATE = {"name", "constraint_names", "n", "q", "_arrays"}
+CSP_STATE = {"name", "n", "q", "_arrays"}
 CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
 #: The arrays each record derives on first use, which engines share by identity.
 MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables", "greedy_start")
@@ -310,7 +310,6 @@ class TestMemoization:
         restored = pickle.loads(after)
         assert set(vars(restored)) == CSP_STATE
         assert set(vars(restored.compiled())) == CSP_FIELDS
-        assert restored.constraint_names == csp.constraint_names
         assert restored.model_fingerprint() == csp.model_fingerprint()
         for field in ("scope_indptr", "scope_vertex", "constraint_table"):
             np.testing.assert_array_equal(
@@ -397,8 +396,10 @@ class TestEnginesReadTheCompiledForm:
             assert engine._eu is compiled.edge_u and engine._ev is compiled.edge_v
             assert engine._vertex_activity is compiled.vertex_activity
         for engine in engines[:2]:
-            rows = engine._factor_rows.reshape(compiled.palette.shape)
-            np.testing.assert_array_equal(rows, compiled.palette.transpose(0, 2, 1))
+            # The palette's factor rows, then the all-ones table of the pads.
+            rows = engine._factor_rows.reshape(-1, mrf.q, mrf.q)
+            np.testing.assert_array_equal(rows[:-1], compiled.palette.transpose(0, 2, 1))
+            np.testing.assert_array_equal(rows[-1], np.ones((mrf.q, mrf.q)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_filter_equals_the_sequential_pass_probability(self, seed):

@@ -2,8 +2,8 @@
 
 import json
 import pickle
-import re
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from repro.csp import (
 from repro.errors import ModelError
 from repro.families import DISPATCH
 from repro.graphs import cycle_graph, path_graph, star_graph, torus_graph
-from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
+from repro.mrf import MRF, exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
 from repro.serialize import decode_array, encode_array
 
 
@@ -119,7 +119,7 @@ class TestLocalCSP:
 
 
 _BASE = dominating_set_csp(path_graph(4), weight=2.0)
-_SCOPES = [list(_BASE.scope(c)) for c in range(len(_BASE.constraint_names))]
+_SCOPES = [list(_BASE.scope(c)) for c in range(_BASE.compiled().num_constraints)]
 
 
 def _with_scopes(payload: dict, scopes) -> None:
@@ -205,7 +205,7 @@ class TestFromDict:
         scopes[5] = [2**31 - 2, 2**31 - 2]
         _with_scopes(payload, scopes)
         payload["arrays"]["constraint_table"] = encode_array(np.array([0, 1, 1, 0, 2, 0, 2, 2]))
-        with pytest.raises(ModelError, match=r"pick-weight\(1\): scope vertices must be distinct"):
+        with pytest.raises(ModelError, match=r"constraint 5: scope vertices must be distinct"):
             LocalCSP.from_dict(payload)
 
     @pytest.mark.parametrize("model", [_BASE, proper_coloring_mrf(path_graph(4), 3)],
@@ -225,8 +225,7 @@ class TestFromDict:
         table = decode_array(payload["arrays"]["palette"][0], "float")
         table[0, 0] = float("inf")
         payload["arrays"]["palette"][0] = encode_array(table)
-        name = payload["constraint_names"][0]
-        with pytest.raises(ModelError, match=rf"{re.escape(name)}: .*finite"):
+        with pytest.raises(ModelError, match=r"constraint 0: .*finite"):
             LocalCSP.from_dict(payload)
 
 
@@ -257,7 +256,7 @@ OPERATIONS = st.lists(
 
 
 def _constraint(scope, k: int) -> Constraint:
-    return Constraint(scope, TABLES[k], name=f"t{k}{tuple(scope)}")
+    return Constraint(scope, TABLES[k])
 
 
 def _stored(csp: LocalCSP) -> list[np.ndarray]:
@@ -290,7 +289,6 @@ class TestStoredForm:
                 np.testing.assert_array_equal(mine, theirs)
             mine, theirs = csp.compiled().palette, built.compiled().palette
             assert [t.tobytes() for t in mine] == [t.tobytes() for t in theirs]
-            assert built.constraint_names == csp.constraint_names
             assert built.model_fingerprint() == csp.model_fingerprint()
         # The palette: each table once by its bytes, in first-use order.
         arrays = csp.compiled()
@@ -314,7 +312,7 @@ class TestNoConstraintObjects:
 
     def test_model_paths_build_no_constraint(self, monkeypatch):
         payload = json.loads(json.dumps(_mixed_csp().to_dict()))
-        extra = Constraint((0, 4), np.ones((2, 2)), name="extra")
+        extra = Constraint((0, 4), np.ones((2, 2)))
         monkeypatch.setattr(Constraint, "__init__", _refuse_constraint)
         decoded = LocalCSP.from_dict(payload)
         derived = [decoded.with_constraint(extra), decoded.without_constraint(3)]
@@ -353,7 +351,39 @@ class TestNoConstraintObjects:
         assert dyn.resamples == 1 and dyn.config.shape == (8, 16)
 
 
+def _per_edge_mrf() -> MRF:
+    """Random symmetric tables per edge, two edges sharing one, and an isolated vertex."""
+    rng = np.random.default_rng(7)
+    graph = nx.cycle_graph(5)
+    graph.add_node(5)
+    tables = {edge: rng.uniform(0.0, 2.0, size=(3, 3)) for edge in graph.edges()}
+    tables = {edge: (table + table.T) / 2 for edge, table in tables.items()}
+    tables[(3, 4)] = tables[(0, 1)]
+    return MRF(graph, 3, tables, rng.uniform(0.5, 1.5, size=(6, 3)), name="per-edge")
+
+
+_MRF_MODELS = {
+    **{
+        name: lambda name=name: repro.families.build_model({"family": name, "graph": "grid"}, 3)
+        for name, family in repro.families.FAMILIES.items() if family.kind == "mrf"
+    },
+    "per-edge": _per_edge_mrf,
+    "edgeless": lambda: ising_mrf(path_graph(1), beta=0.5, field=0.2),
+}
+
+
 class TestBuilders:
+    @pytest.mark.parametrize("make", _MRF_MODELS.values(), ids=_MRF_MODELS)
+    def test_mrf_as_csp_is_the_csp_of_one_constraint_per_factor(self, make):
+        """Built from the MRF's arrays, it stores what one ``Constraint`` per factor builds."""
+        mrf = make()
+        constraints = [Constraint((u, v), mrf.edge_activity(u, v)) for u, v in mrf.edges]
+        constraints += [Constraint((v,), mrf.vertex_activity[v]) for v in range(mrf.n)]
+        reference = LocalCSP(mrf.n, mrf.q, constraints, name=f"csp[{mrf.name}]")
+        csp = mrf_as_csp(mrf)
+        assert csp.model_fingerprint() == reference.model_fingerprint()
+        assert csp.to_dict() == reference.to_dict()
+
     def test_mrf_as_csp_same_distribution(self):
         mrf = ising_mrf(cycle_graph(4), beta=0.7, field=1.3)
         a = exact_gibbs_distribution(mrf)

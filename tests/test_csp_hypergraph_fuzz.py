@@ -42,7 +42,7 @@ def random_csp(rng: np.random.Generator) -> tuple[LocalCSP, list[Constraint]]:
     n = int(rng.integers(2, 9))
     q = int(rng.integers(2, 5))
     constraints = []
-    for index in range(int(rng.integers(1, 9))):
+    for _ in range(int(rng.integers(1, 9))):
         arity = int(rng.integers(1, min(3, n) + 1))
         scope = rng.choice(n, size=arity, replace=False)
         table = rng.uniform(0.1, 1.0, size=(q,) * arity)
@@ -50,7 +50,7 @@ def random_csp(rng: np.random.Generator) -> tuple[LocalCSP, list[Constraint]]:
         zeros = rng.random(table.shape) < 0.3
         zeros.flat[int(rng.integers(table.size))] = False
         table[zeros] = 0.0
-        constraints.append(Constraint(scope, table, name=f"fuzz{index}"))
+        constraints.append(Constraint(scope, table))
     return LocalCSP(n, q, constraints), constraints
 
 
@@ -120,7 +120,7 @@ def test_views_return_the_input_constraints(seed):
     csp, constraints = random_csp(np.random.default_rng(seed))
     assert len(csp.constraints) == len(constraints)
     for view, given in zip(csp.constraints, constraints):
-        assert view.scope == given.scope and view.name == given.name
+        assert view.scope == given.scope
         assert view.table.tobytes() == given.table.tobytes()
         assert not view.table.flags.writeable
     assert csp.incident == [

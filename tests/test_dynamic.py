@@ -67,8 +67,8 @@ def _ising_pair(field: float = 1.0):
 
 def _csp_pair():
     neq = np.ones((3, 3)) - np.eye(3)
-    base = [Constraint((0, 1), neq, name="neq(0,1)")]
-    extra = Constraint((2, 3), neq, name="neq(2,3)")
+    base = [Constraint((0, 1), neq)]
+    extra = Constraint((2, 3), neq)
     return (
         LocalCSP(4, 3, base),
         LocalCSP(4, 3, [*base, extra]),

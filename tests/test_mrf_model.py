@@ -260,9 +260,8 @@ class TestStoredForm:
                 np.testing.assert_array_equal(mine, theirs)
             assert built.model_fingerprint() == mrf.model_fingerprint()
         arrays = mrf.compiled()
-        assert _in_first_use_order(arrays.edge_table.tolist(), arrays.palette.shape[0] - 1)
+        assert _in_first_use_order(arrays.edge_table.tolist(), arrays.palette.shape[0])
         assert _in_first_use_order(arrays.vertex_index.tolist(), arrays.vertex_palette.shape[0])
-        np.testing.assert_array_equal(arrays.palette[-1], np.ones((Q, Q)))
         assert mrf.edges == sorted(edges)
         for (u, v), k in edges.items():
             np.testing.assert_array_equal(mrf.edge_activity(v, u), TABLES[k])

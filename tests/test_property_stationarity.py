@@ -126,10 +126,10 @@ class TestRandomCSPs:
         rng = np.random.default_rng(seed)
         n, q = 3, 2
         constraints = [
-            Constraint((0, 1), self._soft_table(rng, (q, q)), name="c01"),
-            Constraint((1, 2), self._soft_table(rng, (q, q)), name="c12"),
-            Constraint((0, 1, 2), self._soft_table(rng, (q, q, q)), name="c012"),
-            Constraint((2,), rng.uniform(0.2, 1.5, size=q), name="c2"),
+            Constraint((0, 1), self._soft_table(rng, (q, q))),
+            Constraint((1, 2), self._soft_table(rng, (q, q))),
+            Constraint((0, 1, 2), self._soft_table(rng, (q, q, q))),
+            Constraint((2,), rng.uniform(0.2, 1.5, size=q)),
         ]
         csp = LocalCSP(n, q, constraints)
         matrix = local_metropolis_csp_transition_matrix(csp)

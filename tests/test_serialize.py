@@ -36,6 +36,7 @@ from repro.mrf import (
 )
 from repro.mrf.model import MRF
 from repro.serialize import (
+    MODEL_KEYS,
     canonical_json,
     decode_array,
     encode_array,
@@ -157,6 +158,20 @@ def _recipe(model) -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.parametrize("name", repro.families.FAMILIES)
+def test_a_model_is_its_name_and_arrays(name):
+    """Payload, pickle and record hold the name, n, q and stored arrays, nothing else."""
+    model = _family_model(name)
+    payload = model.to_dict()
+    assert tuple(payload) == MODEL_KEYS
+    assert tuple(payload["arrays"]) == tuple(model.compiled().ARRAYS)
+    assert set(vars(pickle.loads(pickle.dumps(model)))) == {"name", "n", "q", "_arrays"}
+    if isinstance(model, MRF):
+        # No pad table: every palette entry is some edge's table.
+        arrays = model.compiled()
+        assert np.unique(arrays.edge_table).tolist() == list(range(len(arrays.palette)))
+
+
 class TestFingerprint:
     @pytest.mark.parametrize("name", repro.families.FAMILIES)
     def test_follows_the_documented_recipe(self, name):
@@ -181,14 +196,6 @@ class TestFingerprint:
         clone = MRF.from_dict(payload)
         assert clone.name == "renamed"
         assert clone.model_fingerprint() == path3_coloring.model_fingerprint()
-
-    def test_csp_constraint_names_are_cosmetic(self):
-        csp = dominating_set_csp(cycle_graph(4))
-        payload = csp.to_dict()
-        payload["constraint_names"] = ["anon"] * len(payload["constraint_names"])
-        clone = LocalCSP.from_dict(payload)
-        assert clone.constraint_names == ("anon",) * 4
-        assert clone.model_fingerprint() == csp.model_fingerprint()
 
     def test_parameters_reach_the_fingerprint(self):
         graph = cycle_graph(5)
@@ -274,7 +281,7 @@ class TestPaletteForm:
         assert shared.to_dict() == copies.to_dict()
         assert shared.model_fingerprint() == copies.model_fingerprint()
         arrays = _decoded(shared.to_dict())
-        assert arrays["palette"].tolist() == [table.tolist(), np.ones((3, 3)).tolist()]
+        assert arrays["palette"].tolist() == [table.tolist()]
         assert arrays["edge_table"].tolist() == [0] * 6
         assert arrays["vertex_palette"].tolist() == [[1.0, 1.0, 1.0]]
         assert arrays["vertex_index"].tolist() == [0] * 6
@@ -292,8 +299,8 @@ class TestPaletteForm:
         payload = json.loads(json.dumps(model.to_dict()))
         clone = MRF.from_dict(payload)
         tables = [clone.edge_activity(u, v) for u, v in clone.edges]
-        # Every palette entry but the trailing pad table is used.
-        assert len({id(table) for table in tables}) == payload["arrays"]["palette"]["shape"][0] - 1
+        # Every palette entry is used.
+        assert len({id(table) for table in tables}) == payload["arrays"]["palette"]["shape"][0]
         assert not any(table.flags.writeable for table in tables)
         assert clone.model_fingerprint() == model.model_fingerprint()
 
@@ -336,18 +343,18 @@ class TestPaletteForm:
         assert restored.model_fingerprint() == before
 
 
-#: sha256 of ``canonical_json(model.to_dict())``, names included, for one
-#: model of each CSP family: the payload bytes must not move.  Re-pinned
-#: when the payload became the stored arrays in the array codec.
+#: sha256 of ``canonical_json(model.to_dict())``, the model name included,
+#: for one model of each CSP family: the payload bytes must not move.
+#: Re-pinned when the payload lost its per-constraint names.
 CSP_PAYLOAD_DIGESTS = [
     ({"family": "coloring-csp", "graph": "grid", "q": 3}, 3,
-     "679aef127cd24d7d38d7a472c4bfa2b054a6a194e7b315020634adb7cbcb5c38"),
+     "221fc5ff2b7d45547c9d07b34b586278efc1bda638d3356094e7210fc3b7b8f7"),
     ({"family": "nae", "graph": "cycle", "q": 3}, 7,
-     "8298ff7329e5fd6f1599fab4b63af9841fd47b89a61b6cb33c5afa15326aa3dc"),
+     "e3c11f69d030020a252ebe83e18599fb4462361af4a4cb96f0176f18b5152865"),
     ({"family": "dominating-set", "graph": "grid", "weight": 2.0}, 3,
-     "7db24b6711196af06dc5c584362be522150e4b9315e30b1f7bf3569acb4d856a"),
+     "7037a4e01ede57b9cb2ad23d75cb12bb75ab668165c3494d9766bb31ab63b53a"),
     ({"family": "mis", "graph": "path"}, 5,
-     "60abd03a8a9d1402a22dd372e979012acd97b983cc28bcd363cece2f30035761"),
+     "57fb9ffea097adbd0e388ada9eed067d946422b0604775fd9863f86038ef934d"),
 ]
 
 

@@ -172,7 +172,7 @@ def _mixed_arity_csp() -> LocalCSP:
     nae = not_all_equal_csp([(0, 1, 2), (2, 3), (3, 4, 5, 0), (1, 5)], n=6, q=3)
     unary = np.array([1.0, 2.0, 0.5])
     for v in (0, 3, 4):
-        nae = nae.with_constraint(Constraint((v,), unary, name=f"tilt({v})"))
+        nae = nae.with_constraint(Constraint((v,), unary))
     return nae
 
 
@@ -359,10 +359,12 @@ class TestProtocolErrors:
         "spec, needle",
         [
             ({"kind": "x"}, "kind"),
-            # clients of the int-list result form and of the nested-list
-            # model form are refused by version
-            ({"version": 2, "kind": "sample_many"}, "speaks version 4"),
-            ({"version": 3, "kind": "sample_many"}, "speaks version 4"),
+            # clients of the int-list result form, of the nested-list model
+            # form and of the constraint-name and pad-table model form are
+            # refused by version
+            ({"version": 2, "kind": "sample_many"}, "speaks version 5"),
+            ({"version": 3, "kind": "sample_many"}, "speaks version 5"),
+            ({"version": 4, "kind": "sample_many"}, "speaks version 5"),
         ],
     )
     def test_malformed_spec_is_400(self, server, spec, needle):
@@ -437,6 +439,7 @@ class TestProtocolErrors:
             ("tv_curve", "checkpoints", [2, 2]),
             ("tv_curve", "checkpoints", [-2]),
             ("tv_curve", "checkpoints", [1.5]),
+            ("tv_curve", "checkpoints", [True, 2]),
             ("sample_many", "rounds", -3),
             ("sample_many", "method", "bogus"),
             ("sample_many", "backend", "torch"),
@@ -445,6 +448,22 @@ class TestProtocolErrors:
             # an MRF lives on a simple graph: a self-loop or a repeated edge
             ("sample_many", "edges", [[0, 1], [0, 5], [1, 1], [2, 3], [3, 4], [4, 5]]),
             ("sample_many", "edges", [[0, 1], [0, 5], [0, 1], [2, 3], [3, 4], [4, 5]]),
+            # wire numbers are checked, never coerced: 1.5 is not seed 1,
+            # "false" is not true, 3.7 is not 3 rounds
+            ("sample_many", "seed", 1.5),
+            ("sample_many", "seed", True),
+            ("sample_many", "seed", "1"),
+            ("sample_many", "sharded", "false"),
+            ("sample_many", "sharded", 1),
+            ("sample_many", "rounds", 3.7),
+            ("sample_many", "rounds", "3"),
+            ("sample_many", "replicas", 4.5),
+            ("sample_many", "replicas", True),
+            ("sample_many", "eps", "0.05"),
+            ("sample_many", "eps", True),
+            ("sharded", "shard_size", 2.5),
+            ("mixing_time", "max_rounds", "64"),
+            ("mixing_time", "stride", 1.5),
         ],
     )
     def test_invalid_job_fields_are_400_and_never_submitted(
@@ -453,6 +472,10 @@ class TestProtocolErrors:
         specs = {
             "tv_curve": JobSpec.tv_curve(small_coloring, (1, 2), replicas=8, seed=1),
             "sample_many": JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2),
+            "sharded": JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2, parallel=0,
+                                           shard_size=2),
+            "mixing_time": JobSpec.mixing_time(small_coloring, eps=0.5, replicas=8,
+                                               max_rounds=8, seed=1),
             "csp": JobSpec.sample_many(
                 not_all_equal_csp([(0, 1, 2), (1, 2, 3)], n=4, q=3),
                 4,
@@ -462,8 +485,8 @@ class TestProtocolErrors:
             ),
         }
         wire = specs[base].to_wire()
-        if field == "method":
-            wire["method"] = value
+        if field in ("method", "seed"):
+            wire[field] = value
         elif field == "edges":
             edges = np.array(value)
             wire["model"]["arrays"].update(
@@ -508,8 +531,19 @@ class TestProtocolErrors:
             ("csp", lambda model: model["arrays"].update(
                 scope_indptr=encode_array(np.array([0, 3, 7]))), "scope_indptr must start at 0"),
             ("csp", lambda model: model.update(n=2**31), "2**31"),
+            ("mrf", lambda model: model.update(n=6.9), "n must be an integer, got 6.9"),
+            ("mrf", lambda model: model.update(n="6"), "n must be an integer, got '6'"),
+            ("csp", lambda model: model.update(q=3.5), "q must be an integer, got 3.5"),
+            ("csp", lambda model: model.update(q=True), "q must be an integer, got True"),
+            ("mrf", lambda model: model.update(edges=[[0, 1]]), "unknown key(s) ['edges']"),
+            ("mrf", lambda model: model["arrays"].update(edge_tabel=model["arrays"]["edge_table"]),
+             "unknown array(s) ['edge_tabel']"),
+            ("csp", lambda model: model.update(constraint_names=["nae(0, 1, 2)", "nae(1, 2, 3)"]),
+             "unknown key(s) ['constraint_names']"),
         ],
-        ids=["mrf-truncated-b64", "mrf-huge-extent", "csp-indptr-past-end", "csp-huge-n"],
+        ids=["mrf-truncated-b64", "mrf-huge-extent", "csp-indptr-past-end", "csp-huge-n",
+             "mrf-fractional-n", "mrf-string-n", "csp-fractional-q", "csp-bool-q",
+             "mrf-stray-key", "mrf-misspelt-array", "csp-version-4-names"],
     )
     def test_malformed_model_arrays_are_400(self, server, client, small_coloring, kind, edit,
                                             needle):

@@ -200,13 +200,13 @@ class TestCacheKey:
 #: Literal cache keys of five seeded specs.  A served cache hit is looked up
 #: by this key, so a refactor that moves one silently turns every cached
 #: result into a miss; a change that means to move keys re-pins these and
-#: says so in CHANGES.md.  Last re-pinned when the model fingerprint became
-#: a hash of the stored arrays and ``initial`` joined the array codec.
+#: says so in CHANGES.md.  Last re-pinned (the four MRF keys) when the MRF
+#: palette stopped storing, and so hashing, an all-ones pad table.
 PINNED_KEYS = {
-    "sample_many": "ce519e9473ef1790cd5f251505bacb0a7f395289442f9b5b164b4d094fd3ea5e",
-    "sample_many_sharded": "88ab1a2e95ea0eddb6a4ee81b04e9ae66b4e38044aaa45b3a15095c8e1709325",
-    "sample_many_initial": "ffe2534ae023cfd3023865e57d2396307dc9f7fbf1db5853b34ac129b8cda119",
-    "tv_curve": "51a93696422460ed249d770d4ea5839c396a9befffbf529735ba8ca9bc892b60",
+    "sample_many": "e26a4066a5da82ffda03c0c7d6ff6fb443db1d9d671f8d047e5501ae2e1bbb15",
+    "sample_many_sharded": "b1c9ef5e6d93f80a0d7fec187ba836bd4115e0fa16d0d0c6f8c52f64af62774b",
+    "sample_many_initial": "e38808df275da5b3162097079d20a79a2f553c0fca8422bd83da8b9cda850f83",
+    "tv_curve": "79e20986829673c927d3c34aed34928f77c4ef0a10e4a40b8e28b0e745e2f893",
     "mixing_time": "706380fb7fed9d36ebf8363c54a7df4b60e3a3235d7a2dd3a64963e8cd42902b",
 }
 
@@ -299,6 +299,33 @@ class TestWire:
             JobSpec.from_wire(dict(wire, seed=[1]))
         with pytest.raises(ModelError, match="non-negative"):
             JobSpec.from_wire(dict(wire, seed=-1))
+        # Wire numbers are checked, never coerced: 1.5 is not seed 1, "false"
+        # is not true, 3.7 is not 3 rounds and "6" is not n = 6.
+        for value in (1.5, True, "1"):
+            with pytest.raises(ModelError, match=f"seed must be an integer, got {value!r}"):
+                JobSpec.from_wire(dict(wire, seed=value))
+        for key, value, needle in [
+            ("sharded", "false", "sharded must be true or false"),
+            ("rounds", 3.7, "rounds must be an integer"),
+            ("replicas", "4", "replicas must be an integer"),
+            ("eps", "0.05", "eps must be a number"),
+        ]:
+            with pytest.raises(ModelError, match=needle):
+                JobSpec.from_wire(dict(wire, params={**wire["params"], key: value}))
+        sharded = JobSpec.sample_many(coloring, 4, seed=1, rounds=2, parallel=0).to_wire()
+        sharded["params"]["shard_size"] = 2.5
+        with pytest.raises(ModelError, match="shard_size must be an integer"):
+            JobSpec.from_wire(sharded)
+        mixing = JobSpec.mixing_time(coloring, eps=0.5, replicas=8, seed=1).to_wire()
+        for key, value in (("max_rounds", 8.5), ("stride", False)):
+            with pytest.raises(ModelError, match=f"{key} must be an integer"):
+                JobSpec.from_wire(dict(mixing, params={**mixing["params"], key: value}))
+        for key, value in (("n", 6.9), ("n", "9"), ("q", 5.5)):
+            with pytest.raises(ModelError, match=f"{key} must be an integer"):
+                JobSpec.from_wire(dict(wire, model={**wire["model"], key: value}))
+        # An integral float reads as its integer.
+        integral = JobSpec.from_wire(dict(wire, seed=1.0, params={**wire["params"], "rounds": 2.0}))
+        assert integral.cache_key() == JobSpec.from_wire(wire).cache_key()
 
     @pytest.mark.parametrize(
         "kind, key, value",
