@@ -17,18 +17,26 @@ them with single whole-ensemble array operations:
   own Luby independent set and heat-bath-resamples every selected vertex
   from its exact conditional marginal;
 * :class:`EnsembleLocalMetropolisMRF` — batched Algorithm 2 for pairwise
-  MRFs: proposals proportional to ``b_v``, one three-factor edge filter
-  and one coin per (edge, replica);
+  MRFs: proposals proportional to ``b_v`` from per-vertex palette CDFs,
+  the three-factor edge filter read from pass tables, and one coin per
+  (edge, replica);
 * :class:`EnsembleLocalMetropolisColoring` — batched Algorithm 2 for
   uniform proper q-colourings, the one specialised kernel: uniform
   proposals and the three deterministic colouring rules, no coins;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
   replicas: constraints are bucketed by arity, so flat table indices are
-  per-bucket scope gathers, and the ``2^k - 1``-factor mixing filter
-  (LocalMetropolis) is a doubling-built index array, one factor gather
-  and one product per bucket — no per-vertex or per-constraint Python
-  loop.
+  per-bucket scope gathers — no per-vertex or per-constraint Python loop.
+
+Both general LocalMetropolis engines filter through one
+:class:`_MetropolisFilter`: a factor's pass probability (the product of
+its ``2^k - 1`` normalised values at the mixings of the proposed and
+current spins on its scope) is a fixed function of ``2k`` spins, so each
+model record tabulates it once per distinct table
+(:mod:`repro.compiled`), and a round reads every factor's probability
+with one gather per arity bucket; an MRF's edges are one arity-2 bucket.
+A bucket whose tables would pass :data:`repro.compiled.MAX_PASS_TABLE`
+gathers its factors instead, with the same bits.
 
 The three heat-bath engines (Glauber, LubyGlauber-MRF, LubyGlauber-CSP)
 share one kernel.  The conditional weights of all selected (vertex,
@@ -39,9 +47,8 @@ of the neighbours' spins (or the constraints' flat indices) and one
 ``(pairs, q)`` gather of factor rows, multiplied in.  Pad slots read an
 all-ones row, so there is no validity mask, slot expansion or segmented
 product.  One column-by-column inverse-CDF sampler then draws every
-pair's spin; it also draws the ``b_v`` proposals of
-:class:`EnsembleLocalMetropolisMRF`.  The same kernel, masked to a
-vertex region, is the region advance of every MRF and CSP engine.
+pair's spin.  The same kernel, masked to a vertex region, is the region
+advance of every MRF and CSP engine.
 
 Every engine builds from the model's index-array form
 (:mod:`repro.compiled`): ``mrf.compiled()`` and ``csp.compiled()`` return
@@ -412,8 +419,7 @@ def _multiply_factor_rows(weights, factors, indices):
 def _heatbath_spins(rng, weights, v_idx, undefined):
     """Inverse-CDF draw of one spin per row of the ``(pairs, q)`` ``weights``.
 
-    The sampler of every heat-bath engine and of the LocalMetropolis MRF
-    proposals.  One ``random`` call draws a
+    The sampler of every heat-bath engine.  One ``random`` call draws a
     uniform ``u`` per pair, in pair order, and each pair takes the number
     of cumulative normalised weights ``<= u``: the smallest spin whose
     cumulative mass exceeds ``u``.  The cumulative sum runs column by
@@ -554,6 +560,139 @@ class _LubyGlauberRound(_HeatBathEnsemble):
             _obs_metrics.observe("repro_engine_luby_set_size", pairs / self.replicas, engine=name)
         self._heatbath_update(v_idx, r_idx)
         self.steps_taken += 1
+
+
+def _in_factor_order(parts, ids, shape: tuple[int, int], dtype) -> np.ndarray:
+    """Scatter per-bucket ``(C_k, R)`` results into one ``(C, R)`` array in factor order.
+
+    ``ids`` holds each bucket's factor (constraint or edge) indices.
+    """
+    if len(parts) == 1:  # one arity: the bucket is every factor, in order
+        return parts[0]
+    out = np.zeros(shape, dtype=dtype)
+    for bucket_ids, part in zip(ids, parts):
+        out[bucket_ids] = part
+    return out
+
+
+class _MetropolisFilter:
+    """The LocalMetropolis filter of both general engines: each factor's pass probability.
+
+    A factor of arity ``k`` (an MRF edge or a CSP constraint) passes with
+    the product of its ``2^k - 1`` max-normalised values at the mixings of
+    the proposed and current spins on its scope, multiplied in the record's
+    ``mixing_masks`` order.  The filter runs once per arity bucket of the
+    record (``compiled.buckets``: an MRF's edges are one arity-2 bucket).
+
+    A bucket with pass tables (``compiled.pass_table``) reads every
+    product from them: one int32 code ``sigma * q + X`` per (vertex,
+    replica), summed over the scope positions at the table strides
+    ``q**(2(k-1-p))`` onto each factor's table start, then one gather.  A
+    bucket past :data:`repro.compiled.MAX_PASS_TABLE` gathers its factors
+    from ``compiled.flat_norm`` instead, one ``(C_k, R)`` gather per
+    mixing in mask order (mixing ``mask`` reads the proposal at the
+    positions whose bit is set); :attr:`gather_rows` counts those factors.
+    Both paths give the same bits.
+    """
+
+    def __init__(self, compiled) -> None:
+        q = compiled.q
+        self.q = q
+        self._count = int(compiled.pass_starts.size)
+        self._pass_table = compiled.pass_table
+        self._flat_norm = compiled.flat_norm
+        self._masks = compiled.mixing_masks
+        #: The (factor, mixing) factors of one round's gather path, per replica.
+        self.gather_rows = 0
+        # Per bucket: (factor ids, (k, C_k) position-major scopes, strides,
+        # starts, tabled); on the table path strides and starts address the
+        # pass tables and are int32 (every index is under MAX_PASS_TABLE).
+        self._buckets = []
+        for bucket in compiled.buckets:
+            k, ids = bucket.arity, bucket.constraints
+            scopes = np.ascontiguousarray(bucket.scopes.T)
+            starts = compiled.pass_starts[ids]
+            tabled = bool(starts[0] >= 0)
+            if tabled:
+                strides = ((q * q) ** np.arange(k - 1, -1, -1)).astype(np.int32)
+                starts = starts.astype(np.int32)[:, None]
+            else:
+                strides, starts = bucket.strides[:, None, None], bucket.table_starts[:, None]
+                self.gather_rows += ids.size * ((1 << k) - 1)
+            self._buckets.append((ids, scopes, strides, starts, tabled))
+
+    def __call__(self, proposals: np.ndarray, config: np.ndarray) -> np.ndarray:
+        """The ``(factors, R)`` pass probabilities of the ``(n, R)`` proposals, in factor order."""
+        parts, code = [], None
+        for _, scopes, strides, starts, tabled in self._buckets:
+            if not tabled:
+                parts.append(self._gathered(proposals, config, scopes, strides, starts))
+                continue
+            if code is None:
+                code = proposals.astype(np.int32)
+                code *= self.q
+                code += config
+            flat = starts + np.take(code, scopes[0], axis=0) * strides[0]
+            for scope, stride in zip(scopes[1:], strides[1:]):
+                flat += np.take(code, scope, axis=0) * stride
+            # Fancy indexing: np.take is twice as slow with int32 indices.
+            parts.append(self._pass_table[flat])
+        shape = (self._count, config.shape[1])
+        return _in_factor_order(parts, [ids for ids, *_ in self._buckets], shape, float)
+
+    def _gathered(self, proposals, config, scopes, strides, starts):
+        """One bucket's pass probabilities from its ``2^k - 1`` factor gathers, in mask order."""
+        # The current and the proposed spins' (k, C_k, R) int64 terms of the
+        # flat index, each factor's table start added at position 0.
+        spins = (config[scopes] * strides, proposals[scopes] * strides)
+        for spin in spins:
+            spin[0] += starts
+        # A mixing's flat index is a low part, over the first half of the
+        # positions, plus a high part over the rest; each half holds its part
+        # for every sub-mask (bit set: the proposal), built by doubling.
+        k = len(scopes)
+        low = (k + 1) // 2
+        halves = []
+        for first, last in ((0, low), (low, k)):
+            parts = [spin[first] for spin in spins] if first < last else [0]
+            for position in range(first + 1, last):
+                parts = [part + spin[position] for spin in spins for part in parts]
+            halves.append(parts)
+        lows, highs = halves
+
+        def factor(mask):
+            return np.take(self._flat_norm, lows[mask & ((1 << low) - 1)] + highs[mask >> low])
+
+        first, *rest = self._masks(k)
+        product = factor(first)
+        for mask in rest:
+            product *= factor(mask)
+        return product
+
+
+class _LocalMetropolisRound(_HeatBathEnsemble):
+    """The round of both general LocalMetropolis engines.
+
+    Hosts provide ``_propose()``, the ``(n, R)`` proposals, and set
+    ``_filter`` (a :class:`_MetropolisFilter`) and ``_incidence``, the
+    ``(n, factors)`` CSR vertex incidence (None without factors).  The
+    region advance is the inherited masked LubyGlauber heat-bath; its
+    padded tables are built on its first call, so a model too uneven for
+    them (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
+    """
+
+    def step(self) -> None:
+        """Propose; one coin per (factor, replica) against the filter; accept if clean."""
+        proposals = self._propose()
+        if self._incidence is None:
+            self._config = proposals
+            self.steps_taken += 1
+            return
+        pass_probability = self._filter(proposals, self._config)
+        # u < p always holds at p = 1 and never at p = 0, as the sequential
+        # chains' deterministic branches.
+        failed = self.rng.random(pass_probability.shape) >= pass_probability
+        _metropolis_accept(self, proposals, failed, self._incidence)
 
 
 class _EnsembleMRFBase(_HeatBathEnsemble):
@@ -724,24 +863,23 @@ class EnsembleLubyGlauberMRF(_LubyGlauberRound, _EnsembleMRFBase):
     """
 
 
-class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
+class EnsembleLocalMetropolisMRF(_LocalMetropolisRound, _EnsembleMRFBase):
     """Batched Algorithm 2 (LocalMetropolis) for *general* pairwise MRFs.
 
     One step advances all R replicas by one round, exactly as the
     sequential :class:`~repro.chains.local_metropolis.LocalMetropolisChain`:
 
     * every (vertex, replica) pair proposes a spin with probability
-      proportional to ``b_v``, drawn by the heat-bath engines' inverse-CDF
-      sampler (so a zero-mass spin is never proposed);
+      proportional to ``b_v``: one uniform ``u`` per pair, in vertex-major
+      order, and the spin is the number of entries ``<= u`` of the CDF of
+      ``v``'s vertex-palette row, built once with the bits of
+      :func:`_heatbath_spins` and its largest-positive-mass fallthrough, so
+      a zero-mass spin is never proposed;
     * every (edge, replica) pair passes with probability
       ``Ã(sigma_u, sigma_v) * Ã(X_u, sigma_v) * Ã(sigma_u, X_v)``, where
-      ``Ã = A / max A``: three flat gathers from the max-normalised edge
-      palette, against one coin;
+      ``Ã = A / max A``: the arity-2 case of the CSP filter
+      (:class:`_MetropolisFilter`), one pass-table gather, against one coin;
     * a vertex accepts iff every incident edge passed.
-
-    The region advance is the inherited masked LubyGlauber heat-bath; its
-    padded tables are built on its first call, so a model too uneven for
-    them (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
     """
 
     def __init__(
@@ -753,40 +891,30 @@ class EnsembleLocalMetropolisMRF(_EnsembleMRFBase):
     ) -> None:
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         compiled = mrf.compiled()
-        palette = compiled.palette
-        self._normalised = (palette / palette.max(axis=(1, 2), keepdims=True)).ravel()
-        # Edge i's row t * q of the flat (P * q, q) normalised palette, as an
-        # (m, 1) column: (row + a) * q + b addresses Ã_i(a, b).
-        self._edge_rows = compiled.edge_table[:, None] * self.q
+        self._filter = _MetropolisFilter(compiled)
         self._incidence = _edge_incidence(self._eu, self._ev, self.n)
-        # Proposal pairs in vertex-major order: the vertex of each pair and
-        # its weights b_v; the drawn spins reshape to the (n, R) batch.
-        self._proposal_vertices = np.arange(self.n * self.replicas) // self.replicas
-        self._proposal_weights = np.take(self._vertex_activity, self._proposal_vertices, axis=0)
+        # Each palette row's CDF, divided and summed column by column as
+        # _heatbath_spins does, and its largest positive-mass spin; then per
+        # vertex, as q columns of shape (n, 1) against the (n, R) uniforms.
+        # Every row total is positive: the MRF constructor refuses a vertex
+        # whose activities are all zero.
+        palette, vertex = compiled.vertex_palette, compiled.vertex_index
+        cdf = np.cumsum(palette / np.sum(palette, axis=1, keepdims=True), axis=1)
+        self._cdf_columns = np.ascontiguousarray(cdf[vertex].T)[:, :, None]
+        last = np.argmax((palette > 0.0) * np.arange(self.q), axis=1)
+        self._last_positive = last[vertex, None].astype(self._dtype)
 
-    def step(self) -> None:
-        """Proposals from ``b_v``; one three-factor filter per edge; accept if clean."""
-        spins = _heatbath_spins(
-            self.rng, self._proposal_weights, self._proposal_vertices, self._undefined_marginal
-        )
-        proposals = spins.astype(self._dtype).reshape(self.n, self.replicas)
-        if self._incidence is None:
-            self._config = proposals
-            self.steps_taken += 1
-            return
-        q = self.q
-        sigma_v = proposals[self._ev]
-        proposed = (self._edge_rows + proposals[self._eu]) * q
-        current = (self._edge_rows + self._config[self._eu]) * q
-        pass_probability = (
-            np.take(self._normalised, proposed + sigma_v)
-            * np.take(self._normalised, current + sigma_v)
-            * np.take(self._normalised, proposed + self._config[self._ev])
-        )
-        # One coin per (edge, replica): u < p always holds at p = 1 and
-        # never at p = 0, as the sequential chain's deterministic branches.
-        failed = self.rng.random((self._eu.size, self.replicas)) >= pass_probability
-        _metropolis_accept(self, proposals, failed, self._incidence)
+    def _propose(self) -> np.ndarray:
+        """The ``(n, R)`` proposals, each spin drawn with probability proportional to ``b_v``."""
+        uniforms = self.rng.random(self.n * self.replicas).reshape(self.n, self.replicas)
+        spins = np.zeros((self.n, self.replicas), dtype=self._dtype)
+        for column in self._cdf_columns:
+            spins += column <= uniforms
+        # Rounding can leave a CDF's last entry below 1 and let u pass it.
+        past = spins == self.q
+        if np.any(past):
+            spins[past] = np.broadcast_to(self._last_positive, spins.shape)[past]
+        return spins
 
 
 class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
@@ -878,14 +1006,6 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
             )
             for bucket in compiled.buckets
         ]
-        if self._num_constraints:
-            ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
-            self._vertex_incidence = sp.csr_matrix(
-                (ones, compiled.incidence_constraint, compiled.incidence_indptr),
-                shape=(csp.n, self._num_constraints),
-            )
-        else:
-            self._vertex_incidence = None
         self._spin_arange = np.arange(csp.q)
         super().__init__(csp, replicas, initial=initial, seed=seed)
 
@@ -896,15 +1016,6 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
     # ------------------------------------------------------------------
     # batch views and diagnostics
     # ------------------------------------------------------------------
-    def _by_constraint(self, parts, dtype):
-        """Scatter per-bucket ``(C_k, R)`` results into constraint order."""
-        if len(parts) == 1:  # one arity: the bucket is every constraint, in order
-            return parts[0]
-        out = np.zeros((self._num_constraints, self.replicas), dtype=dtype)
-        for (_, ids, _, _, _), part in zip(self._buckets, parts):
-            out[ids] = part
-        return out
-
     def _scope_flat_indices(self, batch):
         """Flat row-major index of every scope restriction, shape ``(C, R)``.
 
@@ -912,11 +1023,10 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         inside the flattened table stack (relative to the constraint's
         table start).
         """
-        return self._by_constraint(
-            [
-                np.sum(batch[scopes] * strides, axis=0)
-                for _, _, scopes, strides, _ in self._buckets
-            ],
+        return _in_factor_order(
+            [np.sum(batch[scopes] * strides, axis=0) for _, _, scopes, strides, _ in self._buckets],
+            [ids for _, ids, _, _, _ in self._buckets],
+            (self._num_constraints, self.replicas),
             np.int64,
         )
 
@@ -1004,7 +1114,7 @@ class EnsembleLubyGlauberCSP(_LubyGlauberRound, _EnsembleCSPBase):
     """
 
 
-class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
+class EnsembleLocalMetropolisCSP(_LocalMetropolisRound, _EnsembleCSPBase):
     """Batched LocalMetropolis on a weighted local CSP (remark after Algorithm 2).
 
     One step advances all R replicas by one round: every (replica, vertex)
@@ -1013,19 +1123,19 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
     factors over the mixings of the proposal vector with the current vector
     on its scope; a vertex accepts iff every incident constraint passed.
 
-    The filter runs once per arity bucket of the compiled model: two scope
-    gathers pull the proposed and current spins of every scope, doubling
-    over the ``k`` positions builds the ``2^k`` flat table indices of all
-    mixings (column ``mask`` reads the proposal at the positions whose bit
-    is set), one gather pulls the normalised factors, and a product over
-    the mixing axis, in mask order, gives the pass probabilities.  The
+    The filter (:class:`_MetropolisFilter`) runs once per arity bucket of
+    the compiled model: one code per (vertex, replica), its proposed and
+    current spin, summed over every scope addresses the bucket's pass
+    tables, and one gather reads every constraint's pass probability.  A
+    bucket whose tables would pass :data:`repro.compiled.MAX_PASS_TABLE`
+    gathers its ``2^k - 1`` factors instead, with the same bits.  The
     per-constraint coins are shared across the scope exactly as in the
     sequential chain.
     """
 
-    #: Hard cap on the (constraint, mixing) factors of one filter — the
-    #: filter enumerates 2^arity - 1 mixings per constraint, so
-    #: very-high-arity CSPs must use the sequential chain instead.
+    #: Hard cap on the (constraint, mixing) factors of one filter's gather
+    #: path, which enumerates 2^arity - 1 mixings per constraint: a
+    #: very-high-arity CSP must use the sequential chain instead.
     MAX_MIXING_ROWS = 1_000_000
 
     def __init__(
@@ -1037,7 +1147,8 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
     ) -> None:
         super().__init__(csp, replicas, initial=initial, seed=seed)
         compiled = csp.compiled()
-        total_rows = compiled.mixing_rows
+        self._filter = _MetropolisFilter(compiled)
+        total_rows = self._filter.gather_rows
         if total_rows > self.MAX_MIXING_ROWS:
             raise StateSpaceTooLargeError(
                 f"LocalMetropolis mixing filter needs {total_rows} factors per "
@@ -1045,47 +1156,14 @@ class EnsembleLocalMetropolisCSP(_EnsembleCSPBase):
                 f"{self.MAX_MIXING_ROWS} cap; use the sequential "
                 "LocalMetropolisCSP chain for very-high-arity CSPs"
             )
-        self._flat_norm = compiled.flat_norm
-        # One (2^k, C_k, R) mixing-index array per bucket, rewritten in
-        # place every step: reusing it spares the allocator a fresh
-        # multi-megabyte block (and its page faults) per round.
-        self._mixing_index = [
-            np.zeros((2**arity, ids.size, self.replicas), dtype=np.int64)
-            for arity, ids, _, _, _ in self._buckets
-        ]
+        self._incidence = None
+        if self._num_constraints:
+            ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
+            self._incidence = sp.csr_matrix(
+                (ones, compiled.incidence_constraint, compiled.incidence_indptr),
+                shape=(csp.n, self._num_constraints),
+            )
 
-    def _pass_probabilities(self, proposals):
-        """``(C, R)`` product of every constraint's ``2^k - 1`` mixing factors."""
-        parts = []
-        for (arity, _, scopes, strides, starts), index in zip(
-            self._buckets, self._mixing_index
-        ):
-            proposed = proposals[scopes] * strides  # (k, C_k, R) int64
-            current = self._config[scopes] * strides
-            change = proposed - current
-            # Row ``mask`` of ``index`` is the flat table index of the
-            # mixing that reads the proposal at the positions whose bit is
-            # set in ``mask`` and the current spin elsewhere; doubling
-            # over the positions fills rows [w, 2w) from rows [0, w).
-            index[0] = starts + np.sum(current, axis=0)
-            for position in range(arity):
-                width = 1 << position
-                index[width : 2 * width] = index[:width]
-                index[width : 2 * width] += change[position]
-            # Row 0 is the current configuration itself, not a mixing.
-            parts.append(np.prod(self._flat_norm[index[1:]], axis=0))
-        return self._by_constraint(parts, float)
-
-    def step(self) -> None:
-        """Uniform proposals; batched 2^k - 1-factor filter; accept if clean."""
-        proposals = _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)
-        if not self._num_constraints:
-            self._config = proposals
-            self.steps_taken += 1
-            return
-        pass_probability = self._pass_probabilities(proposals)
-        # One shared coin per (constraint, replica): u < p is almost surely
-        # true at p = 1 and never true at p = 0, so the deterministic
-        # branches of the sequential chain need no special-casing.
-        coins = self.rng.random((self._num_constraints, self.replicas))
-        _metropolis_accept(self, proposals, coins >= pass_probability, self._vertex_incidence)
+    def _propose(self) -> np.ndarray:
+        """The ``(n, R)`` proposals: uniform spins."""
+        return _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)

@@ -30,6 +30,15 @@ high-degree vertices among many low-degree ones make them mostly padding.
 A model whose padding would exceed :data:`MAX_PADDING` slots raises
 :class:`~repro.errors.StateSpaceTooLargeError` before anything is
 allocated.
+
+Both records also give the LocalMetropolis filter its factors in one
+form: arity ``buckets`` (an MRF's edges are one arity-2 bucket), the
+max-normalised tables ``flat_norm``, the order ``mixing_masks`` in which a
+factor's mixings are multiplied, and the pass tables built from them
+(``pass_table`` / ``pass_starts``), which hold every factor's pass
+probability as a function of its scope's proposed and current spins.  The
+pass tables of one record hold at most :data:`MAX_PASS_TABLE` entries; a
+bucket that does not fit gets none, and the filter gathers its factors.
 """
 
 from __future__ import annotations
@@ -43,11 +52,21 @@ import numpy as np
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.serialize import decode_fields, encode_array, model_fingerprint
 
-__all__ = ["MAX_PADDING", "ArityBucket", "CompiledCSP", "CompiledMRF"]
+__all__ = ["MAX_PADDING", "MAX_PASS_TABLE", "ArityBucket", "CompiledCSP", "CompiledMRF"]
 
 #: Cap on the pad slots of one padded table (``n * width`` minus the real
 #: slots): 4M slots, 32 MB per int64 table.
 MAX_PADDING = 1 << 22
+
+#: Cap on the LocalMetropolis pass-table entries of one record, the build's
+#: only allocation: 1M float64 entries, 8 MB.  A distinct arity-``k`` table
+#: takes ``q**(2k)`` of them (64K for a q=16 edge, 1K for an arity-5
+#: dominating-set cover, all 1M for one q=32 edge).  The cap bounds memory,
+#: not speed: on a 2-vCPU Xeon a q=32 MRF read its table 1.2-2x faster than
+#: gathering its factors (E22, ``benchmarks/bench_kernel_parity.py``), and a
+#: q=64 table of 16M entries, with the cap raised, still read faster but
+#: held 134 MB.
+MAX_PASS_TABLE = 1 << 20
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -134,7 +153,9 @@ class _Stored:
     The stored fields are ``n``, ``q`` and then the arrays of ``ARRAYS``,
     which maps each to the ``(kind, ndim)`` it decodes with
     (:func:`repro.serialize.decode_array`); ``ndim`` None marks a tuple of
-    tables of any rank (a CSP's palette), one array per entry.
+    tables of any rank (a CSP's palette), one array per entry.  Both build
+    their LocalMetropolis pass tables here, from their ``buckets``,
+    ``flat_norm`` and ``mixing_masks``.
     """
 
     kind: str
@@ -164,6 +185,59 @@ class _Stored:
     def fingerprint(self) -> str:
         """The model's content hash over its stored fields, computed once."""
         return model_fingerprint(self.kind, self.n, self.q, self.stored_arrays())
+
+    @cached_property
+    def _pass(self) -> tuple[np.ndarray, np.ndarray]:
+        q = self.q
+        # Buckets claim tables in ascending arity while the total fits the
+        # cap, decided on the sizes before anything is allocated.
+        plan, total = [], 0
+        for bucket in self.buckets:
+            used, which = np.unique(bucket.table_starts, return_inverse=True)
+            size = used.size * q ** (2 * bucket.arity)
+            if total + size <= MAX_PASS_TABLE:
+                plan.append((bucket, used, which, total))
+                total += size
+        values = np.ones(total)
+        starts = np.full(sum(bucket.constraints.size for bucket in self.buckets), -1)
+        for bucket, used, which, offset in plan:
+            k = bucket.arity
+            tables = values[offset : offset + used.size * q ** (2 * k)]
+            tables = tables.reshape((used.size,) + (q,) * (2 * k))
+            norm = self.flat_norm[used[:, None] + np.arange(q**k)]
+            # Axis 2p + 1 of a table reads sigma_p and axis 2p + 2 reads X_p,
+            # so the mixing of a mask reads the table's factor through a
+            # reshape: a size-1 axis where the other spin is read.
+            for mask in self.mixing_masks(k):
+                shape = [used.size]
+                for position in range(k):
+                    shape += (q, 1) if mask >> position & 1 else (1, q)
+                tables *= norm.reshape(shape)
+            starts[bucket.constraints] = offset + which * q ** (2 * k)
+        return _frozen(values), _frozen(starts)
+
+    @property
+    def pass_table(self) -> np.ndarray:
+        """The LocalMetropolis pass tables, concatenated.
+
+        The table of an arity-``k`` factor (an edge or a constraint) is
+        row-major over ``(sigma_0, X_0, sigma_1, X_1, ...)``, the proposed
+        and current spins of its scope positions in turn: the entry of
+        ``(sigma, X)`` is the product of the factor's max-normalised values
+        at the ``2^k - 1`` mixings, multiplied in :meth:`mixing_masks`
+        order (mixing ``mask`` reads ``sigma_p`` where bit ``p`` is set and
+        ``X_p`` elsewhere).  Factors sharing a table share its pass table.
+        """
+        return self._pass[0]
+
+    @property
+    def pass_starts(self) -> np.ndarray:
+        """The offset of each factor's table in :attr:`pass_table`, in factor order.
+
+        -1 for every factor of a bucket whose tables would have taken the
+        record past :data:`MAX_PASS_TABLE` entries.
+        """
+        return self._pass[1]
 
 
 class _StoredModel:
@@ -242,8 +316,10 @@ class CompiledMRF(_Stored):
     ``P``, one past the palette: the heat-bath engines read an all-ones
     table there, so a pad slot reads a spin and multiplies by one.
     They, the ``(n, q)`` :attr:`vertex_activity` table,
-    :attr:`is_uniform_coloring` and :attr:`greedy_start` are derived on
-    first use (see :data:`MAX_PADDING`) and left out of pickles.
+    :attr:`is_uniform_coloring`, :attr:`greedy_start` and the
+    LocalMetropolis filter's fields (:attr:`buckets`, :attr:`flat_norm`,
+    :attr:`pass_table`, :attr:`pass_starts`) are derived on first use (see
+    :data:`MAX_PADDING` and :data:`MAX_PASS_TABLE`) and left out of pickles.
     """
 
     kind = "mrf"
@@ -348,10 +424,40 @@ class CompiledMRF(_Stored):
         """``(n, width)`` palette index of each padded neighbour slot; ``P`` at the pads."""
         return self._padded[1]
 
+    @cached_property
+    def buckets(self) -> tuple[ArityBucket, ...]:
+        """The edges as the one arity-2 bucket of the LocalMetropolis filter (none without edges).
+
+        Scope ``(edge_u[i], edge_v[i])``, and the table start of edge ``i``
+        is ``edge_table[i] * q * q``, its table's offset in :attr:`flat_norm`.
+        """
+        if not self.m:
+            return ()
+        q = self.q
+        arrays = (
+            np.arange(self.m), np.stack([self.edge_u, self.edge_v], axis=1),
+            np.array([q, 1]), self.edge_table * (q * q),
+        )
+        return (ArityBucket(2, *map(_frozen, arrays)),)
+
+    @cached_property
+    def flat_norm(self) -> np.ndarray:
+        """The palette tables, each divided by its maximum, concatenated row-major."""
+        return _frozen((self.palette / self.palette.max(axis=(1, 2), keepdims=True)).ravel())
+
+    @staticmethod
+    def mixing_masks(arity: int) -> tuple[int, ...]:
+        """The LocalMetropolis edge filter's order: ``(Ã(σu, σv) · Ã(Xu, σv)) · Ã(σu, Xv)``.
+
+        Masks 3, 2, 1 (bit 0 is ``u``), the order of
+        :class:`~repro.chains.local_metropolis.LocalMetropolisChain`.
+        """
+        return (3, 2, 1)
+
 
 @dataclass(frozen=True, eq=False)
 class ArityBucket:
-    """The constraints of one arity ``k``, in constraint order.
+    """The constraints of one arity ``k``, in constraint order (or an MRF's edges).
 
     ``constraints`` holds their indices, ``scopes`` their ``(C_k, k)``
     scope vertices, ``table_starts`` the offset of each table in the flat
@@ -382,7 +488,8 @@ class CompiledCSP(_Stored):
     ``incidence_constraint`` / ``incidence_stride`` list the constraints
     containing ``v`` in constraint order, with the stride of ``v``'s axis
     in each table; ``padded_constraints`` / ``padded_strides`` hold the
-    same lists as ``(n, width)`` rows.
+    same lists as ``(n, width)`` rows.  ``pass_table`` / ``pass_starts``
+    tabulate the LocalMetropolis filter (see :data:`MAX_PASS_TABLE`).
     """
 
     kind = "csp"
@@ -478,10 +585,14 @@ class CompiledCSP(_Stored):
         """Upper ends of the sorted conflict edges."""
         return self._conflict[1]
 
-    @property
-    def mixing_rows(self) -> int:
-        """``sum_c (2**|S_c| - 1)``: the factors of one LocalMetropolis filter."""
-        return int(np.sum(2 ** np.diff(self.scope_indptr) - 1))
+    @staticmethod
+    def mixing_masks(arity: int) -> tuple[int, ...]:
+        """The LocalMetropolis constraint filter's order: masks ``1 .. 2^arity - 1``.
+
+        Bit ``p`` of a mask reads the proposal at scope position ``p``; the
+        order of :func:`~repro.chains.csp_chains.constraint_pass_probability`.
+        """
+        return tuple(range(1, 1 << arity))
 
     @cached_property
     def _padded_incidence(self) -> list[np.ndarray]:

@@ -78,9 +78,16 @@ class Constraint:
         A non-negative array of shape ``(q,) * len(scope)``;
         ``table[sigma_{s1}, ..., sigma_{sk}]`` is ``f_c`` evaluated on the
         restriction of the configuration to the scope.
+
+    :attr:`LocalCSP.constraints` builds its views with ``_checked=True``:
+    a scope tuple and a frozen palette table its CSP's constructor already
+    checked, so they are stored as given, with no check and no copy.
     """
 
-    def __init__(self, scope: Sequence[int], table: np.ndarray) -> None:
+    def __init__(self, scope: Sequence[int], table: np.ndarray, *, _checked: bool = False) -> None:
+        if _checked:
+            self.scope, self.table = scope, table
+            return
         self.scope = tuple(int(v) for v in scope)
         if len(set(self.scope)) != len(self.scope):
             raise ModelError(f"scope vertices must be distinct, got {self.scope}")
@@ -212,10 +219,17 @@ class LocalCSP(_StoredModel):
     # ------------------------------------------------------------------
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
-        """The constraints as :class:`Constraint` views sharing the palette tables."""
+        """The constraints as :class:`Constraint` views sharing the palette tables.
+
+        The constructor checked every scope and table, so the views are not
+        checked again.
+        """
         arrays = self._arrays
         tables = [arrays.palette[t] for t in arrays.constraint_table.tolist()]
-        return tuple(map(Constraint, self._scopes(), tables))
+        return tuple(
+            Constraint(tuple(scope), table, _checked=True)
+            for scope, table in zip(self._scopes(), tables)
+        )
 
     def _scopes(self) -> list[list[int]]:
         bounds, vertices = self._arrays.scope_indptr.tolist(), self._arrays.scope_vertex.tolist()

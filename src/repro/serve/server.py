@@ -529,7 +529,10 @@ class ReproServer:
             if not isinstance(payload, dict):
                 raise ModelError("request body must be a JSON object")
             spec = JobSpec.from_wire(payload.get("spec"), models=self._models)
-            stream = bool(payload.get("stream", False))
+            # A JSON boolean or absent: "false" or 1 is refused, not coerced.
+            stream = payload.get("stream", False)
+            if not isinstance(stream, bool):
+                raise ModelError(f"stream must be true or false, got {stream!r}")
         except UnknownModelError as error:
             await self._respond(
                 conn, 409, {"error": str(error), "unknown_fingerprint": True}

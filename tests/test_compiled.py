@@ -20,6 +20,7 @@ import pytest
 import repro
 import repro.compiled
 from repro import JobSpec
+from repro.chains import ensemble as ensemble_module
 from repro.chains.base import start_config
 from repro.chains.csp_chains import constraint_pass_probability
 from repro.chains.ensemble import (
@@ -216,7 +217,11 @@ class TestCompiledCSP:
         assert [bucket.constraints.tolist() for bucket in compiled.buckets] == [
             [1, 4], [2, 5], [0, 6], [3],
         ]
-        assert compiled.mixing_rows == 2 * 1 + 2 * 3 + 2 * 7 + 15
+        # Each bucket's distinct tables, q**(2k) pass-table entries apiece, in turn.
+        np.testing.assert_array_equal(
+            compiled.pass_starts[[1, 4, 2, 5, 0, 6, 3]], [0, 9, 18, 99, 180, 909, 1638]
+        )
+        assert compiled.pass_table.size == 1638 + 3**8
         np.testing.assert_array_equal(compiled.buckets[2].strides, [9, 3, 1])
 
     def test_palette_stores_each_distinct_table_once(self):
@@ -247,11 +252,14 @@ MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_gra
 CSP_STATE = {"name", "n", "q", "_arrays"}
 CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
 #: The arrays each record derives on first use, which engines share by identity.
-MRF_DERIVED = ("vertex_activity", "padded_neighbours", "padded_tables", "greedy_start")
+MRF_DERIVED = (
+    "vertex_activity", "padded_neighbours", "padded_tables", "greedy_start", "flat_norm",
+    "pass_table", "pass_starts",
+)
 CSP_DERIVED = (
     "table_starts", "flat_raw", "flat_norm", "incidence_indptr", "incidence_constraint",
     "incidence_stride", "conflict_u", "conflict_v", "padded_constraints", "padded_strides",
-    "greedy_start",
+    "greedy_start", "pass_table", "pass_starts",
 )
 
 
@@ -303,7 +311,7 @@ class TestMemoization:
         repro.run_spec(JobSpec.sample_many(csp, 3, method=method, rounds=2, seed=4))
         compiled = csp.compiled()
         csp.constraints, csp.incident, csp.max_degree, csp.model_fingerprint()
-        for derived in ("buckets", "mixing_rows", *CSP_DERIVED):
+        for derived in ("buckets", *CSP_DERIVED):
             getattr(compiled, derived)
         after = pickle.dumps(csp)
         assert len(after) == len(before)
@@ -402,25 +410,46 @@ class TestEnginesReadTheCompiledForm:
             np.testing.assert_array_equal(rows[-1], np.ones((mrf.q, mrf.q)))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_filter_equals_the_sequential_pass_probability(self, seed):
-        """Per-arity gathers + mask-order product == the sequential chain's product."""
-        csp = mixed_csp()
-        ensemble = EnsembleLocalMetropolisCSP(csp, 6, seed=seed)
-        ensemble.advance(2)
-        proposals = _uniform_spins(ensemble.rng, csp.q, (csp.n, 6), ensemble._dtype)
-        got = ensemble._pass_probabilities(proposals)
-        current = ensemble.config
-        proposed = proposals.T
-        expected = np.array([
-            [
-                constraint_pass_probability(
-                    c.normalized_table(), c.scope, proposed[r], current[r]
-                )
-                for r in range(6)
-            ]
-            for c in mixed_constraints()
-        ])
-        np.testing.assert_array_equal(got, expected)
+    def test_filter_equals_the_sequential_pass_probability(self, monkeypatch, seed):
+        """Per-arity pass tables, and the gathers past the cap, == the sequential chain's product."""
+        for cap in (repro.compiled.MAX_PASS_TABLE, 0):
+            monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
+            csp = mixed_csp()
+            ensemble = EnsembleLocalMetropolisCSP(csp, 6, seed=seed)
+            assert (csp.compiled().pass_starts >= 0).all() == (cap > 0)
+            ensemble.advance(2)
+            proposals = _uniform_spins(ensemble.rng, csp.q, (csp.n, 6), ensemble._dtype)
+            got = ensemble._filter(proposals, ensemble._config)
+            current = ensemble.config
+            proposed = proposals.T
+            expected = np.array([
+                [
+                    constraint_pass_probability(
+                        c.normalized_table(), c.scope, proposed[r], current[r]
+                    )
+                    for r in range(6)
+                ]
+                for c in mixed_constraints()
+            ])
+            np.testing.assert_array_equal(got, expected)
+
+    def test_mrf_filter_equals_the_sequential_pass_probability(self, monkeypatch):
+        """The edge filter, on both paths, == the sequential (Ã(σu, σv) · Ã(Xu, σv)) · Ã(σu, Xv)."""
+        for cap in (repro.compiled.MAX_PASS_TABLE, 0):
+            monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
+            mrf = per_edge_mrf()
+            ensemble = EnsembleLocalMetropolisMRF(mrf, 6, seed=2)
+            assert (mrf.compiled().pass_starts >= 0).all() == (cap > 0)
+            ensemble.advance(2)
+            proposals = ensemble._propose()
+            got = ensemble._filter(proposals, ensemble._config)
+            current, proposed = ensemble.config, proposals.T.astype(np.int64)
+            expected = []
+            for u, v in mrf.edges:
+                table = mrf.normalized_edge_activity(u, v)
+                su, sv, xu, xv = proposed[:, u], proposed[:, v], current[:, u], current[:, v]
+                expected.append((table[su, sv] * table[xu, sv]) * table[su, xv])
+            np.testing.assert_array_equal(got, np.array(expected))
 
     def test_csp_engines_read_the_memoized_derived_fields(self):
         csp = mixed_csp()
@@ -437,15 +466,33 @@ class TestEnginesReadTheCompiledForm:
             ):
                 assert arity == bucket.arity and ids is bucket.constraints
                 assert starts.base is bucket.table_starts
-        assert engines[1]._flat_norm is engines[2]._flat_norm is compiled.flat_norm
+        for engine in engines[1:]:
+            assert engine._filter._pass_table is compiled.pass_table
+            assert engine._filter._flat_norm is compiled.flat_norm
 
-    def test_filter_over_one_arity_uses_no_scatter(self):
-        csp = not_all_equal_csp([(0, 1, 2), (2, 3, 4), (4, 5, 0)], n=6, q=3)
-        ensemble = EnsembleLocalMetropolisCSP(csp, 4, seed=1)
-        assert len(ensemble._buckets) == 1
-        assert ensemble.run(5).shape == (4, 6)
+    def test_filter_over_one_arity_uses_no_scatter(self, monkeypatch):
+        # The one bucket's array is the filter's result itself, not a scattered copy.
+        scatter, unscattered = ensemble_module._in_factor_order, []
+
+        def spy(parts, *args):
+            out = scatter(parts, *args)
+            unscattered.append(out is parts[0])
+            return out
+
+        monkeypatch.setattr(ensemble_module, "_in_factor_order", spy)
+        for cap in (repro.compiled.MAX_PASS_TABLE, 0):
+            monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
+            csp = not_all_equal_csp([(0, 1, 2), (2, 3, 4), (4, 5, 0)], n=6, q=3)
+            ensemble = EnsembleLocalMetropolisCSP(csp, 4, seed=1)
+            assert len(ensemble._filter._buckets) == 1
+            assert (csp.compiled().pass_starts >= 0).all() == (cap > 0)
+            assert ensemble.run(5).shape == (4, 6)
+        assert len(unscattered) == 10 and all(unscattered)
 
 
+# The golden LocalMetropolis CSP digests were pinned with an np.prod reduction
+# over the mixing axis; the filter's explicit loop in mask order gives the
+# same bits because that reduction multiplies left to right.
 def test_numpy_prod_is_a_left_to_right_product():
     """The mixing-axis reduction multiplies in index order, like a loop."""
     rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.csp.model
 from repro import DynamicEnsemble, JobSpec
 from repro.csp import (
     Constraint,
@@ -296,6 +297,24 @@ class TestStoredForm:
         assert [table.tobytes() for table in arrays.palette] == firsts
         assert not any(table.flags.writeable for table in arrays.palette)
         assert [csp.scope(c) for c in range(len(constraints))] == [s for s, _ in constraints]
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["constructed", "decoded"])
+    def test_constraint_views_share_the_palette_unchecked(self, monkeypatch, decoded):
+        csp = dominating_set_csp(cycle_graph(6), weight=2.0)
+        if decoded:
+            csp = LocalCSP.from_dict(json.loads(json.dumps(csp.to_dict())))
+        arrays = csp.compiled()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constraint view checked its table again")
+
+        monkeypatch.setattr(repro.csp.model, "_table_problem", refuse)
+        views = csp.constraints
+        assert len(views) == arrays.num_constraints == 12
+        for c, view in enumerate(views):
+            assert view.table is arrays.palette[arrays.constraint_table[c]]
+            assert view.scope == csp.scope(c)
+        assert not any(view.table.flags.writeable for view in views)
 
 
 def _refuse_constraint(self, *args, **kwargs):

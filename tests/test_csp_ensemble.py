@@ -16,6 +16,7 @@ import pytest
 from statutils import assert_same_distribution, assert_stationary
 
 import repro
+import repro.compiled
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
@@ -100,9 +101,28 @@ class TestConstruction:
 
     def test_mixing_row_cap_guards_high_arity(self, monkeypatch):
         monkeypatch.setattr(EnsembleLocalMetropolisCSP, "MAX_MIXING_ROWS", 10)
-        csp = dominating_set_csp(cycle_graph(4))  # arity-3 covers: 7 rows each
+        # arity-3 covers: 7 rows each, but a pass table of 64 entries
+        EnsembleLocalMetropolisCSP(dominating_set_csp(cycle_graph(4)), 2)
+        # The cap guards the gather path: no pass tables send every bucket there.
+        monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", 0)
+        csp = dominating_set_csp(cycle_graph(4))
         with pytest.raises(StateSpaceTooLargeError, match="mixing filter"):
             EnsembleLocalMetropolisCSP(csp, 2)
+
+
+class NearOneUniforms:
+    """Delegating RNG whose float64 uniform draws sit just below 1."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def random(self, size=None, dtype=np.float64):
+        if dtype == np.float64:
+            return np.full(size, np.nextafter(1.0, 0.0))
+        return self._inner.random(size, dtype=dtype)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 class TestInvariants:
@@ -132,21 +152,6 @@ class TestInvariants:
         spins carry zero mass, the fallthrough must select the largest
         *positive-mass* spin, never a zero-probability one (the
         cftp._inverse_cdf_spin rule)."""
-
-        class NearOneUniforms:
-            """Delegating RNG whose 1-D uniform draws sit just below 1."""
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def random(self, size=None, dtype=np.float64):
-                if dtype == np.float64:
-                    return np.full(size, np.nextafter(1.0, 0.0))
-                return self._inner.random(size, dtype=dtype)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
         # Ten equal-mass spins + one zero-mass spin: cumsum(0.1 * 10) rounds
         # to just below 1, so a near-one uniform falls past every cdf entry.
         table = np.array([1.0] * 10 + [0.0])

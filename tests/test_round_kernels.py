@@ -10,6 +10,9 @@ replaced:
   incidence products), mask for mask from equal RNG states, including
   float32 rank ties forced through a stub RNG;
 * the accept against a ``np.where`` select, at int8 and int16 spins;
+* the LocalMetropolis filter's pass-table path against its gather path,
+  and each against the pinned golden digests; the MRF proposals'
+  fallthrough past a rounded-down CDF;
 * the TV probe against the distance to a normalised empirical
   :class:`~repro.mrf.distribution.GibbsDistribution`, compared with ``==``;
 * every engine's feasibility mask against the model's own test, row by
@@ -24,6 +27,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro
+import repro.compiled as compiled_module
 from repro.analysis import batch_empirical_distribution, batch_tv_to_exact
 from repro.chains import ensemble as ensemble_module
 from repro.chains.ensemble import _LubySelector, _RegionSelector
@@ -39,6 +43,9 @@ from repro.mrf import (
     proper_coloring_mrf,
 )
 from repro.mrf.distribution import GibbsDistribution, exact_gibbs_distribution
+
+import test_golden_bits as golden
+from test_csp_ensemble import NearOneUniforms
 
 
 def sparse_luby_select(rng, n, replicas, edge_u, edge_v):
@@ -236,6 +243,65 @@ class TestMetropolisAccept:
         assert len(blocked_counts) == 6
         # Both branches of the select ran: some pairs blocked, some accepted.
         assert 0 < sum(blocked_counts) < 6 * model.n * 256
+
+
+#: The pinned LocalMetropolis specs of the golden suite on the general engines.
+LM_GOLDEN = [
+    "ising-lm", "per-edge-lm", "hardcore-lm-fallback", "domset-lm", "domset-weighted-lm",
+    "nae-lm", "mis-lm",
+]
+
+
+class TestMetropolisFilter:
+    @pytest.mark.parametrize("name", LM_GOLDEN)
+    def test_gather_path_gives_the_pinned_digest(self, monkeypatch, name):
+        """With no pass tables every bucket gathers its factors, and no bit moves."""
+        monkeypatch.setattr(compiled_module, "MAX_PASS_TABLE", 0)
+        spec = golden.SPECS[name]()
+        assert golden.digest(repro.run_spec(spec)) == golden.GOLDEN[name]
+        assert spec.model.compiled().pass_table.size == 0
+        assert np.all(spec.model.compiled().pass_starts == -1)
+
+    @pytest.mark.parametrize(
+        "make", [golden.per_edge_mrf, golden.nae_mixed, lambda: dominating_set_csp(
+            torus_graph(4, 4), 0.6)], ids=["per-edge", "nae", "domset-weighted"],
+    )
+    def test_table_and_gather_paths_agree_bit_for_bit(self, monkeypatch, make):
+        tabled = ensemble_module._MetropolisFilter(make().compiled())
+        monkeypatch.setattr(compiled_module, "MAX_PASS_TABLE", 0)
+        gathered = ensemble_module._MetropolisFilter(make().compiled())
+        model, rng = make(), np.random.default_rng(6)
+        for _ in range(20):
+            proposals, config = rng.integers(0, model.q, size=(2, model.n, 5), dtype=np.int8)
+            np.testing.assert_array_equal(tabled(proposals, config), gathered(proposals, config))
+
+    def test_buckets_claim_tables_in_ascending_arity_up_to_the_cap(self, monkeypatch):
+        # One NAE table per arity 2, 3, 4 at q = 3: 81, 729 and 6561 entries.
+        monkeypatch.setattr(compiled_module, "MAX_PASS_TABLE", 81 + 729)
+        spec = golden.SPECS["nae-lm"]()
+        assert golden.digest(repro.run_spec(spec)) == golden.GOLDEN["nae-lm"]
+        compiled = spec.model.compiled()
+        arity = np.diff(compiled.scope_indptr)
+        assert np.all((compiled.pass_starts >= 0) == (arity < 4))
+        assert compiled.pass_table.size == 81 + 729
+
+    def test_a_table_past_the_cap_is_never_allocated(self):
+        # One q = 200 edge table would need 200**4 entries (12.8 GB).
+        compiled = coloring_csp(cycle_graph(5), 200).compiled()
+        assert compiled.pass_table.size == 0
+        assert np.all(compiled.pass_starts == -1)
+
+    def test_zero_mass_tail_is_never_proposed(self):
+        """Ten equal-mass spins and one zero-mass spin: the CDF's last entry
+        rounds to just below 1, so a near-one uniform passes every entry and
+        the proposal falls through to the largest positive-mass spin."""
+        activity = np.array([1.0] * 10 + [0.0])
+        mrf = repro.MRF(path_graph(3), 11, np.ones((11, 11)), activity)
+        ensemble = ensemble_module.EnsembleLocalMetropolisMRF(mrf, 4, seed=0)
+        ensemble.rng = NearOneUniforms(ensemble.rng)
+        assert np.all(ensemble._propose() == 9)
+        ensemble.step()  # every edge passes at p = 1 against a near-one coin
+        assert np.all(ensemble.config == 9)
 
 
 def _parent_tv(batch, exact):

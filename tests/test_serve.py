@@ -415,6 +415,39 @@ class TestProtocolErrors:
         assert status == 400
         assert "fingerprint" in document["error"]
 
+    @pytest.mark.parametrize("stream", ["false", 1, None, [True]])
+    def test_non_boolean_stream_is_400_and_never_submitted(
+        self, server, client, small_coloring, stream
+    ):
+        wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
+        submitted = client.stats()["jobs"]["submitted"]
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            connection.request(
+                "POST", "/v1/jobs", body=json.dumps({"spec": wire, "stream": stream})
+            )
+            response = connection.getresponse()
+            status, document = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert "stream must be true or false" in document["error"]
+        assert client.stats()["jobs"]["submitted"] == submitted
+
+    def test_stream_false_gets_one_json_document(self, server, small_coloring):
+        wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            connection.request("POST", "/v1/jobs", body=json.dumps({"spec": wire, "stream": False}))
+            response = connection.getresponse()
+            content_type = response.getheader("Content-Type")
+            document = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert content_type.startswith("application/json")
+        assert document["event"] == "result"
+
     def test_malformed_seed_is_400(self, server, small_coloring):
         wire = JobSpec.sample_many(small_coloring, 4, seed=1, rounds=2).to_wire()
         wire["seed"] = [1]
