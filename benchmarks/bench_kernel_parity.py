@@ -14,7 +14,10 @@ tables), best of three timings of ten rounds:
 
 * q=16 colouring: the colouring kernel against the general MRF engine;
 * Ising (beta = 0.3, field 1): the MRF engine against the CSP engine on
-  ``mrf_as_csp`` of the same model;
+  ``mrf_as_csp`` of the same model, for LocalMetropolis and for
+  LubyGlauber, whose two engines run one heat-bath kernel over the
+  record's heat-bath form (an MRF reads one row per neighbour, its CSP
+  twin one per edge and then one for the unary factor);
 * the dominating set of the torus: the CSP engine with its pass tables
   against the same engine on a copy of the model built with no pass
   tables, which gathers its factors as every model past
@@ -50,6 +53,8 @@ from repro.chains.ensemble import (
     EnsembleLocalMetropolisColoring,
     EnsembleLocalMetropolisCSP,
     EnsembleLocalMetropolisMRF,
+    EnsembleLubyGlauberCSP,
+    EnsembleLubyGlauberMRF,
 )
 from repro.csp import dominating_set_csp, mrf_as_csp
 from repro.graphs import torus_graph
@@ -144,6 +149,8 @@ def _cells() -> list[dict]:
                 ),
                 "ising_mrf": _rounds_per_sec(EnsembleLocalMetropolisMRF, ising, replicas),
                 "ising_csp": _rounds_per_sec(EnsembleLocalMetropolisCSP, ising_csp, replicas),
+                "ising_lg_mrf": _rounds_per_sec(EnsembleLubyGlauberMRF, ising, replicas),
+                "ising_lg_csp": _rounds_per_sec(EnsembleLubyGlauberCSP, ising_csp, replicas),
                 "domset_csp": _rounds_per_sec(EnsembleLocalMetropolisCSP, domset, replicas),
                 "domset_gather": _rounds_per_sec(
                     EnsembleLocalMetropolisCSP, domset_gather, replicas
@@ -158,7 +165,8 @@ def test_kernel_parity():
         f"torus models, rounds/s (best of {REPEATS} x {ROUNDS} rounds); ratio = first / second",
         f"{'n':>6} {'R':>4} | {'colour kernel':>13} {'general MRF':>11} {'ratio':>6} | "
         f"{'Ising MRF':>9} {'Ising CSP':>9} {'ratio':>6} | "
-        f"{'domset tables':>13} {'gather':>7} {'ratio':>6}",
+        f"{'domset tables':>13} {'gather':>7} {'ratio':>6} | "
+        f"{'Ising LG MRF':>12} {'LG CSP':>7} {'ratio':>6}",
     ]
     for cell in cells:
         lines.append(
@@ -167,7 +175,9 @@ def test_kernel_parity():
             f"{cell['coloring_kernel'] / cell['coloring_general']:>5.1f}x | "
             f"{cell['ising_mrf']:>9.1f} {cell['ising_csp']:>9.1f} "
             f"{cell['ising_mrf'] / cell['ising_csp']:>5.1f}x | {cell['domset_csp']:>13.1f} "
-            f"{cell['domset_gather']:>7.1f} {cell['domset_csp'] / cell['domset_gather']:>5.1f}x"
+            f"{cell['domset_gather']:>7.1f} {cell['domset_csp'] / cell['domset_gather']:>5.1f}x | "
+            f"{cell['ising_lg_mrf']:>12.1f} {cell['ising_lg_csp']:>7.1f} "
+            f"{cell['ising_lg_mrf'] / cell['ising_lg_csp']:>5.1f}x"
         )
     largest = cells[-1]
     ms = {name: 1e3 * ROUNDS / largest[name] for name in largest if name not in ("n", "R")}
@@ -176,7 +186,8 @@ def test_kernel_parity():
         "",
         f"n={largest['n']}, R={largest['R']}, {ROUNDS} rounds: general MRF colouring "
         f"{ms['coloring_general']:.1f} ms, colouring kernel {ms['coloring_kernel']:.1f} ms; "
-        f"dominating set {ms['domset_csp']:.1f} ms ({ms['domset_gather']:.1f} ms gathering)",
+        f"dominating set {ms['domset_csp']:.1f} ms ({ms['domset_gather']:.1f} ms gathering); "
+        f"Ising LubyGlauber {ms['ising_lg_mrf']:.1f} ms (MRF), {ms['ising_lg_csp']:.1f} ms (CSP)",
         f"general MRF engine within 2x of the colouring kernel in every cell: "
         f"{'yes' if worst <= 2.0 else 'no'} (worst {worst:.1f}x)",
     ]
@@ -197,6 +208,6 @@ def test_kernel_parity():
             f"{cell['at_cap']:>15.1f} {cell['past_cap']:>9.1f} "
             f"{cell['at_cap'] / cell['past_cap']:>5.1f}x"
         )
-    report("E22", "LocalMetropolis kernel parity (pass tables vs colouring kernel)", lines)
+    report("E22", "kernel parity (pass tables vs colouring kernel; MRF vs CSP engines)", lines)
     for cell in cells + cap_cells:
         assert all(value > 0 for value in cell.values())

@@ -398,7 +398,8 @@ def resample_region(
     batch = np.asarray(batch, dtype=np.int64)
     if batch.ndim != 2 or batch.shape[1] != model.n:
         raise ModelError(f"batch must have shape (R, {model.n}), got {batch.shape}")
-    region = np.asarray(sorted(int(v) for v in region), dtype=np.int64)
+    # The budget sizes the region the engine runs: each vertex once.
+    region = np.unique(np.asarray([int(v) for v in region], dtype=np.int64))
     ensemble = make_ensemble(model, batch.shape[0], method=method, seed=seed, initial=batch)
     if rounds is None:
         rounds = region_round_budget(model, method, int(region.size), eps)

@@ -25,8 +25,8 @@ them with single whole-ensemble array operations:
   proposals and the three deterministic colouring rules, no coins;
 * :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
   the paper's CSP extensions (remarks after Algorithms 1-2) batched over
-  replicas: constraints are bucketed by arity, so flat table indices are
-  per-bucket scope gathers — no per-vertex or per-constraint Python loop.
+  replicas, from the same kernels: no per-vertex or per-constraint Python
+  loop.
 
 Both general LocalMetropolis engines filter through one
 :class:`_MetropolisFilter`: a factor's pass probability (the product of
@@ -39,16 +39,20 @@ A bucket whose tables would pass :data:`repro.compiled.MAX_PASS_TABLE`
 gathers its factors instead, with the same bits.
 
 The three heat-bath engines (Glauber, LubyGlauber-MRF, LubyGlauber-CSP)
-share one kernel.  The conditional weights of all selected (vertex,
-replica) pairs are built by one product loop over padded positions —
-the ascending neighbours of each vertex, or the constraints containing
-it — read from the model's padded tables: at each position a flat gather
-of the neighbours' spins (or the constraints' flat indices) and one
-``(pairs, q)`` gather of factor rows, multiplied in.  Pad slots read an
+share one kernel, over one form both model kinds derive from their arity
+buckets (:mod:`repro.compiled`): an MRF is a CSP whose factors are its
+edges, plus the vertex activities ``b_v``.  The conditional weights of
+all selected (vertex, replica) pairs start from ``b_v`` (or ones) and
+multiply in one row per factor containing the vertex, in factor order
+(ascending neighbours, or constraint order): at each padded incidence
+position, gathers of the co-scope vertices' spins, added at their strides
+onto the row start of the factor's table at the vertex's scope position,
+pick the ``(pairs, q)`` block of conditional rows.  Pad slots read an
 all-ones row, so there is no validity mask, slot expansion or segmented
 product.  One column-by-column inverse-CDF sampler then draws every
 pair's spin.  The same kernel, masked to a vertex region, is the region
-advance of every MRF and CSP engine.
+advance of every MRF and CSP engine, and every Luby step runs on the
+model's conflict graph (an MRF's graph).
 
 Every engine builds from the model's index-array form
 (:mod:`repro.compiled`): ``mrf.compiled()`` and ``csp.compiled()`` return
@@ -70,10 +74,10 @@ per-neighbour operation then gathers contiguous rows, memory-bandwidth
 bound rather than Python-overhead bound.  The Luby step compares each
 vertex's rank with Δ row gathers from a padded neighbour table
 (:class:`_LubySelector`).  The LocalMetropolis accept's
-edge-to-vertex "any incident edge failed" reduction stays a sparse
-incidence-matrix product: an incidence has no width, so LocalMetropolis
-runs models (a star with thousands of leaves) whose padded tables
-:data:`repro.compiled.MAX_PADDING` refuses.  The accept itself is integer
+factor-to-vertex "any incident factor failed" reduction stays a sparse
+product with the model's vertex-factor incidence: an incidence has no
+width, so LocalMetropolis runs models (a star with thousands of leaves)
+whose padded tables :data:`repro.compiled.MAX_PADDING` refuses.  The accept itself is integer
 arithmetic, not a ``np.where`` select, which is an order of magnitude
 slower on int8 spins.
 
@@ -306,14 +310,14 @@ class _LubySelector:
     ``0..n-1`` of an ``(n + 1, R)`` buffer, and a vertex is selected in a
     replica iff its rank is ``>`` every neighbour's: ties lose on both
     sides, exactly as the sequential kernels, so each column is an
-    independent set.  The neighbours are a position-major ``(width, n)``
-    table built by :func:`repro.compiled._padded_rows` (so
+    independent set.  The neighbours are the position-major ``(width, n)``
+    table of :func:`repro.compiled._padded_rows` (so
     :data:`repro.compiled.MAX_PADDING` refuses it before anything is
     allocated); pad slots name the sentinel row ``n``, whose rank ``-1``
     every draw beats.  A step is one rank draw plus ``width`` row gathers
     and comparisons.  A graph without edges selects every vertex and draws
-    no ranks.  Shared by the MRF engines (model graph), the CSP engines
-    (conflict graph) and :class:`_RegionSelector`.
+    no ranks.  Every engine runs it on its model's conflict graph (an MRF's
+    graph), as does :class:`_RegionSelector`.
     """
 
     def __init__(self, edge_u: np.ndarray, edge_v: np.ndarray, n: int, replicas: int):
@@ -325,8 +329,9 @@ class _LubySelector:
         ends = np.concatenate([edge_u, edge_v])
         order = np.argsort(ends, kind="stable")
         others = np.concatenate([edge_v, edge_u])[order]
-        (table,) = _padded_rows(ends[order], [others], [self.n], self.n, "Luby neighbour")
-        self._neighbours = np.ascontiguousarray(table.T)
+        (self._neighbours,) = _padded_rows(
+            ends[order], [others], [self.n], self.n, "Luby neighbour"
+        )
         self._ranks = np.full((self.n + 1, self.replicas), -1.0, dtype=np.float32)
 
     def select(self, rng: np.random.Generator) -> np.ndarray:
@@ -383,37 +388,23 @@ class _RegionSelector(_LubySelector):
         return self.region[s_idx], r_idx
 
 
-def _edge_incidence(edge_u: np.ndarray, edge_v: np.ndarray, n: int):
-    """Scipy CSR matrix of the ``(n, m)`` vertex-edge incidence (None without edges).
+def _accept_incidence(compiled):
+    """Scipy CSR matrix of the model's ``(n, factors)`` vertex-factor incidence.
 
-    ``incidence @ failed`` counts each vertex's failed incident edges: the
-    LocalMetropolis accept reduction.  Sparse matmul is the fastest
-    edge-to-vertex scatter available from numpy land —
-    ``np.logical_or.reduceat`` is ~50x slower on the same data.
+    None without factors.  ``incidence @ failed`` counts each vertex's
+    failed factors (edges, or constraints): the LocalMetropolis accept
+    reduction.  Sparse matmul is the fastest factor-to-vertex scatter
+    available from numpy land — ``np.logical_or.reduceat`` is ~50x slower
+    on the same data.
     """
-    m = len(edge_u)
-    if not m:
+    factors = compiled.incidence_constraint
+    if not factors.size:
         return None
-    arange = np.arange(m)
-    ends = (np.concatenate([edge_u, edge_v]), np.concatenate([arange, arange]))
-    return sp.csr_matrix((np.ones(2 * m, dtype=np.int32), ends), shape=(n, m))
-
-
-def _multiply_factor_rows(weights, factors, indices):
-    """The heat-bath product loop: ``weights *= factors[index]`` per position.
-
-    ``weights`` is a fresh ``(pairs, q)`` array holding each pair's own
-    factor (``b_v`` for an MRF, ones for a CSP).  ``indices`` yields one
-    index array per padded position of the pairs' vertices (ascending
-    neighbours, or containing constraints in constraint order); row-gathering
-    it from ``factors`` gives the ``(pairs, q)`` factor block of that
-    position.  Pad slots gather all-ones rows, so every pair runs through
-    the same positions with no mask, and the product is taken left to right
-    in position order.
-    """
-    for index in indices:
-        weights *= np.take(factors, index, axis=0)
-    return weights
+    count = sum(bucket.constraints.size for bucket in compiled.buckets)
+    return sp.csr_matrix(
+        (np.ones(factors.size, dtype=np.int32), factors, compiled.incidence_indptr),
+        shape=(compiled.n, count),
+    )
 
 
 def _heatbath_spins(rng, weights, v_idx, undefined):
@@ -449,20 +440,20 @@ def _heatbath_spins(rng, weights, v_idx, undefined):
 
 
 class _HeatBathEnsemble(EnsembleTrajectoryMixin):
-    """State, heat-bath update and region advance of every batched engine.
+    """State, heat-bath kernel, Luby graph and region advance of every batched engine.
 
     ``self._config`` is the vertex-major ``(n, R)`` batch in the smallest
-    integer dtype that holds ``q``.  Hosts (the MRF and CSP bases) set what
-    their hooks read before calling ``__init__``, and provide
-    ``_luby_edges()``, the edges of the graph the Luby step runs on
-    (the model graph, or the CSP's conflict graph);
-    ``_ensure_heatbath_structures()``, which builds the heat-bath tables
-    once; ``_heatbath_weights(v_idx, r_idx)``, the ``(pairs, q)``
-    conditional weights of the given (vertex, replica) pairs; and
-    ``_undefined_marginal(vertex)``.  Engines provide ``step()``.  The
-    Glauber and LubyGlauber engines, whose every step reads the heat-bath
-    tables, build them with the engine; the LocalMetropolis engines at
-    their first region advance, so a model too uneven for the tables
+    integer dtype that holds ``q``, and ``self._compiled`` the model's
+    record, whose derived forms every method here reads, for either model
+    kind: the heat-bath form (``heatbath_rows`` / ``heatbath_slots``), the
+    conflict edges of the Luby step and the arity buckets of
+    :meth:`is_feasible`.  Hosts (the MRF and CSP bases) set
+    ``_vertex_activity`` before calling ``__init__``: the ``(n, q)`` table
+    each pair's weights start from (``b_v``), or None for ones; and they
+    provide ``_undefined_marginal(vertex)``.  Engines provide ``step()``.
+    The Glauber and LubyGlauber engines, whose every step reads the
+    heat-bath form, build it with the engine; the LocalMetropolis engines
+    at their first region advance, so a model too uneven for it
     (:data:`repro.compiled.MAX_PADDING`) still runs LocalMetropolis.  The
     parameters are those of the public subclasses (module docstring).
     """
@@ -479,6 +470,7 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         self.n = model.n
         self.q = model.q
         self.replicas = int(replicas)
+        self._compiled = model.compiled()
         self._dtype = _spin_dtype(self.q)
         self.rng = as_generator(seed)
         # One start per replica, or one start shared by every replica.
@@ -488,7 +480,7 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         else:
             start = start.T
         self._config = np.ascontiguousarray(start, dtype=self._dtype)
-        self._heatbath_ready = False
+        self._slots = None
         self.steps_taken = 0
 
     @property
@@ -500,6 +492,73 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         """Transposed write from the internal vertex-major state, no copy."""
         np.copyto(out, self._config.T)
         return out
+
+    def is_feasible(self) -> np.ndarray:
+        """Per-replica feasibility mask, shape ``(R,)``: the support of mu.
+
+        A replica is feasible iff every factor (an edge's ``A_uv``, a
+        constraint's ``f_c``) and, for an MRF, every activity ``b_v`` is
+        positive at its spins: one gather per arity bucket, so, unlike a
+        weight product, many tiny factors cannot underflow to "infeasible".
+        """
+        config = self._config.astype(np.int64)
+        feasible = np.ones(self.replicas, dtype=bool)
+        if self._vertex_activity is not None:
+            activity = np.take_along_axis(self._vertex_activity, config, axis=1)
+            feasible &= np.all(activity > 0, axis=0)
+        for bucket in self._compiled.buckets:
+            flat = np.sum(config[bucket.scopes] * bucket.strides[:, None], axis=1)
+            values = self._compiled.flat_raw[bucket.table_starts[:, None] + flat]
+            feasible &= np.all(values > 0.0, axis=0)
+        return feasible
+
+    def _ensure_heatbath_structures(self) -> None:
+        """The heat-bath rows and padded slots, read from the record once.
+
+        Each co-scope term's vertices become flat offsets ``u * R`` into the
+        ``(n, R)`` batch.  Raises :class:`~repro.errors.StateSpaceTooLargeError`
+        past :data:`repro.compiled.MAX_PADDING`.
+        """
+        if self._slots is not None:
+            return
+        slots = self._compiled.heatbath_slots
+        self._factor_rows = self._compiled.heatbath_rows
+        self._slots = [
+            (starts, [(vertices * self.replicas, stride) for vertices, stride in terms])
+            for starts, terms in slots
+        ]
+
+    def _heatbath_weights(self, v_idx, r_idx):
+        """Weights ``b_v(c) * prod_f f(sigma with v -> c)`` over spins ``c``, one row per pair.
+
+        Starts from ``b_v`` (ones for a CSP) and multiplies in one factor
+        row per padded incidence position, left to right in factor order:
+        the row start of the position's slot plus its co-scope spins at
+        their strides (gathered for the selected pairs only; per-pair
+        strides only where the slot mixes arities) picks the row, and pad
+        slots clip to the all-ones row.  So each row equals
+        :func:`~repro.mrf.marginals.conditional_marginal_unnormalized` or
+        the unnormalised weights of
+        :meth:`~repro.csp.model.LocalCSP.conditional_marginal` bit for bit.
+        The pairs must be independent within each replica (strongly, for a
+        CSP), so every co-scope spin is fixed conditioning.  Requires
+        :meth:`_ensure_heatbath_structures`.
+        """
+        if self._vertex_activity is None:
+            weights = np.ones((int(v_idx.shape[0]), self.q))
+        else:
+            weights = np.take(self._vertex_activity, v_idx, axis=0)
+        for starts, terms in self._slots:
+            row = np.take(starts, v_idx)
+            for offsets, stride in terms:
+                spins = np.take(self._config, np.take(offsets, v_idx) + r_idx)
+                if stride.ndim:
+                    spins = spins * np.take(stride, v_idx)
+                elif stride != 1:
+                    spins = spins * stride
+                row += spins
+            weights *= np.take(self._factor_rows, row, axis=0, mode="clip")
+        return weights
 
     def _heatbath_update(self, v_idx, r_idx) -> None:
         """Heat-bath-resample the given (vertex, replica) pairs in place.
@@ -517,8 +576,8 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         """Advance only ``region`` for ``steps`` rounds, boundary clamped.
 
         Every round Luby-selects an independent set among the region
-        vertices, over the region-internal edges of the Luby graph (so a
-        CSP's selection is strongly independent), and heat-bath-resamples
+        vertices, over the region-internal edges of the conflict graph (so
+        a CSP's selection is strongly independent), and heat-bath-resamples
         it from the exact conditional marginals; vertices outside the
         region never change and enter the weights as fixed boundary spins.
         Used by :mod:`repro.dynamic` for incremental resampling.  The
@@ -529,8 +588,10 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         if steps < 0:
             raise ModelError(f"advance_region needs steps >= 0, got {steps}")
         self._ensure_heatbath_structures()
+        compiled = self._compiled
         selector = _RegionSelector(
-            _as_region(region, self.n), *self._luby_edges(), self.n, self.replicas
+            _as_region(region, self.n), compiled.conflict_u, compiled.conflict_v,
+            self.n, self.replicas,
         )
         for _ in range(steps):
             self._heatbath_update(*selector.select_pairs(self.rng))
@@ -539,16 +600,19 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
 
 
 class _LubyGlauberRound(_HeatBathEnsemble):
-    """The round of both LubyGlauber engines, over their host's Luby graph.
+    """The round of both LubyGlauber engines, over the model's conflict graph.
 
-    The heat-bath tables and the :class:`_LubySelector` are built with the
+    The heat-bath form and the :class:`_LubySelector` are built with the
     engine, so a model too uneven for them is refused at build.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._ensure_heatbath_structures()
-        self._luby = _LubySelector(*self._luby_edges(), self.n, self.replicas)
+        compiled = self._compiled
+        self._luby = _LubySelector(
+            compiled.conflict_u, compiled.conflict_v, self.n, self.replicas
+        )
 
     def step(self) -> None:
         """One LubyGlauber round: select independent sets, heat-bath-update them in parallel."""
@@ -674,11 +738,11 @@ class _LocalMetropolisRound(_HeatBathEnsemble):
     """The round of both general LocalMetropolis engines.
 
     Hosts provide ``_propose()``, the ``(n, R)`` proposals, and set
-    ``_filter`` (a :class:`_MetropolisFilter`) and ``_incidence``, the
-    ``(n, factors)`` CSR vertex incidence (None without factors).  The
-    region advance is the inherited masked LubyGlauber heat-bath; its
-    padded tables are built on its first call, so a model too uneven for
-    them (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
+    ``_filter`` (a :class:`_MetropolisFilter`) and ``_incidence``
+    (:func:`_accept_incidence`).  The region advance is the inherited
+    masked LubyGlauber heat-bath; its padded slots are built on its first
+    call, so a model too uneven for them
+    (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
     """
 
     def step(self) -> None:
@@ -696,15 +760,12 @@ class _LocalMetropolisRound(_HeatBathEnsemble):
 
 
 class _EnsembleMRFBase(_HeatBathEnsemble):
-    """Heat-bath weights and structures of the general-MRF engines.
+    """The host of the general-MRF engines: ``b_v`` starts the heat-bath weights.
 
-    The conditional weights of paper eq. (2) are read from the model's
-    padded neighbour tables (``mrf.compiled()``): one pass per neighbour
-    position, up to the maximum degree, each a flat gather of the
-    neighbours' spins and a row gather of the matching factor rows.  Pad
-    slots read the vertex's own spin through an all-ones table appended
-    to the palette, so they multiply by one.  The Luby graph is the model
-    graph.
+    The conditional weights of paper eq. (2) are the shared kernel's
+    (:meth:`_HeatBathEnsemble._heatbath_weights`): ``b_v`` times one row
+    per ascending neighbour, a palette table's column at the neighbour's
+    spin.  The Luby graph is the model graph.
     """
 
     def __init__(
@@ -719,64 +780,6 @@ class _EnsembleMRFBase(_HeatBathEnsemble):
         self._vertex_activity = compiled.vertex_activity
         self._eu, self._ev = compiled.edge_u, compiled.edge_v
         super().__init__(mrf, replicas, initial=initial, seed=seed)
-        # Replica i's row index: the pairs of a one-vertex-per-replica update.
-        self._rows = np.arange(self.replicas)
-
-    def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._eu, self._ev
-
-    def _ensure_heatbath_structures(self) -> None:
-        """The padded neighbour offsets and factor rows of the heat-bath kernel."""
-        if self._heatbath_ready:
-            return
-        compiled = self.mrf.compiled()
-        # Row t * q + s is column s of palette table t: the factors
-        # A_uv(c, s) over c of a neighbour u in spin s.  Table P, one past
-        # the palette, is all ones: the table of every pad slot.
-        tables = np.concatenate([compiled.palette, np.ones((1, self.q, self.q))])
-        self._factor_rows = np.ascontiguousarray(tables.transpose(0, 2, 1)).reshape(-1, self.q)
-        # Row k holds, per vertex, the flat offset u * R of its k-th
-        # neighbour's spins in the (n, R) batch and the first factor row
-        # t * q of that edge's table.
-        self._neighbour_offsets = (
-            np.ascontiguousarray(compiled.padded_neighbours.T) * self.replicas
-        )
-        self._table_offsets = np.ascontiguousarray(compiled.padded_tables.T) * self.q
-        self._heatbath_ready = True
-
-    def is_feasible(self) -> np.ndarray:
-        """Per-replica feasibility mask, shape ``(R,)``: the support of mu.
-
-        A replica is feasible iff the activity ``b_v`` of every spin and the
-        factor ``A_uv`` of every edge are positive: one gather over the
-        compiled arrays per check, so, unlike a weight product, many tiny
-        factors cannot underflow to "infeasible".
-        """
-        compiled = self.mrf.compiled()
-        config = self._config.astype(np.int64)
-        feasible = np.all(np.take_along_axis(compiled.vertex_activity, config, axis=1) > 0, axis=0)
-        if compiled.m:
-            factors = compiled.palette[
-                compiled.edge_table[:, None], config[self._eu], config[self._ev]
-            ]
-            feasible &= np.all(factors > 0, axis=0)
-        return feasible
-
-    def _heatbath_weights(self, v_idx, r_idx):
-        """Weights ``b_v(c) * prod_u A_uv(c, X_u)`` of eq. (2), one row per pair.
-
-        Multiplied in the sequential oracle's order, ``((b_v * A_1) * A_2)
-        ...`` over ascending neighbours, so each row equals
-        :func:`~repro.mrf.marginals.conditional_marginal_unnormalized` bit
-        for bit.  Requires :meth:`_ensure_heatbath_structures`.
-        """
-        indices = (
-            np.take(tables, v_idx)
-            + np.take(self._config, np.take(neighbours, v_idx) + r_idx)
-            for neighbours, tables in zip(self._neighbour_offsets, self._table_offsets)
-        )
-        weights = np.take(self._vertex_activity, v_idx, axis=0)
-        return _multiply_factor_rows(weights, self._factor_rows, indices)
 
     def _undefined_marginal(self, vertex: int) -> InfeasibleStateError:
         return InfeasibleStateError(
@@ -791,9 +794,9 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
     One step advances *each* replica by one single-site update: every
     replica independently picks a uniform vertex and resamples it from the
     conditional marginal of paper eq. (2).  All R conditional weight
-    vectors go through the shared padded-neighbour heat-bath kernel (one
-    vectorised pass per neighbour position, bounded by the maximum degree)
-    and one vectorised inverse-CDF — no per-replica Python loop.
+    vectors go through the shared heat-bath kernel (one vectorised pass
+    per neighbour position, bounded by the maximum degree) and one
+    vectorised inverse-CDF — no per-replica Python loop.
 
     With ``replicas=1`` this consumes the RNG stream in exactly the same
     order as :class:`repro.chains.glauber.GlauberDynamics` and reproduces
@@ -810,6 +813,8 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
     ) -> None:
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._ensure_heatbath_structures()
+        # Replica i's row index: the pairs of a one-vertex-per-replica update.
+        self._rows = np.arange(self.replicas)
 
     def step(self) -> None:
         """One single-site heat-bath update in every replica."""
@@ -852,8 +857,8 @@ class EnsembleLubyGlauberMRF(_LubyGlauberRound, _EnsembleMRFBase):
     weight vectors of *all* selected pairs are assembled at once by the
     heat-bath kernel shared with :class:`EnsembleGlauberDynamics`: one
     pass per padded neighbour position gathers the neighbours' current
-    spins and the matching rows of the deduplicated edge-activity stack
-    and multiplies them in.  Sampling is the shared vectorised
+    spins and the matching rows of the deduplicated edge tables and
+    multiplies them in.  Sampling is the shared vectorised
     inverse-CDF, with the largest-positive-mass fallthrough rule.
 
     Each replica evolves by exactly the same Markov kernel as the
@@ -892,7 +897,7 @@ class EnsembleLocalMetropolisMRF(_LocalMetropolisRound, _EnsembleMRFBase):
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         compiled = mrf.compiled()
         self._filter = _MetropolisFilter(compiled)
-        self._incidence = _edge_incidence(self._eu, self._ev, self.n)
+        self._incidence = _accept_incidence(compiled)
         # Each palette row's CDF, divided and summed column by column as
         # _heatbath_spins does, and its largest positive-mass spin; then per
         # vertex, as q columns of shape (n, 1) against the (n, R) uniforms.
@@ -947,7 +952,7 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
                 "EnsembleLocalMetropolisMRF for other models"
             )
         super().__init__(mrf, replicas, initial=initial, seed=seed)
-        self._incidence = _edge_incidence(self._eu, self._ev, self.n)
+        self._incidence = _accept_incidence(self._compiled)
 
     def step(self) -> None:
         """Uniform proposals; the three colouring rules per edge; accept if clean."""
@@ -969,17 +974,13 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
 # CSPs (the remarks after both algorithms).
 # ----------------------------------------------------------------------
 class _EnsembleCSPBase(_HeatBathEnsemble):
-    """Shared structure for the batched CSP chains, read from ``csp.compiled()``.
+    """The host of the batched CSP chains: heat-bath weights start from ones.
 
-    The model's distinct constraint tables are concatenated into one flat
-    array addressed by per-constraint offsets, and the constraints are
-    bucketed by arity (:class:`~repro.compiled.CompiledCSP`).  Within a
-    bucket of arity ``k`` every scope is a row of one ``(C_k, k)`` index
-    array, so gathering the ``(n, R)`` spin batch at the scopes and
-    weighting each position by its row-major stride gives the flat index
-    of every ``f_c(sigma|_{S_c})`` — gathers and integer arithmetic, no
-    per-constraint Python loop.  The Luby graph is the conflict graph, so
-    every selected set is strongly independent.
+    Every structure the engines read is derived by ``csp.compiled()``
+    (:class:`~repro.compiled.CompiledCSP`) from the constraints bucketed by
+    arity: the heat-bath form, the vertex-constraint incidence and the
+    pass tables.  The Luby graph is the conflict graph, so every selected
+    set is strongly independent.
     """
 
     def __init__(
@@ -990,107 +991,8 @@ class _EnsembleCSPBase(_HeatBathEnsemble):
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
         self.csp = csp
-        compiled = csp.compiled()
-        self._num_constraints = compiled.num_constraints
-        # Per arity bucket k: (k, constraint ids, (k, C_k) position-major
-        # scopes, (k, 1, 1) strides, (C_k, 1) table starts).  Gathering an
-        # (n, R) batch at the scopes gives (k, C_k, R): one contiguous
-        # (C_k, R) plane per scope position.
-        self._buckets = [
-            (
-                bucket.arity,
-                bucket.constraints,
-                np.ascontiguousarray(bucket.scopes.T),
-                bucket.strides[:, None, None],
-                bucket.table_starts[:, None],
-            )
-            for bucket in compiled.buckets
-        ]
-        self._spin_arange = np.arange(csp.q)
+        self._vertex_activity = None
         super().__init__(csp, replicas, initial=initial, seed=seed)
-
-    def _luby_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        compiled = self.csp.compiled()
-        return compiled.conflict_u, compiled.conflict_v
-
-    # ------------------------------------------------------------------
-    # batch views and diagnostics
-    # ------------------------------------------------------------------
-    def _scope_flat_indices(self, batch):
-        """Flat row-major index of every scope restriction, shape ``(C, R)``.
-
-        ``result[c, i]`` addresses ``f_c(batch|_{S_c})`` for replica ``i``
-        inside the flattened table stack (relative to the constraint's
-        table start).
-        """
-        return _in_factor_order(
-            [np.sum(batch[scopes] * strides, axis=0) for _, _, scopes, strides, _ in self._buckets],
-            [ids for _, ids, _, _, _ in self._buckets],
-            (self._num_constraints, self.replicas),
-            np.int64,
-        )
-
-    def is_feasible(self) -> np.ndarray:
-        """Per-replica feasibility mask, shape ``(R,)``: every factor is positive."""
-        if not self._num_constraints:
-            return np.ones(self.replicas, dtype=bool)
-        compiled = self.csp.compiled()
-        flat = self._scope_flat_indices(self._config)
-        values = compiled.flat_raw[compiled.table_starts[:, None] + flat]
-        return np.all(values > 0.0, axis=0)
-
-    # ------------------------------------------------------------------
-    # heat-bath machinery (LubyGlauber step and region-restricted advance)
-    # ------------------------------------------------------------------
-    def _ensure_heatbath_structures(self) -> None:
-        """The padded (constraint, stride) incidence of the heat-bath weights."""
-        if self._heatbath_ready:
-            return
-        compiled = self.csp.compiled()
-        # Row k holds, per vertex, for its k-th containing constraint c: the
-        # flat offset c * R of c's row in the (C + 1, R) flat-index buffer,
-        # the start of c's table among the factors, and the stride of the
-        # vertex's axis in it.  Pad slots name the extra constraint C: a
-        # zero buffer row, a start at the factor 1.0 appended to the raw
-        # tables and stride 0, so they read a factor of one.
-        constraints = np.ascontiguousarray(compiled.padded_constraints.T)
-        starts = np.append(compiled.table_starts, compiled.flat_raw.size)
-        self._incidence_offsets = constraints * self.replicas
-        self._incidence_starts = starts[constraints]
-        self._incidence_strides = np.ascontiguousarray(compiled.padded_strides.T)
-        self._factors = np.append(compiled.flat_raw, 1.0)
-        self._flat = np.zeros((self._num_constraints + 1, self.replicas), dtype=np.int64)
-        self._heatbath_ready = True
-
-    def _heatbath_weights(self, v_idx, r_idx):
-        """Weights ``prod_c f_c(sigma with v -> s)`` over spins ``s``, one row per pair.
-
-        Multiplied in constraint order from ones, so each row equals the
-        unnormalised weights of
-        :meth:`~repro.csp.model.LocalCSP.conditional_marginal` bit for bit.
-        The pairs must be strongly independent within each replica (no two
-        share a constraint scope), so every co-scoped vertex is fixed
-        conditioning.  Requires :meth:`_ensure_heatbath_structures`.
-        """
-        self._flat[:-1] = self._scope_flat_indices(self._config)
-        current = np.take(self._config, v_idx * self.replicas + r_idx)
-
-        def indices():
-            for offsets, starts, strides in zip(
-                self._incidence_offsets, self._incidence_starts, self._incidence_strides
-            ):
-                # f_c's flat index with v's axis at spin 0, then one entry
-                # per candidate spin of v.
-                stride = np.take(strides, v_idx)
-                base = (
-                    np.take(starts, v_idx)
-                    + np.take(self._flat, np.take(offsets, v_idx) + r_idx)
-                    - current * stride
-                )
-                yield base[:, None] + stride[:, None] * self._spin_arange
-
-        weights = np.ones((int(v_idx.shape[0]), self.q))
-        return _multiply_factor_rows(weights, self._factors, indices())
 
     def _undefined_marginal(self, vertex: int) -> ModelError:
         return ModelError(
@@ -1107,10 +1009,10 @@ class EnsembleLubyGlauberCSP(_LubyGlauberRound, _EnsembleCSPBase):
     selected (replica, vertex) pair heat-bath-resamples from its
     conditional marginal.  The marginal weights of *all* selected pairs are
     assembled at once by the shared heat-bath kernel, one pass per padded
-    (constraint, stride) incidence position: a flat gather pulls each
-    constraint's current flat index, a second one the ``q`` candidate
-    factor values of the pair's vertex, and they are multiplied in — no
-    per-vertex Python loop.
+    constraint-incidence position: gathers of the co-scope spins pick the
+    row of ``q`` candidate factor values of the pair's vertex from the
+    constraint table's block at the vertex's scope position, and it is
+    multiplied in — no per-vertex Python loop.
     """
 
 
@@ -1156,13 +1058,7 @@ class EnsembleLocalMetropolisCSP(_LocalMetropolisRound, _EnsembleCSPBase):
                 f"{self.MAX_MIXING_ROWS} cap; use the sequential "
                 "LocalMetropolisCSP chain for very-high-arity CSPs"
             )
-        self._incidence = None
-        if self._num_constraints:
-            ones = np.ones(compiled.incidence_constraint.size, dtype=np.int32)
-            self._incidence = sp.csr_matrix(
-                (ones, compiled.incidence_constraint, compiled.incidence_indptr),
-                shape=(csp.n, self._num_constraints),
-            )
+        self._incidence = _accept_incidence(compiled)
 
     def _propose(self) -> np.ndarray:
         """The ``(n, R)`` proposals: uniform spins."""

@@ -4,7 +4,9 @@ Commands
 --------
 ``sample``
     Draw one approximate Gibbs sample of a named model on a named topology
-    and print it (plus feasibility and the round budget used).
+    and print it (plus feasibility and the round budget used): one replica
+    of the batched engine, or, with ``--engine``, the sequential chain or
+    the LOCAL protocol.
 ``budget``
     Print the default round budgets of all three methods for a model.
 ``mix``
@@ -104,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--engine",
         choices=repro.ENGINES,
-        default="chain",
-        help="execution engine: direct chain, or the LOCAL-model protocol "
-        "on the reference (per-node) runtime",
+        default=None,
+        help="draw the single sample with an oracle: the sequential chain, or "
+        "the LOCAL-model protocol on the reference (per-node) runtime "
+        "(default: one replica of the batched engine)",
     )
     sample.add_argument("--eps", type=float, default=0.05)
     sample.add_argument("--rounds", type=int, default=None)
@@ -312,6 +315,12 @@ def _command_sample(args: argparse.Namespace) -> int:
     model = _model(args)
     if args.samples < 1:
         raise ReproError(f"--samples must be >= 1, got {args.samples}")
+    batched = args.samples > 1 or args.jobs is not None
+    if args.engine is not None and batched:
+        raise ReproError(
+            "--engine applies to single samples; batched sampling always "
+            "uses the replica-ensemble engines"
+        )
     rounds = args.rounds
     if rounds is None:
         rounds = repro.default_round_budget(model, args.method, args.eps)
@@ -319,43 +328,42 @@ def _command_sample(args: argparse.Namespace) -> int:
         f"model   : {model.name} on {args.graph} "
         f"(n={model.n}, Delta={model_degree(model)})"
     )
-    if args.samples == 1 and args.jobs is None:
+    if args.engine is not None:
+        engine = args.engine
         config = repro.sample(
             model,
             method=args.method,
             eps=args.eps,
             rounds=args.rounds,
             seed=args.seed,
-            engine=args.engine,
+            engine=engine,
         )
-        print(model_line)
-        print(f"method  : {args.method}   engine: {args.engine}   rounds: {rounds}")
-        print(f"feasible: {model.is_feasible(config)}")
-        print("sample  :", " ".join(str(int(s)) for s in config))
-        return 0
-    if args.engine != "chain":
-        raise ReproError(
-            "--engine applies to single samples; batched sampling always "
-            "uses the replica-ensemble engines"
+    else:
+        batch = repro.sample_many(
+            model,
+            args.samples,
+            method=args.method,
+            eps=args.eps,
+            rounds=args.rounds,
+            seed=args.seed,
+            parallel=args.jobs,
         )
-    batch = repro.sample_many(
-        model,
-        args.samples,
-        method=args.method,
-        eps=args.eps,
-        rounds=args.rounds,
-        seed=args.seed,
-        parallel=args.jobs,
-    )
-    feasible = sum(1 for row in batch if model.is_feasible(row))
-    jobs = "in-process" if args.jobs is None else str(args.jobs)
+        if batched:
+            feasible = sum(1 for row in batch if model.is_feasible(row))
+            jobs = "in-process" if args.jobs is None else str(args.jobs)
+            print(model_line)
+            print(
+                f"method  : {args.method}   samples: {args.samples}   jobs: {jobs}   "
+                f"rounds: {rounds}"
+            )
+            print(f"feasible: {feasible}/{args.samples}")
+            print("sample 0:", " ".join(str(int(s)) for s in batch[0]))
+            return 0
+        engine, config = dispatch(model, args.method).ensemble.__name__, batch[0]
     print(model_line)
-    print(
-        f"method  : {args.method}   samples: {args.samples}   jobs: {jobs}   "
-        f"rounds: {rounds}"
-    )
-    print(f"feasible: {feasible}/{args.samples}")
-    print("sample 0:", " ".join(str(int(s)) for s in batch[0]))
+    print(f"method  : {args.method}   engine: {engine}   rounds: {rounds}")
+    print(f"feasible: {model.is_feasible(config)}")
+    print("sample  :", " ".join(str(int(s)) for s in config))
     return 0
 
 

@@ -4,11 +4,10 @@ The batched engines of :mod:`repro.chains.ensemble` never walk a model's
 Python structures.  They read the :class:`CompiledMRF` of
 :meth:`repro.mrf.model.MRF.compiled` or the :class:`CompiledCSP` of
 :meth:`repro.csp.model.LocalCSP.compiled`: index arrays (edges or scopes,
-padded neighbour tables, arity-bucketed scopes, incidences) plus each
-distinct factor table once, deduplicated by value.  Every array is
-read-only and engines read it as it is, with no copy; equal models have
-equal arrays, so an engine's bits do not depend on how its model was
-built.
+arity-bucketed scopes, incidences) plus each distinct factor table once,
+deduplicated by value.  Every array is read-only and engines read it as
+it is, with no copy; equal models have equal arrays, so an engine's bits
+do not depend on how its model was built.
 
 Each record is its model's storage: every way of making an
 :class:`~repro.mrf.model.MRF` or a :class:`~repro.csp.model.LocalCSP`
@@ -16,29 +15,41 @@ builds it in canonical form and ``compiled()`` returns it.  A model is
 its name and its record (:class:`_StoredModel`), and the record's stored
 fields are what it pickles, what the wire form encodes and what the
 fingerprint hashes (:func:`repro.serialize.model_fingerprint`).
-Everything else (the fingerprint itself and the greedy start of both;
-padded tables, the ``(n, q)`` vertex table and the colouring test of an
-MRF; arity buckets, flat tables, incidences and conflict edges of a CSP)
-is derived on first use, memoized on the record and left out of pickles.
-The greedy start is the start of every run given no ``initial``
-(:func:`repro.chains.base.start_config`).
+Everything else is derived on first use, memoized on the record and left
+out of pickles: the fingerprint and the greedy start of both; the
+``(n, q)`` vertex table and the colouring test of an MRF; and the factor
+forms below.  The greedy start is the start of every run given no
+``initial`` (:func:`repro.chains.base.start_config`).
 
-The padded tables the heat-bath engines walk (``padded_neighbours`` /
-``padded_tables``, ``padded_constraints`` / ``padded_strides``) hold
-``n x width`` slots, ``width`` being the largest degree, so a few
-high-degree vertices among many low-degree ones make them mostly padding.
-A model whose padding would exceed :data:`MAX_PADDING` slots raises
-:class:`~repro.errors.StateSpaceTooLargeError` before anything is
-allocated.
+Both records describe their factors (an MRF's edges, a CSP's
+constraints) in one form, the arity ``buckets`` (an MRF's edges are one
+arity-2 bucket) over the flat tables ``flat_raw`` (an MRF's palette,
+flattened), and derive everything the engines read from it, once, for
+both kinds:
 
-Both records also give the LocalMetropolis filter its factors in one
-form: arity ``buckets`` (an MRF's edges are one arity-2 bucket), the
-max-normalised tables ``flat_norm``, the order ``mixing_masks`` in which a
-factor's mixings are multiplied, and the pass tables built from them
-(``pass_table`` / ``pass_starts``), which hold every factor's pass
-probability as a function of its scope's proposed and current spins.  The
-pass tables of one record hold at most :data:`MAX_PASS_TABLE` entries; a
-bucket that does not fit gets none, and the filter gathers its factors.
+* the vertex-factor incidence in factor order (``incidence_indptr`` /
+  ``incidence_constraint``; for an MRF each vertex's ascending
+  neighbours), the LocalMetropolis accept's incidence;
+* the conflict edges ``conflict_u`` / ``conflict_v`` (vertices sharing a
+  scope; an MRF's are its edges), the Luby step's graph and the model's
+  ``max_degree``;
+* the heat-bath form (``heatbath_rows`` / ``heatbath_slots``): every
+  distinct (table, scope position) pair's conditional rows once (one
+  block for an MRF's symmetric table, read at both ends), and per
+  padded incidence slot the first row of its block and the co-scope
+  vertices whose spins pick the row.  Its slots hold ``n x width``
+  entries, ``width`` being the largest factor count of a vertex, so a few
+  high-degree vertices among many low-degree ones make them mostly
+  padding.  A model whose padding would exceed :data:`MAX_PADDING` slots
+  raises :class:`~repro.errors.StateSpaceTooLargeError` before they are
+  allocated;
+* the LocalMetropolis filter's max-normalised tables ``flat_norm``, the
+  order ``mixing_masks`` in which a factor's mixings are multiplied, and
+  the pass tables built from them (``pass_table`` / ``pass_starts``),
+  which hold every factor's pass probability as a function of its scope's
+  proposed and current spins.  The pass tables of one record hold at most
+  :data:`MAX_PASS_TABLE` entries; a bucket that does not fit gets none,
+  and the filter gathers its factors.
 """
 
 from __future__ import annotations
@@ -120,13 +131,14 @@ def _bitmasks(flags: np.ndarray) -> list:
 
 
 def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np.ndarray]:
-    """``(n, width)`` tables listing each vertex's slots left-aligned.
+    """Position-major ``(width, n)`` tables listing each vertex's slots in order.
 
     ``owner`` is sorted and names the vertex of each slot; ``columns`` holds
     one value array per table and ``pads`` the fill of its unused entries
-    (a scalar, or an ``(n, 1)`` column).  ``width`` is the largest slot
-    count, at least 1.  Raises before allocating when the padding would
-    exceed :data:`MAX_PADDING`.
+    (a scalar, or an ``(n,)`` row).  Row ``j`` of a table holds every
+    vertex's ``j``-th slot, and ``width`` is the largest slot count, at
+    least 1.  Raises before allocating when the padding would exceed
+    :data:`MAX_PADDING`.
     """
     indptr = _csr_indptr(owner, n)
     width = max(int(np.diff(indptr).max()) if n else 0, 1)
@@ -138,11 +150,12 @@ def _padded_rows(owner: np.ndarray, columns, pads, n: int, what: str) -> list[np
             "cap: the degrees are too uneven for the batched heat-bath "
             "engines; use a sequential chain"
         )
-    column = np.arange(owner.size, dtype=np.int64) - indptr[owner]
+    # Slot k of vertex v is entry (k - indptr[v], v): one flat index per slot.
+    flat = (np.arange(owner.size, dtype=np.int64) - indptr[owner]) * n + owner
     tables = []
     for values, pad in zip(columns, pads):
-        table = np.full((n, width), pad, dtype=np.int64)
-        table[owner, column] = values
+        table = np.full((width, n), pad, dtype=np.int64)
+        table.reshape(-1)[flat] = values
         tables.append(_frozen(table))
     return tables
 
@@ -153,12 +166,17 @@ class _Stored:
     The stored fields are ``n``, ``q`` and then the arrays of ``ARRAYS``,
     which maps each to the ``(kind, ndim)`` it decodes with
     (:func:`repro.serialize.decode_array`); ``ndim`` None marks a tuple of
-    tables of any rank (a CSP's palette), one array per entry.  Both build
-    their LocalMetropolis pass tables here, from their ``buckets``,
-    ``flat_norm`` and ``mixing_masks``.
+    tables of any rank (a CSP's palette), one array per entry.  Both derive
+    their factor forms here, from their ``buckets`` over ``flat_raw``: the
+    incidence, the conflict edges, the heat-bath form and, with
+    ``flat_norm`` and ``mixing_masks``, the LocalMetropolis pass tables.
+    ``FACTOR`` names a factor in messages, and ``conditional_axes(k)``
+    says which table axis each position of an arity-``k`` scope reads its
+    conditional rows along.
     """
 
     kind: str
+    FACTOR: str
     ARRAYS: dict[str, tuple[str, int | None]]
 
     def __getstate__(self) -> dict:
@@ -239,6 +257,141 @@ class _Stored:
         """
         return self._pass[1]
 
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The buckets' scope slots in turn, sorted by vertex and then factor;
+        # slot[i] is the incidence slot of the i-th of them.
+        vertex = np.concatenate([_EMPTY, *(bucket.scopes.ravel() for bucket in self.buckets)])
+        factor = np.concatenate(
+            [_EMPTY, *(np.repeat(bucket.constraints, bucket.arity) for bucket in self.buckets)]
+        )
+        order = np.lexsort((factor, vertex))
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        return _frozen(_csr_indptr(vertex, self.n)), _frozen(factor[order]), _frozen(slot)
+
+    @property
+    def incidence_indptr(self) -> np.ndarray:
+        """``(n + 1,)`` CSR offsets of each vertex's incidence slots."""
+        return self._incidence[0]
+
+    @property
+    def incidence_constraint(self) -> np.ndarray:
+        """The factor of each incidence slot: vertex-major, in factor order.
+
+        For an MRF, edge order: each vertex's ascending neighbours.
+        """
+        return self._incidence[1]
+
+    @cached_property
+    def _conflict(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = [_EMPTY], [_EMPTY]
+        for bucket in self.buckets:
+            first, second = np.triu_indices(bucket.arity, k=1)
+            lo.append(np.minimum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
+            hi.append(np.maximum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
+        # Sorted, then deduplicated by a mask: np.unique is 50x slower here.
+        keys = np.sort(np.concatenate(lo) * self.n + np.concatenate(hi))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+        return _frozen(keys // self.n), _frozen(keys % self.n)
+
+    @property
+    def conflict_u(self) -> np.ndarray:
+        """Lower ends of the sorted conflict edges (vertices sharing a scope; an MRF's edges)."""
+        return self._conflict[0]
+
+    @property
+    def conflict_v(self) -> np.ndarray:
+        """Upper ends of the sorted conflict edges."""
+        return self._conflict[1]
+
+    @cached_property
+    def _heatbath(self) -> tuple[np.ndarray, tuple]:
+        n, q = self.n, self.q
+        indptr, factor, slot = self._incidence
+        owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        terms = max((bucket.arity for bucket in self.buckets), default=1) - 1
+        # Per incidence slot: its block's first row, its arity and its
+        # co-scope vertices in scope order (past its arity, the slot's own vertex).
+        start = np.zeros(factor.size, dtype=np.int64)
+        arity = np.zeros(factor.size, dtype=np.int64)
+        vertex = np.repeat(owner[None], terms, axis=0)
+        plan, rows, offset = [], 0, 0
+        for bucket in self.buckets:
+            k = bucket.arity
+            placed = slot[offset : offset + bucket.scopes.size].reshape(-1, k)
+            offset += bucket.scopes.size
+            axes = np.asarray(self.conditional_axes(k))
+            blocked = int(axes.max()) + 1
+            used, which = np.unique(bucket.table_starts, return_inverse=True)
+            plan.append((k, used, blocked, rows))
+            start[placed] = rows + (which[:, None] * blocked + axes) * q ** (k - 1)
+            rows += used.size * blocked * q ** (k - 1)
+            arity[placed] = k
+            for p in range(k):
+                others = [position for position in range(k) if position != p]
+                vertex[: k - 1, placed[:, p]] = bucket.scopes[:, others].T
+        starts, arities, *vertices = _padded_rows(
+            owner, [start, arity, *vertex], [rows, 0] + [np.arange(n)] * terms, n,
+            f"{self.FACTOR}-incidence",
+        )
+        # Block a of a table moves its axis a last: row r of the block is
+        # the factor along that axis with the other axes at the row-major
+        # digits of r.  The all-ones row closes the rows: pads start there.
+        factor_rows = np.ones((rows + 1, q))
+        for k, used, blocked, first in plan:
+            tables = self.flat_raw[used[:, None] + np.arange(q**k)].reshape((-1,) + (q,) * k)
+            block = factor_rows[first : first + used.size * blocked * q ** (k - 1)]
+            block = block.reshape(used.size, blocked, -1, q)
+            for a in range(blocked):
+                block[:, a] = np.moveaxis(tables, 1 + a, -1).reshape(used.size, -1, q)
+        # Term i of an arity-k slot has stride q**(k - 2 - i); a position
+        # whose slots mix arities reads per-vertex strides, 0 past a term.
+        lowest = np.where(arities > 0, arities, arities.max()).min(axis=1).tolist()
+        slots = []
+        for j, (low, high) in enumerate(zip(lowest, arities.max(axis=1).tolist())):
+            entries = []
+            for i in range(high - 1):
+                power = arities[j] - 2 - i
+                stride = np.int64(q) ** (high - 2 - i) if low == high else _frozen(
+                    np.where(power >= 0, q ** np.maximum(power, 0), 0)
+                )
+                entries.append((vertices[i][j], stride))
+            slots.append((starts[j], tuple(entries)))
+        return _frozen(factor_rows), tuple(slots)
+
+    @property
+    def heatbath_rows(self) -> np.ndarray:
+        """The conditional rows of every factor table, then one all-ones row.
+
+        Each distinct table of each bucket contributes one block per axis
+        of :meth:`conditional_axes`, axis ``a`` giving
+        ``np.moveaxis(table, a, -1).reshape(-1, q)``: row ``r`` holds the
+        table's values over the spins of the axis' vertex with the other
+        scope positions, in order, at the row-major digits of ``r``.  A
+        CSP's table gets one block per scope position; an MRF's symmetric
+        table one block, read at both ends, so its rows are the palette's
+        columns.  Built on first use, with :attr:`heatbath_slots`.
+        """
+        return self._heatbath[0]
+
+    @property
+    def heatbath_slots(self) -> tuple:
+        """Per padded incidence position ``j``: ``(starts, terms)``.
+
+        ``starts`` is ``(n,)``: the first :attr:`heatbath_rows` row of the
+        block of each vertex's ``j``-th factor (in factor order), read at
+        the vertex's scope position.  ``terms`` holds one ``(vertices,
+        stride)`` pair per co-scope position: the row of a vertex is its
+        start plus ``stride * spin`` of each co-scope vertex.  ``stride``
+        is one int64 where every real slot at ``j`` agrees, else an ``(n,)``
+        array (0 past a lower-arity slot's terms).  A vertex with fewer
+        than ``j + 1`` factors has a pad slot: it starts at the last, all-ones
+        row, so any row past it, clipped, reads ones.  Refused past
+        :data:`MAX_PADDING` pad slots, before the padded arrays are built.
+        """
+        return self._heatbath[1]
+
 
 class _StoredModel:
     """The shell of :class:`~repro.mrf.model.MRF` and :class:`~repro.csp.model.LocalCSP`.
@@ -298,6 +451,12 @@ class _StoredModel:
         """The stored record (``RECORD``); builds nothing."""
         return self._arrays
 
+    @cached_property
+    def max_degree(self) -> int:
+        """The maximum degree Δ of the conflict graph: an MRF's graph, a CSP's ``|Gamma(v)|``."""
+        ends = np.concatenate([self._arrays.conflict_u, self._arrays.conflict_v])
+        return int(np.bincount(ends, minlength=1).max())
+
 
 @dataclass(frozen=True, eq=False)
 class CompiledMRF(_Stored):
@@ -310,19 +469,18 @@ class CompiledMRF(_Stored):
     ``b_v``, the distinct rows again in first-use order.  Every palette
     entry is used.
 
-    ``padded_neighbours[v]`` lists the neighbours of ``v`` ascending,
-    padded with ``v`` itself to ``max(max_degree, 1)`` columns, and
-    ``padded_tables`` holds the matching palette indices and, at the pads,
-    ``P``, one past the palette: the heat-bath engines read an all-ones
-    table there, so a pad slot reads a spin and multiplies by one.
-    They, the ``(n, q)`` :attr:`vertex_activity` table,
-    :attr:`is_uniform_coloring`, :attr:`greedy_start` and the
-    LocalMetropolis filter's fields (:attr:`buckets`, :attr:`flat_norm`,
-    :attr:`pass_table`, :attr:`pass_starts`) are derived on first use (see
-    :data:`MAX_PADDING` and :data:`MAX_PASS_TABLE`) and left out of pickles.
+    The ``(n, q)`` :attr:`vertex_activity` table,
+    :attr:`is_uniform_coloring`, :attr:`greedy_start`, the edges as one
+    arity-2 bucket (:attr:`buckets`) over :attr:`flat_raw`, and the factor
+    forms every record derives from them (the incidence, whose slots list
+    each vertex's ascending neighbours; the conflict edges, which are the
+    edges; the heat-bath form, one block of rows per palette table; the
+    pass tables) are derived on first use (see :data:`MAX_PADDING` and
+    :data:`MAX_PASS_TABLE`) and left out of pickles.
     """
 
     kind = "mrf"
+    FACTOR = "edge"
     ARRAYS = {
         "edge_u": ("int", 1), "edge_v": ("int", 1), "edge_table": ("int", 1),
         "palette": ("float", 3), "vertex_index": ("int", 1), "vertex_palette": ("float", 2),
@@ -345,17 +503,6 @@ class CompiledMRF(_Stored):
     def vertex_activity(self) -> np.ndarray:
         """The ``(n, q)`` vertex activity table: row ``v`` is ``b_v``."""
         return _frozen(self.vertex_palette[self.vertex_index])
-
-    @cached_property
-    def _padded(self) -> list[np.ndarray]:
-        ends = np.concatenate([self.edge_u, self.edge_v])
-        others = np.concatenate([self.edge_v, self.edge_u])
-        order = np.lexsort((others, ends))
-        tables = np.concatenate([self.edge_table, self.edge_table])
-        pads = [np.arange(self.n, dtype=np.int64)[:, None], self.palette.shape[0]]
-        return _padded_rows(
-            ends[order], [others[order], tables[order]], pads, self.n, "neighbour"
-        )
 
     @cached_property
     def is_uniform_coloring(self) -> bool:
@@ -414,16 +561,6 @@ class CompiledMRF(_Stored):
             config[v] = (spins & -spins).bit_length() - 1 if spins else fallback[v]
         return _frozen(np.asarray(config, dtype=np.int64))
 
-    @property
-    def padded_neighbours(self) -> np.ndarray:
-        """``(n, width)`` ascending neighbours, padded with the vertex itself."""
-        return self._padded[0]
-
-    @property
-    def padded_tables(self) -> np.ndarray:
-        """``(n, width)`` palette index of each padded neighbour slot; ``P`` at the pads."""
-        return self._padded[1]
-
     @cached_property
     def buckets(self) -> tuple[ArityBucket, ...]:
         """The edges as the one arity-2 bucket of the LocalMetropolis filter (none without edges).
@@ -441,6 +578,11 @@ class CompiledMRF(_Stored):
         return (ArityBucket(2, *map(_frozen, arrays)),)
 
     @cached_property
+    def flat_raw(self) -> np.ndarray:
+        """The palette tables concatenated row-major: a view of the palette."""
+        return self.palette.reshape(-1)
+
+    @cached_property
     def flat_norm(self) -> np.ndarray:
         """The palette tables, each divided by its maximum, concatenated row-major."""
         return _frozen((self.palette / self.palette.max(axis=(1, 2), keepdims=True)).ravel())
@@ -453,6 +595,15 @@ class CompiledMRF(_Stored):
         :class:`~repro.chains.local_metropolis.LocalMetropolisChain`.
         """
         return (3, 2, 1)
+
+    @staticmethod
+    def conditional_axes(arity: int) -> tuple[int, ...]:
+        """Axis 0 at both ends: ``A_uv(c, X_u)`` over ``c``, one block per symmetric table.
+
+        The order of :func:`~repro.mrf.marginals.conditional_marginal_unnormalized`,
+        which reads ``A_uv[:, X_u]`` at either end of an edge.
+        """
+        return (0, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,16 +634,17 @@ class CompiledCSP(_Stored):
     ``palette[constraint_table[c]]`` of shape ``(q,) * arity``.  The palette
     holds each distinct table once (by its float64 bytes), read-only, in
     first-use order along the constraints.  These stored fields are all a
-    pickle holds; every other field is derived on first use.  The slots
-    ``incidence_indptr[v]:incidence_indptr[v + 1]`` of
-    ``incidence_constraint`` / ``incidence_stride`` list the constraints
-    containing ``v`` in constraint order, with the stride of ``v``'s axis
-    in each table; ``padded_constraints`` / ``padded_strides`` hold the
-    same lists as ``(n, width)`` rows.  ``pass_table`` / ``pass_starts``
-    tabulate the LocalMetropolis filter (see :data:`MAX_PASS_TABLE`).
+    pickle holds; every other field is derived on first use: the arity
+    :attr:`buckets` over :attr:`flat_raw`, and from them the incidence (the
+    slots ``incidence_indptr[v]:incidence_indptr[v + 1]`` of
+    ``incidence_constraint`` list the constraints containing ``v`` in
+    constraint order), the conflict edges, the heat-bath form (one block of
+    rows per table and scope position) and the pass tables (see
+    :data:`MAX_PADDING` and :data:`MAX_PASS_TABLE`).
     """
 
     kind = "csp"
+    FACTOR = "constraint"
     ARRAYS = {
         "scope_indptr": ("int", 1), "scope_vertex": ("int", 1), "constraint_table": ("int", 1),
         "palette": ("float", None),
@@ -538,53 +690,6 @@ class CompiledCSP(_Stored):
         """``flat_raw`` with each table divided by its maximum."""
         return _frozen(np.concatenate([np.zeros(0), *(t.ravel() / t.max() for t in self.palette)]))
 
-    @cached_property
-    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        arity = np.diff(self.scope_indptr)
-        owner = np.repeat(np.arange(arity.size, dtype=np.int64), arity)
-        stride = self.q ** (arity[owner] - 1 - np.arange(owner.size) + self.scope_indptr[owner])
-        # A stable sort keeps each vertex's slots in constraint order.
-        order = np.argsort(self.scope_vertex, kind="stable")
-        indptr = _csr_indptr(self.scope_vertex, self.n)
-        return _frozen(indptr), _frozen(owner[order]), _frozen(stride[order])
-
-    @property
-    def incidence_indptr(self) -> np.ndarray:
-        """``(n + 1,)`` CSR offsets of each vertex's incidence slots."""
-        return self._incidence[0]
-
-    @property
-    def incidence_constraint(self) -> np.ndarray:
-        """The constraint of each incidence slot (vertex-major, constraint order)."""
-        return self._incidence[1]
-
-    @property
-    def incidence_stride(self) -> np.ndarray:
-        """The stride of the slot vertex's axis in its constraint's table."""
-        return self._incidence[2]
-
-    @cached_property
-    def _conflict(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = [_EMPTY], [_EMPTY]
-        for bucket in self.buckets:
-            first, second = np.triu_indices(bucket.arity, k=1)
-            lo.append(np.minimum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
-            hi.append(np.maximum(bucket.scopes[:, first], bucket.scopes[:, second]).ravel())
-        # Sorted, then deduplicated by a mask: np.unique is 50x slower here.
-        keys = np.sort(np.concatenate(lo) * self.n + np.concatenate(hi))
-        keys = keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
-        return _frozen(keys // self.n), _frozen(keys % self.n)
-
-    @property
-    def conflict_u(self) -> np.ndarray:
-        """Lower ends of the sorted conflict edges (vertices sharing a scope)."""
-        return self._conflict[0]
-
-    @property
-    def conflict_v(self) -> np.ndarray:
-        """Upper ends of the sorted conflict edges."""
-        return self._conflict[1]
-
     @staticmethod
     def mixing_masks(arity: int) -> tuple[int, ...]:
         """The LocalMetropolis constraint filter's order: masks ``1 .. 2^arity - 1``.
@@ -594,31 +699,10 @@ class CompiledCSP(_Stored):
         """
         return tuple(range(1, 1 << arity))
 
-    @cached_property
-    def _padded_incidence(self) -> list[np.ndarray]:
-        owner = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.incidence_indptr))
-        return _padded_rows(
-            owner,
-            [self.incidence_constraint, self.incidence_stride],
-            [self.num_constraints, 0],
-            self.n,
-            "constraint-incidence",
-        )
-
-    @property
-    def padded_constraints(self) -> np.ndarray:
-        """``(n, width)`` constraints containing each vertex, in constraint order.
-
-        Pad slots hold ``num_constraints``, an index past every real
-        constraint: engines read it as an empty-scope constraint whose
-        factor is one.  Built on first use (see :data:`MAX_PADDING`).
-        """
-        return self._padded_incidence[0]
-
-    @property
-    def padded_strides(self) -> np.ndarray:
-        """``(n, width)`` stride of the vertex's axis in each padded constraint (0 at pads)."""
-        return self._padded_incidence[1]
+    @staticmethod
+    def conditional_axes(arity: int) -> tuple[int, ...]:
+        """Axis ``p`` at position ``p``: one block per (table, scope position)."""
+        return tuple(range(arity))
 
     @cached_property
     def greedy_start(self) -> np.ndarray:

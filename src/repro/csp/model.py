@@ -243,13 +243,6 @@ class LocalCSP(_StoredModel):
         flat = arrays.incidence_constraint.tolist()
         return [flat[bounds[v] : bounds[v + 1]] for v in range(self.n)]
 
-    @cached_property
-    def max_degree(self) -> int:
-        """The largest ``|Gamma(v)|``: the maximum degree of the conflict graph."""
-        arrays = self._arrays
-        ends = np.concatenate([arrays.conflict_u, arrays.conflict_v])
-        return int(np.bincount(ends, minlength=1).max())
-
     def scope(self, index: int) -> tuple[int, ...]:
         """The scope of constraint ``index``, in the order given."""
         index, count = int(index), self._arrays.num_constraints

@@ -37,14 +37,6 @@ __all__ = [
 ]
 
 
-def _edge_arrays(model: MRF | LocalCSP) -> tuple[np.ndarray, np.ndarray]:
-    """The graph edges of an MRF, or the conflict-graph (co-scope) edges of a CSP."""
-    compiled = model.compiled()
-    if isinstance(model, LocalCSP):
-        return compiled.conflict_u, compiled.conflict_v
-    return compiled.edge_u, compiled.edge_v
-
-
 def influenced_region(
     old_model: MRF | LocalCSP,
     new_model: MRF | LocalCSP,
@@ -56,8 +48,9 @@ def influenced_region(
     ``touched`` is the set of vertices whose incident factors changed (the
     endpoints of an added/removed edge, the scope of an added/removed
     constraint).  The ball is grown breadth-first over the union of the old
-    and new edge arrays (co-scope pairs for a CSP), so both an insertion's
-    new couplings and a deletion's former couplings are covered.  Returns a
+    and new conflict edges (an MRF's edges, a CSP's co-scope pairs), so
+    both an insertion's new couplings and a deletion's former couplings
+    are covered.  Returns a
     sorted int64 vertex array; radius 0 is the touched set itself.
     """
     if old_model.n != new_model.n:
@@ -73,9 +66,9 @@ def influenced_region(
         raise ModelError("a mutation must touch at least one vertex")
     if touched.min() < 0 or touched.max() >= n:
         raise ModelError(f"touched vertices must lie in 0..{n - 1}")
-    (old_u, old_v), (new_u, new_v) = _edge_arrays(old_model), _edge_arrays(new_model)
-    ends = np.concatenate([old_u, old_v, new_u, new_v])
-    others = np.concatenate([old_v, old_u, new_v, new_u])
+    old, new = old_model.compiled(), new_model.compiled()
+    ends = np.concatenate([old.conflict_u, old.conflict_v, new.conflict_u, new.conflict_v])
+    others = np.concatenate([old.conflict_v, old.conflict_u, new.conflict_v, new.conflict_u])
     region = np.zeros(n, dtype=bool)
     region[touched] = True
     frontier = region.copy()

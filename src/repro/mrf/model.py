@@ -256,12 +256,6 @@ class MRF(_StoredModel):
         """Return deg(v)."""
         return len(self._neighbors[v])
 
-    @cached_property
-    def max_degree(self) -> int:
-        """The maximum degree Δ of the underlying graph."""
-        ends = np.concatenate([self._arrays.edge_u, self._arrays.edge_v])
-        return int(np.bincount(ends, minlength=1).max())
-
     def edge_activity(self, u: int, v: int) -> np.ndarray:
         """Return ``A_{uv}`` (symmetric, so orientation is irrelevant)."""
         try:

@@ -174,6 +174,14 @@ class TestBudget:
         # A LocalMetropolis region re-mixes with the LubyGlauber kernel.
         assert region == [106, 106, 141]
 
+    def test_repeated_region_vertices_count_once(self):
+        """The default region budget sizes the deduplicated region the engine runs."""
+        model = proper_coloring_mrf(cycle_graph(12), 5)
+        batch = repro.sample_many(model, 4, rounds=20, seed=3)
+        repeated = repro.resample_region(model, batch, [3] * 8, seed=7)
+        once = repro.resample_region(model, batch, [3], seed=7)
+        np.testing.assert_array_equal(repeated, once)
+
 
 def test_import_leaves_the_local_protocols_unloaded():
     """The LOCAL runners of the dispatch table are imported on first use."""

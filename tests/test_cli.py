@@ -130,6 +130,18 @@ class TestCommands:
         assert f"engine: {engine}" in out
         assert "feasible: True" in out
 
+    @pytest.mark.parametrize("method", ["local-metropolis", "luby-glauber"])
+    def test_default_sample_is_one_replica_of_the_batched_engine(self, capsys, method):
+        argv = ["sample", "--graph", "torus", "--size", "6", "--q", "8", "--seed", "5",
+                "--rounds", "12", "--method", method]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        model = _model(build_parser().parse_args(argv))
+        expected = repro.sample_many(model, 1, method=method, seed=5, rounds=12)[0]
+        assert "sample  : " + " ".join(map(str, expected.tolist())) in out
+        engine = repro.make_ensemble(model, 1, method=method).__class__.__name__
+        assert f"engine: {engine}" in out
+
     def test_sample_hardcore_on_grid(self, capsys):
         code = main(
             [

@@ -96,6 +96,16 @@ def _arrays(compiled):
     ]
 
 
+def _slot_arrays(compiled):
+    """Every array of the heat-bath slots: starts, co-scope vertices, per-vertex strides."""
+    arrays = []
+    for starts, terms in compiled.heatbath_slots:
+        arrays.append(starts)
+        for vertices, stride in terms:
+            arrays += [vertices, *([stride] if np.ndim(stride) else [])]
+    return arrays
+
+
 class TestCompiledMRF:
     def test_edges_match_the_graph(self):
         mrf = per_edge_mrf()
@@ -115,26 +125,28 @@ class TestCompiledMRF:
             )
 
     @pytest.mark.parametrize("make", [per_edge_mrf, uneven_mrf])
-    def test_padded_rows_are_ascending_neighbourhoods_padded_with_ones(self, make):
+    def test_heatbath_slots_are_ascending_neighbourhoods_padded_with_ones(self, make):
         mrf = make()
         compiled = mrf.compiled()
-        past = compiled.palette.shape[0]
+        rows, slots = compiled.heatbath_rows, compiled.heatbath_slots
+        ones = rows.shape[0] - 1
         width = max(max(mrf.degree(v) for v in range(mrf.n)), 1)
-        assert compiled.padded_neighbours.shape == (mrf.n, width)
-        assert not compiled.padded_neighbours.flags.writeable
-        assert not compiled.padded_tables.flags.writeable
+        assert len(slots) == width
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(rows[ones], np.ones(mrf.q))
+        for starts, ((vertices, stride),) in slots:
+            assert starts.shape == vertices.shape == (mrf.n,) and stride == 1
+        assert not any(array.flags.writeable for array in _slot_arrays(compiled))
         for v in range(mrf.n):
             neighbours = list(mrf.neighbors(v))
-            degree = len(neighbours)
-            assert compiled.padded_neighbours[v, :degree].tolist() == neighbours
             for k, u in enumerate(neighbours):
-                np.testing.assert_array_equal(
-                    compiled.palette[compiled.padded_tables[v, k]], mrf.edge_activity(u, v)
-                )
-            # Pads read the vertex's own spin and name table P, one past the
-            # palette, which the engines read as all ones.
-            assert np.all(compiled.padded_neighbours[v, degree:] == v)
-            assert np.all(compiled.padded_tables[v, degree:] == past)
+                starts, ((vertices, _),) = slots[k]
+                assert vertices[v] == u
+                # The neighbour's spin s picks the row A_uv(., s).
+                block = rows[starts[v] : starts[v] + mrf.q]
+                np.testing.assert_array_equal(block, mrf.edge_activity(u, v).T)
+            # Pads start at the all-ones row, which a clipped read stays on.
+            assert all(starts[v] == ones for starts, _ in slots[len(neighbours) :])
 
     def test_shared_tables_compile_to_one_palette_entry(self):
         compiled = ising_mrf(torus_graph(4, 4), 0.4).compiled()
@@ -145,8 +157,9 @@ class TestCompiledMRF:
         graph = path_graph(1)
         compiled = hardcore_mrf(graph, 2.0).compiled()
         assert compiled.m == 0
-        assert compiled.padded_neighbours.tolist() == [[0]]
-        assert compiled.padded_tables.tolist() == [[0]]
+        ((starts, terms),) = compiled.heatbath_slots
+        assert starts.tolist() == [0] and terms == ()
+        assert compiled.heatbath_rows.tolist() == [[1.0, 1.0]]
         assert compiled.palette.shape == (0, 2, 2)
 
     def test_uneven_degrees_beyond_the_padding_cap_are_refused(self):
@@ -156,7 +169,7 @@ class TestCompiledMRF:
         tracemalloc.start()
         try:
             with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
-                compiled.padded_neighbours
+                compiled.heatbath_slots
             for engine in (EnsembleGlauberDynamics, EnsembleLubyGlauberMRF):
                 with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
                     engine(mrf, 2, seed=0)
@@ -177,37 +190,47 @@ class TestCompiledMRF:
 
     def test_bounded_degree_models_stay_under_the_cap(self):
         compiled = hardcore_mrf(torus_graph(128, 128), 1.0).compiled()
-        assert compiled.padded_neighbours.shape == (128 * 128, 4)
+        assert len(compiled.heatbath_slots) == 4
         star = star_graph(200)  # 201 x 200 slots, well under the cap
-        assert hardcore_mrf(star, 1.0).compiled().padded_tables.shape == (201, 200)
+        slots = hardcore_mrf(star, 1.0).compiled().heatbath_slots
+        assert len(slots) == 200 and slots[0][0].shape == (201,)
 
 
 class TestCompiledCSP:
     @pytest.mark.parametrize(
         "make, scopes", [(mixed_csp, MIXED_SCOPES), (isolated_vertex_csp, ISOLATED_SCOPES)]
     )
-    def test_padded_incidence_lists_each_vertex_constraints(self, make, scopes):
+    def test_heatbath_slots_list_each_vertex_constraints(self, make, scopes):
         csp = make()
         compiled = csp.compiled()
+        rows, slots, q = compiled.heatbath_rows, compiled.heatbath_slots, csp.q
         incident = [[c for c, scope in enumerate(scopes) if v in scope] for v in range(csp.n)]
-        width = max(max(map(len, incident)), 1)
-        assert compiled.padded_constraints.shape == (csp.n, width)
-        assert not compiled.padded_constraints.flags.writeable
-        assert not compiled.padded_strides.flags.writeable
+        assert len(slots) == max(max(map(len, incident)), 1)
+        assert not any(array.flags.writeable for array in [rows, *_slot_arrays(compiled)])
+        np.testing.assert_array_equal(rows[-1], np.ones(q))
         for v in range(csp.n):
-            count = len(incident[v])
-            assert compiled.padded_constraints[v, :count].tolist() == incident[v]
             for k, c in enumerate(incident[v]):
+                starts, terms = slots[k]
                 scope = scopes[c]
-                assert compiled.padded_strides[v, k] == csp.q ** (len(scope) - 1 - scope.index(v))
-            assert np.all(compiled.padded_constraints[v, count:] == len(scopes))
-            assert np.all(compiled.padded_strides[v, count:] == 0)
+                position = scope.index(v)
+                others = scope[:position] + scope[position + 1 :]
+                read = [(vertices[v], stride[v] if np.ndim(stride) else stride)
+                        for vertices, stride in terms]
+                # The co-scope vertices in scope order at row-major strides,
+                # then stride 0 past this constraint's arity.
+                expected = [(u, q ** (len(others) - 1 - i)) for i, u in enumerate(others)]
+                assert read[: len(others)] == expected
+                assert all(stride == 0 for _, stride in read[len(others) :])
+                table = compiled.palette[compiled.constraint_table[c]]
+                block = rows[starts[v] : starts[v] + q ** len(others)]
+                np.testing.assert_array_equal(block, np.moveaxis(table, position, -1).reshape(-1, q))
+            assert all(starts[v] == rows.shape[0] - 1 for starts, _ in slots[len(incident[v]) :])
 
     def test_padded_incidence_is_capped(self, monkeypatch):
         monkeypatch.setattr(repro.compiled, "MAX_PADDING", 3)
         compiled = dominating_set_csp(star_graph(4)).compiled()  # hub in 5 covers
         with pytest.raises(StateSpaceTooLargeError, match="constraint-incidence"):
-            compiled.padded_constraints
+            compiled.heatbath_slots
         # The LocalMetropolis filter and the greedy start do not need it.
         assert compiled.greedy_start.shape == (5,)
 
@@ -253,13 +276,12 @@ CSP_STATE = {"name", "n", "q", "_arrays"}
 CSP_FIELDS = {"n", "q", "scope_indptr", "scope_vertex", "constraint_table", "palette"}
 #: The arrays each record derives on first use, which engines share by identity.
 MRF_DERIVED = (
-    "vertex_activity", "padded_neighbours", "padded_tables", "greedy_start", "flat_norm",
-    "pass_table", "pass_starts",
+    "vertex_activity", "flat_raw", "incidence_indptr", "incidence_constraint", "conflict_u",
+    "conflict_v", "heatbath_rows", "greedy_start", "flat_norm", "pass_table", "pass_starts",
 )
 CSP_DERIVED = (
     "table_starts", "flat_raw", "flat_norm", "incidence_indptr", "incidence_constraint",
-    "incidence_stride", "conflict_u", "conflict_v", "padded_constraints", "padded_strides",
-    "greedy_start", "pass_table", "pass_starts",
+    "conflict_u", "conflict_v", "heatbath_rows", "greedy_start", "pass_table", "pass_starts",
 )
 
 
@@ -272,10 +294,11 @@ class TestMemoization:
         names = CSP_DERIVED if isinstance(model, LocalCSP) else MRF_DERIVED
         derived = [getattr(compiled, name) for name in names]
         assert all(getattr(compiled, name) is array for name, array in zip(names, derived))
+        assert compiled.heatbath_slots is compiled.heatbath_slots
         buckets = getattr(compiled, "buckets", ())
         arrays = [
             *_arrays(compiled), *derived, *map(np.asarray, compiled.palette),
-            *(array for bucket in buckets for array in _arrays(bucket)),
+            *(array for bucket in buckets for array in _arrays(bucket)), *_slot_arrays(compiled),
         ]
         assert len(arrays) >= len(names) + 3
         for array in arrays:
@@ -348,7 +371,7 @@ class TestMemoization:
         before = pickle.dumps(mrf)
         repro.run_spec(JobSpec.sample_many(mrf, 3, method=method, rounds=2, seed=4))
         mrf.graph, mrf.edges, mrf.neighbors(0), mrf.edge_activity(0, 1)
-        mrf.compiled().padded_tables, mrf.compiled().greedy_start, mrf.vertex_activity
+        mrf.compiled().heatbath_slots, mrf.compiled().greedy_start, mrf.vertex_activity
         mrf.model_fingerprint()
         after = pickle.dumps(mrf)
         assert len(after) == len(before)
@@ -404,10 +427,13 @@ class TestEnginesReadTheCompiledForm:
             assert engine._eu is compiled.edge_u and engine._ev is compiled.edge_v
             assert engine._vertex_activity is compiled.vertex_activity
         for engine in engines[:2]:
-            # The palette's factor rows, then the all-ones table of the pads.
-            rows = engine._factor_rows.reshape(-1, mrf.q, mrf.q)
-            np.testing.assert_array_equal(rows[:-1], compiled.palette.transpose(0, 2, 1))
-            np.testing.assert_array_equal(rows[-1], np.ones((mrf.q, mrf.q)))
+            # The palette's columns, then the all-ones row of the pads.
+            rows = engine._factor_rows
+            assert rows is compiled.heatbath_rows
+            np.testing.assert_array_equal(
+                rows[:-1].reshape(-1, mrf.q, mrf.q), compiled.palette.transpose(0, 2, 1)
+            )
+            np.testing.assert_array_equal(rows[-1], np.ones(mrf.q))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_filter_equals_the_sequential_pass_probability(self, monkeypatch, seed):
@@ -461,11 +487,10 @@ class TestEnginesReadTheCompiledForm:
         ]
         assert compiled is csp.compiled()
         for engine in engines:
-            for (arity, ids, _, _, starts), bucket in zip(
-                engine._buckets, compiled.buckets, strict=True
-            ):
-                assert arity == bucket.arity and ids is bucket.constraints
-                assert starts.base is bucket.table_starts
+            engine._ensure_heatbath_structures()  # built at the first region advance
+            assert engine._factor_rows is compiled.heatbath_rows
+            for (starts, _), (mine, _) in zip(compiled.heatbath_slots, engine._slots, strict=True):
+                assert mine is starts
         for engine in engines[1:]:
             assert engine._filter._pass_table is compiled.pass_table
             assert engine._filter._flat_norm is compiled.flat_norm

@@ -164,11 +164,17 @@ def test_compiled_conflict_edges_and_incidence(seed):
         slots = slice(compiled.incidence_indptr[v], compiled.incidence_indptr[v + 1])
         incident = [c for c, constraint in enumerate(constraints) if v in constraint.scope]
         assert compiled.incidence_constraint[slots].tolist() == incident
-        strides = [
-            csp.q ** (len(constraints[c].scope) - 1 - constraints[c].scope.index(v))
-            for c in incident
-        ]
-        assert compiled.incidence_stride[slots].tolist() == strides
+        # Each incident constraint's heat-bath slot reads the other scope
+        # vertices in order at row-major strides, then stride 0.
+        for (_, terms), c in zip(compiled.heatbath_slots, incident):
+            scope = constraints[c].scope
+            others = [u for u in scope if u != v]
+            read = [(vertices[v], stride[v] if np.ndim(stride) else stride)
+                    for vertices, stride in terms]
+            assert read[: len(others)] == [
+                (u, csp.q ** (len(others) - 1 - i)) for i, u in enumerate(others)
+            ]
+            assert all(stride == 0 for _, stride in read[len(others) :])
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

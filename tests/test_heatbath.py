@@ -29,14 +29,20 @@ from repro.chains.ensemble import (
 )
 from repro.chains.glauber import sample_spin
 from repro.chains.local_metropolis import LocalMetropolisChain
-from repro.csp import Constraint, LocalCSP
+from repro.csp import (
+    Constraint,
+    LocalCSP,
+    dominating_set_csp,
+    maximal_independent_set_csp,
+    mrf_as_csp,
+)
 from repro.csp.model import exact_csp_gibbs_distribution
 from repro.distributed.sampling_protocols import LocalMetropolisProtocol, SamplingInput
 from repro.dynamic import sequential_region_glauber
 from repro.errors import ModelError
-from repro.graphs import path_graph, star_graph
+from repro.graphs import grid_graph, path_graph, star_graph, torus_graph
 from repro.local.protocol import NodeContext
-from repro.mrf import MRF
+from repro.mrf import MRF, ising_mrf, proper_coloring_mrf
 from repro.mrf.distribution import exact_gibbs_distribution
 from repro.mrf.marginals import conditional_marginal_unnormalized
 
@@ -82,6 +88,22 @@ def uneven_csp() -> LocalCSP:
     return LocalCSP(5, 3, constraints)
 
 
+#: Models whose heat-bath rows are compared with the sequential oracles.
+MRF_ROW_CASES = {
+    "uneven": uneven_mrf,
+    "ising-grid": lambda: ising_mrf(grid_graph(3, 4), 0.6, 0.4),  # pads at the border
+}
+CSP_ROW_CASES = {
+    "uneven": uneven_csp,
+    # Arity-5 covers, then one unary weight factor per vertex.
+    "weighted-domset": lambda: dominating_set_csp(torus_graph(4, 4), 0.6),
+    # Independence pairs, then covers of arity 3 to 5.
+    "mis-grid": lambda: maximal_independent_set_csp(grid_graph(3, 4)),
+    # The edges, then one unary factor per vertex.
+    "ising-as-csp": lambda: mrf_as_csp(ising_mrf(grid_graph(3, 3), 0.6, 0.4)),
+}
+
+
 class FixedUniforms:
     """Delegating RNG whose float64 uniforms all equal ``value``."""
 
@@ -100,8 +122,9 @@ class FixedUniforms:
 
 class TestLawAgainstExactGibbs:
     def test_padded_models_exercise_pads(self):
-        assert uneven_mrf().compiled().padded_neighbours.shape == (6, 3)
-        assert uneven_csp().compiled().padded_constraints.shape == (5, 3)
+        for model, n in ((uneven_mrf(), 6), (uneven_csp(), 5)):
+            slots = model.compiled().heatbath_slots
+            assert len(slots) == 3 and all(starts.shape == (n,) for starts, _ in slots)
 
     def test_glauber(self):
         mrf = uneven_mrf()
@@ -145,12 +168,13 @@ class TestLawAgainstExactGibbs:
 
 
 class TestWeightRows:
+    @pytest.mark.parametrize("make", list(MRF_ROW_CASES.values()), ids=list(MRF_ROW_CASES))
     @pytest.mark.parametrize(
         "cls", [EnsembleGlauberDynamics, EnsembleLubyGlauberMRF, EnsembleLocalMetropolisMRF]
     )
-    def test_mrf_rows_equal_the_sequential_oracle(self, cls):
+    def test_mrf_rows_equal_the_sequential_oracle(self, cls, make):
         """((b_v * A_1) * A_2) ... over ascending neighbours, pads multiplying by one."""
-        mrf = uneven_mrf()
+        mrf = make()
         replicas = 32
         configs = np.random.default_rng(7).integers(0, mrf.q, size=(replicas, mrf.n))
         ensemble = cls(mrf, replicas, initial=configs, seed=0)
@@ -163,19 +187,42 @@ class TestWeightRows:
             )
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("make", list(CSP_ROW_CASES.values()), ids=list(CSP_ROW_CASES))
     @pytest.mark.parametrize("cls", [EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP])
-    def test_csp_rows_equal_the_sequential_marginal(self, cls):
-        csp = uneven_csp()
+    def test_csp_rows_equal_the_sequential_marginal(self, cls, make):
+        csp = make()
         replicas = 32
         configs = np.random.default_rng(8).integers(0, csp.q, size=(replicas, csp.n))
         ensemble = cls(csp, replicas, initial=configs, seed=0)
         ensemble._ensure_heatbath_structures()
         rows = np.arange(replicas)
+        defined = 0
         for v in range(csp.n):
             got = ensemble._heatbath_weights(np.full(replicas, v), rows)
             for r in range(replicas):
+                if not got[r].any():  # a hard constraint leaves no spin
+                    with pytest.raises(ModelError, match="zero mass"):
+                        csp.conditional_marginal(configs[r], v)
+                    continue
                 expected = csp.conditional_marginal(configs[r], v)
                 np.testing.assert_array_equal(got[r] / got[r].sum(), expected)
+                defined += 1
+        assert defined >= replicas
+
+    @pytest.mark.parametrize(
+        "make", [uneven_mrf, lambda: proper_coloring_mrf(torus_graph(4, 4), 5)],
+        ids=["per-edge-tables", "one-table"],
+    )
+    def test_mrf_rows_hold_one_block_per_palette_table(self, make):
+        """Both ends of an edge read its symmetric table's one block: the palette's columns."""
+        compiled = make().compiled()
+        tables, q = compiled.palette.shape[0], compiled.q
+        rows = compiled.heatbath_rows
+        assert rows.shape == (tables * q + 1, q)
+        np.testing.assert_array_equal(
+            rows[:-1].reshape(tables, q, q), compiled.palette.transpose(0, 2, 1)
+        )
+        np.testing.assert_array_equal(rows[-1], np.ones(q))
 
 
 class TestSampler:
