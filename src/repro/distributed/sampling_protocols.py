@@ -174,7 +174,6 @@ def run_luby_glauber_protocol(
     rounds: int,
     seed: int | np.random.SeedSequence | None = None,
     initial: np.ndarray | None = None,
-    collect_stats: bool = True,
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 1 on the LOCAL runtime; return (configuration, stats)."""
     network = Network(mrf.graph)
@@ -185,7 +184,6 @@ def run_luby_glauber_protocol(
         rounds,
         seed=seed,
         private_inputs=make_private_inputs(mrf, initial),
-        collect_stats=collect_stats,
     )
     return np.asarray(outputs, dtype=np.int64), stats
 
@@ -195,7 +193,6 @@ def run_local_metropolis_protocol(
     rounds: int,
     seed: int | np.random.SeedSequence | None = None,
     initial: np.ndarray | None = None,
-    collect_stats: bool = True,
 ) -> tuple[np.ndarray, RunStats]:
     """Run Algorithm 2 on the LOCAL runtime; return (configuration, stats)."""
     network = Network(mrf.graph)
@@ -206,6 +203,5 @@ def run_local_metropolis_protocol(
         rounds,
         seed=seed,
         private_inputs=make_private_inputs(mrf, initial),
-        collect_stats=collect_stats,
     )
     return np.asarray(outputs, dtype=np.int64), stats

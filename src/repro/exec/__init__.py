@@ -11,8 +11,9 @@ Three layers, each usable on its own:
   ``multiprocessing.shared_memory`` state array, behind the standard
   ensemble protocol (``advance``/``run``/``config``/``iter_checkpoints``);
 * :mod:`repro.exec.jobs` — :class:`JobRunner`: a
-  scheduler that multiplexes many heterogeneous sampling requests onto a
-  shared worker pool and streams per-checkpoint results.  A job is a
+  scheduler that hands many heterogeneous sampling requests to the
+  workers of a persistent pool, one running and at most one queued per
+  worker, and streams per-checkpoint results.  A job is a
   :class:`~repro.spec.JobSpec`, the one request description.
 
 The facade (:mod:`repro.api`) exposes the pool layer through the

@@ -15,6 +15,10 @@ streaming progress back as it happens:
 ...         print(event.label, event.kind, event.round, event.value)
 ...     results = runner.results
 
+The parent is the scheduler: it hands each waiting job to a live worker's
+own task queue (an idle worker first, then one job queued behind each
+busy worker), and sees a worker die on its process sentinel.
+
 Determinism contract: a worker executes a job with :meth:`JobSpec.run` —
 the :func:`repro.api.run_spec` body every direct call uses — and the job's
 own seed, adding only a callback that streams each TV probe.  Its result
@@ -30,6 +34,7 @@ import os
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
@@ -39,8 +44,6 @@ from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["JOB_KINDS", "JobUpdate", "JobRunner"]
 
-#: Seconds between liveness checks while waiting for job events.
-_POLL_INTERVAL = 1.0
 #: Seconds to wait for a worker to exit after its stop sentinel.
 _JOIN_TIMEOUT = 10.0
 
@@ -92,119 +95,75 @@ def _execute_job(job_id, job, emit) -> None:
         emit(JobUpdate(job_id, "checkpoint", job.label, round=rounds, value=tv))
 
     result = job.run(on_checkpoint=checkpoint)
-    emit(
-        JobUpdate(
-            job_id,
-            "result",
-            job.label,
-            payload=result,
-            elapsed=time.perf_counter() - started,
-        )
-    )
+    elapsed = time.perf_counter() - started
+    emit(JobUpdate(job_id, "result", job.label, payload=result, elapsed=elapsed))
 
 
-def _job_worker_main(tasks, events, control) -> None:  # pragma: no cover - worker-side
-    """Worker loop: pull jobs off the shared queue until the stop sentinel.
+def _job_worker_main(tasks, events, cancelled) -> None:  # pragma: no cover - worker-side
+    """Worker loop: run the jobs the parent hands this worker until the stop sentinel.
 
-    ``control`` is this worker's read end of the cancellation channel: the
-    parent broadcasts cancelled job ids to every worker.  The set is
-    checked when a job is pulled off the queue (a queued job cancels
-    before any work happens) and at every event emission (a running
-    streamed job cancels at its next checkpoint boundary).
+    ``cancelled`` is this worker's two shared job-id slots, one per job it
+    may hold: the parent writes the id of a held job it wants dropped
+    (cancelled, or moved to an idle worker).  They are read before a job
+    starts (a job dropped on its way here never runs) and at every event
+    emission (a running streamed job stops at its next checkpoint boundary).
 
     Task items are ``(job_id, job, trace)`` triples; ``trace`` is either
     ``None`` or an exported trace context (``repro.obs.trace``) carrying
     the submitter's trace-file path and span ids, so worker-side spans
     stitch into the same trace across the pipe boundary.
     """
-    cancelled: set[int] = set()
-
-    def drain_control() -> None:
-        try:
-            while control.poll():
-                cancelled.add(control.recv())
-        except (EOFError, OSError):
-            pass
-
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
+    while (item := tasks.get()) is not None:
         job_id, job, trace = item
-        drain_control()
-        if job_id in cancelled:
-            events.put(
-                JobUpdate(
-                    job_id,
-                    "error",
-                    job.label,
-                    payload="CancelledError: job cancelled before it started",
-                )
-            )
-            continue
 
         def emit(event, job_id=job_id):
-            drain_control()
             if job_id in cancelled:
                 raise _JobCancelled()
             events.put(event)
 
+        message = None
         try:
-            # Announce the pickup with this worker's pid so the parent can
-            # attribute the job if this process dies mid-execution.
-            events.put(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
-            if trace is not None and trace.get("file"):
-                _obs_trace.ensure_tracing(trace["file"])
-            with _obs_trace.span(
-                "runner.job", parent=trace, label=job.label, kind=job.kind, job_id=job_id
-            ):
-                _execute_job(job_id, job, emit)
+            if job_id in cancelled:
+                message = "CancelledError: job cancelled before it started"
+            else:
+                events.put(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
+                if trace is not None and trace.get("file"):
+                    _obs_trace.ensure_tracing(trace["file"])
+                with _obs_trace.span(
+                    "runner.job", parent=trace, label=job.label, kind=job.kind, job_id=job_id
+                ):
+                    _execute_job(job_id, job, emit)
         except _JobCancelled:
-            events.put(
-                JobUpdate(
-                    job_id,
-                    "error",
-                    job.label,
-                    payload="CancelledError: job cancelled",
-                )
-            )
+            message = "CancelledError: job cancelled"
         except ReproError as error:
-            events.put(
-                JobUpdate(
-                    job_id,
-                    "error",
-                    job.label,
-                    payload=f"{type(error).__name__}: {error}",
-                )
-            )
-        except BaseException:
-            try:
-                events.put(
-                    JobUpdate(job_id, "error", job.label, payload=traceback.format_exc())
-                )
-            except Exception:  # pragma: no cover - queue already torn down
-                return
+            message = f"{type(error).__name__}: {error}"
+        except Exception:
+            message = traceback.format_exc()
+        if message is not None:
+            events.put(JobUpdate(job_id, "error", job.label, payload=message))
 
 
 class JobRunner:
     """A persistent pool of generic sampling workers plus a job scheduler.
 
-    Jobs submitted with :meth:`submit` land on one shared task queue;
-    whichever worker frees up first pulls the next job, so heterogeneous
-    batches load-balance naturally.  :meth:`stream` yields
-    :class:`JobUpdate` events (live checkpoints, results, errors) until
-    every outstanding job settles; :meth:`run` drains the stream and
-    returns ``{job_id: result}``, raising :class:`~repro.errors.ExecError`
-    if any job failed.
+    Jobs submitted with :meth:`submit` wait in submission order; the
+    runner puts the oldest one on an idle worker's own task queue, or
+    queues it behind a busy worker's running job so that worker starts it
+    without waiting on the parent.  A worker that goes idle with nothing
+    waiting takes over a job still queued behind a busy one, so
+    heterogeneous batches load-balance, and the runner always knows which
+    worker holds which job.  :meth:`stream` yields :class:`JobUpdate`
+    events (live checkpoints, results, errors) until every outstanding job
+    settles; :meth:`run` drains the stream and returns ``{job_id:
+    result}``, raising :class:`~repro.errors.ExecError` if any job failed.
 
     A failed job never poisons the pool: its error is recorded (``errors``
     mapping) and the worker moves on to the next job.  A worker that *dies*
-    mid-job (OOM kill, segfault) fails the job it had announced — or, if it
-    died before the announcement could land, the orphaned job is failed as
-    soon as the remaining workers are provably idle — and the survivors
-    keep draining the queue.  Each worker owns a private event queue (a
-    dying worker can wedge only its own channel, never a sibling's), which
-    is what makes those guarantees hold under arbitrary kill timing.
+    (OOM kill, segfault) is seen on its process sentinel: the runner reads
+    the events it sent before dying, fails the job it was running, and the
+    survivors take the job queued behind it.  Each worker owns a private
+    task queue and a private event queue, so a dying worker can wedge only
+    its own channels, never a sibling's.
     """
 
     def __init__(self, workers: int = 2) -> None:
@@ -212,37 +171,37 @@ class JobRunner:
             raise ModelError(f"JobRunner needs workers >= 1, got {workers}")
         from repro.exec.pool import default_start_method
 
-        self._ctx = mp.get_context(default_start_method())
-        self._tasks = self._ctx.Queue()
+        ctx = mp.get_context(default_start_method())
         self.workers = int(workers)
-        # SimpleQueues: a worker's put is a synchronous pipe write (no
-        # feeder thread), so a job's "started" announcement is durably in
-        # the pipe before execution begins — the window in which a dying
-        # worker can take a job down with it unannounced is a few
-        # instructions, and the loss inference in _next_event covers even
-        # that.
-        self._events = [self._ctx.SimpleQueue() for _ in range(self.workers)]
-        # One cancellation channel per worker; cancel() broadcasts the job
-        # id to all of them (only the worker holding the job acts on it).
-        control_pairs = [self._ctx.Pipe(duplex=False) for _ in range(self.workers)]
-        self._controls = [sender for _, sender in control_pairs]
+        # Per worker: a task queue (a put never blocks, even to a dead
+        # worker), an event queue (a SimpleQueue: each put is a synchronous
+        # pipe write) and the shared ids of the jobs it is asked to drop.
+        self._tasks = [ctx.Queue() for _ in range(self.workers)]
+        self._events = [ctx.SimpleQueue() for _ in range(self.workers)]
+        self._cancels = [ctx.RawArray("q", [-1, -1]) for _ in range(self.workers)]
         self._processes = [
-            self._ctx.Process(
-                target=_job_worker_main,
-                args=(self._tasks, events, receiver),
-                daemon=True,
-            )
-            for events, (receiver, _) in zip(self._events, control_pairs)
+            ctx.Process(target=_job_worker_main, args=channels, daemon=True)
+            for channels in zip(self._tasks, self._events, self._cancels)
         ]
         for process in self._processes:
             process.start()
         self._ids = itertools.count()
         self._jobs: dict[int, JobSpec] = {}
-        self._pending: set[int] = set()
-        self._active: dict[int, int] = {}  # worker pid -> job it is executing
-        self._quiet_seconds = 0.0
-        # Guards the scheduling state (_jobs/_pending/_active/results/
-        # errors) so one thread may submit while another drains
+        self._waiting: dict[int, dict | None] = {}  # job id -> trace, oldest first
+        # Worker index -> the (job id, spec, trace) tasks sent to it, in its
+        # queue's order: the first runs, at most one waits behind it.
+        self._held: dict[int, list[tuple]] = {worker: [] for worker in range(self.workers)}
+        # Job id -> the worker whose events settle it.  A job moved to an
+        # idle worker or cancelled here stays in its old worker's queue;
+        # that worker's events for it are echoes, dropped unseen.
+        self._owner: dict[int, int] = {}
+        self._live = list(range(self.workers))
+        # Events already recorded in the parent (a cancelled waiting job,
+        # a dead worker's last events and lost job): next_event returns
+        # them before it reads any worker.
+        self._backlog: deque[JobUpdate] = deque()
+        # Guards the scheduling state (everything above plus results/
+        # errors/elapsed) so one thread may submit while another drains
         # next_event — the repro.serve daemon does exactly that.  The
         # event *wait* is never under the lock; only the bookkeeping is.
         self._lock = threading.Lock()
@@ -270,44 +229,41 @@ class JobRunner:
             with self._lock:
                 job_id = next(self._ids)
                 self._jobs[job_id] = job
-                self._pending.add(job_id)
-            self._tasks.put((job_id, job, trace))
+                self._waiting[job_id] = trace
+                self._dispatch()
         return job_id
 
     def cancel(self, job_id: int) -> bool:
         """Request cancellation of a submitted job; returns True if still open.
 
-        Cancellation is cooperative: a job still sitting in the queue is
-        discarded the moment a worker pulls it; a running streamed job
-        stops at its next checkpoint boundary (a running ``sample_many``
-        has no boundaries and runs to completion).  Either way the job
-        settles through the normal event stream with a
-        ``CancelledError: ...`` error event — cancel() never blocks.
-        Cancelling an already-settled or unknown job id returns False.
+        A waiting job, or one queued behind a busy worker's running job,
+        settles at once, in the parent; a running job stops at its next
+        checkpoint boundary (a running ``sample_many`` has none and runs
+        to completion).  Either way a ``CancelledError: ...`` error event
+        settles it, and cancel() never blocks.  A thread blocked in
+        ``next_event(timeout=None)`` gets a parent-settled cancel from its
+        next call: poll with a timeout, as the :mod:`repro.serve`
+        dispatcher does.  A settled or unknown job id returns False.
         """
         self._ensure_open()
-        if job_id not in self._pending:
-            return False
-        for sender in self._controls:
-            try:
-                sender.send(job_id)
-            except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-                pass
-        return True
+        with self._lock:
+            worker = self._owner.get(job_id)
+            if worker is not None:
+                self._drop(worker, job_id)
+                if self._held[worker][0][0] == job_id:  # running: it stops itself
+                    return True
+            elif job_id in self._waiting:
+                del self._waiting[job_id]
+            else:
+                return False
+            self._fail_here(job_id, "CancelledError: job cancelled before it started")
+            return True
 
     def stream(self):
         """Yield :class:`JobUpdate` events until every submitted job settles."""
         self._ensure_open()
-        while self._pending:
-            event = self.next_event()
-            if event is not None:
-                yield event
-
-    def _settle(self, job_id: int) -> None:
-        self._pending.discard(job_id)
-        self._active = {
-            pid: active for pid, active in self._active.items() if active != job_id
-        }
+        while self._waiting or self._owner or self._backlog:
+            yield self.next_event()
 
     def run(self) -> dict[int, object]:
         """Drain the stream; return ``{job_id: result}`` or raise on failure."""
@@ -343,127 +299,139 @@ class JobRunner:
         The resumable core of :meth:`stream`, usable directly by callers
         that multiplex a runner with other work (the :mod:`repro.serve`
         dispatcher polls this with a short timeout while jobs are
-        submitted concurrently from another thread).  All bookkeeping —
-        ``results``/``errors``, worker-pid attribution, dead-worker
-        inference — happens here, so interleaving ``next_event`` calls
-        with :meth:`stream` is safe.  With ``timeout=None`` and nothing
-        pending this blocks until a job is submitted *and* produces an
-        event; pass a timeout when submissions happen concurrently.
+        submitted concurrently from another thread).  It waits on the live
+        workers' event pipes and process sentinels; the bookkeeping —
+        ``results``/``errors``, handing waiting jobs to freed workers,
+        failing a dead worker's job — happens here.  With ``timeout=None``
+        and nothing pending this blocks until a job is submitted *and*
+        produces an event; pass a timeout when submissions or cancels
+        happen concurrently.
         """
         self._ensure_open()
         deadline = None if timeout is None else time.monotonic() + timeout
-        readers = {events._reader: events for events in self._events}
         while True:
-            wait_for = _POLL_INTERVAL
-            if deadline is not None:
-                wait_for = min(wait_for, max(0.0, deadline - time.monotonic()))
-            started_wait = time.monotonic()
-            ready = mp_connection.wait(list(readers), timeout=wait_for)
-            if ready:
-                self._quiet_seconds = 0.0
-                event = readers[ready[0]].get()
-                self._record(event)
-                return event
-            # Quiet time accumulates *across* calls: repeated short-timeout
-            # polling (the serve dispatcher) converges on the same liveness
-            # inference as one long blocking call, after the same grace
-            # period a just-dead worker gets for in-flight events.
-            self._quiet_seconds += time.monotonic() - started_wait
-            if self._pending and self._quiet_seconds >= 2 * _POLL_INTERVAL:
-                inferred = self._infer_lost_job()
-                if inferred is not None:
-                    self._record(inferred)
-                    return inferred
-            if deadline is not None and time.monotonic() >= deadline:
+            with self._lock:
+                if self._backlog:
+                    return self._backlog.popleft()
+                live = list(self._live)
+            if not live:
+                self.close(force=True)
+                raise ExecError("all JobRunner workers died")
+            readers = {self._events[worker]._reader: worker for worker in live}
+            sentinels = {self._processes[worker].sentinel: worker for worker in live}
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = mp_connection.wait([*readers, *sentinels], timeout=remaining)
+            if not ready:
                 return None
+            worker = next((readers[handle] for handle in ready if handle in readers), None)
+            if worker is None:  # only deaths; _bury reads each one's last events
+                for handle in ready:
+                    self._bury(sentinels[handle])
+                continue
+            event = self._events[worker].get()
+            with self._lock:
+                if self._record(worker, event):
+                    return event
 
-    def _record(self, event: JobUpdate) -> None:
-        """Fold one event into the runner's bookkeeping (idempotent per job)."""
-        with self._lock:
-            if event.kind == "started":
-                self._active[event.payload] = event.job_id
-            elif event.kind == "result":
-                self.results[event.job_id] = event.payload
+    def _record(self, worker: int | None, event: JobUpdate) -> bool:
+        """Fold one event into the bookkeeping; False for an echo.  The caller holds the lock.
+
+        An event from a worker that does not own its job (moved, cancelled
+        here or already settled) is an echo: it settles nothing.  A result
+        or error from ``worker`` frees that task's place in its queue.
+        """
+        job_id = event.job_id
+        news = worker is None or self._owner.get(job_id) == worker
+        if event.kind not in ("result", "error"):
+            return news
+        if worker is not None:
+            self._held[worker] = [task for task in self._held[worker] if task[0] != job_id]
+        if news:
+            self._owner.pop(job_id, None)
+            if event.kind == "result":
+                self.results[job_id] = event.payload
                 if event.elapsed is not None:
-                    self.elapsed[event.job_id] = event.elapsed
-                self._settle(event.job_id)
-            elif event.kind == "error":
-                self.errors[event.job_id] = event.payload
-                self._settle(event.job_id)
+                    self.elapsed[job_id] = event.elapsed
+            else:
+                self.errors[job_id] = event.payload
+        self._dispatch()
+        return news
 
-    def _infer_lost_job(self) -> JobUpdate | None:
-        """Liveness inference after two quiet polls: fail provably lost jobs."""
-        # A dead worker that had announced a job loses exactly that
-        # job; surviving workers keep draining the queue.  Snapshot the
-        # scheduling state under the lock so a concurrent submit cannot
-        # mutate the sets mid-inference.
-        with self._lock:
-            active = dict(self._active)
-            pending = set(self._pending)
-        for process in self._processes:
-            if not process.is_alive() and process.pid in active:
-                with self._lock:
-                    job_id = self._active.pop(process.pid)
-                _obs_trace.event(
-                    "runner.job_lost",
-                    job_id=job_id,
-                    label=self._jobs[job_id].label,
-                    worker_pid=process.pid,
-                    exitcode=process.exitcode,
-                    reason="died_executing",
-                )
-                return JobUpdate(
-                    job_id,
-                    "error",
-                    self._jobs[job_id].label,
-                    payload=(
-                        f"worker {process.pid} died executing this job "
-                        f"(exit code {process.exitcode})"
-                    ),
-                )
-        if all(not process.is_alive() for process in self._processes):
-            self.close(force=True)
-            raise ExecError(
-                "all JobRunner workers died with jobs outstanding"
-            ) from None
-        # A worker that died in the instant between pulling a job off
-        # the task queue and announcing it leaves the job unaccounted:
-        # pending, claimed by no one, queues silent.  Once every live
-        # worker is provably idle, "still queued" is impossible — an
-        # idle worker would have picked it up — so fail it rather than
-        # poll forever.
-        dead_unaccounted = [
-            process
-            for process in self._processes
-            if not process.is_alive() and process.pid not in active
-        ]
-        live_busy = any(
-            process.is_alive() and process.pid in active
-            for process in self._processes
-        )
-        unannounced = pending - set(active.values())
-        if dead_unaccounted and unannounced and not live_busy:
-            job_id = min(unannounced)
-            victim = dead_unaccounted[0]
+    def _fail_here(self, job_id: int, message: str) -> None:
+        """Fail a job in the parent, queued for next_event; the caller holds the lock."""
+        event = JobUpdate(job_id, "error", self._jobs[job_id].label, payload=message)
+        self._record(None, event)
+        self._backlog.append(event)
+
+    def _drop(self, worker: int, job_id: int) -> None:
+        """Ask ``worker`` to drop ``job_id``, keeping any request about its other job."""
+        slots = self._cancels[worker]
+        other = {task[0] for task in self._held[worker]} - {job_id}
+        slots[int(slots[0] in other)] = job_id
+
+    def _dispatch(self) -> None:
+        """Keep live workers supplied, oldest job first; the caller holds the lock.
+
+        Idle workers are served before a job is queued behind a busy one,
+        which spares that worker a round trip to the parent between jobs.
+        An idle worker with nothing waiting takes over a job queued behind
+        a busy worker; the busy worker is asked to drop its copy.
+        """
+        for depth in (1, 2):
+            for worker in self._live:
+                if len(self._held[worker]) >= depth or not self._processes[worker].is_alive():
+                    continue
+                if self._waiting:
+                    job_id = next(iter(self._waiting))
+                    task = (job_id, self._jobs[job_id], self._waiting.pop(job_id))
+                elif depth == 1 and (task := self._queued_behind_busy()) is not None:
+                    self._drop(self._owner[task[0]], task[0])
+                else:
+                    break
+                self._owner[task[0]] = worker
+                self._held[worker].append(task)
+                self._tasks[worker].put(task)
+
+    def _queued_behind_busy(self) -> tuple | None:
+        """A task its worker owns but has not started, or None."""
+        queued = (t for w in self._live for t in self._held[w][1:] if self._owner.get(t[0]) == w)
+        return next(queued, None)
+
+    def _bury(self, worker: int) -> None:
+        """Retire a dead worker: queue its last events, fail the job it ran, requeue the rest."""
+        process, events = self._processes[worker], self._events[worker]
+        last = []
+        while events._reader.poll():
+            last.append(events.get())
+        # Nothing reads this worker's task queue any more: its feeder
+        # thread must not hold up interpreter exit.
+        self._tasks[worker].cancel_join_thread()
+        with self._lock:  # _dispatch polls the same process for liveness
+            process.join()
+            self._live.remove(worker)
+            self._backlog.extend(event for event in last if self._record(worker, event))
+            running, *behind = self._held.pop(worker) or [(None,)]
+            # A task behind the running one never started: back to the front of the line.
+            queued = {task[0]: task[2] for task in behind if self._owner.get(task[0]) == worker}
+            for job_id in queued:
+                del self._owner[job_id]
+            self._waiting = {**queued, **self._waiting}
+            self._dispatch()
+            job_id = running[0]
+            if self._owner.get(job_id) != worker:
+                return
+            exitcode = process.exitcode
+            self._fail_here(
+                job_id, f"worker {process.pid} died executing this job (exit code {exitcode})"
+            )
             _obs_trace.event(
                 "runner.job_lost",
                 job_id=job_id,
                 label=self._jobs[job_id].label,
-                worker_pid=victim.pid,
-                exitcode=victim.exitcode,
-                reason="died_unannounced",
+                worker_pid=process.pid,
+                exitcode=exitcode,
+                reason="died_executing",
             )
-            return JobUpdate(
-                job_id,
-                "error",
-                self._jobs[job_id].label,
-                payload=(
-                    f"worker {victim.pid} (exit code {victim.exitcode}) "
-                    "died before announcing a job; this pending job was "
-                    "likely consumed and lost"
-                ),
-            )
-        return None
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -474,27 +442,21 @@ class JobRunner:
         if self._closed:
             return
         self._closed = True
-        for process in self._processes:
+        for process, tasks in zip(self._processes, self._tasks):
             if force:
                 process.terminate()
             else:
-                try:
-                    self._tasks.put(None)
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
+                tasks.put(None)
         for process in self._processes:
             process.join(timeout=_JOIN_TIMEOUT)
             if process.is_alive():  # pragma: no cover - stuck-worker safety net
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT)
-        self._tasks.close()
+        for tasks in self._tasks:
+            tasks.cancel_join_thread()
+            tasks.close()
         for events in self._events:
             events.close()
-        for sender in self._controls:
-            try:
-                sender.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
 
     def __enter__(self):
         return self
@@ -510,6 +472,7 @@ class JobRunner:
 
     def __repr__(self) -> str:
         return (
-            f"JobRunner(workers={self.workers}, pending={len(self._pending)}, "
+            f"JobRunner(workers={self.workers}, "
+            f"pending={len(self._waiting) + len(self._owner)}, "
             f"done={len(self.results)}, failed={len(self.errors)})"
         )

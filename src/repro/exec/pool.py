@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_lib
 import traceback
+from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -44,8 +44,6 @@ from repro.exec.shards import ShardSpec, make_shard_plan
 
 __all__ = ["ShardedEnsemble", "default_start_method"]
 
-#: Seconds between liveness checks while waiting on worker replies.
-_POLL_INTERVAL = 1.0
 #: Seconds to wait for a worker to exit after a stop command.
 _JOIN_TIMEOUT = 10.0
 
@@ -140,7 +138,7 @@ def _worker_main(  # pragma: no cover - runs in worker processes, invisible to c
     commands,
     replies,
 ) -> None:
-    """Worker loop: build shard engines once, then serve advance commands."""
+    """Worker loop: build shard engines once, then advance by each step count until None."""
     shm = None
     batch = None
     try:
@@ -151,14 +149,7 @@ def _worker_main(  # pragma: no cover - runs in worker processes, invisible to c
         for spec, engine in engines:
             engine.write_batch_into(batch[spec.start : spec.stop])
         replies.put((worker_id, "ready", None))
-        while True:
-            command = commands.get()
-            if command is None or command[0] == "stop":
-                return
-            if command[0] != "advance":
-                replies.put((worker_id, "error", f"unknown command {command!r}"))
-                return
-            steps = command[1]
+        while (steps := commands.get()) is not None:
             for spec, engine in engines:
                 engine.advance(steps)
                 engine.write_batch_into(batch[spec.start : spec.stop])
@@ -377,31 +368,32 @@ class _ShardWorkerPool:
 
     def advance(self, steps: int) -> None:
         for _, commands in self._workers:
-            commands.put(("advance", steps))
+            commands.put(steps)
         self._await_all("done")
 
     def read_batch(self) -> np.ndarray:
         return np.array(self._batch)
 
     def _await_all(self, expected: str) -> None:
-        """Barrier: collect one reply per worker, surfacing errors and deaths."""
+        """Barrier: one reply per worker; a pending worker's death fails it at once.
+
+        Waits on the reply queue and the pending workers' process sentinels,
+        reading replies first: a worker that sent its traceback fails with it.
+        """
         pending = set(range(len(self._workers)))
-        deadline_misses = 0
+        reader = self._replies._reader
         while pending:
-            try:
-                worker_id, status, payload = self._replies.get(timeout=_POLL_INTERVAL)
-            except queue_lib.Empty:
-                dead = [i for i in pending if not self._workers[i][0].is_alive()]
-                if dead and deadline_misses:
-                    exitcode = self._workers[dead[0]][0].exitcode
-                    self._fail(
-                        f"worker {dead[0]} died without replying "
-                        f"(exit code {exitcode})"
-                    )
-                # One grace poll after seeing a dead worker: its last reply
-                # may still be in flight through the queue feeder thread.
-                deadline_misses += 1 if dead else 0
-                continue
+            sentinels = {self._workers[i][0].sentinel: i for i in pending}
+            ready = mp_connection.wait([reader, *sentinels])
+            if reader not in ready and not reader.poll():
+                worker_id = sentinels[ready[0]]
+                process = self._workers[worker_id][0]
+                process.join()
+                self._fail(
+                    f"worker {worker_id} died without replying "
+                    f"(exit code {process.exitcode})"
+                )
+            worker_id, status, payload = self._replies.get()
             if status == "error":
                 self._fail(f"worker {worker_id} failed:\n{payload}")
             if status != expected:
@@ -428,7 +420,7 @@ class _ShardWorkerPool:
                 process.terminate()
             else:
                 try:
-                    commands.put(("stop",))
+                    commands.put(None)
                 except Exception:
                     pass
         for process, _ in self._workers:

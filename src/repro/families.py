@@ -39,6 +39,7 @@ from repro.errors import ModelError
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_regular_graph, torus_graph
 from repro.mrf import hardcore_mrf, ising_mrf, list_coloring_mrf, proper_coloring_mrf
 from repro.mrf.model import MRF
+from repro.serialize import wire_int, wire_number
 
 __all__ = [
     "DISPATCH", "FAMILIES", "GRAPHS", "METHODS", "EngineRow", "Family", "Param",
@@ -154,7 +155,10 @@ def build_model(entry: Mapping, size: int, seed=None) -> MRF | LocalCSP:
     ``entry`` holds ``family``, optionally ``graph`` (default ``"cycle"``),
     ``degree`` (default 4), ``name`` (a sweep label) and any of the
     family's parameters, which otherwise take their defaults; any other
-    key is refused.  ``seed`` fixes a regular graph and list-colouring lists.
+    key is refused.  Numbers are checked, never coerced: an int parameter,
+    ``size`` and ``degree`` by :func:`~repro.serialize.wire_int`, a float
+    parameter by :func:`~repro.serialize.wire_number`.  ``seed`` fixes a
+    regular graph and list-colouring lists.
     """
     name = entry.get("family")
     if name not in FAMILIES:
@@ -164,20 +168,20 @@ def build_model(entry: Mapping, size: int, seed=None) -> MRF | LocalCSP:
         raise ModelError(f"unknown graph {graph!r}; choose from {tuple(GRAPHS)}")
     params = {param.name: param for param in FAMILIES[name].params}
     values = {key: param.default for key, param in params.items()}
-    for key, value in entry.items():
-        if key in ENTRY_KEYS:
-            continue
-        if key not in params:
-            raise ModelError(
-                f"family {name!r} has no parameter {key!r}; its parameters are "
-                f"{tuple(params)} (an entry may also set {', '.join(ENTRY_KEYS)})"
-            )
-        try:
-            values[key] = params[key].type(value)
-        except (TypeError, ValueError):
-            raise ModelError(f"{name} parameter {key!r} must be a number, got {value!r}") from None
-    topology = GRAPHS[graph](int(size), int(entry.get("degree", 4)), seed)
-    return FAMILIES[name].build(topology, seed, **values)
+    try:
+        for key, value in entry.items():
+            if key in ENTRY_KEYS:
+                continue
+            if key not in params:
+                raise ModelError(
+                    f"family {name!r} has no parameter {key!r}; its parameters are "
+                    f"{tuple(params)} (an entry may also set {', '.join(ENTRY_KEYS)})"
+                )
+            values[key] = (wire_int if params[key].type is int else wire_number)(value, key)
+        size, degree = wire_int(size, "size"), wire_int(entry.get("degree", 4), "degree")
+    except (TypeError, ValueError) as error:
+        raise ModelError(f"{name}: {error}") from None
+    return FAMILIES[name].build(GRAPHS[graph](size, degree, seed), seed, **values)
 
 
 def _uniform_coloring(mrf: MRF) -> bool:

@@ -62,13 +62,14 @@ def run_protocol(
     rounds: int,
     seed: SeedLike = None,
     private_inputs: list[Any] | None = None,
-    collect_stats: bool = True,
 ) -> tuple[list[Any], RunStats]:
     """Execute ``protocol`` on ``network`` for ``rounds`` synchronous rounds.
 
     Every node runs its own :class:`Protocol` callbacks on its own context,
     and every message is delivered and counted, so the returned stats are
-    measured, not derived.
+    measured, not derived.  A node usually sends one message object to
+    every neighbour, so a payload is walked only when it is not the object
+    the same outbox sent before it.
 
     Parameters
     ----------
@@ -84,10 +85,6 @@ def run_protocol(
     private_inputs:
         Optional per-node private inputs (length ``n``); ``None`` gives every
         node ``None``.
-    collect_stats:
-        When False, skip the per-message payload walk entirely —
-        ``max_message_atoms`` and ``messages_per_round`` stay empty, but
-        ``rounds`` and ``messages`` are still counted (they are free).
 
     Returns
     -------
@@ -101,6 +98,7 @@ def run_protocol(
         private_inputs = [None] * n
     if len(private_inputs) != n:
         raise ValueError(f"private_inputs must have length {n}")
+    delta = network.max_degree  # an O(n) scan: once, not once per node
     contexts = [
         NodeContext(
             node=v,
@@ -108,7 +106,7 @@ def run_protocol(
             rng=rngs[v],
             private_input=private_inputs[v],
             n_bound=n,
-            delta_bound=network.max_degree,
+            delta_bound=delta,
         )
         for v in range(n)
     ]
@@ -128,18 +126,19 @@ def run_protocol(
         round_messages = 0
         for sender, outbox in enumerate(outboxes):
             round_messages += len(outbox)
+            previous = None
             for target, message in outbox.items():
                 inboxes[target][sender] = message
-                if collect_stats:
-                    atoms = _payload_atoms(message)
-                    if atoms > stats.max_message_atoms:
-                        stats.max_message_atoms = atoms
+                if message is not previous:
+                    previous = message
+                    stats.max_message_atoms = max(
+                        stats.max_message_atoms, _payload_atoms(message)
+                    )
         for ctx in contexts:
             protocol.deliver(ctx, round_index, inboxes[ctx.node])
         stats.rounds += 1
         stats.messages += round_messages
-        if collect_stats:
-            stats.messages_per_round.append(round_messages)
+        stats.messages_per_round.append(round_messages)
 
     outputs = [protocol.finalize(ctx) for ctx in contexts]
     return outputs, stats

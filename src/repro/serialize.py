@@ -168,6 +168,20 @@ def wire_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def wire_number(value, what: str) -> float:
+    """An int or float as a finite float; a bool or string raises ``TypeError``, NaN,
+    infinity or an int past the float range ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def decode_fields(payload: dict, label: str, fields: dict[str, tuple[str, int | None]]):
     """``(n, q, name, arrays)`` of a model's ``to_dict`` payload.
 

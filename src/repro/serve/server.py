@@ -23,7 +23,9 @@ control:
   beyond it, submissions are rejected immediately with HTTP 429 rather
   than queueing without bound.  Cache hits are exempt — they cost no
   worker time.
-* ``POST /v1/jobs/<id>/cancel`` requests cooperative cancellation;
+* ``POST /v1/jobs/<id>/cancel`` cancels a job: one that is not running
+  settles at once (the dispatcher's next poll returns it), a running
+  one stops at its next checkpoint boundary;
   ``GET /v1/health`` and ``GET /v1/stats`` report liveness and counters.
 
 Threading model: the asyncio loop runs in one daemon thread (connection

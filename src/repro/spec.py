@@ -32,7 +32,6 @@ never be replayed.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -45,6 +44,7 @@ from repro.errors import ModelError, UnknownModelError
 from repro.families import validate_method
 from repro.serialize import (
     canonical_json, decode_array, encode_array, model_from_dict, model_to_dict, wire_int,
+    wire_number,
 )
 
 __all__ = ["JOB_KINDS", "JobSpec"]
@@ -400,7 +400,8 @@ class JobSpec:
         ``params`` key that :meth:`params_dict` does not emit for the
         spec's kind: a misspelt parameter must not run at its default.
         Numbers are checked, never coerced: integers by
-        :func:`~repro.serialize.wire_int`, ``eps`` as a number.
+        :func:`~repro.serialize.wire_int`, ``eps`` by
+        :func:`~repro.serialize.wire_number`.
         """
         if not isinstance(payload, dict):
             raise ModelError(f"job payload must be a dict, got {type(payload).__name__}")
@@ -441,11 +442,7 @@ class JobSpec:
             )
             eps = params.get("eps")
             if eps is not None:
-                if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-                    raise TypeError(f"eps must be a number, got {eps!r}")
-                eps = float(eps)
-                if not math.isfinite(eps):
-                    raise ModelError(f"eps must be finite, got {eps}")
+                eps = wire_number(eps, "eps")
             if kind == "sample_many":
                 rounds = params.get("rounds")
                 spec = cls(

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.families import build_model
+from repro.serialize import wire_int, wire_number
 from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["SweepCell", "SweepGrid", "load_grid_config", "expand_grid", "load_grid"]
@@ -122,9 +123,17 @@ def _seed_for_coordinate(coord_key, seed_map: dict, root: np.random.SeedSequence
     return seed_map[coord_key]
 
 
-def _set_keys(sweep: dict, **casts) -> dict:
-    """The ``[sweep]`` values the config sets, cast; the rest keep the ``JobSpec`` defaults."""
-    return {key: cast(sweep[key]) for key, cast in casts.items() if key in sweep}
+def _checked(check, value, key: str):
+    """``check(value, key)`` (``wire_int`` or ``wire_number``); a refusal is a ModelError."""
+    try:
+        return check(value, key)
+    except (TypeError, ValueError) as error:
+        raise ModelError(f"sweep config: {error}") from None
+
+
+def _set_keys(sweep: dict, **checks) -> dict:
+    """The ``[sweep]`` values the config sets, checked; the rest keep the ``JobSpec`` defaults."""
+    return {key: _checked(check, sweep[key], key) for key, check in checks.items() if key in sweep}
 
 
 def _cell_spec(
@@ -138,17 +147,17 @@ def _cell_spec(
     name: str,
 ) -> JobSpec:
     kind = sweep.get("kind", "sample_many")
-    parallel = None if workers is None or workers < 0 else int(workers)
+    parallel = None if workers is None or workers < 0 else workers
     if kind == "sample_many":
         return JobSpec.sample_many(
             model,
             replicas,
             method=method,
-            rounds=None if rounds is None else int(rounds),
+            rounds=rounds,
             seed=seed,
             name=name,
             parallel=parallel,
-            **_set_keys(sweep, eps=float),
+            **_set_keys(sweep, eps=wire_number),
         )
     if kind == "tv_curve":
         checkpoints = sweep.get("checkpoints")
@@ -156,7 +165,7 @@ def _cell_spec(
             raise ModelError("a tv_curve sweep needs [sweep] checkpoints = [...]")
         return JobSpec.tv_curve(
             model,
-            [int(c) for c in checkpoints],
+            [_checked(wire_int, c, "checkpoints") for c in checkpoints],
             method=method,
             replicas=replicas,
             seed=seed,
@@ -170,7 +179,7 @@ def _cell_spec(
         seed=seed,
         name=name,
         parallel=parallel,
-        **_set_keys(sweep, eps=float, max_rounds=int, stride=int),
+        **_set_keys(sweep, eps=wire_number, max_rounds=wire_int, stride=wire_int),
     )
 
 
@@ -194,10 +203,10 @@ def expand_grid(config: dict) -> SweepGrid:
     labels = [_model_label(entry) for entry in models]
     if len(set(labels)) < len(labels):
         raise ModelError(f"[[sweep.models]] labels must differ (set name = ...), got {labels}")
-    seeds = int(sweep.get("seeds", 1))
+    seeds = _checked(wire_int, sweep.get("seeds", 1), "seeds")
     if seeds < 1:
         raise ModelError(f"[sweep] seeds must be >= 1, got {seeds}")
-    base_seed = int(sweep.get("base_seed", 0))
+    base_seed = _checked(wire_int, sweep.get("base_seed", 0), "base_seed")
     axes = dict(sweep.get("axes") or {})
     unknown = set(axes) - set(AXIS_ORDER)
     if unknown:
@@ -205,11 +214,15 @@ def expand_grid(config: dict) -> SweepGrid:
             f"unknown sweep axes {sorted(unknown)}; choose from {AXIS_ORDER}"
         )
     values = {
-        "size": [int(v) for v in axes.get("size", [sweep.get("size", 16)])],
+        "size": [_checked(wire_int, v, "size") for v in axes.get("size", [sweep.get("size", 16)])],
         "method": [str(v) for v in axes.get("method", [sweep.get("method", "local-metropolis")])],
-        "workers": list(axes.get("workers", [sweep.get("workers", -1)])),
-        "replicas": [int(v) for v in axes.get("replicas", [sweep.get("replicas", 64)])],
-        "rounds": list(axes.get("rounds", [sweep.get("rounds")])),
+        # A null worker or round count (JSON) keeps its default meaning.
+        "workers": [None if v is None else _checked(wire_int, v, "workers")
+                    for v in axes.get("workers", [sweep.get("workers", -1)])],
+        "replicas": [_checked(wire_int, v, "replicas")
+                     for v in axes.get("replicas", [sweep.get("replicas", 64)])],
+        "rounds": [None if v is None else _checked(wire_int, v, "rounds")
+                   for v in axes.get("rounds", [sweep.get("rounds")])],
     }
     for axis, entries in values.items():
         if not entries:
@@ -249,7 +262,7 @@ def expand_grid(config: dict) -> SweepGrid:
                     "model": label,
                     "size": size,
                     "method": method,
-                    "workers": -1 if workers is None else int(workers),
+                    "workers": -1 if workers is None else workers,
                     "replicas": replicas,
                     "rounds": rounds,
                     "seed_index": seed_index,

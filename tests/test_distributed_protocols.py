@@ -92,16 +92,6 @@ class TestLubyGlauberProtocol:
         with pytest.raises(ProtocolError, match="conditional marginal undefined"):
             run_luby_glauber_protocol(mrf, rounds=1, seed=4, initial=np.array([0, 0, 1]))
 
-    def test_collect_stats_false_skips_payload_walk(self):
-        mrf = proper_coloring_mrf(cycle_graph(6), 4)
-        _, full = run_luby_glauber_protocol(mrf, rounds=5, seed=0, collect_stats=True)
-        _, fast = run_luby_glauber_protocol(mrf, rounds=5, seed=0, collect_stats=False)
-        assert fast.rounds == full.rounds
-        assert fast.messages == full.messages
-        assert fast.max_message_atoms == 0  # payload walking skipped
-        assert fast.messages_per_round == []
-        assert full.max_message_atoms == 2
-
     def test_missing_private_input_raises(self):
         from repro.distributed.sampling_protocols import LubyGlauberProtocol
 

@@ -30,12 +30,20 @@ from repro.exec import (
     make_shard_plan,
 )
 from repro.exec.jobs import JOB_KINDS, _execute_job, _JobCancelled
+from repro.exec.pool import default_start_method
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.mrf import exact_gibbs_distribution, ising_mrf, proper_coloring_mrf
 
 from statutils import assert_same_distribution
 
 SEED = 20170625
+
+
+def _endless_job():
+    """A streamed job that runs until cancelled: a TV probe every 100 rounds."""
+    model = proper_coloring_mrf(path_graph(3), 3)
+    return JobSpec.mixing_time(model, eps=1e-9, replicas=256, stride=100,
+                               max_rounds=10**7, seed=1, name="endless")
 
 
 def _coloring():
@@ -208,6 +216,29 @@ def test_dead_worker_surfaces_as_exec_error():
         ensemble.advance(1)
     with pytest.raises(ExecError, match="closed"):
         _ = ensemble.config
+
+
+def test_worker_killed_during_advance_surfaces_as_exec_error():
+    """A worker SIGKILLed while an ``advance`` is running fails the barrier
+    at once, naming that worker."""
+    import os
+    import signal
+    import threading
+
+    model = proper_coloring_mrf(grid_graph(8, 8), 5)
+    ensemble = ShardedEnsemble(model, 64, seed=SEED, shard_size=32, workers=2)
+    victim = ensemble._pool._workers[1][0]
+    killer = threading.Timer(0.2, os.kill, (victim.pid, signal.SIGKILL))
+    killer.start()
+    try:
+        with pytest.raises(ExecError, match="worker 1 died"):
+            ensemble.advance(10**7)
+    finally:
+        killer.join(timeout=10)
+        ensemble.close()
+    assert not killer.is_alive()
+    with pytest.raises(ExecError, match="closed"):
+        ensemble.advance(1)
 
 
 def test_sharded_rejects_generator_seeds_and_bad_workers():
@@ -392,8 +423,7 @@ class TestJobs:
         """A worker killed mid-job loses that job; the pool keeps serving."""
         model = proper_coloring_mrf(path_graph(3), 3)
         # A stride far beyond the kill point keeps the victim in pure
-        # compute when terminated — away from the shared tasks queue's
-        # lock, the one structure a dying worker could still wedge.
+        # compute when terminated, so the job it holds is the one lost.
         slow = JobSpec.mixing_time(model, eps=1e-9, replicas=4096,
                                        stride=1_000_000, max_rounds=1_000_000,
                                        seed=1, name="slow")
@@ -414,9 +444,9 @@ class TestJobs:
             assert fine_id in runner.results
 
     def test_dead_worker_inference_traced_and_pool_survives(self, tmp_path):
-        """Quiet-time dead-worker inference: the killed worker's job fails
-        with an error JobUpdate, surviving jobs complete, and the
-        inference leaves a ``runner.job_lost`` event in the trace file."""
+        """A dead worker seen on its process sentinel: the job it held fails
+        with an error JobUpdate, surviving jobs complete, and the loss
+        leaves a ``runner.job_lost`` event in the trace file."""
         import json
 
         from repro.obs import trace as obs_trace
@@ -459,24 +489,221 @@ class TestJobs:
         assert lost[0]["attrs"]["worker_pid"] == started.payload
 
     def test_idle_worker_death_never_hangs_the_runner(self):
-        """Killing an idle worker must leave every job settled, never hung.
+        """A job submitted after an idle worker died runs on the survivor.
 
-        Depending on which worker held the shared task queue's lock when
-        killed, the submitted job either runs on the survivor or is failed
-        by the lost-job inference — both are settled outcomes; the hang is
-        the regression.
+        The runner hands a job only to a live worker, so the dead one never
+        holds it, and close() has no dead worker's queue to wait on.
         """
+        import time
+
         model = proper_coloring_mrf(path_graph(3), 3)
-        with JobRunner(workers=2) as runner:
+        spec = JobSpec.sample_many(model, 4, rounds=2, seed=3, name="orphanable")
+        runner = JobRunner(workers=2)
+        try:
             victim = runner._processes[0]
             victim.terminate()
             victim.join()
-            job_id = runner.submit(
-                JobSpec.sample_many(model, 4, rounds=2, seed=3, name="orphanable")
-            )
+            job_id = runner.submit(spec)
             for _ in runner.stream():
                 pass
-            assert job_id in runner.results or job_id in runner.errors
+            assert np.array_equal(runner.results[job_id], repro.run_spec(spec))
+        finally:
+            started = time.monotonic()
+            runner.close()
+            assert time.monotonic() - started < 5.0
+
+    def test_cancelled_waiting_job_settles_before_the_busy_job(self):
+        """A job cancelled while it waits behind a busy worker settles at
+        once, in the parent: before the busy job's result, never started."""
+        model = proper_coloring_mrf(path_graph(3), 3)
+        busy = JobSpec.sample_many(model, 64, rounds=50, seed=1, name="busy")
+        waiting = JobSpec.sample_many(model, 4, rounds=2, seed=2, name="waiting")
+        with JobRunner(workers=1) as runner:
+            busy_id = runner.submit(busy)
+            waiting_id = runner.submit(waiting)
+            assert runner.cancel(waiting_id)
+            assert not runner.cancel(waiting_id)  # already settled
+            events = list(runner.stream())
+        settled = [e.job_id for e in events if e.kind in ("result", "error")]
+        assert settled == [waiting_id, busy_id]
+        assert not any(e.kind == "started" and e.job_id == waiting_id for e in events)
+        assert runner.errors[waiting_id] == (
+            "CancelledError: job cancelled before it started"
+        )
+        assert np.array_equal(runner.results[busy_id], repro.run_spec(busy))
+
+    def test_cancelling_a_running_job_stops_it_at_its_next_checkpoint(self):
+        """A running streamed job is cancelled through its worker's shared
+        slots: its next event is the cancellation, within seconds."""
+        import time
+
+        with JobRunner(workers=1) as runner:
+            job_id = runner.submit(_endless_job())
+            stream = runner.stream()
+            assert next(e for e in stream if e.kind == "started").job_id == job_id
+            assert runner.cancel(job_id)
+            cancelled_at = time.monotonic()
+            settled = next(e for e in stream if e.kind in ("result", "error"))
+            assert time.monotonic() - cancelled_at < 5.0
+        assert settled.job_id == job_id
+        assert settled.payload == "CancelledError: job cancelled"
+
+    def test_idle_worker_takes_over_a_job_queued_behind_a_busy_one(self):
+        """A job queued behind a long one moves to the worker that goes
+        idle first, and its old worker's copy never shows."""
+        model = proper_coloring_mrf(path_graph(3), 3)
+        short = JobSpec.sample_many(model, 64, rounds=50, seed=2, name="short")
+        queued = JobSpec.sample_many(model, 4, rounds=2, seed=3, name="queued")
+        with JobRunner(workers=2) as runner:
+            endless_id = runner.submit(_endless_job())
+            short_id = runner.submit(short)
+            queued_id = runner.submit(queued)
+            assert runner._owner[queued_id] == runner._owner[endless_id]
+            events = []
+            for event in runner.stream():
+                events.append(event)
+                if event.job_id == queued_id and event.kind == "result":
+                    break
+            assert endless_id not in runner.results and endless_id not in runner.errors
+            assert runner.cancel(endless_id)
+            events.extend(runner.stream())
+        started = {e.job_id: e.payload for e in events if e.kind == "started"}
+        assert started[queued_id] == started[short_id] != started[endless_id]
+        assert len([e for e in events if e.kind == "started"]) == 3
+        settled = [e.job_id for e in events if e.kind in ("result", "error")]
+        assert settled == [short_id, queued_id, endless_id]
+        assert np.array_equal(runner.results[queued_id], repro.run_spec(queued))
+        assert runner.errors == {endless_id: "CancelledError: job cancelled"}
+
+    def test_dead_workers_queued_job_runs_on_a_survivor(self):
+        """A dead worker fails only the job it was running; the job queued
+        behind it goes to a survivor and returns the direct run's bits."""
+        import os
+        import signal
+
+        model = proper_coloring_mrf(path_graph(3), 3)
+        doomed = JobSpec.mixing_time(model, eps=1e-9, replicas=4096,
+                                     stride=1_000_000, max_rounds=1_000_000,
+                                     seed=1, name="doomed")
+        queued = JobSpec.sample_many(model, 4, rounds=2, seed=3, name="queued")
+        with JobRunner(workers=2) as runner:
+            doomed_id = runner.submit(doomed)
+            endless_id = runner.submit(_endless_job())
+            queued_id = runner.submit(queued)
+            assert runner._owner[queued_id] == runner._owner[doomed_id]
+            stream = runner.stream()
+            started = next(e for e in stream if e.kind == "started" and e.job_id == doomed_id)
+            os.kill(started.payload, signal.SIGKILL)
+            events = []
+            for event in stream:
+                events.append(event)
+                if event.job_id == doomed_id:
+                    runner.cancel(endless_id)
+        assert "died executing this job" in runner.errors[doomed_id]
+        assert runner.errors[endless_id] == "CancelledError: job cancelled"
+        assert np.array_equal(runner.results[queued_id], repro.run_spec(queued))
+        started_on = {e.job_id: e.payload for e in events if e.kind == "started"}
+        assert started_on[queued_id] != started.payload
+
+    @pytest.mark.skipif(default_start_method() != "fork",
+                        reason="the patched trace writer reaches workers by fork")
+    def test_an_event_for_a_settled_job_is_dropped(self, tmp_path, monkeypatch):
+        """A worker whose trace write fails after a job's result sends a
+        second, error event for that job: the runner drops it, and the jobs
+        queued on that worker still settle once each, with their results."""
+        import os
+
+        from repro.obs import trace as obs_trace
+
+        parent, write = os.getpid(), obs_trace._write
+
+        def full_disk(record):  # a worker's job span closes after the result is sent
+            if os.getpid() != parent and record["name"] == "runner.job":
+                raise OSError(28, "No space left on device")
+            write(record)
+
+        monkeypatch.setattr(obs_trace, "_write", full_disk)
+        model = proper_coloring_mrf(path_graph(3), 3)
+        specs = [JobSpec.sample_many(model, 4, rounds=2, seed=s) for s in range(3)]
+        obs_trace.enable_tracing(tmp_path / "full.jsonl")
+        try:
+            with JobRunner(workers=1) as runner:
+                job_ids = [runner.submit(spec) for spec in specs]
+                events = list(runner.stream())
+                assert runner.next_event(timeout=0.2) is None
+        finally:
+            obs_trace.disable_tracing()
+        assert [e.job_id for e in events if e.kind in ("result", "error")] == job_ids
+        assert not runner.errors
+        for job_id, spec in zip(job_ids, specs):
+            assert np.array_equal(runner.results[job_id], repro.run_spec(spec))
+
+    def test_concurrent_submit_cancel_and_kill_settle_every_job_once(self):
+        """Stress: one thread submits and cancels at random while another
+        drains next_event and SIGKILLs a worker mid-run.  Every job settles
+        exactly once, and every result equals the direct run."""
+        import os
+        import random
+        import signal
+        import sys
+        import threading
+        import time
+
+        model = proper_coloring_mrf(path_graph(4), 3)
+        specs = [JobSpec.sample_many(model, 4, rounds=3, seed=s) for s in range(4)] + [
+            JobSpec.tv_curve(model, (1, 2, 4), replicas=16, seed=s) for s in range(4)
+        ]
+        expected = [repro.run_spec(spec) for spec in specs]
+        total = 240
+        rng = random.Random(SEED)
+        settled: dict[int, list[str]] = {}
+        submitted: list[tuple[int, int]] = []  # (job id, spec index)
+        runner = JobRunner(workers=3)  # more workers than a two-core host has cores
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+
+            def submit_and_cancel():
+                for index in range(total):
+                    submitted.append((runner.submit(specs[index % len(specs)]),
+                                      index % len(specs)))
+                    if rng.random() < 0.2:
+                        runner.cancel(rng.choice(submitted)[0])
+
+            submitter = threading.Thread(target=submit_and_cancel)
+            submitter.start()
+            killed = False
+            deadline = time.monotonic() + 60
+            while sum(map(len, settled.values())) < total:
+                assert time.monotonic() < deadline, "a job never settled"
+                event = runner.next_event(timeout=0.05)
+                if event is None:
+                    continue
+                if event.kind in ("result", "error"):
+                    settled.setdefault(event.job_id, []).append(event.kind)
+                if event.kind == "started" and not killed and len(settled) > 60:
+                    os.kill(event.payload, signal.SIGKILL)
+                    killed = True
+            submitter.join(timeout=30)
+            assert not submitter.is_alive() and killed
+            assert runner.next_event(timeout=0.05) is None
+        finally:
+            sys.setswitchinterval(switch_interval)
+            runner.close()
+        assert sorted(settled) == sorted(job_id for job_id, _ in submitted)
+        assert all(len(kinds) == 1 for kinds in settled.values())
+        assert set(runner.results).isdisjoint(runner.errors)
+        for job_id, index in submitted:
+            if job_id in runner.results:
+                result = runner.results[job_id]
+                if isinstance(result, np.ndarray):
+                    assert np.array_equal(result, expected[index])
+                else:
+                    assert result == expected[index]
+        died = [m for m in runner.errors.values() if "died" in m]
+        assert len(died) <= 1
+        assert all(m.startswith("CancelledError") for m in runner.errors.values()
+                   if "died" not in m)
 
     def test_submit_after_close_raises(self):
         runner = JobRunner(workers=1)

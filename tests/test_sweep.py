@@ -259,6 +259,29 @@ class TestConfigValidation:
         with pytest.raises(ModelError):
             expand_grid(_base_config(seeds=0))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"axes": {"size": [6.8]}}, "size"),
+            ({"axes": {"size": [4], "replicas": [8.6]}}, "replicas"),
+            ({"seeds": 1.9}, "seeds"),
+            ({"models": [{"family": "coloring", "q": 5.9}]}, "q"),
+            ({"models": [{"family": "coloring", "graph": "regular", "degree": 4.2}]}, "degree"),
+            ({"axes": {"size": [4], "rounds": [3.7]}}, "rounds"),
+            ({"kind": "tv_curve", "checkpoints": [1.5, 2.9]}, "checkpoints"),
+            ({"base_seed": "7"}, "base_seed"),
+            ({"kind": "mixing_time", "eps": 0.5, "stride": "2"}, "stride"),
+            ({"models": [{"family": "ising", "beta": "0.5"}]}, "beta"),
+            ({"kind": "mixing_time", "eps": True}, "eps"),
+            ({"kind": "mixing_time", "eps": 10**400}, "eps"),
+            ({"models": [{"family": "hardcore", "fugacity": True}]}, "fugacity"),
+        ],
+    )
+    def test_numbers_are_checked_not_coerced(self, overrides, key):
+        # Each used to be truncated, parsed from its string or read as 1.0.
+        with pytest.raises(ModelError, match=rf"\b{key} must be"):
+            expand_grid(_base_config(**overrides))
+
     def test_tv_curve_needs_checkpoints(self):
         with pytest.raises(ModelError):
             expand_grid(_base_config(kind="tv_curve"))
