@@ -4,8 +4,8 @@ After E12-E15 every replica-ensemble engine is single-process: the
 vectorised kernels saturate one core and stop.  The sharded execution
 subsystem (``repro.exec``) splits the ``(R, n)`` batch into deterministic
 ``SeedSequence``-seeded shards and advances them on a persistent pool of
-worker processes over shared memory — the next throughput multiplier is
-the core count.
+worker processes, each returning its shard rows over its own pipe — the
+next throughput multiplier is the core count.
 
 This experiment measures replica-rounds/sec of
 ``EnsembleLocalMetropolisColoring`` at R = 512 replicas on a 32x32 torus

@@ -2,9 +2,9 @@
 
 Two families of estimators live here:
 
-* the original per-sample estimators (``empirical_distribution``,
-  ``marginal_from_samples``, ``pair_counts``) that iterate over Python
-  sequences of configurations, and
+* the original per-sample estimators (``empirical_distribution`` and
+  ``marginal_from_samples``) that iterate over Python sequences of
+  configurations, and
 * their *ensemble-native* counterparts (``batch_*``) that consume the
   ``(R, n)`` batches produced by :mod:`repro.chains.ensemble` and
   :func:`repro.api.sample_many` with whole-array numpy operations — no
@@ -34,7 +34,6 @@ from repro.mrf.distribution import GibbsDistribution, config_index
 __all__ = [
     "empirical_distribution",
     "marginal_from_samples",
-    "pair_counts",
     "batch_config_counts",
     "batch_empirical_distribution",
     "batch_marginals",
@@ -74,16 +73,6 @@ def marginal_from_samples(
     if total == 0:
         raise ModelError("marginal_from_samples needs at least one sample")
     return counts / total
-
-
-def pair_counts(
-    samples: Iterable[Sequence[int]], u: int, v: int, q: int
-) -> np.ndarray:
-    """Return the empirical joint counts of ``(sigma_u, sigma_v)`` as a (q, q) matrix."""
-    counts = np.zeros((q, q))
-    for sample in samples:
-        counts[int(sample[u]), int(sample[v])] += 1.0
-    return counts
 
 
 # ----------------------------------------------------------------------

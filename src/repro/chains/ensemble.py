@@ -227,12 +227,13 @@ class EnsembleTrajectoryMixin:
         )
 
     def write_batch_into(self, out: np.ndarray) -> np.ndarray:
-        """Write the current ``(R, n)`` int64 batch into ``out``; return ``out``.
+        """Write the current ``(R, n)`` batch into ``out``; return ``out``.
 
         The shard-publication hook of the multiprocess execution subsystem:
         :mod:`repro.exec` workers call this after every ``advance`` command
-        to publish their shard's block of a ``multiprocessing.shared_memory``
-        state array.  Hosts whose internal layout differs from the public
+        to fill their shard's rows, in the engines' spin dtype, for the
+        reply to the parent.  ``out`` may have any integer dtype that holds
+        the spins.  Hosts whose internal layout differs from the public
         batch (the vertex-major MRF/CSP engines) override it to write
         straight from internal state instead of materialising the
         intermediate ``config`` copy.

@@ -49,7 +49,7 @@ def _cover_constraints(graph: nx.Graph) -> list[Constraint]:
         scope = tuple(sorted(set(graph.neighbors(v)) | {v}))
         if len(scope) not in tables:
             tables[len(scope)] = _cover_table(len(scope))
-        constraints.append(Constraint(scope, tables[len(scope)]))
+        constraints.append(Constraint(scope, tables[len(scope)], _checked=True))
     return constraints
 
 
@@ -69,7 +69,7 @@ def dominating_set_csp(graph: nx.Graph, weight: float = 1.0) -> LocalCSP:
     if weight != 1.0:
         unary = frozen_table([1.0, weight])
         for v in range(n):
-            constraints.append(Constraint((v,), unary))
+            constraints.append(Constraint((v,), unary, _checked=True))
     return LocalCSP(n, 2, constraints, name=f"dominating-set(w={weight})")
 
 
@@ -83,7 +83,7 @@ def maximal_independent_set_csp(graph: nx.Graph) -> LocalCSP:
     check_vertex_labels(graph)
     independence = frozen_table([[1.0, 1.0], [1.0, 0.0]])
     constraints = [
-        Constraint((u, v), independence)
+        Constraint((u, v), independence, _checked=True)
         for u, v in sorted((min(e), max(e)) for e in graph.edges())
     ]
     constraints.extend(_cover_constraints(graph))
@@ -125,7 +125,9 @@ def coloring_csp(graph: nx.Graph, q: int) -> LocalCSP:
     if q < 2:
         raise ModelError(f"coloring_csp needs q >= 2, got {q}")
     table = frozen_table(np.ones((q, q)) - np.eye(q))
-    constraints = [Constraint((min(u, v), max(u, v)), table) for u, v in graph.edges()]
+    constraints = [
+        Constraint((min(u, v), max(u, v)), table, _checked=True) for u, v in graph.edges()
+    ]
     return LocalCSP(graph.number_of_nodes(), q, constraints, name=f"coloring-csp(q={q})")
 
 

@@ -79,9 +79,13 @@ class Constraint:
         ``table[sigma_{s1}, ..., sigma_{sk}]`` is ``f_c`` evaluated on the
         restriction of the configuration to the scope.
 
-    :attr:`LocalCSP.constraints` builds its views with ``_checked=True``:
-    a scope tuple and a frozen palette table its CSP's constructor already
-    checked, so they are stored as given, with no check and no copy.
+    ``_checked=True`` stores a scope tuple and a frozen table as given,
+    with no check and no copy.  :attr:`LocalCSP.constraints` passes it for
+    the views of tables and scopes its CSP's constructor already checked;
+    the graph builders of :mod:`repro.csp.builders` pass it for
+    constraints about to go through that constructor, whose one check of
+    every scope and of each distinct table replaces the per-constraint
+    one.
     """
 
     def __init__(self, scope: Sequence[int], table: np.ndarray, *, _checked: bool = False) -> None:

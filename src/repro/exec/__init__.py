@@ -7,8 +7,8 @@ Three layers, each usable on its own:
   ``numpy.random.SeedSequence.spawn`` stream, so a sharded run is
   bit-identical regardless of worker count;
 * :mod:`repro.exec.pool` — :class:`ShardedEnsemble`: the shard plan
-  executed in-process or on a persistent pool of worker processes over a
-  ``multiprocessing.shared_memory`` state array, behind the standard
+  executed in-process or on a persistent pool of worker processes, each
+  replying with its shard rows over its own pipe, behind the standard
   ensemble protocol (``advance``/``run``/``config``/``iter_checkpoints``);
 * :mod:`repro.exec.jobs` — :class:`JobRunner`: a
   scheduler that hands many heterogeneous sampling requests to the

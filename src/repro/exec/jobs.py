@@ -17,7 +17,9 @@ streaming progress back as it happens:
 
 The parent is the scheduler: it hands each waiting job to a live worker's
 own task queue (an idle worker first, then one job queued behind each
-busy worker), and sees a worker die on its process sentinel.
+busy worker).  Each worker answers on its own event pipe, whose write end
+no other process holds, so a worker's death is end-of-file on that pipe,
+read after every event it sent.
 
 Determinism contract: a worker executes a job with :meth:`JobSpec.run` —
 the :func:`repro.api.run_spec` body every direct call uses — and the job's
@@ -44,7 +46,7 @@ from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["JOB_KINDS", "JobUpdate", "JobRunner"]
 
-#: Seconds to wait for a worker to exit after its stop sentinel.
+#: Seconds to wait for a worker to exit after its ``None`` stop item.
 _JOIN_TIMEOUT = 10.0
 
 
@@ -99,8 +101,8 @@ def _execute_job(job_id, job, emit) -> None:
     emit(JobUpdate(job_id, "result", job.label, payload=result, elapsed=elapsed))
 
 
-def _job_worker_main(tasks, events, cancelled) -> None:  # pragma: no cover - worker-side
-    """Worker loop: run the jobs the parent hands this worker until the stop sentinel.
+def _job_worker_main(tasks, cancelled, events) -> None:  # pragma: no cover - worker-side
+    """Worker loop: run the jobs the parent hands this worker until a ``None`` item.
 
     ``cancelled`` is this worker's two shared job-id slots, one per job it
     may hold: the parent writes the id of a held job it wants dropped
@@ -119,14 +121,14 @@ def _job_worker_main(tasks, events, cancelled) -> None:  # pragma: no cover - wo
         def emit(event, job_id=job_id):
             if job_id in cancelled:
                 raise _JobCancelled()
-            events.put(event)
+            events.send(event)
 
         message = None
         try:
             if job_id in cancelled:
                 message = "CancelledError: job cancelled before it started"
             else:
-                events.put(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
+                events.send(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
                 if trace is not None and trace.get("file"):
                     _obs_trace.ensure_tracing(trace["file"])
                 with _obs_trace.span(
@@ -140,7 +142,7 @@ def _job_worker_main(tasks, events, cancelled) -> None:  # pragma: no cover - wo
         except Exception:
             message = traceback.format_exc()
         if message is not None:
-            events.put(JobUpdate(job_id, "error", job.label, payload=message))
+            events.send(JobUpdate(job_id, "error", job.label, payload=message))
 
 
 class JobRunner:
@@ -158,33 +160,28 @@ class JobRunner:
     result}``, raising :class:`~repro.errors.ExecError` if any job failed.
 
     A failed job never poisons the pool: its error is recorded (``errors``
-    mapping) and the worker moves on to the next job.  A worker that *dies*
-    (OOM kill, segfault) is seen on its process sentinel: the runner reads
-    the events it sent before dying, fails the job it was running, and the
-    survivors take the job queued behind it.  Each worker owns a private
-    task queue and a private event queue, so a dying worker can wedge only
-    its own channels, never a sibling's.
+    mapping) and the worker moves on to the next job.  Each worker owns a
+    private task queue and a private event pipe that only it writes, so a
+    worker that *dies* (OOM kill, segfault), even in the middle of an
+    event, is end-of-file on its pipe once the runner has read every event
+    it sent before: the runner fails the job it was running, and the
+    survivors take the job queued behind it.
     """
 
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ModelError(f"JobRunner needs workers >= 1, got {workers}")
-        from repro.exec.pool import default_start_method
+        from repro.exec.pool import _start_worker, default_start_method
 
         ctx = mp.get_context(default_start_method())
         self.workers = int(workers)
         # Per worker: a task queue (a put never blocks, even to a dead
-        # worker), an event queue (a SimpleQueue: each put is a synchronous
-        # pipe write) and the shared ids of the jobs it is asked to drop.
+        # worker), the shared ids of the jobs it is asked to drop, and an
+        # event pipe (started below) whose write end only the worker holds.
         self._tasks = [ctx.Queue() for _ in range(self.workers)]
-        self._events = [ctx.SimpleQueue() for _ in range(self.workers)]
         self._cancels = [ctx.RawArray("q", [-1, -1]) for _ in range(self.workers)]
-        self._processes = [
-            ctx.Process(target=_job_worker_main, args=channels, daemon=True)
-            for channels in zip(self._tasks, self._events, self._cancels)
-        ]
-        for process in self._processes:
-            process.start()
+        self._processes: list[mp.Process] = []
+        self._events: list[mp_connection.Connection] = []
         self._ids = itertools.count()
         self._jobs: dict[int, JobSpec] = {}
         self._waiting: dict[int, dict | None] = {}  # job id -> trace, oldest first
@@ -197,8 +194,8 @@ class JobRunner:
         self._owner: dict[int, int] = {}
         self._live = list(range(self.workers))
         # Events already recorded in the parent (a cancelled waiting job,
-        # a dead worker's last events and lost job): next_event returns
-        # them before it reads any worker.
+        # a dead worker's lost job): next_event returns them before it
+        # reads any worker.
         self._backlog: deque[JobUpdate] = deque()
         # Guards the scheduling state (everything above plus results/
         # errors/elapsed) so one thread may submit while another drains
@@ -211,6 +208,14 @@ class JobRunner:
         #: result event's ``elapsed`` field).
         self.elapsed: dict[int, float] = {}
         self._closed = False
+        try:
+            for channels in zip(self._tasks, self._cancels):
+                process, events = _start_worker(ctx, _job_worker_main, channels, duplex=False)
+                self._processes.append(process)
+                self._events.append(events)
+        except BaseException:
+            self.close(force=True)
+            raise
 
     def submit(self, job: JobSpec, trace: dict | None = None) -> int:
         """Queue a job; returns its id (the key into ``results``/``errors``).
@@ -300,12 +305,12 @@ class JobRunner:
         that multiplex a runner with other work (the :mod:`repro.serve`
         dispatcher polls this with a short timeout while jobs are
         submitted concurrently from another thread).  It waits on the live
-        workers' event pipes and process sentinels; the bookkeeping —
-        ``results``/``errors``, handing waiting jobs to freed workers,
-        failing a dead worker's job — happens here.  With ``timeout=None``
-        and nothing pending this blocks until a job is submitted *and*
-        produces an event; pass a timeout when submissions or cancels
-        happen concurrently.
+        workers' event pipes, where a worker's death reads as end-of-file;
+        the bookkeeping — ``results``/``errors``, handing waiting jobs to
+        freed workers, failing a dead worker's job — happens here.  With
+        ``timeout=None`` and nothing pending this blocks until a job is
+        submitted *and* produces an event; pass a timeout when submissions
+        or cancels happen concurrently.
         """
         self._ensure_open()
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -317,18 +322,17 @@ class JobRunner:
             if not live:
                 self.close(force=True)
                 raise ExecError("all JobRunner workers died")
-            readers = {self._events[worker]._reader: worker for worker in live}
-            sentinels = {self._processes[worker].sentinel: worker for worker in live}
+            readers = {self._events[worker]: worker for worker in live}
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            ready = mp_connection.wait([*readers, *sentinels], timeout=remaining)
+            ready = mp_connection.wait(list(readers), timeout=remaining)
             if not ready:
                 return None
-            worker = next((readers[handle] for handle in ready if handle in readers), None)
-            if worker is None:  # only deaths; _bury reads each one's last events
-                for handle in ready:
-                    self._bury(sentinels[handle])
+            worker = readers[ready[0]]
+            try:
+                event = self._events[worker].recv()
+            except (EOFError, OSError):  # the worker is gone, maybe mid-event
+                self._bury(worker)
                 continue
-            event = self._events[worker].get()
             with self._lock:
                 if self._record(worker, event):
                     return event
@@ -398,18 +402,18 @@ class JobRunner:
         return next(queued, None)
 
     def _bury(self, worker: int) -> None:
-        """Retire a dead worker: queue its last events, fail the job it ran, requeue the rest."""
-        process, events = self._processes[worker], self._events[worker]
-        last = []
-        while events._reader.poll():
-            last.append(events.get())
+        """Retire a worker whose event pipe ended: fail the job it ran, requeue the rest.
+
+        Every event the worker sent before it died has been read already,
+        in order, ahead of the end-of-file.
+        """
+        process = self._processes[worker]
         # Nothing reads this worker's task queue any more: its feeder
         # thread must not hold up interpreter exit.
         self._tasks[worker].cancel_join_thread()
         with self._lock:  # _dispatch polls the same process for liveness
             process.join()
             self._live.remove(worker)
-            self._backlog.extend(event for event in last if self._record(worker, event))
             running, *behind = self._held.pop(worker) or [(None,)]
             # A task behind the running one never started: back to the front of the line.
             queued = {task[0]: task[2] for task in behind if self._owner.get(task[0]) == worker}

@@ -11,13 +11,15 @@ on the workers:
   :class:`~repro.exec.shards.ShardSpec` list, initial block) a single time
   at startup and builds the shard engines there, so model tables and CSR
   structures are pickled once per worker, never per command;
-* **shared-memory state** — the public ``(R, n)`` int64 batch lives in one
-  ``multiprocessing.shared_memory`` block; after every ``advance`` command
-  a worker publishes its shard rows with the engines'
-  ``write_batch_into`` hook, and the parent reads checkpoints without any
-  pickling of state;
+* **one pipe per worker** — each worker talks to the parent over its own
+  duplex pipe, whose worker end no other process holds.  Its reply to the
+  build and to each ``advance`` carries its shard rows in the engines'
+  spin dtype, written by their ``write_batch_into`` hook, and ``config``
+  assembles the ``(R, n)`` int64 batch from the latest rows.  A worker's
+  exit closes its end, so its death is end-of-file on the parent's end,
+  read after any reply it sent;
 * **barrier per command** — ``advance`` returns only when every worker has
-  acknowledged, so ``config`` always observes a consistent round and
+  replied, so ``config`` always observes a consistent round and
   ``run`` / ``iter_checkpoints`` / the whole convergence pipeline work on
   a :class:`ShardedEnsemble` unchanged via
   :class:`~repro.chains.ensemble.EnsembleTrajectoryMixin`.
@@ -33,18 +35,18 @@ import multiprocessing as mp
 import os
 import traceback
 from multiprocessing import connection as mp_connection
-from multiprocessing import shared_memory
+from multiprocessing import util as mp_util
 
 import numpy as np
 
 from repro.chains.base import start_config
-from repro.chains.ensemble import EnsembleTrajectoryMixin
+from repro.chains.ensemble import EnsembleTrajectoryMixin, _spin_dtype
 from repro.errors import ExecError, ModelError
 from repro.exec.shards import ShardSpec, make_shard_plan
 
 __all__ = ["ShardedEnsemble", "default_start_method"]
 
-#: Seconds to wait for a worker to exit after a stop command.
+#: Seconds to wait for a worker to exit once its pipe is closed.
 _JOIN_TIMEOUT = 10.0
 
 
@@ -89,80 +91,61 @@ def _build_shard_engines(model, method, shards, initial_blocks):
     ]
 
 
-def _parent_tracker_pid() -> int | None:
-    """PID of this (parent) process's resource tracker, if one is running."""
-    try:
-        from multiprocessing import resource_tracker
+def _start_worker(ctx, target, args, duplex: bool):
+    """Start a daemonic worker on a fresh pipe; return ``(process, parent_end)``.
 
-        return resource_tracker._resource_tracker._pid
-    except Exception:  # pragma: no cover - stdlib internals moved
-        return None
-
-
-def _untrack(  # pragma: no cover - worker-side
-    shm: shared_memory.SharedMemory, parent_tracker_pid: int | None
-) -> None:
-    """Unregister an *attached* segment from a worker-private resource tracker.
-
-    On POSIX Pythons before 3.13 merely attaching registers the segment
-    with the resource tracker.  When the worker shares the parent's
-    tracker — fork inherits the whole tracker state, spawn passes the
-    tracker fd in the preparation data — that registration is an
-    idempotent set-add and the parent's ``unlink`` is the single
-    deregistration; unregistering here too would make the shared
-    tracker's cleanup raise.  Only a worker that genuinely started its
-    *own* tracker (no inherited fd, so ``_pid`` is a fresh pid different
-    from the parent's tracker) must unregister, lest its private tracker
-    "clean up" the parent's still-live block at worker exit.
+    The worker gets the pipe's second end as its last argument.  The
+    parent closes its own copy of that end as soon as the process has
+    started, before any later worker forks, so the worker holds the only
+    copy: its exit, however it comes, is end-of-file on ``parent_end``.
+    Every forked child closes its inherited copy of ``parent_end``, so
+    under fork, as under spawn, only the parent holds it: a parent that
+    dies is end-of-file to a worker waiting for a command.
     """
-    try:
-        from multiprocessing import resource_tracker
-
-        pid = resource_tracker._resource_tracker._pid
-        if pid is None or pid == parent_tracker_pid:
-            return  # shared with the parent; its unlink is the one deregistration
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+    parent_end, worker_end = ctx.Pipe(duplex)
+    mp_util.register_after_fork(parent_end, mp_connection.Connection.close)
+    with worker_end:
+        process = ctx.Process(target=target, args=(*args, worker_end), daemon=True)
+        try:
+            process.start()
+        except BaseException:
+            parent_end.close()
+            raise
+    return process, parent_end
 
 
 def _worker_main(  # pragma: no cover - runs in worker processes, invisible to coverage
-    worker_id: int,
-    model,
-    method: str,
-    shards: list[ShardSpec],
-    initial_blocks,
-    shm_name: str,
-    shape: tuple[int, int],
-    parent_tracker_pid: int | None,
-    commands,
-    replies,
+    model, method: str, shards: list[ShardSpec], initial_blocks, conn
 ) -> None:
-    """Worker loop: build shard engines once, then advance by each step count until None."""
-    shm = None
-    batch = None
+    """Worker loop: build shard engines once, then advance by each step count received.
+
+    Each reply is this worker's shard rows, one block per shard, or the
+    traceback string of a failure.  End-of-file on ``conn`` (the parent
+    closed its end, or is gone) stops the worker quietly.
+    """
     try:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        _untrack(shm, parent_tracker_pid)
-        batch = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
         engines = _build_shard_engines(model, method, shards, initial_blocks)
-        for spec, engine in engines:
-            engine.write_batch_into(batch[spec.start : spec.stop])
-        replies.put((worker_id, "ready", None))
-        while (steps := commands.get()) is not None:
-            for spec, engine in engines:
+        dtype = _spin_dtype(model.q)
+
+        def rows():
+            return [
+                engine.write_batch_into(np.empty((spec.size, model.n), dtype))
+                for spec, engine in engines
+            ]
+
+        conn.send(rows())
+        while True:
+            steps = conn.recv()
+            for _, engine in engines:
                 engine.advance(steps)
-                engine.write_batch_into(batch[spec.start : spec.stop])
-            replies.put((worker_id, "done", None))
+            conn.send(rows())
+    except EOFError:
+        pass
     except BaseException:
         try:
-            replies.put((worker_id, "error", traceback.format_exc()))
-        except Exception:
+            conn.send(traceback.format_exc())
+        except OSError:
             pass
-    finally:
-        batch = None  # noqa: F841 — release the buffer view before closing the mmap
-        if shm is not None:
-            shm.close()
 
 
 class ShardedEnsemble(EnsembleTrajectoryMixin):
@@ -203,8 +186,8 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         Part of the determinism contract — two runs shard-compatible only
         if their partitions match.
 
-    Use as a context manager (or call :meth:`close`) to release worker
-    processes and the shared-memory block deterministically.
+    Use as a context manager (or call :meth:`close`) to release the worker
+    processes and their pipes deterministically.
     """
 
     def __init__(
@@ -236,15 +219,7 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
         if self.workers == 0:
             self._engines = _build_shard_engines(model, method, self.shards, initial_blocks)
         else:
-            self._pool = _ShardWorkerPool(
-                model,
-                method,
-                self.shards,
-                initial_blocks,
-                self.replicas,
-                self.n,
-                self.workers,
-            )
+            self._pool = _ShardWorkerPool(model, method, self.shards, initial_blocks, self.workers)
 
     # ------------------------------------------------------------------
     # ensemble protocol
@@ -272,18 +247,20 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
     def config(self) -> np.ndarray:
         """The current ``(R, n)`` batch (an int64 copy — safe to mutate)."""
         self._ensure_open()
-        if self._pool is not None:
-            return self._pool.read_batch()
         out = np.empty((self.replicas, self.n), dtype=np.int64)
-        for spec, engine in self._engines:
-            engine.write_batch_into(out[spec.start : spec.stop])
+        if self._pool is not None:
+            for spec, rows in zip(self.shards, self._pool.rows):
+                out[spec.start : spec.stop] = rows
+        else:
+            for spec, engine in self._engines:
+                engine.write_batch_into(out[spec.start : spec.stop])
         return out
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the workers and release the shared-memory block (idempotent)."""
+        """Stop the workers and close their pipes (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -294,7 +271,7 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
     def _ensure_open(self) -> None:
         # A pool force-closed by a worker failure counts as closed too, so
         # post-failure operations surface as ExecError rather than stray
-        # ValueErrors from the torn-down queues.
+        # OSErrors from the closed pipes.
         if self._closed or (self._pool is not None and self._pool.closed):
             raise ExecError("this ShardedEnsemble has been closed")
 
@@ -319,89 +296,57 @@ class ShardedEnsemble(EnsembleTrajectoryMixin):
 
 
 class _ShardWorkerPool:
-    """Parent-side handle: processes, command queues, the shared state block."""
+    """Parent-side handle: the worker processes, their pipes and their latest shard rows."""
 
-    def __init__(
-        self,
-        model,
-        method: str,
-        shards: list[ShardSpec],
-        initial_blocks,
-        replicas: int,
-        n: int,
-        workers: int,
-    ) -> None:
-        self._ctx = mp.get_context(default_start_method())
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(replicas * n * 8, 8)
-        )
-        self._batch = np.ndarray((replicas, n), dtype=np.int64, buffer=self._shm.buf)
-        self._replies = self._ctx.Queue()
-        self._workers: list[tuple[mp.Process, object]] = []
+    def __init__(self, model, method: str, shards: list[ShardSpec], initial_blocks, workers: int):
+        ctx = mp.get_context(default_start_method())
+        self._shards = [shards[worker_id::workers] for worker_id in range(workers)]
+        #: Each shard's rows, in plan order, from its worker's latest reply.
+        self.rows: list[np.ndarray | None] = [None] * len(shards)
+        self._workers: list[tuple[mp.Process, mp_connection.Connection]] = []
         self._closed = False
-        tracker_pid = _parent_tracker_pid()
         try:
             for worker_id in range(workers):
-                commands = self._ctx.Queue()
-                process = self._ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        worker_id,
-                        model,
-                        method,
-                        shards[worker_id::workers],
-                        initial_blocks[worker_id::workers],
-                        self._shm.name,
-                        (replicas, n),
-                        tracker_pid,
-                        commands,
-                        self._replies,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                self._workers.append((process, commands))
-            self._await_all("ready")
+                args = (model, method, self._shards[worker_id], initial_blocks[worker_id::workers])
+                self._workers.append(_start_worker(ctx, _worker_main, args, duplex=True))
+            self._await_all()
         except BaseException:
             self.close(force=True)
             raise
 
     def advance(self, steps: int) -> None:
-        for _, commands in self._workers:
-            commands.put(steps)
-        self._await_all("done")
+        for _, conn in self._workers:
+            try:
+                conn.send(steps)
+            except BrokenPipeError:  # a dead worker: the barrier names it
+                pass
+        self._await_all()
 
-    def read_batch(self) -> np.ndarray:
-        return np.array(self._batch)
-
-    def _await_all(self, expected: str) -> None:
+    def _await_all(self) -> None:
         """Barrier: one reply per worker; a pending worker's death fails it at once.
 
-        Waits on the reply queue and the pending workers' process sentinels,
-        reading replies first: a worker that sent its traceback fails with it.
+        A worker's replies and its end-of-file arrive on one pipe, in
+        order, so a worker that sent its traceback fails with it.
         """
-        pending = set(range(len(self._workers)))
-        reader = self._replies._reader
+        pending = {conn: worker_id for worker_id, (_, conn) in enumerate(self._workers)}
         while pending:
-            sentinels = {self._workers[i][0].sentinel: i for i in pending}
-            ready = mp_connection.wait([reader, *sentinels])
-            if reader not in ready and not reader.poll():
-                worker_id = sentinels[ready[0]]
-                process = self._workers[worker_id][0]
-                process.join()
-                self._fail(
-                    f"worker {worker_id} died without replying "
-                    f"(exit code {process.exitcode})"
-                )
-            worker_id, status, payload = self._replies.get()
-            if status == "error":
-                self._fail(f"worker {worker_id} failed:\n{payload}")
-            if status != expected:
-                self._fail(
-                    f"worker {worker_id} replied {status!r} while waiting "
-                    f"for {expected!r}"
-                )
-            pending.discard(worker_id)
+            for conn in mp_connection.wait(list(pending)):
+                worker_id = pending.pop(conn)
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):  # its exit closed the pipe
+                    reply = None
+                if reply is None:
+                    process = self._workers[worker_id][0]
+                    process.join()
+                    self._fail(
+                        f"worker {worker_id} died without replying "
+                        f"(exit code {process.exitcode})"
+                    )
+                if isinstance(reply, str):
+                    self._fail(f"worker {worker_id} failed:\n{reply}")
+                for spec, rows in zip(self._shards[worker_id], reply):
+                    self.rows[spec.index] = rows
 
     def _fail(self, message: str) -> None:
         self.close(force=True)
@@ -412,29 +357,16 @@ class _ShardWorkerPool:
         return self._closed
 
     def close(self, force: bool = False) -> None:
+        """Stop the workers: closing its pipe stops a worker; ``force`` terminates it first."""
         if self._closed:
             return
         self._closed = True
-        for process, commands in self._workers:
+        for process, conn in self._workers:
             if force:
                 process.terminate()
-            else:
-                try:
-                    commands.put(None)
-                except Exception:
-                    pass
+            conn.close()
         for process, _ in self._workers:
             process.join(timeout=_JOIN_TIMEOUT)
             if process.is_alive():  # pragma: no cover - stuck-worker safety net
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT)
-        for _, commands in self._workers:
-            commands.close()
-        self._replies.close()
-        # Release the ndarray view before closing the mmap, else BufferError.
-        self._batch = None
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass

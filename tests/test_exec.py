@@ -198,6 +198,8 @@ def test_closed_ensemble_rejects_operations():
     ensemble = ShardedEnsemble(_coloring(), 4, seed=SEED, shard_size=2, workers=1)
     ensemble.close()
     ensemble.close()  # idempotent
+    # Closing its pipe stops a worker: it reads end-of-file and exits cleanly.
+    assert [process.exitcode for process, _ in ensemble._pool._workers] == [0]
     with pytest.raises(ExecError, match="closed"):
         ensemble.advance(1)
     with pytest.raises(ExecError, match="closed"):
@@ -444,7 +446,7 @@ class TestJobs:
             assert fine_id in runner.results
 
     def test_dead_worker_inference_traced_and_pool_survives(self, tmp_path):
-        """A dead worker seen on its process sentinel: the job it held fails
+        """A dead worker seen as end-of-file on its event pipe: the job it held fails
         with an error JobUpdate, surviving jobs complete, and the loss
         leaves a ``runner.job_lost`` event in the trace file."""
         import json
@@ -487,6 +489,43 @@ class TestJobs:
         assert lost[0]["kind"] == "event"
         assert lost[0]["attrs"]["job_id"] == slow_id
         assert lost[0]["attrs"]["worker_pid"] == started.payload
+
+    def test_worker_killed_mid_event_fails_its_job_without_hanging(self):
+        """A worker SIGKILLed while blocked writing a result larger than a
+        pipe buffer fails its job at once: the cut-off message is its death,
+        and next_event returns within its timeout."""
+        import os
+        import signal
+        import threading
+        import time
+        from pathlib import Path
+
+        from repro.graphs import torus_graph
+
+        model = proper_coloring_mrf(torus_graph(32, 32), 8)
+        spec = JobSpec.sample_many(model, 256, rounds=1, seed=1)  # a 2 MB result
+        with JobRunner(workers=1) as runner:
+            job_id = runner.submit(spec)
+            started = next(e for e in runner.stream() if e.kind == "started")
+            pid = started.payload
+            # Nothing reads the worker's events now, so it blocks writing
+            # its result; Linux shows that in the worker's wait channel.
+            wchan, deadline = Path(f"/proc/{pid}/wchan"), time.monotonic() + 5
+            while time.monotonic() < deadline and not (
+                wchan.exists() and "pipe_write" in wchan.read_text()
+            ):
+                time.sleep(0.05)
+            os.kill(pid, signal.SIGKILL)
+            events = []
+            reader = threading.Thread(
+                target=lambda: events.append(runner.next_event(timeout=1.0)), daemon=True
+            )
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive(), "next_event hung on a worker killed mid-write"
+        [event] = events
+        assert (event.job_id, event.kind) == (job_id, "error")
+        assert event.payload == f"worker {pid} died executing this job (exit code -9)"
 
     def test_idle_worker_death_never_hangs_the_runner(self):
         """A job submitted after an idle worker died runs on the survivor.
@@ -559,10 +598,14 @@ class TestJobs:
             short_id = runner.submit(short)
             queued_id = runner.submit(queued)
             assert runner._owner[queued_id] == runner._owner[endless_id]
+            # A spawned worker may still be importing when the queued job is
+            # done: wait for the endless job to start too, so the cancel
+            # below stops a running job rather than a queued one.
             events = []
             for event in runner.stream():
                 events.append(event)
-                if event.job_id == queued_id and event.kind == "result":
+                seen = {(e.job_id, e.kind) for e in events}
+                if {(queued_id, "result"), (endless_id, "started")} <= seen:
                     break
             assert endless_id not in runner.results and endless_id not in runner.errors
             assert runner.cancel(endless_id)
@@ -592,7 +635,13 @@ class TestJobs:
             queued_id = runner.submit(queued)
             assert runner._owner[queued_id] == runner._owner[doomed_id]
             stream = runner.stream()
-            started = next(e for e in stream if e.kind == "started" and e.job_id == doomed_id)
+            # A spawned worker may still be importing when the doomed job
+            # starts: wait for the endless job to start too, so the cancel
+            # below stops a running job rather than a queued one.
+            early = []
+            while not {doomed_id, endless_id} <= {e.job_id for e in early if e.kind == "started"}:
+                early.append(next(stream))
+            started = next(e for e in early if e.kind == "started" and e.job_id == doomed_id)
             os.kill(started.payload, signal.SIGKILL)
             events = []
             for event in stream:
