@@ -10,10 +10,10 @@ Three layers, each usable on its own:
   executed in-process or on a persistent pool of worker processes, each
   replying with its shard rows over its own pipe, behind the standard
   ensemble protocol (``advance``/``run``/``config``/``iter_checkpoints``);
-* :mod:`repro.exec.jobs` — :class:`JobRunner`: a
-  scheduler that hands many heterogeneous sampling requests to the
-  workers of a persistent pool, one running and at most one queued per
-  worker, and streams per-checkpoint results.  A job is a
+* :mod:`repro.exec.jobs` — :class:`JobRunner`: a scheduler that sends
+  many heterogeneous sampling requests to the workers of a persistent
+  pool, one running and at most one queued per worker, over one pipe per
+  worker, and streams per-checkpoint results back on it.  A job is a
   :class:`~repro.spec.JobSpec`, the one request description.
 
 The facade (:mod:`repro.api`) exposes the pool layer through the

@@ -15,11 +15,8 @@ streaming progress back as it happens:
 ...         print(event.label, event.kind, event.round, event.value)
 ...     results = runner.results
 
-The parent is the scheduler: it hands each waiting job to a live worker's
-own task queue (an idle worker first, then one job queued behind each
-busy worker).  Each worker answers on its own event pipe, whose write end
-no other process holds, so a worker's death is end-of-file on that pipe,
-read after every event it sent.
+The parent is the scheduler, and each worker has one pipe to it, for its
+tasks, drop requests and events (see :class:`JobRunner`).
 
 Determinism contract: a worker executes a job with :meth:`JobSpec.run` —
 the :func:`repro.api.run_spec` body every direct call uses — and the job's
@@ -30,6 +27,7 @@ and what else ran beside it, never matters.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing as mp
 import os
@@ -41,13 +39,11 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
 from repro.errors import ExecError, ModelError, ReproError
+from repro.exec.pool import _start_worker, _stop_workers, default_start_method
 from repro.obs import trace as _obs_trace
 from repro.spec import JOB_KINDS, JobSpec
 
 __all__ = ["JOB_KINDS", "JobUpdate", "JobRunner"]
-
-#: Seconds to wait for a worker to exit after its ``None`` stop item.
-_JOIN_TIMEOUT = 10.0
 
 
 class _JobCancelled(BaseException):
@@ -101,96 +97,111 @@ def _execute_job(job_id, job, emit) -> None:
     emit(JobUpdate(job_id, "result", job.label, payload=result, elapsed=elapsed))
 
 
-def _job_worker_main(tasks, cancelled, events) -> None:  # pragma: no cover - worker-side
-    """Worker loop: run the jobs the parent hands this worker until a ``None`` item.
+def _job_worker_main(conn) -> None:  # pragma: no cover - worker-side
+    """Worker loop: run the ``(job_id, job, trace)`` tasks sent down ``conn`` in order.
 
-    ``cancelled`` is this worker's two shared job-id slots, one per job it
-    may hold: the parent writes the id of a held job it wants dropped
-    (cancelled, or moved to an idle worker).  They are read before a job
-    starts (a job dropped on its way here never runs) and at every event
-    emission (a running streamed job stops at its next checkpoint boundary).
-
-    Task items are ``(job_id, job, trace)`` triples; ``trace`` is either
-    ``None`` or an exported trace context (``repro.obs.trace``) carrying
-    the submitter's trace-file path and span ids, so worker-side spans
-    stitch into the same trace across the pipe boundary.
+    A bare job id on ``conn`` asks the worker to drop that job (cancelled,
+    or moved to an idle worker): it is read before a job starts and at
+    every event emission (a running streamed job stops at its next
+    checkpoint).  A reader thread takes each message as it arrives, so the
+    parent never blocks sending to a busy worker, which could deadlock
+    against this worker's send of a large result; end-of-file ends the
+    process, and so does a message it cannot read, a death the parent sees.
+    ``trace`` is ``None`` or an exported trace context (``repro.obs.trace``)
+    that stitches worker-side spans into the submitter's trace.
     """
-    while (item := tasks.get()) is not None:
-        job_id, job, trace = item
+    tasks, ready, dropped = deque(), threading.Semaphore(0), set()
 
-        def emit(event, job_id=job_id):
-            if job_id in cancelled:
-                raise _JobCancelled()
-            events.send(event)
-
-        message = None
+    def read():
         try:
-            if job_id in cancelled:
-                message = "CancelledError: job cancelled before it started"
-            else:
-                events.send(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
-                if trace is not None and trace.get("file"):
-                    _obs_trace.ensure_tracing(trace["file"])
-                with _obs_trace.span(
-                    "runner.job", parent=trace, label=job.label, kind=job.kind, job_id=job_id
-                ):
-                    _execute_job(job_id, job, emit)
-        except _JobCancelled:
-            message = "CancelledError: job cancelled"
-        except ReproError as error:
-            message = f"{type(error).__name__}: {error}"
-        except Exception:
-            message = traceback.format_exc()
-        if message is not None:
-            events.send(JobUpdate(job_id, "error", job.label, payload=message))
+            while True:
+                message = conn.recv()
+                if isinstance(message, int):
+                    dropped.add(message)
+                else:
+                    tasks.append(message)
+                    ready.release()
+        except (EOFError, OSError):
+            os._exit(0)
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+
+    threading.Thread(target=read, daemon=True).start()
+    try:
+        while True:
+            ready.acquire()
+            job_id, job, trace = tasks.popleft()
+
+            def emit(event, job_id=job_id):
+                if job_id in dropped:
+                    raise _JobCancelled()
+                conn.send(event)
+
+            message = None
+            try:
+                if job_id in dropped:
+                    message = "CancelledError: job cancelled before it started"
+                else:
+                    conn.send(JobUpdate(job_id, "started", job.label, payload=os.getpid()))
+                    if trace is not None and trace.get("file"):
+                        _obs_trace.ensure_tracing(trace["file"])
+                    with _obs_trace.span(
+                        "runner.job", parent=trace, label=job.label, kind=job.kind, job_id=job_id
+                    ):
+                        _execute_job(job_id, job, emit)
+            except _JobCancelled:
+                message = "CancelledError: job cancelled"
+            except ReproError as error:
+                message = f"{type(error).__name__}: {error}"
+            except Exception:
+                message = traceback.format_exc()
+            if message is not None:
+                conn.send(JobUpdate(job_id, "error", job.label, payload=message))
+            dropped.discard(job_id)
+    except OSError:  # a send failed: the parent closed its end, or is gone
+        pass
 
 
 class JobRunner:
     """A persistent pool of generic sampling workers plus a job scheduler.
 
     Jobs submitted with :meth:`submit` wait in submission order; the
-    runner puts the oldest one on an idle worker's own task queue, or
-    queues it behind a busy worker's running job so that worker starts it
-    without waiting on the parent.  A worker that goes idle with nothing
-    waiting takes over a job still queued behind a busy one, so
-    heterogeneous batches load-balance, and the runner always knows which
-    worker holds which job.  :meth:`stream` yields :class:`JobUpdate`
-    events (live checkpoints, results, errors) until every outstanding job
-    settles; :meth:`run` drains the stream and returns ``{job_id:
-    result}``, raising :class:`~repro.errors.ExecError` if any job failed.
+    runner sends the oldest one to an idle worker, or queues it behind a
+    busy worker's running job so that worker starts it without waiting on
+    the parent.  A worker that goes idle with nothing waiting takes over a
+    job still queued behind a busy one, so heterogeneous batches
+    load-balance, and the runner always knows which worker holds which
+    job.  :meth:`stream` yields :class:`JobUpdate` events (live
+    checkpoints, results, errors) until every outstanding job settles;
+    :meth:`run` drains the stream and returns ``{job_id: result}``,
+    raising :class:`~repro.errors.ExecError` if any job failed.
 
     A failed job never poisons the pool: its error is recorded (``errors``
-    mapping) and the worker moves on to the next job.  Each worker owns a
-    private task queue and a private event pipe that only it writes, so a
-    worker that *dies* (OOM kill, segfault), even in the middle of an
-    event, is end-of-file on its pipe once the runner has read every event
-    it sent before: the runner fails the job it was running, and the
-    survivors take the job queued behind it.
+    mapping) and the worker moves on to the next job.  One pipe per worker
+    carries its tasks, drop requests and events, so a worker that *dies*
+    (OOM kill, segfault), even mid-event, is end-of-file there once the
+    runner has read every event it sent: the runner fails the job it was
+    running, and the survivors take the job queued behind it.  Closing the
+    runner, or its process dying, stops every worker at once.
     """
 
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ModelError(f"JobRunner needs workers >= 1, got {workers}")
-        from repro.exec.pool import _start_worker, default_start_method
-
         ctx = mp.get_context(default_start_method())
         self.workers = int(workers)
-        # Per worker: a task queue (a put never blocks, even to a dead
-        # worker), the shared ids of the jobs it is asked to drop, and an
-        # event pipe (started below) whose write end only the worker holds.
-        self._tasks = [ctx.Queue() for _ in range(self.workers)]
-        self._cancels = [ctx.RawArray("q", [-1, -1]) for _ in range(self.workers)]
         self._processes: list[mp.Process] = []
-        self._events: list[mp_connection.Connection] = []
+        self._pipes: list[mp_connection.Connection] = []
         self._ids = itertools.count()
         self._jobs: dict[int, JobSpec] = {}
         self._waiting: dict[int, dict | None] = {}  # job id -> trace, oldest first
-        # Worker index -> the (job id, spec, trace) tasks sent to it, in its
-        # queue's order: the first runs, at most one waits behind it.
+        # Worker index -> the (job id, spec, trace) tasks sent to it, in
+        # order: the first runs, at most one waits behind it.
         self._held: dict[int, list[tuple]] = {worker: [] for worker in range(self.workers)}
         # Job id -> the worker whose events settle it.  A job moved to an
-        # idle worker or cancelled here stays in its old worker's queue;
-        # that worker's events for it are echoes, dropped unseen.
+        # idle worker or cancelled here stays held by its old worker; that
+        # worker's events for it are echoes, dropped unseen.
         self._owner: dict[int, int] = {}
         self._live = list(range(self.workers))
         # Events already recorded in the parent (a cancelled waiting job,
@@ -209,10 +220,10 @@ class JobRunner:
         self.elapsed: dict[int, float] = {}
         self._closed = False
         try:
-            for channels in zip(self._tasks, self._cancels):
-                process, events = _start_worker(ctx, _job_worker_main, channels, duplex=False)
+            for _ in range(self.workers):
+                process, pipe = _start_worker(ctx, _job_worker_main, ())
                 self._processes.append(process)
-                self._events.append(events)
+                self._pipes.append(pipe)
         except BaseException:
             self.close(force=True)
             raise
@@ -254,7 +265,7 @@ class JobRunner:
         with self._lock:
             worker = self._owner.get(job_id)
             if worker is not None:
-                self._drop(worker, job_id)
+                self._send(worker, job_id)
                 if self._held[worker][0][0] == job_id:  # running: it stops itself
                     return True
             elif job_id in self._waiting:
@@ -305,7 +316,7 @@ class JobRunner:
         that multiplex a runner with other work (the :mod:`repro.serve`
         dispatcher polls this with a short timeout while jobs are
         submitted concurrently from another thread).  It waits on the live
-        workers' event pipes, where a worker's death reads as end-of-file;
+        workers' pipes, where a worker's death reads as end-of-file;
         the bookkeeping — ``results``/``errors``, handing waiting jobs to
         freed workers, failing a dead worker's job — happens here.  With
         ``timeout=None`` and nothing pending this blocks until a job is
@@ -322,14 +333,14 @@ class JobRunner:
             if not live:
                 self.close(force=True)
                 raise ExecError("all JobRunner workers died")
-            readers = {self._events[worker]: worker for worker in live}
+            readers = {self._pipes[worker]: worker for worker in live}
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             ready = mp_connection.wait(list(readers), timeout=remaining)
             if not ready:
                 return None
             worker = readers[ready[0]]
             try:
-                event = self._events[worker].recv()
+                event = self._pipes[worker].recv()
             except (EOFError, OSError):  # the worker is gone, maybe mid-event
                 self._bury(worker)
                 continue
@@ -342,7 +353,7 @@ class JobRunner:
 
         An event from a worker that does not own its job (moved, cancelled
         here or already settled) is an echo: it settles nothing.  A result
-        or error from ``worker`` frees that task's place in its queue.
+        or error from ``worker`` frees that task's place on that worker.
         """
         job_id = event.job_id
         news = worker is None or self._owner.get(job_id) == worker
@@ -367,11 +378,10 @@ class JobRunner:
         self._record(None, event)
         self._backlog.append(event)
 
-    def _drop(self, worker: int, job_id: int) -> None:
-        """Ask ``worker`` to drop ``job_id``, keeping any request about its other job."""
-        slots = self._cancels[worker]
-        other = {task[0] for task in self._held[worker]} - {job_id}
-        slots[int(slots[0] in other)] = job_id
+    def _send(self, worker: int, message) -> None:
+        """Send ``worker`` a task or a job id to drop; the caller holds the lock."""
+        with contextlib.suppress(OSError):  # dead: its end-of-file settles what it holds
+            self._pipes[worker].send(message)
 
     def _dispatch(self) -> None:
         """Keep live workers supplied, oldest job first; the caller holds the lock.
@@ -389,12 +399,12 @@ class JobRunner:
                     job_id = next(iter(self._waiting))
                     task = (job_id, self._jobs[job_id], self._waiting.pop(job_id))
                 elif depth == 1 and (task := self._queued_behind_busy()) is not None:
-                    self._drop(self._owner[task[0]], task[0])
+                    self._send(self._owner[task[0]], task[0])
                 else:
                     break
                 self._owner[task[0]] = worker
                 self._held[worker].append(task)
-                self._tasks[worker].put(task)
+                self._send(worker, task)
 
     def _queued_behind_busy(self) -> tuple | None:
         """A task its worker owns but has not started, or None."""
@@ -402,15 +412,12 @@ class JobRunner:
         return next(queued, None)
 
     def _bury(self, worker: int) -> None:
-        """Retire a worker whose event pipe ended: fail the job it ran, requeue the rest.
+        """Retire a worker whose pipe ended: fail the job it ran, requeue the rest.
 
         Every event the worker sent before it died has been read already,
         in order, ahead of the end-of-file.
         """
         process = self._processes[worker]
-        # Nothing reads this worker's task queue any more: its feeder
-        # thread must not hold up interpreter exit.
-        self._tasks[worker].cancel_join_thread()
         with self._lock:  # _dispatch polls the same process for liveness
             process.join()
             self._live.remove(worker)
@@ -446,21 +453,7 @@ class JobRunner:
         if self._closed:
             return
         self._closed = True
-        for process, tasks in zip(self._processes, self._tasks):
-            if force:
-                process.terminate()
-            else:
-                tasks.put(None)
-        for process in self._processes:
-            process.join(timeout=_JOIN_TIMEOUT)
-            if process.is_alive():  # pragma: no cover - stuck-worker safety net
-                process.terminate()
-                process.join(timeout=_JOIN_TIMEOUT)
-        for tasks in self._tasks:
-            tasks.cancel_join_thread()
-            tasks.close()
-        for events in self._events:
-            events.close()
+        _stop_workers(list(zip(self._processes, self._pipes)), force)
 
     def __enter__(self):
         return self

@@ -91,8 +91,8 @@ def _build_shard_engines(model, method, shards, initial_blocks):
     ]
 
 
-def _start_worker(ctx, target, args, duplex: bool):
-    """Start a daemonic worker on a fresh pipe; return ``(process, parent_end)``.
+def _start_worker(ctx, target, args):
+    """Start a daemonic worker on its one duplex pipe; return ``(process, parent_end)``.
 
     The worker gets the pipe's second end as its last argument.  The
     parent closes its own copy of that end as soon as the process has
@@ -100,9 +100,9 @@ def _start_worker(ctx, target, args, duplex: bool):
     copy: its exit, however it comes, is end-of-file on ``parent_end``.
     Every forked child closes its inherited copy of ``parent_end``, so
     under fork, as under spawn, only the parent holds it: a parent that
-    dies is end-of-file to a worker waiting for a command.
+    closes it, or dies, is end-of-file to the worker.
     """
-    parent_end, worker_end = ctx.Pipe(duplex)
+    parent_end, worker_end = ctx.Pipe()
     mp_util.register_after_fork(parent_end, mp_connection.Connection.close)
     with worker_end:
         process = ctx.Process(target=target, args=(*args, worker_end), daemon=True)
@@ -112,6 +112,22 @@ def _start_worker(ctx, target, args, duplex: bool):
             parent_end.close()
             raise
     return process, parent_end
+
+
+def _stop_workers(workers, force: bool) -> None:
+    """Stop ``(process, parent_end)`` workers by closing every pipe, then join them.
+
+    A worker blocked writing to a closed pipe fails that write and exits.
+    """
+    for process, conn in workers:
+        if force:
+            process.terminate()
+        conn.close()
+    for process, _ in workers:
+        process.join(timeout=_JOIN_TIMEOUT)
+        if process.is_alive():  # pragma: no cover - stuck-worker safety net
+            process.terminate()
+            process.join(timeout=_JOIN_TIMEOUT)
 
 
 def _worker_main(  # pragma: no cover - runs in worker processes, invisible to coverage
@@ -304,11 +320,11 @@ class _ShardWorkerPool:
         #: Each shard's rows, in plan order, from its worker's latest reply.
         self.rows: list[np.ndarray | None] = [None] * len(shards)
         self._workers: list[tuple[mp.Process, mp_connection.Connection]] = []
-        self._closed = False
+        self.closed = False
         try:
             for worker_id in range(workers):
                 args = (model, method, self._shards[worker_id], initial_blocks[worker_id::workers])
-                self._workers.append(_start_worker(ctx, _worker_main, args, duplex=True))
+                self._workers.append(_start_worker(ctx, _worker_main, args))
             self._await_all()
         except BaseException:
             self.close(force=True)
@@ -352,21 +368,9 @@ class _ShardWorkerPool:
         self.close(force=True)
         raise ExecError(message)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self, force: bool = False) -> None:
-        """Stop the workers: closing its pipe stops a worker; ``force`` terminates it first."""
-        if self._closed:
+        """Stop the workers (idempotent); ``force`` terminates them first."""
+        if self.closed:
             return
-        self._closed = True
-        for process, conn in self._workers:
-            if force:
-                process.terminate()
-            conn.close()
-        for process, _ in self._workers:
-            process.join(timeout=_JOIN_TIMEOUT)
-            if process.is_alive():  # pragma: no cover - stuck-worker safety net
-                process.terminate()
-                process.join(timeout=_JOIN_TIMEOUT)
+        self.closed = True
+        _stop_workers(self._workers, force)

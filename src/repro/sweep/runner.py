@@ -24,6 +24,7 @@ schema.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,14 +154,14 @@ def _attach_checks(grid, rows, results, alpha: float) -> None:
 def _execute_local(cells) -> list[tuple[object, str | None, float | None]]:
     outcomes = []
     for cell in cells:
-        start = time.perf_counter()
+        start, result, error = time.perf_counter(), None, None
         try:
             result = cell.spec.run()
-            outcomes.append((result, None, time.perf_counter() - start))
-        except ReproError as error:
-            outcomes.append(
-                (None, f"{type(error).__name__}: {error}", time.perf_counter() - start)
-            )
+        except ReproError as failure:  # messages as the job workers write them
+            error = f"{type(failure).__name__}: {failure}"
+        except Exception:
+            error = traceback.format_exc()
+        outcomes.append((result, error, time.perf_counter() - start))
     return outcomes
 
 

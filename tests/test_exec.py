@@ -446,7 +446,7 @@ class TestJobs:
             assert fine_id in runner.results
 
     def test_dead_worker_inference_traced_and_pool_survives(self, tmp_path):
-        """A dead worker seen as end-of-file on its event pipe: the job it held fails
+        """A dead worker seen as end-of-file on its pipe: the job it held fails
         with an error JobUpdate, surviving jobs complete, and the loss
         leaves a ``runner.job_lost`` event in the trace file."""
         import json
@@ -527,6 +527,105 @@ class TestJobs:
         assert (event.job_id, event.kind) == (job_id, "error")
         assert event.payload == f"worker {pid} died executing this job (exit code -9)"
 
+    def test_workers_exit_when_their_runner_process_is_killed(self):
+        """A process SIGKILLed while it owns a JobRunner takes the workers
+        with it: each reads end-of-file on its pipe and exits within 2 s."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("reads process states from /proc")
+
+        script = "\n".join([
+            "import time",
+            "from repro.exec import JobRunner, JobSpec",
+            "from repro.graphs import path_graph",
+            "from repro.mrf import proper_coloring_mrf",
+            "model = proper_coloring_mrf(path_graph(3), 3)",
+            "runner = JobRunner(workers=2)",  # each worker runs one job before the kill
+            "runner.run_all([JobSpec.sample_many(model, 4, rounds=2, seed=s) for s in (1, 2)])",
+            "print(*(process.pid for process in runner._processes), flush=True)",
+            "time.sleep(600)",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              text=True, env=env) as owner:
+            try:
+                pids = [int(pid) for pid in owner.stdout.readline().split()]
+            finally:
+                owner.kill()
+        assert len(pids) == 2
+
+        def exited(pid):  # gone, or a zombie nobody has reaped
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return True
+            return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+        deadline = time.monotonic() + 2.0
+        while not all(map(exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        survivors = [pid for pid in pids if not exited(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"workers {survivors} outlived their runner's process"
+
+    def test_close_stops_a_worker_blocked_writing_an_unread_result(self):
+        """close() closes every worker's pipe before it joins: a worker
+        blocked writing a 2 MB result nobody reads exits at once, by itself."""
+        import time
+
+        from repro.graphs import torus_graph
+
+        model = proper_coloring_mrf(torus_graph(32, 32), 8)
+        runner = JobRunner(workers=1)
+        try:
+            runner.submit(JobSpec.sample_many(model, 256, rounds=1, seed=1))
+            next(e for e in runner.stream() if e.kind == "started")
+            time.sleep(0.5)
+        finally:
+            began = time.monotonic()
+            runner.close()
+            took = time.monotonic() - began
+        assert took < 1.0
+        assert runner._processes[0].exitcode == 0
+
+    def test_specs_and_results_larger_than_the_pipe_buffer_never_deadlock(self):
+        """A spec queued behind a running job, and that job's result, each
+        larger than the pipe's buffer: the worker reads its pipe while it
+        works, so the parent's send and the worker's never wait on each
+        other, and run_all returns the direct runs' bits."""
+        import pickle
+        import socket
+        import threading
+
+        from repro.graphs import torus_graph
+
+        model = proper_coloring_mrf(torus_graph(64, 64), 16)
+        specs = [JobSpec.sample_many(model, 64, rounds=1, seed=s) for s in range(3)]
+        left, right = socket.socketpair()  # what a duplex multiprocessing pipe is made of
+        with left, right:
+            buffer = left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        assert all(len(pickle.dumps(spec)) > buffer for spec in specs)
+        outcomes = []
+        with JobRunner(workers=1) as runner:
+            drain = threading.Thread(target=lambda: outcomes.extend(runner.run_all(specs)),
+                                     daemon=True)
+            drain.start()
+            drain.join(timeout=30)
+            assert not drain.is_alive(), "run_all deadlocked"
+        for spec, (batch, error, _) in zip(specs, outcomes, strict=True):
+            assert error is None
+            assert batch.nbytes > buffer
+            assert np.array_equal(batch, repro.run_spec(spec))
+
     def test_idle_worker_death_never_hangs_the_runner(self):
         """A job submitted after an idle worker died runs on the survivor.
 
@@ -572,8 +671,8 @@ class TestJobs:
         assert np.array_equal(runner.results[busy_id], repro.run_spec(busy))
 
     def test_cancelling_a_running_job_stops_it_at_its_next_checkpoint(self):
-        """A running streamed job is cancelled through its worker's shared
-        slots: its next event is the cancellation, within seconds."""
+        """A running streamed job is cancelled by a drop request on its
+        worker's pipe: its next event is the cancellation, within seconds."""
         import time
 
         with JobRunner(workers=1) as runner:

@@ -173,6 +173,26 @@ class TestRunner:
         assert by_model["bad"]["error"]
         json.dumps(result.table)
 
+    def test_a_cell_raising_any_exception_is_an_error_row(self, monkeypatch):
+        """A local cell that raises something other than a ReproError (a
+        MemoryError from an oversized batch, say) is recorded with its
+        traceback, as the job workers record it; the sweep never raises."""
+        import repro.api
+
+        grid = expand_grid(_base_config())
+        doomed, run_spec = grid.cells[1].spec, repro.api.run_spec
+
+        def failing(spec, **kwargs):
+            if spec is doomed:
+                raise RuntimeError("not a ReproError")
+            return run_spec(spec, **kwargs)
+
+        monkeypatch.setattr(repro.api, "run_spec", failing)
+        rows = run_sweep(grid, mode="local").rows
+        assert [row["status"] for row in rows] == ["ok", "error", "ok", "ok"]
+        assert rows[1]["error"].startswith("Traceback")
+        assert "RuntimeError: not a ReproError" in rows[1]["error"]
+
     def test_jobs_mode_bit_identical_to_local_and_direct_run(self):
         grid_a = expand_grid(_base_config(seeds=1))
         grid_b = expand_grid(_base_config(seeds=1))
