@@ -25,6 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.chains.base import SeedLike, as_generator, checked_initial
 from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.schedulers import IndependentSetScheduler, LubyScheduler
 from repro.errors import ConvergenceError, ModelError
@@ -85,17 +86,12 @@ class CoupledChain(ABC):
         mrf: MRF,
         initial_x: Sequence[int] | np.ndarray,
         initial_y: Sequence[int] | np.ndarray,
-        seed: int | np.random.Generator | None = None,
+        seed: SeedLike = None,
     ) -> None:
         self.mrf = mrf
-        if isinstance(seed, np.random.Generator):
-            self.rng = seed
-        else:
-            self.rng = np.random.default_rng(seed)
-        self.x = np.asarray(initial_x, dtype=np.int64).copy()
-        self.y = np.asarray(initial_y, dtype=np.int64).copy()
-        if self.x.shape != (mrf.n,) or self.y.shape != (mrf.n,):
-            raise ModelError("coupled chain initial configurations must have length n")
+        self.rng = as_generator(seed)
+        self.x = checked_initial(initial_x, mrf.n, mrf.q)
+        self.y = checked_initial(initial_y, mrf.n, mrf.q)
         self.steps_taken = 0
 
     @abstractmethod
@@ -105,10 +101,6 @@ class CoupledChain(ABC):
     def agree(self) -> bool:
         """Return True iff the two copies coincide everywhere."""
         return bool(np.array_equal(self.x, self.y))
-
-    def hamming(self) -> int:
-        """Return the number of disagreeing vertices."""
-        return int((self.x != self.y).sum())
 
 
 class CoupledLubyGlauber(CoupledChain):
@@ -125,7 +117,7 @@ class CoupledLubyGlauber(CoupledChain):
         mrf: MRF,
         initial_x: Sequence[int] | np.ndarray,
         initial_y: Sequence[int] | np.ndarray,
-        seed: int | np.random.Generator | None = None,
+        seed: SeedLike = None,
         scheduler: IndependentSetScheduler | None = None,
     ) -> None:
         super().__init__(mrf, initial_x, initial_y, seed=seed)
@@ -162,7 +154,7 @@ class CoupledLocalMetropolis(CoupledChain):
         mrf: MRF,
         initial_x: Sequence[int] | np.ndarray,
         initial_y: Sequence[int] | np.ndarray,
-        seed: int | np.random.Generator | None = None,
+        seed: SeedLike = None,
     ) -> None:
         super().__init__(mrf, initial_x, initial_y, seed=seed)
         totals = mrf.vertex_activity.sum(axis=1)
@@ -221,7 +213,7 @@ def path_coupling_contraction(
     mrf: MRF,
     make_coupled,
     trials: int,
-    seed: int | np.random.Generator | None = None,
+    seed: SeedLike = None,
     burn_in: int = 50,
 ) -> float:
     """Estimate the one-step path-coupling contraction factor.
@@ -238,7 +230,7 @@ def path_coupling_contraction(
     """
     from repro.chains.local_metropolis import LocalMetropolisChain
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
     if trials < 1:
         raise ModelError("path_coupling_contraction needs trials >= 1")
     warm = LocalMetropolisChain(mrf, seed=rng)

@@ -56,7 +56,7 @@ from repro.csp.model import LocalCSP
 from repro.errors import ReproError
 from repro.families import FAMILIES, GRAPHS, build_model, dispatch, methods_for, model_kind
 from repro.mrf.model import MRF
-from repro.spec import JOB_KINDS, JobSpec
+from repro.spec import JOB_KINDS, JOB_PARAMS, JobSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -152,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument(
         "--eps",
         type=float,
-        default=None,
+        default=argparse.SUPPRESS,
         help="also estimate the empirical mixing time tau(eps)",
     )
     mix.add_argument(
-        "--max-rounds", type=int, default=None,
-        help="mixing-time round budget (default: repro.mixing_time's)",
+        "--max-rounds", type=int, default=argparse.SUPPRESS,
+        help="mixing-time round budget (default: JobSpec.mixing_time's)",
     )
     mix.add_argument(
-        "--stride", type=int, default=None,
-        help="rounds between mixing-time checks (default: repro.mixing_time's)",
+        "--stride", type=int, default=argparse.SUPPRESS,
+        help="rounds between mixing-time checks (default: JobSpec.mixing_time's)",
     )
     mix.add_argument(
         "--jobs",
@@ -217,22 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=8, help="replica count (batch rows for "
         "sample_many, ensemble size for the convergence kinds)",
     )
-    submit.add_argument("--rounds", type=int, default=None)
+    # The job flags below are forwarded only when given, so JobSpec owns
+    # their defaults and refuses one the --kind does not take.
     submit.add_argument(
-        "--eps", type=float, default=None,
+        "--rounds", type=int, default=argparse.SUPPRESS,
+        help="sample_many round count (default: the eps budget)",
+    )
+    submit.add_argument(
+        "--eps", type=float, default=argparse.SUPPRESS,
         help="accuracy target (budget heuristic for sample_many, TV "
         "threshold for mixing_time)",
     )
     submit.add_argument(
-        "--checkpoints", default="1,2,4,8,16,32",
-        help="tv_curve rounds, comma-separated",
+        "--checkpoints", default=argparse.SUPPRESS,
+        help="tv_curve rounds, comma-separated (a tv_curve job needs them)",
     )
     submit.add_argument(
-        "--max-rounds", type=int, default=None,
+        "--max-rounds", type=int, default=argparse.SUPPRESS,
         help="mixing_time round budget (default: JobSpec.mixing_time's)",
     )
     submit.add_argument(
-        "--stride", type=int, default=None, help="rounds between mixing_time checks"
+        "--stride", type=int, default=argparse.SUPPRESS,
+        help="rounds between mixing_time checks (default: JobSpec.mixing_time's)",
     )
     submit.add_argument(
         "--stream", action="store_true",
@@ -385,13 +391,18 @@ def _command_budget(args: argparse.Namespace) -> int:
 
 def _command_mix(args: argparse.Namespace) -> int:
     model = _model(args)
-    checkpoints = _parse_checkpoints(args.checkpoints)
+    params = _job_params(args)
     # One exact target serves the curve and the mixing time.
     target = _exact_distribution(model)
-    curve = repro.tv_curve(
-        model, checkpoints, method=args.method, replicas=args.replicas, seed=args.seed,
-        target=target, parallel=args.jobs,
-    )
+
+    def run(kind: str):
+        taken = {key: value for key, value in params.items() if key in JOB_PARAMS[kind]}
+        spec = JobSpec.from_params(
+            kind, model, taken, method=args.method, seed=args.seed, parallel=args.jobs
+        )
+        return spec.run(target=target)
+
+    curve = run("tv_curve")
     engine = dispatch(model, args.method).ensemble.__name__
     payload = {
         "model": model.name,
@@ -406,18 +417,9 @@ def _command_mix(args: argparse.Namespace) -> int:
     }
     if args.jobs is not None:
         payload["jobs"] = args.jobs
-    if args.eps is not None:
-        payload["eps"] = args.eps
-        payload["mixing_time"] = repro.mixing_time(
-            model,
-            args.eps,
-            method=args.method,
-            replicas=args.replicas,
-            seed=args.seed,
-            target=target,
-            parallel=args.jobs,
-            **_given(max_rounds=args.max_rounds, stride=args.stride),
-        )
+    if "eps" in params:
+        payload["eps"] = params["eps"]
+        payload["mixing_time"] = run("mixing_time")
     json.dump(payload, sys.stdout, indent=2)
     print()
     return 0
@@ -474,35 +476,22 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _given(**values) -> dict:
-    """The keyword arguments the user set: an unset (None) one keeps the callee's default."""
-    return {name: value for name, value in values.items() if value is not None}
+def _job_params(args: argparse.Namespace) -> dict:
+    """The job parameters (:data:`repro.spec.JOB_PARAMS` keys) the flags carry.
+
+    A job flag without a default is in ``args`` only when given, so an
+    unset one takes ``JobSpec``'s default.
+    """
+    keys = set().union(*JOB_PARAMS.values())
+    params = {key: value for key, value in vars(args).items() if key in keys}
+    if "checkpoints" in params:
+        params["checkpoints"] = _parse_checkpoints(params["checkpoints"])
+    return params
 
 
 def _build_spec(args: argparse.Namespace, model: MRF | LocalCSP) -> JobSpec:
-    if args.kind == "sample_many":
-        return JobSpec.sample_many(
-            model,
-            args.replicas,
-            method=args.method,
-            rounds=args.rounds,
-            seed=args.seed,
-            **_given(eps=args.eps),
-        )
-    if args.kind == "tv_curve":
-        return JobSpec.tv_curve(
-            model,
-            _parse_checkpoints(args.checkpoints),
-            method=args.method,
-            replicas=args.replicas,
-            seed=args.seed,
-        )
-    return JobSpec.mixing_time(
-        model,
-        method=args.method,
-        replicas=args.replicas,
-        seed=args.seed,
-        **_given(eps=args.eps, max_rounds=args.max_rounds, stride=args.stride),
+    return JobSpec.from_params(
+        args.kind, model, _job_params(args), method=args.method, seed=args.seed
     )
 
 

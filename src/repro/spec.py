@@ -47,9 +47,39 @@ from repro.serialize import (
     wire_number,
 )
 
-__all__ = ["JOB_KINDS", "JobSpec"]
+__all__ = ["JOB_KINDS", "JOB_PARAMS", "JobSpec"]
 
-JOB_KINDS = ("sample_many", "tv_curve", "mixing_time")
+
+def _or_none(check):
+    """``check``, letting an explicit ``None`` (JSON ``null``) through."""
+    return lambda value, what: None if value is None else check(value, what)
+
+
+def _int_list(value, what: str) -> list[int]:
+    """A list of integers, each checked by :func:`~repro.serialize.wire_int`."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list of integers, got {value!r}")
+    return [wire_int(item, what) for item in value]
+
+
+#: Each job kind's ``params`` keys, with the check a given value passes
+#: (a ``TypeError`` or ``ValueError`` naming the key).  The one declaration
+#: of which parameters a kind takes: :meth:`JobSpec.from_params` refuses any
+#: other key and leaves an absent one to the kind's constructor default, and
+#: :meth:`JobSpec.params_dict` emits exactly these.
+JOB_PARAMS = {
+    "sample_many": {
+        "replicas": wire_int, "rounds": _or_none(wire_int), "eps": _or_none(wire_number),
+    },
+    "tv_curve": {"replicas": wire_int, "checkpoints": _int_list},
+    "mixing_time": {
+        "replicas": wire_int, "eps": wire_number, "max_rounds": wire_int, "stride": wire_int,
+    },
+}
+JOB_KINDS = tuple(JOB_PARAMS)
+
+#: The plain cast :meth:`JobSpec.params_dict` gives each parameter that is not an int.
+_PLAIN = {"eps": float, "checkpoints": list}
 
 
 #: Wire-format version; bumped on incompatible changes so a client and a
@@ -123,8 +153,9 @@ class JobSpec:
 
     Build instances with the :meth:`sample_many`, :meth:`tv_curve` and
     :meth:`mixing_time` constructors — their signatures mirror the
-    :mod:`repro.api` functions whose results they reproduce.  ``name``
-    labels the job in streamed events (defaults to ``kind:method``).
+    :mod:`repro.api` functions whose results they reproduce — or, from a
+    mapping of a kind's :data:`JOB_PARAMS`, with :meth:`from_params`.
+    ``name`` labels the job in streamed events (defaults to ``kind:method``).
 
     ``parallel``/``shard_size`` request sharded execution
     (:mod:`repro.exec`): the *shard plan* is part of the result bits (it
@@ -272,6 +303,37 @@ class JobSpec:
             shard_size=shard_size,
         )
 
+    @classmethod
+    def from_params(cls, kind: str, model, params: Mapping, **options) -> JobSpec:
+        """A ``kind`` spec from a mapping of its :data:`JOB_PARAMS` keys.
+
+        The one builder behind :meth:`from_wire`, sweep cells and the CLI.
+        Each value passes its key's check (numbers are checked, never
+        coerced), then a key the kind does not take is refused by name, and
+        the kind's constructor gets the rest with ``options`` (``method``,
+        ``seed``, ``initial``, ``name``, ``parallel``, ``shard_size``): an
+        absent parameter takes that constructor's default.  Every refusal
+        is a :class:`~repro.errors.ModelError`.
+        """
+        if kind not in JOB_KINDS:
+            raise ModelError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
+        checks = JOB_PARAMS[kind]
+        try:
+            values = {key: check(params[key], key) for key, check in checks.items()
+                      if key in params}
+        except (TypeError, ValueError) as error:
+            raise ModelError(str(error)) from None
+        stray = [key for key in params if key not in checks]
+        if stray:
+            raise ModelError(
+                f"unknown {kind} param(s) {', '.join(map(repr, stray))}; "
+                f"a {kind} job takes {', '.join(checks)}"
+            )
+        try:
+            return getattr(cls, kind)(model, **values, **options)
+        except TypeError as error:  # a parameter without a constructor default is absent
+            raise ModelError(f"{error}; a {kind} job takes {', '.join(checks)}") from None
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -295,24 +357,18 @@ class JobSpec:
 
         Exactly the values (beyond model/method/seed) that can influence
         the result bits — this dict is hashed into :meth:`cache_key` and
-        embedded verbatim in :meth:`to_wire`.  The worker count is
-        placement, not parameters; sharding and shard size change the RNG
-        streams, so they are parameters.
+        embedded verbatim in :meth:`to_wire`: the kind's
+        :data:`JOB_PARAMS`, ``initial`` and the sharding keys.  The worker
+        count is placement, not parameters; sharding and shard size change
+        the RNG streams, so they are parameters.
         """
         initial = self.initial
         params: dict = {
-            "replicas": int(self.replicas),
             "initial": None if initial is None else encode_array(np.asarray(initial, np.int64)),
         }
-        if self.kind == "sample_many":
-            params["rounds"] = None if self.rounds is None else int(self.rounds)
-            params["eps"] = None if self.eps is None else float(self.eps)
-        elif self.kind == "tv_curve":
-            params["checkpoints"] = [int(c) for c in self.checkpoints]
-        else:  # mixing_time
-            params["eps"] = float(self.eps)
-            params["max_rounds"] = int(self.max_rounds)
-            params["stride"] = int(self.stride)
+        for key in JOB_PARAMS[self.kind]:
+            value = getattr(self, key)
+            params[key] = None if value is None else _PLAIN.get(key, int)(value)
         params["sharded"] = self.parallel is not None
         if self.parallel is not None:
             params["shard_size"] = (
@@ -343,6 +399,18 @@ class JobSpec:
         }
         return hashlib.sha256(canonical_json(request).encode("ascii")).hexdigest()
 
+    def _wire(self, model: dict) -> dict:
+        """The wire envelope of this spec around an encoded ``model``."""
+        return {
+            "version": WIRE_VERSION,
+            "kind": self.kind,
+            "method": self.method,
+            "model": model,
+            "seed": _canonical_seed(self.seed, strict=True),
+            "name": self.name,
+            "params": self.params_dict(),
+        }
+
     def to_wire(self) -> dict:
         """Serialise into a plain-JSON payload; inverse of :meth:`from_wire`.
 
@@ -351,15 +419,7 @@ class JobSpec:
         sharded request travels as ``sharded + shard_size`` and executes
         server-side with the bit-identical in-process reference.
         """
-        return {
-            "version": WIRE_VERSION,
-            "kind": self.kind,
-            "method": self.method,
-            "model": model_to_dict(self.model),
-            "seed": _canonical_seed(self.seed, strict=True),
-            "name": self.name,
-            "params": self.params_dict(),
-        }
+        return self._wire(model_to_dict(self.model))
 
     def to_wire_fingerprint(self) -> dict | None:
         """A :meth:`to_wire` payload with the model sent *by fingerprint*.
@@ -374,15 +434,7 @@ class JobSpec:
         fingerprint = getattr(self.model, "model_fingerprint", None)
         if fingerprint is None:
             return None
-        return {
-            "version": WIRE_VERSION,
-            "kind": self.kind,
-            "method": self.method,
-            "model": {"type": "fingerprint", "fingerprint": fingerprint()},
-            "seed": _canonical_seed(self.seed, strict=True),
-            "name": self.name,
-            "params": self.params_dict(),
-        }
+        return self._wire({"type": "fingerprint", "fingerprint": fingerprint()})
 
     @classmethod
     def from_wire(
@@ -396,12 +448,13 @@ class JobSpec:
         lookup: nothing is decoded or hashed.  A well-formed fingerprint
         missing from ``models`` raises
         :class:`~repro.errors.UnknownModelError`; every other malformed
-        field raises :class:`~repro.errors.ModelError`, and so does a
-        ``params`` key that :meth:`params_dict` does not emit for the
-        spec's kind: a misspelt parameter must not run at its default.
-        Numbers are checked, never coerced: integers by
-        :func:`~repro.serialize.wire_int`, ``eps`` by
-        :func:`~repro.serialize.wire_number`.
+        field raises :class:`~repro.errors.ModelError`.  Besides
+        ``initial`` and ``sharded``/``shard_size``, the ``params`` go to
+        :meth:`from_params`: a key the kind does not take is refused (a
+        misspelt parameter must not run at its default), and an absent one
+        takes the kind's constructor default.  Numbers are checked, never
+        coerced (:func:`~repro.serialize.wire_int`,
+        :func:`~repro.serialize.wire_number`).
         """
         if not isinstance(payload, dict):
             raise ModelError(f"job payload must be a dict, got {type(payload).__name__}")
@@ -423,54 +476,27 @@ class JobSpec:
                 if seed < 0:
                     raise ModelError(f"seed must be a non-negative integer, got {seed}")
             name = payload.get("name")
-            initial = params.get("initial")
+            initial = params.pop("initial", None)
             if initial is not None:
                 initial = decode_array(initial, "int", what="initial")
-            sharded = params.get("sharded", False)
+            sharded = params.pop("sharded", False)
             if not isinstance(sharded, bool):
                 raise TypeError(f"sharded must be true or false, got {sharded!r}")
-            shard_size = params.get("shard_size") if sharded else None
-            common = dict(
-                model=model,
+            # An unsharded payload's shard_size stays in params, to be refused.
+            shard_size = params.pop("shard_size", None) if sharded else None
+            return cls.from_params(
+                kind,
+                model,
+                params,
                 method=str(payload.get("method", "local-metropolis")),
-                replicas=wire_int(params.get("replicas", 1), "replicas"),
                 seed=seed,
                 initial=initial,
                 name=None if name is None else str(name),
                 parallel=0 if sharded else None,
                 shard_size=None if shard_size is None else wire_int(shard_size, "shard_size"),
             )
-            eps = params.get("eps")
-            if eps is not None:
-                eps = wire_number(eps, "eps")
-            if kind == "sample_many":
-                rounds = params.get("rounds")
-                spec = cls(
-                    kind=kind,
-                    rounds=None if rounds is None else wire_int(rounds, "rounds"),
-                    eps=eps,
-                    **common,
-                )
-            elif kind == "tv_curve":
-                spec = cls(kind=kind, checkpoints=params.get("checkpoints"), **common)
-            else:
-                spec = cls(
-                    kind=kind,
-                    eps=eps,
-                    max_rounds=wire_int(params.get("max_rounds", 10_000), "max_rounds"),
-                    stride=wire_int(params.get("stride", 1), "stride"),
-                    **common,
-                )
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ModelError(f"malformed JobSpec payload: {error}") from None
-        known = spec.params_dict()
-        stray = [key for key in params if key not in known]
-        if stray:
-            raise ModelError(
-                f"unknown {kind} param(s) {', '.join(map(repr, stray))}; "
-                f"a {kind} job takes {', '.join(known)}"
-            )
-        return spec
 
     def with_placement(
         self, parallel: int | None = None, shard_size: int | None = None

@@ -23,10 +23,21 @@ Each model entry is built by :func:`repro.families.build_model`, as the
 CLI's ``--model`` flags are; a key that is not ``family``, ``graph``,
 ``degree``, ``name`` or one of the family's parameters is refused.
 
+Besides its own keys (:data:`GRID_KEYS`: the ones above, plus a scalar
+for each axis), ``[sweep]`` holds job parameters of its kind, as
+:data:`repro.spec.JOB_PARAMS` declares them: ``rounds`` and ``eps`` for
+``sample_many``, ``checkpoints`` for ``tv_curve``, and ``eps``,
+``max_rounds`` and ``stride`` for ``mixing_time`` (``replicas`` is an
+axis of every kind, ``rounds`` one of ``sample_many``).
+
 :func:`expand_grid` turns that into a :class:`SweepGrid` of
 :class:`SweepCell` entries, each carrying a frozen
 :class:`~repro.spec.JobSpec` ready for :func:`repro.api.run_spec`, a
 :class:`~repro.exec.jobs.JobRunner` or a running ``repro.serve`` daemon.
+:meth:`~repro.spec.JobSpec.from_params` builds each spec, so a key the
+kind does not take (a misspelt one too) is refused by name, and a
+parameter the config leaves unset takes the ``JobSpec`` constructor's
+default.
 
 Seed discipline: every distinct *coordinate* (everything but the worker
 count, which is pure placement) gets its own child of
@@ -49,13 +60,18 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.families import build_model
-from repro.serialize import wire_int, wire_number
-from repro.spec import JOB_KINDS, JobSpec
+from repro.serialize import wire_int
+from repro.spec import JobSpec
 
 __all__ = ["SweepCell", "SweepGrid", "load_grid_config", "expand_grid", "load_grid"]
 
 #: Cartesian axes in expansion order (models vary slowest, seeds fastest).
 AXIS_ORDER = ("size", "method", "workers", "replicas", "rounds")
+
+#: The ``[sweep]`` keys of the grid itself.  Every other key is a job
+#: parameter of the sweep's kind (:data:`repro.spec.JOB_PARAMS`), and
+#: :meth:`~repro.spec.JobSpec.from_params` refuses one the kind does not take.
+GRID_KEYS = ("name", "kind", "base_seed", "seeds", "models", "axes", *AXIS_ORDER)
 
 
 @dataclass(frozen=True)
@@ -123,64 +139,15 @@ def _seed_for_coordinate(coord_key, seed_map: dict, root: np.random.SeedSequence
     return seed_map[coord_key]
 
 
-def _checked(check, value, key: str):
-    """``check(value, key)`` (``wire_int`` or ``wire_number``); a refusal is a ModelError."""
+def _checked(value, key: str, least: int | None = None) -> int:
+    """``value`` as an int (:func:`~repro.serialize.wire_int`), at least ``least``."""
     try:
-        return check(value, key)
-    except (TypeError, ValueError) as error:
+        value = wire_int(value, key)
+    except TypeError as error:
         raise ModelError(f"sweep config: {error}") from None
-
-
-def _set_keys(sweep: dict, **checks) -> dict:
-    """The ``[sweep]`` values the config sets, checked; the rest keep the ``JobSpec`` defaults."""
-    return {key: _checked(check, sweep[key], key) for key, check in checks.items() if key in sweep}
-
-
-def _cell_spec(
-    sweep: dict,
-    model,
-    method: str,
-    workers,
-    replicas: int,
-    rounds,
-    seed: int,
-    name: str,
-) -> JobSpec:
-    kind = sweep.get("kind", "sample_many")
-    parallel = None if workers is None or workers < 0 else workers
-    if kind == "sample_many":
-        return JobSpec.sample_many(
-            model,
-            replicas,
-            method=method,
-            rounds=rounds,
-            seed=seed,
-            name=name,
-            parallel=parallel,
-            **_set_keys(sweep, eps=wire_number),
-        )
-    if kind == "tv_curve":
-        checkpoints = sweep.get("checkpoints")
-        if not checkpoints:
-            raise ModelError("a tv_curve sweep needs [sweep] checkpoints = [...]")
-        return JobSpec.tv_curve(
-            model,
-            [_checked(wire_int, c, "checkpoints") for c in checkpoints],
-            method=method,
-            replicas=replicas,
-            seed=seed,
-            name=name,
-            parallel=parallel,
-        )
-    return JobSpec.mixing_time(
-        model,
-        method=method,
-        replicas=replicas,
-        seed=seed,
-        name=name,
-        parallel=parallel,
-        **_set_keys(sweep, eps=wire_number, max_rounds=wire_int, stride=wire_int),
-    )
+    if least is not None and value < least:
+        raise ModelError(f"sweep config: {key} must be >= {least}, got {value}")
+    return value
 
 
 def expand_grid(config: dict) -> SweepGrid:
@@ -195,18 +162,14 @@ def expand_grid(config: dict) -> SweepGrid:
     if not isinstance(sweep, dict):
         raise ModelError("sweep config needs a [sweep] table")
     kind = sweep.get("kind", "sample_many")
-    if kind not in JOB_KINDS:
-        raise ModelError(f"unknown sweep kind {kind!r}; choose from {JOB_KINDS}")
     models = sweep.get("models")
     if not models:
         raise ModelError("sweep config needs at least one [[sweep.models]] entry")
     labels = [_model_label(entry) for entry in models]
     if len(set(labels)) < len(labels):
         raise ModelError(f"[[sweep.models]] labels must differ (set name = ...), got {labels}")
-    seeds = _checked(wire_int, sweep.get("seeds", 1), "seeds")
-    if seeds < 1:
-        raise ModelError(f"[sweep] seeds must be >= 1, got {seeds}")
-    base_seed = _checked(wire_int, sweep.get("base_seed", 0), "base_seed")
+    seeds = _checked(sweep.get("seeds", 1), "seeds", least=1)
+    base_seed = _checked(sweep.get("base_seed", 0), "base_seed", least=0)
     axes = dict(sweep.get("axes") or {})
     unknown = set(axes) - set(AXIS_ORDER)
     if unknown:
@@ -214,19 +177,21 @@ def expand_grid(config: dict) -> SweepGrid:
             f"unknown sweep axes {sorted(unknown)}; choose from {AXIS_ORDER}"
         )
     values = {
-        "size": [_checked(wire_int, v, "size") for v in axes.get("size", [sweep.get("size", 16)])],
+        "size": [_checked(v, "size") for v in axes.get("size", [sweep.get("size", 16)])],
         "method": [str(v) for v in axes.get("method", [sweep.get("method", "local-metropolis")])],
-        # A null worker or round count (JSON) keeps its default meaning.
-        "workers": [None if v is None else _checked(wire_int, v, "workers")
+        # A null worker or round count (JSON) keeps its default meaning;
+        # workers = -1 runs unsharded.
+        "workers": [None if v is None else _checked(v, "workers", least=-1)
                     for v in axes.get("workers", [sweep.get("workers", -1)])],
-        "replicas": [_checked(wire_int, v, "replicas")
+        "replicas": [_checked(v, "replicas")
                      for v in axes.get("replicas", [sweep.get("replicas", 64)])],
-        "rounds": [None if v is None else _checked(wire_int, v, "rounds")
+        "rounds": [None if v is None else _checked(v, "rounds")
                    for v in axes.get("rounds", [sweep.get("rounds")])],
     }
     for axis, entries in values.items():
         if not entries:
             raise ModelError(f"sweep axis {axis!r} must not be empty")
+    params = {key: value for key, value in sweep.items() if key not in GRID_KEYS}
 
     grid = SweepGrid(
         name=str(sweep.get("name", "sweep")), kind=kind, base_seed=base_seed
@@ -244,20 +209,6 @@ def expand_grid(config: dict) -> SweepGrid:
                 model_cache[cache_token] = build_model(entry, size, base_seed)
             model = model_cache[cache_token]
             for seed_index in range(seeds):
-                # The coordinate identifies the result bits; the worker
-                # count is placement and deliberately left out, so sweeps
-                # over worker counts share one seed (and one cache key
-                # when the shard plan matches).
-                coord_key = (
-                    label,
-                    size,
-                    method,
-                    workers is not None and workers >= 0,  # sharded?
-                    replicas,
-                    rounds,
-                    seed_index,
-                )
-                seed = _seed_for_coordinate(coord_key, seed_map, root)
                 coords = {
                     "model": label,
                     "size": size,
@@ -267,15 +218,24 @@ def expand_grid(config: dict) -> SweepGrid:
                     "rounds": rounds,
                     "seed_index": seed_index,
                 }
-                spec = _cell_spec(
-                    sweep,
+                # The coordinate identifies the result bits; the worker
+                # count is placement and deliberately left out (only
+                # whether the cell is sharded counts), so sweeps over
+                # worker counts share one seed (and one cache key when
+                # the shard plan matches).
+                coord_key = tuple(dict(coords, workers=coords["workers"] >= 0).values())
+                seed = _seed_for_coordinate(coord_key, seed_map, root)
+                cell_params = dict(params, replicas=replicas)
+                if rounds is not None:  # unset: the kind's default, or no rounds at all
+                    cell_params["rounds"] = rounds
+                spec = JobSpec.from_params(
+                    kind,
                     model,
-                    method,
-                    workers,
-                    replicas,
-                    rounds,
-                    seed,
+                    cell_params,
+                    method=method,
+                    seed=seed,
                     name=f"{grid.name}[{index}]",
+                    parallel=None if workers is None or workers < 0 else workers,
                 )
                 grid.cells.append(SweepCell(index=index, coords=coords, spec=spec))
                 index += 1

@@ -12,7 +12,7 @@ from repro.chains.coupling import (
     path_coupling_contraction,
     weighted_disagreement,
 )
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, ModelError
 from repro.graphs import cycle_graph, path_graph, random_regular_graph
 from repro.mrf import proper_coloring_mrf
 
@@ -59,6 +59,33 @@ class TestWeightedDisagreement:
         assert weighted_disagreement(mrf, x, y) == 2.0
         z = np.array([1, 2, 2])  # also at an endpoint (deg 1)
         assert weighted_disagreement(mrf, x, z) == 3.0
+
+
+@pytest.mark.parametrize("coupled", [CoupledLubyGlauber, CoupledLocalMetropolis])
+class TestStarts:
+    def test_bad_starts_are_refused(self, coupled):
+        """A fractional or out-of-range spin, or a start of the wrong length,
+        is refused: it used to be truncated, or to end in an IndexError at
+        the first step."""
+        mrf = proper_coloring_mrf(path_graph(4), 3)
+        good = [0, 1, 0, 1]
+        for bad in ([0.9, 1.7, 0, 1], [0, 1, 5, 1], [0, 1, -1, 1], [0, 1, 0]):
+            with pytest.raises(ModelError):
+                coupled(mrf, bad, good, seed=0)
+            with pytest.raises(ModelError):
+                coupled(mrf, good, bad, seed=0)
+
+    def test_seed_sequence_is_the_int_seed(self, coupled):
+        mrf = proper_coloring_mrf(cycle_graph(6), 7)
+        x, y = np.zeros(6, dtype=int), np.ones(6, dtype=int)
+        a = coupled(mrf, x, y, seed=5)
+        b = coupled(mrf, x.astype(float), y, seed=np.random.SeedSequence(5))
+        for _ in range(5):
+            a.step()
+            b.step()
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert x.tolist() == [0] * 6  # the chain copies its start
 
 
 class TestCoalescence:

@@ -295,6 +295,8 @@ class TestConfigValidation:
             ({"kind": "mixing_time", "eps": True}, "eps"),
             ({"kind": "mixing_time", "eps": 10**400}, "eps"),
             ({"models": [{"family": "hardcore", "fugacity": True}]}, "fugacity"),
+            ({"base_seed": -1}, "base_seed"),
+            ({"workers": -5}, "workers"),
         ],
     )
     def test_numbers_are_checked_not_coerced(self, overrides, key):
