@@ -1,10 +1,10 @@
-"""E15 — CSP-ensemble throughput: batched CSP engines vs per-chain fallback.
+"""E15 — CSP-ensemble throughput: batched engines on a CSP vs per-chain fallback.
 
 The paper's remarks extend LubyGlauber and LocalMetropolis to weighted
 local CSPs; until this experiment their only implementations were the
-per-vertex Python chains of ``repro.chains.csp_chains``.  The batched CSP
-engines (``EnsembleLubyGlauberCSP`` / ``EnsembleLocalMetropolisCSP``)
-precompile every constraint scope into flat-table offsets plus a
+per-vertex Python chains of ``repro.chains.csp_chains``.  The batched
+engines (``EnsembleLubyGlauber`` / ``EnsembleLocalMetropolis``, the same
+classes that run MRFs) precompile every constraint scope into flat-table offsets plus a
 constraint-incidence CSR scatter and advance all R replicas per step with
 whole-ensemble array operations.
 
@@ -26,7 +26,7 @@ import time
 from benchmarks.conftest import report, write_bench_json
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
-from repro.chains.ensemble import EnsembleLocalMetropolisCSP, EnsembleLubyGlauberCSP
+from repro.chains.ensemble import EnsembleLocalMetropolis, EnsembleLubyGlauber
 from repro.csp import not_all_equal_csp
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
@@ -42,8 +42,8 @@ ROUNDS = 8 if SMOKE else 32
 SEED = 20170625
 
 ENGINES = (
-    ("luby_glauber", EnsembleLubyGlauberCSP, LubyGlauberCSP),
-    ("local_metropolis", EnsembleLocalMetropolisCSP, LocalMetropolisCSP),
+    ("luby_glauber", EnsembleLubyGlauber, LubyGlauberCSP),
+    ("local_metropolis", EnsembleLocalMetropolis, LocalMetropolisCSP),
 )
 
 
@@ -95,7 +95,7 @@ def test_csp_ensemble_throughput():
         )
     lines += [
         "",
-        "claim: the batched CSP engines advance R replicas at >= 20x the",
+        "claim: the batched engines advance R CSP replicas at >= 20x the",
         "throughput of SequentialChainEnsemble over the sequential chains.",
     ]
     report("E15", "CSP-ensemble throughput (batched vs per-chain)", lines)

@@ -1,24 +1,24 @@
 """E22 — kernel parity: general LocalMetropolis against the colouring kernel.
 
-The general LocalMetropolis engines read every factor's pass probability
-from a pass table, one gather per arity bucket, and draw MRF proposals
+The general LocalMetropolis engine reads every factor's pass probability
+from a pass table, one gather per arity bucket, and draws MRF proposals
 from per-vertex palette CDFs (``_MetropolisFilter`` and
-``EnsembleLocalMetropolisMRF`` in :mod:`repro.chains.ensemble`).  This
-experiment measures how close that brings the general MRF engine to the
+``EnsembleLocalMetropolis`` in :mod:`repro.chains.ensemble`).  This
+experiment measures how close that brings the general engine to the
 one specialised kernel left,
 :class:`~repro.chains.ensemble.EnsembleLocalMetropolisColoring`, and how
-the MRF and CSP engines compare on one model.  Rounds per second at
+one engine compares on an MRF record and on its ``mrf_as_csp`` record.  Rounds per second at
 n in {256, 4096} (16x16 and 64x64 tori) x R in {16, 64}, each engine
 built outside the timed region (which also builds the model's pass
 tables), best of three timings of ten rounds:
 
-* q=16 colouring: the colouring kernel against the general MRF engine;
-* Ising (beta = 0.3, field 1): the MRF engine against the CSP engine on
-  ``mrf_as_csp`` of the same model, for LocalMetropolis and for
-  LubyGlauber, whose two engines run one heat-bath kernel over the
-  record's heat-bath form (an MRF reads one row per neighbour, its CSP
-  twin one per edge and then one for the unary factor);
-* the dominating set of the torus: the CSP engine with its pass tables
+* q=16 colouring: the colouring kernel against the general engine;
+* Ising (beta = 0.3, field 1): each engine on the MRF against the same
+  engine on ``mrf_as_csp`` of it, for LocalMetropolis and for
+  LubyGlauber, which runs one heat-bath kernel over the record's
+  heat-bath form (an MRF reads one row per neighbour, its CSP twin one
+  per edge and then one for the unary factor);
+* the dominating set of the torus: the general engine with its pass tables
   against the same engine on a copy of the model built with no pass
   tables, which gathers its factors as every model past
   :data:`repro.compiled.MAX_PASS_TABLE` does.
@@ -50,11 +50,9 @@ import numpy as np
 import repro.compiled
 from benchmarks.conftest import report
 from repro.chains.ensemble import (
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
 from repro.csp import dominating_set_csp, mrf_as_csp
 from repro.graphs import torus_graph
@@ -102,7 +100,7 @@ def _random_tables(graph, q: int, tables: int) -> MRF:
 
 
 def _cap_cells() -> list[dict]:
-    """The MRF engine at the pass-table cap: one table that just fits, and q=16 tables."""
+    """The general engine on MRFs at the pass-table cap: one table that just fits, and q=16 tables."""
     cap = repro.compiled.MAX_PASS_TABLE
     q = int(round(cap**0.25))  # the largest q whose one edge table fits: q**4 <= cap
     fit = cap // 16**4  # q=16 edge tables that fit together
@@ -120,10 +118,10 @@ def _cap_cells() -> list[dict]:
                 "R": replicas,
                 "q": q,
                 "fit": fit,
-                "general_tables": _rounds_per_sec(EnsembleLocalMetropolisMRF, general, replicas),
-                "general_gather": _rounds_per_sec(EnsembleLocalMetropolisMRF, gathering, replicas),
-                "at_cap": _rounds_per_sec(EnsembleLocalMetropolisMRF, at_cap, replicas),
-                "past_cap": _rounds_per_sec(EnsembleLocalMetropolisMRF, past_cap, replicas),
+                "general_tables": _rounds_per_sec(EnsembleLocalMetropolis, general, replicas),
+                "general_gather": _rounds_per_sec(EnsembleLocalMetropolis, gathering, replicas),
+                "at_cap": _rounds_per_sec(EnsembleLocalMetropolis, at_cap, replicas),
+                "past_cap": _rounds_per_sec(EnsembleLocalMetropolis, past_cap, replicas),
             })
     return cells
 
@@ -144,17 +142,13 @@ def _cells() -> list[dict]:
                 "coloring_kernel": _rounds_per_sec(
                     EnsembleLocalMetropolisColoring, coloring, replicas
                 ),
-                "coloring_general": _rounds_per_sec(
-                    EnsembleLocalMetropolisMRF, coloring, replicas
-                ),
-                "ising_mrf": _rounds_per_sec(EnsembleLocalMetropolisMRF, ising, replicas),
-                "ising_csp": _rounds_per_sec(EnsembleLocalMetropolisCSP, ising_csp, replicas),
-                "ising_lg_mrf": _rounds_per_sec(EnsembleLubyGlauberMRF, ising, replicas),
-                "ising_lg_csp": _rounds_per_sec(EnsembleLubyGlauberCSP, ising_csp, replicas),
-                "domset_csp": _rounds_per_sec(EnsembleLocalMetropolisCSP, domset, replicas),
-                "domset_gather": _rounds_per_sec(
-                    EnsembleLocalMetropolisCSP, domset_gather, replicas
-                ),
+                "coloring_general": _rounds_per_sec(EnsembleLocalMetropolis, coloring, replicas),
+                "ising_mrf": _rounds_per_sec(EnsembleLocalMetropolis, ising, replicas),
+                "ising_csp": _rounds_per_sec(EnsembleLocalMetropolis, ising_csp, replicas),
+                "ising_lg_mrf": _rounds_per_sec(EnsembleLubyGlauber, ising, replicas),
+                "ising_lg_csp": _rounds_per_sec(EnsembleLubyGlauber, ising_csp, replicas),
+                "domset_csp": _rounds_per_sec(EnsembleLocalMetropolis, domset, replicas),
+                "domset_gather": _rounds_per_sec(EnsembleLocalMetropolis, domset_gather, replicas),
             })
     return cells
 
@@ -188,15 +182,15 @@ def test_kernel_parity():
         f"{ms['coloring_general']:.1f} ms, colouring kernel {ms['coloring_kernel']:.1f} ms; "
         f"dominating set {ms['domset_csp']:.1f} ms ({ms['domset_gather']:.1f} ms gathering); "
         f"Ising LubyGlauber {ms['ising_lg_mrf']:.1f} ms (MRF), {ms['ising_lg_csp']:.1f} ms (CSP)",
-        f"general MRF engine within 2x of the colouring kernel in every cell: "
+        f"general engine within 2x of the colouring kernel in every cell: "
         f"{'yes' if worst <= 2.0 else 'no'} (worst {worst:.1f}x)",
     ]
     cap_cells = _cap_cells()
     q, fit = cap_cells[0]["q"], cap_cells[0]["fit"]
     lines += [
         "",
-        f"at the cap (MAX_PASS_TABLE = {repro.compiled.MAX_PASS_TABLE} entries), general MRF "
-        f"engine, rounds/s; ratio = first / second",
+        f"at the cap (MAX_PASS_TABLE = {repro.compiled.MAX_PASS_TABLE} entries), general engine "
+        f"on MRFs, rounds/s; ratio = first / second",
         f"{'n':>6} {'R':>4} | {f'q={q} tables':>12} {'gather':>7} {'ratio':>6} | "
         f"{f'q=16 {fit} tables':>15} {fit + 1:>9} {'ratio':>6}",
     ]
@@ -208,6 +202,6 @@ def test_kernel_parity():
             f"{cell['at_cap']:>15.1f} {cell['past_cap']:>9.1f} "
             f"{cell['at_cap'] / cell['past_cap']:>5.1f}x"
         )
-    report("E22", "kernel parity (pass tables vs colouring kernel; MRF vs CSP engines)", lines)
+    report("E22", "kernel parity (pass tables vs colouring kernel; MRF vs CSP records)", lines)
     for cell in cells + cap_cells:
         assert all(value > 0 for value in cell.values())

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import report, write_bench_json
-from repro.chains.ensemble import EnsembleLocalMetropolisColoring, EnsembleLubyGlauberMRF
+from repro.chains.ensemble import EnsembleLocalMetropolisColoring, EnsembleLubyGlauber
 from repro.graphs import random_regular_graph, torus_graph
 from repro.mrf import proper_coloring_mrf
 
@@ -126,7 +126,7 @@ def test_e11_scale_and_throughput(benchmark):
     benchmark(kernel)
     assert chain.is_feasible().all()
 
-    lg = EnsembleLubyGlauberMRF(mrf, 1, seed=1)
+    lg = EnsembleLubyGlauber(mrf, 1, seed=1)
     lg.run(5)
     assert lg.is_feasible().all()
 

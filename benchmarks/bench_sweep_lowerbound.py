@@ -3,7 +3,7 @@
 Two measurements behind the lower-bound vectorization:
 
 1. engine speedup — the same gadget phase experiment run as one batched
-   ``(R, n)`` ensemble (``EnsembleLubyGlauberMRF`` through the array
+   ``(R, n)`` ensemble (``EnsembleLubyGlauber`` through the array
    stack) vs the historical one-sequential-chain-per-replica baseline,
    in replica-rounds/sec.  Acceptance criterion: >= 20x at R = 4096
    replicas (full size; smoke runs report without asserting);

@@ -7,7 +7,8 @@ them:
 
 1. every facade call (``repro.sample_many``, ``repro.tv_curve``,
    ``repro.make_ensemble``) accepts a :class:`repro.LocalCSP` directly and
-   dispatches to the batched CSP engines of :mod:`repro.chains.ensemble`;
+   dispatches to the batched engines of :mod:`repro.chains.ensemble`, the
+   same classes that run MRFs;
 2. an ensemble-native TV-decay curve against the exact CSP Gibbs measure
    of a small dominating-set instance;
 3. a throughput comparison against advancing the same replicas one
@@ -24,7 +25,7 @@ import time
 import repro
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.csp_chains import LocalMetropolisCSP
-from repro.chains.ensemble import EnsembleLocalMetropolisCSP
+from repro.chains.ensemble import EnsembleLocalMetropolis
 from repro.csp import dominating_set_csp, not_all_equal_csp
 from repro.graphs import cycle_graph, path_graph
 
@@ -50,12 +51,12 @@ def csp_tv_curve_demo() -> None:
 
 
 def throughput_demo() -> None:
-    """Batched CSP engine vs per-chain fallback at matched work."""
+    """Batched engine vs per-chain fallback at matched work, on a CSP."""
     n, replicas, rounds = 32, 128, 16
     csp = dominating_set_csp(cycle_graph(n))
 
     start = time.perf_counter()
-    EnsembleLocalMetropolisCSP(csp, replicas, seed=3).run(rounds)
+    EnsembleLocalMetropolis(csp, replicas, seed=3).run(rounds)
     batched = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 __all__ = [
     "dobrushin_mixing_bound",
     "luby_glauber_mixing_bound",
@@ -80,6 +78,8 @@ def alpha_star() -> float:
 
     The paper reports ``alpha* ≈ 3.634``.
     """
+    from scipy.optimize import brentq
+
     return float(brentq(lambda a: a - 2.0 * math.exp(1.0 / a) - 1.0, 3.0, 5.0, xtol=1e-12))
 
 
@@ -173,6 +173,8 @@ def critical_ratio(limit_function, low: float, high: float) -> float:
     ``critical_ratio(global_coupling_limit, 2.5, 5)`` returns ``2 + sqrt 2``;
     ``critical_ratio(local_coupling_limit, 2.5, 5)`` returns ``alpha*``.
     """
+    from scipy.optimize import brentq
+
     return float(brentq(limit_function, low, high, xtol=1e-12))
 
 

@@ -224,8 +224,8 @@ def sample_many(
 
     The batched counterpart of :func:`sample`: all replicas advance
     simultaneously through the batched replica-ensemble engine picked by
-    :func:`make_ensemble` (including the CSP engines for
-    :class:`~repro.csp.model.LocalCSP` models).
+    :func:`make_ensemble`, for :class:`~repro.csp.model.LocalCSP` models
+    as for MRFs.
 
     Parameters
     ----------

@@ -15,15 +15,14 @@ The paper's two distributed chains:
 Batched replica ensembles (:mod:`repro.chains.ensemble`), advancing R
 independent replicas per step:
 
-* :class:`repro.chains.ensemble.EnsembleGlauberDynamics`,
-  :class:`repro.chains.ensemble.EnsembleLubyGlauberMRF` and
-  :class:`repro.chains.ensemble.EnsembleLocalMetropolisMRF` — the three
-  update rules for every pairwise MRF, colourings included;
+* :class:`repro.chains.ensemble.EnsembleGlauberDynamics` — single-site
+  heat-bath Glauber for pairwise MRFs;
+* :class:`repro.chains.ensemble.EnsembleLubyGlauber` and
+  :class:`repro.chains.ensemble.EnsembleLocalMetropolis` — the paper's two
+  distributed chains, one engine each for pairwise MRFs and weighted
+  local CSPs alike (the model's record supplies what differs);
 * :class:`repro.chains.ensemble.EnsembleLocalMetropolisColoring` — the
-  specialised LocalMetropolis kernel for uniform proper colourings;
-* :class:`repro.chains.ensemble.EnsembleLubyGlauberCSP` and
-  :class:`repro.chains.ensemble.EnsembleLocalMetropolisCSP` — the CSP
-  extensions of both distributed chains batched over replicas.
+  specialised LocalMetropolis kernel for uniform proper colourings.
 
 Verification machinery:
 
@@ -37,9 +36,9 @@ from repro.chains.base import Chain, random_config
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberCSP,
+    EnsembleLubyGlauber,
 )
 from repro.chains.glauber import GlauberDynamics
 from repro.chains.local_metropolis import LocalMetropolisChain
@@ -56,9 +55,9 @@ __all__ = [
     "Chain",
     "ChromaticScheduler",
     "EnsembleGlauberDynamics",
+    "EnsembleLocalMetropolis",
     "EnsembleLocalMetropolisColoring",
-    "EnsembleLocalMetropolisCSP",
-    "EnsembleLubyGlauberCSP",
+    "EnsembleLubyGlauber",
     "GlauberDynamics",
     "IndependentSetScheduler",
     "LocalMetropolisChain",

@@ -8,27 +8,26 @@ per-round numpy-call overhead dominates once ``n`` is modest, and
 per-chain construction (greedy start, edge-array setup) is paid R times.
 
 The ensembles in this module store all replicas in one array and advance
-them with single whole-ensemble array operations:
+them with single whole-ensemble array operations, one engine per update
+rule for both model kinds (a pairwise MRF is the weighted local CSP of its
+edges plus its vertex activities ``b_v``; remarks after Algorithms 1-2):
 
-* :class:`EnsembleGlauberDynamics` — batched single-site heat-bath Glauber
-  for pairwise MRFs;
-* :class:`EnsembleLubyGlauberMRF` — batched Algorithm 1 for pairwise MRFs
-  (proper and list colourings, hardcore, Ising): each replica draws its
-  own Luby independent set and heat-bath-resamples every selected vertex
-  from its exact conditional marginal;
-* :class:`EnsembleLocalMetropolisMRF` — batched Algorithm 2 for pairwise
-  MRFs: proposals proportional to ``b_v`` from per-vertex palette CDFs,
-  the three-factor edge filter read from pass tables, and one coin per
-  (edge, replica);
+* :class:`EnsembleGlauberDynamics` — batched single-site heat-bath Glauber;
+* :class:`EnsembleLubyGlauber` — batched Algorithm 1: each replica draws
+  its own Luby independent set and heat-bath-resamples every selected
+  vertex from its exact conditional marginal;
+* :class:`EnsembleLocalMetropolis` — batched Algorithm 2: proposals
+  proportional to ``b_v`` (uniform on a CSP), every factor's filter read
+  from pass tables, and one coin per (factor, replica);
 * :class:`EnsembleLocalMetropolisColoring` — batched Algorithm 2 for
   uniform proper q-colourings, the one specialised kernel: uniform
-  proposals and the three deterministic colouring rules, no coins;
-* :class:`EnsembleLubyGlauberCSP` and :class:`EnsembleLocalMetropolisCSP` —
-  the paper's CSP extensions (remarks after Algorithms 1-2) batched over
-  replicas, from the same kernels: no per-vertex or per-constraint Python
-  loop.
+  proposals and the three deterministic colouring rules, no coins.
 
-Both general LocalMetropolis engines filter through one
+What differs by kind comes from the model's record (:mod:`repro.compiled`),
+not from the engine class: its ``vertex_activity`` (``b_v``, or None) and
+its ``undefined_marginal(vertex)`` error.
+
+The LocalMetropolis engine filters through one
 :class:`_MetropolisFilter`: a factor's pass probability (the product of
 its ``2^k - 1`` normalised values at the mixings of the proposed and
 current spins on its scope) is a fixed function of ``2k`` spins, so each
@@ -38,10 +37,9 @@ with one gather per arity bucket; an MRF's edges are one arity-2 bucket.
 A bucket whose tables would pass :data:`repro.compiled.MAX_PASS_TABLE`
 gathers its factors instead, with the same bits.
 
-The three heat-bath engines (Glauber, LubyGlauber-MRF, LubyGlauber-CSP)
-share one kernel, over one form both model kinds derive from their arity
-buckets (:mod:`repro.compiled`): an MRF is a CSP whose factors are its
-edges, plus the vertex activities ``b_v``.  The conditional weights of
+The two heat-bath engines (Glauber and LubyGlauber) share one kernel,
+over one form both model kinds derive from their arity buckets
+(:mod:`repro.compiled`).  The conditional weights of
 all selected (vertex, replica) pairs start from ``b_v`` (or ones) and
 multiply in one row per factor containing the vertex, in factor order
 (ascending neighbours, or constraint order): at each padded incidence
@@ -51,7 +49,7 @@ pick the ``(pairs, q)`` block of conditional rows.  Pad slots read an
 all-ones row, so there is no validity mask, slot expansion or segmented
 product.  One column-by-column inverse-CDF sampler then draws every
 pair's spin.  The same kernel, masked to a vertex region, is the region
-advance of every MRF and CSP engine, and every Luby step runs on the
+advance of every engine, and every Luby step runs on the
 model's conflict graph (an MRF's graph).
 
 Every engine builds from the model's index-array form
@@ -119,9 +117,7 @@ import scipy.sparse as sp
 from repro.chains.base import as_generator, start_config
 from repro.compiled import _padded_rows
 from repro.csp.model import LocalCSP
-from repro.errors import (
-    ConvergenceError, InfeasibleStateError, ModelError, ReproError, StateSpaceTooLargeError
-)
+from repro.errors import ConvergenceError, ModelError, ReproError, StateSpaceTooLargeError
 from repro.mrf.model import MRF
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -130,12 +126,10 @@ from repro.serialize import wire_int
 __all__ = [
     "canonical_checkpoints",
     "EnsembleTrajectoryMixin",
-    "EnsembleLocalMetropolisColoring",
     "EnsembleGlauberDynamics",
-    "EnsembleLubyGlauberMRF",
-    "EnsembleLocalMetropolisMRF",
-    "EnsembleLubyGlauberCSP",
-    "EnsembleLocalMetropolisCSP",
+    "EnsembleLubyGlauber",
+    "EnsembleLocalMetropolis",
+    "EnsembleLocalMetropolisColoring",
 ]
 
 
@@ -234,7 +228,7 @@ class EnsembleTrajectoryMixin:
         to fill their shard's rows, in the engines' spin dtype, for the
         reply to the parent.  ``out`` may have any integer dtype that holds
         the spins.  Hosts whose internal layout differs from the public
-        batch (the vertex-major MRF/CSP engines) override it to write
+        batch (the vertex-major engines) override it to write
         straight from internal state instead of materialising the
         intermediate ``config`` copy.
         """
@@ -448,10 +442,11 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
     record, whose derived forms every method here reads, for either model
     kind: the heat-bath form (``heatbath_rows`` / ``heatbath_slots``), the
     conflict edges of the Luby step and the arity buckets of
-    :meth:`is_feasible`.  Hosts (the MRF and CSP bases) set
-    ``_vertex_activity`` before calling ``__init__``: the ``(n, q)`` table
-    each pair's weights start from (``b_v``), or None for ones; and they
-    provide ``_undefined_marginal(vertex)``.  Engines provide ``step()``.
+    :meth:`is_feasible`.  The record also supplies what differs by kind:
+    ``vertex_activity``, the ``(n, q)`` table each pair's weights start
+    from (an MRF's ``b_v``; None on a CSP record, for ones), and
+    ``undefined_marginal(vertex)``, the error of a pair whose every spin
+    has zero weight.  Engines provide ``step()``.
     The Glauber and LubyGlauber engines, whose every step reads the
     heat-bath form, build it with the engine; the LocalMetropolis engines
     at their first region advance, so a model too uneven for it
@@ -504,9 +499,9 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         """
         config = self._config.astype(np.int64)
         feasible = np.ones(self.replicas, dtype=bool)
-        if self._vertex_activity is not None:
-            activity = np.take_along_axis(self._vertex_activity, config, axis=1)
-            feasible &= np.all(activity > 0, axis=0)
+        activity = self._compiled.vertex_activity
+        if activity is not None:
+            feasible &= np.all(np.take_along_axis(activity, config, axis=1) > 0, axis=0)
         for bucket in self._compiled.buckets:
             flat = np.sum(config[bucket.scopes] * bucket.strides[:, None], axis=1)
             values = self._compiled.flat_raw[bucket.table_starts[:, None] + flat]
@@ -545,10 +540,11 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         CSP), so every co-scope spin is fixed conditioning.  Requires
         :meth:`_ensure_heatbath_structures`.
         """
-        if self._vertex_activity is None:
+        activity = self._compiled.vertex_activity
+        if activity is None:
             weights = np.ones((int(v_idx.shape[0]), self.q))
         else:
-            weights = np.take(self._vertex_activity, v_idx, axis=0)
+            weights = np.take(activity, v_idx, axis=0)
         for starts, terms in self._slots:
             row = np.take(starts, v_idx)
             for offsets, stride in terms:
@@ -570,7 +566,7 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
         """
         weights = self._heatbath_weights(v_idx, r_idx)
         self._config[v_idx, r_idx] = _heatbath_spins(
-            self.rng, weights, v_idx, self._undefined_marginal
+            self.rng, weights, v_idx, self._compiled.undefined_marginal
         )
 
     def advance_region(self, steps: int, region) -> _HeatBathEnsemble:
@@ -598,33 +594,6 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
             self._heatbath_update(*selector.select_pairs(self.rng))
             self.steps_taken += 1
         return self
-
-
-class _LubyGlauberRound(_HeatBathEnsemble):
-    """The round of both LubyGlauber engines, over the model's conflict graph.
-
-    The heat-bath form and the :class:`_LubySelector` are built with the
-    engine, so a model too uneven for them is refused at build.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._ensure_heatbath_structures()
-        compiled = self._compiled
-        self._luby = _LubySelector(
-            compiled.conflict_u, compiled.conflict_v, self.n, self.replicas
-        )
-
-    def step(self) -> None:
-        """One LubyGlauber round: select independent sets, heat-bath-update them in parallel."""
-        v_idx, r_idx = self._luby.select_pairs(self.rng)
-        if _obs_metrics.enabled:
-            # The selected pairs, and the mean independent-set size per replica.
-            pairs, name = int(v_idx.shape[0]), type(self).__name__
-            _obs_metrics.inc("repro_engine_luby_selected_total", pairs, engine=name)
-            _obs_metrics.observe("repro_engine_luby_set_size", pairs / self.replicas, engine=name)
-        self._heatbath_update(v_idx, r_idx)
-        self.steps_taken += 1
 
 
 def _in_factor_order(parts, ids, shape: tuple[int, int], dtype) -> np.ndarray:
@@ -735,61 +704,7 @@ class _MetropolisFilter:
         return product
 
 
-class _LocalMetropolisRound(_HeatBathEnsemble):
-    """The round of both general LocalMetropolis engines.
-
-    Hosts provide ``_propose()``, the ``(n, R)`` proposals, and set
-    ``_filter`` (a :class:`_MetropolisFilter`) and ``_incidence``
-    (:func:`_accept_incidence`).  The region advance is the inherited
-    masked LubyGlauber heat-bath; its padded slots are built on its first
-    call, so a model too uneven for them
-    (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
-    """
-
-    def step(self) -> None:
-        """Propose; one coin per (factor, replica) against the filter; accept if clean."""
-        proposals = self._propose()
-        if self._incidence is None:
-            self._config = proposals
-            self.steps_taken += 1
-            return
-        pass_probability = self._filter(proposals, self._config)
-        # u < p always holds at p = 1 and never at p = 0, as the sequential
-        # chains' deterministic branches.
-        failed = self.rng.random(pass_probability.shape) >= pass_probability
-        _metropolis_accept(self, proposals, failed, self._incidence)
-
-
-class _EnsembleMRFBase(_HeatBathEnsemble):
-    """The host of the general-MRF engines: ``b_v`` starts the heat-bath weights.
-
-    The conditional weights of paper eq. (2) are the shared kernel's
-    (:meth:`_HeatBathEnsemble._heatbath_weights`): ``b_v`` times one row
-    per ascending neighbour, a palette table's column at the neighbour's
-    spin.  The Luby graph is the model graph.
-    """
-
-    def __init__(
-        self,
-        mrf: MRF,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        self.mrf = mrf
-        compiled = mrf.compiled()
-        self._vertex_activity = compiled.vertex_activity
-        self._eu, self._ev = compiled.edge_u, compiled.edge_v
-        super().__init__(mrf, replicas, initial=initial, seed=seed)
-
-    def _undefined_marginal(self, vertex: int) -> InfeasibleStateError:
-        return InfeasibleStateError(
-            f"conditional marginal at vertex {vertex} is undefined: all {self.q} "
-            "spins have zero weight given the neighbours' spins"
-        )
-
-
-class EnsembleGlauberDynamics(_EnsembleMRFBase):
+class EnsembleGlauberDynamics(_HeatBathEnsemble):
     """Batched single-site heat-bath Glauber for general pairwise MRFs.
 
     One step advances *each* replica by one single-site update: every
@@ -845,73 +760,113 @@ class EnsembleGlauberDynamics(_EnsembleMRFBase):
         return self
 
 
-class EnsembleLubyGlauberMRF(_LubyGlauberRound, _EnsembleMRFBase):
-    """Batched Algorithm 1 (LubyGlauber) for *general* pairwise MRFs.
+class EnsembleLubyGlauber(_HeatBathEnsemble):
+    """Batched Algorithm 1 (LubyGlauber) for pairwise MRFs and weighted local CSPs.
 
-    Every selected (replica, vertex) pair is heat-bath-resampled from its
-    exact conditional marginal (paper eq. (2)), so one batched kernel
-    covers proper and list colourings, hardcore and Ising models — any
-    pairwise MRF.
-
-    One step advances all R replicas by one LubyGlauber round: each
-    replica draws its own Luby independent set, then the conditional
-    weight vectors of *all* selected pairs are assembled at once by the
-    heat-bath kernel shared with :class:`EnsembleGlauberDynamics`: one
-    pass per padded neighbour position gathers the neighbours' current
-    spins and the matching rows of the deduplicated edge tables and
-    multiplies them in.  Sampling is the shared vectorised
-    inverse-CDF, with the largest-positive-mass fallthrough rule.
-
-    Each replica evolves by exactly the same Markov kernel as the
-    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` (same
-    Luby selection law, same heat-bath conditional), so the ensemble is
-    distributionally identical to independent sequential runs.
-    """
-
-
-class EnsembleLocalMetropolisMRF(_LocalMetropolisRound, _EnsembleMRFBase):
-    """Batched Algorithm 2 (LocalMetropolis) for *general* pairwise MRFs.
-
-    One step advances all R replicas by one round, exactly as the
-    sequential :class:`~repro.chains.local_metropolis.LocalMetropolisChain`:
-
-    * every (vertex, replica) pair proposes a spin with probability
-      proportional to ``b_v``: one uniform ``u`` per pair, in vertex-major
-      order, and the spin is the number of entries ``<= u`` of the CDF of
-      ``v``'s vertex-palette row, built once with the bits of
-      :func:`_heatbath_spins` and its largest-positive-mass fallthrough, so
-      a zero-mass spin is never proposed;
-    * every (edge, replica) pair passes with probability
-      ``Ã(sigma_u, sigma_v) * Ã(X_u, sigma_v) * Ã(sigma_u, X_v)``, where
-      ``Ã = A / max A``: the arity-2 case of the CSP filter
-      (:class:`_MetropolisFilter`), one pass-table gather, against one coin;
-    * a vertex accepts iff every incident edge passed.
+    One step advances all R replicas by one round: each replica draws its
+    own Luby independent set of the model's conflict graph (an MRF's
+    graph; on a CSP the set is strongly independent), then the weights of
+    *all* selected (replica, vertex) pairs are assembled at once by the
+    heat-bath kernel shared with :class:`EnsembleGlauberDynamics`, ``b_v``
+    (ones on a CSP) times one row per factor, and sampled by the shared
+    inverse-CDF.  Each replica evolves by exactly the Markov kernel of the
+    sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` or
+    :class:`~repro.chains.csp_chains.LubyGlauberCSP`.  The heat-bath form
+    and the :class:`_LubySelector` are built with the engine, so a model
+    too uneven for them is refused at build.
     """
 
     def __init__(
         self,
-        mrf: MRF,
+        model: MRF | LocalCSP,
         replicas: int,
         initial: Sequence[int] | np.ndarray | None = None,
         seed: int | np.random.SeedSequence | np.random.Generator | None = None,
     ) -> None:
-        super().__init__(mrf, replicas, initial=initial, seed=seed)
-        compiled = mrf.compiled()
+        super().__init__(model, replicas, initial=initial, seed=seed)
+        self._ensure_heatbath_structures()
+        compiled = self._compiled
+        self._luby = _LubySelector(
+            compiled.conflict_u, compiled.conflict_v, self.n, self.replicas
+        )
+
+    def step(self) -> None:
+        """One LubyGlauber round: select independent sets, heat-bath-update them in parallel."""
+        v_idx, r_idx = self._luby.select_pairs(self.rng)
+        if _obs_metrics.enabled:
+            # The selected pairs, and the mean independent-set size per replica.
+            pairs, name = int(v_idx.shape[0]), type(self).__name__
+            _obs_metrics.inc("repro_engine_luby_selected_total", pairs, engine=name)
+            _obs_metrics.observe("repro_engine_luby_set_size", pairs / self.replicas, engine=name)
+        self._heatbath_update(v_idx, r_idx)
+        self.steps_taken += 1
+
+
+class EnsembleLocalMetropolis(_HeatBathEnsemble):
+    """Batched Algorithm 2 (LocalMetropolis) for pairwise MRFs and weighted local CSPs.
+
+    One step advances all R replicas by one round, exactly as the
+    sequential :class:`~repro.chains.local_metropolis.LocalMetropolisChain`
+    or :class:`~repro.chains.csp_chains.LocalMetropolisCSP`:
+
+    * every (vertex, replica) pair proposes a spin, uniformly on a CSP and
+      with probability proportional to ``b_v`` given the record's
+      ``vertex_activity``: one uniform ``u`` per pair, in vertex-major
+      order, and the spin is the number of entries ``<= u`` of the CDF of
+      ``v``'s vertex-palette row, built once with the bits of
+      :func:`_heatbath_spins` and its largest-positive-mass fallthrough, so
+      a zero-mass spin is never proposed;
+    * every factor of arity ``k`` (an edge, or a constraint) passes with
+      the product of its ``2^k - 1`` max-normalised values at the mixings
+      of the proposed and current spins on its scope
+      (:class:`_MetropolisFilter`), against one coin per (factor, replica);
+    * a vertex accepts iff every incident factor passed.
+
+    The region advance is the inherited masked LubyGlauber heat-bath; its
+    padded slots are built on its first call, so a model too uneven for
+    them (:data:`repro.compiled.MAX_PADDING`) still runs full rounds.
+    """
+
+    #: Hard cap on the (factor, mixing) products of one filter's gather
+    #: path, which enumerates 2^arity - 1 mixings per factor: a model past
+    #: it (a very-high-arity CSP) must use the sequential chain instead.
+    MAX_MIXING_ROWS = 1_000_000
+
+    def __init__(
+        self,
+        model: MRF | LocalCSP,
+        replicas: int,
+        initial: Sequence[int] | np.ndarray | None = None,
+        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
+    ) -> None:
+        super().__init__(model, replicas, initial=initial, seed=seed)
+        compiled = self._compiled
         self._filter = _MetropolisFilter(compiled)
+        total_rows = self._filter.gather_rows
+        if total_rows > self.MAX_MIXING_ROWS:
+            raise StateSpaceTooLargeError(
+                f"LocalMetropolis mixing filter needs {total_rows} factors per "
+                f"replica (2^arity - 1 per {compiled.FACTOR}), over the "
+                f"{self.MAX_MIXING_ROWS} cap; use the sequential chain (engine='chain')"
+            )
         self._incidence = _accept_incidence(compiled)
-        # Each palette row's CDF, divided and summed column by column as
-        # _heatbath_spins does, and its largest positive-mass spin; then per
-        # vertex, as q columns of shape (n, 1) against the (n, R) uniforms.
-        # Every row total is positive: the MRF constructor refuses a vertex
-        # whose activities are all zero.
-        palette, vertex = compiled.vertex_palette, compiled.vertex_index
-        cdf = np.cumsum(palette / np.sum(palette, axis=1, keepdims=True), axis=1)
-        self._cdf_columns = np.ascontiguousarray(cdf[vertex].T)[:, :, None]
-        last = np.argmax((palette > 0.0) * np.arange(self.q), axis=1)
-        self._last_positive = last[vertex, None].astype(self._dtype)
+        self._cdf_columns = None
+        if compiled.vertex_activity is not None:
+            # Each palette row's CDF, divided and summed column by column as
+            # _heatbath_spins does, and its largest positive-mass spin; then
+            # per vertex, as q columns of shape (n, 1) against the (n, R)
+            # uniforms.  Every row total is positive: the MRF constructor
+            # refuses a vertex whose activities are all zero.
+            palette, vertex = compiled.vertex_palette, compiled.vertex_index
+            cdf = np.cumsum(palette / np.sum(palette, axis=1, keepdims=True), axis=1)
+            self._cdf_columns = np.ascontiguousarray(cdf[vertex].T)[:, :, None]
+            last = np.argmax((palette > 0.0) * np.arange(self.q), axis=1)
+            self._last_positive = last[vertex, None].astype(self._dtype)
 
     def _propose(self) -> np.ndarray:
-        """The ``(n, R)`` proposals, each spin drawn with probability proportional to ``b_v``."""
+        """The ``(n, R)`` proposals: spins drawn proportional to ``b_v``, or uniform ones."""
+        if self._cdf_columns is None:
+            return _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)
         uniforms = self.rng.random(self.n * self.replicas).reshape(self.n, self.replicas)
         spins = np.zeros((self.n, self.replicas), dtype=self._dtype)
         for column in self._cdf_columns:
@@ -922,8 +877,21 @@ class EnsembleLocalMetropolisMRF(_LocalMetropolisRound, _EnsembleMRFBase):
             spins[past] = np.broadcast_to(self._last_positive, spins.shape)[past]
         return spins
 
+    def step(self) -> None:
+        """Propose; one coin per (factor, replica) against the filter; accept if clean."""
+        proposals = self._propose()
+        if self._incidence is None:
+            self._config = proposals
+            self.steps_taken += 1
+            return
+        pass_probability = self._filter(proposals, self._config)
+        # u < p always holds at p = 1 and never at p = 0, as the sequential
+        # chains' deterministic branches.
+        failed = self.rng.random(pass_probability.shape) >= pass_probability
+        _metropolis_accept(self, proposals, failed, self._incidence)
 
-class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
+
+class EnsembleLocalMetropolisColoring(_HeatBathEnsemble):
     """Batched Algorithm 2 for uniform proper q-colourings.
 
     The one specialised kernel: for ``A_e = J - I`` every filter is
@@ -950,7 +918,7 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
             raise ModelError(
                 f"{type(self).__name__} needs a uniform proper colouring "
                 "(A_e a positive multiple of J - I, constant b_v); use "
-                "EnsembleLocalMetropolisMRF for other models"
+                "EnsembleLocalMetropolis for other models"
             )
         super().__init__(mrf, replicas, initial=initial, seed=seed)
         self._incidence = _accept_incidence(self._compiled)
@@ -962,105 +930,7 @@ class EnsembleLocalMetropolisColoring(_EnsembleMRFBase):
             self._config = proposals
             self.steps_taken += 1
             return
-        pu = proposals[self._eu]
-        pv = proposals[self._ev]
-        xu = self._config[self._eu]
-        xv = self._config[self._ev]
+        eu, ev = self._compiled.edge_u, self._compiled.edge_v
+        pu, pv, xu, xv = proposals[eu], proposals[ev], self._config[eu], self._config[ev]
         failed = (pu == pv) | (pu == xv) | (pv == xu)
         _metropolis_accept(self, proposals, failed, self._incidence)
-
-
-# ----------------------------------------------------------------------
-# CSP ensembles: batched extensions of Algorithms 1-2 to weighted local
-# CSPs (the remarks after both algorithms).
-# ----------------------------------------------------------------------
-class _EnsembleCSPBase(_HeatBathEnsemble):
-    """The host of the batched CSP chains: heat-bath weights start from ones.
-
-    Every structure the engines read is derived by ``csp.compiled()``
-    (:class:`~repro.compiled.CompiledCSP`) from the constraints bucketed by
-    arity: the heat-bath form, the vertex-constraint incidence and the
-    pass tables.  The Luby graph is the conflict graph, so every selected
-    set is strongly independent.
-    """
-
-    def __init__(
-        self,
-        csp: LocalCSP,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        self.csp = csp
-        self._vertex_activity = None
-        super().__init__(csp, replicas, initial=initial, seed=seed)
-
-    def _undefined_marginal(self, vertex: int) -> ModelError:
-        return ModelError(
-            f"CSP conditional marginal at vertex {vertex} is undefined (zero mass)"
-        )
-
-
-class EnsembleLubyGlauberCSP(_LubyGlauberRound, _EnsembleCSPBase):
-    """Batched LubyGlauber on a weighted local CSP (remark after Algorithm 1).
-
-    One step advances all R replicas by one round: each replica draws its
-    own Luby independent set *of the CSP's conflict graph* (so the selected
-    set is strongly independent in the constraint hypergraph), then every
-    selected (replica, vertex) pair heat-bath-resamples from its
-    conditional marginal.  The marginal weights of *all* selected pairs are
-    assembled at once by the shared heat-bath kernel, one pass per padded
-    constraint-incidence position: gathers of the co-scope spins pick the
-    row of ``q`` candidate factor values of the pair's vertex from the
-    constraint table's block at the vertex's scope position, and it is
-    multiplied in — no per-vertex Python loop.
-    """
-
-
-class EnsembleLocalMetropolisCSP(_LocalMetropolisRound, _EnsembleCSPBase):
-    """Batched LocalMetropolis on a weighted local CSP (remark after Algorithm 2).
-
-    One step advances all R replicas by one round: every (replica, vertex)
-    pair proposes a uniform spin; every constraint of arity ``k`` passes
-    with probability equal to the product of its ``2^k - 1`` normalised
-    factors over the mixings of the proposal vector with the current vector
-    on its scope; a vertex accepts iff every incident constraint passed.
-
-    The filter (:class:`_MetropolisFilter`) runs once per arity bucket of
-    the compiled model: one code per (vertex, replica), its proposed and
-    current spin, summed over every scope addresses the bucket's pass
-    tables, and one gather reads every constraint's pass probability.  A
-    bucket whose tables would pass :data:`repro.compiled.MAX_PASS_TABLE`
-    gathers its ``2^k - 1`` factors instead, with the same bits.  The
-    per-constraint coins are shared across the scope exactly as in the
-    sequential chain.
-    """
-
-    #: Hard cap on the (constraint, mixing) factors of one filter's gather
-    #: path, which enumerates 2^arity - 1 mixings per constraint: a
-    #: very-high-arity CSP must use the sequential chain instead.
-    MAX_MIXING_ROWS = 1_000_000
-
-    def __init__(
-        self,
-        csp: LocalCSP,
-        replicas: int,
-        initial: Sequence[int] | np.ndarray | None = None,
-        seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(csp, replicas, initial=initial, seed=seed)
-        compiled = csp.compiled()
-        self._filter = _MetropolisFilter(compiled)
-        total_rows = self._filter.gather_rows
-        if total_rows > self.MAX_MIXING_ROWS:
-            raise StateSpaceTooLargeError(
-                f"LocalMetropolis mixing filter needs {total_rows} factors per "
-                f"replica (2^arity - 1 per constraint), over the "
-                f"{self.MAX_MIXING_ROWS} cap; use the sequential "
-                "LocalMetropolisCSP chain for very-high-arity CSPs"
-            )
-        self._incidence = _accept_incidence(compiled)
-
-    def _propose(self) -> np.ndarray:
-        """The ``(n, R)`` proposals: uniform spins."""
-        return _uniform_spins(self.rng, self.q, (self.n, self.replicas), self._dtype)

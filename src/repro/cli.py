@@ -157,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mix.add_argument(
         "--max-rounds", type=int, default=argparse.SUPPRESS,
-        help="mixing-time round budget (default: JobSpec.mixing_time's)",
+        help="mixing-time round budget, with --eps (default: JobSpec.mixing_time's)",
     )
     mix.add_argument(
         "--stride", type=int, default=argparse.SUPPRESS,
-        help="rounds between mixing-time checks (default: JobSpec.mixing_time's)",
+        help="rounds between mixing-time checks, with --eps (default: JobSpec.mixing_time's)",
     )
     mix.add_argument(
         "--jobs",
@@ -390,8 +390,12 @@ def _command_budget(args: argparse.Namespace) -> int:
 
 
 def _command_mix(args: argparse.Namespace) -> int:
-    model = _model(args)
     params = _job_params(args)
+    for key in ("max_rounds", "stride"):
+        if key in params and "eps" not in params:
+            flag = "--" + key.replace("_", "-")
+            raise ReproError(f"{flag} applies to the mixing time only, which needs --eps")
+    model = _model(args)
     # One exact target serves the curve and the mixing time.
     target = _exact_distribution(model)
 

@@ -170,9 +170,10 @@ class _Stored:
     their factor forms here, from their ``buckets`` over ``flat_raw``: the
     incidence, the conflict edges, the heat-bath form and, with
     ``flat_norm`` and ``mixing_masks``, the LocalMetropolis pass tables.
-    ``FACTOR`` names a factor in messages, and ``conditional_axes(k)``
-    says which table axis each position of an arity-``k`` scope reads its
-    conditional rows along.
+    ``FACTOR`` names a factor in messages, ``conditional_axes(k)`` says
+    which table axis each position of an arity-``k`` scope reads its
+    conditional rows along, and ``vertex_activity`` (None on a CSP) and
+    ``undefined_marginal(vertex)`` are what the general engines read by kind.
     """
 
     kind: str
@@ -504,6 +505,13 @@ class CompiledMRF(_Stored):
         """The ``(n, q)`` vertex activity table: row ``v`` is ``b_v``."""
         return _frozen(self.vertex_palette[self.vertex_index])
 
+    def undefined_marginal(self, vertex: int) -> InfeasibleStateError:
+        """The error of a heat-bath update at ``vertex`` whose every spin has zero weight."""
+        return InfeasibleStateError(
+            f"conditional marginal at vertex {vertex} is undefined: all {self.q} "
+            "spins have zero weight given the neighbours' spins"
+        )
+
     @cached_property
     def is_uniform_coloring(self) -> bool:
         """True iff the Gibbs distribution is uniform over proper q-colourings.
@@ -656,10 +664,18 @@ class CompiledCSP(_Stored):
     constraint_table: np.ndarray
     palette: tuple[np.ndarray, ...]
 
+    #: No ``b_v``: heat-bath weights start from ones, proposals are uniform.
+    vertex_activity = None
+    is_uniform_coloring = False
+
     @property
     def num_constraints(self) -> int:
         """Number of constraints."""
         return int(self.constraint_table.size)
+
+    def undefined_marginal(self, vertex: int) -> ModelError:
+        """The error of a heat-bath update at ``vertex`` whose every spin has zero weight."""
+        return ModelError(f"CSP conditional marginal at vertex {vertex} is undefined (zero mass)")
 
     @cached_property
     def buckets(self) -> tuple[ArityBucket, ...]:

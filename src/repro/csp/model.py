@@ -285,9 +285,7 @@ class LocalCSP(_StoredModel):
                 weights[spin] *= float(constraint.table[tuple(base)])
         total = weights.sum()
         if total <= 0.0:
-            raise ModelError(
-                f"CSP conditional marginal at vertex {v} is undefined (zero mass)"
-            )
+            raise self.compiled().undefined_marginal(v)
         return weights / total
 
     # ------------------------------------------------------------------

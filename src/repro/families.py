@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
-    EnsembleGlauberDynamics, EnsembleLocalMetropolisColoring, EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF, EnsembleLubyGlauberCSP, EnsembleLubyGlauberMRF,
+    EnsembleGlauberDynamics, EnsembleLocalMetropolis, EnsembleLocalMetropolisColoring,
+    EnsembleLubyGlauber,
 )
 from repro.chains.glauber import GlauberDynamics
 from repro.chains.local_metropolis import LocalMetropolisChain
@@ -220,14 +220,14 @@ _CSP_LOCAL = "repro.distributed.csp_protocols:"
 DISPATCH: tuple[EngineRow, ...] = (
     EngineRow("mrf", "local-metropolis", EnsembleLocalMetropolisColoring, LocalMetropolisChain,
               _MRF_LOCAL + "run_local_metropolis_protocol", when=_uniform_coloring),
-    EngineRow("mrf", "local-metropolis", EnsembleLocalMetropolisMRF, LocalMetropolisChain,
+    EngineRow("mrf", "local-metropolis", EnsembleLocalMetropolis, LocalMetropolisChain,
               _MRF_LOCAL + "run_local_metropolis_protocol"),
-    EngineRow("mrf", "luby-glauber", EnsembleLubyGlauberMRF, LubyGlauberChain,
+    EngineRow("mrf", "luby-glauber", EnsembleLubyGlauber, LubyGlauberChain,
               _MRF_LOCAL + "run_luby_glauber_protocol"),
     EngineRow("mrf", "glauber", EnsembleGlauberDynamics, GlauberDynamics, None),
-    EngineRow("csp", "local-metropolis", EnsembleLocalMetropolisCSP, LocalMetropolisCSP,
+    EngineRow("csp", "local-metropolis", EnsembleLocalMetropolis, LocalMetropolisCSP,
               _CSP_LOCAL + "run_local_metropolis_csp_protocol"),
-    EngineRow("csp", "luby-glauber", EnsembleLubyGlauberCSP, LubyGlauberCSP,
+    EngineRow("csp", "luby-glauber", EnsembleLubyGlauber, LubyGlauberCSP,
               _CSP_LOCAL + "run_luby_glauber_csp_protocol"),
 )
 

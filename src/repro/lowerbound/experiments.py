@@ -5,7 +5,7 @@ sequential :class:`~repro.chains.luby_glauber.LubyGlauberChain` at a time.
 This module runs them as ``(R, n)`` replica ensembles through the array
 execution stack — :func:`repro.api.make_ensemble` with
 ``method="luby-glauber"`` dispatches to the batched heat-bath kernel
-:class:`~repro.chains.ensemble.EnsembleLubyGlauberMRF` — and reduces the
+:class:`~repro.chains.ensemble.EnsembleLubyGlauber` — and reduces the
 final batch with the vectorized phase kernels of
 :mod:`repro.lowerbound.phases`.
 

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import InfeasibleStateError, StateSpaceTooLargeError
+from repro.errors import StateSpaceTooLargeError
 from repro.mrf.model import MRF
 
 __all__ = [
@@ -58,10 +58,7 @@ def conditional_marginal(mrf: MRF, config: Sequence[int], v: int) -> np.ndarray:
     weights = conditional_marginal_unnormalized(mrf, config, v)
     total = weights.sum()
     if total <= 0.0:
-        raise InfeasibleStateError(
-            f"conditional marginal at vertex {v} is undefined: all {mrf.q} "
-            "spins have zero weight given the neighbours' spins"
-        )
+        raise mrf.compiled().undefined_marginal(v)
     return weights / total
 
 

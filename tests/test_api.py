@@ -189,3 +189,11 @@ def test_import_leaves_the_local_protocols_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """``brentq`` is imported by the two theory functions that call it, not by ``repro``."""
+    code = "import sys, repro; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

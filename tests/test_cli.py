@@ -309,6 +309,19 @@ class TestMixCommand:
         assert payload["engine"] == "EnsembleGlauberDynamics"
         assert len(payload["curve"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--max-rounds", "--stride"])
+    def test_mixing_time_flags_need_eps(self, capsys, monkeypatch, flag):
+        """Refused by name before a model is built, not dropped."""
+
+        def unbuilt(args):
+            raise AssertionError("mix built a model before checking its flags")
+
+        monkeypatch.setattr(repro.cli, "_model", unbuilt)
+        argv = ["mix", "--graph", "cycle", "--size", "4", "--q", "3", "--checkpoints", "1,2"]
+        assert main([*argv, flag, "4"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "--eps" in err
+
     def test_bad_checkpoints_rejected(self, capsys):
         code = main(
             ["mix", "--graph", "cycle", "--size", "4", "--checkpoints", "1,zap"]
@@ -415,7 +428,7 @@ class TestCSPModels:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "EnsembleLocalMetropolisCSP"
+        assert payload["engine"] == "EnsembleLocalMetropolis"
         assert payload["model"].startswith("dominating-set")
         assert len(payload["curve"]) == 3
         tvs = [tv for _, tv in payload["curve"]]

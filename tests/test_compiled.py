@@ -25,10 +25,8 @@ from repro.chains.base import start_config
 from repro.chains.csp_chains import constraint_pass_probability
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLocalMetropolis,
+    EnsembleLubyGlauber,
     _uniform_spins,
 )
 from repro.chains.luby_glauber import LubyGlauberChain
@@ -170,7 +168,7 @@ class TestCompiledMRF:
         try:
             with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
                 compiled.heatbath_slots
-            for engine in (EnsembleGlauberDynamics, EnsembleLubyGlauberMRF):
+            for engine in (EnsembleGlauberDynamics, EnsembleLubyGlauber):
                 with pytest.raises(StateSpaceTooLargeError, match="pad slots"):
                     engine(mrf, 2, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
@@ -259,7 +257,7 @@ class TestCompiledCSP:
         start = start_config(csp)
         start[:] = 9  # a copy: the memoized start is untouched
         np.testing.assert_array_equal(
-            EnsembleLubyGlauberCSP(csp, 3, seed=0).config,
+            EnsembleLubyGlauber(csp, 3, seed=0).config,
             np.tile(csp.compiled().greedy_start, (3, 1)),
         )
 
@@ -268,7 +266,7 @@ class TestCompiledCSP:
         assert compiled.buckets == ()
         assert compiled.conflict_u.size == 0
         np.testing.assert_array_equal(compiled.greedy_start, [0, 0, 0])
-        assert EnsembleLocalMetropolisCSP(LocalCSP(3, 2, []), 2, seed=1).run(2).shape == (2, 3)
+        assert EnsembleLocalMetropolis(LocalCSP(3, 2, []), 2, seed=1).run(2).shape == (2, 3)
 
 
 MODELS = [per_edge_mrf, mixed_csp, lambda: maximal_independent_set_csp(cycle_graph(6))]
@@ -419,13 +417,12 @@ class TestEnginesReadTheCompiledForm:
         mrf = per_edge_mrf()
         compiled = mrf.compiled()
         engines = [
-            EnsembleLubyGlauberMRF(mrf, 2, seed=0),
+            EnsembleLubyGlauber(mrf, 2, seed=0),
             EnsembleGlauberDynamics(mrf, 2, seed=0),
-            EnsembleLocalMetropolisMRF(mrf, 2, seed=0),
+            EnsembleLocalMetropolis(mrf, 2, seed=0),
         ]
         for engine in engines:
-            assert engine._eu is compiled.edge_u and engine._ev is compiled.edge_v
-            assert engine._vertex_activity is compiled.vertex_activity
+            assert engine._compiled is compiled
         for engine in engines[:2]:
             # The palette's columns, then the all-ones row of the pads.
             rows = engine._factor_rows
@@ -441,7 +438,7 @@ class TestEnginesReadTheCompiledForm:
         for cap in (repro.compiled.MAX_PASS_TABLE, 0):
             monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
             csp = mixed_csp()
-            ensemble = EnsembleLocalMetropolisCSP(csp, 6, seed=seed)
+            ensemble = EnsembleLocalMetropolis(csp, 6, seed=seed)
             assert (csp.compiled().pass_starts >= 0).all() == (cap > 0)
             ensemble.advance(2)
             proposals = _uniform_spins(ensemble.rng, csp.q, (csp.n, 6), ensemble._dtype)
@@ -464,7 +461,7 @@ class TestEnginesReadTheCompiledForm:
         for cap in (repro.compiled.MAX_PASS_TABLE, 0):
             monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
             mrf = per_edge_mrf()
-            ensemble = EnsembleLocalMetropolisMRF(mrf, 6, seed=2)
+            ensemble = EnsembleLocalMetropolis(mrf, 6, seed=2)
             assert (mrf.compiled().pass_starts >= 0).all() == (cap > 0)
             ensemble.advance(2)
             proposals = ensemble._propose()
@@ -481,9 +478,9 @@ class TestEnginesReadTheCompiledForm:
         csp = mixed_csp()
         compiled = csp.compiled()
         engines = [
-            EnsembleLubyGlauberCSP(csp, 2, seed=0),
-            EnsembleLocalMetropolisCSP(csp, 2, seed=0),
-            EnsembleLocalMetropolisCSP(csp, 3, seed=1),
+            EnsembleLubyGlauber(csp, 2, seed=0),
+            EnsembleLocalMetropolis(csp, 2, seed=0),
+            EnsembleLocalMetropolis(csp, 3, seed=1),
         ]
         assert compiled is csp.compiled()
         for engine in engines:
@@ -508,7 +505,7 @@ class TestEnginesReadTheCompiledForm:
         for cap in (repro.compiled.MAX_PASS_TABLE, 0):
             monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", cap)
             csp = not_all_equal_csp([(0, 1, 2), (2, 3, 4), (4, 5, 0)], n=6, q=3)
-            ensemble = EnsembleLocalMetropolisCSP(csp, 4, seed=1)
+            ensemble = EnsembleLocalMetropolis(csp, 4, seed=1)
             assert len(ensemble._filter._buckets) == 1
             assert (csp.compiled().pass_starts >= 0).all() == (cap > 0)
             assert ensemble.run(5).shape == (4, 6)

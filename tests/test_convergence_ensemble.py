@@ -22,8 +22,8 @@ from repro.analysis.diagnostics import batch_effective_sample_size, gelman_rubin
 from repro.api import make_ensemble
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisMRF,
 )
 from repro.chains.local_metropolis import LocalMetropolisChain
 from repro.errors import ConvergenceError, ModelError
@@ -68,7 +68,7 @@ class TestEnsembleProtocol:
 
     def test_sequential_chain_ensemble_protocol(self, path3_ising):
         ensemble = make_ensemble(path3_ising, 5, method="local-metropolis", seed=1)
-        assert isinstance(ensemble, EnsembleLocalMetropolisMRF)
+        assert isinstance(ensemble, EnsembleLocalMetropolis)
 
         def factory(rng):
             return LocalMetropolisChain(path3_ising, seed=rng)
@@ -283,7 +283,7 @@ class TestApiConvenience:
         assert 1 <= tau <= 400
 
     def test_general_mrf_local_metropolis_tv_curve(self, path3_ising):
-        # Non-colouring model + local-metropolis => EnsembleLocalMetropolisMRF.
+        # Non-colouring model + local-metropolis => EnsembleLocalMetropolis.
         curve = repro.tv_curve(
             path3_ising, [1, 8], method="local-metropolis", replicas=200, seed=24
         )

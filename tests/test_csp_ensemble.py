@@ -1,7 +1,7 @@
 """Tests for the batched CSP replica-ensemble engines.
 
 The tentpole contract of the CSP ensembles: each replica of
-:class:`EnsembleLubyGlauberCSP` / :class:`EnsembleLocalMetropolisCSP`
+:class:`EnsembleLubyGlauber` / :class:`EnsembleLocalMetropolis`
 evolves by the same Markov kernel as the corresponding sequential CSP
 chain.  Verified with the shared statistical harness: exact stationarity
 (chi-square + TV bound against ``exact_csp_gibbs_distribution``) and
@@ -20,8 +20,8 @@ import repro.compiled
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.csp_chains import LocalMetropolisCSP, LubyGlauberCSP
 from repro.chains.ensemble import (
-    EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberCSP,
+    EnsembleLocalMetropolis,
+    EnsembleLubyGlauber,
 )
 from repro.csp import (
     Constraint,
@@ -36,9 +36,9 @@ from repro.csp import (
 )
 from repro.errors import InfeasibleStateError, ModelError, StateSpaceTooLargeError
 from repro.graphs import cycle_graph, path_graph
-from repro.mrf import ising_mrf
+from repro.mrf import hardcore_mrf, ising_mrf
 
-ENSEMBLE_CSP_CLASSES = (EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP)
+ENSEMBLE_CSP_CLASSES = (EnsembleLubyGlauber, EnsembleLocalMetropolis)
 
 
 def nae_ring_csp(n: int = 5, q: int = 3) -> LocalCSP:
@@ -100,14 +100,20 @@ class TestConstruction:
         assert not np.array_equal(ensemble.config, batch)
 
     def test_mixing_row_cap_guards_high_arity(self, monkeypatch):
-        monkeypatch.setattr(EnsembleLocalMetropolisCSP, "MAX_MIXING_ROWS", 10)
-        # arity-3 covers: 7 rows each, but a pass table of 64 entries
-        EnsembleLocalMetropolisCSP(dominating_set_csp(cycle_graph(4)), 2)
-        # The cap guards the gather path: no pass tables send every bucket there.
+        monkeypatch.setattr(EnsembleLocalMetropolis, "MAX_MIXING_ROWS", 10)
+        # Four arity-3 covers (7 rows each) and four hardcore edges (3 rows
+        # each), but pass tables of 64 and 16 entries.
+        models = (
+            lambda: dominating_set_csp(cycle_graph(4)), lambda: hardcore_mrf(cycle_graph(4), 1.0)
+        )
+        for make in models:
+            EnsembleLocalMetropolis(make(), 2)
+        # The cap guards the gather path of both kinds: no pass tables send
+        # every bucket there.
         monkeypatch.setattr(repro.compiled, "MAX_PASS_TABLE", 0)
-        csp = dominating_set_csp(cycle_graph(4))
-        with pytest.raises(StateSpaceTooLargeError, match="mixing filter"):
-            EnsembleLocalMetropolisCSP(csp, 2)
+        for make in models:
+            with pytest.raises(StateSpaceTooLargeError, match="mixing filter"):
+                EnsembleLocalMetropolis(make(), 2)
 
 
 class NearOneUniforms:
@@ -128,7 +134,7 @@ class NearOneUniforms:
 class TestInvariants:
     def test_lg_changed_sets_strongly_independent_per_replica(self):
         csp = dominating_set_csp(cycle_graph(6))
-        ensemble = EnsembleLubyGlauberCSP(csp, 8, seed=2)
+        ensemble = EnsembleLubyGlauber(csp, 8, seed=2)
         for _ in range(25):
             before = ensemble.config
             ensemble.step()
@@ -156,7 +162,7 @@ class TestInvariants:
         # to just below 1, so a near-one uniform falls past every cdf entry.
         table = np.array([1.0] * 10 + [0.0])
         csp = LocalCSP(1, 11, [Constraint((0,), table)])
-        ensemble = EnsembleLubyGlauberCSP(csp, 4, seed=0)
+        ensemble = EnsembleLubyGlauber(csp, 4, seed=0)
         ensemble.rng = NearOneUniforms(ensemble.rng)
         ensemble.step()
         assert np.all(ensemble.config == 9)  # largest positive-mass spin
@@ -165,7 +171,7 @@ class TestInvariants:
         # q = 2 on a triangle: whichever vertex is selected sees both
         # colours on its neighbours and has an all-zero marginal.
         csp = coloring_csp(cycle_graph(3), 2)
-        ensemble = EnsembleLubyGlauberCSP(
+        ensemble = EnsembleLubyGlauber(
             csp, 4, initial=np.array([0, 1, 0]), seed=4
         )
         with pytest.raises(ModelError, match="zero mass"):
@@ -209,8 +215,8 @@ class TestSequentialEquivalence:
     @pytest.mark.parametrize(
         "ensemble_cls,chain_cls",
         [
-            (EnsembleLubyGlauberCSP, LubyGlauberCSP),
-            (EnsembleLocalMetropolisCSP, LocalMetropolisCSP),
+            (EnsembleLubyGlauber, LubyGlauberCSP),
+            (EnsembleLocalMetropolis, LocalMetropolisCSP),
         ],
     )
     def test_matches_sequential_chain_distribution(self, ensemble_cls, chain_cls):
@@ -237,8 +243,8 @@ class TestConvergencePipeline:
         csp = dominating_set_csp(cycle_graph(6))
         # Same integer seed => shared proposal/coin stream => a grand
         # coupling; twins started apart should agree more over time.
-        a = EnsembleLocalMetropolisCSP(csp, 64, initial=np.zeros(6, int), seed=7)
-        b = EnsembleLocalMetropolisCSP(csp, 64, initial=np.ones(6, int), seed=7)
+        a = EnsembleLocalMetropolis(csp, 64, initial=np.zeros(6, int), seed=7)
+        b = EnsembleLocalMetropolis(csp, 64, initial=np.ones(6, int), seed=7)
         curve = ensemble_agreement_curve(a, b, [1, 2, 4, 8, 16, 32])
         values = [agreement for _, agreement in curve]
         assert all(0.0 <= value <= 1.0 for value in values)
@@ -247,7 +253,7 @@ class TestConvergencePipeline:
     def test_scalar_trajectory_on_csp_ensemble(self):
         from repro.analysis.convergence import ensemble_scalar_trajectory
 
-        ensemble = EnsembleLubyGlauberCSP(dominating_set_csp(path_graph(4)), 5, seed=8)
+        ensemble = EnsembleLubyGlauber(dominating_set_csp(path_graph(4)), 5, seed=8)
         series = ensemble_scalar_trajectory(
             ensemble, lambda batch: batch.sum(axis=1).astype(float), rounds=12, thin=3
         )
@@ -259,9 +265,9 @@ class TestApiDispatch:
     def test_make_ensemble_dispatches_csp_engines(self):
         csp = dominating_set_csp(cycle_graph(5))
         lm = repro.make_ensemble(csp, 4, method="local-metropolis", seed=0)
-        assert isinstance(lm, EnsembleLocalMetropolisCSP)
+        assert isinstance(lm, EnsembleLocalMetropolis)
         lg = repro.make_ensemble(csp, 4, method="luby-glauber", seed=0)
-        assert isinstance(lg, EnsembleLubyGlauberCSP)
+        assert isinstance(lg, EnsembleLubyGlauber)
         with pytest.raises(ModelError, match="no CSP kernel"):
             repro.make_ensemble(csp, 4, method="glauber")
 

@@ -429,7 +429,7 @@ class TestDynamicEnsemble:
         dyn = DynamicEnsemble(uniform, 4, method="local-metropolis", seed=1)
         assert type(dyn.engine).__name__ == "EnsembleLocalMetropolisColoring"
         dyn.update_factor(0, 1, np.ones((3, 3)))  # no longer a colouring
-        assert type(dyn.engine).__name__ == "EnsembleLocalMetropolisMRF"
+        assert type(dyn.engine).__name__ == "EnsembleLocalMetropolis"
 
     def test_mix_and_run_advance_the_full_model(self):
         initial, _ = _coloring_pair()

@@ -24,8 +24,9 @@ from repro.chains import GlauberDynamics, LocalMetropolisChain, LubyGlauberChain
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
     EnsembleLocalMetropolisColoring,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
+from repro.csp import coloring_csp
 from repro.errors import InfeasibleStateError, ModelError
 from repro.graphs import cycle_graph, grid_graph, is_independent_set, path_graph
 from repro.mrf import (
@@ -39,7 +40,7 @@ from repro.mrf import (
 #: The two engines that run a uniform colouring's distributed chains.
 ENSEMBLE_COLORING_CLASSES = (
     EnsembleLocalMetropolisColoring,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
 
 
@@ -67,7 +68,7 @@ class TestConstruction:
 
     def test_per_replica_initial(self):
         batch = np.array([[0, 1, 2, 0], [2, 0, 1, 2], [1, 2, 0, 1]])
-        ensemble = EnsembleLubyGlauberMRF(
+        ensemble = EnsembleLubyGlauber(
             proper_coloring_mrf(path_graph(4), 3), 3, initial=batch, seed=0
         )
         assert np.array_equal(ensemble.config, batch)
@@ -89,6 +90,11 @@ class TestConstruction:
         # Colouring filters on an Ising model would sample the wrong law.
         with pytest.raises(ModelError, match="uniform proper colouring"):
             EnsembleLocalMetropolisColoring(ising_mrf(path_graph(3), 0.5, 1.0), 4)
+
+    def test_colouring_engine_refuses_a_csp(self):
+        # Even a colouring CSP: the kernel reads an MRF record's edges.
+        with pytest.raises(ModelError, match="uniform proper colouring"):
+            EnsembleLocalMetropolisColoring(coloring_csp(path_graph(3), 3), 4)
 
     @pytest.mark.parametrize("cls", ENSEMBLE_COLORING_CLASSES)
     def test_edgeless_graph(self, cls):
@@ -139,7 +145,7 @@ class TestFeasibility:
                 repro.sample_many(mrf, 8, method="luby-glauber", rounds=4, seed=18),
             ]
         )
-        ensemble = EnsembleLubyGlauberMRF(mrf, len(batch), initial=batch, seed=19)
+        ensemble = EnsembleLubyGlauber(mrf, len(batch), initial=batch, seed=19)
         expected = np.array([mrf.is_feasible(row) for row in batch])
         assert expected.any() and not expected.all()
         assert np.array_equal(ensemble.is_feasible(), expected)
@@ -161,7 +167,7 @@ class TestInvariants:
 
     def test_lg_changed_sets_are_independent(self):
         graph = grid_graph(5, 5)
-        ensemble = EnsembleLubyGlauberMRF(proper_coloring_mrf(graph, 9), 8, seed=2)
+        ensemble = EnsembleLubyGlauber(proper_coloring_mrf(graph, 9), 8, seed=2)
         for _ in range(15):
             before = ensemble.config
             ensemble.step()
@@ -171,7 +177,7 @@ class TestInvariants:
                 assert is_independent_set(graph, changed)
 
     def test_lg_preserves_propriety(self):
-        ensemble = EnsembleLubyGlauberMRF(proper_coloring_mrf(grid_graph(6, 6), 9), 12, seed=3)
+        ensemble = EnsembleLubyGlauber(proper_coloring_mrf(grid_graph(6, 6), 9), 12, seed=3)
         assert ensemble.is_feasible().all()
         ensemble.run(30)
         assert ensemble.is_feasible().all()
@@ -224,7 +230,7 @@ class TestSequentialEquivalence:
         """
         mrf = hardcore_mrf(cycle_graph(5), 2.0)
         rounds, replicas = 50, 3000
-        ensemble = EnsembleLubyGlauberMRF(mrf, replicas, seed=16)
+        ensemble = EnsembleLubyGlauber(mrf, replicas, seed=16)
         batched = ensemble.run(rounds)
         sequential = np.stack(
             [
@@ -236,7 +242,7 @@ class TestSequentialEquivalence:
 
     def test_luby_glauber_mrf_infeasible_state_raises(self):
         mrf = proper_coloring_mrf(cycle_graph(3), 2)
-        ensemble = EnsembleLubyGlauberMRF(
+        ensemble = EnsembleLubyGlauber(
             mrf, 8, initial=np.array([0, 1, 0]), seed=5
         )
         with pytest.raises(InfeasibleStateError):
@@ -245,7 +251,7 @@ class TestSequentialEquivalence:
     def test_luby_glauber_mrf_dispatch_and_feasibility(self):
         mrf = hardcore_mrf(cycle_graph(6), 1.0)
         ensemble = repro.make_ensemble(mrf, 5, method="luby-glauber", seed=6)
-        assert isinstance(ensemble, EnsembleLubyGlauberMRF)
+        assert isinstance(ensemble, EnsembleLubyGlauber)
         batch = ensemble.run(10)
         assert batch.shape == (5, 6)
         assert all(mrf.is_feasible(row) for row in batch)

@@ -21,9 +21,9 @@ import repro
 from repro import JobSpec
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
 from repro.csp import (
     dominating_set_csp,
@@ -154,10 +154,10 @@ REGION_RUNS = {
     "glauber-region": lambda: EnsembleGlauberDynamics(
         MODELS["per-edge"](), REPLICAS, seed=31
     ).advance_region(ROUNDS, REGION).config,
-    "lg-mrf-region": lambda: EnsembleLubyGlauberMRF(
+    "lg-mrf-region": lambda: EnsembleLubyGlauber(
         MODELS["per-edge"](), REPLICAS, seed=32
     ).advance_region(ROUNDS, REGION).config,
-    "lm-csp-region": lambda: EnsembleLocalMetropolisCSP(
+    "lm-csp-region": lambda: EnsembleLocalMetropolis(
         nae_mixed(), REPLICAS, seed=33
     ).advance(3).advance_region(ROUNDS, REGION).config,
     "lm-coloring-region": lambda: EnsembleLocalMetropolisColoring(

@@ -1,11 +1,11 @@
 """The shared heat-bath kernel: padded weight loop and inverse-CDF sampler.
 
-Glauber, LubyGlauber-MRF and LubyGlauber-CSP all assemble conditional
+Glauber and LubyGlauber, on MRFs and CSPs alike, assemble conditional
 weights by walking padded neighbour (or constraint-incidence) positions,
 with pad slots reading all-ones factor rows, and all draw spins with one
 column-by-column inverse-CDF sampler.  The LocalMetropolis engines run the
-same kernel in their region advances, and the MRF one draws its ``b_v``
-proposals with the same sampler.  The benchmark models are regular,
+same kernel in their region advances, and the general one draws an MRF's
+``b_v`` proposals with the same sampler.  The benchmark models are regular,
 so these tests use models whose padded tables are mostly pads: an
 isolated vertex, leaves and a hub, per-edge tables with zero entries, and
 a CSP vertex in no constraint.
@@ -21,10 +21,8 @@ from repro.chains.cftp import _inverse_cdf_spin
 from repro.chains.coupling import CoupledLocalMetropolis
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLocalMetropolis,
+    EnsembleLubyGlauber,
     _heatbath_spins,
 )
 from repro.chains.glauber import sample_spin
@@ -40,9 +38,9 @@ from repro.csp.model import exact_csp_gibbs_distribution
 from repro.distributed.sampling_protocols import LocalMetropolisProtocol, SamplingInput
 from repro.dynamic import sequential_region_glauber
 from repro.errors import ModelError
-from repro.graphs import grid_graph, path_graph, star_graph, torus_graph
+from repro.graphs import cycle_graph, grid_graph, path_graph, star_graph, torus_graph
 from repro.local.protocol import NodeContext
-from repro.mrf import MRF, ising_mrf, proper_coloring_mrf
+from repro.mrf import MRF, hardcore_mrf, ising_mrf, list_coloring_mrf, proper_coloring_mrf
 from repro.mrf.distribution import exact_gibbs_distribution
 from repro.mrf.marginals import conditional_marginal_unnormalized
 
@@ -104,6 +102,17 @@ CSP_ROW_CASES = {
 }
 
 
+#: MRFs that LubyGlauber must sample bit for bit alike as ``mrf_as_csp`` of themselves.
+TWIN_RECORD_CASES = {
+    "hardcore-torus": lambda: hardcore_mrf(torus_graph(6, 6), 0.7),
+    "ising-field-grid": lambda: ising_mrf(grid_graph(5, 4), 1.3, 0.6),
+    "coloring-c7": lambda: proper_coloring_mrf(cycle_graph(7), 4),
+    "list-coloring-c5": lambda: list_coloring_mrf(
+        cycle_graph(5), 4, {v: [v % 4, (v + 1) % 4, (v + 3) % 4] for v in range(5)}
+    ),
+}
+
+
 class FixedUniforms:
     """Delegating RNG whose float64 uniforms all equal ``value``."""
 
@@ -133,20 +142,20 @@ class TestLawAgainstExactGibbs:
 
     def test_luby_glauber_mrf(self):
         mrf = uneven_mrf()
-        ensemble = EnsembleLubyGlauberMRF(mrf, REPLICAS, seed=102)
+        ensemble = EnsembleLubyGlauber(mrf, REPLICAS, seed=102)
         assert_stationary(ensemble.run(80), exact_gibbs_distribution(mrf))
 
     def test_luby_glauber_csp(self):
         csp = uneven_csp()
-        ensemble = EnsembleLubyGlauberCSP(csp, REPLICAS, seed=103)
+        ensemble = EnsembleLubyGlauber(csp, REPLICAS, seed=103)
         assert_stationary(ensemble.run(80), exact_csp_gibbs_distribution(csp))
 
     @pytest.mark.parametrize(
         "cls, steps",
         [
             (EnsembleGlauberDynamics, 200),
-            (EnsembleLubyGlauberMRF, 80),
-            (EnsembleLocalMetropolisMRF, 80),
+            (EnsembleLubyGlauber, 80),
+            (EnsembleLocalMetropolis, 80),
         ],
     )
     def test_mrf_region_advance_samples_the_clamped_law(self, cls, steps):
@@ -157,7 +166,7 @@ class TestLawAgainstExactGibbs:
         batch = ensemble.advance_region(steps, region).config
         assert_stationary(batch, clamped(exact_gibbs_distribution(mrf), start, region))
 
-    @pytest.mark.parametrize("cls", [EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP])
+    @pytest.mark.parametrize("cls", [EnsembleLubyGlauber, EnsembleLocalMetropolis])
     def test_csp_region_advance_samples_the_clamped_law(self, cls):
         csp = uneven_csp()
         start = np.array([0, 2, 1, 2, 0])
@@ -170,7 +179,7 @@ class TestLawAgainstExactGibbs:
 class TestWeightRows:
     @pytest.mark.parametrize("make", list(MRF_ROW_CASES.values()), ids=list(MRF_ROW_CASES))
     @pytest.mark.parametrize(
-        "cls", [EnsembleGlauberDynamics, EnsembleLubyGlauberMRF, EnsembleLocalMetropolisMRF]
+        "cls", [EnsembleGlauberDynamics, EnsembleLubyGlauber, EnsembleLocalMetropolis]
     )
     def test_mrf_rows_equal_the_sequential_oracle(self, cls, make):
         """((b_v * A_1) * A_2) ... over ascending neighbours, pads multiplying by one."""
@@ -188,7 +197,7 @@ class TestWeightRows:
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("make", list(CSP_ROW_CASES.values()), ids=list(CSP_ROW_CASES))
-    @pytest.mark.parametrize("cls", [EnsembleLubyGlauberCSP, EnsembleLocalMetropolisCSP])
+    @pytest.mark.parametrize("cls", [EnsembleLubyGlauber, EnsembleLocalMetropolis])
     def test_csp_rows_equal_the_sequential_marginal(self, cls, make):
         csp = make()
         replicas = 32
@@ -223,6 +232,27 @@ class TestWeightRows:
             rows[:-1].reshape(tables, q, q), compiled.palette.transpose(0, 2, 1)
         )
         np.testing.assert_array_equal(rows[-1], np.ones(q))
+
+
+class TestOneEngineOnBothRecords:
+    @pytest.mark.parametrize(
+        "make", list(TWIN_RECORD_CASES.values()), ids=list(TWIN_RECORD_CASES)
+    )
+    def test_luby_glauber_bits_equal_on_an_mrf_and_its_csp(self, make):
+        """``b_v`` comes from the record: the MRF's activities, or its CSP's unary constraints.
+
+        Both records give the same start, conflict graph and conditional
+        weights, so the bits agree; an engine that dropped ``b_v`` on either
+        record fails the hardcore, Ising and list-colouring cases.
+        """
+        mrf = make()
+        batches = []
+        for model in (mrf, mrf_as_csp(mrf)):
+            ensemble = EnsembleLubyGlauber(model, 16, seed=17)
+            batches.append(ensemble.run(30))
+            batches.append(ensemble.advance_region(20, range(1, mrf.n, 2)).config)
+        np.testing.assert_array_equal(batches[0], batches[2])
+        np.testing.assert_array_equal(batches[1], batches[3])
 
 
 class TestSampler:
@@ -269,7 +299,7 @@ class TestSampler:
         protocol.initialize(node)
         protocol.compose(node, 0)
         assert node.state["proposal"] == 9
-        ensemble = near_one(EnsembleLocalMetropolisMRF(mrf, 4, seed=0))
+        ensemble = near_one(EnsembleLocalMetropolis(mrf, 4, seed=0))
         ensemble.step()
         np.testing.assert_array_equal(ensemble.config, 9)
 

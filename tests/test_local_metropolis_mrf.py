@@ -1,6 +1,6 @@
 """The batched LocalMetropolis engine for general MRFs, and the dispatch.
 
-:class:`~repro.chains.ensemble.EnsembleLocalMetropolisMRF` runs Algorithm 2
+:class:`~repro.chains.ensemble.EnsembleLocalMetropolis` runs Algorithm 2
 for every pairwise MRF that is not a uniform colouring.  Its one-step law
 is checked against rows of the exact transition matrix: on the per-edge
 model below both it and the sequential chain are still far from Gibbs
@@ -22,11 +22,9 @@ import repro
 from repro.analysis.convergence import SequentialChainEnsemble
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLocalMetropolisMRF,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
 from repro.chains.transition import local_metropolis_transition_matrix
 from repro.csp import dominating_set_csp
@@ -79,20 +77,20 @@ ONE_STEP_CASES = {
 def test_one_step_matches_the_transition_matrix_row(name, state):
     mrf = ONE_STEP_CASES[name][0]()
     row = local_metropolis_transition_matrix(mrf)[config_index(state, mrf.q)]
-    ensemble = EnsembleLocalMetropolisMRF(mrf, REPLICAS, initial=state, seed=71)
+    ensemble = EnsembleLocalMetropolis(mrf, REPLICAS, initial=state, seed=71)
     assert_stationary(ensemble.run(1), GibbsDistribution(mrf.n, mrf.q, row))
 
 
 #: Every valid (model kind, method) cell of ``make_ensemble`` and its engine.
 DISPATCH = {
     ("coloring", "local-metropolis"): EnsembleLocalMetropolisColoring,
-    ("coloring", "luby-glauber"): EnsembleLubyGlauberMRF,
+    ("coloring", "luby-glauber"): EnsembleLubyGlauber,
     ("coloring", "glauber"): EnsembleGlauberDynamics,
-    ("general", "local-metropolis"): EnsembleLocalMetropolisMRF,
-    ("general", "luby-glauber"): EnsembleLubyGlauberMRF,
+    ("general", "local-metropolis"): EnsembleLocalMetropolis,
+    ("general", "luby-glauber"): EnsembleLubyGlauber,
     ("general", "glauber"): EnsembleGlauberDynamics,
-    ("csp", "local-metropolis"): EnsembleLocalMetropolisCSP,
-    ("csp", "luby-glauber"): EnsembleLubyGlauberCSP,
+    ("csp", "local-metropolis"): EnsembleLocalMetropolis,
+    ("csp", "luby-glauber"): EnsembleLubyGlauber,
 }
 
 DISPATCH_MODELS = {

@@ -216,10 +216,10 @@ class TestMetropolisAccept:
         [
             (proper_coloring_mrf(cycle_graph(6), 3), "EnsembleLocalMetropolisColoring", np.int8),
             (_wide_coloring(), "EnsembleLocalMetropolisColoring", np.int16),
-            (hardcore_mrf(grid_graph(3, 3), 1.5), "EnsembleLocalMetropolisMRF", np.int8),
-            (_wide_list_coloring(), "EnsembleLocalMetropolisMRF", np.int16),
-            (dominating_set_csp(cycle_graph(6)), "EnsembleLocalMetropolisCSP", np.int8),
-            (coloring_csp(cycle_graph(5), 200), "EnsembleLocalMetropolisCSP", np.int16),
+            (hardcore_mrf(grid_graph(3, 3), 1.5), "EnsembleLocalMetropolis", np.int8),
+            (_wide_list_coloring(), "EnsembleLocalMetropolis", np.int16),
+            (dominating_set_csp(cycle_graph(6)), "EnsembleLocalMetropolis", np.int8),
+            (coloring_csp(cycle_graph(5), 200), "EnsembleLocalMetropolis", np.int16),
         ],
         ids=["coloring-int8", "coloring-int16", "mrf-int8", "mrf-int16", "csp-int8",
              "csp-int16"],
@@ -297,7 +297,7 @@ class TestMetropolisFilter:
         the proposal falls through to the largest positive-mass spin."""
         activity = np.array([1.0] * 10 + [0.0])
         mrf = repro.MRF(path_graph(3), 11, np.ones((11, 11)), activity)
-        ensemble = ensemble_module.EnsembleLocalMetropolisMRF(mrf, 4, seed=0)
+        ensemble = ensemble_module.EnsembleLocalMetropolis(mrf, 4, seed=0)
         ensemble.rng = NearOneUniforms(ensemble.rng)
         assert np.all(ensemble._propose() == 9)
         ensemble.step()  # every edge passes at p = 1 against a near-one coin

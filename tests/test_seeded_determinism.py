@@ -19,10 +19,9 @@ import pytest
 from repro.api import make_ensemble
 from repro.chains.ensemble import (
     EnsembleGlauberDynamics,
+    EnsembleLocalMetropolis,
     EnsembleLocalMetropolisColoring,
-    EnsembleLocalMetropolisCSP,
-    EnsembleLubyGlauberCSP,
-    EnsembleLubyGlauberMRF,
+    EnsembleLubyGlauber,
 )
 from repro.csp import dominating_set_csp, not_all_equal_csp
 from repro.dynamic import DynamicEnsemble
@@ -60,11 +59,11 @@ ENGINE_FACTORIES = {
     "glauber": lambda seed: EnsembleGlauberDynamics(
         ising_mrf(path_graph(5), beta=0.9, field=0.4), REPLICAS, seed=seed
     ),
-    "lg-csp": lambda seed: EnsembleLubyGlauberCSP(
+    "lg-csp": lambda seed: EnsembleLubyGlauber(
         dominating_set_csp(cycle_graph(6)), REPLICAS, seed=seed
     ),
-    "lm-csp": lambda seed: EnsembleLocalMetropolisCSP(_nae(), REPLICAS, seed=seed),
-    "lg-mrf": lambda seed: EnsembleLubyGlauberMRF(
+    "lm-csp": lambda seed: EnsembleLocalMetropolis(_nae(), REPLICAS, seed=seed),
+    "lg-mrf": lambda seed: EnsembleLubyGlauber(
         ising_mrf(path_graph(5), beta=0.9, field=0.4), REPLICAS, seed=seed
     ),
     "lm-mrf": _lm_mrf_ensemble,
