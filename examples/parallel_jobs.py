@@ -11,7 +11,8 @@ multi-core layer.  This example walks its two faces:
 2. **the job scheduler** — :class:`repro.exec.JobRunner` multiplexes a
    mixed batch of heterogeneous requests (colouring sample batches, a CSP
    TV curve, a mixing-time estimate) onto one shared worker pool,
-   streaming per-checkpoint progress while the jobs run.
+   streaming per-checkpoint progress while the jobs run; each job's
+   result arrives in its own streamed event.
 
 Run:  PYTHONPATH=src python examples/parallel_jobs.py
 """
@@ -58,6 +59,7 @@ def job_scheduler_demo() -> None:
                                 stride=2, max_rounds=500, seed=4,
                                 name="coloring-mixing-time"),
     ]
+    results = {}  # the runner keeps no outcome: collect each from its event
     with JobRunner(workers=2) as runner:
         ids = {runner.submit(job): job for job in jobs}
         for event in runner.stream():
@@ -66,7 +68,8 @@ def job_scheduler_demo() -> None:
                       f"TV = {event.value:.4f}")
             else:
                 print(f"  [{event.label}] {event.kind}")
-        results = runner.results
+            if event.kind == "result":
+                results[event.job_id] = event.payload
     for job_id, job in ids.items():
         result = results[job_id]
         if job.kind == "sample_many":

@@ -481,8 +481,14 @@ class _HeatBathEnsemble(EnsembleTrajectoryMixin):
 
     @property
     def config(self) -> np.ndarray:
-        """The current ``(R, n)`` batch (an int64 numpy copy — safe to mutate)."""
-        return self._config.T.astype(np.int64)
+        """The current ``(R, n)`` batch (a C-ordered int64 copy — safe to mutate).
+
+        One pass casts and transposes the narrow vertex-major state, so
+        readers of the batch (``encode_array`` of a served result, say)
+        walk contiguous rows instead of each paying a strided int64
+        transpose.
+        """
+        return self._config.T.astype(np.int64, order="C")
 
     def write_batch_into(self, out: np.ndarray) -> np.ndarray:
         """Transposed write from the internal vertex-major state, no copy."""

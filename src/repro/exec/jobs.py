@@ -8,15 +8,19 @@ different models and methods — onto a persistent pool of generic workers,
 streaming progress back as it happens:
 
 >>> from repro.exec import JobRunner, JobSpec
+>>> outcomes = {}
 >>> with JobRunner(workers=4) as runner:
 ...     a = runner.submit(JobSpec.sample_many(coloring, 256, seed=1))
 ...     b = runner.submit(JobSpec.tv_curve(csp, (1, 2, 4, 8), seed=2))
 ...     for event in runner.stream():      # checkpoints arrive live
 ...         print(event.label, event.kind, event.round, event.value)
-...     results = runner.results
+...         if event.kind == "result":
+...             outcomes[event.job_id] = event.payload
 
 The parent is the scheduler, and each worker has one pipe to it, for its
-tasks, drop requests and events (see :class:`JobRunner`).
+tasks, drop requests and events (see :class:`JobRunner`).  The runner
+holds a job only while it is in flight: each outcome is handed to
+whoever reads its event, and nothing of a settled job stays behind.
 
 Determinism contract: a worker executes a job with :meth:`JobSpec.run` —
 the :func:`repro.api.run_spec` body every direct call uses — and the job's
@@ -173,13 +177,14 @@ class JobRunner:
     job still queued behind a busy one, so heterogeneous batches
     load-balance, and the runner always knows which worker holds which
     job.  :meth:`stream` yields :class:`JobUpdate` events (live
-    checkpoints, results, errors) until every outstanding job settles;
-    :meth:`run` drains the stream and returns ``{job_id: result}``,
-    raising :class:`~repro.errors.ExecError` if any job failed.
+    checkpoints, then each job's result or error) until every outstanding
+    job settles, and :meth:`run_all` drains it for a list of jobs.  The
+    runner holds only the jobs in flight: a job's result or error event
+    settles it, and the caller who reads that event keeps what it needs.
 
-    A failed job never poisons the pool: its error is recorded (``errors``
-    mapping) and the worker moves on to the next job.  One pipe per worker
-    carries its tasks, drop requests and events, so a worker that *dies*
+    A failed job never poisons the pool: its error event settles it and
+    the worker moves on to the next job.  One pipe per worker carries its
+    tasks, drop requests and events, so a worker that *dies*
     (OOM kill, segfault), even mid-event, is end-of-file there once the
     runner has read every event it sent: the runner fails the job it was
     running, and the survivors take the job queued behind it.  Closing the
@@ -194,10 +199,11 @@ class JobRunner:
         self._processes: list[mp.Process] = []
         self._pipes: list[mp_connection.Connection] = []
         self._ids = itertools.count()
-        self._jobs: dict[int, JobSpec] = {}
-        self._waiting: dict[int, dict | None] = {}  # job id -> trace, oldest first
+        # Job id -> (spec, trace), oldest first.
+        self._waiting: dict[int, tuple[JobSpec, dict | None]] = {}
         # Worker index -> the (job id, spec, trace) tasks sent to it, in
-        # order: the first runs, at most one waits behind it.
+        # order: the first runs, at most one waits behind it.  A task
+        # leaves when that worker settles it or dies.
         self._held: dict[int, list[tuple]] = {worker: [] for worker in range(self.workers)}
         # Job id -> the worker whose events settle it.  A job moved to an
         # idle worker or cancelled here stays held by its old worker; that
@@ -208,16 +214,11 @@ class JobRunner:
         # a dead worker's lost job): next_event returns them before it
         # reads any worker.
         self._backlog: deque[JobUpdate] = deque()
-        # Guards the scheduling state (everything above plus results/
-        # errors/elapsed) so one thread may submit while another drains
-        # next_event — the repro.serve daemon does exactly that.  The
-        # event *wait* is never under the lock; only the bookkeeping is.
+        # Guards the scheduling state above so one thread may submit while
+        # another drains next_event — the repro.serve daemon does exactly
+        # that.  The event *wait* is never under the lock; only the
+        # bookkeeping is.
         self._lock = threading.Lock()
-        self.results: dict[int, object] = {}
-        self.errors: dict[int, str] = {}
-        #: Worker-side wall-clock seconds per completed job (from the
-        #: result event's ``elapsed`` field).
-        self.elapsed: dict[int, float] = {}
         self._closed = False
         try:
             for _ in range(self.workers):
@@ -229,7 +230,7 @@ class JobRunner:
             raise
 
     def submit(self, job: JobSpec, trace: dict | None = None) -> int:
-        """Queue a job; returns its id (the key into ``results``/``errors``).
+        """Queue a job; returns its id, which every event of the job carries.
 
         ``trace`` optionally carries an exported trace context
         (:func:`repro.obs.trace.export_context` shape) to parent the
@@ -244,8 +245,7 @@ class JobRunner:
                 trace = _obs_trace.export_context()
             with self._lock:
                 job_id = next(self._ids)
-                self._jobs[job_id] = job
-                self._waiting[job_id] = trace
+                self._waiting[job_id] = (job, trace)
                 self._dispatch()
         return job_id
 
@@ -266,13 +266,15 @@ class JobRunner:
             worker = self._owner.get(job_id)
             if worker is not None:
                 self._send(worker, job_id)
-                if self._held[worker][0][0] == job_id:  # running: it stops itself
+                running, *behind = self._held[worker]
+                if running[0] == job_id:  # it stops itself
                     return True
+                task = next(task for task in behind if task[0] == job_id)
             elif job_id in self._waiting:
-                del self._waiting[job_id]
+                task = (job_id, *self._waiting.pop(job_id))
             else:
                 return False
-            self._fail_here(job_id, "CancelledError: job cancelled before it started")
+            self._fail_here(task, "CancelledError: job cancelled before it started")
             return True
 
     def stream(self):
@@ -281,33 +283,27 @@ class JobRunner:
         while self._waiting or self._owner or self._backlog:
             yield self.next_event()
 
-    def run(self) -> dict[int, object]:
-        """Drain the stream; return ``{job_id: result}`` or raise on failure."""
-        for _ in self.stream():
-            pass
-        if self.errors:
-            job_id, message = next(iter(self.errors.items()))
-            raise ExecError(
-                f"{len(self.errors)} job(s) failed; first: "
-                f"[{self._jobs[job_id].label}] {message}"
-            )
-        return dict(self.results)
-
     def run_all(self, jobs) -> list[tuple[object, str | None, float | None]]:
         """Submit ``jobs``, drain the stream, return aligned outcome triples.
 
-        The failure-isolating sibling of :meth:`run`: triple ``i`` is
-        ``(result, None, elapsed)`` for ``jobs[i]``, with the worker-side
-        seconds, or ``(None, message, None)`` if it failed.  The sweep
-        runner uses this to keep one broken cell from discarding the table.
+        Triple ``i`` is ``(result, None, elapsed)`` for ``jobs[i]``, with
+        the worker-side seconds, or ``(None, message, None)`` if it
+        failed; one failure never discards the others.  It drains the
+        runner itself, so the events of jobs submitted before the call
+        are read and dropped.  The sweep runner uses this to keep one
+        broken cell from discarding the table.
         """
-        job_ids = [self.submit(job) for job in jobs]
-        for _ in self.stream():
-            pass
-        return [
-            (self.results.get(job_id), self.errors.get(job_id), self.elapsed.get(job_id))
-            for job_id in job_ids
-        ]
+        positions = {self.submit(job): position for position, job in enumerate(jobs)}
+        outcomes = [(None, None, None)] * len(positions)
+        for event in self.stream():
+            position = positions.get(event.job_id)
+            if position is None:
+                continue
+            if event.kind == "result":
+                outcomes[position] = (event.payload, None, event.elapsed)
+            elif event.kind == "error":
+                outcomes[position] = (None, event.payload, None)
+        return outcomes
 
     def next_event(self, timeout: float | None = None) -> JobUpdate | None:
         """Return the next :class:`JobUpdate`, or None if ``timeout`` expires.
@@ -317,8 +313,8 @@ class JobRunner:
         dispatcher polls this with a short timeout while jobs are
         submitted concurrently from another thread).  It waits on the live
         workers' pipes, where a worker's death reads as end-of-file;
-        the bookkeeping — ``results``/``errors``, handing waiting jobs to
-        freed workers, failing a dead worker's job — happens here.  With
+        the bookkeeping — settling a job, handing waiting jobs to freed
+        workers, failing a dead worker's job — happens here.  With
         ``timeout=None`` and nothing pending this blocks until a job is
         submitted *and* produces an event; pass a timeout when submissions
         or cancels happen concurrently.
@@ -357,24 +353,17 @@ class JobRunner:
         """
         job_id = event.job_id
         news = worker is None or self._owner.get(job_id) == worker
-        if event.kind not in ("result", "error"):
-            return news
-        if worker is not None:
-            self._held[worker] = [task for task in self._held[worker] if task[0] != job_id]
-        if news:
-            self._owner.pop(job_id, None)
-            if event.kind == "result":
-                self.results[job_id] = event.payload
-                if event.elapsed is not None:
-                    self.elapsed[job_id] = event.elapsed
-            else:
-                self.errors[job_id] = event.payload
-        self._dispatch()
+        if event.kind in ("result", "error"):
+            if worker is not None:
+                self._held[worker] = [task for task in self._held[worker] if task[0] != job_id]
+            if news:
+                self._owner.pop(job_id, None)
+            self._dispatch()
         return news
 
-    def _fail_here(self, job_id: int, message: str) -> None:
-        """Fail a job in the parent, queued for next_event; the caller holds the lock."""
-        event = JobUpdate(job_id, "error", self._jobs[job_id].label, payload=message)
+    def _fail_here(self, task: tuple, message: str) -> None:
+        """Fail a task's job in the parent, queued for next_event; the caller holds the lock."""
+        event = JobUpdate(task[0], "error", task[1].label, payload=message)
         self._record(None, event)
         self._backlog.append(event)
 
@@ -397,7 +386,7 @@ class JobRunner:
                     continue
                 if self._waiting:
                     job_id = next(iter(self._waiting))
-                    task = (job_id, self._jobs[job_id], self._waiting.pop(job_id))
+                    task = (job_id, *self._waiting.pop(job_id))
                 elif depth == 1 and (task := self._queued_behind_busy()) is not None:
                     self._send(self._owner[task[0]], task[0])
                 else:
@@ -423,7 +412,7 @@ class JobRunner:
             self._live.remove(worker)
             running, *behind = self._held.pop(worker) or [(None,)]
             # A task behind the running one never started: back to the front of the line.
-            queued = {task[0]: task[2] for task in behind if self._owner.get(task[0]) == worker}
+            queued = {task[0]: task[1:] for task in behind if self._owner.get(task[0]) == worker}
             for job_id in queued:
                 del self._owner[job_id]
             self._waiting = {**queued, **self._waiting}
@@ -433,12 +422,12 @@ class JobRunner:
                 return
             exitcode = process.exitcode
             self._fail_here(
-                job_id, f"worker {process.pid} died executing this job (exit code {exitcode})"
+                running, f"worker {process.pid} died executing this job (exit code {exitcode})"
             )
             _obs_trace.event(
                 "runner.job_lost",
                 job_id=job_id,
-                label=self._jobs[job_id].label,
+                label=running[1].label,
                 worker_pid=process.pid,
                 exitcode=exitcode,
                 reason="died_executing",
@@ -468,8 +457,4 @@ class JobRunner:
             pass
 
     def __repr__(self) -> str:
-        return (
-            f"JobRunner(workers={self.workers}, "
-            f"pending={len(self._waiting) + len(self._owner)}, "
-            f"done={len(self.results)}, failed={len(self.errors)})"
-        )
+        return f"JobRunner(workers={self.workers}, pending={len(self._waiting) + len(self._owner)})"

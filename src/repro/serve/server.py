@@ -108,8 +108,9 @@ class _JobContext:
     spec: JobSpec
     cache_key: str | None
     fingerprint: str | None  # model fingerprint, tags the cached result
-    queue: asyncio.Queue | None  # streamed responses; None for unary
-    future: asyncio.Future | None  # unary responses; None for streamed
+    # The job's event lines, ending in its result or error line: a stream
+    # relays each, a unary request answers the last.
+    queue: asyncio.Queue
 
 
 @dataclass(eq=False)
@@ -311,20 +312,18 @@ class ReproServer:
         if ctx is None:
             return
         if event.kind == "started":
-            if ctx.queue is not None:
-                ctx.queue.put_nowait(
-                    {"event": "started", "job_id": ctx.job_id, "label": event.label}
-                )
+            ctx.queue.put_nowait(
+                {"event": "started", "job_id": ctx.job_id, "label": event.label}
+            )
         elif event.kind == "checkpoint":
-            if ctx.queue is not None:
-                ctx.queue.put_nowait(
-                    {
-                        "event": "checkpoint",
-                        "job_id": ctx.job_id,
-                        "round": event.round,
-                        "value": event.value,
-                    }
-                )
+            ctx.queue.put_nowait(
+                {
+                    "event": "checkpoint",
+                    "job_id": ctx.job_id,
+                    "round": event.round,
+                    "value": event.value,
+                }
+            )
         elif event.kind == "result":
             encoded = encode_result(ctx.spec.kind, event.payload)
             if ctx.cache_key is not None:
@@ -351,13 +350,10 @@ class ReproServer:
                 {"event": "error", "job_id": ctx.job_id, "message": str(event.payload)},
             )
 
-    def _finish(self, ctx: _JobContext, payload: dict) -> None:
+    def _finish(self, ctx: _JobContext, line: dict) -> None:
+        """Settle a context: its terminal ``result``/``error`` line ends its queue."""
         self._contexts.pop(ctx.job_id, None)
-        if ctx.queue is not None:
-            ctx.queue.put_nowait(payload)
-            ctx.queue.put_nowait(None)  # end-of-stream sentinel
-        if ctx.future is not None and not ctx.future.done():
-            ctx.future.set_result(payload)
+        ctx.queue.put_nowait(line)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -600,15 +596,6 @@ class ReproServer:
             await self._respond(conn, 500, {"error": "server shutting down"})
             return
 
-        loop = asyncio.get_running_loop()
-        ctx = _JobContext(
-            job_id=-1,
-            spec=spec,
-            cache_key=key,
-            fingerprint=fingerprint,
-            queue=asyncio.Queue() if stream else None,
-            future=None if stream else loop.create_future(),
-        )
         # Submit and register the context in one synchronous block: the
         # dispatcher routes events via call_soon_threadsafe, which can only
         # run once control returns to the loop — so the job's first events
@@ -618,20 +605,24 @@ class ReproServer:
         except ReproError as error:
             await self._respond(conn, 500, {"error": str(error)})
             return
-        ctx.job_id = job_id
-        self._contexts[job_id] = ctx
+        ctx = self._contexts[job_id] = _JobContext(job_id, spec, key, fingerprint, asyncio.Queue())
         self._submitted += 1
-        if not stream:
-            outcome = await ctx.future
-            if outcome.get("event") == "result":
-                await self._respond(conn, 200, outcome)
-            else:
-                await self._respond(
-                    conn, 500, {"error": outcome.get("message", "job failed")}
-                )
-            return
-
-        await self._stream_job(conn, ctx)
+        if stream:
+            await self._stream_lines(conn, [{"event": "accepted", "job_id": job_id}])
+        while True:
+            line = await ctx.queue.get()
+            settled = line["event"] in ("result", "error")
+            if stream:
+                # A client that disconnects stops this relay only: the job
+                # keeps running and _route_event still caches its result.
+                conn.writer.write(json.dumps(line).encode("utf-8") + b"\n")
+                await conn.writer.drain()
+            elif line["event"] == "result":
+                await self._respond(conn, 200, line)
+            elif settled:
+                await self._respond(conn, 500, {"error": line["message"]})
+            if settled:
+                return
 
     async def _handle_invalidate(self, body: bytes, conn: _Connection) -> None:
         """``POST /v1/invalidate`` — retire every result of one model.
@@ -673,23 +664,6 @@ class ReproServer:
         for line in lines:
             conn.writer.write(json.dumps(line).encode("utf-8") + b"\n")
         await conn.writer.drain()
-
-    async def _stream_job(self, conn: _Connection, ctx: _JobContext) -> None:
-        """Relay a job's event queue as JSON lines until it settles.
-
-        A transport error mid-stream (client disconnect) stops the relay
-        only — the job itself keeps running on the pool and the router
-        still caches its result.
-        """
-        await self._stream_lines(
-            conn, [{"event": "accepted", "job_id": ctx.job_id}]
-        )
-        while True:
-            item = await ctx.queue.get()
-            if item is None:
-                return
-            conn.writer.write(json.dumps(item).encode("utf-8") + b"\n")
-            await conn.writer.drain()
 
     # ------------------------------------------------------------------
     # introspection

@@ -50,6 +50,13 @@ def _coloring():
     return proper_coloring_mrf(grid_graph(3, 3), 5)
 
 
+def _outcomes(events):
+    """The jobs ``events`` settle: ``({job_id: result}, {job_id: error message})``."""
+    events = list(events)
+    return ({e.job_id: e.payload for e in events if e.kind == "result"},
+            {e.job_id: e.payload for e in events if e.kind == "error"})
+
+
 def _csp():
     return not_all_equal_csp([(0, 1, 2), (1, 2, 3), (2, 3, 4)], n=5, q=3)
 
@@ -342,7 +349,8 @@ class TestJobs:
         ]
         with JobRunner(workers=2) as runner:
             ids = [runner.submit(job) for job in jobs]
-            results = runner.run()
+            results, errors = _outcomes(runner.stream())
+        assert not errors
         assert np.array_equal(
             results[ids[0]],
             repro.sample_many(coloring, 12, method="local-metropolis",
@@ -393,11 +401,10 @@ class TestJobs:
             doomed_id = runner.submit(doomed)
             fine_id = runner.submit(fine)
             events = list(runner.stream())
-            assert "ConvergenceError" in runner.errors[doomed_id]
-            assert fine_id in runner.results
-            assert any(e.kind == "error" and e.job_id == doomed_id for e in events)
-            with pytest.raises(ExecError, match="doomed"):
-                runner.run()
+        results, errors = _outcomes(events)
+        assert "ConvergenceError" in errors[doomed_id]
+        assert fine_id in results
+        assert [(e.job_id, e.label) for e in events if e.kind == "error"] == [(doomed_id, "doomed")]
 
     def test_run_all_aligns_results_and_isolates_failures(self):
         """run_all never raises: each job yields (result, error, elapsed) in order."""
@@ -440,10 +447,9 @@ class TestJobs:
             fine_id = runner.submit(
                 JobSpec.sample_many(model, 4, rounds=2, seed=2, name="fine")
             )
-            for _ in stream:
-                pass
-            assert "died" in runner.errors[slow_id]
-            assert fine_id in runner.results
+            results, errors = _outcomes(stream)
+        assert "died" in errors[slow_id]
+        assert fine_id in results
 
     def test_dead_worker_inference_traced_and_pool_survives(self, tmp_path):
         """A dead worker seen as end-of-file on its pipe: the job it held fails
@@ -478,8 +484,9 @@ class TestJobs:
                 assert any(
                     e.kind == "error" and e.job_id == slow_id for e in events
                 )
-                assert "died" in runner.errors[slow_id]
-                assert fine_id in runner.results
+                results, errors = _outcomes(events)
+                assert "died" in errors[slow_id]
+                assert fine_id in results
         finally:
             obs_trace.disable_tracing()
         with open(trace_file, encoding="utf-8") as handle:
@@ -642,9 +649,9 @@ class TestJobs:
             victim.terminate()
             victim.join()
             job_id = runner.submit(spec)
-            for _ in runner.stream():
-                pass
-            assert np.array_equal(runner.results[job_id], repro.run_spec(spec))
+            results, errors = _outcomes(runner.stream())
+            assert not errors
+            assert np.array_equal(results[job_id], repro.run_spec(spec))
         finally:
             started = time.monotonic()
             runner.close()
@@ -665,10 +672,9 @@ class TestJobs:
         settled = [e.job_id for e in events if e.kind in ("result", "error")]
         assert settled == [waiting_id, busy_id]
         assert not any(e.kind == "started" and e.job_id == waiting_id for e in events)
-        assert runner.errors[waiting_id] == (
-            "CancelledError: job cancelled before it started"
-        )
-        assert np.array_equal(runner.results[busy_id], repro.run_spec(busy))
+        results, errors = _outcomes(events)
+        assert errors[waiting_id] == "CancelledError: job cancelled before it started"
+        assert np.array_equal(results[busy_id], repro.run_spec(busy))
 
     def test_cancelling_a_running_job_stops_it_at_its_next_checkpoint(self):
         """A running streamed job is cancelled by a drop request on its
@@ -706,7 +712,7 @@ class TestJobs:
                 seen = {(e.job_id, e.kind) for e in events}
                 if {(queued_id, "result"), (endless_id, "started")} <= seen:
                     break
-            assert endless_id not in runner.results and endless_id not in runner.errors
+            assert not seen & {(endless_id, "result"), (endless_id, "error")}
             assert runner.cancel(endless_id)
             events.extend(runner.stream())
         started = {e.job_id: e.payload for e in events if e.kind == "started"}
@@ -714,8 +720,9 @@ class TestJobs:
         assert len([e for e in events if e.kind == "started"]) == 3
         settled = [e.job_id for e in events if e.kind in ("result", "error")]
         assert settled == [short_id, queued_id, endless_id]
-        assert np.array_equal(runner.results[queued_id], repro.run_spec(queued))
-        assert runner.errors == {endless_id: "CancelledError: job cancelled"}
+        results, errors = _outcomes(events)
+        assert np.array_equal(results[queued_id], repro.run_spec(queued))
+        assert errors == {endless_id: "CancelledError: job cancelled"}
 
     def test_dead_workers_queued_job_runs_on_a_survivor(self):
         """A dead worker fails only the job it was running; the job queued
@@ -747,9 +754,10 @@ class TestJobs:
                 events.append(event)
                 if event.job_id == doomed_id:
                     runner.cancel(endless_id)
-        assert "died executing this job" in runner.errors[doomed_id]
-        assert runner.errors[endless_id] == "CancelledError: job cancelled"
-        assert np.array_equal(runner.results[queued_id], repro.run_spec(queued))
+        results, errors = _outcomes(early + events)
+        assert "died executing this job" in errors[doomed_id]
+        assert errors[endless_id] == "CancelledError: job cancelled"
+        assert np.array_equal(results[queued_id], repro.run_spec(queued))
         started_on = {e.job_id: e.payload for e in events if e.kind == "started"}
         assert started_on[queued_id] != started.payload
 
@@ -782,9 +790,10 @@ class TestJobs:
         finally:
             obs_trace.disable_tracing()
         assert [e.job_id for e in events if e.kind in ("result", "error")] == job_ids
-        assert not runner.errors
+        results, errors = _outcomes(events)
+        assert not errors
         for job_id, spec in zip(job_ids, specs):
-            assert np.array_equal(runner.results[job_id], repro.run_spec(spec))
+            assert np.array_equal(results[job_id], repro.run_spec(spec))
 
     def test_concurrent_submit_cancel_and_kill_settle_every_job_once(self):
         """Stress: one thread submits and cancels at random while another
@@ -804,7 +813,7 @@ class TestJobs:
         expected = [repro.run_spec(spec) for spec in specs]
         total = 240
         rng = random.Random(SEED)
-        settled: dict[int, list[str]] = {}
+        settled: dict[int, list] = {}  # job id -> its result and error events
         submitted: list[tuple[int, int]] = []  # (job id, spec index)
         runner = JobRunner(workers=3)  # more workers than a two-core host has cores
         switch_interval = sys.getswitchinterval()
@@ -828,7 +837,7 @@ class TestJobs:
                 if event is None:
                     continue
                 if event.kind in ("result", "error"):
-                    settled.setdefault(event.job_id, []).append(event.kind)
+                    settled.setdefault(event.job_id, []).append(event)
                 if event.kind == "started" and not killed and len(settled) > 60:
                     os.kill(event.payload, signal.SIGKILL)
                     killed = True
@@ -839,19 +848,45 @@ class TestJobs:
             sys.setswitchinterval(switch_interval)
             runner.close()
         assert sorted(settled) == sorted(job_id for job_id, _ in submitted)
-        assert all(len(kinds) == 1 for kinds in settled.values())
-        assert set(runner.results).isdisjoint(runner.errors)
+        assert all(len(events) == 1 for events in settled.values())
+        results, errors = _outcomes(event for [event] in settled.values())
+        assert set(results).isdisjoint(errors)
         for job_id, index in submitted:
-            if job_id in runner.results:
-                result = runner.results[job_id]
+            if job_id in results:
+                result = results[job_id]
                 if isinstance(result, np.ndarray):
                     assert np.array_equal(result, expected[index])
                 else:
                     assert result == expected[index]
-        died = [m for m in runner.errors.values() if "died" in m]
+        died = [m for m in errors.values() if "died" in m]
         assert len(died) <= 1
-        assert all(m.startswith("CancelledError") for m in runner.errors.values()
+        assert all(m.startswith("CancelledError") for m in errors.values()
                    if "died" not in m)
+
+    def test_a_settled_job_leaves_nothing_in_the_runner(self):
+        """The runner holds a job only while it is in flight: once three
+        jobs settle and the caller drops its references, their specs and
+        results are freed."""
+        import gc
+        import weakref
+
+        model = proper_coloring_mrf(path_graph(3), 3)
+        specs = [JobSpec.sample_many(model, 4, rounds=2, seed=s) for s in range(3)]
+        spec_refs = [weakref.ref(spec) for spec in specs]
+        result_refs = {}
+        with JobRunner(workers=1) as runner:
+            job_ids = [runner.submit(spec) for spec in specs]
+            del specs
+            while len(result_refs) < 3:
+                event = runner.next_event(timeout=30)
+                assert event is not None and event.kind != "error", event
+                if event.kind == "result":
+                    result_refs[event.job_id] = weakref.ref(event.payload)
+            del event
+            gc.collect()
+            assert sorted(result_refs) == job_ids
+            assert [ref() for ref in spec_refs] == [None] * 3
+            assert [ref() for ref in result_refs.values()] == [None] * 3
 
     def test_submit_after_close_raises(self):
         runner = JobRunner(workers=1)

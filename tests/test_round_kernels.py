@@ -369,6 +369,20 @@ class TestTvProbe:
 @pytest.mark.parametrize(
     "row", DISPATCH, ids=[f"{row.kind}-{row.ensemble.__name__}" for row in DISPATCH]
 )
+def test_config_is_a_c_ordered_int64_copy_of_the_state(row):
+    """``config`` is the vertex-major state transposed, C-ordered, as a fresh int64 array."""
+    model = _model_for(row)
+    ensemble = repro.make_ensemble(model, 64, method=row.method, seed=5).advance(3)
+    batch = ensemble.config
+    assert batch.flags.c_contiguous and batch.dtype == np.int64
+    assert np.array_equal(batch, ensemble._config.T) and batch.shape == (64, model.n)
+    batch[:] = -1  # a copy: the engine's state is untouched
+    assert np.array_equal(ensemble.config, ensemble._config.T)
+
+
+@pytest.mark.parametrize(
+    "row", DISPATCH, ids=[f"{row.kind}-{row.ensemble.__name__}" for row in DISPATCH]
+)
 def test_feasibility_mask_is_the_model_test_row_by_row(row):
     """``is_feasible()`` is an ``(R,)`` bool mask, from a start with infeasible rows."""
     model = _model_for(row)

@@ -702,6 +702,25 @@ class TestLifecycle:
             srv.address
         srv.close()
 
+    def test_a_long_running_server_keeps_no_settled_job(self, small_coloring):
+        """A served job lives only while it runs: after 150 uncached
+        requests neither the server nor its runner holds their specs."""
+        import gc
+
+        def live_specs():
+            gc.collect()
+            return sum(isinstance(obj, JobSpec) for obj in gc.get_objects())
+
+        before = live_specs()
+        with (
+            ReproServer(workers=1, cache_capacity=0) as srv,
+            ServeClient(*srv.address) as cli,
+        ):
+            for seed in range(150):
+                cli.run(JobSpec.sample_many(small_coloring, 4, seed=seed, rounds=2))
+            assert srv.stats()["jobs"]["completed"] == 150
+            assert live_specs() - before < 10
+
 
 class TestKeepAlive:
     def test_two_requests_share_one_connection(self, server):
